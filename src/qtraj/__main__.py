@@ -1,0 +1,6 @@
+"""Command-line entry point: ``python -m qtraj <command> ...``."""
+
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

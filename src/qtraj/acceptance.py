@@ -340,7 +340,8 @@ def run_criterion(cid: int) -> CriterionResult:
         if c == cid:
             start = time.perf_counter()
             passed, detail = fn()
-            return CriterionResult(c, title, passed, detail, time.perf_counter() - start)
+            # Criteria often compute numpy.bool_, which json cannot serialize.
+            return CriterionResult(c, title, bool(passed), detail, time.perf_counter() - start)
     raise ValueError(f"no acceptance criterion numbered {cid}")
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffusion import DiffusionConfig, evolve_coupled_sse
+from .diffusion import DiffusionConfig
 from .ensemble import (
     MasterConfig,
     _aggregate,
@@ -463,32 +463,16 @@ def _run_diffuse(spec: RunSpec, model: _Model, outdir: Path, resolved: dict):
     )
     obs = _observable_matrices(spec, model, cfg.M)
     times = _sample_times(spec)
-    meta = _meta(spec, resolved)
-    if spec.equation == "coupled":
-        def worker(i: int):
-            path = evolve_coupled_sse(cfg, model.eta_single, spec.T, index=i, record_times=times)
-            vals = np.empty((times.size, len(obs)))
-            for o, X in enumerate(obs.values()):
-                vals[:, o] = np.einsum(
-                    "ni,ij,nj->n", path.states.conj(), X, path.states
-                ).real / path.norm2
-            return path.norm2, vals
-
-        parts = _map_indices(worker, spec.n_traj, spec.threads)
-        weights = np.stack([p[0] for p in parts])
-        obs_norm = np.stack([p[1] for p in parts])
-        stats = _aggregate(times, "normalized", list(obs), weights, obs_norm)
-    else:
-        initial = (
-            _product_state(model.eta_single, cfg.M).density()
-            if spec.equation == "density"
-            else model.eta_single
-        )
-        stats = run_ensemble(
-            cfg, initial, spec.T, spec.n_traj, observables=obs,
-            sample_times=times, n_workers=spec.threads, equation=spec.equation,
-        )
-    write_table(outdir / "timeseries.tsv", meta, _stats_columns(stats))
+    initial = (
+        _product_state(model.eta_single, cfg.M).density()
+        if spec.equation == "density"
+        else model.eta_single
+    )
+    stats = run_ensemble(
+        cfg, initial, spec.T, spec.n_traj, observables=obs,
+        sample_times=times, n_workers=spec.threads, equation=spec.equation,
+    )
+    write_table(outdir / "timeseries.tsv", _meta(spec, resolved), _stats_columns(stats))
 
 
 def _run_master(spec: RunSpec, model: _Model, outdir: Path, resolved: dict):
@@ -639,3 +623,7 @@ def main(argv=None) -> int:
 
 def console_main():
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    console_main()

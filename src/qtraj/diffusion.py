@@ -30,6 +30,11 @@ positivity defect at the O(dt^2) level (a plain Euler step dips to
 O(sqrt(dt)^3) negativity near the spectrum edge, which violates the
 positivity contract at practical step sizes).  All noise draws are pure
 functions of (seed, path index, step index).
+
+Each state equation has one batched kernel, run as a batch of one by
+evolve_diffusive_sse / evolve_coupled_sse and in chunks by run_ensemble.
+Every path draws from its own stream; coupled paths are bit-identical in any
+batch, linear ones agree to rounding.
 """
 
 from __future__ import annotations
@@ -42,13 +47,14 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import NumericError, ValidationError
-from .linalg import HermitianOperator, StateVector, embed_at_slot, hermitian_eig
-from .meter import PointerState, POINTER_ZERO, STATE_NORM_TOL
+from .linalg import HermitianOperator, StateVector, embed_at_slot, hermitian_eig, propagator
+from .meter import PointerState, STATE_NORM_TOL
 from .rng import stream
 
 BLOWUP_LIMIT = 1e6
 POSITIVITY_TOL = 1e-6
 _STEP_BLOCK = 1000
+_NOISE_BLOCK = 64
 
 
 class NoiseCovariance(NamedTuple):
@@ -205,107 +211,164 @@ def _record_steps(times, n_steps: int, dt: float) -> np.ndarray:
     return steps
 
 
-def evolve_diffusive_sse(
-    cfg: DiffusionConfig, eta: StateVector, T: float, index: int = 0, record_times=None
-) -> StatePath:
-    """Euler-Maruyama path of the linear diffusive state equation.
-
-    Per step the measurement terms are applied in Euler form and the
-    Hamiltonian factor as the exact unitary exp(-i H dt / hbar)."""
+def _state_batch(cfg: DiffusionConfig, eta: StateVector, T: float, indices, sample_times):
+    """Validated start of a state-equation batch: (initial amplitudes, step
+    count, record steps, sample slots to fill after each step, one stream
+    per path)."""
     if cfg.M != 1:
         raise ValidationError("the state equations are single-particle; use M=1")
     if abs(eta.norm2() - 1.0) > STATE_NORM_TOL:
         raise ValidationError("initial state must be normalized")
     n_steps = _step_count(T, cfg.dt)
-    rec = _record_steps(record_times if record_times is not None else [T], n_steps, cfg.dt)
-    rng = stream(cfg.seed, index)
-    dv = sample_wiener_increments(rng, n_steps, cfg.dt, cfg.noise.c1, cfg.noise.c2).increments
-    wH, VH = hermitian_eig(cfg.H)
-    expH = (VH * np.exp(-1j * wH * (cfg.dt / cfg.hbar))) @ VH.conj().T
-    D = cfg._damping
-    R = cfg.R.entries
-    chi = eta.amps.astype(complex).copy()
-    out = np.empty((rec.size, cfg.dim), dtype=complex)
-    rec_map = {}
+    rec = _record_steps(sample_times, n_steps, cfg.dt)
+    rec_map: dict[int, list[int]] = {}
     for j, s in enumerate(rec):
         rec_map.setdefault(int(s), []).append(j)
-    for j in rec_map.get(0, []):
-        out[j] = chi
-    for s in range(n_steps):
-        chi = expH @ (chi - cfg.dt * (D @ chi) + cfg.gamma * dv[s] * (R @ chi))
-        if s + 1 in rec_map:
-            n2 = float(np.vdot(chi, chi).real)
-            if n2 > BLOWUP_LIMIT:
-                raise NumericError(
-                    f"squared norm {n2:.3e} exceeded {BLOWUP_LIMIT:.0e}; reduce dt"
-                )
-            for j in rec_map[s + 1]:
-                out[j] = chi
-    norm2 = np.einsum("ni,ni->n", out.conj(), out).real
-    return StatePath(times=rec * cfg.dt, states=out, norm2=norm2)
+    gens = [stream(cfg.seed, i) for i in indices]
+    return eta.amps.astype(complex), n_steps, rec, rec_map, gens
+
+
+def _sse_states(
+    cfg: DiffusionConfig, eta: StateVector, T: float, indices, sample_times
+) -> tuple[np.ndarray, np.ndarray]:
+    """Euler-Maruyama paths of the linear state equation, one row per index.
+
+    Per step the measurement terms are applied in Euler form and the
+    Hamiltonian factor as the exact unitary exp(-i H dt / hbar).  Returns
+    (record steps, states) with states[i, j] the unnormalized chi of path
+    indices[i] at record step j.
+    """
+    chi, n_steps, rec, rec_map, gens = _state_batch(cfg, eta, T, indices, sample_times)
+    a11, a21, a22 = _noise_chol(cfg.dt, cfg.noise.c1, cfg.noise.c2)
+    expH = propagator(cfg.H, cfg.dt, cfg.hbar)
+    D = cfg._damping
+    R = cfg.R.entries
+    chi = np.tile(chi, (len(gens), 1))
+    out = np.empty((len(gens), rec.size, cfg.dim), dtype=complex)
+
+    def record(slots):
+        n2 = np.einsum("ni,ni->n", chi.conj(), chi).real
+        if np.any(n2 > BLOWUP_LIMIT):
+            raise NumericError(
+                f"squared norm {n2.max():.3e} exceeded {BLOWUP_LIMIT:.0e}; reduce dt"
+            )
+        out[:, slots] = chi[:, None, :]
+
+    if 0 in rec_map:
+        record(rec_map[0])
+    s = 0
+    while s < n_steps:
+        block = min(_STEP_BLOCK, n_steps - s)
+        z = np.stack([g.standard_normal((block, 2)) for g in gens])
+        dv = a11 * z[:, :, 0] + 1j * (a21 * z[:, :, 0] + a22 * z[:, :, 1])
+        for b in range(block):
+            chi = chi - cfg.dt * (chi @ D.T) + cfg.gamma * dv[:, b, None] * (chi @ R.T)
+            chi = chi @ expH.T
+            if s + b + 1 in rec_map:
+                record(rec_map[s + b + 1])
+        s += block
+    return rec, out
+
+
+def _rows_matmul(y: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """y @ M as a sum of elementwise products, so every row is rounded the
+    same way whatever the number of rows (BLAS matmul does not promise that)."""
+    out = y[:, :1] * M[0]
+    for k in range(1, M.shape[0]):
+        out += y[:, k : k + 1] * M[k]
+    return out
+
+
+def _coupled_states(
+    cfg: DiffusionConfig, eta: StateVector, T: float, indices, sample_times
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unitary-dilation paths, one row per index: per step the exact phase
+    factor exp((i/hbar) gamma R du) followed by exp(-i H dt / hbar).
+
+    The rows live in R's eigenbasis, where the noise factor is an elementwise
+    phase and the free factor the fixed unitary VR^dag exp(-i H dt / hbar) VR;
+    they are rotated back only at record steps.  Each path draws its du from
+    its own stream in blocks of _NOISE_BLOCK steps, the same normals as one
+    draw of all steps.  Returns (record steps, states) as :func:`_sse_states`.
+    """
+    amps, n_steps, rec, rec_map, gens = _state_batch(cfg, eta, T, indices, sample_times)
+    wR, VR = hermitian_eig(cfg.R)
+    UT = (VR.conj().T @ propagator(cfg.H, cfg.dt, cfg.hbar) @ VR).T
+    rate = (cfg.gamma / cfg.hbar) * wR
+    du_scale = math.sqrt(cfg.noise.sigma2 * cfg.dt)
+    y = np.tile(VR.conj().T @ amps, (len(gens), 1))
+    out = np.empty((len(gens), rec.size, cfg.dim), dtype=complex)
+    if 0 in rec_map:
+        out[:, rec_map[0]] = amps
+    z = np.empty((len(gens), _NOISE_BLOCK))
+    phase = np.empty((_NOISE_BLOCK, len(gens), cfg.dim), dtype=complex)
+    s = 0
+    while s < n_steps:
+        block = min(_NOISE_BLOCK, n_steps - s)
+        for k, g in enumerate(gens):
+            g.standard_normal(out=z[k, :block])
+        z *= du_scale
+        # Phase arguments du * rate, built in place to keep the block small.
+        arg = phase[:block].real
+        np.multiply(z[:, :block].T[:, :, None], rate, out=arg)
+        np.sin(arg, out=phase[:block].imag)
+        np.cos(arg, out=arg)
+        for b in range(block):
+            y *= phase[b]
+            y = _rows_matmul(y, UT)
+            if s + b + 1 in rec_map:
+                out[:, rec_map[s + b + 1]] = _rows_matmul(y, VR.T)[:, None, :]
+        s += block
+    return rec, out
+
+
+def _state_stats(states: np.ndarray, observables: dict[str, np.ndarray]):
+    """(weights, obs) of recorded states (n, n_times, d): weights[i, s] =
+    ||chi||^2 and obs[i, s, o] the normalized expectation of observable o.
+    Rows are reduced one by one as in :func:`_single_path`, so a path's
+    values do not depend on the batch it ran in."""
+    n, n_times, d = states.shape
+    flat = states.reshape(n * n_times, d)
+    n2 = np.einsum("ni,ni->n", flat.conj(), flat).real
+    obs = np.empty((n * n_times, len(observables)))
+    for o, X in enumerate(observables.values()):
+        obs[:, o] = np.einsum("ni,ij,nj->n", flat.conj(), X, flat).real / n2
+    return n2.reshape(n, n_times), obs.reshape(n, n_times, len(observables))
+
+
+def _sse_batch(cfg, eta, T, indices, sample_times, observables):
+    """Linear-equation paths reduced to (weights, obs) by :func:`_state_stats`."""
+    return _state_stats(_sse_states(cfg, eta, T, indices, sample_times)[1], observables)
+
+
+def _coupled_batch(cfg, eta, T, indices, sample_times, observables):
+    """Coupled-equation paths reduced to (weights, obs) by :func:`_state_stats`."""
+    return _state_stats(_coupled_states(cfg, eta, T, indices, sample_times)[1], observables)
+
+
+def _single_path(kernel, cfg, eta, T, index, record_times) -> StatePath:
+    """Path `index` as a batch of one, recorded at record_times (default: T)."""
+    rec, states = kernel(cfg, eta, T, [index], [T] if record_times is None else record_times)
+    chi = states[0]
+    return StatePath(rec * cfg.dt, chi, np.einsum("ni,ni->n", chi.conj(), chi).real)
+
+
+def evolve_diffusive_sse(
+    cfg: DiffusionConfig, eta: StateVector, T: float, index: int = 0, record_times=None
+) -> StatePath:
+    """One path of the linear diffusive state equation (see :func:`_sse_states`)."""
+    return _single_path(_sse_states, cfg, eta, T, index, record_times)
 
 
 def evolve_coupled_sse(
     cfg: DiffusionConfig, eta: StateVector, T: float, index: int = 0, record_times=None
 ) -> StatePath:
-    """Unitary-dilation path: per step the exact phase factor
-    exp((i/hbar) gamma R du) followed by the free factor exp(-i H dt / hbar).
+    """One unitary-dilation path (see :func:`_coupled_states`).
 
     Pathwise norm-preserving; R-populations are exactly conserved whenever
     [R, H] = 0 because the noise acts as an R-generated phase.
     """
-    if cfg.M != 1:
-        raise ValidationError("the state equations are single-particle; use M=1")
-    if abs(eta.norm2() - 1.0) > STATE_NORM_TOL:
-        raise ValidationError("initial state must be normalized")
-    n_steps = _step_count(T, cfg.dt)
-    rec = _record_steps(record_times if record_times is not None else [T], n_steps, cfg.dt)
-    rng = stream(cfg.seed, index)
-    du = math.sqrt(cfg.noise.sigma2 * cfg.dt) * rng.standard_normal(n_steps)
-    wR, VR = hermitian_eig(cfg.R)
-    wH, VH = hermitian_eig(cfg.H)
-    free_ph = np.exp(-1j * wH * (cfg.dt / cfg.hbar))
-    expH = (VH * free_ph) @ VH.conj().T
-    chi = eta.amps.astype(complex).copy()
-    out = np.empty((rec.size, cfg.dim), dtype=complex)
-    rec_map = {}
-    for j, s in enumerate(rec):
-        rec_map.setdefault(int(s), []).append(j)
-    for j in rec_map.get(0, []):
-        out[j] = chi
-    coef = 1j * cfg.gamma / cfg.hbar
-    for s in range(n_steps):
-        chi = VR @ (np.exp(coef * wR * du[s]) * (VR.conj().T @ chi))
-        chi = expH @ chi
-        for j in rec_map.get(s + 1, []):
-            out[j] = chi
-    norm2 = np.einsum("ni,ni->n", out.conj(), out).real
-    return StatePath(times=rec * cfg.dt, states=out, norm2=norm2)
-
-
-def _lifted_ops(cfg: DiffusionConfig) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """(H_total, [R(k)], mean coupling operator) on the M-fold product space."""
-    M = cfg.M
-    H = sum(embed_at_slot(cfg.H.entries, k, M) for k in range(1, M + 1))
-    Rks = [embed_at_slot(cfg.R.entries, k, M) for k in range(1, M + 1)]
-    Rbar = sum(Rks) / M
-    return H, Rks, Rbar
-
-
-def density_drift_superop(cfg: DiffusionConfig) -> np.ndarray:
-    """Row-major superoperator of the deterministic part of the density
-    equation: -(K rho + rho K^dag) + (gamma/hbar)^2 sigma^2 sum_k R(k) rho R(k)."""
-    H, Rks, _ = _lifted_ops(cfg)
-    D = H.shape[0]
-    eye = np.eye(D, dtype=complex)
-    g_h = cfg.gamma / cfg.hbar
-    K = (1j / cfg.hbar) * H + 0.5 * g_h * g_h * cfg.noise.sigma2 * sum(
-        Rk @ Rk for Rk in Rks
-    )
-    L = -(np.kron(K, eye) + np.kron(eye, K.conj()))
-    for Rk in Rks:
-        L = L + g_h * g_h * cfg.noise.sigma2 * np.kron(Rk, Rk.T)
-    return L
+    return _single_path(_coupled_states, cfg, eta, T, index, record_times)
 
 
 def _density_kernel(cfg: DiffusionConfig):
@@ -459,64 +522,6 @@ def mean_field_evolve(
         out[j] = V @ (np.exp(-1j * w * (t / cfg.hbar)) * et)
     norm2 = np.einsum("ni,ni->n", out.conj(), out).real
     return StatePath(times=rec_times, states=out, norm2=norm2)
-
-
-def _sse_batch(
-    cfg: DiffusionConfig,
-    eta: StateVector,
-    T: float,
-    indices,
-    sample_times,
-    observables: dict[str, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized linear-equation paths for the given trajectory indices.
-
-    Returns (weights, obs) with weights[i, s] = ||chi||^2 and obs[i, s, o]
-    the normalized expectation of observable o, both at sample time s.
-    Noise per path comes from that path's own stream, so results do not
-    depend on how paths are grouped into batches.
-    """
-    n_steps = _step_count(T, cfg.dt)
-    rec = _record_steps(sample_times, n_steps, cfg.dt)
-    indices = list(indices)
-    n = len(indices)
-    a11, a21, a22 = _noise_chol(cfg.dt, cfg.noise.c1, cfg.noise.c2)
-    gens = [stream(cfg.seed, i) for i in indices]
-    wH, VH = hermitian_eig(cfg.H)
-    expH = (VH * np.exp(-1j * wH * (cfg.dt / cfg.hbar))) @ VH.conj().T
-    D = cfg._damping
-    R = cfg.R.entries
-    obs_mats = list(observables.values())
-    chi = np.tile(eta.amps.astype(complex), (n, 1))
-    weights = np.empty((n, rec.size))
-    obs = np.empty((n, rec.size, len(obs_mats)))
-    rec_map = {}
-    for j, s in enumerate(rec):
-        rec_map.setdefault(int(s), []).append(j)
-
-    def record(slots):
-        n2 = np.einsum("ni,ni->n", chi.conj(), chi).real
-        if np.any(n2 > BLOWUP_LIMIT):
-            raise NumericError(f"squared norm exceeded {BLOWUP_LIMIT:.0e}; reduce dt")
-        for j in slots:
-            weights[:, j] = n2
-            for o, X in enumerate(obs_mats):
-                val = np.einsum("ni,ij,nj->n", chi.conj(), X, chi).real
-                obs[:, j, o] = val / n2
-    if 0 in rec_map:
-        record(rec_map[0])
-    s = 0
-    while s < n_steps:
-        block = min(_STEP_BLOCK, n_steps - s)
-        z = np.stack([g.standard_normal((block, 2)) for g in gens])
-        dv = a11 * z[:, :, 0] + 1j * (a21 * z[:, :, 0] + a22 * z[:, :, 1])
-        for b in range(block):
-            chi = chi - cfg.dt * (chi @ D.T) + cfg.gamma * dv[:, b, None] * (chi @ R.T)
-            chi = chi @ expH.T
-            if s + b + 1 in rec_map:
-                record(rec_map[s + b + 1])
-        s += block
-    return weights, obs
 
 
 def _density_batch(

@@ -27,15 +27,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import DiffusionConfig, _density_batch, _sse_batch, noise_covariance
+from .diffusion import DiffusionConfig, _coupled_batch, _density_batch, _sse_batch
 from .errors import ValidationError
 from .jumps import JumpConfig, Trajectory, evolve_jump
-from .linalg import DensityMatrix, HermitianOperator, StateVector, embed_at_slot
+from .linalg import HermitianOperator, embed_at_slot
 from .manybody import DensityTrajectory, ManyBodyConfig, evolve_density
 from .meter import MeterModel, build_gaussian_meter
 
 MASTER_MODES = ("jump-averaged", "diffusive")
 _DIFFUSION_CHUNK = 512
+# Batched kernel and weight mode of each diffusion equation.
+_DIFFUSION_EQUATIONS = {
+    "linear": (_sse_batch, "linear"),
+    "coupled": (_coupled_batch, "normalized"),
+    "density": (_density_batch, "linear"),
+}
 
 
 @dataclass(frozen=True)
@@ -344,9 +350,17 @@ def run_ensemble(
 
     Trajectory i uses the random stream (cfg.seed, i); aggregation runs in
     index order with exact summation, so the result is independent of the
-    worker count.  For a DiffusionConfig the equation is inferred from the
-    initial state (vector: linear state equation, matrix: density equation)
-    unless given explicitly.
+    worker count.  A DiffusionConfig runs its batched kernel in chunks of
+    _DIFFUSION_CHUNK paths; the equation and its weight mode are
+
+    * "linear": linear state equation, weight ||chi||^2, mode "linear";
+    * "coupled": unitary-dilation state equation, weight ||psi||^2 (one to
+      rounding), mode "normalized";
+    * "density": M-particle density equation, weight Tr(rho), mode "linear",
+      with entropy statistics.
+
+    Unless given, the equation is inferred from the initial state (vector:
+    "linear", matrix: "density").
     """
     if n_traj < 2:
         raise ValidationError(f"n_traj must be >= 2, got {n_traj}")
@@ -387,29 +401,22 @@ def run_ensemble(
             eq = "density" if np.asarray(
                 initial.entries if hasattr(initial, "entries") else initial
             ).ndim == 2 else "linear"
-        if eq not in ("linear", "density"):
-            raise ValidationError(f"diffusion ensembles support 'linear' or 'density', got {eq!r}")
+        if eq not in _DIFFUSION_EQUATIONS:
+            raise ValidationError(
+                f"diffusion ensembles support {tuple(_DIFFUSION_EQUATIONS)}, got {eq!r}"
+            )
+        batch, mode = _DIFFUSION_EQUATIONS[eq]
         chunks = [
             range(lo, min(lo + _DIFFUSION_CHUNK, n_traj))
             for lo in range(0, n_traj, _DIFFUSION_CHUNK)
         ]
-        if eq == "linear":
-            def chunk_worker(idx):
-                return _sse_batch(cfg, initial, T, idx, sample_times, obs)
-
-            parts = _map_chunks(chunk_worker, chunks, n_workers)
-            weights = np.concatenate([p[0] for p in parts], axis=0)
-            obs_norm = np.concatenate([p[1] for p in parts], axis=0)
-            return _aggregate(sample_times, "linear", names, weights, obs_norm)
-
-        def chunk_worker(idx):
-            return _density_batch(cfg, initial, T, idx, sample_times, obs)
-
-        parts = _map_chunks(chunk_worker, chunks, n_workers)
+        parts = _map_chunks(
+            lambda idx: batch(cfg, initial, T, idx, sample_times, obs), chunks, n_workers
+        )
         weights = np.concatenate([p[0] for p in parts], axis=0)
         obs_norm = np.concatenate([p[1] for p in parts], axis=0)
-        entropy = np.concatenate([p[2] for p in parts], axis=0)
-        return _aggregate(sample_times, "linear", names, weights, obs_norm, entropy=entropy)
+        entropy = np.concatenate([p[2] for p in parts], axis=0) if eq == "density" else None
+        return _aggregate(sample_times, mode, names, weights, obs_norm, entropy=entropy)
 
     raise ValidationError(f"unsupported config type {type(cfg).__name__}")
 

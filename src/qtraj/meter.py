@@ -334,17 +334,6 @@ class MeterModel:
             )
         return StateVector(psi / n)
 
-    def outcome_distribution(self, chi) -> np.ndarray:
-        """A-posteriori outcome probabilities over the support grid for a
-        normalized state chi (the per-jump sampling law)."""
-        amps = chi.amps if isinstance(chi, StateVector) else np.asarray(chi, dtype=complex)
-        ct = self.eigenvectors.conj().T @ amps
-        w = self.outcome_weight_matrix @ (np.abs(ct) ** 2)
-        total = float(np.sum(w))
-        if total < 1e-300:
-            raise NumericError("all outcome weights vanish for this state")
-        return w / total
-
 
 def build_gaussian_meter(
     kappa: float,

@@ -21,7 +21,7 @@ from qtraj import (
     sample_wiener_increments,
     save_pointer,
 )
-from qtraj.diffusion import _sse_batch
+from qtraj.diffusion import _coupled_batch, _coupled_states, _sse_batch
 from qtraj.rng import stream
 
 R01 = HermitianOperator(np.diag([0.0, 1.0]).astype(complex))
@@ -168,6 +168,38 @@ class TestCoupledSse:
         assert np.max(np.abs(pops[:, 0] - 0.36)) <= 1e-10
         assert np.max(np.abs(pops[:, 1] - 0.64)) <= 1e-10
 
+    def test_single_path_matches_batch(self):
+        cfg = make_config(seed=7)
+        eta = StateVector(np.array([0.6, 0.8j]))
+        times = np.linspace(0.2, 1.0, 5)
+        obs = {"R": RC.entries, "H": HX.entries}
+        w, o = _coupled_batch(cfg, eta, 1.0, [2, 3, 4], times, obs)
+        for row, i in enumerate([2, 3, 4]):
+            single = evolve_coupled_sse(cfg, eta, 1.0, index=i, record_times=times)
+            assert np.max(np.abs(single.norm2 - w[row])) <= 1e-12
+            for k, X in enumerate(obs.values()):
+                expect = np.einsum("ni,ij,nj->n", single.states.conj(), X, single.states).real
+                assert np.max(np.abs(expect / single.norm2 - o[row, :, k])) <= 1e-12
+
+    def test_matches_per_step_reference(self):
+        # the exact split exp(i gamma R du / hbar) then exp(-i H dt / hbar),
+        # stepped one path at a time from the same stream and the same du
+        cfg = make_config(seed=21)
+        eta = StateVector(np.array([0.6, 0.8j]))
+        T = 0.3
+        n_steps = 300
+        expH = propagator(HX, cfg.dt)
+        _, states = _coupled_states(cfg, eta, T, [0, 5], [0.1, T])
+        for row, i in enumerate([0, 5]):
+            du = math.sqrt(cfg.noise.sigma2 * cfg.dt) * stream(cfg.seed, i).standard_normal(n_steps)
+            chi = eta.amps.astype(complex)
+            ref = []
+            for s in range(n_steps):
+                chi = expH @ (propagator(RC, -cfg.gamma * du[s]) @ chi)
+                if s + 1 in (100, n_steps):
+                    ref.append(chi)
+            assert np.max(np.abs(states[row] - np.array(ref))) <= 1e-12
+
     def test_phase_variance_grows_linearly(self):
         # on an eigenvector of R the accumulated phase is gamma r u_t / hbar
         Hd = HermitianOperator(np.zeros((2, 2)))
@@ -176,10 +208,8 @@ class TestCoupledSse:
         eta = StateVector(np.array([0.0, 1.0], dtype=complex))
         n = 3000
         T = 1.0
-        phases = np.empty(n)
-        for i in range(n):
-            path = evolve_coupled_sse(cfg, eta, T, index=i)
-            phases[i] = np.angle(path.states[0][1])
+        _, states = _coupled_states(cfg, eta, T, range(n), [T])
+        phases = np.angle(states[:, 0, 1])
         var = phases.var(ddof=1)
         expected = cfg.gamma ** 2 * r ** 2 * cfg.noise.sigma2 * T
         se = expected * math.sqrt(2.0 / n)  # chi-square variance of the variance
