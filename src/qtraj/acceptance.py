@@ -1,9 +1,9 @@
 """Executable acceptance criteria.
 
-Each criterion is a self-contained check with pinned tolerances; the test
-suite asserts every one of them and the CLI selftest prints the same
-pass/fail table.  Monte-Carlo criteria use fixed seeds, so a failing run is
-reproducible bit for bit.
+Each criterion is a self-contained check with pinned tolerances; the CLI
+selftest prints the pass/fail table of all of them, and the test suite
+asserts those that run in seconds (all but 4, 7 and 8).  Monte-Carlo
+criteria use fixed seeds, so a failing run is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ from .ensemble import (
     mean_field_limit_error,
     rk4_solve,
     run_ensemble,
+    run_trajectories,
 )
 from .jumps import JumpConfig
 from .linalg import DensityMatrix, HermitianOperator, StateVector, propagator
 from .manybody import (
     ManyBodyConfig,
     entropy_after_first_event,
-    evolve_density,
     mixing_brute_force_oracle,
     mixing_reduction,
     permutation_defect,
@@ -169,16 +169,11 @@ def criterion_6() -> tuple[bool, str]:
     rho0 = _product_density(eta, 2)
     times = np.linspace(0.1, 1.0, 10)
     n_traj = 5000
-    traces = np.empty(n_traj)
-    counts = np.empty(n_traj)
-    min_eig = math.inf
-    max_defect = 0.0
-    for i in range(n_traj):
-        traj = evolve_density(cfg, rho0, 1.0, mode="linear", index=i, sample_times=times)
-        traces[i] = math.exp(traj.log_weight)
-        counts[i] = traj.count
-        min_eig = min(min_eig, float(np.min(traj.min_eig_series)))
-        max_defect = max(max_defect, permutation_defect(traj.rho.entries, 2, 2))
+    trajs = run_trajectories(cfg, rho0, 1.0, n_traj, sample_times=times, mode="linear")
+    traces = np.array([math.exp(t.log_weight) for t in trajs])
+    counts = np.array([t.count for t in trajs], dtype=float)
+    min_eig = min(float(np.min(t.min_eig_series)) for t in trajs)
+    max_defect = max(permutation_defect(t.rho.entries, 2, 2) for t in trajs)
     t_mean = float(np.mean(traces))
     t_se = float(np.std(traces, ddof=1) / math.sqrt(n_traj))
     c_mean = float(np.mean(counts))

@@ -25,18 +25,17 @@ import numpy as np
 from .diffusion import DiffusionConfig
 from .ensemble import (
     MasterConfig,
-    _aggregate,
-    _map_indices,
-    _stack_obs,
     jump_to_diffusion_bridge,
     master_generator,
     rk4_solve,
     run_ensemble,
+    run_trajectories,
+    trajectory_stats,
 )
-from .errors import SimulationError, ValidationError
-from .jumps import JumpConfig, evolve_jump
-from .linalg import DensityMatrix, HermitianOperator, StateVector, embed_at_slot
-from .manybody import ManyBodyConfig, evolve_density, nearest_neighbor_coupling
+from .errors import CapacityError, SimulationError, ValidationError
+from .jumps import JumpConfig
+from .linalg import MAX_PARTICLES, HermitianOperator, StateVector, embed_at_slot
+from .manybody import ManyBodyConfig, nearest_neighbor_coupling
 from .meter import MeterModel, gaussian_pointer, coverage_half_width
 from .presets import get_preset, preset_meter
 from .records import (
@@ -174,7 +173,10 @@ def spec_from_dict(raw: dict) -> RunSpec:
     if "kappa" in spec.overrides:
         _require(np.isfinite(float(spec.overrides["kappa"])), "kappa must be finite")
     if "M" in spec.overrides:
-        _require(1 <= int(spec.overrides["M"]) <= 4, "M must lie in 1..4")
+        M = int(spec.overrides["M"])
+        _require(M >= 1, "M >= 1 required")
+        if M > MAX_PARTICLES:
+            raise CapacityError(f"at most {MAX_PARTICLES} particles supported, got M={M}")
     if "pointer_points" in spec.overrides:
         _require(int(spec.overrides["pointer_points"]) >= 16, "pointer_points >= 16 required")
     if "interaction" in spec.overrides:
@@ -403,25 +405,15 @@ def _run_jump(spec: RunSpec, model: _Model, outdir: Path, resolved: dict):
         seed=spec.seed, mode=spec.mode,
     )
     obs = _observable_matrices(spec, model, 1)
-    times = _sample_times(spec)
-
-    def worker(i: int):
-        return evolve_jump(cfg, model.eta_single, spec.T, index=i,
-                           sample_times=times, observables=obs)
-
-    trajs = _map_indices(worker, spec.n_traj, spec.threads)
+    trajs = run_trajectories(cfg, model.eta_single, spec.T, spec.n_traj, observables=obs,
+                             sample_times=_sample_times(spec), n_workers=spec.threads)
     meta = _meta(spec, resolved)
     write_jsonl(
         outdir / "trajectories.jsonl",
         meta,
         [jump_trajectory_record(t, i, spec.seed) for i, t in enumerate(trajs)],
     )
-    weights = np.stack([t.norm2_series for t in trajs])
-    obs_norm = _stack_obs(trajs, list(obs), times.size)
-    stats = _aggregate(times, spec.mode, list(obs), weights, obs_norm,
-                       counts=[t.count for t in trajs])
-    cols = _stats_columns(stats)
-    write_table(outdir / "timeseries.tsv", meta, cols)
+    write_table(outdir / "timeseries.tsv", meta, _stats_columns(trajectory_stats(trajs, spec.mode)))
 
 
 def _run_many(spec: RunSpec, model: _Model, outdir: Path, resolved: dict):
@@ -430,26 +422,17 @@ def _run_many(spec: RunSpec, model: _Model, outdir: Path, resolved: dict):
         W=model.W, hbar=model.hbar, seed=spec.seed,
     )
     obs = _observable_matrices(spec, model, model.M)
-    times = _sample_times(spec)
     rho0 = _product_state(model.eta_single, model.M).density()
-
-    def worker(i: int):
-        return evolve_density(cfg, rho0, spec.T, mode=spec.mode, index=i,
-                              sample_times=times, observables=obs)
-
-    trajs = _map_indices(worker, spec.n_traj, spec.threads)
+    trajs = run_trajectories(cfg, rho0, spec.T, spec.n_traj, observables=obs,
+                             sample_times=_sample_times(spec), n_workers=spec.threads,
+                             mode=spec.mode)
     meta = _meta(spec, resolved)
     write_jsonl(
         outdir / "trajectories.jsonl",
         meta,
         [density_trajectory_record(t, i, spec.seed) for i, t in enumerate(trajs)],
     )
-    weights = np.stack([t.trace_series for t in trajs])
-    obs_norm = _stack_obs(trajs, list(obs), times.size)
-    entropy = np.stack([t.entropy_series for t in trajs])
-    stats = _aggregate(times, spec.mode, list(obs), weights, obs_norm,
-                       entropy=entropy, counts=[t.count for t in trajs])
-    cols = _stats_columns(stats)
+    cols = _stats_columns(trajectory_stats(trajs, spec.mode))
     min_eig = np.min(np.stack([t.min_eig_series for t in trajs]), axis=0)
     cols.append(("min_eig_min", min_eig))
     write_table(outdir / "timeseries.tsv", meta, cols)

@@ -46,8 +46,16 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import NumericError, ValidationError
-from .linalg import HermitianOperator, StateVector, embed_at_slot, hermitian_eig, propagator
+from .errors import CapacityError, NumericError, ValidationError
+from .linalg import (
+    MAX_PARTICLES,
+    HermitianOperator,
+    StateVector,
+    embed_at_slot,
+    hermitian_eig,
+    propagator,
+    spectrum_entropy,
+)
 from .meter import PointerState, STATE_NORM_TOL
 from .rng import stream
 
@@ -157,8 +165,10 @@ class DiffusionConfig:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         if self.hbar <= 0:
             raise ValidationError(f"hbar must be positive, got {self.hbar}")
-        if self.M < 1 or self.M > 4:
-            raise ValidationError(f"M must lie in 1..4, got {self.M}")
+        if self.M < 1:
+            raise ValidationError(f"M must be >= 1, got {self.M}")
+        if self.M > MAX_PARTICLES:
+            raise CapacityError(f"at most {MAX_PARTICLES} particles supported, got M={self.M}")
         if self.H.dim != self.R.dim:
             raise ValidationError("H and R must share a dimension")
         cov = noise_covariance(self.pointer, self.hbar)
@@ -439,13 +449,7 @@ def _density_spectra(rhos: np.ndarray, dt: float, rec: np.ndarray):
         raise NumericError(
             f"positivity defect beyond -{POSITIVITY_TOL:.0e} of the trace norm; reduce dt"
         )
-    p = np.clip(eigs, 0.0, None)
-    tot = np.sum(p, axis=-1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(tot > 0, p / tot, 0.0)
-        terms = np.where(frac > 0, frac * np.log(frac), 0.0)
-    entropy = -np.sum(terms, axis=-1)
-    return trace, entropy, min_eig
+    return trace, spectrum_entropy(eigs), min_eig
 
 
 def evolve_diffusive_density(

@@ -12,8 +12,13 @@ average folded in), and the diffusive equation averages to the Lindblad form
     drho/dt = -(i/hbar)[H, rho]
               + (gamma/hbar)^2 sigma^2 sum_k ( R_k rho R_k - {R_k^2, rho}/2 ).
 
-Ensemble aggregation uses exact compensated summation in trajectory-index
-order, so serial and parallel runs produce identical statistics.  The
+Ensembles run in contiguous chunks of trajectory indices.  Jump and density
+trajectories run each chunk as one batch of the event engine of
+:mod:`qtraj.jumps` (rows in H's eigenbasis, reductions elementwise in R's
+eigenbasis); diffusion paths run each chunk through their equation's batched
+kernel.  A trajectory's numbers do not depend on the chunk it ran in, and
+aggregation uses exact compensated summation in trajectory-index order, so
+serial and parallel runs produce identical statistics.  The
 jump-to-diffusion bridge compares generators directly (as superoperator
 matrices), which keeps Monte-Carlo noise out of the convergence-rate
 measurement.
@@ -28,14 +33,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import DiffusionConfig, _coupled_batch, _density_batch, _sse_batch
-from .errors import ValidationError
-from .jumps import JumpConfig, Trajectory, evolve_jump
-from .linalg import HermitianOperator, embed_at_slot
-from .manybody import DensityTrajectory, ManyBodyConfig, evolve_density
+from .errors import CapacityError, ValidationError
+from .jumps import JumpConfig, _jump_batch
+from .linalg import MAX_PARTICLES, HermitianOperator, embed_at_slot
+from .manybody import DensityTrajectory, ManyBodyConfig, _mixing_batch
 from .meter import MeterModel, build_gaussian_meter
 
 MASTER_MODES = ("jump-averaged", "diffusive")
 _DIFFUSION_CHUNK = 512
+# Rows per event-engine batch, and the byte budget of one stacked density
+# batch (2 rows at D = 64, 1 row at D = 256), which keeps peak memory flat.
+_EVENT_CHUNK = 512
+_DENSITY_BATCH_BYTES = 128 * 1024
 # Batched kernel and weight mode of each diffusion equation.
 _DIFFUSION_EQUATIONS = {
     "linear": (_sse_batch, "linear"),
@@ -67,8 +76,10 @@ class MasterConfig:
     def __post_init__(self):
         if self.mode not in MASTER_MODES:
             raise ValidationError(f"mode must be one of {MASTER_MODES}, got {self.mode!r}")
-        if self.M < 1 or self.M > 4:
-            raise ValidationError(f"M must lie in 1..4, got {self.M}")
+        if self.M < 1:
+            raise ValidationError(f"M must be >= 1, got {self.M}")
+        if self.M > MAX_PARTICLES:
+            raise CapacityError(f"at most {MAX_PARTICLES} particles supported, got M={self.M}")
         if self.mode == "jump-averaged":
             if self.meter is None:
                 raise ValidationError("jump-averaged mode requires a meter")
@@ -335,6 +346,62 @@ def _as_observable_dict(observables) -> dict[str, np.ndarray]:
     return out
 
 
+def run_trajectories(
+    cfg,
+    initial,
+    T: float,
+    n_traj: int,
+    observables=None,
+    sample_times=None,
+    n_workers: int = 1,
+    mode: str = "normalized",
+) -> list:
+    """Trajectories 0..n_traj-1 of a JumpConfig (Trajectory objects) or a
+    ManyBodyConfig (DensityTrajectory objects in the given mode).
+
+    Indices are split into at least n_workers contiguous chunks of at most
+    _EVENT_CHUNK rows (densities: at most _DENSITY_BATCH_BYTES per stacked
+    batch); each chunk runs as one batch of the event engine.  Trajectory i
+    uses the random stream (cfg.seed, i) and is bit-identical in any chunk.
+    """
+    obs = _as_observable_dict(observables)
+    if isinstance(cfg, JumpConfig):
+        size = _EVENT_CHUNK
+
+        def batch(idx):
+            return _jump_batch(cfg, initial, T, idx, sample_times, obs)
+    elif isinstance(cfg, ManyBodyConfig):
+        size = min(_EVENT_CHUNK, max(1, _DENSITY_BATCH_BYTES // (16 * cfg.dim ** 2)))
+
+        def batch(idx):
+            return _mixing_batch(cfg, initial, T, mode, idx, sample_times, obs)
+    else:
+        raise ValidationError(f"unsupported config type {type(cfg).__name__}")
+    n_chunks = min(n_traj, max(n_workers, -(-n_traj // size)))
+    chunks = [range(j * n_traj // n_chunks, (j + 1) * n_traj // n_chunks)
+              for j in range(n_chunks)]
+    return [t for part in _map_chunks(batch, chunks, n_workers) for t in part]
+
+
+def trajectory_stats(trajs, mode: str) -> EnsembleStats:
+    """Per-time statistics of jump or density trajectories that share their
+    sample times and observables; weights are the reported squared norms
+    (traces), and density trajectories add entropy statistics."""
+    first = trajs[0]
+    if first.sample_times is None:
+        raise ValidationError("trajectory statistics need sampled trajectories")
+    names = list(first.observable_series)
+    density = isinstance(first, DensityTrajectory)
+    weights = np.stack([t.trace_series if density else t.norm2_series for t in trajs])
+    obs_norm = np.empty((len(trajs), first.sample_times.size, len(names)))
+    for i, t in enumerate(trajs):
+        for o, name in enumerate(names):
+            obs_norm[i, :, o] = t.observable_series[name]
+    entropy = np.stack([t.entropy_series for t in trajs]) if density else None
+    return _aggregate(first.sample_times, mode, names, weights, obs_norm,
+                      entropy=entropy, counts=[t.count for t in trajs])
+
+
 def run_ensemble(
     cfg,
     initial,
@@ -350,8 +417,10 @@ def run_ensemble(
 
     Trajectory i uses the random stream (cfg.seed, i); aggregation runs in
     index order with exact summation, so the result is independent of the
-    worker count.  A DiffusionConfig runs its batched kernel in chunks of
-    _DIFFUSION_CHUNK paths; the equation and its weight mode are
+    worker count.  Jump and many-body configs run through
+    :func:`run_trajectories` (for a ManyBodyConfig, equation is the density
+    mode, default "normalized").  A DiffusionConfig runs its batched kernel
+    in chunks of _DIFFUSION_CHUNK paths; the equation and its weight mode are
 
     * "linear": linear state equation, weight ||chi||^2, mode "linear";
     * "coupled": unitary-dilation state equation, weight ||psi||^2 (one to
@@ -370,30 +439,10 @@ def run_ensemble(
     obs = _as_observable_dict(observables)
     names = list(obs.keys())
 
-    if isinstance(cfg, JumpConfig):
-        def worker(i: int) -> Trajectory:
-            return evolve_jump(cfg, initial, T, index=i, sample_times=sample_times, observables=obs)
-
-        trajs = _map_indices(worker, n_traj, n_workers)
-        weights = np.stack([t.norm2_series for t in trajs])
-        obs_norm = _stack_obs(trajs, names, sample_times.size)
-        counts = [t.count for t in trajs]
-        return _aggregate(sample_times, cfg.mode, names, weights, obs_norm, counts=counts)
-
-    if isinstance(cfg, ManyBodyConfig):
-        mode = equation or "normalized"
-
-        def worker(i: int) -> DensityTrajectory:
-            return evolve_density(
-                cfg, initial, T, mode=mode, index=i, sample_times=sample_times, observables=obs
-            )
-
-        trajs = _map_indices(worker, n_traj, n_workers)
-        weights = np.stack([t.trace_series for t in trajs])
-        obs_norm = _stack_obs(trajs, names, sample_times.size)
-        entropy = np.stack([t.entropy_series for t in trajs])
-        counts = [t.count for t in trajs]
-        return _aggregate(sample_times, mode, names, weights, obs_norm, entropy=entropy, counts=counts)
+    if isinstance(cfg, (JumpConfig, ManyBodyConfig)):
+        mode = cfg.mode if isinstance(cfg, JumpConfig) else equation or "normalized"
+        trajs = run_trajectories(cfg, initial, T, n_traj, obs, sample_times, n_workers, mode)
+        return trajectory_stats(trajs, mode)
 
     if isinstance(cfg, DiffusionConfig):
         eq = equation
@@ -421,26 +470,11 @@ def run_ensemble(
     raise ValidationError(f"unsupported config type {type(cfg).__name__}")
 
 
-def _map_indices(worker, n_traj: int, n_workers: int):
-    if n_workers <= 1:
-        return [worker(i) for i in range(n_traj)]
-    with ThreadPoolExecutor(max_workers=n_workers) as ex:
-        return list(ex.map(worker, range(n_traj)))
-
-
 def _map_chunks(worker, chunks, n_workers: int):
     if n_workers <= 1:
         return [worker(c) for c in chunks]
     with ThreadPoolExecutor(max_workers=n_workers) as ex:
         return list(ex.map(worker, chunks))
-
-
-def _stack_obs(trajs, names, n_times: int) -> np.ndarray:
-    out = np.empty((len(trajs), n_times, len(names)))
-    for i, t in enumerate(trajs):
-        for o, name in enumerate(names):
-            out[i, :, o] = t.observable_series[name]
-    return out
 
 
 @dataclass

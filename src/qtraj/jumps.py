@@ -1,4 +1,5 @@
-"""Poisson-driven quantum-jump trajectories for a single monitored particle.
+"""Poisson-driven quantum-jump trajectories, and the event engine they share
+with the label-averaged density trajectories of :mod:`qtraj.manybody`.
 
 Between scattering events the state evolves under the exact unitary
 propagator of H; at each event one reduction operator G(lambda) acts once,
@@ -16,14 +17,34 @@ error.  Two modes are supported:
   squared-norm weight).  The squared norm is then a mean-one martingale,
   which the test suite checks by Monte Carlo.
 
-Trajectories are pure functions of (config, trajectory index): the random
-stream is derived deterministically from the seed and the index.
+Trajectories are pure functions of (config, trajectory index).  Trajectory i
+draws from its own stream (seed, i): first every exponential gap of its
+Poisson clock, then one uniform per event.  Because the outcome family is
+complete, the clock does not depend on the state, so each trajectory's event
+times, uniforms and merged timeline of sample and event times are known
+before its state exists.
+
+The event engine (:func:`_run_rows`) advances a batch of trajectories, one
+row each, through their timelines together: step k takes every row to its
+k-th point.
+
+* Rows are held in the eigenbasis of H, where a free gap is the elementwise
+  phase exp(-i w dt / hbar).
+* At an event the rows are rotated by C = V_R^dag V_H into the eigenbasis of
+  R, where the reduction is elementwise, and rotated back.
+* Outcomes follow outcome_weight_matrix @ p for the R-populations p, drawn
+  by a row-wise coarse-then-fine inverse CDF (:func:`_draw_outcomes`).
+
+A row's arithmetic is elementwise or one stacked matmul per row, so a
+trajectory is bit-identical whether it runs alone (:func:`evolve_jump`, a
+batch of one) or in a batch (:func:`_jump_batch`).  The rows are a kernel
+object: :class:`_PureRows` here, ``manybody._DensityRows`` for densities.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +54,12 @@ from .meter import MeterModel, STATE_NORM_TOL
 from .rng import stream
 
 MODES = ("normalized", "linear")
+# Kinds of timeline points.  IDLE points (the end time T, and the padding
+# after it in rows with fewer events) only advance the clock.
+SAMPLE, EVENT, IDLE = 0, 1, 2
+# Outcome totals and post-event norms below this are a degenerate state.
+VANISHING = 1e-300
+_PHASE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -63,6 +90,13 @@ class JumpConfig:
         """Exact unitary evolution of amplitudes over a gap of length dt."""
         w, V = self._heig
         return V @ (np.exp(-1j * w * (dt / self.hbar)) * (V.conj().T @ amps))
+
+    @cached_property
+    def _rotation(self) -> tuple[np.ndarray, np.ndarray]:
+        """(C, C^dag) with C = V_R^dag V_H, from H's eigenbasis into R's;
+        built on first use."""
+        C = self.meter.eigenvectors.conj().T @ self._heig[1]
+        return C, np.ascontiguousarray(C.conj().T)
 
 
 @dataclass
@@ -105,34 +139,277 @@ def sample_poisson_times(nu: float, T: float, rng: np.random.Generator) -> np.nd
     return np.array(times)
 
 
-def _sample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw from unnormalized categorical weights."""
-    total = float(np.sum(weights))
-    if total < 1e-300:
-        raise NumericError("all outcome weights vanish; state is degenerate")
-    cdf = np.cumsum(weights)
-    idx = int(np.searchsorted(cdf, rng.random() * total, side="right"))
-    return min(idx, len(weights) - 1)
+def _draw_outcomes(meter: MeterModel, pops: np.ndarray, u: np.ndarray):
+    """Row-wise inverse-CDF draws from the laws outcome_weight_matrix @ pops[r].
+
+    Row r's outcome is the first support index whose cumulative weight
+    exceeds u[r] times the row's total (the last index if none does), found
+    among the block ends of ``meter.cumulative_outcomes`` and then inside
+    one block.  Returns (support indices, totals).
+    """
+    coarse, blocks = meter.cumulative_outcomes
+    p = pops[:, :, None]
+    cum = np.matmul(coarse, p)[:, :, 0]
+    total = cum[:, -1]
+    x = (u * total)[:, None]
+    # The last block holds the rest, so the total is not compared.
+    block = np.add.reduce(cum[:, :-1] <= x, axis=1)
+    fine = np.matmul(blocks[block], p)[:, :, 0]
+    return block * blocks.shape[1] + np.add.reduce(fine <= x, axis=1), total
 
 
 def sample_outcome(meter: MeterModel, chi, rng: np.random.Generator) -> float:
     """Draw one pointer reading from the a-posteriori law of a normalized chi."""
     amps = chi.amps if isinstance(chi, StateVector) else np.asarray(chi, dtype=complex)
     ct = meter.eigenvectors.conj().T @ amps
-    weights = meter.outcome_weight_matrix @ (np.abs(ct) ** 2)
-    idx = _sample_index(weights, rng)
-    return float(meter.support_grid[idx])
+    idx, total = _draw_outcomes(meter, (np.abs(ct) ** 2)[None, :], np.array([rng.random()]))
+    if not total[0] >= VANISHING:
+        raise NumericError("all outcome weights vanish; state is degenerate")
+    return float(meter.grid[meter.support_indices[idx[0]]])
 
 
-def _apply_reduction(meter: MeterModel, amps: np.ndarray, idx: int) -> tuple[np.ndarray, float]:
-    """Apply G at support index idx; return (normalized amplitudes, norm^2)."""
-    V = meter.eigenvectors
-    ct = meter.reduction_family[idx] * (V.conj().T @ amps)
-    out = V @ ct
-    n2 = float(np.vdot(out, out).real)
-    if n2 < 1e-300:
-        raise NumericError("reduction annihilated the state (zero likelihood)")
-    return out / math.sqrt(n2), n2
+def _sample_grid(sample_times, T: float) -> np.ndarray:
+    """Validated sample times (empty when none are requested)."""
+    if not T > 0:
+        raise ValidationError(f"T must be positive, got {T}")
+    samples = np.empty(0) if sample_times is None else np.asarray(sample_times, dtype=float)
+    if samples.size and (samples[0] < 0 or samples[-1] > T):
+        raise ValidationError("sample times must lie in [0, T]")
+    return samples
+
+
+@dataclass
+class _Schedule:
+    """Draws and merged timelines of a batch of rows.
+
+    t[r, k] is the time of row r's k-th timeline point and gaps[k, r] the
+    time since its previous point, in units of hbar.  steps[k] = (sample
+    rows, event rows, span) describes step k, which takes every row to its
+    k-th point: the rows whose k-th point is a sample or an event (None for
+    no row, a full slice for all rows, else an index array) and the span of
+    the step's events in the flat event arrays.  The flat arrays list every
+    event (row, event number, uniform) and every sample (row, sample
+    number) in step order.
+    """
+
+    event_times: list[np.ndarray]
+    n_samples: int
+    t: np.ndarray
+    gaps: np.ndarray
+    steps: list
+    event_rows: np.ndarray
+    event_slots: np.ndarray
+    event_uniforms: np.ndarray
+    sample_rows: np.ndarray
+    sample_slots: np.ndarray
+
+    def collect(self, parts, tail=()) -> np.ndarray:
+        """(rows, samples, *tail) array of the values recorded at the sample
+        steps, given in step order."""
+        out = np.empty((len(self.event_times), self.n_samples, *tail))
+        if parts:
+            out[self.sample_rows, self.sample_slots] = np.concatenate(parts)
+        return out
+
+
+def _schedule(seed: int, rate: float, T: float, indices, samples, hbar: float) -> _Schedule:
+    times, draws = [], []
+    for i in indices:
+        rng = stream(seed, i)
+        t = sample_poisson_times(rate, T, rng)
+        times.append(t)
+        draws.append(rng.random(t.size))
+    n, ns = len(times), samples.size
+    n_ev = max((t.size for t in times), default=0)
+    keys = np.full((n, ns + n_ev + 1), np.inf)
+    keys[:, :ns] = samples
+    keys[:, -1] = T
+    uniforms = np.zeros((n, n_ev))
+    for r, (t, u) in enumerate(zip(times, draws)):
+        keys[r, ns:ns + t.size] = t
+        uniforms[r, :t.size] = u
+    # A stable sort keeps column order at equal times: a sample precedes an
+    # event, and both precede the end point T.  Padding (inf) sorts last.
+    col = np.argsort(keys, axis=1, kind="stable")
+    t = keys[np.arange(n)[:, None], col]
+    kind = np.where(col < ns, SAMPLE, np.where(np.isfinite(t) & (col < ns + n_ev), EVENT, IDLE))
+    t = np.minimum(t, T)
+    n_pts = t.shape[1]
+    gaps = np.empty((n_pts, n))
+    gaps[0] = t[:, 0]
+    np.subtract(t[:, 1:].T, t[:, :-1].T, out=gaps[1:])
+    gaps /= hbar
+
+    def points(which):
+        """Rows at such points in step order, and where each step's run starts."""
+        k, r = np.nonzero(kind.T == which)
+        return r, col[r, k], np.searchsorted(k, np.arange(n_pts + 1)).tolist()
+
+    s_rows, s_cols, sb = points(SAMPLE)
+    e_rows, e_cols, eb = points(EVENT)
+    every = slice(None)
+    steps = [
+        (None if a == b else every if b - a == n else s_rows[a:b],
+         None if c == e else every if e - c == n else e_rows[c:e],
+         slice(c, e))
+        for a, b, c, e in zip(sb, sb[1:], eb, eb[1:])
+    ]
+    e_slots = e_cols - ns
+    return _Schedule(times, ns, t, gaps, steps, e_rows, e_slots, uniforms[e_rows, e_slots],
+                     s_rows, s_cols)
+
+
+def _run_rows(kern, meter: MeterModel, seed: int, rate: float, T: float, indices,
+              samples: np.ndarray, linear: bool, hbar: float):
+    """The event loop shared by the jump and mixing engines.
+
+    ``kern`` holds one state row per index in H's eigenbasis (eigenvalues
+    ``kern.w``) and implements advance (elementwise phases), record (a tuple
+    of per-row values at a sample), rotate_in and populations (R-basis rows
+    and their populations), reduce (unnormalized reduced rows and their
+    norm) and store.  Rows are selected by an index array or by a full slice,
+    and the kernel must treat both alike.  Returns (schedule, outcome support
+    index of every event as an (n, max events) array, log weights (linear
+    mode only, else zero), reported weight per sample (1 in normalized mode,
+    exp(log weight) in linear mode), the kernel's records in step order).
+    A NumericError names the seed, trajectory index and time to rerun.
+    """
+    sch = _schedule(seed, rate, T, indices, samples, hbar)
+    n = len(indices)
+    log_w = np.zeros(n)
+    u = sch.event_uniforms
+    if linear:
+        # Outcomes follow the bare pointer density: draw them all up front.
+        cdf = meter.mu0_cdf
+        outcomes = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+    else:
+        outcomes = np.empty(u.size, dtype=np.intp)
+    records, weight_parts = [], []
+    minus_iw = -1j * kern.w
+    # Phases of the next steps, computed together within a byte budget.
+    phase_steps = max(1, _PHASE_BLOCK_BYTES // (16 * n * kern.w.size))
+
+    def fail(values, rows, k, what):
+        r = np.arange(n)[rows][np.argmin(values >= VANISHING)]
+        raise NumericError(
+            f"{what} at t={float(sch.t[r, k])!r} (seed={seed}, "
+            f"trajectory index={indices[r]}); rerun that index alone to reproduce"
+        )
+
+    for k, (s_rows, e_rows, span) in enumerate(sch.steps):
+        if k % phase_steps == 0:
+            phases = np.exp(np.multiply.outer(sch.gaps[k:k + phase_steps], minus_iw))
+        kern.advance(phases[k % phase_steps])
+        if s_rows is not None:
+            records.append(kern.record(s_rows))
+            if linear:
+                weight_parts.append(np.exp(log_w[s_rows]))
+        if e_rows is not None:
+            rot = kern.rotate_in(e_rows)
+            if not linear:
+                idx, total = _draw_outcomes(meter, kern.populations(rot), u[span])
+                # NaN fails these comparisons too, and np.minimum propagates it.
+                if not np.minimum.reduce(total) >= VANISHING:
+                    fail(total, e_rows, k, "all outcome weights vanish; state is degenerate")
+                outcomes[span] = idx
+            reduced, norm = kern.reduce(rot, outcomes[span])
+            if not np.minimum.reduce(norm) >= VANISHING:
+                fail(norm, e_rows, k, kern.collapse)
+            kern.store(e_rows, reduced, norm)
+            if linear:
+                log_w[e_rows] += np.log(norm)
+    outcome = np.zeros((n, max((t.size for t in sch.event_times), default=0)), dtype=np.intp)
+    outcome[sch.event_rows, sch.event_slots] = outcomes
+    weights = sch.collect(weight_parts) if linear else np.ones((n, samples.size))
+    return sch, outcome, log_w, weights, records
+
+
+def _events(sch: _Schedule, outcome: np.ndarray, r: int, grid: np.ndarray):
+    t = sch.event_times[r]
+    return tuple(zip(t.tolist(), grid[outcome[r, :t.size]].tolist()))
+
+
+class _PureRows:
+    """Jump-engine rows: normalized amplitudes in H's eigenbasis."""
+
+    collapse = "reduction annihilated the state (zero likelihood)"
+
+    def __init__(self, cfg: JumpConfig, eta: StateVector, n: int, observables):
+        self.w, self.V = cfg._heig
+        self.C, self.CH = cfg._rotation
+        self.G = cfg.meter.reduction_family
+        Vh = self.V.conj().T
+        self.y = np.tile(Vh @ eta.amps, (n, 1))
+        self.X = np.array([Vh @ X @ self.V for X in observables.values()]).reshape(
+            len(observables), self.w.size, self.w.size)
+
+    def advance(self, phases):
+        self.y *= phases
+
+    def record(self, rows):
+        y = self.y[rows]
+        Xy = np.matmul(self.X, y[:, None, :, None])[..., 0]
+        return (np.add.reduce(y.conj()[:, None, :] * Xy, axis=-1).real,)
+
+    def rotate_in(self, rows):
+        return np.matmul(self.C, self.y[rows][:, :, None])[:, :, 0]
+
+    def populations(self, ct):
+        return (ct * ct.conj()).real
+
+    def reduce(self, ct, idx):
+        ct *= self.G[idx]
+        n2 = np.add.reduce((ct * ct.conj()).real, axis=1)
+        return np.matmul(self.CH, ct[:, :, None])[:, :, 0], n2
+
+    def store(self, rows, reduced, n2):
+        self.y[rows] = reduced / np.sqrt(n2)[:, None]
+
+    def final(self) -> np.ndarray:
+        """Rows rotated back to the original basis."""
+        return np.matmul(self.V, self.y[:, :, None])[:, :, 0]
+
+
+def _series(sch: _Schedule, parts, width: int) -> np.ndarray:
+    """(width, rows, samples) array of a per-row vector record."""
+    return np.ascontiguousarray(sch.collect(parts, (width,)).transpose(2, 0, 1))
+
+
+def _jump_batch(cfg: JumpConfig, eta: StateVector, T: float, indices,
+                sample_times=None, observables=None) -> list[Trajectory]:
+    """Trajectories at the given indices, run as one batch of the event
+    engine; entry r equals evolve_jump(cfg, eta, T, indices[r], ...) bit for
+    bit."""
+    if abs(eta.norm2() - 1.0) > STATE_NORM_TOL:
+        raise ValidationError(f"initial state must be normalized, norm^2={eta.norm2()!r}")
+    samples = _sample_grid(sample_times, T)
+    obs = observables or {}
+    indices = list(indices)
+    kern = _PureRows(cfg, eta.normalized(), len(indices), obs)
+    linear = cfg.mode == "linear"
+    sch, outcome, log_w, weights, records = _run_rows(
+        kern, cfg.meter, cfg.seed, cfg.nu, T, indices, samples, linear, cfg.hbar
+    )
+    values = _series(sch, [rec[0] for rec in records], len(obs))
+    final = kern.final()
+    if linear:
+        final *= np.exp(0.5 * log_w)[:, None]
+    grid = cfg.meter.support_grid
+    sampled = sample_times is not None
+    out = []
+    for r in range(len(indices)):
+        out.append(Trajectory(
+            events=_events(sch, outcome, r, grid),
+            t_final=float(T),
+            state=StateVector(final[r]),
+            log_weight=float(log_w[r]) if linear else 0.0,
+            sample_times=samples if sampled else None,
+            norm2_series=weights[r] if sampled else None,
+            observable_series=(
+                {name: values[o, r] for o, name in enumerate(obs)} if sampled else {}
+            ),
+        ))
+    return out
 
 
 def evolve_jump(
@@ -149,73 +426,9 @@ def evolve_jump(
     unitary, at events exactly one reduction is applied.  With sample_times
     given, the reported squared norm (1 in normalized mode, exp(log_weight)
     in linear mode) and normalized expectations of the observables are
-    recorded at those times.
+    recorded at those times.  A batch of one of the event engine.
     """
-    if abs(eta.norm2() - 1.0) > STATE_NORM_TOL:
-        raise ValidationError(f"initial state must be normalized, norm^2={eta.norm2()!r}")
-    if not T > 0:
-        raise ValidationError(f"T must be positive, got {T}")
-    rng = stream(cfg.seed, index)
-    times = sample_poisson_times(cfg.nu, T, rng)
-    meter = cfg.meter
-    linear = cfg.mode == "linear"
-
-    samples = None if sample_times is None else np.asarray(sample_times, dtype=float)
-    if samples is not None and samples.size and (samples[0] < 0 or samples[-1] > T):
-        raise ValidationError("sample times must lie in [0, T]")
-    obs = observables or {}
-    norm2_series = None if samples is None else np.empty(samples.size)
-    obs_series = {name: np.empty(samples.size) for name in obs} if samples is not None else {}
-
-    amps = eta.normalized().amps.copy()
-    log_w = 0.0
-    events: list[tuple[float, float]] = []
-    t = 0.0
-    i_ev = 0
-    i_s = 0
-
-    def record(k: int):
-        norm2_series[k] = math.exp(log_w) if linear else 1.0
-        for name, X in obs.items():
-            obs_series[name][k] = float(np.vdot(amps, X @ amps).real)
-
-    while True:
-        t_ev = times[i_ev] if i_ev < len(times) else math.inf
-        t_s = samples[i_s] if samples is not None and i_s < samples.size else math.inf
-        t_next = min(t_ev, t_s, T)
-        if t_next > t:
-            amps = cfg.free_step(amps, t_next - t)
-            t = t_next
-        if t_s <= min(t_ev, T):
-            record(i_s)
-            i_s += 1
-            continue
-        if t_ev < T:
-            ct = meter.eigenvectors.conj().T @ amps
-            if linear:
-                idx = int(np.searchsorted(meter.mu0_cdf, rng.random(), side="right"))
-                idx = min(idx, meter.mu0_cdf.size - 1)
-            else:
-                weights = meter.outcome_weight_matrix @ (np.abs(ct) ** 2)
-                idx = _sample_index(weights, rng)
-            amps, n2 = _apply_reduction(meter, amps, idx)
-            if linear:
-                log_w += math.log(n2)
-            events.append((float(t_ev), float(meter.support_grid[idx])))
-            i_ev += 1
-            continue
-        break
-
-    final = amps * math.exp(0.5 * log_w) if linear else amps
-    return Trajectory(
-        events=tuple(events),
-        t_final=float(T),
-        state=StateVector(final),
-        log_weight=log_w if linear else 0.0,
-        sample_times=samples,
-        norm2_series=norm2_series,
-        observable_series=obs_series,
-    )
+    return _jump_batch(cfg, eta, T, [index], sample_times, observables)[0]
 
 
 def trajectory_product_check(

@@ -259,6 +259,18 @@ def permute_slots_matrix(rho: np.ndarray, perm: tuple[int, ...], d: int, M: int)
     return np.transpose(tensor, axes=axes).reshape(d ** M, d ** M)
 
 
+def spectrum_entropy(eigs: np.ndarray) -> np.ndarray:
+    """Entropy -sum p ln p (nats) along the last axis of eigenvalue arrays,
+    with negative eigenvalues clipped and the rest trace-normalized; zero
+    for an all-zero spectrum."""
+    p = np.clip(eigs, 0.0, None)
+    tot = np.sum(p, axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(tot > 0, p / tot, 0.0)
+        terms = np.where(frac > 0, frac * np.log(frac), 0.0)
+    return -np.sum(terms, axis=-1)
+
+
 def von_neumann_entropy(rho) -> float:
     """Entropy -sum p ln p (nats) of the trace-normalized density matrix."""
     arr = as_matrix(rho)

@@ -17,31 +17,41 @@ The engine works in the full tensor space.  Label averaging commutes with
 slot permutations, so a permutation-symmetric initial density stays
 symmetric; no per-step projection is applied and any drift of the symmetry
 defect is a bug signal, which the tests watch for.
+
+Density trajectories run on the event engine of :mod:`qtraj.jumps`, whose
+loop, schedule and outcome sampler they share: rows are densities in the
+eigenbasis of the total Hamiltonian, and each mixing event is applied
+elementwise in the product eigenbasis of R (:class:`_DensityRows`).  The
+outcome law is outcome_weight_matrix @ p with p the slot-averaged
+R-populations.  evolve_density is a batch of one.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CapacityError, NumericError, ValidationError
+from .jumps import _events, _run_rows, _sample_grid, _series
 from .linalg import (
+    HERMITICITY_TOL,
+    MAX_PARTICLES,
     DensityMatrix,
     HermitianOperator,
     StateVector,
+    as_matrix,
     embed_at_slot,
     embed_pair,
     hermitian_eig,
     permutation_matrix,
     permute_slots_matrix,
+    spectrum_entropy,
     von_neumann_entropy,
 )
 from .meter import MeterModel
-from .jumps import sample_poisson_times, _sample_index
-from .rng import stream
 
 MAX_BRUTE_FORCE_EVENTS = 6
 SECTORS = ("full", "symmetric")
@@ -88,8 +98,9 @@ class ManyBodyConfig:
 
     The single-particle meter supplies kappa, R and the pointer packet; nu is
     the per-particle scattering intensity, so the merged observed stream has
-    intensity M nu.  W, if given, is a pair potential on d^2 applied to every
-    ordered pair of slots.
+    intensity M nu.  W, if given, is a pair potential on d^2 applied once to
+    every unordered pair of slots k < l; it must be symmetric under the swap
+    |i, j> <-> |j, i>, or the total Hamiltonian would single out a slot order.
     """
 
     M: int
@@ -105,8 +116,8 @@ class ManyBodyConfig:
     def __post_init__(self):
         if self.M < 1:
             raise ValidationError(f"M must be >= 1, got {self.M}")
-        if self.M > 4:
-            raise CapacityError(f"at most 4 particles supported, got M={self.M}")
+        if self.M > MAX_PARTICLES:
+            raise CapacityError(f"at most {MAX_PARTICLES} particles supported, got M={self.M}")
         if self.nu < 0:
             raise ValidationError(f"nu >= 0 required, got {self.nu}")
         if self.hbar <= 0:
@@ -122,15 +133,24 @@ class ManyBodyConfig:
         for k in range(1, self.M + 1):
             h += embed_at_slot(self.H_single.entries, k, self.M)
         if self.W is not None:
+            d = self.d
+            W = as_matrix(self.W)
+            if W.shape != (d * d, d * d):
+                raise ValidationError(
+                    f"pair potential W must have shape {(d * d, d * d)}, got {W.shape}"
+                )
+            swapped = W.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+            defect = float(np.max(np.abs(swapped - W)))
+            if defect > HERMITICITY_TOL:
+                raise ValidationError(
+                    f"pair potential W is not swap-symmetric: max |S W S - W| = {defect:.3e} "
+                    f"exceeds {HERMITICITY_TOL:.1e}, with S|i,j> = |j,i>"
+                )
             for k in range(1, self.M + 1):
                 for l in range(k + 1, self.M + 1):
-                    h += embed_pair(self.W, k, l, self.M, self.d)
+                    h += embed_pair(W, k, l, self.M, d)
         object.__setattr__(self, "_h_total", h)
         object.__setattr__(self, "_heig", hermitian_eig(h))
-        # Squared single-particle reduction moduli on the support grid, used
-        # for the label-averaged outcome law Tr{E(lambda) rho} mu0(dlambda).
-        g2 = np.abs(self.meter.reduction_family) ** 2
-        object.__setattr__(self, "_g2_family", g2)
 
     @property
     def dim(self) -> int:
@@ -150,32 +170,23 @@ class ManyBodyConfig:
         ph = np.exp(-1j * w * (dt / self.hbar))
         return (V * ph) @ (V.conj().T @ rho @ V) @ (V.conj().T * ph.conj()[:, None])
 
-    def embedded_reduction(self, idx: int, k: int) -> np.ndarray:
-        """G(k, lambda_idx): the support-grid reduction lifted to slot k."""
+    @cached_property
+    def _mixing_basis(self):
+        """Constants of the mixing engine, built on first use: (C, C^dag,
+        digits, slot_average).  C = V_R^dag V_H maps H's eigenbasis into R's
+        product eigenbasis, in which state x has single-particle R-index
+        digits[x, k] in slot k; slot_average[x, a] = #{k: digits[x, k] = a} / M
+        maps R-populations to the slot-averaged single-particle ones."""
         V = self.meter.eigenvectors
-        g = (V * self.meter.reduction_family[idx]) @ V.conj().T
-        return embed_at_slot(g, k, self.M)
-
-    def _slot_populations(self, rho: np.ndarray) -> np.ndarray:
-        """R-eigenbasis populations of each particle's reduced state, (M, d)."""
-        d, M = self.d, self.M
-        V = self.meter.eigenvectors
-        tens = rho.reshape((d,) * (2 * M))
-        pops = np.empty((M, d))
-        for k in range(M):
-            axes_out = [k] + [j for j in range(M) if j != k]
-            axes_in = [M + k] + [M + j for j in range(M) if j != k]
-            r = np.transpose(tens, axes=axes_out + axes_in).reshape(d, d ** (M - 1), d, d ** (M - 1))
-            red = np.einsum("aibi->ab", r)
-            pops[k] = np.einsum("xa,ab,bx->x", V.conj().T, red, V).real
-        return pops
-
-    def outcome_weights(self, rho: np.ndarray) -> np.ndarray:
-        """Unnormalized law Tr{E(lambda_i) rho} |f0|^2 dlambda over the support
-        grid, evaluated through single-particle reduced densities."""
-        pops = self._slot_populations(rho)
-        mean_pop = np.mean(pops, axis=0)
-        return (self._g2_family @ mean_pop) * self.meter.support_mu0
+        VM = V
+        for _ in range(self.M - 1):
+            VM = np.kron(VM, V)
+        C = VM.conj().T @ self._heig[1]
+        digits = np.array(list(itertools.product(range(self.d), repeat=self.M)))
+        slot_average = np.stack(
+            [np.count_nonzero(digits == a, axis=1) for a in range(self.d)], axis=1
+        ) / self.M
+        return C, np.ascontiguousarray(C.conj().T), digits, slot_average
 
 
 @dataclass
@@ -255,6 +266,115 @@ def mixing_brute_force_oracle(cfg: ManyBodyConfig, rho, lams) -> DensityMatrix:
     return DensityMatrix((out + out.conj().T) / 2.0)
 
 
+class _DensityRows:
+    """Mixing-engine rows: densities in the eigenbasis of the total H.
+
+    A free gap multiplies a density by the outer product of the phases.  In
+    R's product eigenbasis the mixing reduction (1/M) sum_k G_k rho G_k^dag
+    is the Hadamard product with K = (1/M) sum_k a_k a_k^dag, where
+    a_k[x] = g(lambda, x_k); an event therefore costs four D x D products.
+    Observables are Re sum(X_H^T * rho), O(D^2) each.
+    """
+
+    collapse = "density trace collapsed at a mixing event"
+
+    def __init__(self, cfg: ManyBodyConfig, rho: np.ndarray, n: int, observables):
+        self.w, self.V = cfg._heig
+        self.C, self.CH, self.digits, self.slot_average = cfg._mixing_basis
+        self.G = cfg.meter.reduction_family
+        self.M = cfg.M
+        Vh = self.V.conj().T
+        self.rho = np.tile(Vh @ rho @ self.V, (n, 1, 1))
+        self.XT = np.array([(Vh @ X @ self.V).T for X in observables.values()]).reshape(
+            len(observables), cfg.dim ** 2)
+
+    def advance(self, phases):
+        self.rho *= phases[:, :, None] * phases.conj()[:, None, :]
+
+    def record(self, rows):
+        """(minimum eigenvalue, entropy, observables) of each row."""
+        rho = self.rho[rows]
+        eigs = np.linalg.eigvalsh(rho)
+        flat = rho.reshape(rho.shape[0], 1, -1)
+        return eigs[:, 0], spectrum_entropy(eigs), np.add.reduce(flat * self.XT, axis=2).real
+
+    def rotate_in(self, rows):
+        return np.matmul(np.matmul(self.C, self.rho[rows]), self.CH)
+
+    def populations(self, rot):
+        diag = np.ascontiguousarray(rot.diagonal(0, 1, 2).real)
+        return np.matmul(diag[:, None, :], self.slot_average)[:, 0, :]
+
+    def reduce(self, rot, idx):
+        a = self.G[idx][:, self.digits]
+        rot *= np.matmul(a, a.conj().transpose(0, 2, 1)) / self.M
+        back = np.matmul(np.matmul(self.CH, rot), self.C)
+        back = (back + back.conj().transpose(0, 2, 1)) / 2.0
+        return back, np.ascontiguousarray(back.diagonal(0, 1, 2).real).sum(axis=1)
+
+    def store(self, rows, reduced, tr):
+        self.rho[rows] = reduced / tr[:, None, None]
+
+    def final(self) -> np.ndarray:
+        """Rows rotated back to the original basis; releases the rows, so
+        the outputs built next can reuse their memory."""
+        rho, self.rho = self.rho, None
+        return np.matmul(np.matmul(self.V, rho), self.V.conj().T)
+
+
+def _mixing_batch(cfg: ManyBodyConfig, rho0: DensityMatrix, T: float, mode: str, indices,
+                  sample_times=None, observables=None) -> list[DensityTrajectory]:
+    """Density trajectories at the given indices, run as one batch of the
+    event engine; entry r equals evolve_density(cfg, rho0, T, mode,
+    indices[r], ...) bit for bit."""
+    if mode not in ("normalized", "linear"):
+        raise ValidationError(f"mode must be 'normalized' or 'linear', got {mode!r}")
+    if abs(rho0.trace() - 1.0) > 1e-8:
+        raise ValidationError(f"initial density must have unit trace, got {rho0.trace()!r}")
+    if rho0.dim != cfg.dim:
+        raise ValidationError(f"initial density dimension {rho0.dim} != d^M = {cfg.dim}")
+    samples = _sample_grid(sample_times, T)
+    linear = mode == "linear"
+    rho = rho0.entries.astype(complex)
+    if cfg.sector == "symmetric":
+        P = symmetric_projector(cfg.d, cfg.M)
+        rho = P @ rho @ P
+        tr = float(np.trace(rho).real)
+        if tr < 1e-12:
+            raise NumericError("initial density has no symmetric component")
+        rho /= tr
+    obs = observables or {}
+    indices = list(indices)
+    kern = _DensityRows(cfg, rho, len(indices), obs)
+    sch, outcome, log_w, weights, records = _run_rows(
+        kern, cfg.meter, cfg.seed, cfg.total_intensity, T, indices, samples, linear, cfg.hbar
+    )
+    min_eig, entropy = (sch.collect([rec[j] for rec in records]) for j in (0, 1))
+    values = _series(sch, [rec[2] for rec in records], len(obs))
+    final = kern.final()
+    if linear:
+        final *= np.exp(log_w)[:, None, None]
+    final = (final + final.conj().transpose(0, 2, 1)) / 2.0
+    grid = cfg.meter.support_grid
+    sampled = sample_times is not None
+    out = []
+    for r in range(len(indices)):
+        out.append(DensityTrajectory(
+            events=_events(sch, outcome, r, grid),
+            t_final=float(T),
+            rho=DensityMatrix(final[r]),
+            log_weight=float(log_w[r]) if linear else 0.0,
+            sample_times=samples if sampled else None,
+            trace_series=weights[r] if sampled else None,
+            entropy_series=entropy[r] if sampled else None,
+            min_eig_series=min_eig[r] if sampled else None,
+            observable_series=(
+                {name: values[o, r] for o, name in enumerate(obs)} if sampled else {}
+            ),
+        ))
+    return out
+
+
 def evolve_density(
     cfg: ManyBodyConfig,
     rho0: DensityMatrix,
@@ -270,103 +390,9 @@ def evolve_density(
     from Tr{E(lambda) rho} |f0|^2 dlambda and the trace is renormalized after
     each event; in linear mode outcomes follow the bare pointer density and
     the log trace is accumulated, making the reported trace a mean-one
-    martingale.
+    martingale.  A batch of one of the event engine.
     """
-    if mode not in ("normalized", "linear"):
-        raise ValidationError(f"mode must be 'normalized' or 'linear', got {mode!r}")
-    if abs(rho0.trace() - 1.0) > 1e-8:
-        raise ValidationError(f"initial density must have unit trace, got {rho0.trace()!r}")
-    if rho0.dim != cfg.dim:
-        raise ValidationError(f"initial density dimension {rho0.dim} != d^M = {cfg.dim}")
-    if not T > 0:
-        raise ValidationError(f"T must be positive, got {T}")
-    linear = mode == "linear"
-    rng = stream(cfg.seed, index)
-    times = sample_poisson_times(cfg.total_intensity, T, rng)
-
-    rho = rho0.entries.astype(complex).copy()
-    if cfg.sector == "symmetric":
-        P = symmetric_projector(cfg.d, cfg.M)
-        rho = P @ rho @ P
-        tr = float(np.trace(rho).real)
-        if tr < 1e-12:
-            raise NumericError("initial density has no symmetric component")
-        rho /= tr
-
-    samples = None if sample_times is None else np.asarray(sample_times, dtype=float)
-    if samples is not None and samples.size and (samples[0] < 0 or samples[-1] > T):
-        raise ValidationError("sample times must lie in [0, T]")
-    obs = observables or {}
-    nrec = 0 if samples is None else samples.size
-    trace_series = np.empty(nrec) if samples is not None else None
-    entropy_series = np.empty(nrec) if samples is not None else None
-    mineig_series = np.empty(nrec) if samples is not None else None
-    obs_series = {name: np.empty(nrec) for name in obs} if samples is not None else {}
-
-    log_w = 0.0
-    events: list[tuple[float, float]] = []
-    t = 0.0
-    i_ev = 0
-    i_s = 0
-
-    def record(kk: int):
-        herm = (rho + rho.conj().T) / 2.0
-        eigs = np.linalg.eigvalsh(herm)
-        trace_series[kk] = math.exp(log_w) if linear else 1.0
-        mineig_series[kk] = float(eigs[0])
-        p = np.clip(eigs, 0.0, None)
-        tot = float(np.sum(p))
-        p = p[p > 0] / tot
-        entropy_series[kk] = float(-np.sum(p * np.log(p)))
-        for name, X in obs.items():
-            obs_series[name][kk] = float(np.trace(X @ herm).real)
-
-    while True:
-        t_ev = times[i_ev] if i_ev < len(times) else math.inf
-        t_s = samples[i_s] if samples is not None and i_s < samples.size else math.inf
-        t_next = min(t_ev, t_s, T)
-        if t_next > t:
-            rho = cfg.free_step(rho, t_next - t)
-            t = t_next
-        if t_s <= min(t_ev, T):
-            record(i_s)
-            i_s += 1
-            continue
-        if t_ev < T:
-            if linear:
-                idx = int(np.searchsorted(cfg.meter.mu0_cdf, rng.random(), side="right"))
-                idx = min(idx, cfg.meter.mu0_cdf.size - 1)
-            else:
-                idx = _sample_index(cfg.outcome_weights(rho), rng)
-            out = np.zeros_like(rho)
-            for k in range(1, cfg.M + 1):
-                gk = cfg.embedded_reduction(idx, k)
-                out += gk @ rho @ gk.conj().T
-            rho = out / cfg.M
-            rho = (rho + rho.conj().T) / 2.0
-            tr = float(np.trace(rho).real)
-            if tr < 1e-300:
-                raise NumericError("density trace collapsed at a mixing event")
-            rho /= tr
-            log_w += math.log(tr)
-            events.append((float(t_ev), float(cfg.meter.support_grid[idx])))
-            i_ev += 1
-            continue
-        break
-
-    final = rho * math.exp(log_w) if linear else rho
-    final = (final + final.conj().T) / 2.0
-    return DensityTrajectory(
-        events=tuple(events),
-        t_final=float(T),
-        rho=DensityMatrix(final),
-        log_weight=log_w if linear else 0.0,
-        sample_times=samples,
-        trace_series=trace_series,
-        entropy_series=entropy_series,
-        min_eig_series=mineig_series,
-        observable_series=obs_series,
-    )
+    return _mixing_batch(cfg, rho0, T, mode, [index], sample_times, observables)[0]
 
 
 def entropy_after_first_event(cfg: ManyBodyConfig, psi: StateVector, lam: float) -> float:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -207,6 +208,7 @@ class MeterModel:
     packet_matrix : f0(lambda_i - kappa r_x) over the full grid, shape (N, d).
     reduction_family : diagonal of G(lambda_i) in the R eigenbasis, support only.
     outcome_weight_matrix : |f0(lambda_i - kappa r_x)|^2 dlambda_i, support only.
+    cumulative_outcomes : its column-wise cumulative sums, blocked for search.
     povm_defect : completeness defect of the discretized outcome family.
     """
 
@@ -258,6 +260,23 @@ class MeterModel:
     @property
     def dim(self) -> int:
         return self.R.dim
+
+    @cached_property
+    def cumulative_outcomes(self) -> tuple[np.ndarray, np.ndarray]:
+        """cumsum(outcome_weight_matrix, 0) in blocks for a coarse-then-fine
+        inverse CDF, so one search costs O(nb + b) instead of O(S): (the last
+        row of each of the first nb - 1 blocks followed by the total row,
+        the S rows in nb blocks of b = ceil(sqrt(S)) rows, shape (nb, b, d)).
+        In the blocks the total row and the padding are +inf, so a search
+        never counts past the last index.  Built on first use."""
+        cum = np.cumsum(self.outcome_weight_matrix, axis=0)
+        S, d = cum.shape
+        b = math.isqrt(S - 1) + 1
+        nb = -(-S // b)
+        blocks = np.full((nb * b, d), np.inf)
+        blocks[:S - 1] = cum[:-1]
+        blocks = blocks.reshape(nb, b, d)
+        return np.concatenate([blocks[:-1, -1], cum[-1:]]), blocks
 
     @property
     def grid(self) -> np.ndarray:

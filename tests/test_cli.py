@@ -87,3 +87,16 @@ class TestCoupledDiffuse:
     def test_single_trajectory_rejected(self, spec, tmp_path, capsys):
         assert self.run(spec, tmp_path / "one", "--traj", "1") == 2
         assert "n_traj must be >= 2" in capsys.readouterr().err
+
+
+class TestParticleCap:
+    @pytest.mark.parametrize("experiment", ["many", "diffuse", "master"])
+    def test_too_many_particles_exits_4(self, tmp_path, capsys, experiment):
+        spec = write_spec(tmp_path / "m5.json", experiment=experiment, overrides={"M": 5})
+        assert main([experiment, "--spec", str(spec), "--out", str(tmp_path / "o")]) == 4
+        assert "at most 4 particles supported, got M=5" in capsys.readouterr().err
+
+    def test_zero_particles_exits_2(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "m0.json", experiment="many", overrides={"M": 0})
+        assert main(["many", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert "M >= 1 required" in capsys.readouterr().err

@@ -1,0 +1,224 @@
+"""The shared event engine of the jump and mixing trajectories: batch
+layout independence, draw order, an independent one-path reference loop,
+reproducible numeric failures and byte-identical CLI outputs."""
+
+import filecmp
+import json
+import math
+
+import numpy as np
+import pytest
+
+from qtraj import (
+    HermitianOperator,
+    JumpConfig,
+    ManyBodyConfig,
+    NumericError,
+    StateVector,
+    build_gaussian_meter,
+    evolve_density,
+    evolve_jump,
+    mixing_povm_element,
+    mixing_reduction,
+    nearest_neighbor_coupling,
+    sample_poisson_times,
+)
+from qtraj.cli import main
+from qtraj.jumps import _draw_outcomes, _jump_batch
+from qtraj.manybody import _mixing_batch
+from qtraj.rng import stream
+
+R3 = HermitianOperator(np.diag([-1.0, 0.0, 1.0]).astype(complex))
+H3 = HermitianOperator(
+    np.array([[0.3, 1.0, 0.0], [1.0, 0.0, 0.5j], [0.0, -0.5j, -0.2]], dtype=complex)
+)
+HX = HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+R01 = HermitianOperator(np.diag([0.0, 1.0]).astype(complex))
+TIMES = np.linspace(0.1, 1.0, 10)
+
+
+def jump_setup(mode):
+    cfg = JumpConfig(H=H3, meter=build_gaussian_meter(0.6, R3), nu=6.0, seed=41, mode=mode)
+    eta = StateVector(np.array([0.6, 0.48j, 0.64]))
+    obs = {"R": R3.entries, "H": H3.entries}
+    return cfg, eta, obs
+
+
+def mixing_setup():
+    cfg = ManyBodyConfig(M=2, d=2, H_single=HX, meter=build_gaussian_meter(0.5, R01), nu=3.0,
+                         W=nearest_neighbor_coupling(2, 0.4), seed=42)
+    rho0 = StateVector(np.kron([0.8, 0.6j], [0.8, 0.6j])).density()
+    obs = {"R": np.kron(R01.entries, np.eye(2)) / 2 + np.kron(np.eye(2), R01.entries) / 2}
+    return cfg, rho0, obs
+
+
+def same_jump(a, b):
+    return (a.events == b.events and np.array_equal(a.state.amps, b.state.amps)
+            and a.log_weight == b.log_weight
+            and np.array_equal(a.norm2_series, b.norm2_series)
+            and all(np.array_equal(a.observable_series[k], b.observable_series[k])
+                    for k in a.observable_series))
+
+
+def same_density(a, b):
+    return (a.events == b.events and np.array_equal(a.rho.entries, b.rho.entries)
+            and a.log_weight == b.log_weight
+            and all(np.array_equal(getattr(a, s), getattr(b, s))
+                    for s in ("trace_series", "entropy_series", "min_eig_series"))
+            and all(np.array_equal(a.observable_series[k], b.observable_series[k])
+                    for k in a.observable_series))
+
+
+class TestBatchLayout:
+    @pytest.mark.parametrize("mode", ["normalized", "linear"])
+    def test_jump_rows_equal_single_trajectories(self, mode):
+        cfg, eta, obs = jump_setup(mode)
+        batch = _jump_batch(cfg, eta, 1.0, range(600), TIMES, obs)
+        assert sum(t.count for t in batch) > 0
+        for i in range(0, 600, 13):
+            assert same_jump(batch[i], evolve_jump(cfg, eta, 1.0, i, TIMES, obs)), i
+
+    @pytest.mark.parametrize("mode", ["normalized", "linear"])
+    def test_mixing_rows_equal_single_trajectories(self, mode):
+        cfg, rho0, obs = mixing_setup()
+        batch = _mixing_batch(cfg, rho0, 1.0, mode, range(600), TIMES, obs)
+        for i in range(0, 600, 29):
+            single = evolve_density(cfg, rho0, 1.0, mode, i, TIMES, obs)
+            assert same_density(batch[i], single), i
+
+    def test_event_times_follow_the_row_stream(self):
+        cfg, eta, _ = jump_setup("normalized")
+        batch = _jump_batch(cfg, eta, 1.0, range(50, 80))
+        for i, traj in zip(range(50, 80), batch):
+            times = sample_poisson_times(cfg.nu, 1.0, stream(cfg.seed, i))
+            assert [t for t, _ in traj.events] == times.tolist()
+
+    def test_mixing_event_times_use_the_merged_intensity(self):
+        cfg, rho0, _ = mixing_setup()
+        for i, traj in enumerate(_mixing_batch(cfg, rho0, 1.0, "linear", range(20))):
+            times = sample_poisson_times(cfg.total_intensity, 1.0, stream(cfg.seed, i))
+            assert [t for t, _ in traj.events] == times.tolist()
+
+
+def draw_index(weights, rng):
+    cdf = np.cumsum(weights)
+    return min(int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right")), cdf.size - 1)
+
+
+def reference_jump(cfg, eta, T, index):
+    """One path, event by event, from free_step and meter.reduction."""
+    meter = cfg.meter
+    rng = stream(cfg.seed, index)
+    amps, t, log_w, events = eta.amps.copy(), 0.0, 0.0, []
+    for t_ev in sample_poisson_times(cfg.nu, T, rng):
+        amps = cfg.free_step(amps, t_ev - t)
+        t = t_ev
+        if cfg.mode == "linear":
+            idx = draw_index(meter.support_mu0, rng)
+        else:
+            pops = np.abs(meter.eigenvectors.conj().T @ amps) ** 2
+            idx = draw_index(meter.outcome_weight_matrix @ pops, rng)
+        lam = float(meter.support_grid[idx])
+        amps = meter.reduction(lam) @ amps
+        n2 = float(np.vdot(amps, amps).real)
+        amps, log_w = amps / math.sqrt(n2), log_w + math.log(n2)
+        events.append((float(t_ev), lam))
+    amps = cfg.free_step(amps, T - t)
+    return events, amps * math.exp(0.5 * log_w) if cfg.mode == "linear" else amps
+
+
+def reference_density(cfg, rho0, T, index, povm):
+    """One path from free_step, mixing_povm_element and mixing_reduction."""
+    meter = cfg.meter
+    rng = stream(cfg.seed, index)
+    rho, t, events = rho0.entries.copy(), 0.0, []
+    for t_ev in sample_poisson_times(cfg.total_intensity, T, rng):
+        rho = cfg.free_step(rho, t_ev - t)
+        t = t_ev
+        law = np.einsum("ixy,yx->i", povm, rho).real * meter.support_mu0
+        lam = float(meter.support_grid[draw_index(law, rng)])
+        rho = mixing_reduction(cfg, rho, lam).entries
+        rho = rho / np.trace(rho).real
+        events.append((float(t_ev), lam))
+    return events, cfg.free_step(rho, T - t)
+
+
+class TestOutcomeSampler:
+    def test_matches_plain_inverse_cdf(self):
+        meter = build_gaussian_meter(0.6, R3)
+        rng = np.random.default_rng(5)
+        pops = rng.random((400, 3))
+        u = np.concatenate([[0.0, 1.0], rng.random(398)])
+        idx, total = _draw_outcomes(meter, pops, u)
+        last = meter.support_mu0.size - 1
+        for p, ui, i, tot in zip(pops, u, idx, total):
+            cdf = np.cumsum(meter.outcome_weight_matrix @ p)
+            assert tot == pytest.approx(cdf[-1], rel=1e-12)
+            assert i == min(int(np.searchsorted(cdf, ui * cdf[-1], side="right")), last)
+        assert idx[1] == last
+
+
+class TestReferenceLoop:
+    @pytest.mark.parametrize("mode", ["normalized", "linear"])
+    def test_jump_engine_matches_reference(self, mode):
+        cfg, eta, _ = jump_setup(mode)
+        for i in range(40):
+            traj = evolve_jump(cfg, eta, 1.0, index=i)
+            events, amps = reference_jump(cfg, eta, 1.0, i)
+            assert [t for t, _ in traj.events] == [t for t, _ in events]
+            assert np.max(np.abs(np.array(traj.events) - np.array(events).reshape(-1, 2)),
+                          initial=0.0) <= 1e-12
+            assert np.max(np.abs(traj.state.amps - amps)) <= 1e-12
+
+    def test_mixing_engine_matches_reference(self):
+        cfg, rho0, _ = mixing_setup()
+        povm = np.array([mixing_povm_element(cfg, lam) for lam in cfg.meter.support_grid])
+        for i in range(12):
+            traj = evolve_density(cfg, rho0, 1.0, index=i)
+            events, rho = reference_density(cfg, rho0, 1.0, i, povm)
+            assert traj.events == tuple(events)
+            assert np.max(np.abs(traj.rho.entries - rho)) <= 1e-12
+
+
+class TestReproducibleFailure:
+    def test_annihilated_state_names_seed_index_and_time(self):
+        # Far from the pointer peak, G(lambda) underflows to zero on |1>.
+        meter = build_gaussian_meter(40.0, R01)
+        cfg = JumpConfig(H=HermitianOperator(np.zeros((2, 2))), meter=meter, nu=5.0,
+                         seed=17, mode="linear")
+        eta = StateVector(np.array([0.0, 1.0], dtype=complex))
+        with pytest.raises(NumericError) as err:
+            _jump_batch(cfg, eta, 1.0, range(3, 9))
+        msg = str(err.value)
+        assert "annihilated" in msg and "seed=17" in msg and "trajectory index=3" in msg
+        t_first = sample_poisson_times(cfg.nu, 1.0, stream(17, 3))[0]
+        assert f"t={float(t_first)!r}" in msg
+        with pytest.raises(NumericError, match="trajectory index=3"):
+            evolve_jump(cfg, eta, 1.0, index=3)
+
+
+def write_spec(path, **fields):
+    path.write_text(json.dumps(fields))
+    return str(path)
+
+
+def same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    return names == sorted(p.name for p in b.iterdir()) and all(
+        filecmp.cmp(a / n, b / n, shallow=False) for n in names)
+
+
+class TestCliLayouts:
+    @pytest.mark.parametrize("experiment,fields", [
+        ("jump", {"n_traj": 600, "seed": 9}),
+        ("many", {"n_traj": 600, "seed": 9, "T": 0.5, "n_samples": 4}),
+    ])
+    def test_bytes_independent_of_threads_and_reruns(self, tmp_path, experiment, fields):
+        spec = write_spec(tmp_path / "spec.json", experiment=experiment, **fields)
+        outs = []
+        # 1 and 2 workers both split 600 rows into two chunks; 3 workers into three.
+        for name, threads in (("t1", "1"), ("t2", "2"), ("t3", "3"), ("again", "1")):
+            out = tmp_path / name
+            assert main([experiment, "--spec", spec, "--threads", threads, "--out", str(out)]) == 0
+            outs.append(out)
+        assert all(same_files(outs[0], out) for out in outs[1:])

@@ -12,6 +12,7 @@ from qtraj import (
     build_gaussian_meter,
     evolve_jump,
     propagator,
+    run_trajectories,
     sample_outcome,
     sample_poisson_times,
     trajectory_product_check,
@@ -129,10 +130,7 @@ class TestEvolveJump:
         cfg = make_config(nu=5.0, seed=12, mode="linear")
         eta = StateVector(np.ones(2) / math.sqrt(2))
         n = 10000
-        w = np.fromiter(
-            (math.exp(evolve_jump(cfg, eta, 1.0, index=i).log_weight) for i in range(n)),
-            dtype=float,
-        )
+        w = np.array([math.exp(t.log_weight) for t in run_trajectories(cfg, eta, 1.0, n)])
         se = w.std(ddof=1) / math.sqrt(n)
         assert abs(w.mean() - 1.0) <= 3 * se
 
@@ -140,9 +138,7 @@ class TestEvolveJump:
         cfg = make_config(nu=4.0, seed=13)
         eta = StateVector(np.ones(2) / math.sqrt(2))
         n = 4000
-        counts = np.fromiter(
-            (evolve_jump(cfg, eta, 1.0, index=i).count for i in range(n)), dtype=float
-        )
+        counts = np.array([t.count for t in run_trajectories(cfg, eta, 1.0, n)], dtype=float)
         assert abs(counts.mean() - 4.0) <= 3 * math.sqrt(4.0 / n)
 
     def test_determinism_per_index(self):

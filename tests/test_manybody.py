@@ -6,6 +6,8 @@ import pytest
 from qtraj import (
     CapacityError,
     DensityMatrix,
+    DiffusionConfig,
+    MasterConfig,
     HermitianOperator,
     JumpConfig,
     ManyBodyConfig,
@@ -14,14 +16,17 @@ from qtraj import (
     build_gaussian_meter,
     evolve_density,
     evolve_jump,
+    gaussian_pointer,
     mixing_brute_force_oracle,
     mixing_povm_element,
     mixing_reduction,
     nearest_neighbor_coupling,
     permutation_defect,
+    run_trajectories,
     symmetric_projector,
     von_neumann_entropy,
 )
+from qtraj.linalg import MAX_PARTICLES
 
 rng = np.random.default_rng(303)
 
@@ -116,6 +121,31 @@ class TestBruteForceOracle:
             mixing_brute_force_oracle(cfg, rho, [0.0] * 7)
 
 
+class TestConfigInvariants:
+    def test_swap_asymmetric_pair_potential_rejected(self):
+        W = np.zeros((4, 4), dtype=complex)
+        W[1, 1] = 0.5  # acts on |0, 1> but not on |1, 0>
+        with pytest.raises(ValidationError, match="swap-symmetric.*5.000e-01"):
+            make_config(M=2, W=W)
+
+    def test_swap_symmetric_off_diagonal_pair_potential_accepted(self):
+        W = np.zeros((4, 4), dtype=complex)
+        W[1, 2] = W[2, 1] = 0.3  # exchange |0, 1> <-> |1, 0>
+        make_config(M=3, W=W)
+
+    @pytest.mark.parametrize("build", [
+        lambda M: make_config(M=M),
+        lambda M: DiffusionConfig(H=HX, R=R01, gamma=1.0, pointer=gaussian_pointer(64, 6.0),
+                                  dt=1e-3, M=M),
+        lambda M: MasterConfig(mode="diffusive", H=HX, M=M, R=R01, sigma2=1.0),
+    ])
+    def test_particle_cap(self, build):
+        with pytest.raises(CapacityError, match=f"at most {MAX_PARTICLES} particles"):
+            build(MAX_PARTICLES + 1)
+        with pytest.raises(ValidationError):
+            build(0)
+
+
 class TestPermutationDefect:
     def test_symmetric_product_state(self):
         rho = product_pure(np.array([0.6, 0.8j]), 2)
@@ -156,13 +186,9 @@ class TestEvolveDensity:
         cfg = make_config(M=2, nu=3.0, seed=32)
         rho0 = product_pure(np.array([0.8, 0.6j]), 2)
         n = 2000
-        w = np.fromiter(
-            (
-                math.exp(evolve_density(cfg, rho0, 1.0, mode="linear", index=i).log_weight)
-                for i in range(n)
-            ),
-            dtype=float,
-        )
+        w = np.array([
+            math.exp(t.log_weight) for t in run_trajectories(cfg, rho0, 1.0, n, mode="linear")
+        ])
         se = w.std(ddof=1) / math.sqrt(n)
         assert abs(w.mean() - 1.0) <= 3 * se
 
@@ -170,9 +196,7 @@ class TestEvolveDensity:
         cfg = make_config(M=2, nu=3.0, seed=33)
         rho0 = product_pure(np.array([1.0, 0.0]), 2)
         n = 2000
-        counts = np.fromiter(
-            (evolve_density(cfg, rho0, 1.0, index=i).count for i in range(n)), dtype=float
-        )
+        counts = np.array([t.count for t in run_trajectories(cfg, rho0, 1.0, n)], dtype=float)
         assert abs(counts.mean() - 6.0) <= 3 * math.sqrt(6.0 / n)
 
     def test_symmetry_preserved_along_trajectory(self):
