@@ -28,13 +28,20 @@ exp(gamma dw Rbar) . exp(gamma dw* Rbar), with the noise mean moved out of
 the Euler drift; this has the same first-order weak accuracy but keeps the
 positivity defect at the O(dt^2) level (a plain Euler step dips to
 O(sqrt(dt)^3) negativity near the spectrum edge, which violates the
-positivity contract at practical step sizes).  All noise draws are pure
-functions of (seed, path index, step index).
+positivity contract at practical step sizes).  Every factor of a density
+step preserves Hermiticity, so the kernel computes only the diagonal and
+upper triangle of the density and conjugates them into the lower one; no
+symmetrization is needed.  With noise=False the noise map is replaced by its
+exact one-step mean, so the same kernel steps the averaged (Lindblad-form)
+equation.  All noise draws are pure functions of (seed, path index, step
+index).
 
-Each state equation has one batched kernel, run as a batch of one by
-evolve_diffusive_sse / evolve_coupled_sse and in chunks by run_ensemble.
+Each equation has one batched kernel (_sse_states, _coupled_states,
+_density_states), run as a batch of one by evolve_diffusive_sse /
+evolve_coupled_sse / evolve_diffusive_density and in chunks by run_ensemble.
 Every path draws from its own stream; coupled paths are bit-identical in any
-batch, linear ones agree to rounding.
+batch, linear and density ones agree to rounding (their steps are BLAS
+products).
 """
 
 from __future__ import annotations
@@ -63,6 +70,10 @@ BLOWUP_LIMIT = 1e6
 POSITIVITY_TOL = 1e-6
 _STEP_BLOCK = 1000
 _NOISE_BLOCK = 64
+# Density kernel: steps per normal draw and per batch of noise factors
+# (2 MB each at 512 paths and D = 4).
+_DRAW_BLOCK = 256
+_FACTOR_BLOCK = 16
 
 
 class NoiseCovariance(NamedTuple):
@@ -206,19 +217,22 @@ class DensityPath:
     min_eig: np.ndarray
 
 
-def _step_count(T: float, dt: float) -> int:
-    n = int(round(T / dt))
-    if n < 1 or abs(n * dt - T) > 1e-9 * max(T, 1.0):
+def _step_grid(T: float, dt: float, times) -> tuple[int, np.ndarray, dict[int, list[int]]]:
+    """(step count, record steps, rec_map) of a fixed-step run over [0, T]:
+    rec[j] is the step of record time times[j] and rec_map[s] the record
+    slots to fill after step s.  T must be a positive multiple of dt and
+    every record time a grid point in [0, T]."""
+    n_steps = int(round(T / dt))
+    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise ValidationError(f"T={T} must be a positive multiple of dt={dt}")
-    return n
-
-
-def _record_steps(times, n_steps: int, dt: float) -> np.ndarray:
     times = np.asarray(times, dtype=float)
-    steps = np.round(times / dt).astype(int)
-    if np.any(np.abs(steps * dt - times) > 1e-9) or np.any(steps < 0) or np.any(steps > n_steps):
-        raise ValidationError("sample times must align with the integration step grid")
-    return steps
+    rec = np.round(times / dt).astype(int)
+    if np.any(np.abs(rec * dt - times) > 1e-9) or np.any(rec < 0) or np.any(rec > n_steps):
+        raise ValidationError("record times must align with the integration step grid")
+    rec_map: dict[int, list[int]] = {}
+    for j, s in enumerate(rec.tolist()):
+        rec_map.setdefault(s, []).append(j)
+    return n_steps, rec, rec_map
 
 
 def _state_batch(cfg: DiffusionConfig, eta: StateVector, T: float, indices, sample_times):
@@ -229,11 +243,7 @@ def _state_batch(cfg: DiffusionConfig, eta: StateVector, T: float, indices, samp
         raise ValidationError("the state equations are single-particle; use M=1")
     if abs(eta.norm2() - 1.0) > STATE_NORM_TOL:
         raise ValidationError("initial state must be normalized")
-    n_steps = _step_count(T, cfg.dt)
-    rec = _record_steps(sample_times, n_steps, cfg.dt)
-    rec_map: dict[int, list[int]] = {}
-    for j, s in enumerate(rec):
-        rec_map.setdefault(int(s), []).append(j)
+    n_steps, rec, rec_map = _step_grid(T, cfg.dt, sample_times)
     gens = [stream(cfg.seed, i) for i in indices]
     return eta.amps.astype(complex), n_steps, rec, rec_map, gens
 
@@ -396,20 +406,15 @@ def _density_kernel(cfg: DiffusionConfig):
     the noise factor.  Every factor of a step is a completely positive map,
     so positivity holds pathwise up to rounding, while the one-step mean
     still matches the density equation to first weak order.  Returns
-    (VM, rbar, L_full, P0).
+    (VM, w, rbar, P0), w the single-particle eigenvalues of R and rbar the
+    diagonal of Rbar.
     """
-    d, M = cfg.dim, cfg.M
+    M = cfg.M
     w, V = hermitian_eig(cfg.R)
     VM = V
     for _ in range(M - 1):
         VM = np.kron(VM, V)
-    D = d ** M
-    rk_vecs = []
-    for k in range(1, M + 1):
-        vec = np.ones(1)
-        for j in range(1, M + 1):
-            vec = np.kron(vec, w if j == k else np.ones(d))
-        rk_vecs.append(vec)
+    rk_vecs = [np.diag(embed_at_slot(np.diag(w), k, M)).real for k in range(1, M + 1)]
     rbar = sum(rk_vecs) / M
     H_single_t = V.conj().T @ cfg.H.entries @ V
     Ht = sum(embed_at_slot(H_single_t, k, M) for k in range(1, M + 1))
@@ -417,26 +422,110 @@ def _density_kernel(cfg: DiffusionConfig):
     Kt = (1j / cfg.hbar) * Ht + np.diag(
         0.5 * g_h * g_h * cfg.noise.sigma2 * sum(rk * rk for rk in rk_vecs)
     ).astype(complex)
-    eye = np.eye(D, dtype=complex)
-    diag_idx = np.arange(D * D)
-    L = -(np.kron(Kt, eye) + np.kron(eye, Kt.conj()))
-    sandwich = np.zeros(D * D)
-    for rk in rk_vecs:
-        sandwich += np.outer(rk, rk).ravel()
-    L[diag_idx, diag_idx] += g_h * g_h * cfg.noise.sigma2 * sandwich
-
     Kp = Kt + np.diag(0.5 * cfg.gamma ** 2 * cfg.M * cfg.noise.c1 * rbar * rbar)
     E0 = expm(-Kp * cfg.dt)
     P0 = np.kron(E0, E0.conj())
-    exchange = np.zeros(D * D)
-    for rk in rk_vecs:
-        dk = rk - rbar
-        exchange += np.outer(dk, dk).ravel()
-    P0[diag_idx, diag_idx] += cfg.dt * g_h * g_h * cfg.noise.sigma2 * exchange
-    return VM, rbar, L, P0
+    exchange = sum(np.outer(rk - rbar, rk - rbar).ravel() for rk in rk_vecs)
+    P0 += np.diag(cfg.dt * g_h * g_h * cfg.noise.sigma2 * exchange)
+    return VM, w, rbar, P0
 
 
-def _density_spectra(rhos: np.ndarray, dt: float, rec: np.ndarray):
+def _density_states(cfg: DiffusionConfig, rho0, T: float, indices, sample_times,
+                    noise: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Paths of the M-particle density equation, one per index.
+
+    Per step the constant factor P0 of :func:`_density_kernel`, then the
+    noise factor G = a (x) conj(a), a = exp(gamma dw Rbar).  The state lives
+    in Rbar's eigenbasis with the path axis last, one row per matrix entry:
+    the diagonal, the strict upper triangle, then the strict lower triangle
+    in the same order.  Every step factor maps Hermitian matrices to
+    Hermitian ones, so a step computes only the diagonal and upper rows, as
+    one GEMM with P0's rows for them and one elementwise product with G, and
+    copies their conjugates into the lower rows: the state stays exactly
+    Hermitian without a symmetrization.  Since Rbar = (1/M) sum_k R_k,
+    a = b^{(x)M} with b = exp(gamma dw w / M): d exponentials per path-step.
+    Each path draws its normals from its own stream in blocks of _DRAW_BLOCK
+    steps (the same sequence as one draw of all steps), and G is built for
+    _FACTOR_BLOCK steps at once.  With noise=False nothing is drawn and G is
+    its exact one-step mean
+    E[G]_ij = exp(gamma^2 dt M (c1 r_i^2 + 2 c2 r_i r_j + conj(c1) r_j^2) / 2),
+    r = rbar.  Returns (record steps, rhos) with rhos[i, j] the density of
+    path indices[i] at record step j, rotated back to the original basis.
+    """
+    arr = rho0.entries if hasattr(rho0, "entries") else np.asarray(rho0, dtype=complex)
+    M = cfg.M
+    D = cfg.dim ** M
+    if arr.shape != (D, D):
+        raise ValidationError(f"initial density must have shape {(D, D)}, got {arr.shape}")
+    if abs(float(np.trace(arr).real) - 1.0) > 1e-8:
+        raise ValidationError("initial density must have unit trace")
+    n_steps, rec, rec_map = _step_grid(T, cfg.dt, sample_times)
+    VM, w, rbar, P0 = _density_kernel(cfg)
+    n = len(indices)
+    I, J = np.triu_indices(D, 1)
+    nu = D + I.size  # computed rows: diagonal and strict upper triangle
+    order = np.concatenate([np.arange(D) * (D + 1), I * D + J, J * D + I])
+    P_up = P0[order[:nu]][:, order]
+    rt = (VM.conj().T @ arr @ VM).reshape(D * D)[order]
+    x = np.repeat(rt[:, None].astype(complex), n, axis=1)
+    y = np.empty_like(x)
+    unorder = np.argsort(order)
+    out = np.empty((n, rec.size, D, D), dtype=complex)
+
+    def record(slots):
+        rho = x[unorder].T.reshape(n, D, D)
+        out[:, slots] = (VM @ rho @ VM.conj().T)[:, None]
+
+    c1, c2 = M * cfg.noise.c1, M * cfg.noise.c2
+    if noise:
+        gens = [stream(cfg.seed, i) for i in indices]
+        a11, a21, a22 = _noise_chol(cfg.dt, c1, c2)
+        z = np.empty((n, _DRAW_BLOCK, 2))
+        G = np.empty((_FACTOR_BLOCK, nu, n), dtype=complex)
+    else:
+        r = rbar[:, None]
+        mean = np.exp(0.5 * cfg.gamma ** 2 * cfg.dt
+                      * (c1 * r * r + 2.0 * c2 * r * r.T + np.conj(c1) * r.T * r.T))
+        G = np.broadcast_to(mean.reshape(D * D)[order[:nu], None], (_FACTOR_BLOCK, nu, 1))
+
+    def build_factors(zb):
+        # G[:m] for the m steps whose normals are zb, shaped (path, step, 2)
+        m = zb.shape[1]
+        zt = zb.transpose(1, 2, 0).copy()  # (step, normal, path)
+        dw = a11 * zt[:, 0] + 1j * (a21 * zt[:, 0] + a22 * zt[:, 1])
+        b = np.exp((cfg.gamma / M) * dw[:, None] * w[:, None])
+        a = b
+        for _ in range(M - 1):
+            a = (a[:, :, None] * b[:, None]).reshape(m, -1, n)
+        ac = a.conj()
+        np.multiply(a, ac, out=G[:m, :D])
+        row = D
+        for i in range(D - 1):  # entries (i, j > i) of the upper triangle
+            np.multiply(a[:, i : i + 1], ac[:, i + 1 :], out=G[:m, row : row + D - 1 - i])
+            row += D - 1 - i
+
+    if 0 in rec_map:
+        record(rec_map[0])
+    s = 0
+    while s < n_steps:
+        block = min(_DRAW_BLOCK, n_steps - s)
+        if noise:
+            for k, g in enumerate(gens):
+                g.standard_normal(out=z[k, :block])
+        for j in range(block):
+            if noise and j % _FACTOR_BLOCK == 0:
+                build_factors(z[:, j : min(j + _FACTOR_BLOCK, block)])
+            np.matmul(P_up, x, out=y[:nu])
+            np.multiply(y[:nu], G[j % _FACTOR_BLOCK], out=y[:nu])
+            np.conjugate(y[D:nu], out=y[nu:])
+            x, y = y, x
+            if s + j + 1 in rec_map:
+                record(rec_map[s + j + 1])
+        s += block
+    return rec, out
+
+
+def _density_spectra(rhos: np.ndarray):
     """Trace, entropy and minimum eigenvalue of recorded densities, with the
     blow-up and positivity guards applied."""
     trace = np.einsum("...ii->...", rhos).real
@@ -460,54 +549,22 @@ def evolve_diffusive_density(
     record_times=None,
     noise: bool = True,
 ) -> DensityPath:
-    """One path of the M-particle diffusive density equation.
+    """One path of the M-particle diffusive density equation, a batch of one
+    of :func:`_density_states`.
 
     Each step applies the completely positive deterministic factor from
     :func:`_density_kernel` followed by the exact completely positive noise
-    map exp(gamma dw Rbar) . exp(gamma dw* Rbar); Hermiticity is restored by
-    symmetrization.  With noise=False the path solves the averaged
-    (Lindblad-form) equation by plain Euler stepping.
+    map exp(gamma dw Rbar) . exp(gamma dw* Rbar); the recorded densities are
+    Hermitian by construction.  With noise=False the noise map is
+    replaced by its exact one-step mean, which steps the averaged
+    (Lindblad-form) equation with the same first-order accuracy.
     """
-    arr = rho0.entries if hasattr(rho0, "entries") else np.asarray(rho0, dtype=complex)
-    D = cfg.dim ** cfg.M
-    if arr.shape != (D, D):
-        raise ValidationError(f"initial density must have shape {(D, D)}, got {arr.shape}")
-    if abs(float(np.trace(arr).real) - 1.0) > 1e-8:
-        raise ValidationError("initial density must have unit trace")
-    n_steps = _step_count(T, cfg.dt)
-    rec = _record_steps(record_times if record_times is not None else [T], n_steps, cfg.dt)
-    rng = stream(cfg.seed, index)
-    dw = sample_wiener_increments(
-        rng, n_steps, cfg.dt, cfg.M * cfg.noise.c1, cfg.M * cfg.noise.c2
-    ).increments
-    VM, rbar, L, P0 = _density_kernel(cfg)
-    perm_t = np.arange(D * D).reshape(D, D).T.ravel()
-    rt = (VM.conj().T @ arr @ VM).astype(complex)
-    v = rt.reshape(-1).copy()
-    rec_map: dict[int, list[int]] = {}
-    for j, s in enumerate(rec):
-        rec_map.setdefault(int(s), []).append(j)
-    rhos = np.empty((rec.size, D, D), dtype=complex)
-
-    def store(slots):
-        back = VM @ v.reshape(D, D) @ VM.conj().T
-        for j in slots:
-            rhos[j] = back
-
-    if 0 in rec_map:
-        store(rec_map[0])
-    for s in range(n_steps):
-        if noise:
-            v = P0 @ v
-            a = np.exp(cfg.gamma * dw[s] * rbar)
-            v = (a[:, None] * v.reshape(D, D) * a.conj()[None, :]).reshape(-1)
-        else:
-            v = v + cfg.dt * (L @ v)
-        v = 0.5 * (v + v.conj()[perm_t])
-        if s + 1 in rec_map:
-            store(rec_map[s + 1])
-    trace, entropy, min_eig = _density_spectra(rhos, cfg.dt, rec)
-    return DensityPath(times=rec * cfg.dt, rhos=rhos, trace=trace, entropy=entropy, min_eig=min_eig)
+    rec, rhos = _density_states(
+        cfg, rho0, T, [index], [T] if record_times is None else record_times, noise
+    )
+    trace, entropy, min_eig = _density_spectra(rhos[0])
+    return DensityPath(times=rec * cfg.dt, rhos=rhos[0], trace=trace, entropy=entropy,
+                       min_eig=min_eig)
 
 
 def mean_field_evolve(
@@ -528,61 +585,12 @@ def mean_field_evolve(
     return StatePath(times=rec_times, states=out, norm2=norm2)
 
 
-def _density_batch(
-    cfg: DiffusionConfig,
-    rho0,
-    T: float,
-    indices,
-    sample_times,
-    observables: dict[str, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized density-equation paths; returns (traces, obs, entropy)
-    with obs holding normalized expectations Tr(X rho) / Tr(rho)."""
-    arr = rho0.entries if hasattr(rho0, "entries") else np.asarray(rho0, dtype=complex)
-    D = cfg.dim ** cfg.M
-    n_steps = _step_count(T, cfg.dt)
-    rec = _record_steps(sample_times, n_steps, cfg.dt)
-    indices = list(indices)
-    n = len(indices)
-    a11, a21, a22 = _noise_chol(cfg.dt, cfg.M * cfg.noise.c1, cfg.M * cfg.noise.c2)
-    gens = [stream(cfg.seed, i) for i in indices]
-    VM, rbar, _, P0 = _density_kernel(cfg)
-    perm_t = np.arange(D * D).reshape(D, D).T.ravel()
-    obs_mats = [VM.conj().T @ X @ VM for X in observables.values()]
-
-    rt = (VM.conj().T @ arr @ VM).astype(complex)
-    v = np.tile(rt.reshape(-1), (n, 1))
-    traces = np.empty((n, rec.size))
-    obs = np.empty((n, rec.size, len(obs_mats)))
-    entropy = np.empty((n, rec.size))
-    rec_map: dict[int, list[int]] = {}
-    for j, s in enumerate(rec):
-        rec_map.setdefault(int(s), []).append(j)
-
-    def record(slots):
-        rh = v.reshape(n, D, D)
-        tr, ent, _ = _density_spectra(rh, cfg.dt, rec)
-        for j in slots:
-            traces[:, j] = tr
-            entropy[:, j] = ent
-            for o, X in enumerate(obs_mats):
-                obs[:, j, o] = np.einsum("ij,nji->n", X, rh).real / tr
-
-    if 0 in rec_map:
-        record(rec_map[0])
-    s = 0
-    while s < n_steps:
-        block = min(_STEP_BLOCK, n_steps - s)
-        z = np.stack([g.standard_normal((block, 2)) for g in gens])
-        dw = a11 * z[:, :, 0] + 1j * (a21 * z[:, :, 0] + a22 * z[:, :, 1])
-        for b in range(block):
-            v = v @ P0.T
-            a = np.exp(cfg.gamma * dw[:, b, None] * rbar[None, :])
-            v3 = v.reshape(n, D, D)
-            v3 *= a[:, :, None] * a.conj()[:, None, :]
-            v = v3.reshape(n, D * D)
-            v = 0.5 * (v + v.conj()[:, perm_t])
-            if s + b + 1 in rec_map:
-                record(rec_map[s + b + 1])
-        s += block
-    return traces, obs, entropy
+def _density_batch(cfg, rho0, T, indices, sample_times, observables):
+    """Density-equation paths reduced to (traces, obs, entropy), with obs
+    holding normalized expectations Tr(X rho) / Tr(rho)."""
+    rhos = _density_states(cfg, rho0, T, indices, sample_times)[1]
+    trace, entropy, _ = _density_spectra(rhos)
+    obs = np.empty((*trace.shape, len(observables)))
+    for o, X in enumerate(observables.values()):
+        obs[..., o] = np.einsum("ij,nsji->ns", X, rhos).real / trace
+    return trace, obs, entropy

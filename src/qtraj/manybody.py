@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapacityError, NumericError, ValidationError
+from .errors import CapacityError, ValidationError
 from .jumps import _events, _run_rows, _sample_grid, _series
 from .linalg import (
     HERMITICITY_TOL,
@@ -54,7 +54,6 @@ from .linalg import (
 from .meter import MeterModel
 
 MAX_BRUTE_FORCE_EVENTS = 6
-SECTORS = ("full", "symmetric")
 
 
 def nearest_neighbor_coupling(d: int, strength: float) -> np.ndarray:
@@ -111,7 +110,6 @@ class ManyBodyConfig:
     W: np.ndarray | None = None
     hbar: float = 1.0
     seed: int = 0
-    sector: str = "full"
 
     def __post_init__(self):
         if self.M < 1:
@@ -122,8 +120,6 @@ class ManyBodyConfig:
             raise ValidationError(f"nu >= 0 required, got {self.nu}")
         if self.hbar <= 0:
             raise ValidationError(f"hbar must be positive, got {self.hbar}")
-        if self.sector not in SECTORS:
-            raise ValidationError(f"sector must be one of {SECTORS}, got {self.sector!r}")
         if self.H_single.dim != self.d or self.meter.dim != self.d:
             raise ValidationError(
                 "H_single and meter must act on dimension d="
@@ -336,13 +332,6 @@ def _mixing_batch(cfg: ManyBodyConfig, rho0: DensityMatrix, T: float, mode: str,
     samples = _sample_grid(sample_times, T)
     linear = mode == "linear"
     rho = rho0.entries.astype(complex)
-    if cfg.sector == "symmetric":
-        P = symmetric_projector(cfg.d, cfg.M)
-        rho = P @ rho @ P
-        tr = float(np.trace(rho).real)
-        if tr < 1e-12:
-            raise NumericError("initial density has no symmetric component")
-        rho /= tr
     obs = observables or {}
     indices = list(indices)
     kern = _DensityRows(cfg, rho, len(indices), obs)

@@ -66,11 +66,10 @@ def jump_trajectory_record(traj, index: int, seed: int) -> dict:
         "log_weight": traj.log_weight,
     }
     if traj.sample_times is not None:
-        rec["sample_times"] = [float(t) for t in traj.sample_times]
-        rec["norm2"] = [float(v) for v in traj.norm2_series]
+        rec["sample_times"] = traj.sample_times.tolist()
+        rec["norm2"] = traj.norm2_series.tolist()
         rec["observables"] = {
-            name: [float(v) for v in series]
-            for name, series in sorted(traj.observable_series.items())
+            name: series.tolist() for name, series in sorted(traj.observable_series.items())
         }
     return rec
 
@@ -87,12 +86,11 @@ def density_trajectory_record(traj, index: int, seed: int) -> dict:
         "log_weight": traj.log_weight,
     }
     if traj.sample_times is not None:
-        rec["sample_times"] = [float(t) for t in traj.sample_times]
-        rec["trace"] = [float(v) for v in traj.trace_series]
-        rec["entropy"] = [float(v) for v in traj.entropy_series]
-        rec["min_eig"] = [float(v) for v in traj.min_eig_series]
+        rec["sample_times"] = traj.sample_times.tolist()
+        rec["trace"] = traj.trace_series.tolist()
+        rec["entropy"] = traj.entropy_series.tolist()
+        rec["min_eig"] = traj.min_eig_series.tolist()
         rec["observables"] = {
-            name: [float(v) for v in series]
-            for name, series in sorted(traj.observable_series.items())
+            name: series.tolist() for name, series in sorted(traj.observable_series.items())
         }
     return rec

@@ -1,7 +1,11 @@
+import filecmp
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qtraj import (
     DensityMatrix,
@@ -19,9 +23,18 @@ from qtraj import (
     noise_covariance,
     propagator,
     sample_wiener_increments,
+    embed_at_slot,
     save_pointer,
 )
-from qtraj.diffusion import _coupled_batch, _coupled_states, _sse_batch
+from qtraj.cli import main
+from qtraj.diffusion import (
+    _coupled_batch,
+    _coupled_states,
+    _density_batch,
+    _density_states,
+    _sse_batch,
+)
+from qtraj.ensemble import _DIFFUSION_CHUNK
 from qtraj.rng import stream
 
 R01 = HermitianOperator(np.diag([0.0, 1.0]).astype(complex))
@@ -29,11 +42,24 @@ RC = HermitianOperator(np.diag([-0.5, 0.5]).astype(complex))
 HX = HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 
 PI_HALF = math.pi / 2
+# Bound on the traced peak of a 512-path, 1000-step two-particle density
+# batch: blockwise draws and noise factors stay near 7 MB, where one draw of
+# 1000 steps for all paths peaks at about 24 MB.
+PEAK_BOUND_BYTES = 12 * 2 ** 20
 
 
 def make_config(R=RC, H=HX, gamma=1.0, dt=1e-3, seed=0, M=1, phase_slope=0.0):
     pointer = gaussian_pointer(1024, 6.0, phase_slope=phase_slope)
     return DiffusionConfig(H=H, R=R, gamma=gamma, pointer=pointer, dt=dt, seed=seed, M=M)
+
+
+def mixed_product_density(eta, M):
+    """0.9 |eta><eta|^{(x)M} + 0.1 I / d^M."""
+    pure = StateVector(eta)
+    for _ in range(M - 1):
+        pure = StateVector(np.kron(pure.amps, eta))
+    D = eta.size ** M
+    return DensityMatrix(0.9 * pure.density().entries + 0.1 * np.eye(D) / D)
 
 
 class TestNoiseCovariance:
@@ -254,14 +280,89 @@ class TestDiffusiveDensity:
         assert worst <= 1e-8
 
     def test_mean_trace_martingale(self):
-        from qtraj.diffusion import _density_batch
-
         cfg = make_config(dt=1e-3, seed=17)
         eta = StateVector(np.ones(2) / math.sqrt(2))
         rho0 = DensityMatrix(0.9 * eta.density().entries + 0.05 * np.eye(2))
         tr, _, _ = _density_batch(cfg, rho0, 1.0, range(4000), [1.0], {})
         se = tr[:, 0].std(ddof=1) / math.sqrt(tr.shape[0])
         assert abs(tr[:, 0].mean() - 1.0) <= 3 * se + 10 * cfg.dt
+
+    def test_single_path_matches_batch(self):
+        cfg = make_config(dt=1e-3, seed=23, M=2)
+        rho0 = mixed_product_density(np.array([0.6, 0.8j]), 2)
+        times = np.linspace(0.2, 1.0, 5)
+        obs = {"R1": embed_at_slot(RC.entries, 1, 2), "H2": embed_at_slot(HX.entries, 2, 2)}
+        tr, o, ent = _density_batch(cfg, rho0, 1.0, [2, 3, 4], times, obs)
+        for row, i in enumerate([2, 3, 4]):
+            single = evolve_diffusive_density(cfg, rho0, 1.0, index=i, record_times=times)
+            assert np.max(np.abs(single.trace - tr[row])) <= 1e-12
+            assert np.max(np.abs(single.entropy - ent[row])) <= 1e-12
+            for k, X in enumerate(obs.values()):
+                expect = np.einsum("ij,nji->n", X, single.rhos).real / single.trace
+                assert np.max(np.abs(expect - o[row, :, k])) <= 1e-12
+
+    def test_matches_per_step_reference(self):
+        # full-space complex superoperator, then exp(gamma dw Rbar) on both
+        # sides and symmetrization every step, from the same stream; the
+        # phase-modulated packet makes dw complex
+        M, D = 2, 4
+        cfg = make_config(dt=1e-3, seed=24, M=M, phase_slope=0.5)
+        rho0 = mixed_product_density(np.array([0.6, 0.8j]), M)
+        T, n_steps = 0.3, 300
+        _, rhos = _density_states(cfg, rho0, T, [0, 5], [0.1, T])
+        g2s2 = (cfg.gamma / cfg.hbar) ** 2 * cfg.noise.sigma2
+        c1, c2 = M * cfg.noise.c1, M * cfg.noise.c2
+        Rks = [embed_at_slot(RC.entries, k, M) for k in range(1, M + 1)]
+        Rbar = sum(Rks) / M
+        H = sum(embed_at_slot(HX.entries, k, M) for k in range(1, M + 1))
+        K = (1j / cfg.hbar) * H + 0.5 * g2s2 * sum(Rk @ Rk for Rk in Rks)
+        E0 = expm(-(K + 0.5 * cfg.gamma ** 2 * c1 * Rbar @ Rbar) * cfg.dt)
+        P = np.kron(E0, E0.conj()) + cfg.dt * g2s2 * sum(
+            np.kron(Rk - Rbar, (Rk - Rbar).conj()) for Rk in Rks)
+        for row, i in enumerate([0, 5]):
+            dw = sample_wiener_increments(stream(cfg.seed, i), n_steps, cfg.dt, c1, c2).increments
+            rho = rho0.entries.astype(complex)
+            ref = []
+            for s in range(n_steps):
+                A = expm(cfg.gamma * dw[s] * Rbar)
+                rho = A @ (P @ rho.reshape(-1)).reshape(D, D) @ A.conj().T
+                rho = 0.5 * (rho + rho.conj().T)
+                if s + 1 in (100, n_steps):
+                    ref.append(rho)
+            assert np.max(np.abs(rhos[row] - np.array(ref))) <= 1e-10
+
+    def test_batch_peak_memory(self):
+        # 512 paths of the two-particle equation over 1000 steps
+        cfg = make_config(dt=1e-4, seed=25, M=2)
+        rho0 = mixed_product_density(np.ones(2) / math.sqrt(2), 2)
+        obs = {"Rbar": sum(embed_at_slot(RC.entries, k, 2) for k in (1, 2)) / 2}
+        tracemalloc.start()
+        try:
+            _density_batch(cfg, rho0, 0.1, range(512), [0.05, 0.1], obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= PEAK_BOUND_BYTES
+
+
+class TestDensityCli:
+    def test_bytes_independent_of_threads_and_reruns(self, tmp_path):
+        spec = tmp_path / "density.json"
+        spec.write_text(json.dumps({
+            "experiment": "diffuse", "equation": "density", "overrides": {"M": 2},
+            "T": 0.2, "n_samples": 4, "n_traj": _DIFFUSION_CHUNK + 88, "seed": 26,
+            "observables": ["R"],
+        }))
+        outs = []
+        for name, threads in (("t1", "1"), ("t2", "2"), ("t3", "3"), ("again", "1")):
+            out = tmp_path / name
+            assert main(["diffuse", "--spec", str(spec), "--threads", threads,
+                         "--out", str(out)]) == 0
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        for out in outs[1:]:
+            assert sorted(p.name for p in out.iterdir()) == names
+            assert all(filecmp.cmp(outs[0] / f, out / f, shallow=False) for f in names)
 
 
 class TestMeanField:

@@ -34,10 +34,9 @@ R01 = HermitianOperator(np.diag([0.0, 1.0]).astype(complex))
 HX = HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 
 
-def make_config(M=2, nu=3.0, kappa=0.3, seed=0, W=None, sector="full"):
+def make_config(M=2, nu=3.0, kappa=0.3, seed=0, W=None):
     meter = build_gaussian_meter(kappa, R01)
-    return ManyBodyConfig(M=M, d=2, H_single=HX, meter=meter, nu=nu, W=W,
-                          seed=seed, sector=sector)
+    return ManyBodyConfig(M=M, d=2, H_single=HX, meter=meter, nu=nu, W=W, seed=seed)
 
 
 def random_density(D):
@@ -226,12 +225,6 @@ class TestEvolveDensity:
         psi = StateVector(np.array([0.8, 0.6j]))
         reduced = mixing_reduction(cfg, psi.density(), 0.4)
         assert von_neumann_entropy(reduced.entries) <= 1e-10
-
-    def test_symmetric_sector_projection(self):
-        cfg = make_config(M=2, nu=0.0, sector="symmetric")
-        rho0 = DensityMatrix(np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))  # |0 1>
-        traj = evolve_density(cfg, rho0, 1.0)
-        assert permutation_defect(traj.rho.entries, 2, 2) <= 1e-12
 
     def test_interaction_preset_shape(self):
         W = nearest_neighbor_coupling(2, 0.5)
