@@ -27,6 +27,7 @@ from .ensemble import (
     run_ensemble,
     run_trajectories,
 )
+from .errors import ValidationError
 from .jumps import JumpConfig
 from .linalg import DensityMatrix, HermitianOperator, StateVector, propagator
 from .manybody import (
@@ -331,18 +332,26 @@ CRITERIA = [
 
 
 def run_criterion(cid: int) -> CriterionResult:
-    for c, title, fn in CRITERIA:
-        if c == cid:
-            start = time.perf_counter()
-            passed, detail = fn()
-            # Criteria often compute numpy.bool_, which json cannot serialize.
-            return CriterionResult(c, title, bool(passed), detail, time.perf_counter() - start)
-    raise ValueError(f"no acceptance criterion numbered {cid}")
+    return run_criteria([cid])[0]
 
 
 def run_criteria(ids=None) -> list[CriterionResult]:
-    ids = [c for c, _, _ in CRITERIA] if ids is None else list(ids)
-    return [run_criterion(c) for c in ids]
+    """Run the given criteria, all by default; an unknown number is rejected
+    before any criterion runs."""
+    table = {c: (title, fn) for c, title, fn in CRITERIA}
+    ids = list(table) if ids is None else list(ids)
+    for cid in ids:
+        if cid not in table:
+            raise ValidationError(f"no acceptance criterion numbered {cid}")
+    results = []
+    for cid in ids:
+        title, fn = table[cid]
+        start = time.perf_counter()
+        passed, detail = fn()
+        # Criteria often compute numpy.bool_, which json cannot serialize.
+        seconds = time.perf_counter() - start
+        results.append(CriterionResult(cid, title, bool(passed), detail, seconds))
+    return results
 
 
 def format_table(results: list[CriterionResult]) -> str:

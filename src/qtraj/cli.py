@@ -1,8 +1,8 @@
 """Batch front end: run specifications, experiment orchestration and data
 emission.
 
-A run specification is a JSON object (documented field by field in the
-README).  Every default that resolution applies is echoed into the output
+A run specification is a JSON object whose fields are documented in
+``RunSpec``.  Every default that resolution applies is echoed into the output
 manifest together with a content hash of the resolved specification, and all
 emitted files carry that hash and the seed in a header line.  Outputs are
 byte-identical for a fixed specification and seed, independent of the worker
@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +38,10 @@ from .errors import CapacityError, SimulationError, ValidationError
 from .jumps import JumpConfig
 from .linalg import MAX_PARTICLES, HermitianOperator, StateVector, embed_at_slot
 from .manybody import ManyBodyConfig, nearest_neighbor_coupling
-from .meter import MeterModel, gaussian_pointer, coverage_half_width
+from .meter import DEFAULT_GRID_SIZE, MeterModel
 from .presets import get_preset, preset_meter
 from .records import (
     density_trajectory_record,
-    fmt,
     json_dumps_stable,
     jump_trajectory_record,
     spec_hash,
@@ -49,60 +50,25 @@ from .records import (
 )
 
 EXPERIMENTS = ("kick", "jump", "many", "diffuse", "master", "bridge")
-DIFFUSE_EQUATIONS = ("linear", "coupled", "density")
-MASTER_EQUATIONS = ("jump-averaged", "diffusive")
-OVERRIDE_KEYS = (
-    "d",
-    "M",
-    "kappa",
-    "nu",
-    "gamma",
-    "hbar",
-    "pointer_points",
-    "pointer_phase_slope",
-    "interaction",
-    "interaction_strength",
-)
-SPEC_KEYS = (
-    "experiment",
-    "preset",
-    "overrides",
-    "T",
-    "dt",
-    "n_samples",
-    "mode",
-    "equation",
-    "n_traj",
-    "seed",
-    "threads",
-    "observables",
-    "nus",
-    "initial_state",
-    "kick_lambdas",
-    "out",
-)
-
-
-@dataclass
-class RunSpec:
-    """Validated run specification with all defaults resolved."""
-
-    experiment: str
-    preset: str
-    overrides: dict = field(default_factory=dict)
-    T: float = 1.0
-    dt: float = 1e-3
-    n_samples: int = 10
-    mode: str = "normalized"
-    equation: str = "linear"
-    n_traj: int = 100
-    seed: int = 0
-    threads: int = 1
-    observables: list = field(default_factory=lambda: ["R"])
-    nus: list = field(default_factory=lambda: [100.0, 1000.0, 10000.0])
-    initial_state: object = "uniform"
-    kick_lambdas: list | None = None
-    out: str = "runs"
+EQUATIONS = {
+    "diffuse": ("linear", "coupled", "density"),
+    "master": ("jump-averaged", "diffusive"),
+}
+INTERACTIONS = ("none", "nearest-neighbor")
+# Model overrides: conversion, range check (None: any value) and its message.
+OVERRIDES = {
+    "d": (int, None, None),
+    "M": (int, lambda M: M >= 1, "M >= 1 required"),
+    "kappa": (float, math.isfinite, "kappa must be finite"),
+    "nu": (float, lambda nu: nu >= 0, "nu >= 0 required"),
+    "gamma": (float, None, None),
+    "hbar": (float, lambda hbar: hbar > 0, "hbar > 0 required"),
+    "pointer_points": (int, lambda n: n >= 16, "pointer_points >= 16 required"),
+    "pointer_phase_slope": (float, None, None),
+    "interaction": (str, INTERACTIONS.__contains__,
+                    "interaction must be 'none' or 'nearest-neighbor'"),
+    "interaction_strength": (float, None, None),
+}
 
 
 def _require(cond: bool, message: str):
@@ -110,85 +76,160 @@ def _require(cond: bool, message: str):
         raise ValidationError(message)
 
 
-def spec_from_dict(raw: dict) -> RunSpec:
-    """Validate a parsed specification object and apply defaults."""
+@contextmanager
+def _reading(name: str):
+    """Report a TypeError, ValueError or OverflowError raised while reading
+    spec content as a ValidationError that names the field."""
+    try:
+        yield
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"invalid {name}: {exc}") from exc
+
+
+def _array(value) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected an array, got {type(value).__name__}")
+    return list(value)
+
+
+def _floats(value) -> list:
+    return [float(x) for x in _array(value)]
+
+
+def _optional_floats(value) -> list | None:
+    return None if value is None else _floats(value)
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return dict(value)
+
+
+def _field(convert, default=MISSING):
+    """A RunSpec field read through ``convert``; list and dict defaults are copied."""
+    if isinstance(default, (list, dict)):
+        return field(default_factory=default.copy, metadata={"convert": convert})
+    return field(default=default, metadata={"convert": convert})
+
+
+def _experiment_defaults(experiment) -> dict:
+    """The preset and equation defaults, the two that depend on the experiment."""
+    return {
+        "preset": "two-atoms" if experiment == "many" else "two-level",
+        "equation": "jump-averaged" if experiment == "master" else "linear",
+    }
+
+
+@dataclass
+class RunSpec:
+    """Validated run specification with all defaults resolved.
+
+    The fields of the JSON object, with their defaults in parentheses:
+
+    - experiment: one of ``EXPERIMENTS`` (required).
+    - preset: "two-level", "lattice-particle" or "two-atoms" ("two-atoms"
+      for many, else "two-level").
+    - equation: for diffuse "linear" (default), "coupled" or "density"; for
+      master "jump-averaged" (default) or "diffusive"; others ignore it.
+    - overrides ({}): model parameters that replace the preset's: d (only
+      lattice-particle takes a d other than its own), M (1 to
+      ``MAX_PARTICLES``), kappa, nu >= 0, gamma, hbar > 0 (1),
+      pointer_points >= 16 (1024), pointer_phase_slope (0), interaction
+      "none" (default) or "nearest-neighbor", interaction_strength (0.5).
+    - T > 0 (1): final time; dt > 0 (1e-3): step of diffuse, master and
+      bridge; n_samples >= 1 (10): record times T/n, 2T/n, ..., T.
+    - mode: "normalized" (default) or "linear" jump and mixing trajectories.
+    - n_traj >= 1 (100), seed >= 0 (0) and threads >= 1 (1), the worker cap.
+    - observables (["R"]): array of "R", "H", "projector:k" and inline
+      {"name", "matrix"} objects with number or [re, im] entries; an
+      operator on one particle is averaged over the particles.
+    - nus ([100, 1000, 10000]): increasing jump rates of bridge.
+    - initial_state ("uniform"): one-particle state, "uniform", "basis:k" or
+      an amplitude array; M particles start in the product state.
+    - kick_lambdas (null, the quartiles of the outcome density): pointer
+      readings whose posterior states kick reports.
+    - out ("runs"): output directory.  Neither out nor threads changes the
+      output or its hash.
+    """
+
+    experiment: str = _field(str)
+    preset: str = _field(str)
+    equation: str = _field(str)
+    overrides: dict = _field(_object, {})
+    T: float = _field(float, 1.0)
+    dt: float = _field(float, 1e-3)
+    n_samples: int = _field(int, 10)
+    mode: str = _field(str, "normalized")
+    n_traj: int = _field(int, 100)
+    seed: int = _field(int, 0)
+    threads: int = _field(int, 1)
+    observables: list = _field(_array, ["R"])
+    nus: list = _field(_floats, [100.0, 1000.0, 10000.0])
+    initial_state: object = _field(lambda state: state, "uniform")
+    kick_lambdas: list | None = _field(_optional_floats, None)
+    out: str = _field(str, "runs")
+
+    def __post_init__(self):
+        for f in fields(self):
+            with _reading(f.name):
+                setattr(self, f.name, f.metadata["convert"](getattr(self, f.name)))
+        _require(
+            self.experiment in EXPERIMENTS,
+            f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}",
+        )
+        _require(self.T > 0, "T > 0 required")
+        _require(self.dt > 0, "dt > 0 required")
+        _require(self.n_samples >= 1, "n_samples >= 1 required")
+        _require(self.mode in ("normalized", "linear"), "mode must be 'normalized' or 'linear'")
+        _require(self.n_traj >= 1, "n_traj >= 1 required")
+        _require(self.seed >= 0, "seed >= 0 required")
+        _require(self.threads >= 1, "threads >= 1 required")
+        if self.experiment in EQUATIONS:
+            allowed = EQUATIONS[self.experiment]
+            _require(
+                self.equation in allowed,
+                f"equation must be one of {allowed} for {self.experiment} runs",
+            )
+        _model_overrides(self.overrides)
+
+
+def _model_overrides(overrides: dict) -> dict:
+    """Converted and range-checked values of a spec's overrides."""
+    unknown = sorted(set(overrides) - set(OVERRIDES))
+    _require(not unknown, f"unknown override fields: {unknown}")
+    values = {}
+    for key, raw in overrides.items():
+        convert, ok, message = OVERRIDES[key]
+        with _reading(f"overrides.{key}"):
+            values[key] = convert(raw)
+        _require(ok is None or ok(values[key]), message)
+    if values.get("M", 1) > MAX_PARTICLES:
+        raise CapacityError(f"at most {MAX_PARTICLES} particles supported, got M={values['M']}")
+    return values
+
+
+def spec_from_dict(raw: dict, command: str | None = None) -> RunSpec:
+    """Validate a parsed specification object and apply defaults.
+
+    ``command``, when given, is the experiment the specification must name.
+    """
     _require(isinstance(raw, dict), "specification must be a JSON object")
-    unknown = sorted(set(raw) - set(SPEC_KEYS))
+    unknown = sorted(set(raw) - {f.name for f in fields(RunSpec)})
     _require(not unknown, f"unknown specification fields: {unknown}")
     _require("experiment" in raw, "field 'experiment' is required")
-    experiment = raw["experiment"]
+    spec = RunSpec(**{**_experiment_defaults(raw["experiment"]), **raw})
     _require(
-        experiment in EXPERIMENTS,
-        f"experiment must be one of {EXPERIMENTS}, got {experiment!r}",
+        command in (None, spec.experiment),
+        f"specification is for experiment {spec.experiment!r}, "
+        f"but the {command!r} subcommand was invoked",
     )
-    preset = raw.get("preset", "two-atoms" if experiment == "many" else "two-level")
-    overrides = raw.get("overrides", {})
-    _require(isinstance(overrides, dict), "overrides must be an object")
-    unknown = sorted(set(overrides) - set(OVERRIDE_KEYS))
-    _require(not unknown, f"unknown override fields: {unknown}")
-    spec = RunSpec(
-        experiment=experiment,
-        preset=str(preset),
-        overrides=dict(overrides),
-        T=float(raw.get("T", 1.0)),
-        dt=float(raw.get("dt", 1e-3)),
-        n_samples=int(raw.get("n_samples", 10)),
-        mode=str(raw.get("mode", "normalized")),
-        equation=str(
-            raw.get("equation", "jump-averaged" if experiment == "master" else "linear")
-        ),
-        n_traj=int(raw.get("n_traj", 100)),
-        seed=int(raw.get("seed", 0)),
-        threads=int(raw.get("threads", 1)),
-        observables=list(raw.get("observables", ["R"])),
-        nus=[float(x) for x in raw.get("nus", [100.0, 1000.0, 10000.0])],
-        initial_state=raw.get("initial_state", "uniform"),
-        kick_lambdas=(
-            None if raw.get("kick_lambdas") is None
-            else [float(x) for x in raw["kick_lambdas"]]
-        ),
-        out=str(raw.get("out", "runs")),
-    )
-    _require(spec.T > 0, "T > 0 required")
-    _require(spec.dt > 0, "dt > 0 required")
-    _require(spec.n_samples >= 1, "n_samples >= 1 required")
-    _require(spec.mode in ("normalized", "linear"), "mode must be 'normalized' or 'linear'")
-    _require(spec.n_traj >= 1, "n_traj >= 1 required")
-    _require(spec.seed >= 0, "seed >= 0 required")
-    _require(spec.threads >= 1, "threads >= 1 required")
-    if experiment == "diffuse":
-        _require(
-            spec.equation in DIFFUSE_EQUATIONS,
-            f"equation must be one of {DIFFUSE_EQUATIONS} for diffuse runs",
-        )
-    if experiment == "master":
-        _require(
-            spec.equation in MASTER_EQUATIONS,
-            f"equation must be one of {MASTER_EQUATIONS} for master runs",
-        )
-    if "nu" in spec.overrides:
-        _require(float(spec.overrides["nu"]) >= 0, "nu >= 0 required")
-    if "hbar" in spec.overrides:
-        _require(float(spec.overrides["hbar"]) > 0, "hbar > 0 required")
-    if "kappa" in spec.overrides:
-        _require(np.isfinite(float(spec.overrides["kappa"])), "kappa must be finite")
-    if "M" in spec.overrides:
-        M = int(spec.overrides["M"])
-        _require(M >= 1, "M >= 1 required")
-        if M > MAX_PARTICLES:
-            raise CapacityError(f"at most {MAX_PARTICLES} particles supported, got M={M}")
-    if "pointer_points" in spec.overrides:
-        _require(int(spec.overrides["pointer_points"]) >= 16, "pointer_points >= 16 required")
-    if "interaction" in spec.overrides:
-        _require(
-            spec.overrides["interaction"] in ("none", "nearest-neighbor"),
-            "interaction must be 'none' or 'nearest-neighbor'",
-        )
     return spec
 
 
-def load_runspec(path) -> RunSpec:
-    """Read and validate a specification file."""
+def read_spec_file(path) -> dict:
+    """Parse a specification file; returns its JSON object, not yet checked
+    against ``RunSpec``."""
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"specification file not found: {p}")
@@ -198,29 +239,13 @@ def load_runspec(path) -> RunSpec:
         raise ValidationError(
             f"parse error in {p} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return spec_from_dict(raw)
+    _require(isinstance(raw, dict), "specification must be a JSON object")
+    return raw
 
 
 def dump_runspec(spec: RunSpec) -> dict:
     """Fully resolved specification as a plain JSON-compatible object."""
-    return {
-        "experiment": spec.experiment,
-        "preset": spec.preset,
-        "overrides": dict(spec.overrides),
-        "T": spec.T,
-        "dt": spec.dt,
-        "n_samples": spec.n_samples,
-        "mode": spec.mode,
-        "equation": spec.equation,
-        "n_traj": spec.n_traj,
-        "seed": spec.seed,
-        "threads": spec.threads,
-        "observables": list(spec.observables),
-        "nus": list(spec.nus),
-        "initial_state": spec.initial_state,
-        "kick_lambdas": spec.kick_lambdas,
-        "out": spec.out,
-    }
+    return asdict(spec)
 
 
 @dataclass
@@ -266,24 +291,22 @@ def _parse_scalar(x) -> complex:
 
 
 def _resolve_model(spec: RunSpec) -> _Model:
-    ov = spec.overrides
-    preset = get_preset(spec.preset, d=int(ov["d"]) if "d" in ov else None)
-    d = preset.d
-    M = int(ov.get("M", preset.M))
-    kappa = float(ov.get("kappa", preset.kappa))
-    nu = float(ov.get("nu", preset.nu))
-    gamma = float(ov.get("gamma", preset.gamma))
-    hbar = float(ov.get("hbar", 1.0))
-    n_points = int(ov.get("pointer_points", 1024))
-    phase_slope = float(ov.get("pointer_phase_slope", 0.0))
-    meter = preset_meter(preset, kappa=kappa, n_points=n_points, phase_slope=phase_slope)
+    ov = _model_overrides(spec.overrides)
+    preset = get_preset(spec.preset, d=ov.get("d"))
+    kappa = ov.get("kappa", preset.kappa)
+    meter = preset_meter(
+        preset, kappa=kappa, n_points=ov.get("pointer_points", DEFAULT_GRID_SIZE),
+        phase_slope=ov.get("pointer_phase_slope", 0.0),
+    )
     W = None
-    if ov.get("interaction", "none") == "nearest-neighbor":
-        W = nearest_neighbor_coupling(d, float(ov.get("interaction_strength", 0.5)))
-    eta = _initial_single(spec, d)
+    if ov.get("interaction") == "nearest-neighbor":
+        W = nearest_neighbor_coupling(preset.d, ov.get("interaction_strength", 0.5))
+    with _reading("initial_state"):
+        eta = _initial_single(spec, preset.d)
     return _Model(
-        M=M, d=d, H=preset.H, R=preset.R, kappa=kappa, nu=nu, gamma=gamma,
-        hbar=hbar, meter=meter, W=W, eta_single=eta,
+        M=ov.get("M", preset.M), d=preset.d, H=preset.H, R=preset.R, kappa=kappa,
+        nu=ov.get("nu", preset.nu), gamma=ov.get("gamma", preset.gamma),
+        hbar=ov.get("hbar", 1.0), meter=meter, W=W, eta_single=eta,
     )
 
 
@@ -295,37 +318,38 @@ def _lift_average(op: np.ndarray, M: int) -> np.ndarray:
 
 def _observable_matrices(spec: RunSpec, model: _Model, M: int) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
-    for entry in spec.observables:
-        if isinstance(entry, str):
-            if entry == "R":
-                single = model.R.entries
-            elif entry == "H":
-                single = model.H.entries
-            elif entry.startswith("projector:"):
-                k = int(entry.split(":", 1)[1])
-                _require(0 <= k < model.d, f"projector index must lie in 0..{model.d - 1}")
-                single = np.zeros((model.d, model.d), dtype=complex)
-                single[k, k] = 1.0
-            else:
-                raise ValidationError(
-                    f"observable {entry!r} not recognized; use 'R', 'H', 'projector:k' "
-                    "or an inline matrix"
+    with _reading("observables"):
+        for entry in spec.observables:
+            if isinstance(entry, str):
+                if entry == "R":
+                    single = model.R.entries
+                elif entry == "H":
+                    single = model.H.entries
+                elif entry.startswith("projector:"):
+                    k = int(entry.split(":", 1)[1])
+                    _require(0 <= k < model.d, f"projector index must lie in 0..{model.d - 1}")
+                    single = np.zeros((model.d, model.d), dtype=complex)
+                    single[k, k] = 1.0
+                else:
+                    raise ValidationError(
+                        f"observable {entry!r} not recognized; use 'R', 'H', 'projector:k' "
+                        "or an inline matrix"
+                    )
+                out[entry] = _lift_average(single, M)
+            elif isinstance(entry, dict):
+                _require(
+                    "name" in entry and "matrix" in entry,
+                    "inline observables need 'name' and 'matrix' fields",
                 )
-            out[entry] = _lift_average(single, M)
-        elif isinstance(entry, dict):
-            _require(
-                "name" in entry and "matrix" in entry,
-                "inline observables need 'name' and 'matrix' fields",
-            )
-            rows = [[_parse_scalar(x) for x in row] for row in entry["matrix"]]
-            mat = HermitianOperator(np.array(rows, dtype=complex)).entries
-            _require(
-                mat.shape[0] in (model.d, model.d ** M),
-                f"inline observable must act on d={model.d} or d^M={model.d ** M}",
-            )
-            out[str(entry["name"])] = _lift_average(mat, M) if mat.shape[0] == model.d else mat
-        else:
-            raise ValidationError(f"bad observable entry: {entry!r}")
+                rows = [[_parse_scalar(x) for x in row] for row in entry["matrix"]]
+                mat = HermitianOperator(np.array(rows, dtype=complex)).entries
+                _require(
+                    mat.shape[0] in (model.d, model.d ** M),
+                    f"inline observable must act on d={model.d} or d^M={model.d ** M}",
+                )
+                out[str(entry["name"])] = _lift_average(mat, M) if mat.shape[0] == model.d else mat
+            else:
+                raise ValidationError(f"bad observable entry: {entry!r}")
     return out
 
 
@@ -340,27 +364,9 @@ def _product_state(eta: StateVector, M: int) -> StateVector:
     return StateVector(amps)
 
 
-def _meta(spec: RunSpec, resolved: dict) -> dict:
-    return {"spec_hash": spec_hash(resolved), "seed": spec.seed}
-
-
-def _write_manifest(outdir: Path, spec: RunSpec, resolved: dict):
-    manifest = {
-        "spec_hash": spec_hash(resolved),
-        "seed": spec.seed,
-        "resolved": resolved,
-    }
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    )
-
-
 def _resolved_for_hash(spec: RunSpec) -> dict:
-    resolved = dump_runspec(spec)
     # Execution-only knobs must not influence the data or its hash.
-    resolved.pop("out")
-    resolved.pop("threads")
-    return resolved
+    return {k: v for k, v in dump_runspec(spec).items() if k not in ("out", "threads")}
 
 
 def _stats_columns(stats) -> list[tuple[str, np.ndarray]]:
@@ -376,12 +382,11 @@ def _stats_columns(stats) -> list[tuple[str, np.ndarray]]:
     return cols
 
 
-def _run_kick(spec: RunSpec, model: _Model, outdir: Path, resolved: dict):
+def _run_kick(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
     meter = model.meter
     eta = model.eta_single
     p = meter.output_density(eta)
     weights = meter.pointer.weights
-    meta = _meta(spec, resolved)
     write_table(outdir / "kick_density.tsv", meta, [("lambda", meter.grid), ("density", p)])
     if spec.kick_lambdas is None:
         cdf = np.cumsum(p * weights)
@@ -399,7 +404,7 @@ def _run_kick(spec: RunSpec, model: _Model, outdir: Path, resolved: dict):
     write_table(outdir / "kick_posteriors.tsv", meta, cols)
 
 
-def _run_jump(spec: RunSpec, model: _Model, outdir: Path, resolved: dict):
+def _run_jump(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
     cfg = JumpConfig(
         H=model.H, meter=model.meter, nu=model.nu, hbar=model.hbar,
         seed=spec.seed, mode=spec.mode,
@@ -407,7 +412,6 @@ def _run_jump(spec: RunSpec, model: _Model, outdir: Path, resolved: dict):
     obs = _observable_matrices(spec, model, 1)
     trajs = run_trajectories(cfg, model.eta_single, spec.T, spec.n_traj, observables=obs,
                              sample_times=_sample_times(spec), n_workers=spec.threads)
-    meta = _meta(spec, resolved)
     write_jsonl(
         outdir / "trajectories.jsonl",
         meta,
@@ -416,7 +420,7 @@ def _run_jump(spec: RunSpec, model: _Model, outdir: Path, resolved: dict):
     write_table(outdir / "timeseries.tsv", meta, _stats_columns(trajectory_stats(trajs, spec.mode)))
 
 
-def _run_many(spec: RunSpec, model: _Model, outdir: Path, resolved: dict):
+def _run_many(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
     cfg = ManyBodyConfig(
         M=model.M, d=model.d, H_single=model.H, meter=model.meter, nu=model.nu,
         W=model.W, hbar=model.hbar, seed=spec.seed,
@@ -426,7 +430,6 @@ def _run_many(spec: RunSpec, model: _Model, outdir: Path, resolved: dict):
     trajs = run_trajectories(cfg, rho0, spec.T, spec.n_traj, observables=obs,
                              sample_times=_sample_times(spec), n_workers=spec.threads,
                              mode=spec.mode)
-    meta = _meta(spec, resolved)
     write_jsonl(
         outdir / "trajectories.jsonl",
         meta,
@@ -438,12 +441,15 @@ def _run_many(spec: RunSpec, model: _Model, outdir: Path, resolved: dict):
     write_table(outdir / "timeseries.tsv", meta, cols)
 
 
-def _run_diffuse(spec: RunSpec, model: _Model, outdir: Path, resolved: dict):
-    pointer = model.meter.pointer
-    cfg = DiffusionConfig(
-        H=model.H, R=model.R, gamma=model.gamma, pointer=pointer, dt=spec.dt,
-        hbar=model.hbar, seed=spec.seed, M=model.M if spec.equation == "density" else 1,
+def _diffusion_config(spec: RunSpec, model: _Model, M: int) -> DiffusionConfig:
+    return DiffusionConfig(
+        H=model.H, R=model.R, gamma=model.gamma, pointer=model.meter.pointer, dt=spec.dt,
+        hbar=model.hbar, seed=spec.seed, M=M,
     )
+
+
+def _run_diffuse(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
+    cfg = _diffusion_config(spec, model, model.M if spec.equation == "density" else 1)
     obs = _observable_matrices(spec, model, cfg.M)
     times = _sample_times(spec)
     initial = (
@@ -455,49 +461,36 @@ def _run_diffuse(spec: RunSpec, model: _Model, outdir: Path, resolved: dict):
         cfg, initial, spec.T, spec.n_traj, observables=obs,
         sample_times=times, n_workers=spec.threads, equation=spec.equation,
     )
-    write_table(outdir / "timeseries.tsv", _meta(spec, resolved), _stats_columns(stats))
+    write_table(outdir / "timeseries.tsv", meta, _stats_columns(stats))
 
 
-def _run_master(spec: RunSpec, model: _Model, outdir: Path, resolved: dict):
+def _run_master(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
     times = _sample_times(spec)
-    if spec.equation == "jump-averaged":
-        if model.M > 1:
-            mb = ManyBodyConfig(
-                M=model.M, d=model.d, H_single=model.H, meter=model.meter,
-                nu=model.nu, W=model.W, hbar=model.hbar, seed=spec.seed,
-            )
-            mcfg = MasterConfig.from_manybody(mb)
-        else:
-            mcfg = MasterConfig(
-                mode="jump-averaged", H=model.H, hbar=model.hbar,
-                meter=model.meter, nu=model.nu,
-            )
-        obs = _observable_matrices(spec, model, model.M)
-        rho0 = _product_state(model.eta_single, model.M).density()
-    else:
-        dcfg = DiffusionConfig(
-            H=model.H, R=model.R, gamma=model.gamma, pointer=model.meter.pointer,
-            dt=spec.dt, hbar=model.hbar, seed=spec.seed, M=model.M,
+    if spec.equation == "diffusive":
+        mcfg = MasterConfig.from_diffusion(_diffusion_config(spec, model, model.M))
+    elif model.M > 1:
+        mb = ManyBodyConfig(
+            M=model.M, d=model.d, H_single=model.H, meter=model.meter,
+            nu=model.nu, W=model.W, hbar=model.hbar, seed=spec.seed,
         )
-        mcfg = MasterConfig.from_diffusion(dcfg)
-        obs = _observable_matrices(spec, model, model.M)
-        rho0 = _product_state(model.eta_single, model.M).density()
+        mcfg = MasterConfig.from_manybody(mb)
+    else:
+        mcfg = MasterConfig(
+            mode="jump-averaged", H=model.H, hbar=model.hbar,
+            meter=model.meter, nu=model.nu,
+        )
+    obs = _observable_matrices(spec, model, model.M)
+    rho0 = _product_state(model.eta_single, model.M).density()
     _, rhos = rk4_solve(master_generator(mcfg), rho0, spec.T, spec.dt, record_times=times)
     cols: list[tuple[str, np.ndarray]] = [("t", times)]
     cols.append(("trace", np.einsum("nii->n", rhos).real))
     for name, X in obs.items():
         cols.append((name, np.einsum("ij,nji->n", X, rhos).real))
-    write_table(outdir / "master.tsv", _meta(spec, resolved), cols)
+    write_table(outdir / "master.tsv", meta, cols)
 
 
-def _run_bridge(spec: RunSpec, model: _Model, outdir: Path, resolved: dict):
-    pointer = model.meter.pointer
-    base = DiffusionConfig(
-        H=model.H, R=model.R, gamma=model.gamma, pointer=pointer, dt=spec.dt,
-        hbar=model.hbar, seed=spec.seed, M=1,
-    )
-    report = jump_to_diffusion_bridge(base, spec.nus)
-    meta = _meta(spec, resolved)
+def _run_bridge(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
+    report = jump_to_diffusion_bridge(_diffusion_config(spec, model, 1), spec.nus)
     write_table(
         outdir / "bridge.tsv",
         meta,
@@ -512,10 +505,11 @@ def _run_bridge(spec: RunSpec, model: _Model, outdir: Path, resolved: dict):
 
 def execute(spec: RunSpec) -> int:
     """Run one experiment and write its artifact files; returns 0."""
+    model = _resolve_model(spec)
     outdir = Path(spec.out)
     outdir.mkdir(parents=True, exist_ok=True)
     resolved = _resolved_for_hash(spec)
-    model = _resolve_model(spec)
+    meta = {"spec_hash": spec_hash(resolved), "seed": spec.seed}
     runner = {
         "kick": _run_kick,
         "jump": _run_jump,
@@ -524,8 +518,11 @@ def execute(spec: RunSpec) -> int:
         "master": _run_master,
         "bridge": _run_bridge,
     }[spec.experiment]
-    runner(spec, model, outdir, resolved)
-    _write_manifest(outdir, spec, resolved)
+    runner(spec, model, outdir, meta)
+    manifest = {**meta, "resolved": resolved}
+    (outdir / "manifest.json").write_text(
+        json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    )
     return 0
 
 
@@ -534,7 +531,8 @@ def _run_selftest(args) -> int:
 
     only = None
     if args.only:
-        only = [int(x) for x in str(args.only).split(",") if x.strip()]
+        with _reading("--only"):
+            only = [int(x) for x in str(args.only).split(",") if x.strip()]
     results = run_criteria(only)
     table = format_table(results)
     print(table)
@@ -578,26 +576,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "selftest":
             return _run_selftest(args)
-        if args.spec:
-            spec = load_runspec(args.spec)
-            _require(
-                spec.experiment == args.command,
-                f"specification is for experiment {spec.experiment!r}, "
-                f"but the {args.command!r} subcommand was invoked",
-            )
-        else:
-            spec = spec_from_dict({"experiment": args.command})
-        if args.seed is not None:
-            spec.seed = args.seed
-            _require(spec.seed >= 0, "seed >= 0 required")
-        if args.traj is not None:
-            spec.n_traj = args.traj
-            _require(spec.n_traj >= 1, "n_traj >= 1 required")
-        if args.threads is not None:
-            spec.threads = args.threads
-            _require(spec.threads >= 1, "threads >= 1 required")
-        if args.out is not None:
-            spec.out = args.out
+        raw = read_spec_file(args.spec) if args.spec else {"experiment": args.command}
+        flags = {"seed": args.seed, "n_traj": args.traj, "threads": args.threads, "out": args.out}
+        raw.update((key, value) for key, value in flags.items() if value is not None)
+        spec = spec_from_dict(raw, command=args.command)
         return execute(spec)
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -188,17 +188,11 @@ class DiffusionConfig:
         object.__setattr__(self, "noise", cov)
         g_h = self.gamma / self.hbar
         damping = 0.5 * g_h * g_h * cov.sigma2 * (self.R.entries @ self.R.entries)
-        K = (1j / self.hbar) * self.H.entries + damping
-        object.__setattr__(self, "_K", K)
         object.__setattr__(self, "_damping", damping)
 
     @property
     def dim(self) -> int:
         return self.H.dim
-
-    def drift_matrix(self) -> np.ndarray:
-        """K = (i/hbar) H + (1/2)(gamma/hbar)^2 R sigma^2 R."""
-        return self._K
 
 
 @dataclass

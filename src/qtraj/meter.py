@@ -110,10 +110,6 @@ class PointerState:
     def norm2(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2 * self.weights))
 
-    def mu0_weights(self) -> np.ndarray:
-        """Pointer probability masses |f0(lambda_i)|^2 * dlambda_i."""
-        return np.abs(self.values) ** 2 * self.weights
-
     @property
     def support(self) -> np.ndarray:
         """Boolean mask of grid points with non-negligible amplitude."""
@@ -290,7 +286,7 @@ class MeterModel:
         g = self.pointer.grid
         if not g[0] <= lam <= g[-1]:
             raise ValidationError(
-                f"lambda={lam!r} outside pointer grid range [{g[0]!r}, {g[-1]!r}]"
+                f"lambda={float(lam)} outside pointer grid range [{float(g[0])}, {float(g[-1])}]"
             )
 
     def localizer(self, lam: float) -> np.ndarray:
@@ -310,7 +306,7 @@ class MeterModel:
         f0 = complex(self.pointer.evaluate(lam))
         if abs(f0) < POINTER_ZERO:
             raise NumericError(
-                f"reduction operator degenerate at lambda={lam!r}: "
+                f"reduction operator degenerate at lambda={float(lam)}: "
                 f"|f0| = {abs(f0):.3e} below {POINTER_ZERO:.0e}"
             )
         diag = self.pointer.evaluate(lam - self.kappa * self.eigenvalues) / f0
@@ -349,7 +345,7 @@ class MeterModel:
         n = float(np.linalg.norm(psi))
         if n < 1e-12:
             raise NumericError(
-                f"zero-likelihood outcome lambda={lam!r}: ||G eta|| = {n:.3e}"
+                f"zero-likelihood outcome lambda={float(lam)}: ||G eta|| = {n:.3e}"
             )
         return StateVector(psi / n)
 

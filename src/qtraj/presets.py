@@ -71,7 +71,10 @@ def get_preset(name: str, d: int | None = None) -> Preset:
         raise ValidationError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     if name == "lattice-particle" and d is not None:
         return lattice_particle(d)
-    return PRESETS[name]()
+    preset = PRESETS[name]()
+    if d is not None and d != preset.d:
+        raise ValidationError(f"preset {name!r} has d={preset.d}; it cannot take d={d}")
+    return preset
 
 
 def preset_meter(

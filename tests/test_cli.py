@@ -3,14 +3,23 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qtraj import acceptance
-from qtraj.cli import main
+from qtraj.cli import (
+    EXPERIMENTS,
+    RunSpec,
+    _resolved_for_hash,
+    dump_runspec,
+    main,
+    spec_from_dict,
+)
 from qtraj.ensemble import _DIFFUSION_CHUNK
+from qtraj.records import spec_hash
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 COUPLED_TRAJ = _DIFFUSION_CHUNK + 88  # two chunks, the second one partial
@@ -100,3 +109,125 @@ class TestParticleCap:
         spec = write_spec(tmp_path / "m0.json", experiment="many", overrides={"M": 0})
         assert main(["many", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
         assert "M >= 1 required" in capsys.readouterr().err
+
+
+# Hashes of the default specifications, as written by the spec layer that
+# preceded the RunSpec schema; a change here changes every manifest.
+DEFAULT_SPEC_HASHES = {
+    "kick": "e8abb8584e94be92",
+    "jump": "428f3e6e97a1112a",
+    "many": "44e678cf26c95fef",
+    "diffuse": "cad78483e924013d",
+    "master": "8fc260e1028d3aeb",
+    "bridge": "73af967892263cf5",
+}
+
+EVERY_FIELD = {
+    "experiment": "many",
+    "preset": "lattice-particle",
+    "equation": "linear",
+    "overrides": {
+        "d": 3, "M": 2, "kappa": 0.4, "nu": 2.5, "gamma": 0.8, "hbar": 1.5,
+        "pointer_points": 512, "pointer_phase_slope": 0.1,
+        "interaction": "nearest-neighbor", "interaction_strength": 0.3,
+    },
+    "T": 0.5,
+    "dt": 0.01,
+    "n_samples": 5,
+    "mode": "linear",
+    "n_traj": 7,
+    "seed": 3,
+    "threads": 2,
+    "observables": ["R", "projector:2", {"name": "X", "matrix": [[0, [0, 1]], [[0, -1], 0]]}],
+    "nus": [10.0, 20.0],
+    "initial_state": [1, [0, 1], 0],
+    "kick_lambdas": [0.1, -0.2],
+    "out": "somewhere",
+}
+
+
+class TestRunSpec:
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_default_round_trip(self, experiment):
+        spec = spec_from_dict({"experiment": experiment})
+        assert spec_from_dict(dump_runspec(spec)) == spec
+
+    def test_every_field_round_trip(self):
+        assert set(EVERY_FIELD) == {f.name for f in fields(RunSpec)}
+        spec = spec_from_dict(EVERY_FIELD)
+        assert dump_runspec(spec) == EVERY_FIELD
+        assert spec_from_dict(dump_runspec(spec)) == spec
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_default_spec_hash_pinned(self, experiment):
+        spec = spec_from_dict({"experiment": experiment})
+        assert spec_hash(_resolved_for_hash(spec)) == DEFAULT_SPEC_HASHES[experiment]
+
+    def test_experiment_dependent_defaults(self):
+        assert spec_from_dict({"experiment": "many"}).preset == "two-atoms"
+        assert spec_from_dict({"experiment": "master"}).equation == "jump-averaged"
+        assert spec_from_dict({"experiment": "diffuse"}).equation == "linear"
+
+    def test_flags_replace_spec_values(self, tmp_path):
+        spec = write_spec(tmp_path / "s.json", experiment="kick", seed=1, threads=1)
+        out = tmp_path / "o"
+        assert main(["kick", "--spec", str(spec), "--seed", "9", "--threads", "3",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 9
+        assert "threads" not in manifest["resolved"]
+
+
+MALFORMED = [
+    pytest.param("jump", {"n_traj": "abc"}, "invalid n_traj", id="n_traj-string"),
+    pytest.param("jump", {"T": None}, "invalid T", id="T-null"),
+    pytest.param("jump", {"overrides": {"nu": "x"}}, "invalid overrides.nu", id="nu-string"),
+    pytest.param("jump", {"overrides": [["nu", 1.0]]}, "invalid overrides", id="overrides-array"),
+    pytest.param("jump", {"observables": 5}, "invalid observables", id="observables-number"),
+    pytest.param("jump", {"observables": "R"}, "invalid observables", id="observables-string"),
+    pytest.param("bridge", {"nus": "123"}, "invalid nus", id="nus-string"),
+    pytest.param("kick", {"kick_lambdas": "1"}, "invalid kick_lambdas", id="kick_lambdas-string"),
+    pytest.param("jump", {"initial_state": "basis:x"}, "invalid initial_state", id="basis-x"),
+    pytest.param("jump", {"observables": ["projector:x"]}, "invalid observables",
+                 id="projector-x"),
+    pytest.param("jump", {"observables": [{"name": "X", "matrix": [[1, 0], [0]]}]},
+                 "invalid observables", id="ragged-matrix"),
+    pytest.param("jump", {"overrides": {"d": 3}},
+                 "preset 'two-level' has d=2; it cannot take d=3", id="d-two-level"),
+    pytest.param("many", {"overrides": {"d": 4}},
+                 "preset 'two-atoms' has d=2; it cannot take d=4", id="d-two-atoms"),
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("command, spec_fields, message", MALFORMED)
+    def test_malformed_spec_exits_2(self, tmp_path, capsys, command, spec_fields, message):
+        spec = write_spec(tmp_path / "bad.json", experiment=command, **spec_fields)
+        assert main([command, "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("only, message", [
+        ("x", "invalid --only"),
+        ("12", "no acceptance criterion numbered 12"),
+        ("1,12", "no acceptance criterion numbered 12"),
+    ])
+    def test_unknown_criterion_exits_2(self, tmp_path, capsys, only, message):
+        assert main(["selftest", "--only", only, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "acceptance_summary.json").exists()
+
+    def test_kick_outside_grid_prints_plain_floats(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "k.json", experiment="kick", kick_lambdas=[100])
+        assert main(["kick", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: lambda=100.0 outside pointer grid range [-6.3, 6.3]\n"
+
+    def test_blow_up_exits_3(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "b.json", experiment="diffuse", overrides={"gamma": 30},
+                          dt=0.01, n_traj=4)
+        assert main(["diffuse", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: squared norm ") and "exceeded" in err
