@@ -2,8 +2,8 @@
 
 Each criterion is a self-contained check with pinned tolerances; the CLI
 selftest prints the pass/fail table of all of them, and the test suite
-asserts those that run in seconds (all but 4, 7 and 8).  Monte-Carlo
-criteria use fixed seeds, so a failing run is reproducible bit for bit.
+asserts all but 7, the slowest.  Monte-Carlo criteria use fixed seeds, so a
+failing run is reproducible bit for bit.
 """
 
 from __future__ import annotations

@@ -55,6 +55,17 @@ EQUATIONS = {
     "master": ("jump-averaged", "diffusive"),
 }
 INTERACTIONS = ("none", "nearest-neighbor")
+# Spec fields each experiment reads besides experiment, preset, overrides,
+# seed (in every file header) and the execution knobs out and threads.
+READS = {
+    "kick": {"initial_state", "kick_lambdas"},
+    "jump": {"T", "n_samples", "mode", "n_traj", "observables", "initial_state"},
+    "many": {"T", "n_samples", "mode", "n_traj", "observables", "initial_state"},
+    "diffuse": {"equation", "T", "dt", "n_samples", "n_traj", "observables", "initial_state"},
+    "master": {"equation", "T", "dt", "n_samples", "observables", "initial_state"},
+    "bridge": {"dt", "nus"},
+}
+ALWAYS_READ = {"experiment", "preset", "overrides", "seed", "out", "threads"}
 # Model overrides: conversion, range check (None: any value) and its message.
 OVERRIDES = {
     "d": (int, None, None),
@@ -131,7 +142,7 @@ class RunSpec:
     - preset: "two-level", "lattice-particle" or "two-atoms" ("two-atoms"
       for many, else "two-level").
     - equation: for diffuse "linear" (default), "coupled" or "density"; for
-      master "jump-averaged" (default) or "diffusive"; others ignore it.
+      master "jump-averaged" (default) or "diffusive".
     - overrides ({}): model parameters that replace the preset's: d (only
       lattice-particle takes a d other than its own), M (1 to
       ``MAX_PARTICLES``), kappa, nu >= 0, gamma, hbar > 0 (1),
@@ -151,6 +162,9 @@ class RunSpec:
       readings whose posterior states kick reports.
     - out ("runs"): output directory.  Neither out nor threads changes the
       output or its hash.
+
+    ``READS`` lists the fields each experiment reads; ``execute`` rejects a
+    non-default value of any other field.
     """
 
     experiment: str = _field(str)
@@ -241,6 +255,18 @@ def read_spec_file(path) -> dict:
         ) from exc
     _require(isinstance(raw, dict), "specification must be a JSON object")
     return raw
+
+
+def _check_fields_read(spec: RunSpec):
+    """Reject a non-default value of a field the experiment never reads: it
+    would enter the manifest and the spec hash without changing the data."""
+    default = spec_from_dict({"experiment": spec.experiment})
+    ignored = [
+        f.name for f in fields(RunSpec)
+        if f.name not in ALWAYS_READ | READS[spec.experiment]
+        and getattr(spec, f.name) != getattr(default, f.name)
+    ]
+    _require(not ignored, f"{spec.experiment} runs do not read {ignored}; omit these fields")
 
 
 def dump_runspec(spec: RunSpec) -> dict:
@@ -505,6 +531,7 @@ def _run_bridge(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
 
 def execute(spec: RunSpec) -> int:
     """Run one experiment and write its artifact files; returns 0."""
+    _check_fields_read(spec)
     model = _resolve_model(spec)
     outdir = Path(spec.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -29,12 +29,15 @@ the Euler drift; this has the same first-order weak accuracy but keeps the
 positivity defect at the O(dt^2) level (a plain Euler step dips to
 O(sqrt(dt)^3) negativity near the spectrum edge, which violates the
 positivity contract at practical step sizes).  Every factor of a density
-step preserves Hermiticity, so the kernel computes only the diagonal and
-upper triangle of the density and conjugates them into the lower one; no
-symmetrization is needed.  With noise=False the noise map is replaced by its
-exact one-step mean, so the same kernel steps the averaged (Lindblad-form)
-equation.  All noise draws are pure functions of (seed, path index, step
-index).
+step preserves Hermiticity, so the kernel steps the density in D^2 real
+coordinates (the diagonal, Re and Im of the upper triangle) with a real
+step matrix and the real modulus of the noise factor; the noise phase is
+applied only when the noise is complex (a phase-modulated packet), and the
+complex density is rebuilt only at record steps.  A real packet gives
+exactly real noise: noise_covariance computes c1 and c2 from the same real
+sums.  With noise=False the noise map is replaced by its exact one-step
+mean, so the same kernel steps the averaged (Lindblad-form) equation.  All
+noise draws are pure functions of (seed, path index, step index).
 
 Each equation has one batched kernel (_sse_states, _coupled_states,
 _density_states), run as a batch of one by evolve_diffusive_sse /
@@ -71,7 +74,7 @@ POSITIVITY_TOL = 1e-6
 _STEP_BLOCK = 1000
 _NOISE_BLOCK = 64
 # Density kernel: steps per normal draw and per batch of noise factors
-# (2 MB each at 512 paths and D = 4).
+# (2 MB of normals and 1 MB of real factors at 512 paths and D = 4).
 _DRAW_BLOCK = 256
 _FACTOR_BLOCK = 16
 
@@ -109,8 +112,11 @@ def noise_covariance(pointer: PointerState, hbar: float = 1.0) -> NoiseCovarianc
     dlam = pointer.weights[lo : hi + 1]
     lp = -df0 / f0
     dens = np.abs(f0) ** 2 * dlam
-    c1 = complex(np.sum(lp * lp * dens))
-    c2 = float(np.sum(np.abs(lp) ** 2 * dens).real)
+    # c1 and c2 from the same real sums: for a real packet (Im lp = 0) they
+    # give c2 == Re c1 and Im c1 == 0 exactly, so the noise is exactly real.
+    re, im = lp.real, lp.imag
+    c1 = complex(np.sum((re * re - im * im) * dens), 2.0 * np.sum(re * im * dens))
+    c2 = float(np.sum((re * re + im * im) * dens))
     q0 = float((1j * hbar * np.sum(f0.conj() * df0 * dlam)).real)
     return NoiseCovariance(c1=c1, c2=c2, q0=q0, sigma2=hbar * hbar * c2)
 
@@ -385,8 +391,16 @@ def evolve_coupled_sse(
     return _single_path(_coupled_states, cfg, eta, T, index, record_times)
 
 
+def _hermitian_index(D: int):
+    """Row-major positions (diag, up, lo) in vec(rho) of the diagonal, the
+    strict upper triangle and its mirror in the lower one."""
+    I, J = np.triu_indices(D, 1)
+    return np.arange(D) * (D + 1), I * D + J, J * D + I
+
+
 def _density_kernel(cfg: DiffusionConfig):
-    """Stepping data in the eigenbasis of the mean coupling operator Rbar.
+    """Stepping data in the eigenbasis of the mean coupling operator Rbar,
+    in real Hermitian coordinates.
 
     In that basis every lifted R(k) is diagonal, so the exact noise factor
     exp(gamma dw Rbar) acts as an elementwise rank-one scaling of the
@@ -399,9 +413,16 @@ def _density_kernel(cfg: DiffusionConfig):
     with K' = K + (1/2) gamma^2 M c1 Rbar^2 absorbing the one-step mean of
     the noise factor.  Every factor of a step is a completely positive map,
     so positivity holds pathwise up to rounding, while the one-step mean
-    still matches the density equation to first weak order.  Returns
-    (VM, w, rbar, P0), w the single-particle eigenvalues of R and rbar the
-    diagonal of Rbar.
+    still matches the density equation to first weak order.
+
+    A Hermitian D x D matrix has D^2 real coordinates x: the diagonal
+    rho_ii, then Re rho_ij and Im rho_ij over the strict upper triangle
+    (row-major, see :func:`_hermitian_index`).  P0 maps Hermitian matrices
+    to Hermitian ones, so it acts on x as a real D^2 x D^2 matrix P: the
+    column of a coordinate is P0 applied to that coordinate's Hermitian unit
+    matrix (E_ii, E_ij + E_ji or i E_ij - i E_ji), read in coordinates.
+    Returns (VM, w, rbar, P), w the single-particle eigenvalues of R and
+    rbar the diagonal of Rbar.
     """
     M = cfg.M
     w, V = hermitian_eig(cfg.R)
@@ -421,30 +442,40 @@ def _density_kernel(cfg: DiffusionConfig):
     P0 = np.kron(E0, E0.conj())
     exchange = sum(np.outer(rk - rbar, rk - rbar).ravel() for rk in rk_vecs)
     P0 += np.diag(cfg.dt * g_h * g_h * cfg.noise.sigma2 * exchange)
-    return VM, w, rbar, P0
+    diag, up, lo = _hermitian_index(VM.shape[0])
+    # The rows read back (diagonal, upper triangle) applied to the Hermitian
+    # unit matrices E_ii, E_ij + E_ji and i E_ij - i E_ji
+    A = P0[np.concatenate([diag, up])]
+    cols = np.concatenate([A[:, diag], A[:, up] + A[:, lo], 1j * (A[:, up] - A[:, lo])], axis=1)
+    # C order fixes the BLAS kernel, and so the rounding, of the step GEMM
+    return VM, w, rbar, np.ascontiguousarray(np.concatenate([cols.real, cols[diag.size :].imag]))
 
 
 def _density_states(cfg: DiffusionConfig, rho0, T: float, indices, sample_times,
                     noise: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Paths of the M-particle density equation, one per index.
 
-    Per step the constant factor P0 of :func:`_density_kernel`, then the
-    noise factor G = a (x) conj(a), a = exp(gamma dw Rbar).  The state lives
-    in Rbar's eigenbasis with the path axis last, one row per matrix entry:
-    the diagonal, the strict upper triangle, then the strict lower triangle
-    in the same order.  Every step factor maps Hermitian matrices to
-    Hermitian ones, so a step computes only the diagonal and upper rows, as
-    one GEMM with P0's rows for them and one elementwise product with G, and
-    copies their conjugates into the lower rows: the state stays exactly
-    Hermitian without a symmetrization.  Since Rbar = (1/M) sum_k R_k,
-    a = b^{(x)M} with b = exp(gamma dw w / M): d exponentials per path-step.
-    Each path draws its normals from its own stream in blocks of _DRAW_BLOCK
-    steps (the same sequence as one draw of all steps), and G is built for
-    _FACTOR_BLOCK steps at once.  With noise=False nothing is drawn and G is
-    its exact one-step mean
-    E[G]_ij = exp(gamma^2 dt M (c1 r_i^2 + 2 c2 r_i r_j + conj(c1) r_j^2) / 2),
-    r = rbar.  Returns (record steps, rhos) with rhos[i, j] the density of
-    path indices[i] at record step j, rotated back to the original basis.
+    The state lives in Rbar's eigenbasis in the real Hermitian coordinates
+    of :func:`_density_kernel`, one column of D^2 reals per path.  Per step
+    the constant factor P is one real GEMM, and the noise factor
+    G = a (x) conj(a), a = exp(gamma dw Rbar), is one elementwise product
+    with its modulus |G_IJ| = exp(gamma Re dw (r_I + r_J)), r = rbar, on
+    the diagonal, Re and Im rows alike.  Since Rbar = (1/M) sum_k R_k, the
+    real a = b^{(x)M} with b = exp(gamma Re dw w / M): d real exponentials
+    per path-step.  Only when dw has an imaginary part is each off-diagonal
+    (Re, Im) pair then rotated by the phase phi_IJ = gamma Im dw (r_I - r_J)
+    of G, built the same way as e^{i phi_IJ} = p_I conj(p_J), p = q^{(x)M},
+    q = exp(i gamma Im dw w / M); real noise builds and applies no phase.
+    Every step factor maps Hermitian matrices to Hermitian ones, so the
+    coordinates describe the state exactly and no symmetrization is needed.
+    Each path draws both normals of every step from its own stream in
+    blocks of _DRAW_BLOCK steps (the same sequence as one draw of all
+    steps), and the factors are built for _FACTOR_BLOCK steps at once.  With
+    noise=False nothing is drawn and G is its exact one-step mean
+    E[G]_IJ = exp(gamma^2 dt M (c1 r_I^2 + 2 c2 r_I r_J + conj(c1) r_J^2) / 2),
+    whose phase is nonzero only for a complex c1.  Returns (record steps,
+    rhos) with rhos[i, j] the density of path indices[i] at record step j,
+    rebuilt as a complex matrix and rotated back to the original basis.
     """
     arr = rho0.entries if hasattr(rho0, "entries") else np.asarray(rho0, dtype=complex)
     M = cfg.M
@@ -454,49 +485,74 @@ def _density_states(cfg: DiffusionConfig, rho0, T: float, indices, sample_times,
     if abs(float(np.trace(arr).real) - 1.0) > 1e-8:
         raise ValidationError("initial density must have unit trace")
     n_steps, rec, rec_map = _step_grid(T, cfg.dt, sample_times)
-    VM, w, rbar, P0 = _density_kernel(cfg)
+    VM, w, rbar, P = _density_kernel(cfg)
     n = len(indices)
-    I, J = np.triu_indices(D, 1)
-    nu = D + I.size  # computed rows: diagonal and strict upper triangle
-    order = np.concatenate([np.arange(D) * (D + 1), I * D + J, J * D + I])
-    P_up = P0[order[:nu]][:, order]
-    rt = (VM.conj().T @ arr @ VM).reshape(D * D)[order]
-    x = np.repeat(rt[:, None].astype(complex), n, axis=1)
+    diag, up, lo = _hermitian_index(D)
+    U = up.size
+    rt = (VM.conj().T @ arr @ VM).reshape(D * D)
+    x = np.repeat(np.concatenate([rt[diag].real, rt[up].real, rt[up].imag])[:, None], n, axis=1)
     y = np.empty_like(x)
-    unorder = np.argsort(order)
     out = np.empty((n, rec.size, D, D), dtype=complex)
+    flat = np.empty((D * D, n), dtype=complex)
 
     def record(slots):
-        rho = x[unorder].T.reshape(n, D, D)
-        out[:, slots] = (VM @ rho @ VM.conj().T)[:, None]
+        flat[diag] = x[:D]
+        flat[up] = x[D : D + U] + 1j * x[D + U :]
+        flat[lo] = flat[up].conj()
+        out[:, slots] = (VM @ flat.T.reshape(n, D, D) @ VM.conj().T)[:, None]
 
     c1, c2 = M * cfg.noise.c1, M * cfg.noise.c2
     if noise:
         gens = [stream(cfg.seed, i) for i in indices]
         a11, a21, a22 = _noise_chol(cfg.dt, c1, c2)
+        rotate = a21 != 0.0 or a22 != 0.0
         z = np.empty((n, _DRAW_BLOCK, 2))
-        G = np.empty((_FACTOR_BLOCK, nu, n), dtype=complex)
+        G = np.empty((_FACTOR_BLOCK, D * D, n))
+        if rotate:  # cos and sin of phi_IJ over the upper triangle
+            cos, sin = np.empty((2, _FACTOR_BLOCK, U, n))
+            rot = np.empty((_FACTOR_BLOCK, U, n), dtype=complex)
     else:
         r = rbar[:, None]
-        mean = np.exp(0.5 * cfg.gamma ** 2 * cfg.dt
-                      * (c1 * r * r + 2.0 * c2 * r * r.T + np.conj(c1) * r.T * r.T))
-        G = np.broadcast_to(mean.reshape(D * D)[order[:nu], None], (_FACTOR_BLOCK, nu, 1))
+        expo = 0.5 * cfg.gamma ** 2 * cfg.dt * (
+            c1 * r * r + 2.0 * c2 * r * r.T + np.conj(c1) * r.T * r.T).reshape(D * D)
+        mod, phi = np.exp(expo.real), expo[up].imag
+        rotate = bool(np.any(phi != 0.0))
+        G, cos, sin = (
+            np.broadcast_to(f[:, None], (_FACTOR_BLOCK, f.size, 1))
+            for f in (np.concatenate([mod[diag], mod[up], mod[up]]), np.cos(phi), np.sin(phi))
+        )
 
-    def build_factors(zb):
-        # G[:m] for the m steps whose normals are zb, shaped (path, step, 2)
-        m = zb.shape[1]
-        zt = zb.transpose(1, 2, 0).copy()  # (step, normal, path)
-        dw = a11 * zt[:, 0] + 1j * (a21 * zt[:, 0] + a22 * zt[:, 1])
-        b = np.exp((cfg.gamma / M) * dw[:, None] * w[:, None])
+    def power(b):
+        # b^{(x)M} along axis 1 of b (step, d, path)
         a = b
         for _ in range(M - 1):
-            a = (a[:, :, None] * b[:, None]).reshape(m, -1, n)
-        ac = a.conj()
-        np.multiply(a, ac, out=G[:m, :D])
-        row = D
-        for i in range(D - 1):  # entries (i, j > i) of the upper triangle
-            np.multiply(a[:, i : i + 1], ac[:, i + 1 :], out=G[:m, row : row + D - 1 - i])
+            a = (a[:, :, None] * b[:, None]).reshape(b.shape[0], -1, n)
+        return a
+
+    def upper(a, b, out):
+        # out[:, k] = a_i b_j over the upper-triangle entries (i, j > i)
+        row = 0
+        for i in range(D - 1):
+            np.multiply(a[:, i : i + 1], b[:, i + 1 :], out=out[:, row : row + D - 1 - i])
             row += D - 1 - i
+
+    def build_factors(zb):
+        # G[:m] (and the phases) for the m steps whose normals are zb, shaped
+        # (path, step, 2)
+        m = zb.shape[1]
+        zt = zb.transpose(1, 2, 0)  # (step, normal, path)
+        a = power(np.exp((cfg.gamma / M) * (a11 * zt[:, 0])[:, None] * w[:, None]))
+        np.multiply(a, a, out=G[:m, :D])
+        upper(a, a, G[:m, D : D + U])
+        G[:m, D + U :] = G[:m, D : D + U]
+        if rotate:
+            im_dw = a21 * zt[:, 0] + a22 * zt[:, 1]
+            p = power(np.exp((1j * cfg.gamma / M) * im_dw[:, None] * w[:, None]))
+            upper(p, p.conj(), rot[:m])
+            cos[:m], sin[:m] = rot[:m].real, rot[:m].imag
+
+    if rotate:
+        t1, t2 = np.empty((2, U, n))
 
     if 0 in rec_map:
         record(rec_map[0])
@@ -507,11 +563,19 @@ def _density_states(cfg: DiffusionConfig, rho0, T: float, indices, sample_times,
             for k, g in enumerate(gens):
                 g.standard_normal(out=z[k, :block])
         for j in range(block):
-            if noise and j % _FACTOR_BLOCK == 0:
+            f = j % _FACTOR_BLOCK
+            if noise and f == 0:
                 build_factors(z[:, j : min(j + _FACTOR_BLOCK, block)])
-            np.matmul(P_up, x, out=y[:nu])
-            np.multiply(y[:nu], G[j % _FACTOR_BLOCK], out=y[:nu])
-            np.conjugate(y[D:nu], out=y[nu:])
+            np.matmul(P, x, out=y)
+            np.multiply(y, G[f], out=y)
+            if rotate:  # (re, im) <- (c re - s im, s re + c im)
+                re, im = y[D : D + U], y[D + U :]
+                np.multiply(re, sin[f], out=t1)
+                np.multiply(im, sin[f], out=t2)
+                re *= cos[f]
+                re -= t2
+                im *= cos[f]
+                im += t1
             x, y = y, x
             if s + j + 1 in rec_map:
                 record(rec_map[s + j + 1])
@@ -519,19 +583,28 @@ def _density_states(cfg: DiffusionConfig, rho0, T: float, indices, sample_times,
     return rec, out
 
 
-def _density_spectra(rhos: np.ndarray):
-    """Trace, entropy and minimum eigenvalue of recorded densities, with the
-    blow-up and positivity guards applied."""
+def _density_spectra(rhos: np.ndarray, seed: int, indices, times):
+    """Trace, entropy and minimum eigenvalue of recorded densities, rhos[i, s]
+    the density of path indices[i] at record time times[s], with the blow-up
+    and positivity guards applied.  A guard failure names the seed, the path
+    index and the record time of the first failing path."""
+
+    def fail(what, bad):
+        i, s = np.argwhere(bad)[0]
+        raise NumericError(
+            f"{what} at t={float(times[s])!r} (seed={seed}, path index={indices[i]}); "
+            "reduce dt, or rerun that index alone to reproduce"
+        )
+
     trace = np.einsum("...ii->...", rhos).real
-    if np.any(np.abs(trace) > BLOWUP_LIMIT):
-        raise NumericError(f"density trace exceeded {BLOWUP_LIMIT:.0e}; reduce dt")
+    blown = np.abs(trace) > BLOWUP_LIMIT
+    if np.any(blown):
+        fail(f"density trace exceeded {BLOWUP_LIMIT:.0e}", blown)
     eigs = np.linalg.eigvalsh(rhos)
     min_eig = eigs[..., 0]
-    abs_sum = np.sum(np.abs(eigs), axis=-1)
-    if np.any(min_eig < -POSITIVITY_TOL * np.maximum(abs_sum, 1e-30)):
-        raise NumericError(
-            f"positivity defect beyond -{POSITIVITY_TOL:.0e} of the trace norm; reduce dt"
-        )
+    defect = min_eig < -POSITIVITY_TOL * np.maximum(np.sum(np.abs(eigs), axis=-1), 1e-30)
+    if np.any(defect):
+        fail(f"positivity defect beyond -{POSITIVITY_TOL:.0e} of the trace norm", defect)
     return trace, spectrum_entropy(eigs), min_eig
 
 
@@ -556,9 +629,10 @@ def evolve_diffusive_density(
     rec, rhos = _density_states(
         cfg, rho0, T, [index], [T] if record_times is None else record_times, noise
     )
-    trace, entropy, min_eig = _density_spectra(rhos[0])
-    return DensityPath(times=rec * cfg.dt, rhos=rhos[0], trace=trace, entropy=entropy,
-                       min_eig=min_eig)
+    times = rec * cfg.dt
+    trace, entropy, min_eig = _density_spectra(rhos, cfg.seed, [index], times)
+    return DensityPath(times=times, rhos=rhos[0], trace=trace[0], entropy=entropy[0],
+                       min_eig=min_eig[0])
 
 
 def mean_field_evolve(
@@ -582,8 +656,8 @@ def mean_field_evolve(
 def _density_batch(cfg, rho0, T, indices, sample_times, observables):
     """Density-equation paths reduced to (traces, obs, entropy), with obs
     holding normalized expectations Tr(X rho) / Tr(rho)."""
-    rhos = _density_states(cfg, rho0, T, indices, sample_times)[1]
-    trace, entropy, _ = _density_spectra(rhos)
+    rec, rhos = _density_states(cfg, rho0, T, indices, sample_times)
+    trace, entropy, _ = _density_spectra(rhos, cfg.seed, indices, rec * cfg.dt)
     obs = np.empty((*trace.shape, len(observables)))
     for o, X in enumerate(observables.values()):
         obs[..., o] = np.einsum("ij,nsji->ns", X, rhos).real / trace

@@ -13,6 +13,7 @@ from qtraj import acceptance
 from qtraj.cli import (
     EXPERIMENTS,
     RunSpec,
+    _check_fields_read,
     _resolved_for_hash,
     dump_runspec,
     main,
@@ -231,3 +232,47 @@ class TestExitCodes:
         assert main(["diffuse", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: squared norm ") and "exceeded" in err
+
+
+def load_workloads():
+    """The benchmark's workload table, loaded from perfbench/workloads.py."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(module_spec)
+    sys.modules[module_spec.name] = module  # dataclasses resolve names through it
+    module_spec.loader.exec_module(module)
+    return module
+
+
+class TestUnreadFields:
+    @pytest.mark.parametrize("command, spec_fields, names", [
+        pytest.param("kick", {"equation": "bogus"}, "['equation']", id="kick-equation"),
+        pytest.param("kick", {"observables": ["bogus"], "equation": "bogus", "mode": "linear"},
+                     "['equation', 'mode', 'observables']", id="kick-three"),
+        pytest.param("bridge", {"initial_state": "basis:1"}, "['initial_state']",
+                     id="bridge-initial-state"),
+        pytest.param("master", {"n_traj": 5}, "['n_traj']", id="master-n_traj"),
+        pytest.param("diffuse", {"mode": "linear"}, "['mode']", id="diffuse-mode"),
+        pytest.param("jump", {"dt": 0.01, "nus": [1.0, 2.0]}, "['dt', 'nus']", id="jump-dt-nus"),
+    ])
+    def test_non_default_unread_field_exits_2(self, tmp_path, capsys, command, spec_fields,
+                                              names):
+        spec = write_spec(tmp_path / "s.json", experiment=command, **spec_fields)
+        out = tmp_path / "o"
+        assert main([command, "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {command} runs do not read {names}; omit these fields\n"
+        assert not out.exists()
+
+    def test_default_values_of_unread_fields_accepted(self, tmp_path):
+        spec = write_spec(tmp_path / "s.json", experiment="kick", T=1, mode="normalized",
+                          equation="linear", observables=["R"], threads=2)
+        assert main(["kick", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
+
+    def test_benchmark_specs_read_every_field(self):
+        workloads = load_workloads()
+        for w in workloads.WORKLOADS.values():
+            for raw in (workloads.run_spec(w, 1, 8), workloads.oracle_spec(w, 1)):
+                _check_fields_read(spec_from_dict(raw))

@@ -31,7 +31,9 @@ from qtraj.diffusion import (
     _coupled_batch,
     _coupled_states,
     _density_batch,
+    _density_spectra,
     _density_states,
+    _noise_chol,
     _sse_batch,
 )
 from qtraj.ensemble import _DIFFUSION_CHUNK
@@ -48,9 +50,19 @@ PI_HALF = math.pi / 2
 PEAK_BOUND_BYTES = 12 * 2 ** 20
 
 
-def make_config(R=RC, H=HX, gamma=1.0, dt=1e-3, seed=0, M=1, phase_slope=0.0):
-    pointer = gaussian_pointer(1024, 6.0, phase_slope=phase_slope)
+def make_config(R=RC, H=HX, gamma=1.0, dt=1e-3, seed=0, M=1, phase_slope=0.0, pointer=None):
+    if pointer is None:
+        pointer = gaussian_pointer(1024, 6.0, phase_slope=phase_slope)
     return DiffusionConfig(H=H, R=R, gamma=gamma, pointer=pointer, dt=dt, seed=seed, M=M)
+
+
+def chirped_pointer(beta=0.3):
+    """Tabulated packet exp(-pi lambda^2 / 2 + i beta lambda^2): unlike a
+    linear phase, a chirp makes c1 complex (Im c1 close to -2 beta)."""
+    from qtraj.meter import PointerState
+
+    p = gaussian_pointer(1024, 6.0)
+    return PointerState(p.grid, p.values * np.exp(1j * beta * p.grid ** 2), p.weights)
 
 
 def mixed_product_density(eta, M):
@@ -79,6 +91,14 @@ class TestNoiseCovariance:
         assert cov.c2 == pytest.approx(PI_HALF + a * a, abs=1e-6)
         assert cov.q0 == pytest.approx(-a, abs=1e-9)
         assert cov.c2 >= abs(cov.c1)
+
+    @pytest.mark.parametrize("n_points", [256, 512, 1024, 2048])
+    def test_real_packet_noise_exactly_real(self, n_points):
+        cov = noise_covariance(gaussian_pointer(n_points, 6.0))
+        assert cov.c2 == cov.c1.real
+        assert cov.c1.imag == 0.0
+        _, a21, a22 = _noise_chol(1e-4, 2 * cov.c1, 2 * cov.c2)
+        assert a21 == 0.0 and a22 == 0.0
 
     def test_hbar_scaling(self):
         cov = noise_covariance(gaussian_pointer(512, 6.0), hbar=2.0)
@@ -262,6 +282,23 @@ class TestDiffusiveDensity:
         _, exact = rk4_solve(master_generator(mcfg), rho0, 1.0, 1e-3, record_times=[1.0])
         assert np.max(np.abs(path.rhos[0] - exact[0])) <= 10 * cfg.dt
 
+    @pytest.mark.parametrize("pointer", [
+        pytest.param(lambda: gaussian_pointer(1024, 6.0, phase_slope=0.5), id="phase-modulated"),
+        pytest.param(chirped_pointer, id="chirped"),
+    ])
+    def test_noise_off_complex_packet_matches_lindblad_oracle(self, pointer):
+        # a complex c1 gives the mean noise factor a phase that cancels the
+        # c1 term of the constant factor; the chirped packet has one, so the
+        # kernel must rotate the off-diagonal pairs every step
+        from qtraj.ensemble import MasterConfig, master_generator, rk4_solve
+
+        cfg = make_config(dt=1e-3, seed=14, M=2, pointer=pointer())
+        rho0 = mixed_product_density(np.array([0.6, 0.8j]), 2)
+        path = evolve_diffusive_density(cfg, rho0, 1.0, record_times=[1.0], noise=False)
+        _, exact = rk4_solve(master_generator(MasterConfig.from_diffusion(cfg)), rho0, 1.0,
+                             1e-3, record_times=[1.0])
+        assert np.max(np.abs(path.rhos[0] - exact[0])) <= 10 * cfg.dt
+
     def test_positivity_pathwise(self):
         cfg = make_config(dt=1e-3, seed=15, M=2)
         eta = np.array([0.6, 0.8])
@@ -301,12 +338,14 @@ class TestDiffusiveDensity:
                 expect = np.einsum("ij,nji->n", X, single.rhos).real / single.trace
                 assert np.max(np.abs(expect - o[row, :, k])) <= 1e-12
 
-    def test_matches_per_step_reference(self):
+    @pytest.mark.parametrize("M, phase_slope", [(1, 0.0), (2, 0.0), (1, 0.5), (2, 0.5)],
+                             ids=["M1-real", "M2-real", "M1-complex", "M2-complex"])
+    def test_matches_per_step_reference(self, M, phase_slope):
         # full-space complex superoperator, then exp(gamma dw Rbar) on both
         # sides and symmetrization every step, from the same stream; the
-        # phase-modulated packet makes dw complex
-        M, D = 2, 4
-        cfg = make_config(dt=1e-3, seed=24, M=M, phase_slope=0.5)
+        # real packet gives real dw, the phase-modulated one complex dw
+        D = 2 ** M
+        cfg = make_config(dt=1e-3, seed=24, M=M, phase_slope=phase_slope)
         rho0 = mixed_product_density(np.array([0.6, 0.8j]), M)
         T, n_steps = 0.3, 300
         _, rhos = _density_states(cfg, rho0, T, [0, 5], [0.1, T])
@@ -330,6 +369,18 @@ class TestDiffusiveDensity:
                 if s + 1 in (100, n_steps):
                     ref.append(rho)
             assert np.max(np.abs(rhos[row] - np.array(ref))) <= 1e-10
+
+    def test_guard_failure_names_seed_path_and_time(self):
+        rhos = np.tile(np.eye(2, dtype=complex) / 2, (2, 3, 1, 1))
+        rhos[1, 2] = np.diag([1.1, -0.1])  # path index 8 at t = 0.3
+        with pytest.raises(NumericError, match=r"positivity defect .* at t=0\.3 "
+                                               r"\(seed=7, path index=8\)"):
+            _density_spectra(rhos, 7, [3, 8], np.array([0.1, 0.2, 0.3]))
+        rhos[1, 2] = np.eye(2)
+        rhos[0, 1] = 1e7 * np.eye(2)  # path index 3 at t = 0.2
+        with pytest.raises(NumericError, match=r"density trace exceeded .* at t=0\.2 "
+                                               r"\(seed=7, path index=3\)"):
+            _density_spectra(rhos, 7, [3, 8], np.array([0.1, 0.2, 0.3]))
 
     def test_batch_peak_memory(self):
         # 512 paths of the two-particle equation over 1000 steps
