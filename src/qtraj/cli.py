@@ -36,7 +36,7 @@ from .ensemble import (
 )
 from .errors import CapacityError, SimulationError, ValidationError
 from .jumps import JumpConfig
-from .linalg import MAX_PARTICLES, HermitianOperator, StateVector, embed_at_slot
+from .linalg import MAX_PARTICLES, HermitianOperator, StateVector, embed_at_slot, kron_power
 from .manybody import ManyBodyConfig, nearest_neighbor_coupling
 from .meter import DEFAULT_GRID_SIZE, MeterModel
 from .presets import get_preset, preset_meter
@@ -79,6 +79,17 @@ OVERRIDES = {
     "interaction": (str, INTERACTIONS.__contains__,
                     "interaction must be 'none' or 'nearest-neighbor'"),
     "interaction_strength": (float, None, None),
+}
+# Override keys each experiment reads: d picks the preset's dimension, and
+# kappa and the pointer_* keys size the pointer grid of every experiment.
+_POINTER_KEYS = {"d", "kappa", "pointer_points", "pointer_phase_slope"}
+OVERRIDES_READ = {
+    "kick": _POINTER_KEYS,
+    "jump": _POINTER_KEYS | {"nu", "hbar"},
+    "many": set(OVERRIDES) - {"gamma"},
+    "diffuse": _POINTER_KEYS | {"M", "gamma", "hbar"},
+    "master": set(OVERRIDES),
+    "bridge": _POINTER_KEYS | {"gamma", "hbar"},
 }
 
 
@@ -163,8 +174,9 @@ class RunSpec:
     - out ("runs"): output directory.  Neither out nor threads changes the
       output or its hash.
 
-    ``READS`` lists the fields each experiment reads; ``execute`` rejects a
-    non-default value of any other field.
+    ``READS`` lists the fields each experiment reads and ``OVERRIDES_READ``
+    the override keys; ``execute`` rejects a non-default value of any other
+    field and any other override key.
     """
 
     experiment: str = _field(str)
@@ -258,8 +270,9 @@ def read_spec_file(path) -> dict:
 
 
 def _check_fields_read(spec: RunSpec):
-    """Reject a non-default value of a field the experiment never reads: it
-    would enter the manifest and the spec hash without changing the data."""
+    """Reject a non-default value of a field, or an override key, that the
+    experiment never reads: it would enter the manifest and the spec hash
+    without changing the data."""
     default = spec_from_dict({"experiment": spec.experiment})
     ignored = [
         f.name for f in fields(RunSpec)
@@ -267,6 +280,8 @@ def _check_fields_read(spec: RunSpec):
         and getattr(spec, f.name) != getattr(default, f.name)
     ]
     _require(not ignored, f"{spec.experiment} runs do not read {ignored}; omit these fields")
+    keys = sorted(set(spec.overrides) - OVERRIDES_READ[spec.experiment])
+    _require(not keys, f"{spec.experiment} runs do not read overrides {keys}; omit these keys")
 
 
 def dump_runspec(spec: RunSpec) -> dict:
@@ -384,10 +399,7 @@ def _sample_times(spec: RunSpec) -> np.ndarray:
 
 
 def _product_state(eta: StateVector, M: int) -> StateVector:
-    amps = eta.amps
-    for _ in range(M - 1):
-        amps = np.kron(amps, eta.amps)
-    return StateVector(amps)
+    return StateVector(kron_power(eta.amps, M))
 
 
 def _resolved_for_hash(spec: RunSpec) -> dict:

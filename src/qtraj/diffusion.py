@@ -13,7 +13,9 @@ the limit covariances:
   quadratic variation, making ||chi||^2 a mean-one martingale.  The
   Hamiltonian factor of each Euler-Maruyama step is applied as the exact
   unitary, so the gamma = 0 limit conserves the norm to rounding and the
-  O(dt) weak bias comes only from the measurement terms.
+  O(dt) weak bias comes only from the measurement terms: with
+  D = (1/2) (gamma/hbar)^2 sigma^2 R^2 a step raises E||chi||^2 by exactly
+  dt^2 E<chi|D^2|chi>, so 0 <= E||chi_T||^2 - 1 <= expm1(T dt ||D||^2).
 * coupled (dilation) equation  dpsi + K psi dt = (i/hbar) gamma R psi du
   with a real Wiener du of variance sigma^2 dt.  The noise enters as an
   R-generated phase, so the integrator steps with the exact unitary factor
@@ -22,7 +24,7 @@ the limit covariances:
 * density equation for M particles, driven by one complex Wiener process
   with the covariance of sqrt(M) v, trace-normalized in the mean.
 
-The state equation uses Euler-Maruyama stepping.  The density equation
+The linear state equation uses Euler-Maruyama stepping.  The density equation
 factors the noise exactly as the completely positive map
 exp(gamma dw Rbar) . exp(gamma dw* Rbar), with the noise mean moved out of
 the Euler drift; this has the same first-order weak accuracy but keeps the
@@ -39,12 +41,15 @@ sums.  With noise=False the noise map is replaced by its exact one-step
 mean, so the same kernel steps the averaged (Lindblad-form) equation.  All
 noise draws are pure functions of (seed, path index, step index).
 
-Each equation has one batched kernel (_sse_states, _coupled_states,
-_density_states), run as a batch of one by evolve_diffusive_sse /
-evolve_coupled_sse / evolve_diffusive_density and in chunks by run_ensemble.
-Every path draws from its own stream; coupled paths are bit-identical in any
-batch, linear and density ones agree to rounding (their steps are BLAS
-products).
+The two state equations share one batched kernel, _coupled_states: the rows
+live in R's eigenbasis, where each step is an elementwise factor (the
+coupled phase or the linear Euler factor) followed by the fixed unitary
+VR^dag exp(-i H dt / hbar) VR.  The density equation has its own,
+_density_states.  The kernels run as a batch of one by evolve_diffusive_sse /
+evolve_coupled_sse / evolve_diffusive_density and in chunks by
+run_ensemble.  Every path draws from its own stream; state paths are
+bit-identical in any batch (their products are elementwise sums), density
+ones agree to rounding (their step is a BLAS product).
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ from .linalg import (
     StateVector,
     embed_at_slot,
     hermitian_eig,
+    kron_power,
     propagator,
     spectrum_entropy,
 )
@@ -71,7 +77,6 @@ from .rng import stream
 
 BLOWUP_LIMIT = 1e6
 POSITIVITY_TOL = 1e-6
-_STEP_BLOCK = 1000
 _NOISE_BLOCK = 64
 # Density kernel: steps per normal draw and per batch of noise factors
 # (2 MB of normals and 1 MB of real factors at 512 paths and D = 4).
@@ -192,9 +197,6 @@ class DiffusionConfig:
         if cov.sigma2 <= 0:
             raise ValidationError("pointer packet has zero dispersion sigma^2")
         object.__setattr__(self, "noise", cov)
-        g_h = self.gamma / self.hbar
-        damping = 0.5 * g_h * g_h * cov.sigma2 * (self.R.entries @ self.R.entries)
-        object.__setattr__(self, "_damping", damping)
 
     @property
     def dim(self) -> int:
@@ -235,59 +237,16 @@ def _step_grid(T: float, dt: float, times) -> tuple[int, np.ndarray, dict[int, l
     return n_steps, rec, rec_map
 
 
-def _state_batch(cfg: DiffusionConfig, eta: StateVector, T: float, indices, sample_times):
-    """Validated start of a state-equation batch: (initial amplitudes, step
-    count, record steps, sample slots to fill after each step, one stream
-    per path)."""
-    if cfg.M != 1:
-        raise ValidationError("the state equations are single-particle; use M=1")
-    if abs(eta.norm2() - 1.0) > STATE_NORM_TOL:
-        raise ValidationError("initial state must be normalized")
-    n_steps, rec, rec_map = _step_grid(T, cfg.dt, sample_times)
-    gens = [stream(cfg.seed, i) for i in indices]
-    return eta.amps.astype(complex), n_steps, rec, rec_map, gens
-
-
-def _sse_states(
-    cfg: DiffusionConfig, eta: StateVector, T: float, indices, sample_times
-) -> tuple[np.ndarray, np.ndarray]:
-    """Euler-Maruyama paths of the linear state equation, one row per index.
-
-    Per step the measurement terms are applied in Euler form and the
-    Hamiltonian factor as the exact unitary exp(-i H dt / hbar).  Returns
-    (record steps, states) with states[i, j] the unnormalized chi of path
-    indices[i] at record step j.
-    """
-    chi, n_steps, rec, rec_map, gens = _state_batch(cfg, eta, T, indices, sample_times)
-    a11, a21, a22 = _noise_chol(cfg.dt, cfg.noise.c1, cfg.noise.c2)
-    expH = propagator(cfg.H, cfg.dt, cfg.hbar)
-    D = cfg._damping
-    R = cfg.R.entries
-    chi = np.tile(chi, (len(gens), 1))
-    out = np.empty((len(gens), rec.size, cfg.dim), dtype=complex)
-
-    def record(slots):
-        n2 = np.einsum("ni,ni->n", chi.conj(), chi).real
-        if np.any(n2 > BLOWUP_LIMIT):
-            raise NumericError(
-                f"squared norm {n2.max():.3e} exceeded {BLOWUP_LIMIT:.0e}; reduce dt"
-            )
-        out[:, slots] = chi[:, None, :]
-
-    if 0 in rec_map:
-        record(rec_map[0])
-    s = 0
-    while s < n_steps:
-        block = min(_STEP_BLOCK, n_steps - s)
-        z = np.stack([g.standard_normal((block, 2)) for g in gens])
-        dv = a11 * z[:, :, 0] + 1j * (a21 * z[:, :, 0] + a22 * z[:, :, 1])
-        for b in range(block):
-            chi = chi - cfg.dt * (chi @ D.T) + cfg.gamma * dv[:, b, None] * (chi @ R.T)
-            chi = chi @ expH.T
-            if s + b + 1 in rec_map:
-                record(rec_map[s + b + 1])
-        s += block
-    return rec, out
+def _guard(ok: np.ndarray, what: str, seed: int, indices, times):
+    """Raise a NumericError unless ok holds everywhere; ok[i, s] is the
+    verdict on path indices[i] at record time times[s], and the message names
+    the seed, the path index and the time of the first failing path."""
+    if not np.all(ok):
+        i, s = np.argwhere(~ok)[0]
+        raise NumericError(
+            f"{what} at t={float(times[s])!r} (seed={seed}, path index={indices[i]}); "
+            "reduce dt, or rerun that index alone to reproduce"
+        )
 
 
 def _rows_matmul(y: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -300,53 +259,85 @@ def _rows_matmul(y: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def _coupled_states(
-    cfg: DiffusionConfig, eta: StateVector, T: float, indices, sample_times
+    cfg: DiffusionConfig, eta: StateVector, T: float, indices, sample_times,
+    equation: str = "coupled",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary-dilation paths, one row per index: per step the exact phase
-    factor exp((i/hbar) gamma R du) followed by exp(-i H dt / hbar).
+    """Paths of the coupled (default) or the linear state equation, one row
+    per index.
 
-    The rows live in R's eigenbasis, where the noise factor is an elementwise
-    phase and the free factor the fixed unitary VR^dag exp(-i H dt / hbar) VR;
-    they are rotated back only at record steps.  Each path draws its du from
-    its own stream in blocks of _NOISE_BLOCK steps, the same normals as one
-    draw of all steps.  Returns (record steps, states) as :func:`_sse_states`.
+    The rows live in R's eigenbasis (eigenvalues w), where a step is an
+    elementwise factor f followed by the fixed unitary
+    VR^dag exp(-i H dt / hbar) VR; rows are rotated back only at record
+    steps.  Coupled: the exact phase f = exp((i/hbar) gamma w du), du sigma
+    sqrt(dt) times one normal.  Linear: the Euler-Maruyama factor
+    f = 1 - dt (1/2) (gamma/hbar)^2 sigma^2 w^2 + gamma dv w, dv built by
+    :func:`_noise_chol` from two normals.  Each path draws from its own
+    stream in blocks of _NOISE_BLOCK steps (the same normals as one draw of
+    all steps) and the products are :func:`_rows_matmul`, so a row is
+    bit-identical in any batch.  A recorded squared norm beyond BLOWUP_LIMIT
+    or not finite fails :func:`_guard`.  Returns (record steps, states),
+    states[i, j] the unnormalized state of path indices[i] at record step j.
     """
-    amps, n_steps, rec, rec_map, gens = _state_batch(cfg, eta, T, indices, sample_times)
+    if cfg.M != 1:
+        raise ValidationError("the state equations are single-particle; use M=1")
+    if abs(eta.norm2() - 1.0) > STATE_NORM_TOL:
+        raise ValidationError("initial state must be normalized")
+    n_steps, rec, rec_map = _step_grid(T, cfg.dt, sample_times)
+    gens = [stream(cfg.seed, i) for i in indices]
+    n = len(gens)
     wR, VR = hermitian_eig(cfg.R)
     UT = (VR.conj().T @ propagator(cfg.H, cfg.dt, cfg.hbar) @ VR).T
-    rate = (cfg.gamma / cfg.hbar) * wR
-    du_scale = math.sqrt(cfg.noise.sigma2 * cfg.dt)
-    y = np.tile(VR.conj().T @ amps, (len(gens), 1))
-    out = np.empty((len(gens), rec.size, cfg.dim), dtype=complex)
+    amps = eta.amps.astype(complex)
+    y = np.tile(VR.conj().T @ amps, (n, 1))
+    out = np.empty((n, rec.size, cfg.dim), dtype=complex)
     if 0 in rec_map:
         out[:, rec_map[0]] = amps
-    z = np.empty((len(gens), _NOISE_BLOCK))
-    phase = np.empty((_NOISE_BLOCK, len(gens), cfg.dim), dtype=complex)
+    linear = equation == "linear"
+    if linear:
+        a11, a21, a22 = _noise_chol(cfg.dt, cfg.noise.c1, cfg.noise.c2)
+        g_h = cfg.gamma / cfg.hbar
+        drift = 1.0 - cfg.dt * 0.5 * g_h * g_h * cfg.noise.sigma2 * wR * wR
+        rate = cfg.gamma * wR
+    else:
+        du_scale = math.sqrt(cfg.noise.sigma2 * cfg.dt)
+        rate = (cfg.gamma / cfg.hbar) * wR
+    z = np.empty((n, _NOISE_BLOCK, 2 if linear else 1))
+    factor = np.empty((_NOISE_BLOCK, n, cfg.dim), dtype=complex)
     s = 0
     while s < n_steps:
         block = min(_NOISE_BLOCK, n_steps - s)
         for k, g in enumerate(gens):
             g.standard_normal(out=z[k, :block])
-        z *= du_scale
-        # Phase arguments du * rate, built in place to keep the block small.
-        arg = phase[:block].real
-        np.multiply(z[:, :block].T[:, :, None], rate, out=arg)
-        np.sin(arg, out=phase[:block].imag)
-        np.cos(arg, out=arg)
+        zt = z[:, :block].transpose(1, 0, 2)  # (step, path, normal)
+        re, im = factor[:block].real, factor[:block].imag
+        if linear:  # re = drift + gamma Re(dv) w, im = gamma Im(dv) w
+            np.multiply((a11 * zt[:, :, 0])[:, :, None], rate, out=re)
+            re += drift
+            np.multiply((a21 * zt[:, :, 0] + a22 * zt[:, :, 1])[:, :, None], rate, out=im)
+        else:  # phase arguments du * rate, built in place to keep the block small
+            z *= du_scale
+            np.multiply(zt, rate, out=re)
+            np.sin(re, out=im)
+            np.cos(re, out=re)
         for b in range(block):
-            y *= phase[b]
+            y *= factor[b]
             y = _rows_matmul(y, UT)
             if s + b + 1 in rec_map:
-                out[:, rec_map[s + b + 1]] = _rows_matmul(y, VR.T)[:, None, :]
+                chi = _rows_matmul(y, VR.T)
+                n2 = np.einsum("ni,ni->n", chi.conj(), chi).real
+                _guard((n2 <= BLOWUP_LIMIT)[:, None], f"squared norm exceeded {BLOWUP_LIMIT:.0e}",
+                       cfg.seed, indices, [(s + b + 1) * cfg.dt])
+                out[:, rec_map[s + b + 1]] = chi[:, None, :]
         s += block
     return rec, out
 
 
-def _state_stats(states: np.ndarray, observables: dict[str, np.ndarray]):
-    """(weights, obs) of recorded states (n, n_times, d): weights[i, s] =
+def _coupled_batch(cfg, eta, T, indices, sample_times, observables, equation="coupled"):
+    """State-equation paths reduced to (weights, obs): weights[i, s] =
     ||chi||^2 and obs[i, s, o] the normalized expectation of observable o.
     Rows are reduced one by one as in :func:`_single_path`, so a path's
     values do not depend on the batch it ran in."""
+    states = _coupled_states(cfg, eta, T, indices, sample_times, equation)[1]
     n, n_times, d = states.shape
     flat = states.reshape(n * n_times, d)
     n2 = np.einsum("ni,ni->n", flat.conj(), flat).real
@@ -356,19 +347,11 @@ def _state_stats(states: np.ndarray, observables: dict[str, np.ndarray]):
     return n2.reshape(n, n_times), obs.reshape(n, n_times, len(observables))
 
 
-def _sse_batch(cfg, eta, T, indices, sample_times, observables):
-    """Linear-equation paths reduced to (weights, obs) by :func:`_state_stats`."""
-    return _state_stats(_sse_states(cfg, eta, T, indices, sample_times)[1], observables)
-
-
-def _coupled_batch(cfg, eta, T, indices, sample_times, observables):
-    """Coupled-equation paths reduced to (weights, obs) by :func:`_state_stats`."""
-    return _state_stats(_coupled_states(cfg, eta, T, indices, sample_times)[1], observables)
-
-
-def _single_path(kernel, cfg, eta, T, index, record_times) -> StatePath:
+def _single_path(equation, cfg, eta, T, index, record_times) -> StatePath:
     """Path `index` as a batch of one, recorded at record_times (default: T)."""
-    rec, states = kernel(cfg, eta, T, [index], [T] if record_times is None else record_times)
+    rec, states = _coupled_states(
+        cfg, eta, T, [index], [T] if record_times is None else record_times, equation
+    )
     chi = states[0]
     return StatePath(rec * cfg.dt, chi, np.einsum("ni,ni->n", chi.conj(), chi).real)
 
@@ -376,19 +359,23 @@ def _single_path(kernel, cfg, eta, T, index, record_times) -> StatePath:
 def evolve_diffusive_sse(
     cfg: DiffusionConfig, eta: StateVector, T: float, index: int = 0, record_times=None
 ) -> StatePath:
-    """One path of the linear diffusive state equation (see :func:`_sse_states`)."""
-    return _single_path(_sse_states, cfg, eta, T, index, record_times)
+    """One path of the linear diffusive state equation, a batch of one of
+    :func:`_coupled_states`: per step the Euler-Maruyama factor of the
+    measurement terms, then the exact unitary exp(-i H dt / hbar)."""
+    return _single_path("linear", cfg, eta, T, index, record_times)
 
 
 def evolve_coupled_sse(
     cfg: DiffusionConfig, eta: StateVector, T: float, index: int = 0, record_times=None
 ) -> StatePath:
-    """One unitary-dilation path (see :func:`_coupled_states`).
+    """One unitary-dilation path, a batch of one of :func:`_coupled_states`:
+    per step the exact phase factor exp((i/hbar) gamma R du), then
+    exp(-i H dt / hbar).
 
     Pathwise norm-preserving; R-populations are exactly conserved whenever
     [R, H] = 0 because the noise acts as an R-generated phase.
     """
-    return _single_path(_coupled_states, cfg, eta, T, index, record_times)
+    return _single_path("coupled", cfg, eta, T, index, record_times)
 
 
 def _hermitian_index(D: int):
@@ -426,9 +413,7 @@ def _density_kernel(cfg: DiffusionConfig):
     """
     M = cfg.M
     w, V = hermitian_eig(cfg.R)
-    VM = V
-    for _ in range(M - 1):
-        VM = np.kron(VM, V)
+    VM = kron_power(V, M)
     rk_vecs = [np.diag(embed_at_slot(np.diag(w), k, M)).real for k in range(1, M + 1)]
     rbar = sum(rk_vecs) / M
     H_single_t = V.conj().T @ cfg.H.entries @ V
@@ -586,25 +571,16 @@ def _density_states(cfg: DiffusionConfig, rho0, T: float, indices, sample_times,
 def _density_spectra(rhos: np.ndarray, seed: int, indices, times):
     """Trace, entropy and minimum eigenvalue of recorded densities, rhos[i, s]
     the density of path indices[i] at record time times[s], with the blow-up
-    and positivity guards applied.  A guard failure names the seed, the path
-    index and the record time of the first failing path."""
-
-    def fail(what, bad):
-        i, s = np.argwhere(bad)[0]
-        raise NumericError(
-            f"{what} at t={float(times[s])!r} (seed={seed}, path index={indices[i]}); "
-            "reduce dt, or rerun that index alone to reproduce"
-        )
-
+    (a trace beyond BLOWUP_LIMIT or not finite) and positivity guards of
+    :func:`_guard` applied."""
     trace = np.einsum("...ii->...", rhos).real
-    blown = np.abs(trace) > BLOWUP_LIMIT
-    if np.any(blown):
-        fail(f"density trace exceeded {BLOWUP_LIMIT:.0e}", blown)
+    _guard(np.abs(trace) <= BLOWUP_LIMIT, f"density trace exceeded {BLOWUP_LIMIT:.0e}",
+           seed, indices, times)
     eigs = np.linalg.eigvalsh(rhos)
     min_eig = eigs[..., 0]
-    defect = min_eig < -POSITIVITY_TOL * np.maximum(np.sum(np.abs(eigs), axis=-1), 1e-30)
-    if np.any(defect):
-        fail(f"positivity defect beyond -{POSITIVITY_TOL:.0e} of the trace norm", defect)
+    _guard(min_eig >= -POSITIVITY_TOL * np.maximum(np.sum(np.abs(eigs), axis=-1), 1e-30),
+           f"positivity defect beyond -{POSITIVITY_TOL:.0e} of the trace norm",
+           seed, indices, times)
     return trace, spectrum_entropy(eigs), min_eig
 
 

@@ -37,12 +37,11 @@ from .diffusion import (
     DiffusionConfig,
     _coupled_batch,
     _density_batch,
-    _sse_batch,
     _step_grid,
 )
 from .errors import CapacityError, ValidationError
 from .jumps import JumpConfig, _jump_batch
-from .linalg import MAX_PARTICLES, HermitianOperator, embed_at_slot
+from .linalg import MAX_PARTICLES, HermitianOperator, embed_at_slot, kron_power
 from .manybody import DensityTrajectory, ManyBodyConfig, _mixing_batch
 from .meter import MeterModel, build_gaussian_meter
 
@@ -52,12 +51,8 @@ _DIFFUSION_CHUNK = 512
 # batch (2 rows at D = 64, 1 row at D = 256), which keeps peak memory flat.
 _EVENT_CHUNK = 512
 _DENSITY_BATCH_BYTES = 128 * 1024
-# Batched kernel and weight mode of each diffusion equation.
-_DIFFUSION_EQUATIONS = {
-    "linear": (_sse_batch, "linear"),
-    "coupled": (_coupled_batch, "normalized"),
-    "density": (_density_batch, "linear"),
-}
+# Weight mode of each diffusion equation.
+_DIFFUSION_EQUATIONS = {"linear": "linear", "coupled": "normalized", "density": "linear"}
 
 
 @dataclass(frozen=True)
@@ -101,11 +96,7 @@ class MasterConfig:
             dlam = self.meter.pointer.weights
             kernel = (pk * dlam[:, None]).T @ pk.conj()
             object.__setattr__(self, "_kernel", kernel)
-            V = self.meter.eigenvectors
-            VM = V
-            for _ in range(self.M - 1):
-                VM = np.kron(VM, V)
-            object.__setattr__(self, "_VM", VM)
+            object.__setattr__(self, "_VM", kron_power(self.meter.eigenvectors, self.M))
             object.__setattr__(self, "_d", d)
         else:
             if self.R is None:
@@ -456,18 +447,22 @@ def run_ensemble(
             raise ValidationError(
                 f"diffusion ensembles support {tuple(_DIFFUSION_EQUATIONS)}, got {eq!r}"
             )
-        batch, mode = _DIFFUSION_EQUATIONS[eq]
+
+        def batch(idx):
+            if eq == "density":
+                return _density_batch(cfg, initial, T, idx, sample_times, obs)
+            return _coupled_batch(cfg, initial, T, idx, sample_times, obs, eq)
+
         chunks = [
             range(lo, min(lo + _DIFFUSION_CHUNK, n_traj))
             for lo in range(0, n_traj, _DIFFUSION_CHUNK)
         ]
-        parts = _map_chunks(
-            lambda idx: batch(cfg, initial, T, idx, sample_times, obs), chunks, n_workers
-        )
+        parts = _map_chunks(batch, chunks, n_workers)
         weights = np.concatenate([p[0] for p in parts], axis=0)
         obs_norm = np.concatenate([p[1] for p in parts], axis=0)
         entropy = np.concatenate([p[2] for p in parts], axis=0) if eq == "density" else None
-        return _aggregate(sample_times, mode, names, weights, obs_norm, entropy=entropy)
+        return _aggregate(sample_times, _DIFFUSION_EQUATIONS[eq], names, weights, obs_norm,
+                          entropy=entropy)
 
     raise ValidationError(f"unsupported config type {type(cfg).__name__}")
 

@@ -164,6 +164,15 @@ def propagator(H, t: float, hbar: float = 1.0) -> np.ndarray:
     return (V * phases) @ V.conj().T
 
 
+def kron_power(a: np.ndarray, M: int) -> np.ndarray:
+    """The M-fold Kronecker power of a vector or matrix, built left to right
+    as kron(kron(a, a), a)..., the slot order of :func:`embed_at_slot`."""
+    out = a
+    for _ in range(M - 1):
+        out = np.kron(out, a)
+    return out
+
+
 def embed_at_slot(A, k: int, M: int) -> np.ndarray:
     """Lift a single-particle operator to slot k of an M-fold tensor product.
 

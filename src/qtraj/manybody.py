@@ -46,6 +46,7 @@ from .linalg import (
     embed_at_slot,
     embed_pair,
     hermitian_eig,
+    kron_power,
     permutation_matrix,
     permute_slots_matrix,
     spectrum_entropy,
@@ -173,11 +174,7 @@ class ManyBodyConfig:
         product eigenbasis, in which state x has single-particle R-index
         digits[x, k] in slot k; slot_average[x, a] = #{k: digits[x, k] = a} / M
         maps R-populations to the slot-averaged single-particle ones."""
-        V = self.meter.eigenvectors
-        VM = V
-        for _ in range(self.M - 1):
-            VM = np.kron(VM, V)
-        C = VM.conj().T @ self._heig[1]
+        C = kron_power(self.meter.eigenvectors, self.M).conj().T @ self._heig[1]
         digits = np.array(list(itertools.product(range(self.d), repeat=self.M)))
         slot_average = np.stack(
             [np.count_nonzero(digits == a, axis=1) for a in range(self.d)], axis=1

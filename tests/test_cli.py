@@ -233,6 +233,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: squared norm ") and "exceeded" in err
 
+    @pytest.mark.parametrize("equation, T, what", [
+        pytest.param("linear", 50.0, "squared norm", id="linear"),
+        pytest.param("density", 200.0, "density trace", id="density"),
+    ])
+    def test_non_finite_blow_up_exits_3(self, tmp_path, capsys, equation, T, what):
+        # the paths overflow to nan before the only record time, where a
+        # comparison with the limit alone would pass them
+        spec = write_spec(tmp_path / "nan.json", experiment="diffuse", equation=equation,
+                          overrides={"gamma": 40.0}, dt=0.25, T=T, n_samples=1, n_traj=2)
+        assert main(["diffuse", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {what} exceeded 1e+06 at t={T} (seed=0, path index=0); "
+            "reduce dt, or rerun that index alone to reproduce\n"
+        )
+
 
 def load_workloads():
     """The benchmark's workload table, loaded from perfbench/workloads.py."""
@@ -265,6 +280,29 @@ class TestUnreadFields:
         err = capsys.readouterr().err
         assert err == f"error: {command} runs do not read {names}; omit these fields\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, overrides, keys", [
+        pytest.param("kick", {"M": 3, "nu": 7.0, "gamma": 2.0}, "['M', 'gamma', 'nu']",
+                     id="kick-M-nu-gamma"),
+        pytest.param("jump", {"M": 2, "nu": 3.0}, "['M']", id="jump-M"),
+        pytest.param("many", {"gamma": 2.0}, "['gamma']", id="many-gamma"),
+        pytest.param("diffuse", {"nu": 5.0, "interaction": "nearest-neighbor"},
+                     "['interaction', 'nu']", id="diffuse-nu-interaction"),
+        pytest.param("bridge", {"M": 2, "interaction_strength": 0.1},
+                     "['M', 'interaction_strength']", id="bridge-M-strength"),
+    ])
+    def test_unread_override_key_exits_2(self, tmp_path, capsys, command, overrides, keys):
+        spec = write_spec(tmp_path / "s.json", experiment=command, overrides=overrides)
+        out = tmp_path / "o"
+        assert main([command, "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {command} runs do not read overrides {keys}; omit these keys\n"
+        assert not out.exists()
+
+    def test_pointer_override_keys_read_by_kick(self, tmp_path):
+        spec = write_spec(tmp_path / "s.json", experiment="kick", overrides={
+            "d": 2, "kappa": 0.5, "pointer_points": 512, "pointer_phase_slope": 0.1})
+        assert main(["kick", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
 
     def test_default_values_of_unread_fields_accepted(self, tmp_path):
         spec = write_spec(tmp_path / "s.json", experiment="kick", T=1, mode="normalized",

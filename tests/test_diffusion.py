@@ -34,7 +34,6 @@ from qtraj.diffusion import (
     _density_spectra,
     _density_states,
     _noise_chol,
-    _sse_batch,
 )
 from qtraj.ensemble import _DIFFUSION_CHUNK
 from qtraj.rng import stream
@@ -157,7 +156,7 @@ class TestDiffusiveSse:
         R = HermitianOperator(0.7 * np.eye(2, dtype=complex))
         cfg = make_config(R=R, dt=1e-3, seed=5)
         eta = StateVector(np.ones(2) / math.sqrt(2))
-        w, _ = _sse_batch(cfg, eta, 1.0, range(4000), [1.0], {})
+        w, _ = _coupled_batch(cfg, eta, 1.0, range(4000), [1.0], {}, "linear")
         se = w[:, 0].std(ddof=1) / math.sqrt(w.shape[0])
         assert abs(w[:, 0].mean() - 1.0) <= 3 * se
 
@@ -165,8 +164,8 @@ class TestDiffusiveSse:
         H0 = HermitianOperator(np.zeros((2, 2)))
         cfg = make_config(H=H0, dt=1e-3, seed=6)
         eta = StateVector(np.array([0.6, 0.8], dtype=complex))
-        w, obs = _sse_batch(cfg, eta, 1.0, range(4000), [1.0],
-                            {"P1": np.diag([0.0, 1.0]).astype(complex)})
+        w, obs = _coupled_batch(cfg, eta, 1.0, range(4000), [1.0],
+                                {"P1": np.diag([0.0, 1.0]).astype(complex)}, "linear")
         pops = w[:, 0] * obs[:, 0, 0]  # unnormalized population of level 1
         se = pops.std(ddof=1) / math.sqrt(pops.size)
         assert abs(pops.mean() - 0.64) <= 3 * se
@@ -176,8 +175,36 @@ class TestDiffusiveSse:
         eta = StateVector(np.ones(2) / math.sqrt(2))
         times = np.linspace(0.2, 1.0, 5)
         single = evolve_diffusive_sse(cfg, eta, 1.0, index=3, record_times=times)
-        w, _ = _sse_batch(cfg, eta, 1.0, [2, 3, 4], times, {})
-        assert np.max(np.abs(single.norm2 - w[1])) <= 1e-12
+        _, states = _coupled_states(cfg, eta, 1.0, [2, 3, 4], times, "linear")
+        w, _ = _coupled_batch(cfg, eta, 1.0, [2, 3, 4], times, {}, "linear")
+        assert np.array_equal(single.states, states[1])
+        assert np.array_equal(single.norm2, w[1])
+
+    @pytest.mark.parametrize("phase_slope", [0.0, 0.7], ids=["real", "phase-modulated"])
+    def test_matches_per_step_reference(self, phase_slope):
+        # the full-space Euler-Maruyama step chi - dt D chi + gamma dv R chi,
+        # then expm(-i H dt), from the same stream; R is not diagonal, so the
+        # kernel's eigenbasis rotations are exercised
+        R = HermitianOperator(np.array([[0.3, 0.4 - 0.2j], [0.4 + 0.2j, -0.5]]))
+        cfg = make_config(R=R, seed=22, phase_slope=phase_slope)
+        eta = StateVector(np.array([0.6, 0.8j]))
+        T, n_steps = 0.3, 300
+        _, states = _coupled_states(cfg, eta, T, [0, 5], [0.1, T], "linear")
+        cov = noise_covariance(cfg.pointer)
+        D = 0.5 * (cfg.gamma / cfg.hbar) ** 2 * cov.sigma2 * R.entries @ R.entries
+        expH = expm(-1j * HX.entries * cfg.dt)
+        a11, a21, a22 = _noise_chol(cfg.dt, cov.c1, cov.c2)
+        for row, i in enumerate([0, 5]):
+            z = stream(cfg.seed, i).standard_normal((n_steps, 2))
+            dv = a11 * z[:, 0] + 1j * (a21 * z[:, 0] + a22 * z[:, 1])
+            chi = eta.amps.astype(complex)
+            ref = []
+            for s in range(n_steps):
+                chi = expH @ (chi - cfg.dt * D @ chi + cfg.gamma * dv[s] * R.entries @ chi)
+                if s + 1 in (100, n_steps):
+                    ref.append(chi)
+            ref = np.array(ref)
+            assert np.max(np.abs(states[row] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_blow_up_guard(self):
         cfg = make_config(gamma=40.0, dt=0.25, seed=8)

@@ -16,7 +16,7 @@ from qtraj import (
     symmetrize,
     von_neumann_entropy,
 )
-from qtraj.linalg import permutation_matrix, permute_slots_matrix
+from qtraj.linalg import kron_power, permutation_matrix, permute_slots_matrix
 
 rng = np.random.default_rng(101)
 
@@ -132,6 +132,16 @@ class TestEmbedding:
         W = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         assert np.allclose(embed_pair(W, 1, 2, 3, 2), np.kron(W, np.eye(2)))
         assert np.allclose(embed_pair(W, 2, 3, 3, 2), np.kron(np.eye(2), W))
+
+    def test_kron_power_order(self):
+        # slot 1 varies slowest: the digits of the flat index are the slots
+        a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        assert kron_power(a, 1) is a
+        power = kron_power(a, 3)
+        for x, (i, j, k) in enumerate(np.ndindex(3, 3, 3)):
+            assert power[x] == pytest.approx(a[i] * a[j] * a[k], rel=1e-14)
+        V = random_hermitian(2).entries
+        assert np.array_equal(kron_power(V, 3), np.kron(np.kron(V, V), V))
 
 
 class TestSymmetrize:
