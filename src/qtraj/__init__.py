@@ -15,7 +15,6 @@ from .linalg import (
     embed_pair,
     hermitian_eig,
     propagator,
-    symmetrize,
     von_neumann_entropy,
 )
 from .meter import (
@@ -25,8 +24,6 @@ from .meter import (
     coverage_half_width,
     gaussian_pointer,
     joint_single_kick,
-    load_pointer,
-    save_pointer,
     sharp_projections,
     single_kick_evolve,
 )
@@ -47,18 +44,15 @@ from .manybody import (
     mixing_reduction,
     nearest_neighbor_coupling,
     permutation_defect,
-    symmetric_projector,
 )
 from .diffusion import (
     DiffusionConfig,
     NoiseCovariance,
-    WienerPath,
     evolve_coupled_sse,
     evolve_diffusive_density,
     evolve_diffusive_sse,
     mean_field_evolve,
     noise_covariance,
-    sample_wiener_increments,
 )
 from .ensemble import (
     BridgeReport,
@@ -99,7 +93,6 @@ __all__ = [
     "StateVector",
     "Trajectory",
     "ValidationError",
-    "WienerPath",
     "build_gaussian_meter",
     "coverage_half_width",
     "diffusive_master_step",
@@ -116,7 +109,6 @@ __all__ = [
     "joint_single_kick",
     "jump_master_step",
     "jump_to_diffusion_bridge",
-    "load_pointer",
     "mean_field_evolve",
     "mean_field_limit_error",
     "mixing_brute_force_oracle",
@@ -132,14 +124,10 @@ __all__ = [
     "run_trajectories",
     "sample_outcome",
     "sample_poisson_times",
-    "sample_wiener_increments",
-    "save_pointer",
     "sharp_projections",
     "single_kick_evolve",
     "superop_matrix",
     "trajectory_stats",
-    "symmetric_projector",
-    "symmetrize",
     "trajectory_product_check",
     "von_neumann_entropy",
 ]

@@ -29,7 +29,7 @@ from .ensemble import (
 )
 from .errors import ValidationError
 from .jumps import JumpConfig
-from .linalg import DensityMatrix, HermitianOperator, StateVector, kron_power, propagator
+from .linalg import DensityMatrix, HermitianOperator, StateVector, kron_power, propagator, slot_sum
 from .manybody import (
     ManyBodyConfig,
     entropy_after_first_event,
@@ -102,6 +102,23 @@ def criterion_3() -> tuple[bool, str]:
     return dev <= bound, f"|E||chi||^2 - 1| = {dev:.2e} vs 3*SE = {bound:.2e} (n=20000)"
 
 
+def _within_3se_of_oracle(stats, obs, mcfg: MasterConfig, rho0) -> tuple[bool, float]:
+    """Whether every Monte-Carlo mean of stats (T = 1) lies within 3 SE of
+    Tr(X rho) along the RK4 solution of mcfg's master equation from rho0
+    (dt = 1e-3), and the largest |MC - oracle| / (3 SE)."""
+    _, rhos = rk4_solve(master_generator(mcfg), rho0, 1.0, 1e-3,
+                        record_times=stats.sample_times)
+    ok = True
+    worst = 0.0
+    for o, name in enumerate(stats.names):
+        exact = np.einsum("ij,nji->n", obs[name], rhos).real
+        dev = np.abs(stats.obs_mean[:, o] - exact)
+        bound = 3.0 * stats.obs_se[:, o]
+        ok = ok and bool(np.all(dev <= bound))
+        worst = max(worst, float(np.max(dev / np.maximum(bound, 1e-300))))
+    return ok, worst
+
+
 def _criterion_4_scenario(H: HermitianOperator, label: str, seed: int) -> tuple[bool, str]:
     d = 4
     R = HermitianOperator(np.diag([-1.5, -0.5, 0.5, 1.5]).astype(complex))
@@ -113,17 +130,7 @@ def _criterion_4_scenario(H: HermitianOperator, label: str, seed: int) -> tuple[
     times = np.linspace(0.1, 1.0, 10)
     eta = _uniform_state(d)
     stats = run_ensemble(cfg, eta, T=1.0, n_traj=20000, observables=obs, sample_times=times)
-    mcfg = MasterConfig.from_jump(cfg)
-    _, rhos = rk4_solve(master_generator(mcfg), eta.density(), 1.0, 1e-3, record_times=times)
-    worst = 0.0
-    ok = True
-    for o, name in enumerate(stats.names):
-        X = obs[name]
-        exact = np.einsum("ij,nji->n", X, rhos).real
-        dev = np.abs(stats.obs_mean[:, o] - exact)
-        bound = 3.0 * stats.obs_se[:, o]
-        ok = ok and bool(np.all(dev <= bound))
-        worst = max(worst, float(np.max(dev / np.maximum(bound, 1e-300))))
+    ok, worst = _within_3se_of_oracle(stats, obs, MasterConfig.from_jump(cfg), eta.density())
     return ok, f"{label}: max |MC - master| / (3 SE) = {worst:.2f}"
 
 
@@ -232,27 +239,13 @@ def _criterion_8_case(M: int, seed: int) -> tuple[bool, str]:
     eta = _uniform_state(2)
     pure = _product_density(eta, M).entries
     rho0 = DensityMatrix(0.9 * pure + 0.1 * np.eye(D) / D)
-    from .linalg import embed_at_slot
-
-    Rbar = sum(embed_at_slot(R.entries, k, M) for k in range(1, M + 1)) / M
     proj = np.zeros((2, 2), dtype=complex)
     proj[0, 0] = proj[0, 1] = proj[1, 0] = proj[1, 1] = 0.5
-    Pbar = sum(embed_at_slot(proj, k, M) for k in range(1, M + 1)) / M
-    obs = {"R": Rbar, "coherence": Pbar}
+    obs = {"R": slot_sum(R.entries, M) / M, "coherence": slot_sum(proj, M) / M}
     times = np.linspace(0.1, 1.0, 10)
     stats = run_ensemble(cfg, rho0, T=1.0, n_traj=10000, observables=obs,
                          sample_times=times, equation="density")
-    mcfg = MasterConfig.from_diffusion(cfg)
-    _, rhos = rk4_solve(master_generator(mcfg), rho0, 1.0, 1e-3, record_times=times)
-    ok = True
-    worst = 0.0
-    for o, name in enumerate(stats.names):
-        X = obs[name]
-        exact = np.einsum("ij,nji->n", X, rhos).real
-        dev = np.abs(stats.obs_mean[:, o] - exact)
-        bound = 3.0 * stats.obs_se[:, o]
-        ok = ok and bool(np.all(dev <= bound))
-        worst = max(worst, float(np.max(dev / np.maximum(bound, 1e-300))))
+    ok, worst = _within_3se_of_oracle(stats, obs, MasterConfig.from_diffusion(cfg), rho0)
     return ok, f"M={M}: max |MC - Lindblad| / (3 SE) = {worst:.2f}"
 
 
@@ -330,10 +323,6 @@ CRITERIA = [
     (10, "Mean-field limit of the jump master equation", criterion_10),
     (11, "Determinism across worker counts", criterion_11),
 ]
-
-
-def run_criterion(cid: int) -> CriterionResult:
-    return run_criteria([cid])[0]
 
 
 def run_criteria(ids=None) -> list[CriterionResult]:

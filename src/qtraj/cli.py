@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -34,9 +35,9 @@ from .ensemble import (
     run_trajectories,
     trajectory_stats,
 )
-from .errors import CapacityError, SimulationError, ValidationError
+from .errors import SimulationError, ValidationError
 from .jumps import JumpConfig
-from .linalg import MAX_PARTICLES, HermitianOperator, StateVector, embed_at_slot, kron_power
+from .linalg import HermitianOperator, StateVector, _check_particles, kron_power, slot_sum
 from .manybody import ManyBodyConfig, nearest_neighbor_coupling
 from .meter import DEFAULT_GRID_SIZE, MeterModel
 from .presets import get_preset, preset_meter
@@ -80,16 +81,23 @@ OVERRIDES = {
                     "interaction must be 'none' or 'nearest-neighbor'"),
     "interaction_strength": (float, None, None),
 }
-# Override keys each experiment reads: d picks the preset's dimension, and
-# kappa and the pointer_* keys size the pointer grid of every experiment.
+# Override keys each run reads, keyed by experiment, and for the experiments
+# of ``EQUATIONS`` by (experiment, equation): d picks the preset's dimension,
+# and kappa and the pointer_* keys size the pointer grid of every run.  The
+# state equations are single-particle, and only the jump equations read the
+# jump rate nu and the pair potential.
 _POINTER_KEYS = {"d", "kappa", "pointer_points", "pointer_phase_slope"}
+_DIFFUSIVE_KEYS = _POINTER_KEYS | {"gamma", "hbar"}
 OVERRIDES_READ = {
     "kick": _POINTER_KEYS,
     "jump": _POINTER_KEYS | {"nu", "hbar"},
     "many": set(OVERRIDES) - {"gamma"},
-    "diffuse": _POINTER_KEYS | {"M", "gamma", "hbar"},
-    "master": set(OVERRIDES),
-    "bridge": _POINTER_KEYS | {"gamma", "hbar"},
+    ("diffuse", "linear"): _DIFFUSIVE_KEYS,
+    ("diffuse", "coupled"): _DIFFUSIVE_KEYS,
+    ("diffuse", "density"): _DIFFUSIVE_KEYS | {"M"},
+    ("master", "jump-averaged"): set(OVERRIDES) - {"gamma"},
+    ("master", "diffusive"): _DIFFUSIVE_KEYS | {"M"},
+    "bridge": _DIFFUSIVE_KEYS,
 }
 
 
@@ -175,8 +183,8 @@ class RunSpec:
       output or its hash.
 
     ``READS`` lists the fields each experiment reads and ``OVERRIDES_READ``
-    the override keys; ``execute`` rejects a non-default value of any other
-    field and any other override key.
+    the override keys of each experiment and equation; ``execute`` rejects a
+    non-default value of any other field and any other override key.
     """
 
     experiment: str = _field(str)
@@ -230,8 +238,8 @@ def _model_overrides(overrides: dict) -> dict:
         with _reading(f"overrides.{key}"):
             values[key] = convert(raw)
         _require(ok is None or ok(values[key]), message)
-    if values.get("M", 1) > MAX_PARTICLES:
-        raise CapacityError(f"at most {MAX_PARTICLES} particles supported, got M={values['M']}")
+    if "M" in values:
+        _check_particles(values["M"])
     return values
 
 
@@ -280,13 +288,9 @@ def _check_fields_read(spec: RunSpec):
         and getattr(spec, f.name) != getattr(default, f.name)
     ]
     _require(not ignored, f"{spec.experiment} runs do not read {ignored}; omit these fields")
-    keys = sorted(set(spec.overrides) - OVERRIDES_READ[spec.experiment])
+    key = (spec.experiment, spec.equation) if spec.experiment in EQUATIONS else spec.experiment
+    keys = sorted(set(spec.overrides) - OVERRIDES_READ[key])
     _require(not keys, f"{spec.experiment} runs do not read overrides {keys}; omit these keys")
-
-
-def dump_runspec(spec: RunSpec) -> dict:
-    """Fully resolved specification as a plain JSON-compatible object."""
-    return asdict(spec)
 
 
 @dataclass
@@ -354,7 +358,7 @@ def _resolve_model(spec: RunSpec) -> _Model:
 def _lift_average(op: np.ndarray, M: int) -> np.ndarray:
     if M == 1:
         return op
-    return sum(embed_at_slot(op, k, M) for k in range(1, M + 1)) / M
+    return slot_sum(op, M) / M
 
 
 def _observable_matrices(spec: RunSpec, model: _Model, M: int) -> dict[str, np.ndarray]:
@@ -404,7 +408,7 @@ def _product_state(eta: StateVector, M: int) -> StateVector:
 
 def _resolved_for_hash(spec: RunSpec) -> dict:
     # Execution-only knobs must not influence the data or its hash.
-    return {k: v for k, v in dump_runspec(spec).items() if k not in ("out", "threads")}
+    return {k: v for k, v in asdict(spec).items() if k not in ("out", "threads")}
 
 
 def _stats_columns(stats) -> list[tuple[str, np.ndarray]]:
@@ -574,7 +578,6 @@ def _run_selftest(args) -> int:
             only = [int(x) for x in str(args.only).split(",") if x.strip()]
     results = run_criteria(only)
     table = format_table(results)
-    print(table)
     outdir = Path(args.out or "runs")
     outdir.mkdir(parents=True, exist_ok=True)
     summary = {
@@ -588,6 +591,13 @@ def _run_selftest(args) -> int:
         json.dumps(summary, sort_keys=True, indent=2) + "\n"
     )
     (outdir / "acceptance_table.txt").write_text(table + "\n")
+    try:
+        print(table, flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout early (`qtraj selftest | head -1`); the
+        # files above hold the whole table.  Point stdout at the null device so
+        # the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if summary["all_passed"] else 1
 
 

@@ -38,8 +38,11 @@ applied only when the noise is complex (a phase-modulated packet), and the
 complex density is rebuilt only at record steps.  A real packet gives
 exactly real noise: noise_covariance computes c1 and c2 from the same real
 sums.  With noise=False the noise map is replaced by its exact one-step
-mean, so the same kernel steps the averaged (Lindblad-form) equation.  All
-noise draws are pure functions of (seed, path index, step index).
+mean, so the same kernel steps the averaged (Lindblad-form) equation.  The
+kernels draw the noise in their step loops, each path from its own stream;
+a complex increment dv is two normals mapped by the Cholesky factors of
+_noise_chol.  All noise draws are pure functions of (seed, path index, step
+index).
 
 The two state equations share one batched kernel, _coupled_states: the rows
 live in R's eigenbasis, where each step is an elementwise factor (the
@@ -61,15 +64,17 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import CapacityError, NumericError, ValidationError
+from .errors import NumericError, ValidationError
 from .linalg import (
-    MAX_PARTICLES,
     HermitianOperator,
     StateVector,
+    _check_particles,
+    as_matrix,
     embed_at_slot,
     hermitian_eig,
     kron_power,
     propagator,
+    slot_sum,
     spectrum_entropy,
 )
 from .meter import PointerState, STATE_NORM_TOL
@@ -126,18 +131,10 @@ def noise_covariance(pointer: PointerState, hbar: float = 1.0) -> NoiseCovarianc
     return NoiseCovariance(c1=c1, c2=c2, q0=q0, sigma2=hbar * hbar * c2)
 
 
-@dataclass(frozen=True)
-class WienerPath:
-    """Pre-drawn complex Wiener increments with their covariance table."""
-
-    increments: np.ndarray
-    dt: float
-    c1: complex
-    c2: float
-
-
 def _noise_chol(dt: float, c1: complex, c2: float) -> tuple[float, float, float]:
-    """Cholesky factors mapping two standard normals to (Re dv, Im dv)."""
+    """Cholesky factors (a11, a21, a22) mapping two standard normals z to
+    Re dv = a11 z1, Im dv = a21 z1 + a22 z2, the complex increment with
+    E[dv dv] = c1 dt and E[dv* dv] = c2 dt."""
     if c2 < abs(c1) - 1e-12:
         raise ValidationError(f"covariance table needs c2 >= |c1|, got c1={c1}, c2={c2}")
     vx = max((c2 + c1.real) / 2.0 * dt, 0.0)
@@ -147,20 +144,6 @@ def _noise_chol(dt: float, c1: complex, c2: float) -> tuple[float, float, float]
     a21 = cxy / a11 if a11 > 0 else 0.0
     a22 = math.sqrt(max(vy - a21 * a21, 0.0))
     return a11, a21, a22
-
-
-def sample_wiener_increments(
-    rng: np.random.Generator, n_steps: int, dt: float, c1: complex, c2: float
-) -> WienerPath:
-    """Draw n_steps complex increments with E[dv dv] = c1 dt, E[dv* dv] = c2 dt.
-
-    Each step consumes exactly two standard normals, so the draw sequence is
-    identical whether increments are generated one step or one block at a time.
-    """
-    a11, a21, a22 = _noise_chol(dt, c1, c2)
-    z = rng.standard_normal((n_steps, 2))
-    dv = a11 * z[:, 0] + 1j * (a21 * z[:, 0] + a22 * z[:, 1])
-    return WienerPath(increments=dv, dt=float(dt), c1=complex(c1), c2=float(c2))
 
 
 @dataclass(frozen=True)
@@ -187,10 +170,7 @@ class DiffusionConfig:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         if self.hbar <= 0:
             raise ValidationError(f"hbar must be positive, got {self.hbar}")
-        if self.M < 1:
-            raise ValidationError(f"M must be >= 1, got {self.M}")
-        if self.M > MAX_PARTICLES:
-            raise CapacityError(f"at most {MAX_PARTICLES} particles supported, got M={self.M}")
+        _check_particles(self.M)
         if self.H.dim != self.R.dim:
             raise ValidationError("H and R must share a dimension")
         cov = noise_covariance(self.pointer, self.hbar)
@@ -303,32 +283,35 @@ def _coupled_states(
         rate = (cfg.gamma / cfg.hbar) * wR
     z = np.empty((n, _NOISE_BLOCK, 2 if linear else 1))
     factor = np.empty((_NOISE_BLOCK, n, cfg.dim), dtype=complex)
-    s = 0
-    while s < n_steps:
-        block = min(_NOISE_BLOCK, n_steps - s)
-        for k, g in enumerate(gens):
-            g.standard_normal(out=z[k, :block])
-        zt = z[:, :block].transpose(1, 0, 2)  # (step, path, normal)
-        re, im = factor[:block].real, factor[:block].imag
-        if linear:  # re = drift + gamma Re(dv) w, im = gamma Im(dv) w
-            np.multiply((a11 * zt[:, :, 0])[:, :, None], rate, out=re)
-            re += drift
-            np.multiply((a21 * zt[:, :, 0] + a22 * zt[:, :, 1])[:, :, None], rate, out=im)
-        else:  # phase arguments du * rate, built in place to keep the block small
-            z *= du_scale
-            np.multiply(zt, rate, out=re)
-            np.sin(re, out=im)
-            np.cos(re, out=re)
-        for b in range(block):
-            y *= factor[b]
-            y = _rows_matmul(y, UT)
-            if s + b + 1 in rec_map:
-                chi = _rows_matmul(y, VR.T)
-                n2 = np.einsum("ni,ni->n", chi.conj(), chi).real
-                _guard((n2 <= BLOWUP_LIMIT)[:, None], f"squared norm exceeded {BLOWUP_LIMIT:.0e}",
-                       cfg.seed, indices, [(s + b + 1) * cfg.dt])
-                out[:, rec_map[s + b + 1]] = chi[:, None, :]
-        s += block
+    # _guard rejects every non-finite record, so numpy's inf/nan warnings add nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = 0
+        while s < n_steps:
+            block = min(_NOISE_BLOCK, n_steps - s)
+            for k, g in enumerate(gens):
+                g.standard_normal(out=z[k, :block])
+            zt = z[:, :block].transpose(1, 0, 2)  # (step, path, normal)
+            re, im = factor[:block].real, factor[:block].imag
+            if linear:  # re = drift + gamma Re(dv) w, im = gamma Im(dv) w
+                np.multiply((a11 * zt[:, :, 0])[:, :, None], rate, out=re)
+                re += drift
+                np.multiply((a21 * zt[:, :, 0] + a22 * zt[:, :, 1])[:, :, None], rate, out=im)
+            else:  # phase arguments du * rate, built in place to keep the block small
+                z *= du_scale
+                np.multiply(zt, rate, out=re)
+                np.sin(re, out=im)
+                np.cos(re, out=re)
+            for b in range(block):
+                y *= factor[b]
+                y = _rows_matmul(y, UT)
+                if s + b + 1 in rec_map:
+                    chi = _rows_matmul(y, VR.T)
+                    n2 = np.einsum("ni,ni->n", chi.conj(), chi).real
+                    _guard((n2 <= BLOWUP_LIMIT)[:, None],
+                           f"squared norm exceeded {BLOWUP_LIMIT:.0e}",
+                           cfg.seed, indices, [(s + b + 1) * cfg.dt])
+                    out[:, rec_map[s + b + 1]] = chi[:, None, :]
+            s += block
     return rec, out
 
 
@@ -416,8 +399,7 @@ def _density_kernel(cfg: DiffusionConfig):
     VM = kron_power(V, M)
     rk_vecs = [np.diag(embed_at_slot(np.diag(w), k, M)).real for k in range(1, M + 1)]
     rbar = sum(rk_vecs) / M
-    H_single_t = V.conj().T @ cfg.H.entries @ V
-    Ht = sum(embed_at_slot(H_single_t, k, M) for k in range(1, M + 1))
+    Ht = slot_sum(V.conj().T @ cfg.H.entries @ V, M)
     g_h = cfg.gamma / cfg.hbar
     Kt = (1j / cfg.hbar) * Ht + np.diag(
         0.5 * g_h * g_h * cfg.noise.sigma2 * sum(rk * rk for rk in rk_vecs)
@@ -462,7 +444,7 @@ def _density_states(cfg: DiffusionConfig, rho0, T: float, indices, sample_times,
     rhos) with rhos[i, j] the density of path indices[i] at record step j,
     rebuilt as a complex matrix and rotated back to the original basis.
     """
-    arr = rho0.entries if hasattr(rho0, "entries") else np.asarray(rho0, dtype=complex)
+    arr = as_matrix(rho0)
     M = cfg.M
     D = cfg.dim ** M
     if arr.shape != (D, D):
@@ -541,30 +523,32 @@ def _density_states(cfg: DiffusionConfig, rho0, T: float, indices, sample_times,
 
     if 0 in rec_map:
         record(rec_map[0])
-    s = 0
-    while s < n_steps:
-        block = min(_DRAW_BLOCK, n_steps - s)
-        if noise:
-            for k, g in enumerate(gens):
-                g.standard_normal(out=z[k, :block])
-        for j in range(block):
-            f = j % _FACTOR_BLOCK
-            if noise and f == 0:
-                build_factors(z[:, j : min(j + _FACTOR_BLOCK, block)])
-            np.matmul(P, x, out=y)
-            np.multiply(y, G[f], out=y)
-            if rotate:  # (re, im) <- (c re - s im, s re + c im)
-                re, im = y[D : D + U], y[D + U :]
-                np.multiply(re, sin[f], out=t1)
-                np.multiply(im, sin[f], out=t2)
-                re *= cos[f]
-                re -= t2
-                im *= cos[f]
-                im += t1
-            x, y = y, x
-            if s + j + 1 in rec_map:
-                record(rec_map[s + j + 1])
-        s += block
+    # _guard rejects every non-finite record, so numpy's inf/nan warnings add nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = 0
+        while s < n_steps:
+            block = min(_DRAW_BLOCK, n_steps - s)
+            if noise:
+                for k, g in enumerate(gens):
+                    g.standard_normal(out=z[k, :block])
+            for j in range(block):
+                f = j % _FACTOR_BLOCK
+                if noise and f == 0:
+                    build_factors(z[:, j : min(j + _FACTOR_BLOCK, block)])
+                np.matmul(P, x, out=y)
+                np.multiply(y, G[f], out=y)
+                if rotate:  # (re, im) <- (c re - s im, s re + c im)
+                    re, im = y[D : D + U], y[D + U :]
+                    np.multiply(re, sin[f], out=t1)
+                    np.multiply(im, sin[f], out=t2)
+                    re *= cos[f]
+                    re -= t2
+                    im *= cos[f]
+                    im += t1
+                x, y = y, x
+                if s + j + 1 in rec_map:
+                    record(rec_map[s + j + 1])
+            s += block
     return rec, out
 
 

@@ -39,9 +39,16 @@ from .diffusion import (
     _density_batch,
     _step_grid,
 )
-from .errors import CapacityError, ValidationError
+from .errors import ValidationError
 from .jumps import JumpConfig, _jump_batch
-from .linalg import MAX_PARTICLES, HermitianOperator, embed_at_slot, kron_power
+from .linalg import (
+    HermitianOperator,
+    _check_particles,
+    as_matrix,
+    embed_at_slot,
+    kron_power,
+    slot_sum,
+)
 from .manybody import DensityTrajectory, ManyBodyConfig, _mixing_batch
 from .meter import MeterModel, build_gaussian_meter
 
@@ -78,10 +85,7 @@ class MasterConfig:
     def __post_init__(self):
         if self.mode not in MASTER_MODES:
             raise ValidationError(f"mode must be one of {MASTER_MODES}, got {self.mode!r}")
-        if self.M < 1:
-            raise ValidationError(f"M must be >= 1, got {self.M}")
-        if self.M > MAX_PARTICLES:
-            raise CapacityError(f"at most {MAX_PARTICLES} particles supported, got M={self.M}")
+        _check_particles(self.M)
         if self.mode == "jump-averaged":
             if self.meter is None:
                 raise ValidationError("jump-averaged mode requires a meter")
@@ -129,10 +133,9 @@ class MasterConfig:
 
     @classmethod
     def from_diffusion(cls, cfg: DiffusionConfig) -> "MasterConfig":
-        H = sum(embed_at_slot(cfg.H.entries, k, cfg.M) for k in range(1, cfg.M + 1))
         return cls(
             mode="diffusive",
-            H=HermitianOperator(H),
+            H=HermitianOperator(slot_sum(cfg.H.entries, cfg.M)),
             hbar=cfg.hbar,
             M=cfg.M,
             R=cfg.R,
@@ -223,7 +226,7 @@ def rk4_solve(step, rho0, T: float, dt: float, record_times=None):
     size must satisfy the stability bound dt * ||generator|| <= 0.1.
     Returns (times, densities) at the requested record times (default: T).
     """
-    arr = rho0.entries if hasattr(rho0, "entries") else np.asarray(rho0, dtype=complex)
+    arr = as_matrix(rho0)
     if not T > 0 or dt <= 0:
         raise ValidationError(f"need T > 0 and dt > 0, got T={T}, dt={dt}")
     gen_norm = _generator_norm(step, arr.shape[0])
@@ -326,17 +329,8 @@ def _aggregate(
 
 
 def _as_observable_dict(observables) -> dict[str, np.ndarray]:
-    if observables is None:
-        return {}
-    if isinstance(observables, dict):
-        return {
-            str(k): (v.entries if hasattr(v, "entries") else np.asarray(v, dtype=complex))
-            for k, v in observables.items()
-        }
-    out = {}
-    for name, mat in observables:
-        out[str(name)] = mat.entries if hasattr(mat, "entries") else np.asarray(mat, dtype=complex)
-    return out
+    """Name -> matrix of a dict or a list of (name, operator) pairs."""
+    return {str(k): as_matrix(v) for k, v in dict(observables or {}).items()}
 
 
 def run_trajectories(
@@ -421,8 +415,7 @@ def run_ensemble(
     * "density": M-particle density equation, weight Tr(rho), mode "linear",
       with entropy statistics.
 
-    Unless given, the equation is inferred from the initial state (vector:
-    "linear", matrix: "density").
+    A DiffusionConfig needs one of these equations; there is no default.
     """
     if n_traj < 2:
         raise ValidationError(f"n_traj must be >= 2, got {n_traj}")
@@ -438,20 +431,16 @@ def run_ensemble(
         return trajectory_stats(trajs, mode)
 
     if isinstance(cfg, DiffusionConfig):
-        eq = equation
-        if eq is None:
-            eq = "density" if np.asarray(
-                initial.entries if hasattr(initial, "entries") else initial
-            ).ndim == 2 else "linear"
-        if eq not in _DIFFUSION_EQUATIONS:
+        if equation not in _DIFFUSION_EQUATIONS:
             raise ValidationError(
-                f"diffusion ensembles support {tuple(_DIFFUSION_EQUATIONS)}, got {eq!r}"
+                f"diffusion ensembles need equation= one of {tuple(_DIFFUSION_EQUATIONS)}, "
+                f"got {equation!r}"
             )
 
         def batch(idx):
-            if eq == "density":
+            if equation == "density":
                 return _density_batch(cfg, initial, T, idx, sample_times, obs)
-            return _coupled_batch(cfg, initial, T, idx, sample_times, obs, eq)
+            return _coupled_batch(cfg, initial, T, idx, sample_times, obs, equation)
 
         chunks = [
             range(lo, min(lo + _DIFFUSION_CHUNK, n_traj))
@@ -460,8 +449,8 @@ def run_ensemble(
         parts = _map_chunks(batch, chunks, n_workers)
         weights = np.concatenate([p[0] for p in parts], axis=0)
         obs_norm = np.concatenate([p[1] for p in parts], axis=0)
-        entropy = np.concatenate([p[2] for p in parts], axis=0) if eq == "density" else None
-        return _aggregate(sample_times, _DIFFUSION_EQUATIONS[eq], names, weights, obs_norm,
+        entropy = np.concatenate([p[2] for p in parts], axis=0) if equation == "density" else None
+        return _aggregate(sample_times, _DIFFUSION_EQUATIONS[equation], names, weights, obs_norm,
                           entropy=entropy)
 
     raise ValidationError(f"unsupported config type {type(cfg).__name__}")
@@ -486,6 +475,16 @@ class BridgeReport:
     final_error: float
 
 
+def _jump_superop(base: DiffusionConfig, kappa: float, nu: float) -> np.ndarray:
+    """Superoperator matrix of the averaged jump generator of base's H and R,
+    measured by a Gaussian meter of strength kappa (base's pointer grid size
+    and phase slope) at rate nu."""
+    meter = build_gaussian_meter(kappa, base.R, n_points=base.pointer.size,
+                                 phase_slope=base.pointer.phase_slope)
+    cfg = MasterConfig(mode="jump-averaged", H=base.H, hbar=base.hbar, meter=meter, nu=float(nu))
+    return superop_matrix(master_generator(cfg), base.dim)
+
+
 def jump_to_diffusion_bridge(base: DiffusionConfig, nu_list) -> BridgeReport:
     """For each nu, build the jump model at kappa = gamma / sqrt(nu) and
     measure the relative Frobenius distance between its averaged generator
@@ -500,24 +499,14 @@ def jump_to_diffusion_bridge(base: DiffusionConfig, nu_list) -> BridgeReport:
         raise ValidationError(
             f"bridge requires q0 = 0 (mean-field drift would dominate), got q0={base.noise.q0!r}"
         )
-    d = base.dim
-    diff_cfg = MasterConfig.from_diffusion(base)
-    L_diff = superop_matrix(lambda r: diffusive_master_step(diff_cfg, r), d)
+    L_diff = superop_matrix(master_generator(MasterConfig.from_diffusion(base)), base.dim)
     denom = float(np.linalg.norm(L_diff))
     errors = np.empty(nus.size)
     kappas = np.empty(nus.size)
     for j, nu in enumerate(nus):
         kappa = base.gamma / math.sqrt(nu)
         kappas[j] = kappa
-        meter = build_gaussian_meter(
-            kappa, base.R, n_points=base.pointer.size,
-            phase_slope=base.pointer.phase_slope,
-        )
-        jump_cfg = MasterConfig(
-            mode="jump-averaged", H=base.H, hbar=base.hbar, meter=meter, nu=float(nu)
-        )
-        L_jump = superop_matrix(lambda r: jump_master_step(jump_cfg, r), d)
-        errors[j] = float(np.linalg.norm(L_jump - L_diff)) / denom
+        errors[j] = float(np.linalg.norm(_jump_superop(base, kappa, nu) - L_diff)) / denom
     monotone = bool(np.all(np.diff(errors) < 0))
     return BridgeReport(
         nus=nus,
@@ -534,19 +523,7 @@ def mean_field_limit_error(base: DiffusionConfig, nu: float) -> float:
     H - gamma q0 R."""
     if base.pointer.analytic_tag != "gaussian":
         raise ValidationError("mean-field comparison requires a Gaussian pointer")
-    d = base.dim
-    kappa = base.gamma / nu
-    meter = build_gaussian_meter(
-        kappa, base.R, n_points=base.pointer.size, phase_slope=base.pointer.phase_slope
-    )
-    jump_cfg = MasterConfig(
-        mode="jump-averaged", H=base.H, hbar=base.hbar, meter=meter, nu=float(nu)
-    )
+    L_jump = _jump_superop(base, base.gamma / nu, nu)
     Heff = base.H.entries - base.gamma * base.noise.q0 * base.R.entries
-
-    def unitary_step(rho):
-        return (-1j / base.hbar) * (Heff @ rho - rho @ Heff)
-
-    L_jump = superop_matrix(lambda r: jump_master_step(jump_cfg, r), d)
-    L_mf = superop_matrix(unitary_step, d)
+    L_mf = superop_matrix(lambda rho: (-1j / base.hbar) * (Heff @ rho - rho @ Heff), base.dim)
     return float(np.linalg.norm(L_jump - L_mf) / np.linalg.norm(L_mf))

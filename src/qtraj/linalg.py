@@ -3,7 +3,7 @@
 Provides the value types used across the package (state vectors, Hermitian
 operators, density matrices) plus the operations the engines are built on:
 Hermitian eigendecomposition, exact unitary propagators, tensor-slot
-embeddings, bosonic symmetrization, and von Neumann entropy.
+embeddings and their slot sums, slot permutations, and von Neumann entropy.
 
 All value types are immutable after construction: wrapped arrays are copied
 and marked read-only, so instances are safe to share across threads.
@@ -13,7 +13,6 @@ Kronecker products.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +23,14 @@ from .errors import CapacityError, ValidationError
 HERMITICITY_TOL = 1e-12
 DENSITY_EIG_FLOOR = -1e-10
 MAX_PARTICLES = 4
+
+
+def _check_particles(M: int):
+    """Reject a particle count outside 1..MAX_PARTICLES."""
+    if M < 1:
+        raise ValidationError(f"M must be >= 1, got {M}")
+    if M > MAX_PARTICLES:
+        raise CapacityError(f"at most {MAX_PARTICLES} particles supported, got M={M}")
 
 
 def _frozen_array(values, name: str, ndim: int) -> np.ndarray:
@@ -189,6 +196,12 @@ def embed_at_slot(A, k: int, M: int) -> np.ndarray:
     return out
 
 
+def slot_sum(A, M: int) -> np.ndarray:
+    """sum_k embed_at_slot(A, k, M) over the slots k = 1..M, added from zero
+    in slot order: a one-particle operator summed over M particles."""
+    return sum(embed_at_slot(A, k, M) for k in range(1, M + 1))
+
+
 def embed_pair(W, k: int, l: int, M: int, d: int) -> np.ndarray:
     """Lift a two-particle operator on slots (k, l), k < l, of an M-fold product.
 
@@ -215,30 +228,6 @@ def embed_pair(W, k: int, l: int, M: int, d: int) -> np.ndarray:
     expr = ",".join(subs) + "->" + "".join(out_idx) + "".join(in_idx)
     D = d ** M
     return np.einsum(expr, *operands).reshape(D, D)
-
-
-def _check_tensor_dims(dim: int, M: int, d: int):
-    if M < 1 or d < 1:
-        raise ValidationError(f"need M >= 1 and d >= 1, got M={M}, d={d}")
-    if M > MAX_PARTICLES:
-        raise CapacityError(f"at most {MAX_PARTICLES} particles supported, got M={M}")
-    if dim != d ** M:
-        raise ValidationError(f"dimension {dim} does not equal d^M = {d ** M}")
-
-
-def symmetrize(v: StateVector, M: int, d: int) -> StateVector:
-    """Project onto the permutation-symmetric (bosonic) subspace.
-
-    Averages over all M! slot permutations; idempotent, not renormalized.
-    """
-    _check_tensor_dims(v.dim, M, d)
-    tensor = v.amps.reshape((d,) * M)
-    acc = np.zeros_like(tensor)
-    count = 0
-    for perm in itertools.permutations(range(M)):
-        acc = acc + np.transpose(tensor, axes=perm)
-        count += 1
-    return StateVector((acc / count).reshape(-1))
 
 
 def permutation_matrix(perm: tuple[int, ...], d: int, M: int) -> np.ndarray:
@@ -286,7 +275,4 @@ def von_neumann_entropy(rho) -> float:
     tr = float(np.trace(arr).real)
     if tr <= 0:
         raise ValidationError(f"entropy requires positive trace, got {tr}")
-    w = np.linalg.eigvalsh(arr) / tr
-    w = np.clip(w, 0.0, None)
-    p = w[w > 0]
-    return float(-np.sum(p * np.log(p)))
+    return float(spectrum_entropy(np.linalg.eigvalsh(arr)))

@@ -38,17 +38,17 @@ from .errors import CapacityError, ValidationError
 from .jumps import _events, _run_rows, _sample_grid, _series
 from .linalg import (
     HERMITICITY_TOL,
-    MAX_PARTICLES,
     DensityMatrix,
     HermitianOperator,
     StateVector,
+    _check_particles,
     as_matrix,
     embed_at_slot,
     embed_pair,
     hermitian_eig,
     kron_power,
-    permutation_matrix,
     permute_slots_matrix,
+    slot_sum,
     spectrum_entropy,
     von_neumann_entropy,
 )
@@ -68,20 +68,10 @@ def nearest_neighbor_coupling(d: int, strength: float) -> np.ndarray:
     return W
 
 
-def symmetric_projector(d: int, M: int) -> np.ndarray:
-    """Projector onto the permutation-symmetric subspace of (C^d)^{x M}."""
-    D = d ** M
-    P = np.zeros((D, D), dtype=complex)
-    perms = list(itertools.permutations(range(M)))
-    for perm in perms:
-        P += permutation_matrix(perm, d, M)
-    return P / len(perms)
-
-
 def permutation_defect(rho, d: int, M: int) -> float:
     """Max over slot transpositions of the entrywise deviation of the
     conjugated operator from the original."""
-    arr = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    arr = as_matrix(rho)
     worst = 0.0
     for k in range(M):
         for l in range(k + 1, M):
@@ -113,10 +103,7 @@ class ManyBodyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.M < 1:
-            raise ValidationError(f"M must be >= 1, got {self.M}")
-        if self.M > MAX_PARTICLES:
-            raise CapacityError(f"at most {MAX_PARTICLES} particles supported, got M={self.M}")
+        _check_particles(self.M)
         if self.nu < 0:
             raise ValidationError(f"nu >= 0 required, got {self.nu}")
         if self.hbar <= 0:
@@ -126,9 +113,7 @@ class ManyBodyConfig:
                 "H_single and meter must act on dimension d="
                 f"{self.d}, got {self.H_single.dim} and {self.meter.dim}"
             )
-        h = np.zeros((self.dim, self.dim), dtype=complex)
-        for k in range(1, self.M + 1):
-            h += embed_at_slot(self.H_single.entries, k, self.M)
+        h = slot_sum(self.H_single.entries, self.M)
         if self.W is not None:
             d = self.d
             W = as_matrix(self.W)
@@ -211,7 +196,7 @@ class DensityTrajectory:
 def mixing_reduction(cfg: ManyBodyConfig, rho, lam: float) -> DensityMatrix:
     """Label-averaged single-event reduction
     (1/M) sum_k G(k, lambda) rho G(k, lambda)^dag, not renormalized."""
-    arr = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    arr = as_matrix(rho)
     g = cfg.meter.reduction(lam)
     out = np.zeros_like(arr)
     for k in range(1, cfg.M + 1):
@@ -225,11 +210,7 @@ def mixing_povm_element(cfg: ManyBodyConfig, lam: float) -> np.ndarray:
     """E(lambda) = (1/M) sum_k G(k, lambda)^dag G(k, lambda); its trace against
     rho is the unnormalized outcome density at lambda."""
     g = cfg.meter.reduction(lam)
-    gg = g.conj().T @ g
-    out = np.zeros((cfg.dim, cfg.dim), dtype=complex)
-    for k in range(1, cfg.M + 1):
-        out += embed_at_slot(gg, k, cfg.M)
-    return out / cfg.M
+    return slot_sum(g.conj().T @ g, cfg.M) / cfg.M
 
 
 def mixing_brute_force_oracle(cfg: ManyBodyConfig, rho, lams) -> DensityMatrix:
@@ -242,7 +223,7 @@ def mixing_brute_force_oracle(cfg: ManyBodyConfig, rho, lams) -> DensityMatrix:
         raise CapacityError(
             f"brute-force oracle supports at most {MAX_BRUTE_FORCE_EVENTS} events, got {n}"
         )
-    arr = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    arr = as_matrix(rho)
     if n == 0:
         return DensityMatrix(arr)
     gs = [cfg.meter.reduction(lam) for lam in lams]
@@ -383,6 +364,4 @@ def evolve_density(
 
 def entropy_after_first_event(cfg: ManyBodyConfig, psi: StateVector, lam: float) -> float:
     """Entropy produced by one normalized mixing event on a pure state."""
-    rho = DensityMatrix(np.outer(psi.normalized().amps, psi.normalized().amps.conj()))
-    reduced = mixing_reduction(cfg, rho, lam)
-    return von_neumann_entropy(reduced.entries)
+    return von_neumann_entropy(mixing_reduction(cfg, psi.density(), lam))

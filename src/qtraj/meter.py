@@ -14,7 +14,9 @@ Pointer packets are dimensionless; kappa carries the physical scale.  The
 standard packet is the Gaussian exp(-pi lambda^2 / 2), whose squared modulus is
 the unit-weight Gaussian density exp(-pi lambda^2).  Grid coverage follows the
 rule half_width >= 6 + kappa * max|spec(R)|, which keeps the truncated
-completeness defect below the default tolerance of 1e-6.
+completeness defect below the default tolerance of 1e-6.  Any other packet
+is a tabulated PointerState(grid, values, weights) without a tag, evaluated
+between grid points by cubic splines.
 
 Grid points where |f0| falls below 1e-12 carry no outcome probability mass
 and are excluded from the sampling support; G is singular exactly there.
@@ -167,28 +169,6 @@ def gaussian_pointer(
     amplitude = 1.0 / math.sqrt(float(np.sum(raw ** 2 * weights)))
     values = amplitude * raw * np.exp(1j * phase_slope * grid)
     return PointerState(grid, values, weights, "gaussian", phase_slope, amplitude)
-
-
-def load_pointer(path) -> PointerState:
-    """Read a tabulated packet from a text table (lambda, Re f0 [, Im f0])."""
-    data = np.loadtxt(path, ndmin=2)
-    if data.shape[1] not in (2, 3):
-        raise ValidationError(
-            f"pointer table must have 2 or 3 columns, got {data.shape[1]}"
-        )
-    grid = data[:, 0]
-    values = data[:, 1].astype(complex)
-    if data.shape[1] == 3:
-        values = values + 1j * data[:, 2]
-    return PointerState(grid, values, trapezoid_weights(grid))
-
-
-def save_pointer(pointer: PointerState, path) -> None:
-    """Write a packet back as a text table (lambda, Re f0, Im f0)."""
-    data = np.column_stack(
-        [pointer.grid, pointer.values.real, pointer.values.imag]
-    )
-    np.savetxt(path, data, fmt="%.17g")
 
 
 class MeterModel:

@@ -8,5 +8,5 @@ from qtraj import acceptance
 
 @pytest.mark.parametrize("cid", range(1, 12))
 def test_criterion_passes(cid):
-    result = acceptance.run_criterion(cid)
+    result = acceptance.run_criteria([cid])[0]
     assert result.passed, result.detail

@@ -3,7 +3,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,6 @@ from qtraj.cli import (
     RunSpec,
     _check_fields_read,
     _resolved_for_hash,
-    dump_runspec,
     main,
     spec_from_dict,
 )
@@ -31,12 +30,16 @@ def write_spec(path: Path, **fields) -> Path:
     return path
 
 
-def run_module(args, cwd):
+def module_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_module(args, cwd):
     return subprocess.run(
         [sys.executable, "-m", "qtraj", *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=module_env(), capture_output=True, text=True, timeout=120,
     )
 
 
@@ -57,6 +60,25 @@ class TestSelftest:
         summary = json.loads((tmp_path / "acceptance_summary.json").read_text())
         assert summary["all_passed"] is True
         assert summary["criteria"][0]["passed"] is True
+
+    def test_closed_stdout_exits_with_verdict(self, tmp_path):
+        # `qtraj selftest | head -1`: the reader is gone before the table prints
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qtraj", "selftest", "--only", "1,2",
+                 "--out", str(tmp_path)],
+                cwd=tmp_path, env=module_env(), stdout=write_end, stderr=subprocess.PIPE,
+                text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads((tmp_path / "acceptance_summary.json").read_text())["all_passed"]
+        table = (tmp_path / "acceptance_table.txt").read_text()
+        assert table.endswith("2/2 criteria passed\n")
 
 
 class TestModuleEntryPoint:
@@ -151,13 +173,13 @@ class TestRunSpec:
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_default_round_trip(self, experiment):
         spec = spec_from_dict({"experiment": experiment})
-        assert spec_from_dict(dump_runspec(spec)) == spec
+        assert spec_from_dict(asdict(spec)) == spec
 
     def test_every_field_round_trip(self):
         assert set(EVERY_FIELD) == {f.name for f in fields(RunSpec)}
         spec = spec_from_dict(EVERY_FIELD)
-        assert dump_runspec(spec) == EVERY_FIELD
-        assert spec_from_dict(dump_runspec(spec)) == spec
+        assert asdict(spec) == EVERY_FIELD
+        assert spec_from_dict(asdict(spec)) == spec
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_default_spec_hash_pinned(self, experiment):
@@ -281,18 +303,28 @@ class TestUnreadFields:
         assert err == f"error: {command} runs do not read {names}; omit these fields\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, overrides, keys", [
-        pytest.param("kick", {"M": 3, "nu": 7.0, "gamma": 2.0}, "['M', 'gamma', 'nu']",
-                     id="kick-M-nu-gamma"),
-        pytest.param("jump", {"M": 2, "nu": 3.0}, "['M']", id="jump-M"),
-        pytest.param("many", {"gamma": 2.0}, "['gamma']", id="many-gamma"),
-        pytest.param("diffuse", {"nu": 5.0, "interaction": "nearest-neighbor"},
+    @pytest.mark.parametrize("command, spec_fields, keys", [
+        pytest.param("kick", {"overrides": {"M": 3, "nu": 7.0, "gamma": 2.0}},
+                     "['M', 'gamma', 'nu']", id="kick-M-nu-gamma"),
+        pytest.param("jump", {"overrides": {"M": 2, "nu": 3.0}}, "['M']", id="jump-M"),
+        pytest.param("many", {"overrides": {"gamma": 2.0}}, "['gamma']", id="many-gamma"),
+        pytest.param("diffuse", {"overrides": {"nu": 5.0, "interaction": "nearest-neighbor"}},
                      "['interaction', 'nu']", id="diffuse-nu-interaction"),
-        pytest.param("bridge", {"M": 2, "interaction_strength": 0.1},
+        pytest.param("bridge", {"overrides": {"M": 2, "interaction_strength": 0.1}},
                      "['M', 'interaction_strength']", id="bridge-M-strength"),
+        # the state equations run one particle whatever M says
+        pytest.param("diffuse", {"equation": "coupled", "overrides": {"M": 3}, "T": 0.1,
+                                 "n_traj": 4}, "['M']", id="diffuse-coupled-M"),
+        pytest.param("diffuse", {"overrides": {"M": 2}}, "['M']", id="diffuse-linear-M"),
+        pytest.param("master", {"equation": "diffusive", "T": 0.1, "overrides": {
+            "nu": 50.0, "interaction": "nearest-neighbor", "interaction_strength": 0.2}},
+                     "['interaction', 'interaction_strength', 'nu']",
+                     id="master-diffusive-nu-interaction"),
+        pytest.param("master", {"overrides": {"gamma": 7.0}, "T": 0.1}, "['gamma']",
+                     id="master-jump-gamma"),
     ])
-    def test_unread_override_key_exits_2(self, tmp_path, capsys, command, overrides, keys):
-        spec = write_spec(tmp_path / "s.json", experiment=command, overrides=overrides)
+    def test_unread_override_key_exits_2(self, tmp_path, capsys, command, spec_fields, keys):
+        spec = write_spec(tmp_path / "s.json", experiment=command, **spec_fields)
         out = tmp_path / "o"
         assert main([command, "--spec", str(spec), "--out", str(out)]) == 2
         err = capsys.readouterr().err

@@ -18,13 +18,11 @@ from qtraj import (
     evolve_diffusive_density,
     evolve_diffusive_sse,
     gaussian_pointer,
-    load_pointer,
     mean_field_evolve,
     noise_covariance,
     propagator,
-    sample_wiener_increments,
     embed_at_slot,
-    save_pointer,
+    run_ensemble,
 )
 from qtraj.cli import main
 from qtraj.diffusion import (
@@ -62,6 +60,14 @@ def chirped_pointer(beta=0.3):
 
     p = gaussian_pointer(1024, 6.0)
     return PointerState(p.grid, p.values * np.exp(1j * beta * p.grid ** 2), p.weights)
+
+
+def wiener_increments(rng, n_steps, dt, c1, c2):
+    """n_steps complex increments dv from rng, two normals per step through
+    the Cholesky factors of _noise_chol, as the kernels draw them."""
+    a11, a21, a22 = _noise_chol(dt, c1, c2)
+    z = rng.standard_normal((n_steps, 2))
+    return a11 * z[:, 0] + 1j * (a21 * z[:, 0] + a22 * z[:, 1])
 
 
 def mixed_product_density(eta, M):
@@ -104,10 +110,12 @@ class TestNoiseCovariance:
         assert cov.sigma2 == pytest.approx(4.0 * PI_HALF, abs=1e-5)
         assert cov.q0 == pytest.approx(0.0, abs=1e-12)
 
-    def test_tabulated_packet_close_to_analytic(self, tmp_path):
+    def test_tabulated_packet_close_to_analytic(self):
+        from qtraj.meter import PointerState
+
         p = gaussian_pointer(1024, 6.0)
-        save_pointer(p, tmp_path / "p.txt")
-        cov = noise_covariance(load_pointer(tmp_path / "p.txt"))
+        # no analytic tag: the derivative comes from finite differences
+        cov = noise_covariance(PointerState(p.grid, p.values, p.weights))
         assert cov.c2 == pytest.approx(PI_HALF, rel=1e-3)
 
     def test_interior_zero_rejected(self):
@@ -124,15 +132,15 @@ class TestNoiseCovariance:
 
 class TestWienerSampler:
     def test_real_packet_increments_real(self):
-        path = sample_wiener_increments(stream(1, 0), 1000, 1e-3, PI_HALF, PI_HALF)
-        assert np.max(np.abs(path.increments.imag)) == 0.0
+        dv = wiener_increments(stream(1, 0), 1000, 1e-3, complex(PI_HALF), PI_HALF)
+        assert np.max(np.abs(dv.imag)) == 0.0
 
     def test_sample_covariance(self):
         c1 = complex(PI_HALF - 0.49, 0.2)
         c2 = PI_HALF + 0.49
         n = 1_000_000
         dt = 1e-3
-        dv = sample_wiener_increments(stream(2, 0), n, dt, c1, c2).increments
+        dv = wiener_increments(stream(2, 0), n, dt, c1, c2)
         est_c1 = np.mean(dv * dv) / dt
         est_c2 = float(np.mean(np.abs(dv) ** 2) / dt)
         se = 3 * c2 / math.sqrt(n)
@@ -140,8 +148,8 @@ class TestWienerSampler:
         assert abs(est_c2 - c2) <= 3 * se
 
     def test_invalid_table_rejected(self):
-        with pytest.raises(ValidationError):
-            sample_wiener_increments(stream(3, 0), 10, 1e-3, 2.0 + 0j, 1.0)
+        with pytest.raises(ValidationError, match=r"c2 >= \|c1\|"):
+            _noise_chol(1e-3, 2.0 + 0j, 1.0)
 
 
 class TestDiffusiveSse:
@@ -193,10 +201,8 @@ class TestDiffusiveSse:
         cov = noise_covariance(cfg.pointer)
         D = 0.5 * (cfg.gamma / cfg.hbar) ** 2 * cov.sigma2 * R.entries @ R.entries
         expH = expm(-1j * HX.entries * cfg.dt)
-        a11, a21, a22 = _noise_chol(cfg.dt, cov.c1, cov.c2)
         for row, i in enumerate([0, 5]):
-            z = stream(cfg.seed, i).standard_normal((n_steps, 2))
-            dv = a11 * z[:, 0] + 1j * (a21 * z[:, 0] + a22 * z[:, 1])
+            dv = wiener_increments(stream(cfg.seed, i), n_steps, cfg.dt, cov.c1, cov.c2)
             chi = eta.amps.astype(complex)
             ref = []
             for s in range(n_steps):
@@ -386,7 +392,7 @@ class TestDiffusiveDensity:
         P = np.kron(E0, E0.conj()) + cfg.dt * g2s2 * sum(
             np.kron(Rk - Rbar, (Rk - Rbar).conj()) for Rk in Rks)
         for row, i in enumerate([0, 5]):
-            dw = sample_wiener_increments(stream(cfg.seed, i), n_steps, cfg.dt, c1, c2).increments
+            dw = wiener_increments(stream(cfg.seed, i), n_steps, cfg.dt, c1, c2)
             rho = rho0.entries.astype(complex)
             ref = []
             for s in range(n_steps):
@@ -421,6 +427,16 @@ class TestDiffusiveDensity:
         finally:
             tracemalloc.stop()
         assert peak <= PEAK_BOUND_BYTES
+
+
+class TestEnsembleEquation:
+    @pytest.mark.parametrize("equation", [None, "jump-averaged"])
+    def test_diffusion_ensemble_needs_an_equation(self, equation):
+        # a state vector no longer implies the linear equation
+        eta = StateVector(np.ones(2) / math.sqrt(2))
+        with pytest.raises(ValidationError,
+                           match=r"equation= one of \('linear', 'coupled', 'density'\)"):
+            run_ensemble(make_config(), eta, 0.1, 4, equation=equation)
 
 
 class TestDensityCli:

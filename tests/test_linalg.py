@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qtraj import (
-    CapacityError,
     DensityMatrix,
     HermitianOperator,
     StateVector,
@@ -13,10 +12,9 @@ from qtraj import (
     embed_pair,
     hermitian_eig,
     propagator,
-    symmetrize,
     von_neumann_entropy,
 )
-from qtraj.linalg import kron_power, permutation_matrix, permute_slots_matrix
+from qtraj.linalg import kron_power, permutation_matrix, permute_slots_matrix, slot_sum
 
 rng = np.random.default_rng(101)
 
@@ -133,6 +131,14 @@ class TestEmbedding:
         assert np.allclose(embed_pair(W, 1, 2, 3, 2), np.kron(W, np.eye(2)))
         assert np.allclose(embed_pair(W, 2, 3, 3, 2), np.kron(np.eye(2), W))
 
+    def test_slot_sum_over_slots(self):
+        A = random_hermitian(2).entries
+        eye = np.eye(2)
+        expected = (np.kron(np.kron(A, eye), eye) + np.kron(np.kron(eye, A), eye)
+                    + np.kron(np.kron(eye, eye), A))
+        assert np.allclose(slot_sum(A, 3), expected, atol=1e-14)
+        assert np.array_equal(slot_sum(A, 1), A)
+
     def test_kron_power_order(self):
         # slot 1 varies slowest: the digits of the flat index are the slots
         a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -144,41 +150,7 @@ class TestEmbedding:
         assert np.array_equal(kron_power(V, 3), np.kron(np.kron(V, V), V))
 
 
-class TestSymmetrize:
-    def test_product_state_unchanged(self):
-        eta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        v = StateVector(np.kron(eta, eta))
-        assert np.allclose(symmetrize(v, 2, 3).amps, v.amps, atol=1e-12)
-
-    def test_two_element_orbit(self):
-        e0 = np.array([1.0, 0.0])
-        e1 = np.array([0.0, 1.0])
-        out = symmetrize(StateVector(np.kron(e0, e1)), 2, 2)
-        expected = (np.kron(e0, e1) + np.kron(e1, e0)) / 2
-        assert np.allclose(out.amps, expected)
-
-    def test_idempotent(self):
-        v = StateVector(rng.standard_normal(8) + 1j * rng.standard_normal(8))
-        once = symmetrize(v, 3, 2)
-        twice = symmetrize(once, 3, 2)
-        assert np.max(np.abs(twice.amps - once.amps)) <= 1e-12
-
-    def test_invariance_via_explicit_matrices(self):
-        # independent oracle: explicit permutation matrices from index arithmetic
-        v = StateVector(rng.standard_normal(8) + 1j * rng.standard_normal(8))
-        s = symmetrize(v, 3, 2).amps
-        for perm in [(1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0)]:
-            P = permutation_matrix(perm, 2, 3)
-            assert np.max(np.abs(P @ s - s)) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            symmetrize(StateVector(np.ones(6)), 2, 2)
-
-    def test_too_many_particles(self):
-        with pytest.raises(CapacityError):
-            symmetrize(StateVector(np.ones(32)), 5, 2)
-
+class TestSlotPermutation:
     def test_permute_slots_matrix_consistent(self):
         rho = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         perm = (2, 0, 1)

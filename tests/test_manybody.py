@@ -23,7 +23,6 @@ from qtraj import (
     nearest_neighbor_coupling,
     permutation_defect,
     run_trajectories,
-    symmetric_projector,
     von_neumann_entropy,
 )
 from qtraj.linalg import MAX_PARTICLES
@@ -153,10 +152,6 @@ class TestPermutationDefect:
     def test_asymmetric_state_detected(self):
         rho = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)  # |0 1>
         assert permutation_defect(rho, 2, 2) == pytest.approx(1.0)
-
-    def test_symmetric_projector_idempotent(self):
-        P = symmetric_projector(2, 3)
-        assert np.max(np.abs(P @ P - P)) <= 1e-12
 
 
 class TestEvolveDensity:

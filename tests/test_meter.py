@@ -7,15 +7,14 @@ from qtraj import (
     HermitianOperator,
     MeterModel,
     NumericError,
+    PointerState,
     StateVector,
     ValidationError,
     build_gaussian_meter,
     coverage_half_width,
     gaussian_pointer,
     joint_single_kick,
-    load_pointer,
     propagator,
-    save_pointer,
     sharp_projections,
     single_kick_evolve,
 )
@@ -53,14 +52,6 @@ class TestGaussianPointer:
             gaussian_pointer(8, 6.0)
         with pytest.raises(ValidationError):
             gaussian_pointer(64, -1.0)
-
-    def test_table_round_trip(self, tmp_path):
-        p = gaussian_pointer(256, 6.0, phase_slope=0.4)
-        path = tmp_path / "pointer.txt"
-        save_pointer(p, path)
-        q = load_pointer(path)
-        assert np.allclose(q.grid, p.grid)
-        assert np.allclose(q.values, p.values, atol=1e-15)
 
 
 class TestMeterConstruction:
@@ -292,11 +283,9 @@ class TestJointSingleKick:
 
 
 class TestTabulatedPointer:
-    def test_meter_from_tabulated_packet(self, tmp_path):
+    def test_meter_from_tabulated_packet(self):
         p = gaussian_pointer(1024, 6.5)
-        path = tmp_path / "packet.txt"
-        save_pointer(p, path)
-        q = load_pointer(path)  # no analytic tag: spline evaluation path
+        q = PointerState(p.grid, p.values, p.weights)  # no analytic tag: spline evaluation path
         meter = MeterModel(0.3, R01, q)
         assert meter.povm_defect <= 1e-6
         ref = build_gaussian_meter(0.3, R01, n_points=1024)
