@@ -184,7 +184,9 @@ class RunSpec:
 
     ``READS`` lists the fields each experiment reads and ``OVERRIDES_READ``
     the override keys of each experiment and equation; ``execute`` rejects a
-    non-default value of any other field and any other override key.
+    non-default value of any other field and any other override key, and
+    also interaction and interaction_strength when M is 1 and
+    interaction_strength without the nearest-neighbor interaction.
     """
 
     experiment: str = _field(str)
@@ -291,6 +293,21 @@ def _check_fields_read(spec: RunSpec):
     key = (spec.experiment, spec.equation) if spec.experiment in EQUATIONS else spec.experiment
     keys = sorted(set(spec.overrides) - OVERRIDES_READ[key])
     _require(not keys, f"{spec.experiment} runs do not read overrides {keys}; omit these keys")
+    # Of the runs that get here, many and jump-averaged master take the pair
+    # potential; they read it only for M > 1, and its strength only for the
+    # nearest-neighbor potential.
+    ov = _model_overrides(spec.overrides)
+    pair = sorted(set(ov) & {"interaction", "interaction_strength"})
+    _require(
+        not pair or ov.get("M", get_preset(spec.preset, d=ov.get("d")).M) > 1,
+        f"{spec.experiment} runs with M = 1 have no particle pairs and do not read "
+        f"overrides {pair}; omit these keys",
+    )
+    _require(
+        "interaction_strength" not in ov or ov.get("interaction") == "nearest-neighbor",
+        "overrides.interaction_strength is read only with interaction 'nearest-neighbor'; "
+        "omit it",
+    )
 
 
 @dataclass

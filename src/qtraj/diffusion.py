@@ -507,7 +507,8 @@ def _density_states(cfg: DiffusionConfig, rho0, T: float, indices, sample_times,
         # G[:m] (and the phases) for the m steps whose normals are zb, shaped
         # (path, step, 2)
         m = zb.shape[1]
-        zt = zb.transpose(1, 2, 0)  # (step, normal, path)
+        # (step, normal, path), copied: a strided view slows every product below
+        zt = np.ascontiguousarray(zb.transpose(1, 2, 0))
         a = power(np.exp((cfg.gamma / M) * (a11 * zt[:, 0])[:, None] * w[:, None]))
         np.multiply(a, a, out=G[:m, :D])
         upper(a, a, G[:m, D : D + U])

@@ -13,17 +13,23 @@ though each hidden-label operation is pure.  A brute-force oracle enumerates
 all label assignments for a short event list and must agree with the
 iterated mixing reduction; that identity is the module's correctness anchor.
 
-The engine works in the full tensor space.  Label averaging commutes with
-slot permutations, so a permutation-symmetric initial density stays
-symmetric; no per-step projection is applied and any drift of the symmetry
-defect is a bug signal, which the tests watch for.
+The engine keeps states in the full tensor space.  Label averaging commutes
+with slot permutations, so a permutation-invariant initial density stays
+invariant; no per-step projection is applied and any drift of the symmetry
+defect is a bug signal, which the tests watch for.  The engine rejects an
+initial density that is not permutation-invariant, because it reads spectra
+(entropy and minimum eigenvalue) from the S_M blocks of the state: such a
+density is a direct sum of blocks A_lambda (x) I_{m_lambda}, and one copy
+of each A_lambda gives the whole spectrum (:func:`_isotypic_blocks`).
 
 Density trajectories run on the event engine of :mod:`qtraj.jumps`, whose
 loop, schedule and outcome sampler they share: rows are densities in the
 eigenbasis of the total Hamiltonian, and each mixing event is applied
 elementwise in the product eigenbasis of R (:class:`_DensityRows`).  The
 outcome law is outcome_weight_matrix @ p with p the slot-averaged
-R-populations.  evolve_density is a batch of one.
+R-populations.  Basis changes whose matrices are exactly real, as in every
+preset, run as real GEMMs on the float view of the complex rows
+(:func:`_sandwich`).  evolve_density is a batch of one.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from .linalg import (
     embed_pair,
     hermitian_eig,
     kron_power,
+    permutation_matrix,
     permute_slots_matrix,
     slot_sum,
     spectrum_entropy,
@@ -68,18 +75,74 @@ def nearest_neighbor_coupling(d: int, strength: float) -> np.ndarray:
     return W
 
 
+def _transpositions(M: int) -> list[tuple[int, ...]]:
+    """The slot transpositions (k l), k < l, as permutations of range(M),
+    starting with (0 1)."""
+    perms = []
+    for k in range(M):
+        for l in range(k + 1, M):
+            perm = list(range(M))
+            perm[k], perm[l] = perm[l], perm[k]
+            perms.append(tuple(perm))
+    return perms
+
+
 def permutation_defect(rho, d: int, M: int) -> float:
     """Max over slot transpositions of the entrywise deviation of the
     conjugated operator from the original."""
     arr = as_matrix(rho)
     worst = 0.0
-    for k in range(M):
-        for l in range(k + 1, M):
-            perm = list(range(M))
-            perm[k], perm[l] = perm[l], perm[k]
-            swapped = permute_slots_matrix(arr, tuple(perm), d, M)
-            worst = max(worst, float(np.max(np.abs(swapped - arr))))
+    for perm in _transpositions(M):
+        swapped = permute_slots_matrix(arr, perm, d, M)
+        worst = max(worst, float(np.max(np.abs(swapped - arr))))
     return worst
+
+
+def _isotypic_blocks(d: int, M: int) -> list[tuple[np.ndarray, int]]:
+    """(B, m) for each S_M block of (C^d)^{x M}: B real with orthonormal
+    columns spanning one copy, m the block's multiplicity.
+
+    A permutation-invariant operator is a direct sum of A_lambda (x) I_m over
+    the irreducible representations lambda of S_M, with A_lambda = B^T rho B,
+    so its spectrum is that of each A_lambda repeated m times.  The class sum
+    T of the transpositions takes the content sum of lambda on block lambda,
+    distinct for every lambda when M <= 4, and the transposition of slots 0
+    and 1 has eigenvalues +-1 inside it.  For M <= 4 the smaller of its two
+    eigenspaces in a block is one copy: one eigenvector of the transposition
+    in the representation, tensored with the block's A_lambda space.  Both
+    operators are found at once as the eigenspaces of T + S_01 / 4.
+    """
+    D = d ** M
+    swaps = [permutation_matrix(perm, d, M).real for perm in _transpositions(M)]
+    S01 = swaps[0] if swaps else np.eye(D)
+    vals, vecs = np.linalg.eigh(sum(swaps, np.zeros((D, D))) + S01 / 4)
+    content = np.rint(vals)
+    upper = vals > content
+    blocks = []
+    for c in np.unique(content):
+        block = content == c
+        sides = [block & upper, block & ~upper]
+        copy = min(sides, key=lambda side: np.count_nonzero(side) or D + 1)
+        blocks.append((vecs[:, copy], int(np.count_nonzero(block) // np.count_nonzero(copy))))
+    return blocks
+
+
+def _real_if_exact(A: np.ndarray) -> np.ndarray:
+    """A as a real array when its imaginary part is exactly zero."""
+    return A if np.any(A.imag) else np.ascontiguousarray(A.real)
+
+
+def _sandwich(A: np.ndarray, Ah: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A X A^dag for a C-contiguous stack X of Hermitian matrices, given
+    Ah = A^dag.  A real A (see :func:`_real_if_exact`) takes two real GEMMs
+    on the float view of X, in which a product from the left acts on rows
+    only: A X A^T = A (A X)^dag."""
+    if A.dtype.kind == "c":
+        return np.matmul(np.matmul(A, X), Ah)
+    Y = np.matmul(A, X.view(np.float64)).view(complex)
+    Yh = np.empty((Y.shape[0], Y.shape[2], Y.shape[1]), dtype=complex)
+    np.conjugate(Y.transpose(0, 2, 1), out=Yh)
+    return np.matmul(A, Yh.view(np.float64)).view(complex)
 
 
 @dataclass(frozen=True)
@@ -155,16 +218,25 @@ class ManyBodyConfig:
     @cached_property
     def _mixing_basis(self):
         """Constants of the mixing engine, built on first use: (C, C^dag,
-        digits, slot_average).  C = V_R^dag V_H maps H's eigenbasis into R's
-        product eigenbasis, in which state x has single-particle R-index
-        digits[x, k] in slot k; slot_average[x, a] = #{k: digits[x, k] = a} / M
-        maps R-populations to the slot-averaged single-particle ones."""
-        C = kron_power(self.meter.eigenvectors, self.M).conj().T @ self._heig[1]
+        digits, slot_average, blocks).  C = V_R^dag V_H maps H's eigenbasis
+        into R's product eigenbasis, in which state x has single-particle
+        R-index digits[x, k] in slot k; slot_average[x, a] =
+        #{k: digits[x, k] = a} / M maps R-populations to the slot-averaged
+        single-particle ones.  blocks lists (P^dag, P, m) for the S_M blocks
+        of :func:`_isotypic_blocks`, P = V_H^dag B their copies in H's
+        eigenbasis.  Exactly real C and P are stored real (for
+        :func:`_sandwich`)."""
+        V = _real_if_exact(self._heig[1])
+        C = _real_if_exact(kron_power(self.meter.eigenvectors, self.M).conj().T @ V)
         digits = np.array(list(itertools.product(range(self.d), repeat=self.M)))
         slot_average = np.stack(
             [np.count_nonzero(digits == a, axis=1) for a in range(self.d)], axis=1
         ) / self.M
-        return C, np.ascontiguousarray(C.conj().T), digits, slot_average
+        blocks = []
+        for B, m in _isotypic_blocks(self.d, self.M):
+            P = V.conj().T @ B
+            blocks.append((np.ascontiguousarray(P.conj().T), P, m))
+        return C, np.ascontiguousarray(C.conj().T), digits, slot_average, blocks
 
 
 @dataclass
@@ -240,22 +312,35 @@ def mixing_brute_force_oracle(cfg: ManyBodyConfig, rho, lams) -> DensityMatrix:
     return DensityMatrix((out + out.conj().T) / 2.0)
 
 
+def _block_spectra(blocks, rho: np.ndarray) -> np.ndarray:
+    """Ascending spectra of a stack of permutation-invariant densities in H's
+    eigenbasis, from their S_M blocks: each block's eigenvalues repeated by
+    its multiplicity (blocks as in ``ManyBodyConfig._mixing_basis``)."""
+    eigs = [np.repeat(np.linalg.eigvalsh(_sandwich(Ph, P, rho)), m, axis=-1)
+            for Ph, P, m in blocks]
+    return np.sort(np.concatenate(eigs, axis=-1), axis=-1)
+
+
 class _DensityRows:
     """Mixing-engine rows: densities in the eigenbasis of the total H.
 
     A free gap multiplies a density by the outer product of the phases.  In
     R's product eigenbasis the mixing reduction (1/M) sum_k G_k rho G_k^dag
     is the Hadamard product with K = (1/M) sum_k a_k a_k^dag, where
-    a_k[x] = g(lambda, x_k); an event therefore costs four D x D products.
-    Observables are Re sum(X_H^T * rho), O(D^2) each.
+    a_k[x] = g(lambda, x_k); an event therefore costs the rotation into that
+    basis and back, two D x D sandwiches (:func:`_sandwich`, two real GEMMs
+    each when C is real).  Spectra come from the S_M blocks of the state
+    (:func:`_block_spectra`), which is why :func:`_mixing_batch` rejects an
+    initial density that is not permutation-invariant.  Observables are
+    Re sum(X_H^T * rho), O(D^2) each.
     """
 
     collapse = "density trace collapsed at a mixing event"
 
     def __init__(self, cfg: ManyBodyConfig, rho: np.ndarray, n: int, observables):
         self.w, self.V = cfg._heig
-        self.C, self.CH, self.digits, self.slot_average = cfg._mixing_basis
-        self.G = cfg.meter.reduction_family
+        self.C, self.CH, self.digits, self.slot_average, self.blocks = cfg._mixing_basis
+        self.G = _real_if_exact(cfg.meter.reduction_family)
         self.M = cfg.M
         Vh = self.V.conj().T
         self.rho = np.tile(Vh @ rho @ self.V, (n, 1, 1))
@@ -268,12 +353,12 @@ class _DensityRows:
     def record(self, rows):
         """(minimum eigenvalue, entropy, observables) of each row."""
         rho = self.rho[rows]
-        eigs = np.linalg.eigvalsh(rho)
+        eigs = _block_spectra(self.blocks, rho)
         flat = rho.reshape(rho.shape[0], 1, -1)
         return eigs[:, 0], spectrum_entropy(eigs), np.add.reduce(flat * self.XT, axis=2).real
 
     def rotate_in(self, rows):
-        return np.matmul(np.matmul(self.C, self.rho[rows]), self.CH)
+        return _sandwich(self.C, self.CH, self.rho[rows])
 
     def populations(self, rot):
         diag = np.ascontiguousarray(rot.diagonal(0, 1, 2).real)
@@ -281,9 +366,10 @@ class _DensityRows:
 
     def reduce(self, rot, idx):
         a = self.G[idx][:, self.digits]
-        rot *= np.matmul(a, a.conj().transpose(0, 2, 1)) / self.M
-        back = np.matmul(np.matmul(self.CH, rot), self.C)
-        back = (back + back.conj().transpose(0, 2, 1)) / 2.0
+        rot *= np.matmul(a, a.conj().transpose(0, 2, 1))
+        back = _sandwich(self.CH, self.C, rot)
+        back += back.conj().transpose(0, 2, 1)
+        back *= 0.5 / self.M
         return back, np.ascontiguousarray(back.diagonal(0, 1, 2).real).sum(axis=1)
 
     def store(self, rows, reduced, tr):
@@ -307,6 +393,12 @@ def _mixing_batch(cfg: ManyBodyConfig, rho0: DensityMatrix, T: float, mode: str,
         raise ValidationError(f"initial density must have unit trace, got {rho0.trace()!r}")
     if rho0.dim != cfg.dim:
         raise ValidationError(f"initial density dimension {rho0.dim} != d^M = {cfg.dim}")
+    defect = permutation_defect(rho0, cfg.d, cfg.M)
+    if defect > HERMITICITY_TOL:
+        raise ValidationError(
+            "initial density is not permutation-invariant: max slot-swap defect "
+            f"{defect:.3e} exceeds {HERMITICITY_TOL:.1e}"
+        )
     samples = _sample_grid(sample_times, T)
     linear = mode == "linear"
     rho = rho0.entries.astype(complex)

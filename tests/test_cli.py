@@ -331,6 +331,34 @@ class TestUnreadFields:
         assert err == f"error: {command} runs do not read overrides {keys}; omit these keys\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, spec_fields, message", [
+        # master and many at M = 1 drop the pair potential
+        pytest.param("master", {"overrides": {"interaction": "nearest-neighbor",
+                                              "interaction_strength": 3.0}, "T": 0.1},
+                     "master runs with M = 1 have no particle pairs and do not read overrides "
+                     "['interaction', 'interaction_strength']", id="master-M1"),
+        pytest.param("many", {"preset": "lattice-particle", "T": 0.1, "n_traj": 4,
+                              "overrides": {"interaction": "none"}},
+                     "many runs with M = 1 have no particle pairs and do not read overrides "
+                     "['interaction']", id="many-M1"),
+        pytest.param("many", {"overrides": {"interaction_strength": 3.0}, "T": 0.1,
+                              "n_traj": 4},
+                     "overrides.interaction_strength is read only with interaction "
+                     "'nearest-neighbor'", id="many-strength-without-potential"),
+    ])
+    def test_unread_pair_potential_exits_2(self, tmp_path, capsys, command, spec_fields,
+                                           message):
+        spec = write_spec(tmp_path / "s.json", experiment=command, **spec_fields)
+        out = tmp_path / "o"
+        assert main([command, "--spec", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}; omit")
+        assert not out.exists()
+
+    def test_pair_potential_read_with_pairs(self, tmp_path):
+        spec = write_spec(tmp_path / "s.json", experiment="master", T=0.1, overrides={
+            "M": 2, "interaction": "nearest-neighbor", "interaction_strength": 3.0})
+        assert main(["master", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
+
     def test_pointer_override_keys_read_by_kick(self, tmp_path):
         spec = write_spec(tmp_path / "s.json", experiment="kick", overrides={
             "d": 2, "kappa": 0.5, "pointer_points": 512, "pointer_phase_slope": 0.1})

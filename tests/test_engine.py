@@ -25,6 +25,7 @@ from qtraj import (
 )
 from qtraj.cli import main
 from qtraj.jumps import _draw_outcomes, _jump_batch
+from qtraj.linalg import spectrum_entropy
 from qtraj.manybody import _mixing_batch
 from qtraj.rng import stream
 
@@ -127,12 +128,17 @@ def reference_jump(cfg, eta, T, index):
     return events, amps * math.exp(0.5 * log_w) if cfg.mode == "linear" else amps
 
 
-def reference_density(cfg, rho0, T, index, povm):
-    """One path from free_step, mixing_povm_element and mixing_reduction."""
+def reference_density(cfg, rho0, T, index, povm, times=()):
+    """One path from free_step, mixing_povm_element and mixing_reduction:
+    its events, its final density and its densities at the given times."""
     meter = cfg.meter
     rng = stream(cfg.seed, index)
-    rho, t, events = rho0.entries.copy(), 0.0, []
+    rho, t, events, sampled = rho0.entries.copy(), 0.0, [], []
+    pending = list(times)
     for t_ev in sample_poisson_times(cfg.total_intensity, T, rng):
+        # A sample at an event's time precedes the event, as in the engine.
+        while pending and pending[0] <= t_ev:
+            sampled.append(cfg.free_step(rho, pending.pop(0) - t))
         rho = cfg.free_step(rho, t_ev - t)
         t = t_ev
         law = np.einsum("ixy,yx->i", povm, rho).real * meter.support_mu0
@@ -140,7 +146,8 @@ def reference_density(cfg, rho0, T, index, povm):
         rho = mixing_reduction(cfg, rho, lam).entries
         rho = rho / np.trace(rho).real
         events.append((float(t_ev), lam))
-    return events, cfg.free_step(rho, T - t)
+    sampled += [cfg.free_step(rho, ts - t) for ts in pending]
+    return events, cfg.free_step(rho, T - t), sampled
 
 
 class TestOutcomeSampler:
@@ -174,10 +181,14 @@ class TestReferenceLoop:
         cfg, rho0, _ = mixing_setup()
         povm = np.array([mixing_povm_element(cfg, lam) for lam in cfg.meter.support_grid])
         for i in range(12):
-            traj = evolve_density(cfg, rho0, 1.0, index=i)
-            events, rho = reference_density(cfg, rho0, 1.0, i, povm)
+            traj = evolve_density(cfg, rho0, 1.0, index=i, sample_times=TIMES)
+            events, rho, sampled = reference_density(cfg, rho0, 1.0, i, povm, TIMES)
             assert traj.events == tuple(events)
             assert np.max(np.abs(traj.rho.entries - rho)) <= 1e-12
+            # The engine reads spectra from the S_M blocks, the reference in full.
+            eigs = np.linalg.eigvalsh(np.array(sampled))
+            assert np.max(np.abs(traj.min_eig_series - eigs[:, 0])) <= 1e-12
+            assert np.max(np.abs(traj.entropy_series - spectrum_entropy(eigs))) <= 1e-12
 
 
 class TestReproducibleFailure:

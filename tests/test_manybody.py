@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +26,8 @@ from qtraj import (
     run_trajectories,
     von_neumann_entropy,
 )
-from qtraj.linalg import MAX_PARTICLES
+from qtraj.linalg import MAX_PARTICLES, permute_slots_matrix
+from qtraj.manybody import _block_spectra, _mixing_batch, _sandwich
 
 rng = np.random.default_rng(303)
 
@@ -42,6 +44,38 @@ def random_density(D):
     a = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
     rho = a @ a.conj().T
     return DensityMatrix(rho / np.trace(rho).real)
+
+
+def hopping(d, amplitude):
+    """Nearest-neighbour hopping; an imaginary amplitude (sigma_y for d = 2)
+    gives H complex eigenvectors."""
+    h = np.zeros((d, d), dtype=complex)
+    for j in range(d - 1):
+        h[j, j + 1], h[j + 1, j] = amplitude, np.conj(amplitude)
+    return HermitianOperator(h)
+
+
+def invariant_density(d, M, gen):
+    """A random density symmetrized over every slot permutation."""
+    D = d ** M
+    a = gen.standard_normal((D, D)) + 1j * gen.standard_normal((D, D))
+    rho = sum(permute_slots_matrix(a @ a.conj().T, perm, d, M)
+              for perm in itertools.permutations(range(M)))
+    return rho / np.trace(rho).real
+
+
+def block_spectrum_error(d, M, amplitude, gen):
+    """Max deviation of the engine's block spectrum from eigvalsh of the full
+    matrix on a random permutation-invariant density, and whether the
+    basis change into R's eigenbasis is stored real."""
+    R = HermitianOperator(np.diag(np.arange(d) - (d - 1) / 2).astype(complex))
+    cfg = ManyBodyConfig(M=M, d=d, H_single=hopping(d, amplitude),
+                         meter=build_gaussian_meter(0.3, R), nu=1.0)
+    C, _, _, _, blocks = cfg._mixing_basis
+    rho = invariant_density(d, M, gen)
+    V = cfg._heig[1]
+    eigs = _block_spectra(blocks, (V.conj().T @ rho @ V)[None])[0]
+    return float(np.max(np.abs(eigs - np.linalg.eigvalsh(rho)))), C.dtype.kind == "f"
 
 
 def product_pure(amps, M):
@@ -154,6 +188,25 @@ class TestPermutationDefect:
         assert permutation_defect(rho, 2, 2) == pytest.approx(1.0)
 
 
+class TestBlockSpectra:
+    @pytest.mark.parametrize("d,M", [(2, 1), (2, 2), (2, 3), (3, 3), (2, 4), (4, 3)])
+    @pytest.mark.parametrize("amplitude,real", [(-1.0, True), (-1j, False)],
+                             ids=["real-H", "complex-H"])
+    def test_block_spectrum_equals_full_spectrum(self, d, M, amplitude, real):
+        err, stored_real = block_spectrum_error(d, M, amplitude, rng)
+        assert stored_real == real
+        assert err <= 1e-12
+
+    def test_real_and_complex_sandwich_agree(self):
+        A = np.linalg.qr(rng.standard_normal((27, 27)))[0][:10]
+        a = rng.standard_normal((3, 27, 27)) + 1j * rng.standard_normal((3, 27, 27))
+        X = a + a.conj().transpose(0, 2, 1)
+        real = _sandwich(A, A.T, X)
+        Ac = A.astype(complex)
+        assert np.max(np.abs(real - _sandwich(Ac, Ac.conj().T, X))) <= 1e-13
+        assert np.max(np.abs(real - A @ X @ A.T)) <= 1e-13
+
+
 class TestEvolveDensity:
     def test_no_noise_unitary_conjugation(self):
         cfg = make_config(M=2, nu=0.0)
@@ -228,6 +281,12 @@ class TestEvolveDensity:
         rho0 = product_pure(np.array([1.0, 0.0]), 2)
         traj = evolve_density(cfg, rho0, 1.0)
         assert traj.rho.trace() == pytest.approx(1.0, abs=1e-12)
+
+    def test_rejects_non_invariant_initial_state(self):
+        cfg = make_config(M=2)
+        rho = DensityMatrix(np.diag([0.0, 1.0, 0.0, 0.0]))  # |0 1><0 1|
+        with pytest.raises(ValidationError, match="not permutation-invariant"):
+            _mixing_batch(cfg, rho, 1.0, "normalized", [0])
 
     def test_rejects_wrong_trace(self):
         cfg = make_config(M=2)
