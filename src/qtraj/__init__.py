@@ -58,8 +58,6 @@ from .ensemble import (
     BridgeReport,
     EnsembleStats,
     MasterConfig,
-    diffusive_master_step,
-    jump_master_step,
     jump_to_diffusion_bridge,
     mean_field_limit_error,
     rk4_solve,
@@ -95,7 +93,6 @@ __all__ = [
     "ValidationError",
     "build_gaussian_meter",
     "coverage_half_width",
-    "diffusive_master_step",
     "embed_at_slot",
     "embed_pair",
     "evolve_coupled_sse",
@@ -107,7 +104,6 @@ __all__ = [
     "get_preset",
     "hermitian_eig",
     "joint_single_kick",
-    "jump_master_step",
     "jump_to_diffusion_bridge",
     "mean_field_evolve",
     "mean_field_limit_error",

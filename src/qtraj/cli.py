@@ -4,9 +4,10 @@ emission.
 A run specification is a JSON object whose fields are documented in
 ``RunSpec``.  Every default that resolution applies is echoed into the output
 manifest together with a content hash of the resolved specification, and all
-emitted files carry that hash and the seed in a header line.  Outputs are
-byte-identical for a fixed specification and seed, independent of the worker
-count.
+emitted files carry that hash and the seed in a header line.  A ``master``
+run also records its RK4 stability margin, dt * ||generator|| against the
+bound, under ``diagnostics`` in the manifest.  Outputs are byte-identical for
+a fixed specification and seed, independent of the worker count.
 
 Exit codes: 0 success, 2 configuration errors, 3 numerical errors,
 4 capacity errors.
@@ -27,6 +28,7 @@ import numpy as np
 
 from .diffusion import DiffusionConfig
 from .ensemble import (
+    RK4_BOUND,
     MasterConfig,
     jump_to_diffusion_bridge,
     master_generator,
@@ -540,12 +542,14 @@ def _run_master(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
         )
     obs = _observable_matrices(spec, model, model.M)
     rho0 = _product_state(model.eta_single, model.M).density()
-    _, rhos = rk4_solve(master_generator(mcfg), rho0, spec.T, spec.dt, record_times=times)
+    gen = master_generator(mcfg)
+    _, rhos = rk4_solve(gen, rho0, spec.T, spec.dt, record_times=times)
     cols: list[tuple[str, np.ndarray]] = [("t", times)]
     cols.append(("trace", np.einsum("nii->n", rhos).real))
     for name, X in obs.items():
         cols.append((name, np.einsum("ij,nji->n", X, rhos).real))
     write_table(outdir / "master.tsv", meta, cols)
+    return {"rk4_dt_norm": spec.dt * gen.norm, "rk4_bound": RK4_BOUND}
 
 
 def _run_bridge(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
@@ -578,8 +582,10 @@ def execute(spec: RunSpec) -> int:
         "master": _run_master,
         "bridge": _run_bridge,
     }[spec.experiment]
-    runner(spec, model, outdir, meta)
+    diagnostics = runner(spec, model, outdir, meta)
     manifest = {**meta, "resolved": resolved}
+    if diagnostics:
+        manifest["diagnostics"] = diagnostics
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False) + "\n"
     )

@@ -12,6 +12,11 @@ average folded in), and the diffusive equation averages to the Lindblad form
     drho/dt = -(i/hbar)[H, rho]
               + (gamma/hbar)^2 sigma^2 sum_k ( R_k rho R_k - {R_k^2, rho}/2 ).
 
+Both are evaluated in the product eigenbasis of the measured observable,
+where each is a commutator with the rotated Hamiltonian plus a Hadamard
+product with a fixed mask (see :class:`MasterConfig`); :func:`rk4_solve`
+rotates into that basis once and steps there.
+
 Ensembles run in contiguous chunks of trajectory indices.  Jump and density
 trajectories run each chunk as one batch of the event engine of
 :mod:`qtraj.jumps` (rows in H's eigenbasis, reductions elementwise in R's
@@ -29,6 +34,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -45,7 +51,7 @@ from .linalg import (
     HermitianOperator,
     _check_particles,
     as_matrix,
-    embed_at_slot,
+    hermitian_eig,
     kron_power,
     slot_sum,
 )
@@ -53,6 +59,8 @@ from .manybody import DensityTrajectory, ManyBodyConfig, _mixing_batch
 from .meter import MeterModel, build_gaussian_meter
 
 MASTER_MODES = ("jump-averaged", "diffusive")
+# Stability bound of rk4_solve on dt * ||generator||.
+RK4_BOUND = 0.1
 _DIFFUSION_CHUNK = 512
 # Rows per event-engine batch, and the byte budget of one stacked density
 # batch (2 rows at D = 64, 1 row at D = 256), which keeps peak memory flat.
@@ -70,6 +78,20 @@ class MasterConfig:
     needs the single-particle meter and the per-particle intensity nu;
     diffusive mode needs the single-particle coupling operator R, gamma and
     the pointer dispersion sigma^2.
+
+    Construction builds the generator of :func:`master_generator` in the
+    product eigenbasis U = V^{(x)M} of the measured observable (the meter's
+    R in jump mode, R in diffusive mode).  There both equations of the
+    module docstring read L(X) = -(i/hbar)(H_U X - X H_U) + Gamma o X with
+    H_U = U^dag H U and a fixed D x D Hadamard mask
+
+    * jump-averaged: Gamma[x, y] = nu sum_k C[x_k, y_k] - M nu, with the
+      overlap kernel C[a, b] = sum_i f0(l_i - kappa r_a) conj(f0(l_i - kappa r_b)) dlambda_i;
+    * diffusive: Gamma[x, y] = -(gamma/hbar)^2 sigma^2 sum_k (r_{x_k} - r_{y_k})^2 / 2,
+
+    where x_k is the slot-k digit of the product index x and r_a the
+    eigenvalues of R.  The jump generator is trace-free up to the meter's
+    completeness defect times nu; the diffusive mask has a zero diagonal.
     """
 
     mode: str
@@ -91,30 +113,24 @@ class MasterConfig:
                 raise ValidationError("jump-averaged mode requires a meter")
             if self.nu < 0:
                 raise ValidationError(f"nu >= 0 required, got {self.nu}")
-            d = self.meter.dim
-            if self.H.dim != d ** self.M:
-                raise ValidationError(
-                    f"H must act on d^M = {d ** self.M}, got {self.H.dim}"
-                )
+            V = self.meter.eigenvectors
             pk = self.meter.packet_matrix
-            dlam = self.meter.pointer.weights
-            kernel = (pk * dlam[:, None]).T @ pk.conj()
-            object.__setattr__(self, "_kernel", kernel)
-            object.__setattr__(self, "_VM", kron_power(self.meter.eigenvectors, self.M))
-            object.__setattr__(self, "_d", d)
+            kernel = (pk * self.meter.pointer.weights[:, None]).T @ pk.conj()
+            mask = self.nu * _slot_mask(kernel, self.M) - self.M * self.nu
         else:
             if self.R is None:
                 raise ValidationError("diffusive mode requires the coupling operator R")
             if self.sigma2 <= 0:
                 raise ValidationError(f"sigma2 must be positive, got {self.sigma2}")
-            d = self.R.dim
-            if self.H.dim != d ** self.M:
-                raise ValidationError(
-                    f"H must act on d^M = {d ** self.M}, got {self.H.dim}"
-                )
-            Rks = [embed_at_slot(self.R.entries, k, self.M) for k in range(1, self.M + 1)]
-            object.__setattr__(self, "_Rks", Rks)
-            object.__setattr__(self, "_Rk2s", [Rk @ Rk for Rk in Rks])
+            r, V = hermitian_eig(self.R)
+            rate = (self.gamma / self.hbar) ** 2 * self.sigma2
+            mask = (-0.5 * rate) * _slot_mask((r[:, None] - r[None, :]) ** 2, self.M)
+        d = V.shape[0]
+        if self.H.dim != d ** self.M:
+            raise ValidationError(f"H must act on d^M = {d ** self.M}, got {self.H.dim}")
+        U = kron_power(V, self.M)
+        H_U = U.conj().T @ self.H.entries @ U
+        object.__setattr__(self, "_generator", MasterGenerator(U, H_U, mask, self.hbar))
 
     @classmethod
     def from_jump(cls, cfg: JumpConfig) -> "MasterConfig":
@@ -144,55 +160,70 @@ class MasterConfig:
         )
 
 
-def jump_master_step(cfg: MasterConfig, rho: np.ndarray) -> np.ndarray:
-    """Right-hand side of the averaged jump equation.
-
-    The outcome integral contracts to the overlap kernel
-    C[x, y] = sum_i f0(l_i - kappa r_x) conj(f0(l_i - kappa r_y)) dlambda_i
-    applied entrywise in the measured-observable eigenbasis, once per slot.
-    Trace-free up to the meter's completeness defect times nu.
-    """
-    if cfg.mode != "jump-averaged":
-        raise ValidationError("jump_master_step requires a jump-averaged config")
-    rho = np.asarray(rho, dtype=complex)
-    H = cfg.H.entries
-    out = (-1j / cfg.hbar) * (H @ rho - rho @ H)
-    if cfg.nu == 0:
-        return out
-    VM = cfg._VM
-    d, M = cfg._d, cfg.M
-    rt = VM.conj().T @ rho @ VM
-    tens = rt.reshape((d,) * (2 * M))
-    acc = np.zeros_like(tens)
+def _slot_mask(g: np.ndarray, M: int) -> np.ndarray:
+    """The D x D matrix sum_k g[x_k, y_k] over the slots of an M-fold
+    product index pair (x, y), for a d x d matrix g."""
+    d = g.shape[0]
+    out = np.zeros((d,) * (2 * M), dtype=g.dtype)
     for k in range(M):
         shape = [1] * (2 * M)
-        shape[k] = d
-        shape[M + k] = d
-        acc = acc + tens * cfg._kernel.reshape(shape)
-    back = VM @ acc.reshape(rho.shape) @ VM.conj().T
-    return out + cfg.nu * back - cfg.M * cfg.nu * rho
+        shape[k] = shape[M + k] = d
+        out += g.reshape(shape)
+    return out.reshape(d ** M, d ** M)
 
 
-def diffusive_master_step(cfg: MasterConfig, rho: np.ndarray) -> np.ndarray:
-    """Right-hand side of the averaged diffusive equation (Lindblad form,
-    one channel sqrt((gamma/hbar)^2 sigma^2) R(k) per slot).  Trace-free to
-    rounding."""
-    if cfg.mode != "diffusive":
-        raise ValidationError("diffusive_master_step requires a diffusive config")
-    rho = np.asarray(rho, dtype=complex)
-    H = cfg.H.entries
-    out = (-1j / cfg.hbar) * (H @ rho - rho @ H)
-    rate = (cfg.gamma / cfg.hbar) ** 2 * cfg.sigma2
-    for Rk, Rk2 in zip(cfg._Rks, cfg._Rk2s):
-        out = out + rate * (Rk @ rho @ Rk - 0.5 * (Rk2 @ rho + rho @ Rk2))
-    return out
+@dataclass(frozen=True, eq=False)
+class MasterGenerator:
+    """Averaged generator held in the working basis U:
+    L(X) = -(i/hbar)(H X - X H) + mask o X for X = U^dag rho U.
+
+    Calling it applies the generator in the original basis,
+    rho -> U L(U^dag rho U) U^dag, so it serves :func:`superop_matrix` like
+    any linear map; :func:`rk4_solve` steps :meth:`rhs` in U's basis.
+    """
+
+    U: np.ndarray
+    H: np.ndarray
+    mask: np.ndarray
+    hbar: float
+
+    def rhs(self, X: np.ndarray) -> np.ndarray:
+        """The generator in U's basis."""
+        return (-1j / self.hbar) * (self.H @ X - X @ self.H) + self.mask * X
+
+    def to_basis(self, rho: np.ndarray) -> np.ndarray:
+        return self.U.conj().T @ rho @ self.U
+
+    def from_basis(self, X: np.ndarray) -> np.ndarray:
+        return self.U @ X @ self.U.conj().T
+
+    def __call__(self, rho) -> np.ndarray:
+        return self.from_basis(self.rhs(self.to_basis(np.asarray(rho, dtype=complex))))
+
+    @property
+    def dim(self) -> int:
+        return self.U.shape[0]
+
+    @cached_property
+    def norm(self) -> float:
+        """||L|| for the RK4 stability bound: the exact spectral norm of the
+        superoperator matrix up to D = 32, above that four times the largest
+        gain over 8 seeded random unit-Frobenius inputs."""
+        dim = self.dim
+        if dim <= 32:
+            return float(np.linalg.norm(superop_matrix(self, dim), 2))
+        rng = np.random.default_rng(0)
+        est = 0.0
+        for _ in range(8):
+            x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            x /= np.linalg.norm(x)
+            est = max(est, float(np.linalg.norm(self(x))))
+        return 4.0 * est
 
 
-def master_generator(cfg: MasterConfig):
-    """Generator closure for :func:`rk4_solve`."""
-    if cfg.mode == "jump-averaged":
-        return lambda rho: jump_master_step(cfg, rho)
-    return lambda rho: diffusive_master_step(cfg, rho)
+def master_generator(cfg: MasterConfig) -> MasterGenerator:
+    """The averaged generator of cfg, the one input :func:`rk4_solve` takes."""
+    return cfg._generator
 
 
 def superop_matrix(step, dim: int) -> np.ndarray:
@@ -207,40 +238,41 @@ def superop_matrix(step, dim: int) -> np.ndarray:
     return cols
 
 
-def _generator_norm(step, dim: int) -> float:
-    if dim <= 32:
-        return float(np.linalg.norm(superop_matrix(step, dim), 2))
-    rng = np.random.default_rng(0)
-    est = 0.0
-    for _ in range(8):
-        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        x /= np.linalg.norm(x)
-        est = max(est, float(np.linalg.norm(step(x))))
-    return 4.0 * est
+def rk4_solve(gen: MasterGenerator, rho0, T: float, dt: float, record_times=None):
+    """Classic fourth-order integration of drho/dt = gen(rho).
 
-
-def rk4_solve(step, rho0, T: float, dt: float, record_times=None):
-    """Classic fourth-order integration of drho/dt = step(rho).
-
-    Hermiticity is restored by symmetrization after every step.  The step
-    size must satisfy the stability bound dt * ||generator|| <= 0.1.
-    Returns (times, densities) at the requested record times (default: T).
+    The state moves into the generator's basis U once; each stage there is
+    a commutator (two D x D products) plus one Hadamard product, and
+    Hermiticity is restored by symmetrization after every step.  States
+    rotate back only at record times, and a record at t = 0 returns rho0 as
+    given.  The step size must satisfy the stability bound
+    dt * gen.norm <= RK4_BOUND.  Returns (times, densities) at the requested
+    record times (default: T).
     """
+    if not isinstance(gen, MasterGenerator):
+        raise ValidationError(
+            f"rk4_solve needs a generator from master_generator, got {type(gen).__name__}"
+        )
     arr = as_matrix(rho0)
+    if arr.shape[0] != gen.dim:
+        raise ValidationError(
+            f"rho0 must act on the generator's dimension {gen.dim}, got {arr.shape[0]}"
+        )
     if not T > 0 or dt <= 0:
         raise ValidationError(f"need T > 0 and dt > 0, got T={T}, dt={dt}")
-    gen_norm = _generator_norm(step, arr.shape[0])
-    if dt * gen_norm > 0.1 + 1e-12:
+    gen_norm = gen.norm
+    if dt * gen_norm > RK4_BOUND + 1e-12:
         raise ValidationError(
             f"dt * ||generator|| = {dt * gen_norm:.3e} violates the stability "
-            f"bound 0.1; reduce dt below {0.1 / max(gen_norm, 1e-300):.3e}"
+            f"bound {RK4_BOUND}; reduce dt below {RK4_BOUND / max(gen_norm, 1e-300):.3e}"
         )
     times = np.asarray(record_times if record_times is not None else [T], dtype=float)
     n_steps, _, rec_map = _step_grid(T, dt, times)
-    rho = arr.astype(complex).copy()
-    out = np.empty((times.size, *rho.shape), dtype=complex)
+    out = np.empty((times.size, *arr.shape), dtype=complex)
     for j in rec_map.get(0, []):
-        out[j] = rho
+        out[j] = arr
+    step = gen.rhs
+    rho = gen.to_basis(arr)
     for s in range(n_steps):
         k1 = step(rho)
         k2 = step(rho + 0.5 * dt * k1)
@@ -249,7 +281,7 @@ def rk4_solve(step, rho0, T: float, dt: float, record_times=None):
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rho = 0.5 * (rho + rho.conj().T)
         for j in rec_map.get(s + 1, []):
-            out[j] = rho
+            out[j] = gen.from_basis(rho)
     return times, out
 
 

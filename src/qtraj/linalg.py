@@ -39,7 +39,7 @@ def _frozen_array(values, name: str, ndim: int) -> np.ndarray:
         raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValidationError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr

@@ -121,6 +121,29 @@ class TestCoupledDiffuse:
         assert "n_traj must be >= 2" in capsys.readouterr().err
 
 
+class TestManifestDiagnostics:
+    @pytest.mark.parametrize("equation", ["jump-averaged", "diffusive"])
+    def test_master_records_rk4_margin(self, tmp_path, capsys, equation):
+        spec = write_spec(tmp_path / "s.json", experiment="master", equation=equation, T=0.1)
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["master", "--spec", str(spec), "--out", str(out)]) == 0
+        assert same_files(*outs)
+        diag = json.loads((outs[0] / "manifest.json").read_text())["diagnostics"]
+        assert sorted(diag) == ["rk4_bound", "rk4_dt_norm"]
+        assert diag["rk4_bound"] == 0.1
+        assert 0 < diag["rk4_dt_norm"] <= 0.1
+        # 100 times the step crosses the bound, and the gate reports the same norm.
+        big = write_spec(tmp_path / "big.json", experiment="master", equation=equation,
+                         T=1.0, dt=0.1)
+        assert main(["master", "--spec", str(big), "--out", str(tmp_path / "c")]) == 2
+        assert f"dt * ||generator|| = {100 * diag['rk4_dt_norm']:.3e}" in capsys.readouterr().err
+
+    def test_other_experiments_write_no_diagnostics(self, tmp_path):
+        assert main(["kick", "--out", str(tmp_path)]) == 0
+        assert "diagnostics" not in json.loads((tmp_path / "manifest.json").read_text())
+
+
 class TestParticleCap:
     @pytest.mark.parametrize("experiment", ["many", "diffuse", "master"])
     def test_too_many_particles_exits_4(self, tmp_path, capsys, experiment):

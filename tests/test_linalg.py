@@ -34,6 +34,17 @@ class TestTypes:
         with pytest.raises(ValidationError):
             StateVector(np.array([np.nan, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.nan),
+                                     complex(1, np.inf)], ids=str)
+    @pytest.mark.parametrize("build", [
+        lambda x: StateVector(np.array([x, 1.0])),
+        lambda x: HermitianOperator(np.array([[x, 0.0], [0.0, 1.0]])),
+        lambda x: DensityMatrix(np.array([[x, 0.0], [0.0, 1.0]])),
+    ], ids=["state", "hermitian", "density"])
+    def test_non_finite_entries_rejected(self, build, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            build(bad)
+
     def test_hermitian_rejects_asymmetric(self):
         with pytest.raises(ValidationError, match="asymmetry|Hermitian"):
             HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -1,0 +1,132 @@
+"""The master-equation oracle: the generator against references assembled
+here in the original basis, and RK4 against the exact exponential."""
+
+import numpy as np
+import pytest
+from scipy.linalg import expm
+
+from qtraj import (
+    HermitianOperator,
+    MasterConfig,
+    ValidationError,
+    build_gaussian_meter,
+    embed_at_slot,
+    rk4_solve,
+    superop_matrix,
+)
+from qtraj.ensemble import master_generator
+
+MODES = ("jump-averaged", "diffusive")
+
+
+def rotated_observable(d: int, angle: float) -> HermitianOperator:
+    """diag(-1, ..., 1) conjugated by exp(i angle K) for a fixed complex
+    Hermitian K, so that R has complex off-diagonal entries."""
+    K = np.zeros((d, d), dtype=complex)
+    for a in range(d - 1):
+        K[a, a + 1] = 1.0 + 0.5j * (a + 1)
+    K = K + K.conj().T
+    K[0, 0] = 0.3
+    Q = expm(1j * angle * K)
+    R = Q @ np.diag(np.linspace(-1.0, 1.0, d)) @ Q.conj().T
+    return HermitianOperator(0.5 * (R + R.conj().T))
+
+
+def random_hermitian(D: int, rng) -> np.ndarray:
+    A = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    return 0.5 * (A + A.conj().T)
+
+
+def master_case(mode: str, d: int, M: int, angle: float, slope: float, seed: int = 0):
+    """A config on (C^d)^{x M} with rotated R, a packet of phase slope
+    `slope` (jump mode) and a random H; hbar = 0.8 exercises the 1/hbar."""
+    rng = np.random.default_rng(seed)
+    R = rotated_observable(d, angle)
+    H = HermitianOperator(random_hermitian(d ** M, rng))
+    if mode == "jump-averaged":
+        meter = build_gaussian_meter(0.7, R, n_points=256, phase_slope=slope)
+        return MasterConfig(mode=mode, H=H, hbar=0.8, M=M, meter=meter, nu=2.5)
+    return MasterConfig(mode=mode, H=H, hbar=0.8, M=M, R=R, gamma=1.3, sigma2=0.6)
+
+
+def reference_generator(cfg: MasterConfig, X: np.ndarray) -> np.ndarray:
+    """The module-docstring equations term by term in the original basis:
+    the Kraus sum nu sum_k sum_i w_i F_i(k) X F_i(k)^dag - M nu X with
+    F_i = f0(lambda_i - kappa R) on the full grid, or the Lindblad form
+    with R(k), plus -(i/hbar)[H, X]."""
+    H = cfg.H.entries
+    out = (-1j / cfg.hbar) * (H @ X - X @ H)
+    if cfg.mode == "jump-averaged":
+        meter = cfg.meter
+        r, V = np.linalg.eigh(meter.R.entries)
+        pointer = meter.pointer
+        for lam, w in zip(pointer.grid, pointer.weights):
+            F = V @ np.diag(pointer.evaluate(lam - meter.kappa * r)) @ V.conj().T
+            for k in range(1, cfg.M + 1):
+                Fk = embed_at_slot(F, k, cfg.M)
+                out = out + cfg.nu * w * (Fk @ X @ Fk.conj().T)
+        return out - cfg.M * cfg.nu * X
+    rate = (cfg.gamma / cfg.hbar) ** 2 * cfg.sigma2
+    for k in range(1, cfg.M + 1):
+        Rk = embed_at_slot(cfg.R, k, cfg.M)
+        Rk2 = Rk @ Rk
+        out = out + rate * (Rk @ X @ Rk - 0.5 * (Rk2 @ X + X @ Rk2))
+    return out
+
+
+def generator_error(mode, d, M, angle, slope, seed=0) -> float:
+    """Relative distance between the generator and the reference on a
+    random non-Hermitian matrix."""
+    cfg = master_case(mode, d, M, angle, slope, seed)
+    rng = np.random.default_rng(seed + 1)
+    D = d ** M
+    X = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    ref = reference_generator(cfg, X)
+    return float(np.linalg.norm(master_generator(cfg)(X) - ref) / np.linalg.norm(ref))
+
+
+class TestGeneratorReference:
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_original_basis_reference(self, mode, M):
+        assert generator_error(mode, 3, M, angle=0.9, slope=0.7) <= 1e-12
+
+    def test_cases_rotate_out_of_the_original_basis(self):
+        cfg = master_case("jump-averaged", 3, 2, angle=0.9, slope=0.7)
+        R = cfg.meter.R.entries
+        assert np.max(np.abs(R - np.diag(np.diag(R)))) > 0.1
+        assert np.max(np.abs(master_generator(cfg).U - np.eye(9))) > 0.1
+
+
+class TestRk4:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_exponential_at_record_times(self, mode):
+        cfg = master_case(mode, 3, 2, angle=0.9, slope=0.7)
+        gen = master_generator(cfg)
+        psi = np.random.default_rng(3).standard_normal(9) + 0.5j
+        rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        times = [0.0, 0.1, 0.2]
+        got_t, got = rk4_solve(gen, rho0, 0.2, 1e-3, record_times=times)
+        assert np.array_equal(got_t, times)
+        assert np.array_equal(got[0], rho0)
+        S = superop_matrix(gen, 9)
+        for j, t in enumerate(times[1:], start=1):
+            exact = (expm(t * S) @ rho0.reshape(-1)).reshape(9, 9)
+            assert np.max(np.abs(got[j] - exact)) <= 1e-10
+
+    def test_rejects_a_plain_callable(self):
+        cfg = master_case("diffusive", 2, 1, angle=0.4, slope=0.0)
+        gen = master_generator(cfg)
+        with pytest.raises(ValidationError, match="master_generator"):
+            rk4_solve(lambda rho: gen(rho), np.eye(2) / 2, 0.1, 1e-3)
+
+    def test_rejects_a_state_of_the_wrong_dimension(self):
+        gen = master_generator(master_case("diffusive", 2, 2, angle=0.4, slope=0.0))
+        with pytest.raises(ValidationError, match="dimension 4"):
+            rk4_solve(gen, np.eye(2) / 2, 0.1, 1e-3)
+
+    def test_stability_bound_uses_the_generator_norm(self):
+        gen = master_generator(master_case("jump-averaged", 2, 1, angle=0.4, slope=0.7))
+        dt = 0.11 / gen.norm
+        with pytest.raises(ValidationError, match="stability bound 0.1"):
+            rk4_solve(gen, np.eye(2) / 2, 10 * dt, dt)

@@ -26,3 +26,63 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+# The master-equation oracle and the engines it checks; the oracle may share
+# the step-grid helper, nothing else private to an engine.
+ORACLE = ("MasterConfig", "MasterGenerator", "_slot_mask", "master_generator", "rk4_solve")
+ENGINES = ("jumps", "manybody", "diffusion")
+SHARED_PRIVATE = {"_step_grid"}
+
+
+def private_definitions(path: Path) -> set[str]:
+    """Private names a module defines: functions, classes, methods,
+    assigned names and attributes, and attributes set through
+    object.__setattr__(self, "_name", ...)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "__setattr__" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            names.add(node.args[1].value)
+    return {n for n in names if isinstance(n, str) and n.startswith("_") and n != "_"
+            and not n.startswith("__")}
+
+
+def engine_names_in_oracle(path: Path) -> list[str]:
+    """Engine-private names the oracle definitions of a module read, as
+    names, attributes or imports."""
+    engine_private = set().union(*(private_definitions(PACKAGE / f"{m}.py") for m in ENGINES))
+    tree = ast.parse(path.read_text())
+    imported_private = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and (node.module or "") in ENGINES:
+            imported_private.update(a.asname or a.name for a in node.names
+                                    if a.name.startswith("_"))
+    forbidden = (engine_private | imported_private | set(ENGINES)) - SHARED_PRIVATE
+    found = set()
+    for top in tree.body:
+        if not (isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name in ORACLE):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in forbidden:
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute) and node.attr in forbidden:
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "") in ENGINES:
+                found.update(a.name for a in node.names if a.name.startswith("_"))
+    return sorted(found)
+
+
+def test_master_oracle_uses_no_engine_internals():
+    path = PACKAGE / "ensemble.py"
+    defined = {n.name for n in ast.parse(path.read_text()).body
+               if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert set(ORACLE) <= defined
+    assert engine_names_in_oracle(path) == []
