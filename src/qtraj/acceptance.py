@@ -174,11 +174,11 @@ def criterion_6() -> tuple[bool, str]:
     rho0 = _product_density(eta, 2)
     times = np.linspace(0.1, 1.0, 10)
     n_traj = 5000
-    trajs = run_trajectories(cfg, rho0, 1.0, n_traj, sample_times=times, mode="linear")
-    traces = np.array([math.exp(t.log_weight) for t in trajs])
-    counts = np.array([t.count for t in trajs], dtype=float)
-    min_eig = min(float(np.min(t.min_eig_series)) for t in trajs)
-    max_defect = max(permutation_defect(t.rho.entries, 2, 2) for t in trajs)
+    cols = run_trajectories(cfg, rho0, 1.0, n_traj, sample_times=times, mode="linear")
+    traces = np.exp(cols.log_weight)
+    counts = cols.counts.astype(float)
+    min_eig = float(np.min(cols.min_eig))
+    max_defect = max(permutation_defect(rho, 2, 2) for rho in cols.states)
     t_mean = float(np.mean(traces))
     t_se = float(np.std(traces, ddof=1) / math.sqrt(n_traj))
     c_mean = float(np.mean(counts))

@@ -43,14 +43,7 @@ from .linalg import HermitianOperator, StateVector, _check_particles, kron_power
 from .manybody import ManyBodyConfig, nearest_neighbor_coupling
 from .meter import DEFAULT_GRID_SIZE, MeterModel
 from .presets import get_preset, preset_meter
-from .records import (
-    density_trajectory_record,
-    json_dumps_stable,
-    jump_trajectory_record,
-    spec_hash,
-    write_jsonl,
-    write_table,
-)
+from .records import json_dumps_stable, spec_hash, write_table, write_trajectories
 
 EXPERIMENTS = ("kick", "jump", "many", "diffuse", "master", "bridge")
 EQUATIONS = {
@@ -465,41 +458,31 @@ def _run_kick(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
     write_table(outdir / "kick_posteriors.tsv", meta, cols)
 
 
-def _run_jump(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
-    cfg = JumpConfig(
-        H=model.H, meter=model.meter, nu=model.nu, hbar=model.hbar,
-        seed=spec.seed, mode=spec.mode,
-    )
-    obs = _observable_matrices(spec, model, 1)
-    trajs = run_trajectories(cfg, model.eta_single, spec.T, spec.n_traj, observables=obs,
-                             sample_times=_sample_times(spec), n_workers=spec.threads)
-    write_jsonl(
-        outdir / "trajectories.jsonl",
-        meta,
-        [jump_trajectory_record(t, i, spec.seed) for i, t in enumerate(trajs)],
-    )
-    write_table(outdir / "timeseries.tsv", meta, _stats_columns(trajectory_stats(trajs, spec.mode)))
-
-
-def _run_many(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
-    cfg = ManyBodyConfig(
+def _manybody_config(spec: RunSpec, model: _Model) -> ManyBodyConfig:
+    return ManyBodyConfig(
         M=model.M, d=model.d, H_single=model.H, meter=model.meter, nu=model.nu,
         W=model.W, hbar=model.hbar, seed=spec.seed,
     )
-    obs = _observable_matrices(spec, model, model.M)
-    rho0 = _product_state(model.eta_single, model.M).density()
-    trajs = run_trajectories(cfg, rho0, spec.T, spec.n_traj, observables=obs,
-                             sample_times=_sample_times(spec), n_workers=spec.threads,
-                             mode=spec.mode)
-    write_jsonl(
-        outdir / "trajectories.jsonl",
-        meta,
-        [density_trajectory_record(t, i, spec.seed) for i, t in enumerate(trajs)],
-    )
-    cols = _stats_columns(trajectory_stats(trajs, spec.mode))
-    min_eig = np.min(np.stack([t.min_eig_series for t in trajs]), axis=0)
-    cols.append(("min_eig_min", min_eig))
-    write_table(outdir / "timeseries.tsv", meta, cols)
+
+
+def _run_events(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
+    """jump and many: event trajectories, their records and their statistics."""
+    if spec.experiment == "jump":
+        cfg = JumpConfig(H=model.H, meter=model.meter, nu=model.nu, hbar=model.hbar,
+                         seed=spec.seed, mode=spec.mode)
+        M, initial = 1, model.eta_single
+    else:
+        cfg = _manybody_config(spec, model)
+        M, initial = model.M, _product_state(model.eta_single, model.M).density()
+    obs = _observable_matrices(spec, model, M)
+    cols = run_trajectories(cfg, initial, spec.T, spec.n_traj, observables=obs,
+                            sample_times=_sample_times(spec), n_workers=spec.threads,
+                            mode=spec.mode)
+    write_trajectories(outdir / "trajectories.jsonl", meta, cols, spec.seed)
+    table = _stats_columns(trajectory_stats(cols, spec.mode))
+    if cols.min_eig is not None:
+        table.append(("min_eig_min", np.min(cols.min_eig, axis=0)))
+    write_table(outdir / "timeseries.tsv", meta, table)
 
 
 def _diffusion_config(spec: RunSpec, model: _Model, M: int) -> DiffusionConfig:
@@ -530,11 +513,7 @@ def _run_master(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
     if spec.equation == "diffusive":
         mcfg = MasterConfig.from_diffusion(_diffusion_config(spec, model, model.M))
     elif model.M > 1:
-        mb = ManyBodyConfig(
-            M=model.M, d=model.d, H_single=model.H, meter=model.meter,
-            nu=model.nu, W=model.W, hbar=model.hbar, seed=spec.seed,
-        )
-        mcfg = MasterConfig.from_manybody(mb)
+        mcfg = MasterConfig.from_manybody(_manybody_config(spec, model))
     else:
         mcfg = MasterConfig(
             mode="jump-averaged", H=model.H, hbar=model.hbar,
@@ -576,8 +555,8 @@ def execute(spec: RunSpec) -> int:
     meta = {"spec_hash": spec_hash(resolved), "seed": spec.seed}
     runner = {
         "kick": _run_kick,
-        "jump": _run_jump,
-        "many": _run_many,
+        "jump": _run_events,
+        "many": _run_events,
         "diffuse": _run_diffuse,
         "master": _run_master,
         "bridge": _run_bridge,

@@ -20,13 +20,14 @@ rotates into that basis once and steps there.
 Ensembles run in contiguous chunks of trajectory indices.  Jump and density
 trajectories run each chunk as one batch of the event engine of
 :mod:`qtraj.jumps` (rows in H's eigenbasis, reductions elementwise in R's
-eigenbasis); diffusion paths run each chunk through their equation's batched
-kernel.  A trajectory's numbers do not depend on the chunk it ran in, and
-aggregation uses exact compensated summation in trajectory-index order, so
-serial and parallel runs produce identical statistics.  The
-jump-to-diffusion bridge compares generators directly (as superoperator
-matrices), which keeps Monte-Carlo noise out of the convergence-rate
-measurement.
+eigenbasis) and are aggregated from the chunks' event columns, with no
+object per trajectory; diffusion paths run each chunk through their
+equation's batched kernel.  A trajectory's numbers do not depend on the
+chunk it ran in, and aggregation uses exact compensated summation in
+trajectory-index order, so serial and parallel runs produce identical
+statistics.  The jump-to-diffusion bridge compares generators directly (as
+superoperator matrices), which keeps Monte-Carlo noise out of the
+convergence-rate measurement.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .diffusion import (
     _step_grid,
 )
 from .errors import ValidationError
-from .jumps import JumpConfig, _jump_batch
+from .jumps import EventColumns, JumpConfig, _jump_batch
 from .linalg import (
     HermitianOperator,
     _check_particles,
@@ -55,7 +56,7 @@ from .linalg import (
     kron_power,
     slot_sum,
 )
-from .manybody import DensityTrajectory, ManyBodyConfig, _mixing_batch
+from .manybody import ManyBodyConfig, _mixing_batch
 from .meter import MeterModel, build_gaussian_meter
 
 MASTER_MODES = ("jump-averaged", "diffusive")
@@ -206,19 +207,11 @@ class MasterGenerator:
 
     @cached_property
     def norm(self) -> float:
-        """||L|| for the RK4 stability bound: the exact spectral norm of the
-        superoperator matrix up to D = 32, above that four times the largest
-        gain over 8 seeded random unit-Frobenius inputs."""
-        dim = self.dim
-        if dim <= 32:
-            return float(np.linalg.norm(superop_matrix(self, dim), 2))
-        rng = np.random.default_rng(0)
-        est = 0.0
-        for _ in range(8):
-            x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            x /= np.linalg.norm(x)
-            est = max(est, float(np.linalg.norm(self(x))))
-        return 4.0 * est
+        """Upper bound (max w - min w) / hbar + max |mask| on ||L|| for the RK4
+        stability bound, w the eigenvalues of H: the commutator part is normal
+        with eigenvalues (w_i - w_j) / hbar, the Hadamard part has norm max |mask|."""
+        w = np.linalg.eigvalsh(self.H)
+        return float((w[-1] - w[0]) / self.hbar + np.max(np.abs(self.mask)))
 
 
 def master_generator(cfg: MasterConfig) -> MasterGenerator:
@@ -321,7 +314,7 @@ class EnsembleStats:
 
 
 def _aggregate(
-    sample_times, mode, names, weights, obs_norm, entropy=None, counts=None, n_traj=None
+    sample_times, mode, names, weights, obs_norm, entropy=None, counts=None
 ) -> EnsembleStats:
     n = weights.shape[0]
     ns = weights.shape[1]
@@ -346,7 +339,7 @@ def _aggregate(
         c_mean, c_se = _fsum_mean_se(np.asarray(counts, dtype=float))
     return EnsembleStats(
         sample_times=np.asarray(sample_times, dtype=float),
-        n_traj=n if n_traj is None else n_traj,
+        n_traj=n,
         mode=mode,
         names=tuple(names),
         obs_mean=obs_mean,
@@ -374,51 +367,54 @@ def run_trajectories(
     sample_times=None,
     n_workers: int = 1,
     mode: str = "normalized",
-) -> list:
-    """Trajectories 0..n_traj-1 of a JumpConfig (Trajectory objects) or a
-    ManyBodyConfig (DensityTrajectory objects in the given mode).
+) -> EventColumns:
+    """Event columns of trajectories 0..n_traj-1 of a JumpConfig or of a
+    ManyBodyConfig (density trajectories in the given mode), row i being
+    trajectory i.
 
     Indices are split into at least n_workers contiguous chunks of at most
     _EVENT_CHUNK rows (densities: at most _DENSITY_BATCH_BYTES per stacked
-    batch); each chunk runs as one batch of the event engine.  Trajectory i
-    uses the random stream (cfg.seed, i) and is bit-identical in any chunk.
+    batch); each chunk runs as one batch of the event engine, and the
+    chunks' columns are concatenated in index order, with no object per
+    trajectory.  Trajectory i uses the random stream (cfg.seed, i) and is
+    bit-identical in any chunk.
     """
     obs = _as_observable_dict(observables)
     if isinstance(cfg, JumpConfig):
-        size = _EVENT_CHUNK
+        size, shape = _EVENT_CHUNK, (cfg.meter.dim,)
 
         def batch(idx):
             return _jump_batch(cfg, initial, T, idx, sample_times, obs)
     elif isinstance(cfg, ManyBodyConfig):
         size = min(_EVENT_CHUNK, max(1, _DENSITY_BATCH_BYTES // (16 * cfg.dim ** 2)))
+        shape = (cfg.dim, cfg.dim)
 
         def batch(idx):
             return _mixing_batch(cfg, initial, T, mode, idx, sample_times, obs)
     else:
         raise ValidationError(f"unsupported config type {type(cfg).__name__}")
+    states = np.empty((n_traj, *shape), dtype=complex)
+
+    def run(idx):
+        # Final states go to the run's array at once, so memory holds them once.
+        part = batch(idx)
+        states[idx.start:idx.stop], part.states = part.states, None
+        return part
+
     n_chunks = min(n_traj, max(n_workers, -(-n_traj // size)))
     chunks = [range(j * n_traj // n_chunks, (j + 1) * n_traj // n_chunks)
               for j in range(n_chunks)]
-    return [t for part in _map_chunks(batch, chunks, n_workers) for t in part]
+    return EventColumns.concat(_map_chunks(run, chunks, n_workers), states)
 
 
-def trajectory_stats(trajs, mode: str) -> EnsembleStats:
-    """Per-time statistics of jump or density trajectories that share their
-    sample times and observables; weights are the reported squared norms
-    (traces), and density trajectories add entropy statistics."""
-    first = trajs[0]
-    if first.sample_times is None:
+def trajectory_stats(cols: EventColumns, mode: str) -> EnsembleStats:
+    """Per-time statistics of the event columns of jump or density
+    trajectories; weights are the reported squared norms (traces), and
+    density trajectories add entropy statistics."""
+    if cols.sample_times is None:
         raise ValidationError("trajectory statistics need sampled trajectories")
-    names = list(first.observable_series)
-    density = isinstance(first, DensityTrajectory)
-    weights = np.stack([t.trace_series if density else t.norm2_series for t in trajs])
-    obs_norm = np.empty((len(trajs), first.sample_times.size, len(names)))
-    for i, t in enumerate(trajs):
-        for o, name in enumerate(names):
-            obs_norm[i, :, o] = t.observable_series[name]
-    entropy = np.stack([t.entropy_series for t in trajs]) if density else None
-    return _aggregate(first.sample_times, mode, names, weights, obs_norm,
-                      entropy=entropy, counts=[t.count for t in trajs])
+    return _aggregate(cols.sample_times, mode, cols.names, cols.weights,
+                      cols.values.transpose(1, 2, 0), entropy=cols.entropy, counts=cols.counts)
 
 
 def run_ensemble(

@@ -39,11 +39,14 @@ A row's arithmetic is elementwise or one stacked matmul per row, so a
 trajectory is bit-identical whether it runs alone (:func:`evolve_jump`, a
 batch of one) or in a batch (:func:`_jump_batch`).  The rows are a kernel
 object: :class:`_PureRows` here, ``manybody._DensityRows`` for densities.
+
+A batch returns columns (:class:`EventColumns`); a :class:`Trajectory`
+object is built only by :func:`evolve_jump`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -121,6 +124,52 @@ class Trajectory:
     @property
     def count(self) -> int:
         return len(self.events)
+
+
+@dataclass
+class EventColumns:
+    """Results of event-engine rows as columns; row r is trajectory indices[r].
+
+    Row r's events are entries offsets[r]:offsets[r + 1] of times and of
+    outcomes (support indices into the pointer readings grid).  final is the
+    final squared norm or trace; the series are weights[r], values[o, r] for
+    names[o] and, for densities, entropy and min_eig.
+    """
+
+    indices: np.ndarray
+    counts: np.ndarray
+    times: np.ndarray
+    outcomes: np.ndarray
+    grid: np.ndarray
+    log_weight: np.ndarray
+    weights: np.ndarray
+    sample_times: np.ndarray | None
+    names: tuple[str, ...]
+    values: np.ndarray
+    final: np.ndarray | None = None
+    states: np.ndarray | None = None
+    entropy: np.ndarray | None = None
+    min_eig: np.ndarray | None = None
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        return np.concatenate([[0], np.cumsum(self.counts)])
+
+    def events(self, r: int) -> tuple[tuple[float, float], ...]:
+        """Row r's (time, pointer reading) pairs."""
+        lo, hi = self.offsets[r:r + 2]
+        return tuple(zip(self.times[lo:hi].tolist(), self.grid[self.outcomes[lo:hi]].tolist()))
+
+    @classmethod
+    def concat(cls, parts, states: np.ndarray) -> "EventColumns":
+        """The rows of parts in order, holding the given final states."""
+        def join(name):
+            first = getattr(parts[0], name)
+            if name in ("grid", "sample_times", "names") or first is None:
+                return first
+            return np.concatenate([getattr(p, name) for p in parts], axis=int(name == "values"))
+        return cls(**{f.name: join(f.name) for f in fields(cls) if f.name != "states"},
+                   states=states)
 
 
 def sample_poisson_times(nu: float, T: float, rng: np.random.Generator) -> np.ndarray:
@@ -260,7 +309,7 @@ def _schedule(seed: int, rate: float, T: float, indices, samples, hbar: float) -
 
 
 def _run_rows(kern, meter: MeterModel, seed: int, rate: float, T: float, indices,
-              samples: np.ndarray, linear: bool, hbar: float):
+              sample_times, names, linear: bool, hbar: float):
     """The event loop shared by the jump and mixing engines.
 
     ``kern`` holds one state row per index in H's eigenbasis (eigenvalues
@@ -268,12 +317,13 @@ def _run_rows(kern, meter: MeterModel, seed: int, rate: float, T: float, indices
     of per-row values at a sample), rotate_in and populations (R-basis rows
     and their populations), reduce (unnormalized reduced rows and their
     norm) and store.  Rows are selected by an index array or by a full slice,
-    and the kernel must treat both alike.  Returns (schedule, outcome support
-    index of every event as an (n, max events) array, log weights (linear
-    mode only, else zero), reported weight per sample (1 in normalized mode,
-    exp(log weight) in linear mode), the kernel's records in step order).
-    A NumericError names the seed, trajectory index and time to rerun.
+    and the kernel must treat both alike; the last value of a record holds
+    the observables, in the order of names.  Returns (the rows' event
+    columns, without final values, the schedule, the kernel's records in
+    step order).  A NumericError names the seed, trajectory index and time
+    to rerun.
     """
+    samples = _sample_grid(sample_times, T)
     sch = _schedule(seed, rate, T, indices, samples, hbar)
     n = len(indices)
     log_w = np.zeros(n)
@@ -318,15 +368,22 @@ def _run_rows(kern, meter: MeterModel, seed: int, rate: float, T: float, indices
             kern.store(e_rows, reduced, norm)
             if linear:
                 log_w[e_rows] += np.log(norm)
-    outcome = np.zeros((n, max((t.size for t in sch.event_times), default=0)), dtype=np.intp)
-    outcome[sch.event_rows, sch.event_slots] = outcomes
-    weights = sch.collect(weight_parts) if linear else np.ones((n, samples.size))
-    return sch, outcome, log_w, weights, records
-
-
-def _events(sch: _Schedule, outcome: np.ndarray, r: int, grid: np.ndarray):
-    t = sch.event_times[r]
-    return tuple(zip(t.tolist(), grid[outcome[r, :t.size]].tolist()))
+    cols = EventColumns(
+        indices=np.array(indices, dtype=np.intp),
+        counts=np.array([t.size for t in sch.event_times], dtype=np.intp),
+        times=np.concatenate([np.empty(0), *sch.event_times]),
+        outcomes=np.empty(u.size, dtype=np.intp),
+        grid=meter.support_grid,
+        log_weight=log_w,
+        weights=sch.collect(weight_parts) if linear else np.ones((n, samples.size)),
+        sample_times=None if sample_times is None else samples,
+        names=tuple(names),
+        values=np.ascontiguousarray(
+            sch.collect([rec[-1] for rec in records], (len(names),)).transpose(2, 0, 1)),
+    )
+    # From step order to row order.
+    cols.outcomes[cols.offsets[sch.event_rows] + sch.event_slots] = outcomes
+    return cols, sch, records
 
 
 class _PureRows:
@@ -370,46 +427,27 @@ class _PureRows:
         return np.matmul(self.V, self.y[:, :, None])[:, :, 0]
 
 
-def _series(sch: _Schedule, parts, width: int) -> np.ndarray:
-    """(width, rows, samples) array of a per-row vector record."""
-    return np.ascontiguousarray(sch.collect(parts, (width,)).transpose(2, 0, 1))
-
-
 def _jump_batch(cfg: JumpConfig, eta: StateVector, T: float, indices,
-                sample_times=None, observables=None) -> list[Trajectory]:
+                sample_times=None, observables=None) -> EventColumns:
     """Trajectories at the given indices, run as one batch of the event
-    engine; entry r equals evolve_jump(cfg, eta, T, indices[r], ...) bit for
+    engine; row r equals evolve_jump(cfg, eta, T, indices[r], ...) bit for
     bit."""
     if abs(eta.norm2() - 1.0) > STATE_NORM_TOL:
         raise ValidationError(f"initial state must be normalized, norm^2={eta.norm2()!r}")
-    samples = _sample_grid(sample_times, T)
     obs = observables or {}
     indices = list(indices)
     kern = _PureRows(cfg, eta.normalized(), len(indices), obs)
     linear = cfg.mode == "linear"
-    sch, outcome, log_w, weights, records = _run_rows(
-        kern, cfg.meter, cfg.seed, cfg.nu, T, indices, samples, linear, cfg.hbar
-    )
-    values = _series(sch, [rec[0] for rec in records], len(obs))
+    cols, _, _ = _run_rows(kern, cfg.meter, cfg.seed, cfg.nu, T, indices, sample_times, obs,
+                           linear, cfg.hbar)
     final = kern.final()
     if linear:
-        final *= np.exp(0.5 * log_w)[:, None]
-    grid = cfg.meter.support_grid
-    sampled = sample_times is not None
-    out = []
-    for r in range(len(indices)):
-        out.append(Trajectory(
-            events=_events(sch, outcome, r, grid),
-            t_final=float(T),
-            state=StateVector(final[r]),
-            log_weight=float(log_w[r]) if linear else 0.0,
-            sample_times=samples if sampled else None,
-            norm2_series=weights[r] if sampled else None,
-            observable_series=(
-                {name: values[o, r] for o, name in enumerate(obs)} if sampled else {}
-            ),
-        ))
-    return out
+        final *= np.exp(0.5 * cols.log_weight)[:, None]
+    if not np.isfinite(final).all():
+        raise ValidationError("amps contains non-finite entries")
+    cols.final = np.array([np.vdot(amps, amps).real for amps in final])
+    cols.states = final
+    return cols
 
 
 def evolve_jump(
@@ -426,9 +464,15 @@ def evolve_jump(
     unitary, at events exactly one reduction is applied.  With sample_times
     given, the reported squared norm (1 in normalized mode, exp(log_weight)
     in linear mode) and normalized expectations of the observables are
-    recorded at those times.  A batch of one of the event engine.
+    recorded at those times.  A batch of one of the event engine, and the
+    only place a Trajectory object is built.
     """
-    return _jump_batch(cfg, eta, T, [index], sample_times, observables)[0]
+    cols = _jump_batch(cfg, eta, T, [index], sample_times, observables)
+    sampled = cols.sample_times is not None
+    return Trajectory(cols.events(0), float(T), StateVector(cols.states[0]),
+                      float(cols.log_weight[0]), cols.sample_times,
+                      cols.weights[0] if sampled else None,
+                      dict(zip(cols.names, cols.values[:, 0])) if sampled else {})
 
 
 def trajectory_product_check(

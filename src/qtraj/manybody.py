@@ -29,7 +29,8 @@ elementwise in the product eigenbasis of R (:class:`_DensityRows`).  The
 outcome law is outcome_weight_matrix @ p with p the slot-averaged
 R-populations.  Basis changes whose matrices are exactly real, as in every
 preset, run as real GEMMs on the float view of the complex rows
-(:func:`_sandwich`).  evolve_density is a batch of one.
+(:func:`_sandwich`).  evolve_density is a batch of one, and the only place
+a DensityTrajectory object is built.
 """
 
 from __future__ import annotations
@@ -41,12 +42,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .jumps import _events, _run_rows, _sample_grid, _series
+from .jumps import EventColumns, _run_rows
 from .linalg import (
     HERMITICITY_TOL,
     DensityMatrix,
     HermitianOperator,
     StateVector,
+    _check_density,
     _check_particles,
     as_matrix,
     embed_at_slot,
@@ -383,9 +385,9 @@ class _DensityRows:
 
 
 def _mixing_batch(cfg: ManyBodyConfig, rho0: DensityMatrix, T: float, mode: str, indices,
-                  sample_times=None, observables=None) -> list[DensityTrajectory]:
+                  sample_times=None, observables=None) -> EventColumns:
     """Density trajectories at the given indices, run as one batch of the
-    event engine; entry r equals evolve_density(cfg, rho0, T, mode,
+    event engine; row r equals evolve_density(cfg, rho0, T, mode,
     indices[r], ...) bit for bit."""
     if mode not in ("normalized", "linear"):
         raise ValidationError(f"mode must be 'normalized' or 'linear', got {mode!r}")
@@ -399,39 +401,22 @@ def _mixing_batch(cfg: ManyBodyConfig, rho0: DensityMatrix, T: float, mode: str,
             "initial density is not permutation-invariant: max slot-swap defect "
             f"{defect:.3e} exceeds {HERMITICITY_TOL:.1e}"
         )
-    samples = _sample_grid(sample_times, T)
     linear = mode == "linear"
     rho = rho0.entries.astype(complex)
     obs = observables or {}
     indices = list(indices)
     kern = _DensityRows(cfg, rho, len(indices), obs)
-    sch, outcome, log_w, weights, records = _run_rows(
-        kern, cfg.meter, cfg.seed, cfg.total_intensity, T, indices, samples, linear, cfg.hbar
-    )
-    min_eig, entropy = (sch.collect([rec[j] for rec in records]) for j in (0, 1))
-    values = _series(sch, [rec[2] for rec in records], len(obs))
+    cols, sch, records = _run_rows(kern, cfg.meter, cfg.seed, cfg.total_intensity, T, indices,
+                                   sample_times, obs, linear, cfg.hbar)
+    cols.min_eig, cols.entropy = (sch.collect([rec[j] for rec in records]) for j in (0, 1))
     final = kern.final()
     if linear:
-        final *= np.exp(log_w)[:, None, None]
+        final *= np.exp(cols.log_weight)[:, None, None]
     final = (final + final.conj().transpose(0, 2, 1)) / 2.0
-    grid = cfg.meter.support_grid
-    sampled = sample_times is not None
-    out = []
-    for r in range(len(indices)):
-        out.append(DensityTrajectory(
-            events=_events(sch, outcome, r, grid),
-            t_final=float(T),
-            rho=DensityMatrix(final[r]),
-            log_weight=float(log_w[r]) if linear else 0.0,
-            sample_times=samples if sampled else None,
-            trace_series=weights[r] if sampled else None,
-            entropy_series=entropy[r] if sampled else None,
-            min_eig_series=min_eig[r] if sampled else None,
-            observable_series=(
-                {name: values[o, r] for o, name in enumerate(obs)} if sampled else {}
-            ),
-        ))
-    return out
+    _check_density(final)
+    cols.final = np.array([np.trace(f).real for f in final])
+    cols.states = final
+    return cols
 
 
 def evolve_density(
@@ -449,9 +434,15 @@ def evolve_density(
     from Tr{E(lambda) rho} |f0|^2 dlambda and the trace is renormalized after
     each event; in linear mode outcomes follow the bare pointer density and
     the log trace is accumulated, making the reported trace a mean-one
-    martingale.  A batch of one of the event engine.
+    martingale.  A batch of one of the event engine, and the only place a
+    DensityTrajectory object is built.
     """
-    return _mixing_batch(cfg, rho0, T, mode, [index], sample_times, observables)[0]
+    cols = _mixing_batch(cfg, rho0, T, mode, [index], sample_times, observables)
+    sampled = cols.sample_times is not None
+    series = [a[0] if sampled else None for a in (cols.weights, cols.entropy, cols.min_eig)]
+    return DensityTrajectory(cols.events(0), float(T), DensityMatrix(cols.states[0]),
+                             float(cols.log_weight[0]), cols.sample_times, *series,
+                             dict(zip(cols.names, cols.values[:, 0])) if sampled else {})
 
 
 def entropy_after_first_event(cfg: ManyBodyConfig, psi: StateVector, lam: float) -> float:

@@ -2,6 +2,7 @@
 layout independence, draw order, an independent one-path reference loop,
 reproducible numeric failures and byte-identical CLI outputs."""
 
+import dataclasses
 import filecmp
 import json
 import math
@@ -53,21 +54,28 @@ def mixing_setup():
     return cfg, rho0, obs
 
 
-def same_jump(a, b):
-    return (a.events == b.events and np.array_equal(a.state.amps, b.state.amps)
-            and a.log_weight == b.log_weight
-            and np.array_equal(a.norm2_series, b.norm2_series)
-            and all(np.array_equal(a.observable_series[k], b.observable_series[k])
-                    for k in a.observable_series))
+def same_row(cols, r, traj):
+    """Whether row r of event columns equals a trajectory object bit for bit."""
+    density = hasattr(traj, "rho")
+    state, final = ((traj.rho.entries, traj.rho.trace()) if density
+                    else (traj.state.amps, traj.state.norm2()))
+    same = (cols.events(r) == traj.events and np.array_equal(cols.states[r], state)
+            and cols.final[r] == final and cols.log_weight[r] == traj.log_weight)
+    if traj.sample_times is None:
+        return same and cols.sample_times is None and traj.observable_series == {}
+    pairs = ([(cols.weights, traj.trace_series), (cols.entropy, traj.entropy_series),
+              (cols.min_eig, traj.min_eig_series)] if density
+             else [(cols.weights, traj.norm2_series)])
+    pairs += [(cols.values[o], traj.observable_series[name]) for o, name in enumerate(cols.names)]
+    return (same and np.array_equal(cols.sample_times, traj.sample_times)
+            and list(traj.observable_series) == list(cols.names)
+            and all(np.array_equal(col[r], series) for col, series in pairs))
 
 
-def same_density(a, b):
-    return (a.events == b.events and np.array_equal(a.rho.entries, b.rho.entries)
-            and a.log_weight == b.log_weight
-            and all(np.array_equal(getattr(a, s), getattr(b, s))
-                    for s in ("trace_series", "entropy_series", "min_eig_series"))
-            and all(np.array_equal(a.observable_series[k], b.observable_series[k])
-                    for k in a.observable_series))
+def same_columns(a, b):
+    """Whether two event column sets are equal field by field, bit for bit."""
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in dataclasses.fields(a))
 
 
 class TestBatchLayout:
@@ -75,9 +83,9 @@ class TestBatchLayout:
     def test_jump_rows_equal_single_trajectories(self, mode):
         cfg, eta, obs = jump_setup(mode)
         batch = _jump_batch(cfg, eta, 1.0, range(600), TIMES, obs)
-        assert sum(t.count for t in batch) > 0
+        assert batch.counts.sum() > 0
         for i in range(0, 600, 13):
-            assert same_jump(batch[i], evolve_jump(cfg, eta, 1.0, i, TIMES, obs)), i
+            assert same_row(batch, i, evolve_jump(cfg, eta, 1.0, i, TIMES, obs)), i
 
     @pytest.mark.parametrize("mode", ["normalized", "linear"])
     def test_mixing_rows_equal_single_trajectories(self, mode):
@@ -85,20 +93,21 @@ class TestBatchLayout:
         batch = _mixing_batch(cfg, rho0, 1.0, mode, range(600), TIMES, obs)
         for i in range(0, 600, 29):
             single = evolve_density(cfg, rho0, 1.0, mode, i, TIMES, obs)
-            assert same_density(batch[i], single), i
+            assert same_row(batch, i, single), i
 
     def test_event_times_follow_the_row_stream(self):
         cfg, eta, _ = jump_setup("normalized")
         batch = _jump_batch(cfg, eta, 1.0, range(50, 80))
-        for i, traj in zip(range(50, 80), batch):
+        for r, i in enumerate(range(50, 80)):
             times = sample_poisson_times(cfg.nu, 1.0, stream(cfg.seed, i))
-            assert [t for t, _ in traj.events] == times.tolist()
+            assert [t for t, _ in batch.events(r)] == times.tolist()
 
     def test_mixing_event_times_use_the_merged_intensity(self):
         cfg, rho0, _ = mixing_setup()
-        for i, traj in enumerate(_mixing_batch(cfg, rho0, 1.0, "linear", range(20))):
+        batch = _mixing_batch(cfg, rho0, 1.0, "linear", range(20))
+        for i in range(20):
             times = sample_poisson_times(cfg.total_intensity, 1.0, stream(cfg.seed, i))
-            assert [t for t, _ in traj.events] == times.tolist()
+            assert [t for t, _ in batch.events(i)] == times.tolist()
 
 
 def draw_index(weights, rng):
@@ -221,14 +230,17 @@ def same_files(a, b):
 
 class TestCliLayouts:
     @pytest.mark.parametrize("experiment,fields", [
-        ("jump", {"n_traj": 600, "seed": 9}),
+        ("jump", {"n_traj": 1100, "seed": 9}),
         ("many", {"n_traj": 600, "seed": 9, "T": 0.5, "n_samples": 4}),
     ])
     def test_bytes_independent_of_threads_and_reruns(self, tmp_path, experiment, fields):
         spec = write_spec(tmp_path / "spec.json", experiment=experiment, **fields)
         outs = []
-        # 1 and 2 workers both split 600 rows into two chunks; 3 workers into three.
-        for name, threads in (("t1", "1"), ("t2", "2"), ("t3", "3"), ("again", "1")):
+        # 1100 jump rows run in three chunks of at most 512 rows at 1 to 3
+        # workers and in four at 4; 600 density rows in two chunks at 1 and 2
+        # workers, three at 3 and four at 4.
+        for name, threads in (("t1", "1"), ("t2", "2"), ("t3", "3"), ("t4", "4"),
+                              ("again", "1")):
             out = tmp_path / name
             assert main([experiment, "--spec", spec, "--threads", threads, "--out", str(out)]) == 0
             outs.append(out)

@@ -130,7 +130,7 @@ class TestEvolveJump:
         cfg = make_config(nu=5.0, seed=12, mode="linear")
         eta = StateVector(np.ones(2) / math.sqrt(2))
         n = 10000
-        w = np.array([math.exp(t.log_weight) for t in run_trajectories(cfg, eta, 1.0, n)])
+        w = np.exp(run_trajectories(cfg, eta, 1.0, n).log_weight)
         se = w.std(ddof=1) / math.sqrt(n)
         assert abs(w.mean() - 1.0) <= 3 * se
 
@@ -138,7 +138,7 @@ class TestEvolveJump:
         cfg = make_config(nu=4.0, seed=13)
         eta = StateVector(np.ones(2) / math.sqrt(2))
         n = 4000
-        counts = np.array([t.count for t in run_trajectories(cfg, eta, 1.0, n)], dtype=float)
+        counts = run_trajectories(cfg, eta, 1.0, n).counts.astype(float)
         assert abs(counts.mean() - 4.0) <= 3 * math.sqrt(4.0 / n)
 
     def test_determinism_per_index(self):

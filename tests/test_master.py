@@ -130,3 +130,14 @@ class TestRk4:
         dt = 0.11 / gen.norm
         with pytest.raises(ValidationError, match="stability bound 0.1"):
             rk4_solve(gen, np.eye(2) / 2, 10 * dt, dt)
+        dt = 0.099 / gen.norm
+        assert rk4_solve(gen, np.eye(2) / 2, 10 * dt, dt)[1].shape == (1, 2, 2)
+
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_norm_is_the_closed_form_upper_bound(self, mode, M):
+        gen = master_generator(master_case(mode, 3, M, angle=0.9, slope=0.7))
+        w = np.linalg.eigvalsh(gen.H)
+        assert gen.norm == (w[-1] - w[0]) / 0.8 + np.max(np.abs(gen.mask))
+        exact = np.linalg.norm(superop_matrix(gen, 3 ** M), 2)
+        assert exact <= gen.norm <= 2.0 * exact

@@ -7,10 +7,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from test_engine import TIMES, jump_setup, mixing_setup, same_columns, same_row  # noqa: E402
 from test_manybody import block_spectrum_error  # noqa: E402
 from test_master import MODES, generator_error, master_case, random_hermitian  # noqa: E402
 
-from qtraj.ensemble import master_generator  # noqa: E402
+from qtraj import evolve_density, evolve_jump  # noqa: E402
+from qtraj.ensemble import master_generator, superop_matrix  # noqa: E402
+from qtraj.jumps import EventColumns, _jump_batch  # noqa: E402
+from qtraj.manybody import _mixing_batch  # noqa: E402
 
 
 @hypothesis.settings(max_examples=25, deadline=None)
@@ -41,3 +45,40 @@ def test_master_generator_matches_reference_and_keeps_hermiticity(mode, d, M, an
     gen = master_generator(master_case(mode, d, M, angle, slope, seed))
     out = gen(random_hermitian(d ** M, np.random.default_rng(seed)))
     assert np.max(np.abs(out - out.conj().T)) <= 1e-12 * np.max(np.abs(out))
+    # The closed-form RK4 norm bounds the spectral norm of the superoperator.
+    assert np.linalg.norm(superop_matrix(gen, d ** M), 2) <= gen.norm * (1 + 1e-12)
+
+
+@hypothesis.settings(max_examples=30, deadline=None)
+@hypothesis.given(
+    engine=st.sampled_from(["jump", "mixing"]),
+    mode=st.sampled_from(["normalized", "linear"]),
+    sampled=st.booleans(),
+    start=st.integers(0, 10 ** 6),
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+)
+def test_chunked_rows_equal_one_batch_and_a_batch_of_one(engine, mode, sampled, start, sizes):
+    times = TIMES if sampled else None
+    if engine == "jump":
+        cfg, eta, obs = jump_setup(mode)
+
+        def batch(idx):
+            return _jump_batch(cfg, eta, 1.0, idx, times, obs)
+
+        def single(i):
+            return evolve_jump(cfg, eta, 1.0, i, times, obs)
+    else:
+        cfg, rho0, obs = mixing_setup()
+
+        def batch(idx):
+            return _mixing_batch(cfg, rho0, 1.0, mode, idx, times, obs)
+
+        def single(i):
+            return evolve_density(cfg, rho0, 1.0, mode, i, times, obs)
+    bounds = np.concatenate([[start], start + np.cumsum(sizes)]).tolist()
+    whole = batch(range(bounds[0], bounds[-1]))
+    parts = [batch(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    assert same_columns(EventColumns.concat(parts, np.concatenate([p.states for p in parts])),
+                        whole)
+    for r, i in enumerate(range(bounds[0], bounds[-1])):
+        assert same_row(whole, r, single(i)), i
