@@ -174,7 +174,7 @@ def criterion_6() -> tuple[bool, str]:
     rho0 = _product_density(eta, 2)
     times = np.linspace(0.1, 1.0, 10)
     n_traj = 5000
-    cols = run_trajectories(cfg, rho0, 1.0, n_traj, sample_times=times, mode="linear")
+    cols = run_trajectories(cfg, rho0, 1.0, n_traj, sample_times=times, equation="linear")
     traces = np.exp(cols.log_weight)
     counts = cols.counts.astype(float)
     min_eig = float(np.min(cols.min_eig))

@@ -66,7 +66,7 @@ ALWAYS_READ = {"experiment", "preset", "overrides", "seed", "out", "threads"}
 OVERRIDES = {
     "d": (int, None, None),
     "M": (int, lambda M: M >= 1, "M >= 1 required"),
-    "kappa": (float, math.isfinite, "kappa must be finite"),
+    "kappa": (float, None, None),
     "nu": (float, lambda nu: nu >= 0, "nu >= 0 required"),
     "gamma": (float, None, None),
     "hbar": (float, lambda hbar: hbar > 0, "hbar > 0 required"),
@@ -109,6 +109,18 @@ def _reading(name: str):
         yield
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"invalid {name}: {exc}") from exc
+
+
+def _check_finite(name: str, value):
+    """Reject a non-finite number anywhere in value, naming the field it sits in."""
+    if isinstance(value, float):
+        _require(math.isfinite(value), f"{name} must be finite, got {value!r}")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(f"{name}.{key}", item)
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _check_finite(f"{name}[{i}]", item)
 
 
 def _array(value) -> list:
@@ -165,7 +177,8 @@ class RunSpec:
     - T > 0 (1): final time; dt > 0 (1e-3): step of diffuse, master and
       bridge; n_samples >= 1 (10): record times T/n, 2T/n, ..., T.
     - mode: "normalized" (default) or "linear" jump and mixing trajectories.
-    - n_traj >= 1 (100), seed >= 0 (0) and threads >= 1 (1), the worker cap.
+    - n_traj >= 1 (100), seed >= 0 (0) and threads >= 1 (1), the worker cap;
+      diffusion runs split only at blocks of 512 paths.
     - observables (["R"]): array of "R", "H", "projector:k" and inline
       {"name", "matrix"} objects with number or [re, im] entries; an
       operator on one particle is averaged over the particles.
@@ -181,7 +194,8 @@ class RunSpec:
     the override keys of each experiment and equation; ``execute`` rejects a
     non-default value of any other field and any other override key, and
     also interaction and interaction_strength when M is 1 and
-    interaction_strength without the nearest-neighbor interaction.
+    interaction_strength without the nearest-neighbor interaction.  Every
+    number, nested ones included, must be finite.
     """
 
     experiment: str = _field(str)
@@ -205,6 +219,7 @@ class RunSpec:
         for f in fields(self):
             with _reading(f.name):
                 setattr(self, f.name, f.metadata["convert"](getattr(self, f.name)))
+            _check_finite(f.name, getattr(self, f.name))
         _require(
             self.experiment in EXPERIMENTS,
             f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}",
@@ -234,6 +249,7 @@ def _model_overrides(overrides: dict) -> dict:
         convert, ok, message = OVERRIDES[key]
         with _reading(f"overrides.{key}"):
             values[key] = convert(raw)
+        _check_finite(f"overrides.{key}", values[key])
         _require(ok is None or ok(values[key]), message)
     if "M" in values:
         _check_particles(values["M"])
@@ -477,7 +493,7 @@ def _run_events(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
     obs = _observable_matrices(spec, model, M)
     cols = run_trajectories(cfg, initial, spec.T, spec.n_traj, observables=obs,
                             sample_times=_sample_times(spec), n_workers=spec.threads,
-                            mode=spec.mode)
+                            equation=spec.mode)
     write_trajectories(outdir / "trajectories.jsonl", meta, cols, spec.seed)
     table = _stats_columns(trajectory_stats(cols, spec.mode))
     if cols.min_eig is not None:
@@ -512,13 +528,8 @@ def _run_master(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
     times = _sample_times(spec)
     if spec.equation == "diffusive":
         mcfg = MasterConfig.from_diffusion(_diffusion_config(spec, model, model.M))
-    elif model.M > 1:
-        mcfg = MasterConfig.from_manybody(_manybody_config(spec, model))
     else:
-        mcfg = MasterConfig(
-            mode="jump-averaged", H=model.H, hbar=model.hbar,
-            meter=model.meter, nu=model.nu,
-        )
+        mcfg = MasterConfig.from_manybody(_manybody_config(spec, model))
     obs = _observable_matrices(spec, model, model.M)
     rho0 = _product_state(model.eta_single, model.M).density()
     gen = master_generator(mcfg)

@@ -49,10 +49,12 @@ live in R's eigenbasis, where each step is an elementwise factor (the
 coupled phase or the linear Euler factor) followed by the fixed unitary
 VR^dag exp(-i H dt / hbar) VR.  The density equation has its own,
 _density_states.  The kernels run as a batch of one by evolve_diffusive_sse /
-evolve_coupled_sse / evolve_diffusive_density and in chunks by
-run_ensemble.  Every path draws from its own stream; state paths are
-bit-identical in any batch (their products are elementwise sums), density
-ones agree to rounding (their step is a BLAS product).
+evolve_coupled_sse / evolve_diffusive_density, and in fixed blocks of paths
+by ensemble.run_trajectories, whose batches (_coupled_batch, _density_batch)
+return event-engine columns without events.  Every path draws from its own
+stream; state paths are bit-identical in any batch (their products are
+elementwise sums), density ones agree to rounding (their step is a BLAS
+product).
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import NumericError, ValidationError
+from .jumps import EventColumns
 from .linalg import (
     HermitianOperator,
     StateVector,
@@ -316,18 +319,20 @@ def _coupled_states(
 
 
 def _coupled_batch(cfg, eta, T, indices, sample_times, observables, equation="coupled"):
-    """State-equation paths reduced to (weights, obs): weights[i, s] =
-    ||chi||^2 and obs[i, s, o] the normalized expectation of observable o.
+    """State-equation paths as columns (no events): weights[i, s] =
+    ||chi||^2 and values[o, i, s] the normalized expectation of observable o.
     Rows are reduced one by one as in :func:`_single_path`, so a path's
     values do not depend on the batch it ran in."""
     states = _coupled_states(cfg, eta, T, indices, sample_times, equation)[1]
     n, n_times, d = states.shape
     flat = states.reshape(n * n_times, d)
     n2 = np.einsum("ni,ni->n", flat.conj(), flat).real
-    obs = np.empty((n * n_times, len(observables)))
+    values = np.empty((len(observables), n * n_times))
     for o, X in enumerate(observables.values()):
-        obs[:, o] = np.einsum("ni,ij,nj->n", flat.conj(), X, flat).real / n2
-    return n2.reshape(n, n_times), obs.reshape(n, n_times, len(observables))
+        values[o] = np.einsum("ni,ij,nj->n", flat.conj(), X, flat).real / n2
+    return EventColumns(indices=np.array(indices, dtype=np.intp), weights=n2.reshape(n, n_times),
+                        sample_times=np.asarray(sample_times, dtype=float),
+                        names=tuple(observables), values=values.reshape(-1, n, n_times))
 
 
 def _single_path(equation, cfg, eta, T, index, record_times) -> StatePath:
@@ -615,11 +620,15 @@ def mean_field_evolve(
 
 
 def _density_batch(cfg, rho0, T, indices, sample_times, observables):
-    """Density-equation paths reduced to (traces, obs, entropy), with obs
-    holding normalized expectations Tr(X rho) / Tr(rho)."""
+    """Density-equation paths as columns (no events): weights the traces,
+    values the normalized expectations Tr(X rho) / Tr(rho), with entropy and
+    min_eig."""
     rec, rhos = _density_states(cfg, rho0, T, indices, sample_times)
-    trace, entropy, _ = _density_spectra(rhos, cfg.seed, indices, rec * cfg.dt)
-    obs = np.empty((*trace.shape, len(observables)))
+    trace, entropy, min_eig = _density_spectra(rhos, cfg.seed, indices, rec * cfg.dt)
+    values = np.empty((len(observables), *trace.shape))
     for o, X in enumerate(observables.values()):
-        obs[..., o] = np.einsum("ij,nsji->ns", X, rhos).real / trace
-    return trace, obs, entropy
+        values[o] = np.einsum("ij,nsji->ns", X, rhos).real / trace
+    return EventColumns(indices=np.array(indices, dtype=np.intp), weights=trace,
+                        sample_times=np.asarray(sample_times, dtype=float),
+                        names=tuple(observables), values=values, entropy=entropy,
+                        min_eig=min_eig)

@@ -17,17 +17,19 @@ where each is a commutator with the rotated Hamiltonian plus a Hadamard
 product with a fixed mask (see :class:`MasterConfig`); :func:`rk4_solve`
 rotates into that basis once and steps there.
 
-Ensembles run in contiguous chunks of trajectory indices.  Jump and density
-trajectories run each chunk as one batch of the event engine of
-:mod:`qtraj.jumps` (rows in H's eigenbasis, reductions elementwise in R's
-eigenbasis) and are aggregated from the chunks' event columns, with no
-object per trajectory; diffusion paths run each chunk through their
-equation's batched kernel.  A trajectory's numbers do not depend on the
-chunk it ran in, and aggregation uses exact compensated summation in
-trajectory-index order, so serial and parallel runs produce identical
-statistics.  The jump-to-diffusion bridge compares generators directly (as
-superoperator matrices), which keeps Monte-Carlo noise out of the
-convergence-rate measurement.
+Ensembles run through one chunk runner, :func:`run_trajectories`, in
+contiguous blocks of trajectory indices.  Each block is one batch of its
+engine: the event engine of :mod:`qtraj.jumps` for jump and density
+trajectories (rows in H's eigenbasis, reductions elementwise in R's
+eigenbasis), or its equation's batched kernel for diffusion paths.  Every
+batch returns columns (:class:`EventColumns`), with no object per
+trajectory, and :func:`trajectory_stats` aggregates them.  Event rows are
+bit-identical in any block and diffusion blocks do not depend on the worker
+count; aggregation uses exact compensated summation in trajectory-index
+order, so serial and parallel runs produce identical statistics.  The
+jump-to-diffusion bridge compares generators directly (as superoperator
+matrices), which keeps Monte-Carlo noise out of the convergence-rate
+measurement.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 
 import numpy as np
@@ -62,13 +64,12 @@ from .meter import MeterModel, build_gaussian_meter
 MASTER_MODES = ("jump-averaged", "diffusive")
 # Stability bound of rk4_solve on dt * ||generator||.
 RK4_BOUND = 0.1
-_DIFFUSION_CHUNK = 512
-# Rows per event-engine batch, and the byte budget of one stacked density
-# batch (2 rows at D = 64, 1 row at D = 256), which keeps peak memory flat.
-_EVENT_CHUNK = 512
+# Rows per batch, and the byte budget of one stacked density batch of the
+# event engine (2 rows at D = 64, 1 row at D = 256), which keeps peak memory flat.
+_CHUNK = 512
 _DENSITY_BATCH_BYTES = 128 * 1024
-# Weight mode of each diffusion equation.
-_DIFFUSION_EQUATIONS = {"linear": "linear", "coupled": "normalized", "density": "linear"}
+# Each diffusion equation and its weight mode.
+_WEIGHT_MODES = {"linear": "linear", "coupled": "normalized", "density": "linear"}
 
 
 @dataclass(frozen=True)
@@ -313,51 +314,6 @@ class EnsembleStats:
     count_se: float | None = None
 
 
-def _aggregate(
-    sample_times, mode, names, weights, obs_norm, entropy=None, counts=None
-) -> EnsembleStats:
-    n = weights.shape[0]
-    ns = weights.shape[1]
-    no = obs_norm.shape[2]
-    estim = weights[:, :, None] * obs_norm
-    obs_mean = np.empty((ns, no))
-    obs_se = np.empty((ns, no))
-    w_mean = np.empty(ns)
-    w_se = np.empty(ns)
-    for s in range(ns):
-        w_mean[s], w_se[s] = _fsum_mean_se(weights[:, s])
-        for o in range(no):
-            obs_mean[s, o], obs_se[s, o] = _fsum_mean_se(estim[:, s, o])
-    ent_mean = ent_se = None
-    if entropy is not None:
-        ent_mean = np.empty(ns)
-        ent_se = np.empty(ns)
-        for s in range(ns):
-            ent_mean[s], ent_se[s] = _fsum_mean_se(entropy[:, s])
-    c_mean = c_se = None
-    if counts is not None:
-        c_mean, c_se = _fsum_mean_se(np.asarray(counts, dtype=float))
-    return EnsembleStats(
-        sample_times=np.asarray(sample_times, dtype=float),
-        n_traj=n,
-        mode=mode,
-        names=tuple(names),
-        obs_mean=obs_mean,
-        obs_se=obs_se,
-        weight_mean=w_mean,
-        weight_se=w_se,
-        entropy_mean=ent_mean,
-        entropy_se=ent_se,
-        count_mean=c_mean,
-        count_se=c_se,
-    )
-
-
-def _as_observable_dict(observables) -> dict[str, np.ndarray]:
-    """Name -> matrix of a dict or a list of (name, operator) pairs."""
-    return {str(k): as_matrix(v) for k, v in dict(observables or {}).items()}
-
-
 def run_trajectories(
     cfg,
     initial,
@@ -366,55 +322,78 @@ def run_trajectories(
     observables=None,
     sample_times=None,
     n_workers: int = 1,
-    mode: str = "normalized",
+    equation: str | None = None,
 ) -> EventColumns:
-    """Event columns of trajectories 0..n_traj-1 of a JumpConfig or of a
-    ManyBodyConfig (density trajectories in the given mode), row i being
-    trajectory i.
+    """Columns of trajectories 0..n_traj-1 of any stochastic config, row i
+    being trajectory i, which uses the random stream (cfg.seed, i).
 
-    Indices are split into at least n_workers contiguous chunks of at most
-    _EVENT_CHUNK rows (densities: at most _DENSITY_BATCH_BYTES per stacked
-    batch); each chunk runs as one batch of the event engine, and the
-    chunks' columns are concatenated in index order, with no object per
-    trajectory.  Trajectory i uses the random stream (cfg.seed, i) and is
-    bit-identical in any chunk.
+    equation is the density mode of a ManyBodyConfig (default "normalized")
+    and the equation of a DiffusionConfig (required, see
+    :func:`run_ensemble`; paths record at T when no sample times are given).
+    Indices run in contiguous blocks, each one batch of its engine, and the
+    blocks' columns are concatenated in index order.  Event rows are
+    bit-identical in any block, so a block holds at most _CHUNK rows and a
+    1/n_workers share (densities: at most _DENSITY_BATCH_BYTES per stacked
+    batch); density paths agree with other batch sizes only to rounding, so
+    a diffusion block holds _CHUNK paths whatever n_workers.
     """
-    obs = _as_observable_dict(observables)
+    if n_traj < 1:
+        raise ValidationError(f"n_traj must be >= 1, got {n_traj}")
+    obs = {str(k): as_matrix(v) for k, v in dict(observables or {}).items()}
+    share = -(-n_traj // max(n_workers, 1))
+    kw = {"sample_times": sample_times, "observables": obs}
     if isinstance(cfg, JumpConfig):
-        size, shape = _EVENT_CHUNK, (cfg.meter.dim,)
-
-        def batch(idx):
-            return _jump_batch(cfg, initial, T, idx, sample_times, obs)
+        size, states = min(_CHUNK, share), np.empty((n_traj, cfg.meter.dim), dtype=complex)
+        batch = partial(_jump_batch, cfg, initial, T, **kw)
     elif isinstance(cfg, ManyBodyConfig):
-        size = min(_EVENT_CHUNK, max(1, _DENSITY_BATCH_BYTES // (16 * cfg.dim ** 2)))
-        shape = (cfg.dim, cfg.dim)
-
-        def batch(idx):
-            return _mixing_batch(cfg, initial, T, mode, idx, sample_times, obs)
+        size = min(_CHUNK, share, max(1, _DENSITY_BATCH_BYTES // (16 * cfg.dim ** 2)))
+        states = np.empty((n_traj, cfg.dim, cfg.dim), dtype=complex)
+        batch = partial(_mixing_batch, cfg, initial, T, equation or "normalized", **kw)
+    elif isinstance(cfg, DiffusionConfig):
+        if equation not in _WEIGHT_MODES:
+            raise ValidationError(f"diffusion ensembles need equation= one of "
+                                  f"{tuple(_WEIGHT_MODES)}, got {equation!r}")
+        size, states = _CHUNK, None
+        kw["sample_times"] = [T] if sample_times is None else sample_times
+        batch = (partial(_density_batch, cfg, initial, T, **kw) if equation == "density"
+                 else partial(_coupled_batch, cfg, initial, T, equation=equation, **kw))
     else:
         raise ValidationError(f"unsupported config type {type(cfg).__name__}")
-    states = np.empty((n_traj, *shape), dtype=complex)
 
     def run(idx):
         # Final states go to the run's array at once, so memory holds them once.
         part = batch(idx)
-        states[idx.start:idx.stop], part.states = part.states, None
+        if states is not None:
+            states[idx.start:idx.stop], part.states = part.states, None
         return part
 
-    n_chunks = min(n_traj, max(n_workers, -(-n_traj // size)))
-    chunks = [range(j * n_traj // n_chunks, (j + 1) * n_traj // n_chunks)
-              for j in range(n_chunks)]
+    chunks = [range(lo, min(lo + size, n_traj)) for lo in range(0, n_traj, size)]
     return EventColumns.concat(_map_chunks(run, chunks, n_workers), states)
 
 
+def _series_stats(series: np.ndarray) -> np.ndarray:
+    """(means, standard errors) per sample of series[row, sample]."""
+    return np.array([_fsum_mean_se(series[:, s]) for s in range(series.shape[1])]).T
+
+
 def trajectory_stats(cols: EventColumns, mode: str) -> EnsembleStats:
-    """Per-time statistics of the event columns of jump or density
-    trajectories; weights are the reported squared norms (traces), and
-    density trajectories add entropy statistics."""
+    """Per-time statistics of the columns of any stochastic run, summed over
+    rows in index order: weights are the reported squared norms (traces),
+    observable estimators weight * <X>; density rows add entropy statistics
+    and event rows count statistics."""
     if cols.sample_times is None:
         raise ValidationError("trajectory statistics need sampled trajectories")
-    return _aggregate(cols.sample_times, mode, cols.names, cols.weights,
-                      cols.values.transpose(1, 2, 0), entropy=cols.entropy, counts=cols.counts)
+    obs = np.array([_series_stats(cols.weights * v) for v in cols.values]).reshape(
+        -1, 2, cols.sample_times.size)
+    extra = {}
+    if cols.entropy is not None:
+        extra["entropy_mean"], extra["entropy_se"] = _series_stats(cols.entropy)
+    if cols.counts is not None:
+        extra["count_mean"], extra["count_se"] = _fsum_mean_se(cols.counts.astype(float))
+    w_mean, w_se = _series_stats(cols.weights)
+    return EnsembleStats(sample_times=cols.sample_times, n_traj=cols.weights.shape[0], mode=mode,
+                         names=cols.names, obs_mean=obs[:, 0].T, obs_se=obs[:, 1].T,
+                         weight_mean=w_mean, weight_se=w_se, **extra)
 
 
 def run_ensemble(
@@ -427,61 +406,29 @@ def run_ensemble(
     n_workers: int = 1,
     equation: str | None = None,
 ) -> EnsembleStats:
-    """Run n_traj independent trajectories of any stochastic config and
-    aggregate per-time statistics.
+    """:func:`trajectory_stats` of :func:`run_trajectories`: per-time
+    statistics of n_traj independent trajectories of any stochastic config,
+    independent of the worker count.
 
-    Trajectory i uses the random stream (cfg.seed, i); aggregation runs in
-    index order with exact summation, so the result is independent of the
-    worker count.  Jump and many-body configs run through
-    :func:`run_trajectories` (for a ManyBodyConfig, equation is the density
-    mode, default "normalized").  A DiffusionConfig runs its batched kernel
-    in chunks of _DIFFUSION_CHUNK paths; the equation and its weight mode are
+    A JumpConfig runs in its own mode, and for a ManyBodyConfig equation is
+    the density mode (default "normalized").  A DiffusionConfig needs one of
+    these equations, with its weight mode:
 
     * "linear": linear state equation, weight ||chi||^2, mode "linear";
     * "coupled": unitary-dilation state equation, weight ||psi||^2 (one to
       rounding), mode "normalized";
     * "density": M-particle density equation, weight Tr(rho), mode "linear",
       with entropy statistics.
-
-    A DiffusionConfig needs one of these equations; there is no default.
     """
     if n_traj < 2:
         raise ValidationError(f"n_traj must be >= 2, got {n_traj}")
     if sample_times is None:
         sample_times = np.linspace(T / 10.0, T, 10)
-    sample_times = np.asarray(sample_times, dtype=float)
-    obs = _as_observable_dict(observables)
-    names = list(obs.keys())
-
-    if isinstance(cfg, (JumpConfig, ManyBodyConfig)):
-        mode = cfg.mode if isinstance(cfg, JumpConfig) else equation or "normalized"
-        trajs = run_trajectories(cfg, initial, T, n_traj, obs, sample_times, n_workers, mode)
-        return trajectory_stats(trajs, mode)
-
-    if isinstance(cfg, DiffusionConfig):
-        if equation not in _DIFFUSION_EQUATIONS:
-            raise ValidationError(
-                f"diffusion ensembles need equation= one of {tuple(_DIFFUSION_EQUATIONS)}, "
-                f"got {equation!r}"
-            )
-
-        def batch(idx):
-            if equation == "density":
-                return _density_batch(cfg, initial, T, idx, sample_times, obs)
-            return _coupled_batch(cfg, initial, T, idx, sample_times, obs, equation)
-
-        chunks = [
-            range(lo, min(lo + _DIFFUSION_CHUNK, n_traj))
-            for lo in range(0, n_traj, _DIFFUSION_CHUNK)
-        ]
-        parts = _map_chunks(batch, chunks, n_workers)
-        weights = np.concatenate([p[0] for p in parts], axis=0)
-        obs_norm = np.concatenate([p[1] for p in parts], axis=0)
-        entropy = np.concatenate([p[2] for p in parts], axis=0) if equation == "density" else None
-        return _aggregate(sample_times, _DIFFUSION_EQUATIONS[equation], names, weights, obs_norm,
-                          entropy=entropy)
-
-    raise ValidationError(f"unsupported config type {type(cfg).__name__}")
+    cols = run_trajectories(cfg, initial, T, n_traj, observables, sample_times, n_workers,
+                            equation)
+    # run_trajectories has checked equation; a density mode is its own weight mode.
+    mode = cfg.mode if isinstance(cfg, JumpConfig) else _WEIGHT_MODES.get(equation, equation)
+    return trajectory_stats(cols, mode or "normalized")
 
 
 def _map_chunks(worker, chunks, n_workers: int):

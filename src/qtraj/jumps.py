@@ -128,24 +128,27 @@ class Trajectory:
 
 @dataclass
 class EventColumns:
-    """Results of event-engine rows as columns; row r is trajectory indices[r].
+    """Results of trajectories (or diffusion paths) as columns; row r is
+    trajectory indices[r].
 
     Row r's events are entries offsets[r]:offsets[r + 1] of times and of
     outcomes (support indices into the pointer readings grid).  final is the
     final squared norm or trace; the series are weights[r], values[o, r] for
-    names[o] and, for densities, entropy and min_eig.
+    names[o] and, for densities, entropy and min_eig.  Diffusion columns
+    carry no events: counts, times, outcomes, grid, log_weight, final and
+    states are None.
     """
 
     indices: np.ndarray
-    counts: np.ndarray
-    times: np.ndarray
-    outcomes: np.ndarray
-    grid: np.ndarray
-    log_weight: np.ndarray
     weights: np.ndarray
     sample_times: np.ndarray | None
     names: tuple[str, ...]
     values: np.ndarray
+    counts: np.ndarray | None = None
+    times: np.ndarray | None = None
+    outcomes: np.ndarray | None = None
+    grid: np.ndarray | None = None
+    log_weight: np.ndarray | None = None
     final: np.ndarray | None = None
     states: np.ndarray | None = None
     entropy: np.ndarray | None = None
@@ -161,7 +164,7 @@ class EventColumns:
         return tuple(zip(self.times[lo:hi].tolist(), self.grid[self.outcomes[lo:hi]].tolist()))
 
     @classmethod
-    def concat(cls, parts, states: np.ndarray) -> "EventColumns":
+    def concat(cls, parts, states: np.ndarray | None) -> "EventColumns":
         """The rows of parts in order, holding the given final states."""
         def join(name):
             first = getattr(parts[0], name)

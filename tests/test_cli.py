@@ -9,7 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtraj import acceptance
+from qtraj import (
+    DiffusionConfig,
+    StateVector,
+    acceptance,
+    get_preset,
+    jump_to_diffusion_bridge,
+    preset_meter,
+)
 from qtraj.cli import (
     EXPERIMENTS,
     RunSpec,
@@ -18,11 +25,11 @@ from qtraj.cli import (
     main,
     spec_from_dict,
 )
-from qtraj.ensemble import _DIFFUSION_CHUNK
+from qtraj.ensemble import _CHUNK
 from qtraj.records import spec_hash
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-COUPLED_TRAJ = _DIFFUSION_CHUNK + 88  # two chunks, the second one partial
+COUPLED_TRAJ = _CHUNK + 88  # two chunks, the second one partial
 
 
 def write_spec(path: Path, **fields) -> Path:
@@ -238,6 +245,22 @@ MALFORMED = [
                  id="projector-x"),
     pytest.param("jump", {"observables": [{"name": "X", "matrix": [[1, 0], [0]]}]},
                  "invalid observables", id="ragged-matrix"),
+    pytest.param("bridge", {"nus": [1000, 100]}, "nu list must be increasing",
+                 id="nus-decreasing"),
+    pytest.param("kick", {"initial_state": "basis:2"},
+                 "initial_state basis index must lie in 0..1", id="basis-out-of-range"),
+    pytest.param("kick", {"initial_state": [[0.6, 0.0, 1.0], 0.8]}, "[re, im] pairs",
+                 id="amplitude-triple"),
+    pytest.param("kick", {"initial_state": [1, 0, 0]}, "initial_state must have 2 amplitudes",
+                 id="amplitude-count"),
+    pytest.param("master", {"observables": ["projector:2"]},
+                 "projector index must lie in 0..1", id="projector-out-of-range"),
+    pytest.param("master", {"observables": [{"name": "X", "matrix": np.eye(3).tolist()}]},
+                 "inline observable must act on d=2 or d^M=2", id="inline-size"),
+    pytest.param("master", {"overrides": {"M": 2},
+                            "observables": [{"name": "X", "matrix": np.triu(np.ones((4, 4)))
+                                             .tolist()}]},
+                 "not Hermitian", id="inline-d^M-not-hermitian"),
     pytest.param("jump", {"overrides": {"d": 3}},
                  "preset 'two-level' has d=2; it cannot take d=3", id="d-two-level"),
     pytest.param("many", {"overrides": {"d": 4}},
@@ -292,6 +315,119 @@ class TestExitCodes:
             f"error: {what} exceeded 1e+06 at t={T} (seed=0, path index=0); "
             "reduce dt, or rerun that index alone to reproduce\n"
         )
+
+
+# Spec fields holding the placeholder NONFINITE, the experiment and the name
+# the error must give.
+NON_FINITE = [
+    pytest.param("jump", {"T": "NONFINITE"}, "T", id="T"),
+    pytest.param("bridge", {"nus": [100, "NONFINITE"]}, "nus[1]", id="nus"),
+    pytest.param("kick", {"kick_lambdas": ["NONFINITE"]}, "kick_lambdas[0]", id="kick_lambdas"),
+    pytest.param("jump", {"observables": [{"name": "X", "matrix": [["NONFINITE", 0], [0, 1]]}]},
+                 "observables[0].matrix[0][0]", id="inline-observable"),
+    pytest.param("diffuse", {"overrides": {"gamma": "NONFINITE"}}, "overrides.gamma", id="gamma"),
+    pytest.param("jump", {"overrides": {"nu": "NONFINITE"}}, "overrides.nu", id="nu"),
+    pytest.param("jump", {"overrides": {"hbar": "NONFINITE"}}, "overrides.hbar", id="hbar"),
+    pytest.param("jump", {"overrides": {"kappa": "NONFINITE"}}, "overrides.kappa", id="kappa"),
+    pytest.param("many", {"overrides": {"interaction": "nearest-neighbor",
+                                        "interaction_strength": "NONFINITE"}},
+                 "overrides.interaction_strength", id="interaction_strength"),
+]
+
+
+class TestNonFiniteSpec:
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400", "NaN"])
+    @pytest.mark.parametrize("command, spec_fields, name", NON_FINITE)
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, command, spec_fields, name,
+                                       literal):
+        self.check(tmp_path, capsys, command, spec_fields, name, literal)
+
+    @pytest.mark.parametrize("command, spec_fields, name", [
+        pytest.param("jump", {"T": "NONFINITE"}, "T", id="T"),
+        pytest.param("jump", {"overrides": {"kappa": "NONFINITE"}}, "overrides.kappa",
+                     id="kappa"),
+    ])
+    def test_non_finite_string_exits_2(self, tmp_path, capsys, command, spec_fields, name):
+        # numbers given as strings are converted, and checked after conversion
+        self.check(tmp_path, capsys, command, spec_fields, name, '"inf"')
+
+    def check(self, tmp_path, capsys, command, spec_fields, name, literal):
+        spec = tmp_path / "s.json"
+        text = json.dumps({"experiment": command, **spec_fields})
+        spec.write_text(text.replace('"NONFINITE"', literal))
+        assert main([command, "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be finite, got "), err
+        assert not (tmp_path / "o").exists()
+
+
+def read_table(path: Path) -> dict[str, np.ndarray]:
+    """The columns of a written table, by name."""
+    lines = path.read_text().splitlines()
+    names = next(x for x in lines if x.startswith("# columns: "))[len("# columns: "):]
+    rows = [[float(v) for v in x.split("\t")] for x in lines if not x.startswith("#")]
+    return dict(zip(names.split("\t"), np.array(rows).T))
+
+
+class TestSpecForms:
+    """Spec forms the default runs do not take, each run through the CLI and
+    checked against the engine API."""
+
+    def run(self, tmp_path, command, **spec_fields):
+        spec = write_spec(tmp_path / "s.json", experiment=command, **spec_fields)
+        assert main([command, "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
+        return tmp_path / "o"
+
+    def test_bridge_outputs_match_engine(self, tmp_path):
+        out = self.run(tmp_path, "bridge", nus=[50.0, 400.0])
+        preset = get_preset("two-level")
+        base = DiffusionConfig(H=preset.H, R=preset.R, gamma=preset.gamma,
+                               pointer=preset_meter(preset).pointer, dt=1e-3)
+        report = jump_to_diffusion_bridge(base, [50.0, 400.0])
+        table = read_table(out / "bridge.tsv")
+        for name, want in [("nu", report.nus), ("kappa", report.kappas),
+                           ("error", report.errors)]:
+            assert np.array_equal(table[name], want), name
+        summary = json.loads((out / "bridge_summary.json").read_text())
+        assert summary == {"monotone_decreasing": report.monotone_decreasing,
+                           "final_error": report.final_error}
+
+    @pytest.mark.parametrize("state, amps", [
+        pytest.param("basis:1", [0.0, 1.0], id="basis"),
+        pytest.param([[0.6, 0.0], [0.0, 0.8]], [0.6, 0.8j], id="re-im-pairs"),
+        pytest.param([3, [0, -4]], [0.6, -0.8j], id="unnormalized"),
+    ])
+    def test_initial_state_forms(self, tmp_path, state, amps):
+        lams = [-0.4, 0.7]
+        out = self.run(tmp_path, "kick", initial_state=state, kick_lambdas=lams)
+        meter = preset_meter(get_preset("two-level"))
+        eta = StateVector(np.array(amps, dtype=complex))
+        density = read_table(out / "kick_density.tsv")["density"]
+        assert np.max(np.abs(density - meter.output_density(eta))) <= 1e-12
+        table = read_table(out / "kick_posteriors.tsv")
+        for j, lam in enumerate(lams):
+            post = meter.posterior_state(eta, lam).amps
+            got = [table[f"re_{i}"][j] + 1j * table[f"im_{i}"][j] for i in range(2)]
+            assert np.max(np.abs(np.array(got) - post)) <= 1e-12
+
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_projector_and_inline_observables(self, tmp_path, M):
+        # the two-level R is the projector on level 1; one-particle observables,
+        # the inline P0 too, are averaged over the particles, and P0_full is
+        # that average written out at d^M
+        lifted = np.diag([1.0, 0.5, 0.5, 0.0]) if M == 2 else np.diag([1.0, 0.0])
+        observables = ["R", "projector:0", "projector:1",
+                       {"name": "P0", "matrix": [[1, 0], [0, [0, 0]]]},
+                       {"name": "P0_full", "matrix": lifted.tolist()}]
+        out = self.run(tmp_path, "master", T=0.2, overrides={"M": M}, initial_state="basis:0",
+                       observables=observables)
+        table = read_table(out / "master.tsv")
+        assert np.array_equal(table["projector:1"], table["R"])
+        assert np.array_equal(table["P0"], table["projector:0"])
+        assert np.max(np.abs(table["P0_full"] - table["projector:0"])) <= 1e-14
+        assert np.max(np.abs(table["projector:0"] + table["projector:1"] - table["trace"])) \
+            <= 1e-12
+        assert np.ptp(table["projector:0"]) > 0.01
 
 
 def load_workloads():

@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 import math
@@ -23,6 +24,7 @@ from qtraj import (
     propagator,
     embed_at_slot,
     run_ensemble,
+    run_trajectories,
 )
 from qtraj.cli import main
 from qtraj.diffusion import (
@@ -33,7 +35,7 @@ from qtraj.diffusion import (
     _density_states,
     _noise_chol,
 )
-from qtraj.ensemble import _DIFFUSION_CHUNK
+from qtraj.ensemble import _CHUNK
 from qtraj.rng import stream
 
 R01 = HermitianOperator(np.diag([0.0, 1.0]).astype(complex))
@@ -164,7 +166,7 @@ class TestDiffusiveSse:
         R = HermitianOperator(0.7 * np.eye(2, dtype=complex))
         cfg = make_config(R=R, dt=1e-3, seed=5)
         eta = StateVector(np.ones(2) / math.sqrt(2))
-        w, _ = _coupled_batch(cfg, eta, 1.0, range(4000), [1.0], {}, "linear")
+        w = _coupled_batch(cfg, eta, 1.0, range(4000), [1.0], {}, "linear").weights
         se = w[:, 0].std(ddof=1) / math.sqrt(w.shape[0])
         assert abs(w[:, 0].mean() - 1.0) <= 3 * se
 
@@ -172,9 +174,9 @@ class TestDiffusiveSse:
         H0 = HermitianOperator(np.zeros((2, 2)))
         cfg = make_config(H=H0, dt=1e-3, seed=6)
         eta = StateVector(np.array([0.6, 0.8], dtype=complex))
-        w, obs = _coupled_batch(cfg, eta, 1.0, range(4000), [1.0],
-                                {"P1": np.diag([0.0, 1.0]).astype(complex)}, "linear")
-        pops = w[:, 0] * obs[:, 0, 0]  # unnormalized population of level 1
+        cols = _coupled_batch(cfg, eta, 1.0, range(4000), [1.0],
+                              {"P1": np.diag([0.0, 1.0]).astype(complex)}, "linear")
+        pops = cols.weights[:, 0] * cols.values[0, :, 0]  # unnormalized population of level 1
         se = pops.std(ddof=1) / math.sqrt(pops.size)
         assert abs(pops.mean() - 0.64) <= 3 * se
 
@@ -184,7 +186,7 @@ class TestDiffusiveSse:
         times = np.linspace(0.2, 1.0, 5)
         single = evolve_diffusive_sse(cfg, eta, 1.0, index=3, record_times=times)
         _, states = _coupled_states(cfg, eta, 1.0, [2, 3, 4], times, "linear")
-        w, _ = _coupled_batch(cfg, eta, 1.0, [2, 3, 4], times, {}, "linear")
+        w = _coupled_batch(cfg, eta, 1.0, [2, 3, 4], times, {}, "linear").weights
         assert np.array_equal(single.states, states[1])
         assert np.array_equal(single.norm2, w[1])
 
@@ -252,13 +254,14 @@ class TestCoupledSse:
         eta = StateVector(np.array([0.6, 0.8j]))
         times = np.linspace(0.2, 1.0, 5)
         obs = {"R": RC.entries, "H": HX.entries}
-        w, o = _coupled_batch(cfg, eta, 1.0, [2, 3, 4], times, obs)
+        cols = _coupled_batch(cfg, eta, 1.0, [2, 3, 4], times, obs)
+        w, o = cols.weights, cols.values
         for row, i in enumerate([2, 3, 4]):
             single = evolve_coupled_sse(cfg, eta, 1.0, index=i, record_times=times)
             assert np.max(np.abs(single.norm2 - w[row])) <= 1e-12
             for k, X in enumerate(obs.values()):
                 expect = np.einsum("ni,ij,nj->n", single.states.conj(), X, single.states).real
-                assert np.max(np.abs(expect / single.norm2 - o[row, :, k])) <= 1e-12
+                assert np.max(np.abs(expect / single.norm2 - o[k, row])) <= 1e-12
 
     def test_matches_per_step_reference(self):
         # the exact split exp(i gamma R du / hbar) then exp(-i H dt / hbar),
@@ -353,7 +356,7 @@ class TestDiffusiveDensity:
         cfg = make_config(dt=1e-3, seed=17)
         eta = StateVector(np.ones(2) / math.sqrt(2))
         rho0 = DensityMatrix(0.9 * eta.density().entries + 0.05 * np.eye(2))
-        tr, _, _ = _density_batch(cfg, rho0, 1.0, range(4000), [1.0], {})
+        tr = _density_batch(cfg, rho0, 1.0, range(4000), [1.0], {}).weights
         se = tr[:, 0].std(ddof=1) / math.sqrt(tr.shape[0])
         assert abs(tr[:, 0].mean() - 1.0) <= 3 * se + 10 * cfg.dt
 
@@ -362,14 +365,15 @@ class TestDiffusiveDensity:
         rho0 = mixed_product_density(np.array([0.6, 0.8j]), 2)
         times = np.linspace(0.2, 1.0, 5)
         obs = {"R1": embed_at_slot(RC.entries, 1, 2), "H2": embed_at_slot(HX.entries, 2, 2)}
-        tr, o, ent = _density_batch(cfg, rho0, 1.0, [2, 3, 4], times, obs)
+        cols = _density_batch(cfg, rho0, 1.0, [2, 3, 4], times, obs)
+        tr, o, ent = cols.weights, cols.values, cols.entropy
         for row, i in enumerate([2, 3, 4]):
             single = evolve_diffusive_density(cfg, rho0, 1.0, index=i, record_times=times)
             assert np.max(np.abs(single.trace - tr[row])) <= 1e-12
             assert np.max(np.abs(single.entropy - ent[row])) <= 1e-12
             for k, X in enumerate(obs.values()):
                 expect = np.einsum("ij,nji->n", X, single.rhos).real / single.trace
-                assert np.max(np.abs(expect - o[row, :, k])) <= 1e-12
+                assert np.max(np.abs(expect - o[k, row])) <= 1e-12
 
     @pytest.mark.parametrize("M, phase_slope", [(1, 0.0), (2, 0.0), (1, 0.5), (2, 0.5)],
                              ids=["M1-real", "M2-real", "M1-complex", "M2-complex"])
@@ -439,12 +443,68 @@ class TestEnsembleEquation:
             run_ensemble(make_config(), eta, 0.1, 4, equation=equation)
 
 
+class TestUnifiedPath:
+    """Diffusion paths through run_trajectories: a row equals a batch of one,
+    for both diffusive equations, on both sides of a block boundary."""
+
+    N = _CHUNK + 88  # two blocks, the second one partial
+    T = 0.02
+    TIMES = [0.01, 0.02]
+    ROWS = [0, _CHUNK - 1, _CHUNK, _CHUNK + 87]
+
+    def case(self, equation):
+        if equation == "density":
+            return make_config(seed=27, M=2), mixed_product_density(np.array([0.6, 0.8j]), 2)
+        return make_config(seed=27), StateVector(np.array([0.6, 0.8j]))
+
+    @pytest.mark.parametrize("equation", ["linear", "coupled", "density"])
+    def test_columns_independent_of_threads(self, equation):
+        cfg, initial = self.case(equation)
+        obs = {"R": embed_at_slot(RC.entries, 1, cfg.M)}
+        a, b = (run_trajectories(cfg, initial, self.T, self.N, obs, self.TIMES, n_workers=w,
+                                 equation=equation) for w in (1, 3))
+        assert a.weights.shape == (self.N, 2) and a.values.shape == (1, self.N, 2)
+        assert (a.entropy is not None) == (equation == "density")
+        assert a.counts is None and a.states is None and a.final is None
+        for f in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+    @pytest.mark.parametrize("equation", ["linear", "coupled"])
+    def test_state_rows_equal_single_paths(self, equation):
+        cfg, eta = self.case(equation)
+        cols = run_trajectories(cfg, eta, self.T, self.N, {"H": HX.entries}, self.TIMES,
+                                equation=equation)
+        evolve = evolve_diffusive_sse if equation == "linear" else evolve_coupled_sse
+        for i in self.ROWS:
+            path = evolve(cfg, eta, self.T, index=i, record_times=self.TIMES)
+            expect = np.einsum("ni,ij,nj->n", path.states.conj(), HX.entries, path.states).real
+            assert np.array_equal(cols.weights[i], path.norm2), i
+            assert np.array_equal(cols.values[0, i], expect / path.norm2), i
+
+    def test_no_paths_rejected(self):
+        cfg, eta = self.case("linear")
+        with pytest.raises(ValidationError, match="n_traj must be >= 1, got 0"):
+            run_trajectories(cfg, eta, self.T, 0, equation="linear")
+
+    def test_density_rows_equal_single_paths(self):
+        cfg, rho0 = self.case("density")
+        X = embed_at_slot(HX.entries, 2, 2)
+        cols = run_trajectories(cfg, rho0, self.T, self.N, {"H2": X}, self.TIMES,
+                                equation="density")
+        for i in self.ROWS:
+            path = evolve_diffusive_density(cfg, rho0, self.T, index=i, record_times=self.TIMES)
+            expect = np.einsum("ij,nji->n", X, path.rhos).real / path.trace
+            for got, want in [(cols.weights[i], path.trace), (cols.values[0, i], expect),
+                              (cols.entropy[i], path.entropy), (cols.min_eig[i], path.min_eig)]:
+                assert np.max(np.abs(got - want)) <= 1e-12, i
+
+
 class TestDensityCli:
     def test_bytes_independent_of_threads_and_reruns(self, tmp_path):
         spec = tmp_path / "density.json"
         spec.write_text(json.dumps({
             "experiment": "diffuse", "equation": "density", "overrides": {"M": 2},
-            "T": 0.2, "n_samples": 4, "n_traj": _DIFFUSION_CHUNK + 88, "seed": 26,
+            "T": 0.2, "n_samples": 4, "n_traj": _CHUNK + 88, "seed": 26,
             "observables": ["R"],
         }))
         outs = []

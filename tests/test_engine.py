@@ -16,12 +16,14 @@ from qtraj import (
     ManyBodyConfig,
     NumericError,
     StateVector,
+    ValidationError,
     build_gaussian_meter,
     evolve_density,
     evolve_jump,
     mixing_povm_element,
     mixing_reduction,
     nearest_neighbor_coupling,
+    run_trajectories,
     sample_poisson_times,
 )
 from qtraj.cli import main
@@ -76,6 +78,15 @@ def same_columns(a, b):
     """Whether two event column sets are equal field by field, bit for bit."""
     return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
                for f in dataclasses.fields(a))
+
+
+class TestRunTrajectories:
+    @pytest.mark.parametrize("engine", ["jump", "mixing"])
+    @pytest.mark.parametrize("n_traj", [0, -3])
+    def test_no_trajectories_rejected(self, engine, n_traj):
+        cfg, initial, _ = jump_setup("normalized") if engine == "jump" else mixing_setup()
+        with pytest.raises(ValidationError, match=f"n_traj must be >= 1, got {n_traj}"):
+            run_trajectories(cfg, initial, 1.0, n_traj)
 
 
 class TestBatchLayout:

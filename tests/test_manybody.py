@@ -233,7 +233,7 @@ class TestEvolveDensity:
         cfg = make_config(M=2, nu=3.0, seed=32)
         rho0 = product_pure(np.array([0.8, 0.6j]), 2)
         n = 2000
-        w = np.exp(run_trajectories(cfg, rho0, 1.0, n, mode="linear").log_weight)
+        w = np.exp(run_trajectories(cfg, rho0, 1.0, n, equation="linear").log_weight)
         se = w.std(ddof=1) / math.sqrt(n)
         assert abs(w.mean() - 1.0) <= 3 * se
 

@@ -31,7 +31,7 @@ def run_case(engine, mode, sampled, n=30):
     else:
         cfg, rho0, obs = mixing_setup()
         obs = {**obs, ESCAPED: obs["R"]}
-        cols = run_trajectories(cfg, rho0, 1.0, n, obs, times, n_workers=2, mode=mode)
+        cols = run_trajectories(cfg, rho0, 1.0, n, obs, times, n_workers=2, equation=mode)
         refs = [density_trajectory_record(evolve_density(cfg, rho0, 1.0, mode, i, times, obs),
                                           i, cfg.seed)
                 for i in range(n)]
