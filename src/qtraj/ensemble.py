@@ -343,22 +343,31 @@ def run_trajectories(
     share = -(-n_traj // max(n_workers, 1))
     kw = {"sample_times": sample_times, "observables": obs}
     if isinstance(cfg, JumpConfig):
-        size, states = min(_CHUNK, share), np.empty((n_traj, cfg.meter.dim), dtype=complex)
+        size, state = min(_CHUNK, share), (cfg.meter.dim,)
         batch = partial(_jump_batch, cfg, initial, T, **kw)
     elif isinstance(cfg, ManyBodyConfig):
         size = min(_CHUNK, share, max(1, _DENSITY_BATCH_BYTES // (16 * cfg.dim ** 2)))
-        states = np.empty((n_traj, cfg.dim, cfg.dim), dtype=complex)
+        state = (cfg.dim, cfg.dim)
         batch = partial(_mixing_batch, cfg, initial, T, equation or "normalized", **kw)
     elif isinstance(cfg, DiffusionConfig):
         if equation not in _WEIGHT_MODES:
             raise ValidationError(f"diffusion ensembles need equation= one of "
                                   f"{tuple(_WEIGHT_MODES)}, got {equation!r}")
-        size, states = _CHUNK, None
+        size, state = _CHUNK, None
         kw["sample_times"] = [T] if sample_times is None else sample_times
         batch = (partial(_density_batch, cfg, initial, T, **kw) if equation == "density"
                  else partial(_coupled_batch, cfg, initial, T, equation=equation, **kw))
     else:
         raise ValidationError(f"unsupported config type {type(cfg).__name__}")
+    # A row's bytes: its final state and its series (weight, entropy, min
+    # eigenvalue and one per observable); numpy cannot address a column
+    # beyond the intp range.
+    n_samples = 0 if kw["sample_times"] is None else np.size(kw["sample_times"])
+    row_bytes = 16 * math.prod(state or (0,)) + 8 * n_samples * (3 + len(obs))
+    if n_traj * row_bytes > np.iinfo(np.intp).max:
+        raise ValidationError(f"n_traj must be at most {np.iinfo(np.intp).max // row_bytes} "
+                              f"for {row_bytes}-byte result rows, got {n_traj}")
+    states = None if state is None else np.empty((n_traj, *state), dtype=complex)
 
     def run(idx):
         # Final states go to the run's array at once, so memory holds them once.
@@ -367,7 +376,7 @@ def run_trajectories(
             states[idx.start:idx.stop], part.states = part.states, None
         return part
 
-    chunks = [range(lo, min(lo + size, n_traj)) for lo in range(0, n_traj, size)]
+    chunks = (range(lo, min(lo + size, n_traj)) for lo in range(0, n_traj, size))
     return EventColumns.concat(_map_chunks(run, chunks, n_workers), states)
 
 

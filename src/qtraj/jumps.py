@@ -19,10 +19,19 @@ error.  Two modes are supported:
 
 Trajectories are pure functions of (config, trajectory index).  Trajectory i
 draws from its own stream (seed, i): first every exponential gap of its
-Poisson clock, then one uniform per event.  Because the outcome family is
-complete, the clock does not depend on the state, so each trajectory's event
-times, uniforms and merged timeline of sample and event times are known
-before its state exists.
+Poisson clock up to the first one that passes T (m + 1 gaps for m events),
+then one uniform per event.  Because the outcome family is complete, the
+clock does not depend on the state, so each trajectory's event times,
+uniforms and merged timeline of sample and event times are known before its
+state exists.
+
+There are two derivations of these draws that agree bit for bit.
+:func:`sample_poisson_times` on a fresh :func:`qtraj.rng.stream`, then
+``rng.random(m)``, is the reference: one scalar gap per call.  A batch
+(:func:`_event_draws`) serves all its rows from one generator re-keyed per
+row (:class:`qtraj.rng.Streams`): it draws each row's gaps as one block and
+sums them with a sequential cumulative sum, then re-keys the row, redraws
+exactly m + 1 gaps and draws the m uniforms.
 
 The event engine (:func:`_run_rows`) advances a batch of trajectories, one
 row each, through their timelines together: step k takes every row to its
@@ -46,6 +55,7 @@ object is built only by :func:`evolve_jump`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -54,7 +64,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .linalg import HermitianOperator, StateVector, hermitian_eig
 from .meter import MeterModel, STATE_NORM_TOL
-from .rng import stream
+from .rng import Streams
 
 MODES = ("normalized", "linear")
 # Kinds of timeline points.  IDLE points (the end time T, and the padding
@@ -63,6 +73,8 @@ SAMPLE, EVENT, IDLE = 0, 1, 2
 # Outcome totals and post-event norms below this are a degenerate state.
 VANISHING = 1e-300
 _PHASE_BLOCK_BYTES = 1 << 20
+# Widest first block of exponential gaps per row (2 KB).
+_GAP_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -176,7 +188,8 @@ class EventColumns:
 
 
 def sample_poisson_times(nu: float, T: float, rng: np.random.Generator) -> np.ndarray:
-    """Event times of a homogeneous Poisson process on [0, T)."""
+    """Event times of a homogeneous Poisson process on [0, T), one gap per
+    draw; the reference of the batched draws of :func:`_event_draws`."""
     if nu < 0:
         raise ValidationError(f"nu >= 0 required, got {nu}")
     if not T > 0:
@@ -234,17 +247,19 @@ def _sample_grid(sample_times, T: float) -> np.ndarray:
 class _Schedule:
     """Draws and merged timelines of a batch of rows.
 
-    t[r, k] is the time of row r's k-th timeline point and gaps[k, r] the
-    time since its previous point, in units of hbar.  steps[k] = (sample
-    rows, event rows, span) describes step k, which takes every row to its
-    k-th point: the rows whose k-th point is a sample or an event (None for
-    no row, a full slice for all rows, else an index array) and the span of
-    the step's events in the flat event arrays.  The flat arrays list every
-    event (row, event number, uniform) and every sample (row, sample
-    number) in step order.
+    Row r has counts[r] events, whose times follow those of rows < r in
+    the flat array times.  t[r, k] is the time of row r's k-th timeline
+    point and gaps[k, r] the time since its previous point, in units of
+    hbar.  steps[k] = (sample rows, event rows, span) describes step k,
+    which takes every row to its k-th point: the rows whose k-th point is a
+    sample or an event (None for no row, a full slice for all rows, else an
+    index array) and the span of the step's events in the flat event
+    arrays.  The flat event and sample arrays list every event (row, event
+    number, uniform) and every sample (row, sample number) in step order.
     """
 
-    event_times: list[np.ndarray]
+    counts: np.ndarray
+    times: np.ndarray
     n_samples: int
     t: np.ndarray
     gaps: np.ndarray
@@ -258,28 +273,67 @@ class _Schedule:
     def collect(self, parts, tail=()) -> np.ndarray:
         """(rows, samples, *tail) array of the values recorded at the sample
         steps, given in step order."""
-        out = np.empty((len(self.event_times), self.n_samples, *tail))
+        out = np.empty((self.counts.size, self.n_samples, *tail))
         if parts:
             out[self.sample_rows, self.sample_slots] = np.concatenate(parts)
         return out
 
 
+def _event_draws(seed: int, rate: float, T: float, indices):
+    """Each row's Poisson event times and outcome uniforms.
+
+    Row r draws from stream (seed, indices[r]) exactly what
+    ``sample_poisson_times(rate, T, rng)`` and then ``rng.random(m)`` draw
+    for its m events: m + 1 exponential gaps, then m uniforms.  The gaps
+    come as one block per row and a sequential cumulative sum, which adds
+    them in the reference's order; a row whose block ends before T redraws
+    a block twice as wide.  Then each row is reset and redraws exactly
+    m + 1 gaps, so its uniforms start where the reference's do.
+
+    Returns (times, counts, uniforms): times[r] holds row r's event times
+    first and values >= T after them, and the uniforms are flat in row
+    order.
+    """
+    streams = Streams(seed, indices)
+    n = len(streams.keys)
+    if rate == 0:
+        return np.full((n, 1), np.inf), np.zeros(n, dtype=np.intp), np.empty(0)
+    mean = rate * T
+    width = min(_GAP_BLOCK, math.ceil(mean + 4.0 * math.sqrt(mean)) + 4)
+    times = np.empty((n, 0))
+    rows = np.arange(n)
+    while rows.size:
+        # Rows that have not reached T redraw a wider block from the start.
+        width = max(width, 2 * times.shape[1])
+        wide = np.full((n, width), np.inf)
+        wide[:, :times.shape[1]] = times
+        for r in rows.tolist():
+            streams.reset(r).standard_exponential(out=wide[r])
+        # exponential(scale) is scale times standard_exponential, bit for bit.
+        wide[rows] = np.cumsum(wide[rows] * (1.0 / rate), axis=1)
+        times = wide
+        rows = rows[times[rows, -1] < T]
+    counts = np.add.reduce(times < T, axis=1)
+    uniforms = np.empty(int(counts.sum()))
+    spare = np.empty(int(counts.max(initial=0)) + 1)
+    lo = 0
+    for r, m in enumerate(counts.tolist()):
+        rng = streams.reset(r)
+        rng.standard_exponential(out=spare[:m + 1])
+        rng.random(out=uniforms[lo:lo + m])
+        lo += m
+    return times, counts, uniforms
+
+
 def _schedule(seed: int, rate: float, T: float, indices, samples, hbar: float) -> _Schedule:
-    times, draws = [], []
-    for i in indices:
-        rng = stream(seed, i)
-        t = sample_poisson_times(rate, T, rng)
-        times.append(t)
-        draws.append(rng.random(t.size))
-    n, ns = len(times), samples.size
-    n_ev = max((t.size for t in times), default=0)
+    times, counts, uniforms = _event_draws(seed, rate, T, indices)
+    n, ns = counts.size, samples.size
+    n_ev = int(counts.max(initial=0))
     keys = np.full((n, ns + n_ev + 1), np.inf)
     keys[:, :ns] = samples
     keys[:, -1] = T
-    uniforms = np.zeros((n, n_ev))
-    for r, (t, u) in enumerate(zip(times, draws)):
-        keys[r, ns:ns + t.size] = t
-        uniforms[r, :t.size] = u
+    first = times[:, :n_ev]
+    keys[:, ns:ns + n_ev] = np.where(first < T, first, np.inf)
     # A stable sort keeps column order at equal times: a sample precedes an
     # event, and both precede the end point T.  Padding (inf) sorts last.
     col = np.argsort(keys, axis=1, kind="stable")
@@ -307,8 +361,9 @@ def _schedule(seed: int, rate: float, T: float, indices, samples, hbar: float) -
         for a, b, c, e in zip(sb, sb[1:], eb, eb[1:])
     ]
     e_slots = e_cols - ns
-    return _Schedule(times, ns, t, gaps, steps, e_rows, e_slots, uniforms[e_rows, e_slots],
-                     s_rows, s_cols)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    return _Schedule(counts, times[times < T], ns, t, gaps, steps, e_rows, e_slots,
+                     uniforms[offsets[e_rows] + e_slots], s_rows, s_cols)
 
 
 def _run_rows(kern, meter: MeterModel, seed: int, rate: float, T: float, indices,
@@ -373,8 +428,8 @@ def _run_rows(kern, meter: MeterModel, seed: int, rate: float, T: float, indices
                 log_w[e_rows] += np.log(norm)
     cols = EventColumns(
         indices=np.array(indices, dtype=np.intp),
-        counts=np.array([t.size for t in sch.event_times], dtype=np.intp),
-        times=np.concatenate([np.empty(0), *sch.event_times]),
+        counts=sch.counts,
+        times=sch.times,
         outcomes=np.empty(u.size, dtype=np.intp),
         grid=meter.support_grid,
         log_weight=log_w,

@@ -294,6 +294,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: lambda=100.0 outside pointer grid range [-6.3, 6.3]\n"
 
+    @pytest.mark.parametrize("command", ["jump", "diffuse"])
+    def test_unaddressable_n_traj_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # Rejected before any result column is allocated or any chunk runs.
+        def no_chunks(*_):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr("qtraj.ensemble._map_chunks", no_chunks)
+        spec = tmp_path / "big.json"
+        spec.write_text(f'{{"experiment": "{command}", "n_traj": 1e18}}')
+        assert main([command, "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_traj must be at most "), err
+        assert err.endswith(", got 1000000000000000000\n")
+
     def test_blow_up_exits_3(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "b.json", experiment="diffuse", overrides={"gamma": 30},
                           dt=0.01, n_traj=4)

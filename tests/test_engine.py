@@ -27,7 +27,7 @@ from qtraj import (
     sample_poisson_times,
 )
 from qtraj.cli import main
-from qtraj.jumps import _draw_outcomes, _jump_batch
+from qtraj.jumps import _draw_outcomes, _jump_batch, _schedule
 from qtraj.linalg import spectrum_entropy
 from qtraj.manybody import _mixing_batch
 from qtraj.rng import stream
@@ -119,6 +119,39 @@ class TestBatchLayout:
         for i in range(20):
             times = sample_poisson_times(cfg.total_intensity, 1.0, stream(cfg.seed, i))
             assert [t for t, _ in batch.events(i)] == times.tolist()
+
+
+class TestSchedule:
+    """The batched draws of _schedule against one fresh stream per row."""
+
+    @pytest.mark.parametrize("rate, T, indices", [
+        pytest.param(0.0, 1.0, range(4), id="nu-zero"),
+        # 400 events per row on average: every row outruns the first block.
+        pytest.param(400.0, 1.0, range(7, 12), id="outrun-first-block"),
+        pytest.param(25.0, 0.1, [*range(60), 2 ** 32, 2 ** 64 - 1], id="zero-and-many"),
+    ])
+    def test_draws_equal_the_row_streams(self, rate, T, indices):
+        samples = np.linspace(0.0, T, 5)
+        sch = _schedule(9, rate, T, indices, samples, 1.0)
+        times, uniforms = [], []
+        for i in indices:
+            rng = stream(9, i)
+            times.append(sample_poisson_times(rate, T, rng))
+            uniforms.append(rng.random(times[-1].size))
+        counts = [t.size for t in times]
+        assert sch.counts.tolist() == counts
+        assert np.array_equal(sch.times, np.concatenate([np.empty(0), *times]))
+        # Uniforms in row order, from the step order of the flat event arrays.
+        offsets = np.concatenate([[0], np.cumsum(counts)]).astype(int)
+        in_rows = np.empty(offsets[-1])
+        in_rows[offsets[sch.event_rows] + sch.event_slots] = sch.event_uniforms
+        assert np.array_equal(in_rows, np.concatenate([np.empty(0), *uniforms]))
+        for r, t in enumerate(times):
+            line = np.sort(np.concatenate([samples, t, [T]]))
+            assert np.array_equal(sch.t[r, :line.size], line)
+            assert (sch.t[r, line.size:] == T).all()
+        if rate == 25.0:
+            assert min(counts) == 0 and max(counts) >= 6
 
 
 def draw_index(weights, rng):

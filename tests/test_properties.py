@@ -15,6 +15,7 @@ from qtraj import evolve_density, evolve_jump  # noqa: E402
 from qtraj.ensemble import master_generator, superop_matrix  # noqa: E402
 from qtraj.jumps import EventColumns, _jump_batch  # noqa: E402
 from qtraj.manybody import _mixing_batch  # noqa: E402
+from qtraj.rng import Streams, stream, stream_keys  # noqa: E402
 
 
 @hypothesis.settings(max_examples=25, deadline=None)
@@ -82,3 +83,24 @@ def test_chunked_rows_equal_one_batch_and_a_batch_of_one(engine, mode, sampled, 
                         whole)
     for r, i in enumerate(range(bounds[0], bounds[-1])):
         assert same_row(whole, r, single(i)), i
+
+
+# Index words at the 32- and 64-bit edges, where the key's word count changes.
+EDGE_INDICES = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+
+
+@hypothesis.settings(max_examples=50, deadline=None)
+@hypothesis.given(
+    seed=st.integers(0, 2 ** 160 - 1),
+    extra=st.lists(st.integers(0, 2 ** 96), max_size=6),
+)
+def test_batched_stream_keys_and_draws_equal_seed_sequence(seed, extra):
+    indices = EDGE_INDICES + extra
+    keys = stream_keys(seed, indices)
+    streams = Streams(seed, indices)
+    for r, i in enumerate(indices):
+        ref = np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(2, np.uint64)
+        assert np.array_equal(keys[r], ref), i
+        rng, fresh = streams.reset(r), stream(seed, i)
+        assert np.array_equal(rng.exponential(0.25, 3), fresh.exponential(0.25, 3)), i
+        assert np.array_equal(rng.random(3), fresh.random(3)), i

@@ -86,3 +86,31 @@ def test_master_oracle_uses_no_engine_internals():
                if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
     assert set(ORACLE) <= defined
     assert engine_names_in_oracle(path) == []
+
+
+# Streams are derived only in rng.py, where the batched key derivation is
+# checked against SeedSequence.
+RNG_CONSTRUCTORS = {"SeedSequence", "Philox", "Generator", "default_rng"}
+
+
+def rng_constructor_calls(path: Path) -> list[str]:
+    """Random-generator constructors a module calls, by name or attribute;
+    annotations name the types without calling them."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in RNG_CONSTRUCTORS:
+                found.add(name)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "rng.py"],
+                         ids=lambda p: p.name)
+def test_streams_are_built_only_in_rng(path):
+    assert rng_constructor_calls(path) == []
+
+
+def test_rng_builds_the_streams():
+    assert rng_constructor_calls(PACKAGE / "rng.py") == ["Generator", "Philox", "SeedSequence"]
