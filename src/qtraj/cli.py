@@ -4,10 +4,13 @@ emission.
 A run specification is a JSON object whose fields are documented in
 ``RunSpec``.  Every default that resolution applies is echoed into the output
 manifest together with a content hash of the resolved specification, and all
-emitted files carry that hash and the seed in a header line.  A ``master``
-run also records its RK4 stability margin, dt * ||generator|| against the
-bound, under ``diagnostics`` in the manifest.  Outputs are byte-identical for
-a fixed specification and seed, independent of the worker count.
+emitted files carry that hash and the seed in a header line.  jump, many
+and diffuse share one runner: ``timeseries.tsv`` holds the statistics of
+``run_trajectories`` and, for the event runs jump and many,
+``trajectories.jsonl`` one record per trajectory.  A ``master`` run also
+records its RK4 stability margin, dt * ||generator|| against the bound,
+under ``diagnostics`` in the manifest.  Outputs are byte-identical for a
+fixed specification and seed, independent of the worker count.
 
 Exit codes: 0 success, 2 configuration errors, 3 numerical errors,
 4 capacity errors.
@@ -28,12 +31,13 @@ import numpy as np
 
 from .diffusion import DiffusionConfig
 from .ensemble import (
+    DIFFUSION_EQUATIONS,
+    MASTER_MODES,
     RK4_BOUND,
     MasterConfig,
     jump_to_diffusion_bridge,
     master_generator,
     rk4_solve,
-    run_ensemble,
     run_trajectories,
     trajectory_stats,
 )
@@ -46,10 +50,7 @@ from .presets import get_preset, preset_meter
 from .records import json_dumps_stable, spec_hash, write_table, write_trajectories
 
 EXPERIMENTS = ("kick", "jump", "many", "diffuse", "master", "bridge")
-EQUATIONS = {
-    "diffuse": ("linear", "coupled", "density"),
-    "master": ("jump-averaged", "diffusive"),
-}
+EQUATIONS = {"diffuse": DIFFUSION_EQUATIONS, "master": MASTER_MODES}
 INTERACTIONS = ("none", "nearest-neighbor")
 # Spec fields each experiment reads besides experiment, preset, overrides,
 # seed (in every file header) and the execution knobs out and threads.
@@ -177,8 +178,9 @@ class RunSpec:
     - T > 0 (1): final time; dt > 0 (1e-3): step of diffuse, master and
       bridge; n_samples >= 1 (10): record times T/n, 2T/n, ..., T.
     - mode: "normalized" (default) or "linear" jump and mixing trajectories.
-    - n_traj >= 1 (100), seed >= 0 (0) and threads >= 1 (1), the worker cap;
-      diffusion runs split only at blocks of 512 paths.
+    - n_traj >= 2 (100), as a standard error needs two trajectories; seed
+      >= 0 (0) and threads >= 1 (1), the worker cap; diffusion runs split
+      only at blocks of 512 paths.
     - observables (["R"]): array of "R", "H", "projector:k" and inline
       {"name", "matrix"} objects with number or [re, im] entries; an
       operator on one particle is averaged over the particles.
@@ -228,7 +230,7 @@ class RunSpec:
         _require(self.dt > 0, "dt > 0 required")
         _require(self.n_samples >= 1, "n_samples >= 1 required")
         _require(self.mode in ("normalized", "linear"), "mode must be 'normalized' or 'linear'")
-        _require(self.n_traj >= 1, "n_traj >= 1 required")
+        _require(self.n_traj >= 2, f"n_traj must be >= 2, got {self.n_traj}")
         _require(self.seed >= 0, "seed >= 0 required")
         _require(self.threads >= 1, "threads >= 1 required")
         if self.experiment in EQUATIONS:
@@ -481,26 +483,6 @@ def _manybody_config(spec: RunSpec, model: _Model) -> ManyBodyConfig:
     )
 
 
-def _run_events(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
-    """jump and many: event trajectories, their records and their statistics."""
-    if spec.experiment == "jump":
-        cfg = JumpConfig(H=model.H, meter=model.meter, nu=model.nu, hbar=model.hbar,
-                         seed=spec.seed, mode=spec.mode)
-        M, initial = 1, model.eta_single
-    else:
-        cfg = _manybody_config(spec, model)
-        M, initial = model.M, _product_state(model.eta_single, model.M).density()
-    obs = _observable_matrices(spec, model, M)
-    cols = run_trajectories(cfg, initial, spec.T, spec.n_traj, observables=obs,
-                            sample_times=_sample_times(spec), n_workers=spec.threads,
-                            equation=spec.mode)
-    write_trajectories(outdir / "trajectories.jsonl", meta, cols, spec.seed)
-    table = _stats_columns(trajectory_stats(cols, spec.mode))
-    if cols.min_eig is not None:
-        table.append(("min_eig_min", np.min(cols.min_eig, axis=0)))
-    write_table(outdir / "timeseries.tsv", meta, table)
-
-
 def _diffusion_config(spec: RunSpec, model: _Model, M: int) -> DiffusionConfig:
     return DiffusionConfig(
         H=model.H, R=model.R, gamma=model.gamma, pointer=model.meter.pointer, dt=spec.dt,
@@ -508,20 +490,31 @@ def _diffusion_config(spec: RunSpec, model: _Model, M: int) -> DiffusionConfig:
     )
 
 
-def _run_diffuse(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
-    cfg = _diffusion_config(spec, model, model.M if spec.equation == "density" else 1)
-    obs = _observable_matrices(spec, model, cfg.M)
-    times = _sample_times(spec)
-    initial = (
-        _product_state(model.eta_single, cfg.M).density()
-        if spec.equation == "density"
-        else model.eta_single
-    )
-    stats = run_ensemble(
-        cfg, initial, spec.T, spec.n_traj, observables=obs,
-        sample_times=times, n_workers=spec.threads, equation=spec.equation,
-    )
-    write_table(outdir / "timeseries.tsv", meta, _stats_columns(stats))
+def _run_ensemble(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
+    """jump, many and diffuse: trajectories, their statistics and, for event
+    runs, their records."""
+    if spec.experiment == "jump":
+        cfg = JumpConfig(H=model.H, meter=model.meter, nu=model.nu, hbar=model.hbar,
+                         seed=spec.seed, mode=spec.mode)
+        M, equation = 1, spec.mode
+    elif spec.experiment == "many":
+        cfg, M, equation = _manybody_config(spec, model), model.M, spec.mode
+    else:
+        M = model.M if spec.equation == "density" else 1
+        cfg, equation = _diffusion_config(spec, model, M), spec.equation
+    initial = model.eta_single
+    if spec.experiment == "many" or equation == "density":
+        initial = _product_state(model.eta_single, M).density()
+    cols = run_trajectories(cfg, initial, spec.T, spec.n_traj,
+                            observables=_observable_matrices(spec, model, M),
+                            sample_times=_sample_times(spec), n_workers=spec.threads,
+                            equation=equation)
+    if cols.counts is not None:
+        write_trajectories(outdir / "trajectories.jsonl", meta, cols, spec.seed)
+    table = _stats_columns(trajectory_stats(cols))
+    if spec.experiment == "many":
+        table.append(("min_eig_min", np.min(cols.min_eig, axis=0)))
+    write_table(outdir / "timeseries.tsv", meta, table)
 
 
 def _run_master(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
@@ -566,9 +559,9 @@ def execute(spec: RunSpec) -> int:
     meta = {"spec_hash": spec_hash(resolved), "seed": spec.seed}
     runner = {
         "kick": _run_kick,
-        "jump": _run_events,
-        "many": _run_events,
-        "diffuse": _run_diffuse,
+        "jump": _run_ensemble,
+        "many": _run_ensemble,
+        "diffuse": _run_ensemble,
         "master": _run_master,
         "bridge": _run_bridge,
     }[spec.experiment]

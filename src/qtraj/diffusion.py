@@ -39,10 +39,10 @@ complex density is rebuilt only at record steps.  A real packet gives
 exactly real noise: noise_covariance computes c1 and c2 from the same real
 sums.  With noise=False the noise map is replaced by its exact one-step
 mean, so the same kernel steps the averaged (Lindblad-form) equation.  The
-kernels draw the noise in their step loops, each path from its own stream;
-a complex increment dv is two normals mapped by the Cholesky factors of
-_noise_chol.  All noise draws are pure functions of (seed, path index, step
-index).
+kernels draw the noise in their step loops, each path from its own stream
+(a generator of :func:`qtraj.rng.generators`); a complex increment dv is
+two normals mapped by the Cholesky factors of _noise_chol.  All noise draws
+are pure functions of (seed, path index, step index).
 
 The two state equations share one batched kernel, _coupled_states: the rows
 live in R's eigenbasis, where each step is an elementwise factor (the
@@ -67,7 +67,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import NumericError, ValidationError
-from .jumps import EventColumns
+from .jumps import EventColumns, _step_grid
 from .linalg import (
     HermitianOperator,
     StateVector,
@@ -81,7 +81,7 @@ from .linalg import (
     spectrum_entropy,
 )
 from .meter import PointerState, STATE_NORM_TOL
-from .rng import stream
+from .rng import generators
 
 BLOWUP_LIMIT = 1e6
 POSITIVITY_TOL = 1e-6
@@ -202,24 +202,6 @@ class DensityPath:
     min_eig: np.ndarray
 
 
-def _step_grid(T: float, dt: float, times) -> tuple[int, np.ndarray, dict[int, list[int]]]:
-    """(step count, record steps, rec_map) of a fixed-step run over [0, T]:
-    rec[j] is the step of record time times[j] and rec_map[s] the record
-    slots to fill after step s.  T must be a positive multiple of dt and
-    every record time a grid point in [0, T]."""
-    n_steps = int(round(T / dt))
-    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
-        raise ValidationError(f"T={T} must be a positive multiple of dt={dt}")
-    times = np.asarray(times, dtype=float)
-    rec = np.round(times / dt).astype(int)
-    if np.any(np.abs(rec * dt - times) > 1e-9) or np.any(rec < 0) or np.any(rec > n_steps):
-        raise ValidationError("record times must align with the integration step grid")
-    rec_map: dict[int, list[int]] = {}
-    for j, s in enumerate(rec.tolist()):
-        rec_map.setdefault(s, []).append(j)
-    return n_steps, rec, rec_map
-
-
 def _guard(ok: np.ndarray, what: str, seed: int, indices, times):
     """Raise a NumericError unless ok holds everywhere; ok[i, s] is the
     verdict on path indices[i] at record time times[s], and the message names
@@ -266,7 +248,7 @@ def _coupled_states(
     if abs(eta.norm2() - 1.0) > STATE_NORM_TOL:
         raise ValidationError("initial state must be normalized")
     n_steps, rec, rec_map = _step_grid(T, cfg.dt, sample_times)
-    gens = [stream(cfg.seed, i) for i in indices]
+    gens = generators(cfg.seed, indices)
     n = len(gens)
     wR, VR = hermitian_eig(cfg.R)
     UT = (VR.conj().T @ propagator(cfg.H, cfg.dt, cfg.hbar) @ VR).T
@@ -475,7 +457,7 @@ def _density_states(cfg: DiffusionConfig, rho0, T: float, indices, sample_times,
 
     c1, c2 = M * cfg.noise.c1, M * cfg.noise.c2
     if noise:
-        gens = [stream(cfg.seed, i) for i in indices]
+        gens = generators(cfg.seed, indices)
         a11, a21, a22 = _noise_chol(cfg.dt, c1, c2)
         rotate = a21 != 0.0 or a22 != 0.0
         z = np.empty((n, _DRAW_BLOCK, 2))

@@ -35,6 +35,7 @@ measurement.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -42,14 +43,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .diffusion import (
-    DiffusionConfig,
-    _coupled_batch,
-    _density_batch,
-    _step_grid,
-)
+from .diffusion import DiffusionConfig, _coupled_batch, _density_batch
 from .errors import ValidationError
-from .jumps import EventColumns, JumpConfig, _jump_batch
+from .jumps import EventColumns, JumpConfig, _jump_batch, _step_grid
 from .linalg import (
     HermitianOperator,
     _check_particles,
@@ -68,8 +64,7 @@ RK4_BOUND = 0.1
 # event engine (2 rows at D = 64, 1 row at D = 256), which keeps peak memory flat.
 _CHUNK = 512
 _DENSITY_BATCH_BYTES = 128 * 1024
-# Each diffusion equation and its weight mode.
-_WEIGHT_MODES = {"linear": "linear", "coupled": "normalized", "density": "linear"}
+DIFFUSION_EQUATIONS = ("linear", "coupled", "density")
 
 
 @dataclass(frozen=True)
@@ -293,16 +288,14 @@ def _fsum_mean_se(values: np.ndarray) -> tuple[float, float]:
 
 @dataclass
 class EnsembleStats:
-    """Per-time Monte-Carlo means and standard errors.
+    """Per-time Monte-Carlo means and standard errors of the weights, the
+    observable estimators weight * <X> and, for density rows, the entropy.
 
-    Observable estimators are weight * <X>, where the weight is the squared
-    norm (or trace) of the linear solution and 1 in normalized mode; in both
-    cases the mean estimates Tr(X rho_master(t)).
+    The weight is a row's reported squared norm (or trace), one in
+    normalized mode; the estimator's mean estimates Tr(X rho_master(t)).
     """
 
     sample_times: np.ndarray
-    n_traj: int
-    mode: str
     names: tuple[str, ...]
     obs_mean: np.ndarray  # (n_times, n_obs)
     obs_se: np.ndarray
@@ -310,8 +303,6 @@ class EnsembleStats:
     weight_se: np.ndarray
     entropy_mean: np.ndarray | None = None
     entropy_se: np.ndarray | None = None
-    count_mean: float | None = None
-    count_se: float | None = None
 
 
 def run_trajectories(
@@ -350,9 +341,9 @@ def run_trajectories(
         state = (cfg.dim, cfg.dim)
         batch = partial(_mixing_batch, cfg, initial, T, equation or "normalized", **kw)
     elif isinstance(cfg, DiffusionConfig):
-        if equation not in _WEIGHT_MODES:
+        if equation not in DIFFUSION_EQUATIONS:
             raise ValidationError(f"diffusion ensembles need equation= one of "
-                                  f"{tuple(_WEIGHT_MODES)}, got {equation!r}")
+                                  f"{DIFFUSION_EQUATIONS}, got {equation!r}")
         size, state = _CHUNK, None
         kw["sample_times"] = [T] if sample_times is None else sample_times
         batch = (partial(_density_batch, cfg, initial, T, **kw) if equation == "density"
@@ -360,12 +351,13 @@ def run_trajectories(
     else:
         raise ValidationError(f"unsupported config type {type(cfg).__name__}")
     # A row's bytes: its final state and its series (weight, entropy, min
-    # eigenvalue and one per observable); numpy cannot address a column
-    # beyond the intp range.
+    # eigenvalue and one per observable).  The columns must fit in physical
+    # memory, which on 64-bit machines is tighter than numpy's intp range.
     n_samples = 0 if kw["sample_times"] is None else np.size(kw["sample_times"])
     row_bytes = 16 * math.prod(state or (0,)) + 8 * n_samples * (3 + len(obs))
-    if n_traj * row_bytes > np.iinfo(np.intp).max:
-        raise ValidationError(f"n_traj must be at most {np.iinfo(np.intp).max // row_bytes} "
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if n_traj * row_bytes > memory:
+        raise ValidationError(f"n_traj must be at most {memory // row_bytes} "
                               f"for {row_bytes}-byte result rows, got {n_traj}")
     states = None if state is None else np.empty((n_traj, *state), dtype=complex)
 
@@ -385,11 +377,10 @@ def _series_stats(series: np.ndarray) -> np.ndarray:
     return np.array([_fsum_mean_se(series[:, s]) for s in range(series.shape[1])]).T
 
 
-def trajectory_stats(cols: EventColumns, mode: str) -> EnsembleStats:
+def trajectory_stats(cols: EventColumns) -> EnsembleStats:
     """Per-time statistics of the columns of any stochastic run, summed over
     rows in index order: weights are the reported squared norms (traces),
-    observable estimators weight * <X>; density rows add entropy statistics
-    and event rows count statistics."""
+    observable estimators weight * <X>; density rows add entropy statistics."""
     if cols.sample_times is None:
         raise ValidationError("trajectory statistics need sampled trajectories")
     obs = np.array([_series_stats(cols.weights * v) for v in cols.values]).reshape(
@@ -397,12 +388,9 @@ def trajectory_stats(cols: EventColumns, mode: str) -> EnsembleStats:
     extra = {}
     if cols.entropy is not None:
         extra["entropy_mean"], extra["entropy_se"] = _series_stats(cols.entropy)
-    if cols.counts is not None:
-        extra["count_mean"], extra["count_se"] = _fsum_mean_se(cols.counts.astype(float))
     w_mean, w_se = _series_stats(cols.weights)
-    return EnsembleStats(sample_times=cols.sample_times, n_traj=cols.weights.shape[0], mode=mode,
-                         names=cols.names, obs_mean=obs[:, 0].T, obs_se=obs[:, 1].T,
-                         weight_mean=w_mean, weight_se=w_se, **extra)
+    return EnsembleStats(sample_times=cols.sample_times, names=cols.names, obs_mean=obs[:, 0].T,
+                         obs_se=obs[:, 1].T, weight_mean=w_mean, weight_se=w_se, **extra)
 
 
 def run_ensemble(
@@ -416,28 +404,26 @@ def run_ensemble(
     equation: str | None = None,
 ) -> EnsembleStats:
     """:func:`trajectory_stats` of :func:`run_trajectories`: per-time
-    statistics of n_traj independent trajectories of any stochastic config,
+    statistics of n_traj >= 2 independent trajectories of any stochastic
+    config, at ten equal steps up to T unless sample_times are given, and
     independent of the worker count.
 
     A JumpConfig runs in its own mode, and for a ManyBodyConfig equation is
     the density mode (default "normalized").  A DiffusionConfig needs one of
-    these equations, with its weight mode:
+    ``DIFFUSION_EQUATIONS``, each with its weight:
 
-    * "linear": linear state equation, weight ||chi||^2, mode "linear";
+    * "linear": linear state equation, weight ||chi||^2;
     * "coupled": unitary-dilation state equation, weight ||psi||^2 (one to
-      rounding), mode "normalized";
-    * "density": M-particle density equation, weight Tr(rho), mode "linear",
-      with entropy statistics.
+      rounding);
+    * "density": M-particle density equation, weight Tr(rho), with entropy
+      statistics.
     """
     if n_traj < 2:
         raise ValidationError(f"n_traj must be >= 2, got {n_traj}")
     if sample_times is None:
         sample_times = np.linspace(T / 10.0, T, 10)
-    cols = run_trajectories(cfg, initial, T, n_traj, observables, sample_times, n_workers,
-                            equation)
-    # run_trajectories has checked equation; a density mode is its own weight mode.
-    mode = cfg.mode if isinstance(cfg, JumpConfig) else _WEIGHT_MODES.get(equation, equation)
-    return trajectory_stats(cols, mode or "normalized")
+    return trajectory_stats(run_trajectories(cfg, initial, T, n_traj, observables,
+                                             sample_times, n_workers, equation))
 
 
 def _map_chunks(worker, chunks, n_workers: int):

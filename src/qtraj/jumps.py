@@ -233,14 +233,34 @@ def sample_outcome(meter: MeterModel, chi, rng: np.random.Generator) -> float:
     return float(meter.grid[meter.support_indices[idx[0]]])
 
 
-def _sample_grid(sample_times, T: float) -> np.ndarray:
-    """Validated sample times (empty when none are requested)."""
-    if not T > 0:
-        raise ValidationError(f"T must be positive, got {T}")
-    samples = np.empty(0) if sample_times is None else np.asarray(sample_times, dtype=float)
-    if samples.size and (samples[0] < 0 or samples[-1] > T):
-        raise ValidationError("sample times must lie in [0, T]")
-    return samples
+def _record_times(times, T: float) -> np.ndarray:
+    """Validated record times, in any order (empty when none are
+    requested): T must be positive and finite, and every time finite and
+    in [0, T]."""
+    if not 0 < T < math.inf:
+        raise ValidationError(f"T must be positive and finite, got {T}")
+    times = np.empty(0) if times is None else np.asarray(times, dtype=float)
+    if not np.all((times >= 0) & (times <= T)):
+        raise ValidationError(f"record times must be finite and lie in [0, T={T}]")
+    return times
+
+
+def _step_grid(T: float, dt: float, times) -> tuple[int, np.ndarray, dict[int, list[int]]]:
+    """(step count, record steps, rec_map) of a fixed-step run over [0, T]:
+    rec[j] is the step of record time times[j] and rec_map[s] the record
+    slots to fill after step s.  T must be a positive multiple of dt and
+    every record time a grid point in [0, T] (:func:`_record_times`)."""
+    times = _record_times(times, T)
+    n_steps = int(round(T / dt)) if dt > 0 and T / dt < math.inf else 0
+    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
+        raise ValidationError(f"T={T} must be a positive multiple of dt={dt}")
+    rec = np.round(times / dt).astype(int)
+    if np.any(np.abs(rec * dt - times) > 1e-9):
+        raise ValidationError("record times must align with the integration step grid")
+    rec_map: dict[int, list[int]] = {}
+    for j, s in enumerate(rec.tolist()):
+        rec_map.setdefault(s, []).append(j)
+    return n_steps, rec, rec_map
 
 
 @dataclass
@@ -381,7 +401,7 @@ def _run_rows(kern, meter: MeterModel, seed: int, rate: float, T: float, indices
     step order).  A NumericError names the seed, trajectory index and time
     to rerun.
     """
-    samples = _sample_grid(sample_times, T)
+    samples = _record_times(sample_times, T)
     sch = _schedule(seed, rate, T, indices, samples, hbar)
     n = len(indices)
     log_w = np.zeros(n)

@@ -15,9 +15,11 @@ bit:
   single-index keys: the seed's part once per seed, in Python integers, and
   the indices' part in vectorized uint32 arithmetic (seeds and indices of
   any size, multi-word ones included).  :class:`Streams` re-keys one Philox
-  generator to counter 0 and an empty buffer for each row.  Philox is
-  counter-based (Salmon et al., SC'11), so the re-keyed generator draws
-  what a fresh :func:`stream` of that index draws.
+  generator to counter 0 and an empty buffer for each row, for a batch
+  that draws one row at a time; :func:`generators` builds one generator
+  per row from the keys, for a batch whose rows draw in turns.  Philox is
+  counter-based (Salmon et al., SC'11), so either draws what a fresh
+  :func:`stream` of that index draws.
 """
 
 from __future__ import annotations
@@ -134,6 +136,14 @@ class _Key(ISeedSequence):
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.key
+
+
+def generators(seed: int, indices) -> list[np.random.Generator]:
+    """One fresh generator per index, keyed by :func:`stream_keys`: the one
+    for i draws what ``stream(seed, i)`` draws, bit for bit, at about a
+    third of its cost."""
+    return [np.random.Generator(np.random.Philox(_Key(key)))
+            for key in stream_keys(seed, indices)]
 
 
 class Streams:

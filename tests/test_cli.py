@@ -123,10 +123,6 @@ class TestCoupledDiffuse:
         assert self.run(spec, tmp_path / "b") == 0
         assert same_files(tmp_path / "a", tmp_path / "b")
 
-    def test_single_trajectory_rejected(self, spec, tmp_path, capsys):
-        assert self.run(spec, tmp_path / "one", "--traj", "1") == 2
-        assert "n_traj must be >= 2" in capsys.readouterr().err
-
 
 class TestManifestDiagnostics:
     @pytest.mark.parametrize("equation", ["jump-averaged", "diffusive"])
@@ -294,19 +290,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: lambda=100.0 outside pointer grid range [-6.3, 6.3]\n"
 
-    @pytest.mark.parametrize("command", ["jump", "diffuse"])
-    def test_unaddressable_n_traj_exits_2(self, tmp_path, capsys, monkeypatch, command):
+    @pytest.mark.parametrize("command", ["jump", "many", "diffuse"])
+    def test_single_trajectory_rejected(self, tmp_path, capsys, command):
+        # A standard error needs two trajectories.
+        assert main([command, "--traj", "1", "--out", str(tmp_path / "one")]) == 2
+        assert capsys.readouterr().err == "error: n_traj must be >= 2, got 1\n"
+
+    @pytest.mark.parametrize("command, n_traj", [
+        pytest.param("jump", 10 ** 18, id="jump"),
+        pytest.param("diffuse", 10 ** 18, id="diffuse"),
+        # Addressable by numpy, but far beyond any machine's memory.
+        pytest.param("jump", 10 ** 16, id="jump-beyond-memory"),
+    ])
+    def test_unaddressable_n_traj_exits_2(self, tmp_path, capsys, monkeypatch, command, n_traj):
         # Rejected before any result column is allocated or any chunk runs.
         def no_chunks(*_):
             raise AssertionError("a chunk ran")
 
         monkeypatch.setattr("qtraj.ensemble._map_chunks", no_chunks)
         spec = tmp_path / "big.json"
-        spec.write_text(f'{{"experiment": "{command}", "n_traj": 1e18}}')
+        spec.write_text(f'{{"experiment": "{command}", "n_traj": {float(n_traj)!r}}}')
         assert main([command, "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: n_traj must be at most "), err
-        assert err.endswith(", got 1000000000000000000\n")
+        assert err.endswith(f", got {n_traj}\n")
 
     def test_blow_up_exits_3(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "b.json", experiment="diffuse", overrides={"gamma": 30},

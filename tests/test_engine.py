@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qtraj import (
+    DiffusionConfig,
     HermitianOperator,
     JumpConfig,
     ManyBodyConfig,
@@ -19,7 +20,9 @@ from qtraj import (
     ValidationError,
     build_gaussian_meter,
     evolve_density,
+    evolve_diffusive_sse,
     evolve_jump,
+    gaussian_pointer,
     mixing_povm_element,
     mixing_reduction,
     nearest_neighbor_coupling,
@@ -27,6 +30,7 @@ from qtraj import (
     sample_poisson_times,
 )
 from qtraj.cli import main
+from qtraj.ensemble import MasterConfig, master_generator, rk4_solve
 from qtraj.jumps import _draw_outcomes, _jump_batch, _schedule
 from qtraj.linalg import spectrum_entropy
 from qtraj.manybody import _mixing_batch
@@ -152,6 +156,49 @@ class TestSchedule:
             assert (sch.t[r, line.size:] == T).all()
         if rate == 25.0:
             assert min(counts) == 0 and max(counts) >= 6
+
+
+def record_run(path, T, times):
+    """Record at times up to T on one of the event engines or one of the
+    fixed-step integrators."""
+    if path == "jump":
+        cfg, eta, _ = jump_setup("normalized")
+        return evolve_jump(cfg, eta, T, 0, times)
+    if path == "mixing":
+        cfg, rho0, _ = mixing_setup()
+        return evolve_density(cfg, rho0, T, "normalized", 0, times)
+    if path == "sse":
+        cfg = DiffusionConfig(H=HX, R=R01, gamma=1.0, pointer=gaussian_pointer(256, 6.0), dt=0.1)
+        return evolve_diffusive_sse(cfg, StateVector(np.array([0.6, 0.8])), T, record_times=times)
+    cfg, eta, _ = jump_setup("normalized")
+    gen = master_generator(MasterConfig.from_jump(cfg))
+    return rk4_solve(gen, eta.density(), T, 0.005, record_times=times)
+
+
+class TestRecordTimes:
+    """Every record time is validated, wherever it stands in the list."""
+
+    @pytest.mark.parametrize("path", ["jump", "mixing", "sse", "master"])
+    @pytest.mark.parametrize("T, times, message", [
+        pytest.param(1.0, [0.1, 5.0, 0.2], r"record times must be finite and lie in \[0, T=1.0\]",
+                     id="beyond-T"),
+        pytest.param(1.0, [0.5, -1.0, 0.7], r"record times must be finite and lie in \[0, T=1.0\]",
+                     id="negative"),
+        pytest.param(1.0, [0.5, math.nan, 0.7],
+                     r"record times must be finite and lie in \[0, T=1.0\]", id="nan"),
+        pytest.param(math.inf, [0.5], "T must be positive and finite, got inf", id="infinite-T"),
+    ])
+    def test_invalid_record_times_rejected(self, path, T, times, message):
+        with pytest.raises(ValidationError, match=message):
+            record_run(path, T, times)
+
+    @pytest.mark.parametrize("path", ["jump", "mixing", "sse", "master"])
+    def test_unordered_record_times_accepted(self, path):
+        ordered = record_run(path, 1.0, [0.2, 0.5, 1.0])
+        shuffled = record_run(path, 1.0, [0.5, 1.0, 0.2])
+        series = {"jump": lambda r: r.norm2_series, "mixing": lambda r: r.trace_series,
+                  "sse": lambda r: r.norm2, "master": lambda r: r[1]}[path]
+        assert np.array_equal(series(shuffled), series(ordered)[[1, 2, 0]])
 
 
 def draw_index(weights, rng):

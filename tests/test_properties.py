@@ -1,6 +1,9 @@
 """Property tests of engine invariants, drawn by hypothesis (skipped when it
 is not installed)."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -11,11 +14,13 @@ from test_engine import TIMES, jump_setup, mixing_setup, same_columns, same_row 
 from test_manybody import block_spectrum_error  # noqa: E402
 from test_master import MODES, generator_error, master_case, random_hermitian  # noqa: E402
 
-from qtraj import evolve_density, evolve_jump  # noqa: E402
+from qtraj import ValidationError, evolve_density, evolve_jump  # noqa: E402
+from qtraj.cli import EQUATIONS, EXPERIMENTS, _resolved_for_hash, spec_from_dict  # noqa: E402
 from qtraj.ensemble import master_generator, superop_matrix  # noqa: E402
 from qtraj.jumps import EventColumns, _jump_batch  # noqa: E402
 from qtraj.manybody import _mixing_batch  # noqa: E402
-from qtraj.rng import Streams, stream, stream_keys  # noqa: E402
+from qtraj.records import spec_hash  # noqa: E402
+from qtraj.rng import Streams, generators, stream, stream_keys  # noqa: E402
 
 
 @hypothesis.settings(max_examples=25, deadline=None)
@@ -98,9 +103,61 @@ def test_batched_stream_keys_and_draws_equal_seed_sequence(seed, extra):
     indices = EDGE_INDICES + extra
     keys = stream_keys(seed, indices)
     streams = Streams(seed, indices)
+    gens = generators(seed, indices)
     for r, i in enumerate(indices):
         ref = np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(2, np.uint64)
         assert np.array_equal(keys[r], ref), i
         rng, fresh = streams.reset(r), stream(seed, i)
         assert np.array_equal(rng.exponential(0.25, 3), fresh.exponential(0.25, 3)), i
         assert np.array_equal(rng.random(3), fresh.random(3)), i
+        assert np.array_equal(gens[r].standard_normal(6),
+                              stream(seed, i).standard_normal(6)), i
+
+
+# Finite JSON numbers, as a spec file holds them.
+POSITIVE = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
+SPEC_FIELDS = {
+    "preset": st.sampled_from(["two-level", "lattice-particle", "two-atoms"]),
+    "overrides": st.fixed_dictionaries({}, optional={
+        "M": st.integers(1, 4), "kappa": POSITIVE, "nu": POSITIVE, "hbar": POSITIVE,
+        "pointer_points": st.integers(16, 4096),
+        "interaction": st.sampled_from(["none", "nearest-neighbor"]),
+    }),
+    "T": POSITIVE,
+    "dt": POSITIVE,
+    "n_samples": st.integers(1, 1000),
+    "mode": st.sampled_from(["normalized", "linear"]),
+    "n_traj": st.integers(2, 10 ** 9),
+    "seed": st.integers(0, 2 ** 64),
+    "threads": st.integers(1, 64),
+    "observables": st.lists(st.sampled_from(["R", "H", "projector:0", "projector:1"]),
+                            max_size=3),
+    "nus": st.lists(POSITIVE, min_size=2, max_size=4),
+    "initial_state": st.sampled_from(["uniform", "basis:0", "basis:1"]),
+    "kick_lambdas": st.none() | st.lists(st.floats(-5, 5), max_size=3),
+    "out": st.text("abc/", min_size=1, max_size=8),
+}
+
+
+@st.composite
+def specs(draw):
+    """A JSON specification object that RunSpec accepts, with a random
+    subset of its optional fields."""
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    raw = draw(st.fixed_dictionaries({"experiment": st.just(experiment)},
+                                     optional=SPEC_FIELDS))
+    if experiment in EQUATIONS and draw(st.booleans()):
+        raw["equation"] = draw(st.sampled_from(EQUATIONS[experiment]))
+    return raw
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(raw=specs(), n_traj=st.sampled_from([0, 1]))
+def test_random_valid_specs_round_trip(raw, n_traj):
+    spec = spec_from_dict(raw)
+    # The resolved spec, written out as JSON, parses back to itself.
+    again = spec_from_dict(json.loads(json.dumps(asdict(spec))))
+    assert again == spec
+    assert spec_hash(_resolved_for_hash(again)) == spec_hash(_resolved_for_hash(spec))
+    with pytest.raises(ValidationError, match=f"^n_traj must be >= 2, got {n_traj}$"):
+        spec_from_dict({**raw, "n_traj": n_traj})

@@ -93,15 +93,15 @@ def test_master_oracle_uses_no_engine_internals():
 RNG_CONSTRUCTORS = {"SeedSequence", "Philox", "Generator", "default_rng"}
 
 
-def rng_constructor_calls(path: Path) -> list[str]:
-    """Random-generator constructors a module calls, by name or attribute;
-    annotations name the types without calling them."""
+def calls(path: Path, names: set[str]) -> list[str]:
+    """Which of names a module calls, by name or attribute; annotations name
+    types without calling them."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in RNG_CONSTRUCTORS:
+            if name in names:
                 found.add(name)
     return sorted(found)
 
@@ -109,8 +109,24 @@ def rng_constructor_calls(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "rng.py"],
                          ids=lambda p: p.name)
 def test_streams_are_built_only_in_rng(path):
-    assert rng_constructor_calls(path) == []
+    assert calls(path, RNG_CONSTRUCTORS) == []
 
 
 def test_rng_builds_the_streams():
-    assert rng_constructor_calls(PACKAGE / "rng.py") == ["Generator", "Philox", "SeedSequence"]
+    assert calls(PACKAGE / "rng.py", RNG_CONSTRUCTORS) == ["Generator", "Philox", "SeedSequence"]
+
+
+# The engines key their generators through rng.Streams and rng.generators;
+# the one-stream reference rng.stream is called only by the acceptance
+# criteria, which draw their own test matrices from it.
+STREAM_CALLERS = ("rng.py", "acceptance.py")
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in STREAM_CALLERS],
+                         ids=lambda p: p.name)
+def test_reference_stream_is_not_called(path):
+    assert calls(path, {"stream"}) == []
+
+
+def test_acceptance_calls_the_reference_stream():
+    assert calls(PACKAGE / "acceptance.py", {"stream"}) == ["stream"]
