@@ -37,6 +37,7 @@ from .ensemble import (
     MasterConfig,
     jump_to_diffusion_bridge,
     master_generator,
+    physical_memory,
     rk4_solve,
     run_trajectories,
     trajectory_stats,
@@ -428,6 +429,16 @@ def _observable_matrices(spec: RunSpec, model: _Model, M: int) -> dict[str, np.n
     return out
 
 
+def _check_n_samples(spec: RunSpec, record_bytes: int):
+    """Reject n_samples records of record_bytes each (a trajectory's time,
+    weight, entropy, min eig and values, or a master time and density)
+    beyond physical memory, before any sample array exists."""
+    memory = physical_memory()
+    _require(spec.n_samples * record_bytes <= memory,
+             f"n_samples must be at most {memory // record_bytes} for {record_bytes}-byte "
+             f"records, got {spec.n_samples}")
+
+
 def _sample_times(spec: RunSpec) -> np.ndarray:
     return np.linspace(spec.T / spec.n_samples, spec.T, spec.n_samples)
 
@@ -505,8 +516,9 @@ def _run_ensemble(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
     initial = model.eta_single
     if spec.experiment == "many" or equation == "density":
         initial = _product_state(model.eta_single, M).density()
-    cols = run_trajectories(cfg, initial, spec.T, spec.n_traj,
-                            observables=_observable_matrices(spec, model, M),
+    obs = _observable_matrices(spec, model, M)
+    _check_n_samples(spec, 8 * (4 + len(obs)))
+    cols = run_trajectories(cfg, initial, spec.T, spec.n_traj, observables=obs,
                             sample_times=_sample_times(spec), n_workers=spec.threads,
                             equation=equation)
     if cols.counts is not None:
@@ -518,6 +530,7 @@ def _run_ensemble(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
 
 
 def _run_master(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
+    _check_n_samples(spec, 8 + 16 * model.d ** (2 * model.M))
     times = _sample_times(spec)
     if spec.equation == "diffusive":
         mcfg = MasterConfig.from_diffusion(_diffusion_config(spec, model, model.M))

@@ -20,16 +20,16 @@ rotates into that basis once and steps there.
 Ensembles run through one chunk runner, :func:`run_trajectories`, in
 contiguous blocks of trajectory indices.  Each block is one batch of its
 engine: the event engine of :mod:`qtraj.jumps` for jump and density
-trajectories (rows in H's eigenbasis, reductions elementwise in R's
-eigenbasis), or its equation's batched kernel for diffusion paths.  Every
-batch returns columns (:class:`EventColumns`), with no object per
-trajectory, and :func:`trajectory_stats` aggregates them.  Event rows are
-bit-identical in any block and diffusion blocks do not depend on the worker
-count; aggregation uses exact compensated summation in trajectory-index
-order, so serial and parallel runs produce identical statistics.  The
-jump-to-diffusion bridge compares generators directly (as superoperator
-matrices), which keeps Monte-Carlo noise out of the convergence-rate
-measurement.
+trajectories (free gaps elementwise in a basis of H's eigenvectors,
+reductions elementwise in R's eigenbasis), or its equation's batched kernel
+for diffusion paths.  Every batch returns columns (:class:`EventColumns`),
+with no object per trajectory, and :func:`trajectory_stats` aggregates
+them.  Event rows are bit-identical in any block and diffusion blocks do
+not depend on the worker count; aggregation uses exact compensated
+summation in trajectory-index order, so serial and parallel runs produce
+identical statistics.  The jump-to-diffusion bridge compares generators
+directly (as superoperator matrices), which keeps Monte-Carlo noise out of
+the convergence-rate measurement.
 """
 
 from __future__ import annotations
@@ -60,10 +60,12 @@ from .meter import MeterModel, build_gaussian_meter
 MASTER_MODES = ("jump-averaged", "diffusive")
 # Stability bound of rk4_solve on dt * ||generator||.
 RK4_BOUND = 0.1
-# Rows per batch, and the byte budget of one stacked density batch of the
-# event engine (2 rows at D = 64, 1 row at D = 256), which keeps peak memory flat.
+# Rows per batch, and the byte budget of one mixing batch's rows of S_M
+# copy blocks, C(d^2 + M - 1, M) entries each: 20 rows at D = 64, where 20
+# to 96 ran equally fast and twice as fast as 2, and 4 at D = 256.  An event
+# needs about two D x D arrays per row, which caps the budget.
 _CHUNK = 512
-_DENSITY_BATCH_BYTES = 128 * 1024
+_MIXING_BATCH_BYTES = 256 * 1024
 DIFFUSION_EQUATIONS = ("linear", "coupled", "density")
 
 
@@ -305,6 +307,11 @@ class EnsembleStats:
     entropy_se: np.ndarray | None = None
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory, the bound of every result allocation."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def run_trajectories(
     cfg,
     initial,
@@ -324,9 +331,10 @@ def run_trajectories(
     Indices run in contiguous blocks, each one batch of its engine, and the
     blocks' columns are concatenated in index order.  Event rows are
     bit-identical in any block, so a block holds at most _CHUNK rows and a
-    1/n_workers share (densities: at most _DENSITY_BATCH_BYTES per stacked
-    batch); density paths agree with other batch sizes only to rounding, so
-    a diffusion block holds _CHUNK paths whatever n_workers.
+    1/n_workers share (mixing rows: at most _MIXING_BATCH_BYTES of them,
+    sized from the copy-block row, not from the D x D density); density
+    paths agree with other batch sizes only to rounding, so a diffusion
+    block holds _CHUNK paths whatever n_workers.
     """
     if n_traj < 1:
         raise ValidationError(f"n_traj must be >= 1, got {n_traj}")
@@ -337,7 +345,8 @@ def run_trajectories(
         size, state = min(_CHUNK, share), (cfg.meter.dim,)
         batch = partial(_jump_batch, cfg, initial, T, **kw)
     elif isinstance(cfg, ManyBodyConfig):
-        size = min(_CHUNK, share, max(1, _DENSITY_BATCH_BYTES // (16 * cfg.dim ** 2)))
+        entries = math.comb(cfg.d ** 2 + cfg.M - 1, cfg.M)
+        size = min(_CHUNK, share, max(1, _MIXING_BATCH_BYTES // (16 * entries)))
         state = (cfg.dim, cfg.dim)
         batch = partial(_mixing_batch, cfg, initial, T, equation or "normalized", **kw)
     elif isinstance(cfg, DiffusionConfig):
@@ -355,7 +364,7 @@ def run_trajectories(
     # memory, which on 64-bit machines is tighter than numpy's intp range.
     n_samples = 0 if kw["sample_times"] is None else np.size(kw["sample_times"])
     row_bytes = 16 * math.prod(state or (0,)) + 8 * n_samples * (3 + len(obs))
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    memory = physical_memory()
     if n_traj * row_bytes > memory:
         raise ValidationError(f"n_traj must be at most {memory // row_bytes} "
                               f"for {row_bytes}-byte result rows, got {n_traj}")

@@ -37,17 +37,19 @@ The event engine (:func:`_run_rows`) advances a batch of trajectories, one
 row each, through their timelines together: step k takes every row to its
 k-th point.
 
-* Rows are held in the eigenbasis of H, where a free gap is the elementwise
-  phase exp(-i w dt / hbar).
-* At an event the rows are rotated by C = V_R^dag V_H into the eigenbasis of
-  R, where the reduction is elementwise, and rotated back.
+* Rows are held in a basis of eigenvectors of H, where a free gap is the
+  elementwise phase exp(-i w dt / hbar).
+* At an event the rows are taken into the eigenbasis of R, where the
+  reduction is elementwise, and back.
 * Outcomes follow outcome_weight_matrix @ p for the R-populations p, drawn
   by a row-wise coarse-then-fine inverse CDF (:func:`_draw_outcomes`).
 
 A row's arithmetic is elementwise or one stacked matmul per row, so a
 trajectory is bit-identical whether it runs alone (:func:`evolve_jump`, a
 batch of one) or in a batch (:func:`_jump_batch`).  The rows are a kernel
-object: :class:`_PureRows` here, ``manybody._DensityRows`` for densities.
+object: :class:`_PureRows` here, amplitudes in H's eigenbasis; for
+label-averaged densities ``manybody._BlockRows``, one copy of each S_M block
+of the density.
 
 A batch returns columns (:class:`EventColumns`); a :class:`Trajectory`
 object is built only by :func:`evolve_jump`.
@@ -390,8 +392,8 @@ def _run_rows(kern, meter: MeterModel, seed: int, rate: float, T: float, indices
               sample_times, names, linear: bool, hbar: float):
     """The event loop shared by the jump and mixing engines.
 
-    ``kern`` holds one state row per index in H's eigenbasis (eigenvalues
-    ``kern.w``) and implements advance (elementwise phases), record (a tuple
+    ``kern`` holds one state row per index in a basis of eigenvectors of H
+    (eigenvalues ``kern.w``) and implements advance (elementwise phases), record (a tuple
     of per-row values at a sample), rotate_in and populations (R-basis rows
     and their populations), reduce (unnormalized reduced rows and their
     norm) and store.  Rows are selected by an index array or by a full slice,

@@ -56,7 +56,9 @@ def as_matrix(op) -> np.ndarray:
 
 
 def _max_asymmetry(arr: np.ndarray) -> float:
-    return float(np.max(np.abs(arr - np.swapaxes(arr, -1, -2).conj())))
+    gap = np.swapaxes(arr, -1, -2).conj()
+    gap -= arr
+    return float(np.max(np.abs(gap)))
 
 
 def _check_density(arr: np.ndarray):

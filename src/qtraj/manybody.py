@@ -13,24 +13,25 @@ though each hidden-label operation is pure.  A brute-force oracle enumerates
 all label assignments for a short event list and must agree with the
 iterated mixing reduction; that identity is the module's correctness anchor.
 
-The engine keeps states in the full tensor space.  Label averaging commutes
-with slot permutations, so a permutation-invariant initial density stays
-invariant; no per-step projection is applied and any drift of the symmetry
-defect is a bug signal, which the tests watch for.  The engine rejects an
-initial density that is not permutation-invariant, because it reads spectra
-(entropy and minimum eigenvalue) from the S_M blocks of the state: such a
-density is a direct sum of blocks A_lambda (x) I_{m_lambda}, and one copy
-of each A_lambda gives the whole spectrum (:func:`_isotypic_blocks`).
+Label averaging commutes with slot permutations, so a permutation-invariant
+initial density stays invariant, and by Schur-Weyl duality such a density is
+a direct sum of blocks A_lambda (x) I_{m_lambda} over the irreducible
+representations lambda of S_M.  The engine keeps only one copy of each
+A_lambda (:class:`_BlockRows`): C(d^2 + M - 1, M) entries against D^2, 816
+against 4096 at d = 4, M = 3.  It therefore rejects an initial density that
+is not permutation-invariant.  Final densities are rebuilt in the full
+tensor space, where the tests watch their symmetry defect.
 
 Density trajectories run on the event engine of :mod:`qtraj.jumps`, whose
-loop, schedule and outcome sampler they share: rows are densities in the
-eigenbasis of the total Hamiltonian, and each mixing event is applied
-elementwise in the product eigenbasis of R (:class:`_DensityRows`).  The
-outcome law is outcome_weight_matrix @ p with p the slot-averaged
-R-populations.  Basis changes whose matrices are exactly real, as in every
-preset, run as real GEMMs on the float view of the complex rows
-(:func:`_sandwich`).  evolve_density is a batch of one, and the only place
-a DensityTrajectory object is built.
+loop, schedule and outcome sampler they share.  In the copy basis of the
+blocks (``ManyBodyConfig._mixing_basis``) the total Hamiltonian is
+diagonal, so a free gap is elementwise phases; each mixing event is applied
+elementwise in the product eigenbasis of R, on the density rebuilt there
+from every copy.  The outcome law is outcome_weight_matrix @ p with p the
+slot-averaged R-populations.  Basis changes whose matrices are exactly
+real, as in every preset, run as real GEMMs on the float view of the
+complex rows (:func:`_left`).  evolve_density is a batch of one, and the
+only place a DensityTrajectory object is built.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,17 +136,50 @@ def _real_if_exact(A: np.ndarray) -> np.ndarray:
     return A if np.any(A.imag) else np.ascontiguousarray(A.real)
 
 
-def _sandwich(A: np.ndarray, Ah: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """A X A^dag for a C-contiguous stack X of Hermitian matrices, given
-    Ah = A^dag.  A real A (see :func:`_real_if_exact`) takes two real GEMMs
-    on the float view of X, in which a product from the left acts on rows
-    only: A X A^T = A (A X)^dag."""
+def _left(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A X for a stack X whose last axis is contiguous.  A real A (see
+    :func:`_real_if_exact`) takes one real GEMM on the float view of X, in
+    which a product from the left acts on rows only."""
     if A.dtype.kind == "c":
-        return np.matmul(np.matmul(A, X), Ah)
-    Y = np.matmul(A, X.view(np.float64)).view(complex)
-    Yh = np.empty((Y.shape[0], Y.shape[2], Y.shape[1]), dtype=complex)
-    np.conjugate(Y.transpose(0, 2, 1), out=Yh)
-    return np.matmul(A, Yh.view(np.float64)).view(complex)
+        return np.matmul(A, X)
+    return np.matmul(A, X.view(np.float64)).view(complex)
+
+
+def _sandwich(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A X A^dag = A (A X)^dag for a stack X of Hermitian matrices: two
+    GEMMs (:func:`_left`)."""
+    return _left(A, np.conjugate(_left(A, X).swapaxes(-1, -2), order="C"))
+
+
+class _Block(NamedTuple):
+    """One S_M block of the mixing engine: m copies of a Q-dimensional
+    space, at columns cols of the full copy bases and at entries of a row.
+    F and E are the copies as an (m, D, Q) stack in the original basis and
+    in R's product eigenbasis."""
+
+    m: int
+    Q: int
+    cols: slice
+    entries: slice
+    F: np.ndarray
+    E: np.ndarray
+
+    def view(self, rows: np.ndarray) -> np.ndarray:
+        """The block of a stack of rows, as a view of Q x Q matrices."""
+        return rows[:, self.entries].reshape(rows.shape[0], self.Q, self.Q)
+
+
+def _rebuild(full: np.ndarray, copies, blocks, rows: np.ndarray) -> np.ndarray:
+    """Densities full Z full^dag of a stack of rows, Z the direct sum over
+    the blocks of I_m (x) A_lambda, given every copy's columns (full) and
+    each block's copies.  Z full^dag is blockwise; full (Z full^dag) is one
+    D x D GEMM."""
+    n, D = rows.shape[0], full.shape[0]
+    Yh = np.empty((n, D, D), dtype=complex)
+    for U, b in zip(copies, blocks):
+        Y = _left(U, b.view(rows)[:, None])
+        np.conjugate(Y.swapaxes(2, 3), out=Yh[:, b.cols].reshape(n, b.m, b.Q, D))
+    return _left(full, Yh)
 
 
 @dataclass(frozen=True)
@@ -219,26 +254,43 @@ class ManyBodyConfig:
 
     @cached_property
     def _mixing_basis(self):
-        """Constants of the mixing engine, built on first use: (C, C^dag,
-        digits, slot_average, blocks).  C = V_R^dag V_H maps H's eigenbasis
-        into R's product eigenbasis, in which state x has single-particle
-        R-index digits[x, k] in slot k; slot_average[x, a] =
-        #{k: digits[x, k] = a} / M maps R-populations to the slot-averaged
-        single-particle ones.  blocks lists (P^dag, P, m) for the S_M blocks
-        of :func:`_isotypic_blocks`, P = V_H^dag B their copies in H's
-        eigenbasis.  Exactly real C and P are stored real (for
-        :func:`_sandwich`)."""
-        V = _real_if_exact(self._heig[1])
-        C = _real_if_exact(kron_power(self.meter.eigenvectors, self.M).conj().T @ V)
-        digits = np.array(list(itertools.product(range(self.d), repeat=self.M)))
+        """Constants of the mixing engine, built on first use: (w, F, E,
+        blocks, pairs, digits, slot_average).
+
+        Each :class:`_Block` spans m aligned copies U_j of one space: an
+        invariant rho is sum_j U_j A U_j^dag, A = U_j^dag rho U_j for every j.
+        U_1 = B W (B from :func:`_isotypic_blocks`, W the eigenvectors of
+        B^dag H B, eigenvalues w), so H is diag(w) on every copy.  The
+        slot-permuted images of U_1 have Gram matrix G (x) I_Q, and G's top m
+        eigenvectors combine them into the copies.  F holds every copy's
+        columns, E = (V_R^dag)^{(x) M} F, and row entry e is A[pairs[:, e]]
+        of its block, indexed into w.  Product state x has R-index
+        digits[x, k] in slot k, and slot_average[x, a] = #{k: digits[x, k] =
+        a} / M.  Exactly real F and E are stored real (for :func:`_left`)."""
+        d, M, D = self.d, self.M, self.dim
+        index = np.arange(D).reshape((d,) * M)
+        perms = [index.transpose(p).reshape(-1) for p in itertools.permutations(range(M))]
+        CR = kron_power(self.meter.eigenvectors, M).conj().T
+        w, blocks, pairs = [], [], []
+        col = entry = 0
+        for B, m in _isotypic_blocks(d, M):
+            h, W = np.linalg.eigh(_real_if_exact(B.T @ self._h_total @ B))
+            Q = h.size
+            images = np.stack([(B @ W)[p] for p in perms])
+            g, v = np.linalg.eigh(np.einsum("aiq,biq->ab", images.conj(), images) / Q)
+            U = np.einsum("ak,aiq->kiq", v[:, -m:] / np.sqrt(g[-m:]), images)
+            blocks.append(_Block(m, Q, slice(col, col + m * Q), slice(entry, entry + Q * Q),
+                                 _real_if_exact(U), _real_if_exact(np.matmul(CR, U))))
+            pairs.append(np.indices((Q, Q)).reshape(2, -1) + len(w))
+            w.extend(h)
+            col, entry = col + m * Q, entry + Q * Q
+        F = np.concatenate([b.F.transpose(1, 0, 2).reshape(D, -1) for b in blocks], axis=1)
+        digits = np.array(list(itertools.product(range(d), repeat=M)))
         slot_average = np.stack(
-            [np.count_nonzero(digits == a, axis=1) for a in range(self.d)], axis=1
-        ) / self.M
-        blocks = []
-        for B, m in _isotypic_blocks(self.d, self.M):
-            P = V.conj().T @ B
-            blocks.append((np.ascontiguousarray(P.conj().T), P, m))
-        return C, np.ascontiguousarray(C.conj().T), digits, slot_average, blocks
+            [np.count_nonzero(digits == a, axis=1) for a in range(d)], axis=1
+        ) / M
+        return (np.array(w), F, _real_if_exact(CR @ F), blocks, np.concatenate(pairs, axis=1),
+                digits, slot_average)
 
 
 @dataclass
@@ -314,53 +366,48 @@ def mixing_brute_force_oracle(cfg: ManyBodyConfig, rho, lams) -> DensityMatrix:
     return DensityMatrix((out + out.conj().T) / 2.0)
 
 
-def _block_spectra(blocks, rho: np.ndarray) -> np.ndarray:
-    """Ascending spectra of a stack of permutation-invariant densities in H's
-    eigenbasis, from their S_M blocks: each block's eigenvalues repeated by
-    its multiplicity (blocks as in ``ManyBodyConfig._mixing_basis``)."""
-    eigs = [np.repeat(np.linalg.eigvalsh(_sandwich(Ph, P, rho)), m, axis=-1)
-            for Ph, P, m in blocks]
-    return np.sort(np.concatenate(eigs, axis=-1), axis=-1)
+class _BlockRows:
+    """Mixing-engine rows: one copy A_lambda of each S_M block of a
+    density, side by side, in the copy basis of
+    ``ManyBodyConfig._mixing_basis``.
 
-
-class _DensityRows:
-    """Mixing-engine rows: densities in the eigenbasis of the total H.
-
-    A free gap multiplies a density by the outer product of the phases.  In
-    R's product eigenbasis the mixing reduction (1/M) sum_k G_k rho G_k^dag
-    is the Hadamard product with K = (1/M) sum_k a_k a_k^dag, where
-    a_k[x] = g(lambda, x_k); an event therefore costs the rotation into that
-    basis and back, two D x D sandwiches (:func:`_sandwich`, two real GEMMs
-    each when C is real).  Spectra come from the S_M blocks of the state
-    (:func:`_block_spectra`), which is why :func:`_mixing_batch` rejects an
-    initial density that is not permutation-invariant.  Observables are
-    Re sum(X_H^T * rho), O(D^2) each.
+    H is diagonal there, so a free gap multiplies each entry by two phases.
+    In R's product eigenbasis the mixing reduction (1/M) sum_k G_k rho
+    G_k^dag is the Hadamard product with K = (1/M) sum_k a_k a_k^dag,
+    a_k[x] = g(lambda, x_k): an event rebuilds the density there from every
+    copy (:func:`_rebuild`), multiplies it by K and projects it onto the
+    first copy of each block (:func:`_sandwich`).  A spectrum is each
+    A_lambda's, repeated m times, and an observable X is
+    sum_lambda Re Tr(X_lambda A_lambda) with X_lambda = sum_j U_j^dag X U_j.
     """
 
     collapse = "density trace collapsed at a mixing event"
 
     def __init__(self, cfg: ManyBodyConfig, rho: np.ndarray, n: int, observables):
-        self.w, self.V = cfg._heig
-        self.C, self.CH, self.digits, self.slot_average, self.blocks = cfg._mixing_basis
+        self.w, self.F, self.E, self.blocks, self.pairs, self.digits, self.slot_average = (
+            cfg._mixing_basis)
         self.G = _real_if_exact(cfg.meter.reduction_family)
         self.M = cfg.M
-        Vh = self.V.conj().T
-        self.rho = np.tile(Vh @ rho @ self.V, (n, 1, 1))
-        self.XT = np.array([(Vh @ X @ self.V).T for X in observables.values()]).reshape(
-            len(observables), cfg.dim ** 2)
+        first = [(b.F[0].conj().T @ rho @ b.F[0]).reshape(-1) for b in self.blocks]
+        self.rows = np.tile(np.concatenate(first), (n, 1))
+        self.XT = np.array([
+            np.concatenate([(b.F.conj().transpose(0, 2, 1) @ X @ b.F).sum(axis=0).T.reshape(-1)
+                            for b in self.blocks])
+            for X in observables.values()]).reshape(len(observables), self.rows.shape[1])
 
     def advance(self, phases):
-        self.rho *= phases[:, :, None] * phases.conj()[:, None, :]
+        self.rows *= phases[:, self.pairs[0]] * phases.conj()[:, self.pairs[1]]
 
     def record(self, rows):
         """(minimum eigenvalue, entropy, observables) of each row."""
-        rho = self.rho[rows]
-        eigs = _block_spectra(self.blocks, rho)
-        flat = rho.reshape(rho.shape[0], 1, -1)
-        return eigs[:, 0], spectrum_entropy(eigs), np.add.reduce(flat * self.XT, axis=2).real
+        A = self.rows[rows]
+        eigs = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b.view(A)), b.m, axis=1)
+                                       for b in self.blocks], axis=1), axis=1)
+        values = np.add.reduce(A[:, None, :] * self.XT, axis=2).real
+        return eigs[:, 0], spectrum_entropy(eigs), values
 
     def rotate_in(self, rows):
-        return _sandwich(self.C, self.CH, self.rho[rows])
+        return _rebuild(self.E, [b.E for b in self.blocks], self.blocks, self.rows[rows])
 
     def populations(self, rot):
         diag = np.ascontiguousarray(rot.diagonal(0, 1, 2).real)
@@ -369,19 +416,21 @@ class _DensityRows:
     def reduce(self, rot, idx):
         a = self.G[idx][:, self.digits]
         rot *= np.matmul(a, a.conj().transpose(0, 2, 1))
-        back = _sandwich(self.CH, self.C, rot)
-        back += back.conj().transpose(0, 2, 1)
-        back *= 0.5 / self.M
-        return back, np.ascontiguousarray(back.diagonal(0, 1, 2).real).sum(axis=1)
+        out = np.empty((rot.shape[0], self.rows.shape[1]), dtype=complex)
+        for b in self.blocks:
+            A = _sandwich(b.E[0].conj().T, rot)
+            np.add(A, A.conj().transpose(0, 2, 1), out=b.view(out))
+        out *= 0.5 / self.M
+        # The trace of (1/M) K o rot, which the projection onto the copies keeps.
+        return out, np.ascontiguousarray(rot.diagonal(0, 1, 2).real).sum(axis=1) / self.M
 
     def store(self, rows, reduced, tr):
-        self.rho[rows] = reduced / tr[:, None, None]
+        self.rows[rows] = reduced / tr[:, None]
 
     def final(self) -> np.ndarray:
-        """Rows rotated back to the original basis; releases the rows, so
-        the outputs built next can reuse their memory."""
-        rho, self.rho = self.rho, None
-        return np.matmul(np.matmul(self.V, rho), self.V.conj().T)
+        """Rows rebuilt in the original basis; releases the rows."""
+        rows, self.rows = self.rows, None
+        return _rebuild(self.F, [b.F for b in self.blocks], self.blocks, rows)
 
 
 def _mixing_batch(cfg: ManyBodyConfig, rho0: DensityMatrix, T: float, mode: str, indices,
@@ -405,14 +454,15 @@ def _mixing_batch(cfg: ManyBodyConfig, rho0: DensityMatrix, T: float, mode: str,
     rho = rho0.entries.astype(complex)
     obs = observables or {}
     indices = list(indices)
-    kern = _DensityRows(cfg, rho, len(indices), obs)
+    kern = _BlockRows(cfg, rho, len(indices), obs)
     cols, sch, records = _run_rows(kern, cfg.meter, cfg.seed, cfg.total_intensity, T, indices,
                                    sample_times, obs, linear, cfg.hbar)
     cols.min_eig, cols.entropy = (sch.collect([rec[j] for rec in records]) for j in (0, 1))
     final = kern.final()
     if linear:
         final *= np.exp(cols.log_weight)[:, None, None]
-    final = (final + final.conj().transpose(0, 2, 1)) / 2.0
+    final += final.conj().transpose(0, 2, 1)
+    final *= 0.5
     _check_density(final)
     cols.final = np.array([np.trace(f).real for f in final])
     cols.states = final

@@ -315,6 +315,21 @@ class TestExitCodes:
         assert err.startswith("error: n_traj must be at most "), err
         assert err.endswith(f", got {n_traj}\n")
 
+    @pytest.mark.parametrize("command", ["jump", "many", "diffuse", "master"])
+    def test_n_samples_beyond_memory_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # Rejected before any sample array exists: building one would raise
+        # here, not allocate 8 GB.
+        def no_samples(*_):
+            raise AssertionError("sample times were built")
+
+        monkeypatch.setattr("qtraj.cli._sample_times", no_samples)
+        spec = tmp_path / "samples.json"
+        spec.write_text(f'{{"experiment": "{command}", "n_samples": 1e9}}')
+        assert main([command, "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_samples must be at most "), err
+        assert err.endswith(", got 1000000000\n") and err.count("\n") == 1
+
     def test_blow_up_exits_3(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "b.json", experiment="diffuse", overrides={"gamma": 30},
                           dt=0.01, n_traj=4)

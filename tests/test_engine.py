@@ -323,13 +323,18 @@ class TestCliLayouts:
     @pytest.mark.parametrize("experiment,fields", [
         ("jump", {"n_traj": 1100, "seed": 9}),
         ("many", {"n_traj": 600, "seed": 9, "T": 0.5, "n_samples": 4}),
+        ("many", {"preset": "lattice-particle", "overrides": {"d": 4, "M": 3},
+                  "n_traj": 50, "seed": 9, "T": 0.2, "n_samples": 3}),
     ])
     def test_bytes_independent_of_threads_and_reruns(self, tmp_path, experiment, fields):
         spec = write_spec(tmp_path / "spec.json", experiment=experiment, **fields)
         outs = []
         # 1100 jump rows run in three chunks of at most 512 rows at 1 to 3
-        # workers and in four at 4; 600 density rows in two chunks at 1 and 2
-        # workers, three at 3 and four at 4.
+        # workers and in four at 4.  Mixing chunks hold at most 512 rows of
+        # d = 2, M = 2 and at most 20 of d = 4, M = 3 (D = 64): 600 rows run
+        # in two chunks at 1 and 2 workers, three at 3 and four at 4; 50 rows
+        # in chunks of 20, 20 and 10 at 1 and 2 workers, of 17, 17 and 16 at
+        # 3 and of 13, 13, 13 and 11 at 4.
         for name, threads in (("t1", "1"), ("t2", "2"), ("t3", "3"), ("t4", "4"),
                               ("again", "1")):
             out = tmp_path / name

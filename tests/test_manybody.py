@@ -26,8 +26,8 @@ from qtraj import (
     run_trajectories,
     von_neumann_entropy,
 )
-from qtraj.linalg import MAX_PARTICLES, permute_slots_matrix
-from qtraj.manybody import _block_spectra, _mixing_batch, _sandwich
+from qtraj.linalg import MAX_PARTICLES, permute_slots_matrix, spectrum_entropy
+from qtraj.manybody import _BlockRows, _mixing_batch, _sandwich
 
 rng = np.random.default_rng(303)
 
@@ -64,18 +64,28 @@ def invariant_density(d, M, gen):
     return rho / np.trace(rho).real
 
 
-def block_spectrum_error(d, M, amplitude, gen):
-    """Max deviation of the engine's block spectrum from eigvalsh of the full
-    matrix on a random permutation-invariant density, and whether the
-    basis change into R's eigenbasis is stored real."""
+def hopping_config(d, M, amplitude, nu=1.0, seed=0):
+    """M particles hopping on d sites, R the centred site position."""
     R = HermitianOperator(np.diag(np.arange(d) - (d - 1) / 2).astype(complex))
-    cfg = ManyBodyConfig(M=M, d=d, H_single=hopping(d, amplitude),
-                         meter=build_gaussian_meter(0.3, R), nu=1.0)
-    C, _, _, _, blocks = cfg._mixing_basis
+    return ManyBodyConfig(M=M, d=d, H_single=hopping(d, amplitude),
+                          meter=build_gaussian_meter(0.3, R), nu=nu, seed=seed)
+
+
+def block_spectrum_error(d, M, amplitude, gen):
+    """Max deviation from eigvalsh of the full matrix, on a random
+    permutation-invariant density, of the spectrum of an engine row (each
+    block's eigenvalues, m times) and of the minimum eigenvalue and entropy
+    it records; and whether the copy basis in R's eigenbasis is stored real."""
+    cfg = hopping_config(d, M, amplitude)
     rho = invariant_density(d, M, gen)
-    V = cfg._heig[1]
-    eigs = _block_spectra(blocks, (V.conj().T @ rho @ V)[None])[0]
-    return float(np.max(np.abs(eigs - np.linalg.eigvalsh(rho)))), C.dtype.kind == "f"
+    kern = _BlockRows(cfg, rho, 1, {})
+    blocks = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b.view(kern.rows)[0]), b.m)
+                                     for b in kern.blocks]))
+    min_eig, entropy, _ = kern.record(slice(None))
+    eigs = np.linalg.eigvalsh(rho)
+    err = max(np.max(np.abs(blocks - eigs)), abs(min_eig[0] - eigs[0]),
+              abs(entropy[0] - spectrum_entropy(eigs)))
+    return float(err), kern.E.dtype.kind == "f"
 
 
 def product_pure(amps, M):
@@ -201,9 +211,8 @@ class TestBlockSpectra:
         A = np.linalg.qr(rng.standard_normal((27, 27)))[0][:10]
         a = rng.standard_normal((3, 27, 27)) + 1j * rng.standard_normal((3, 27, 27))
         X = a + a.conj().transpose(0, 2, 1)
-        real = _sandwich(A, A.T, X)
-        Ac = A.astype(complex)
-        assert np.max(np.abs(real - _sandwich(Ac, Ac.conj().T, X))) <= 1e-13
+        real = _sandwich(A, X)
+        assert np.max(np.abs(real - _sandwich(A.astype(complex), X))) <= 1e-13
         assert np.max(np.abs(real - A @ X @ A.T)) <= 1e-13
 
 

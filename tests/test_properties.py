@@ -2,6 +2,7 @@
 is not installed)."""
 
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -11,14 +12,16 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from test_engine import TIMES, jump_setup, mixing_setup, same_columns, same_row  # noqa: E402
-from test_manybody import block_spectrum_error  # noqa: E402
+from test_manybody import (block_spectrum_error, hopping_config,  # noqa: E402
+                           invariant_density)
 from test_master import MODES, generator_error, master_case, random_hermitian  # noqa: E402
 
-from qtraj import ValidationError, evolve_density, evolve_jump  # noqa: E402
+from qtraj import (DensityMatrix, ValidationError, evolve_density, evolve_jump,  # noqa: E402
+                   mixing_reduction, permutation_defect)
 from qtraj.cli import EQUATIONS, EXPERIMENTS, _resolved_for_hash, spec_from_dict  # noqa: E402
 from qtraj.ensemble import master_generator, superop_matrix  # noqa: E402
 from qtraj.jumps import EventColumns, _jump_batch  # noqa: E402
-from qtraj.manybody import _mixing_batch  # noqa: E402
+from qtraj.manybody import _BlockRows, _mixing_batch  # noqa: E402
 from qtraj.records import spec_hash  # noqa: E402
 from qtraj.rng import Streams, generators, stream, stream_keys  # noqa: E402
 
@@ -34,6 +37,49 @@ def test_block_spectrum_equals_full_spectrum(shape, amplitude, seed):
     d, M = shape
     err, _ = block_spectrum_error(d, M, amplitude, np.random.default_rng(seed))
     assert err <= 1e-12
+
+
+# The S_M copy blocks of the mixing engine, with real and complex hopping.
+COPY_BLOCK_CASES = {
+    "shape": st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)]),
+    "amplitude": st.sampled_from([-1.0, 0.7, -1j, 0.6 + 0.8j]),
+}
+
+
+@hypothesis.settings(max_examples=25, deadline=None)
+@hypothesis.given(**COPY_BLOCK_CASES, seed=st.integers(0, 2 ** 32 - 1))
+def test_copy_blocks_rebuild_the_state_and_apply_one_event(shape, amplitude, seed):
+    d, M = shape
+    cfg = hopping_config(d, M, amplitude)
+    gen = np.random.default_rng(seed)
+    rho = invariant_density(d, M, gen)
+    # A row holds one copy of each block: C(d^2 + M - 1, M) entries.
+    assert _BlockRows(cfg, rho, 1, {}).rows.shape == (1, math.comb(d * d + M - 1, M))
+    # Projected onto the copies and rebuilt, the state comes back.
+    assert np.max(np.abs(_BlockRows(cfg, rho, 1, {}).final()[0] - rho)) <= 1e-12
+    # One event, rebuilt in R's eigenbasis and projected back, is the
+    # full-space mixing reduction.
+    kern, every = _BlockRows(cfg, rho, 1, {}), slice(None)
+    idx = gen.integers(cfg.meter.support_grid.size, size=1)
+    reduced, trace = kern.reduce(kern.rotate_in(every), idx)
+    kern.store(every, reduced, np.ones(1))
+    ref = mixing_reduction(cfg, rho, cfg.meter.support_grid[idx[0]]).entries
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.max(np.abs(kern.final()[0] - ref)) <= 1e-12 * scale
+    assert abs(trace[0] - np.trace(ref).real) <= 1e-12 * scale
+
+
+@hypothesis.settings(max_examples=25, deadline=None)
+@hypothesis.given(**COPY_BLOCK_CASES, mode=st.sampled_from(["normalized", "linear"]),
+                  start=st.integers(0, 10 ** 6))
+def test_rebuilt_states_stay_permutation_invariant_over_a_run(shape, amplitude, mode, start):
+    d, M = shape
+    cfg = hopping_config(d, M, amplitude, nu=4.0, seed=start)
+    rho0 = invariant_density(d, M, np.random.default_rng(start))
+    cols = _mixing_batch(cfg, DensityMatrix(rho0), 1.0, mode, range(start, start + 3))
+    assert cols.counts.sum() > 0
+    for state in cols.states:
+        assert permutation_defect(state, d, M) <= 1e-12 * np.max(np.abs(state))
 
 
 @hypothesis.settings(max_examples=25, deadline=None)

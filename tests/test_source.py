@@ -33,6 +33,10 @@ def test_no_unused_imports(path):
 ORACLE = ("MasterConfig", "MasterGenerator", "_slot_mask", "master_generator", "rk4_solve")
 ENGINES = ("jumps", "manybody", "diffusion")
 SHARED_PRIVATE = {"_step_grid"}
+# The full-space mixing references and the copy-block rows they check, which
+# live in the same module.
+MIXING_ORACLE = ("mixing_reduction", "mixing_brute_force_oracle")
+MIXING_ENGINE = ("manybody", "jumps")
 
 
 def private_definitions(path: Path) -> set[str]:
@@ -55,37 +59,51 @@ def private_definitions(path: Path) -> set[str]:
             and not n.startswith("__")}
 
 
-def engine_names_in_oracle(path: Path) -> list[str]:
+def engine_names_in_oracle(path: Path, oracle=ORACLE, engines=ENGINES,
+                           shared=SHARED_PRIVATE) -> list[str]:
     """Engine-private names the oracle definitions of a module read, as
     names, attributes or imports."""
-    engine_private = set().union(*(private_definitions(PACKAGE / f"{m}.py") for m in ENGINES))
+    engine_private = set().union(*(private_definitions(PACKAGE / f"{m}.py") for m in engines))
     tree = ast.parse(path.read_text())
     imported_private = set()
     for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and (node.module or "") in ENGINES:
+        if isinstance(node, ast.ImportFrom) and (node.module or "") in engines:
             imported_private.update(a.asname or a.name for a in node.names
                                     if a.name.startswith("_"))
-    forbidden = (engine_private | imported_private | set(ENGINES)) - SHARED_PRIVATE
+    forbidden = (engine_private | imported_private | set(engines)) - shared
     found = set()
     for top in tree.body:
-        if not (isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name in ORACLE):
+        if not (isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name in oracle):
             continue
         for node in ast.walk(top):
             if isinstance(node, ast.Name) and node.id in forbidden:
                 found.add(node.id)
             elif isinstance(node, ast.Attribute) and node.attr in forbidden:
                 found.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and (node.module or "") in ENGINES:
+            elif isinstance(node, ast.ImportFrom) and (node.module or "") in engines:
                 found.update(a.name for a in node.names if a.name.startswith("_"))
     return sorted(found)
 
 
+def defined_names(path: Path) -> set[str]:
+    return {n.name for n in ast.parse(path.read_text()).body
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+
+
 def test_master_oracle_uses_no_engine_internals():
     path = PACKAGE / "ensemble.py"
-    defined = {n.name for n in ast.parse(path.read_text()).body
-               if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
-    assert set(ORACLE) <= defined
+    assert set(ORACLE) <= defined_names(path)
     assert engine_names_in_oracle(path) == []
+
+
+def test_mixing_oracles_use_no_row_kernel_internals():
+    path = PACKAGE / "manybody.py"
+    assert set(MIXING_ORACLE) <= defined_names(path)
+    # The check sees the row kernel, its copy basis and the event loop.
+    assert {"_BlockRows", "_Block", "_mixing_basis", "_rebuild", "_sandwich", "_left",
+            "_isotypic_blocks", "_run_rows"} <= set().union(
+        *(private_definitions(PACKAGE / f"{m}.py") for m in MIXING_ENGINE))
+    assert engine_names_in_oracle(path, MIXING_ORACLE, MIXING_ENGINE, set()) == []
 
 
 # Streams are derived only in rng.py, where the batched key derivation is
