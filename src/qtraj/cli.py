@@ -35,6 +35,7 @@ from .ensemble import (
     MASTER_MODES,
     RK4_BOUND,
     MasterConfig,
+    check_result_size,
     jump_to_diffusion_bridge,
     master_generator,
     physical_memory,
@@ -429,16 +430,6 @@ def _observable_matrices(spec: RunSpec, model: _Model, M: int) -> dict[str, np.n
     return out
 
 
-def _check_n_samples(spec: RunSpec, record_bytes: int):
-    """Reject n_samples records of record_bytes each (a trajectory's time,
-    weight, entropy, min eig and values, or a master time and density)
-    beyond physical memory, before any sample array exists."""
-    memory = physical_memory()
-    _require(spec.n_samples * record_bytes <= memory,
-             f"n_samples must be at most {memory // record_bytes} for {record_bytes}-byte "
-             f"records, got {spec.n_samples}")
-
-
 def _sample_times(spec: RunSpec) -> np.ndarray:
     return np.linspace(spec.T / spec.n_samples, spec.T, spec.n_samples)
 
@@ -517,7 +508,7 @@ def _run_ensemble(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
     if spec.experiment == "many" or equation == "density":
         initial = _product_state(model.eta_single, M).density()
     obs = _observable_matrices(spec, model, M)
-    _check_n_samples(spec, 8 * (4 + len(obs)))
+    check_result_size(spec.n_traj, spec.n_samples, len(obs))
     cols = run_trajectories(cfg, initial, spec.T, spec.n_traj, observables=obs,
                             sample_times=_sample_times(spec), n_workers=spec.threads,
                             equation=equation)
@@ -530,7 +521,11 @@ def _run_ensemble(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
 
 
 def _run_master(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
-    _check_n_samples(spec, 8 + 16 * model.d ** (2 * model.M))
+    # rk4_solve holds every record, a time and a D x D density, until it returns.
+    record_bytes, memory = 8 + 16 * model.d ** (2 * model.M), physical_memory()
+    _require(spec.n_samples * record_bytes <= memory,
+             f"n_samples must be at most {memory // record_bytes} for {record_bytes}-byte "
+             f"records, got {spec.n_samples}")
     times = _sample_times(spec)
     if spec.equation == "diffusive":
         mcfg = MasterConfig.from_diffusion(_diffusion_config(spec, model, model.M))

@@ -24,12 +24,12 @@ trajectories (free gaps elementwise in a basis of H's eigenvectors,
 reductions elementwise in R's eigenbasis), or its equation's batched kernel
 for diffusion paths.  Every batch returns columns (:class:`EventColumns`),
 with no object per trajectory, and :func:`trajectory_stats` aggregates
-them.  Event rows are bit-identical in any block and diffusion blocks do
-not depend on the worker count; aggregation uses exact compensated
-summation in trajectory-index order, so serial and parallel runs produce
-identical statistics.  The jump-to-diffusion bridge compares generators
-directly (as superoperator matrices), which keeps Monte-Carlo noise out of
-the convergence-rate measurement.
+them; a run drops final states.  Event rows are bit-identical in any
+block and diffusion blocks do not depend on the worker count; aggregation
+uses exact compensated summation in trajectory-index order, so serial and
+parallel runs produce identical statistics.  The jump-to-diffusion bridge
+compares generators directly (as superoperator matrices), which keeps
+Monte-Carlo noise out of the convergence-rate measurement.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from itertools import repeat
 
@@ -312,6 +312,22 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def check_result_size(n_traj: int, n_samples: int, n_observables: int) -> None:
+    """Reject n_traj result rows beyond physical memory, before any array
+    exists.  A row holds its index, event count, log weight and final norm
+    or trace, and per sample a weight, entropy, minimum eigenvalue and one
+    value per observable, 8 bytes each; events are not counted."""
+    memory = physical_memory()
+    record_bytes = 8 * (3 + n_observables)
+    row_bytes = 32 + n_samples * record_bytes
+    if row_bytes > memory:
+        raise ValidationError(f"n_samples must be at most {(memory - 32) // record_bytes} "
+                              f"for {record_bytes}-byte records, got {n_samples}")
+    if n_traj * row_bytes > memory:
+        raise ValidationError(f"n_traj must be at most {memory // row_bytes} "
+                              f"for {row_bytes}-byte result rows, got {n_traj}")
+
+
 def run_trajectories(
     cfg,
     initial,
@@ -328,57 +344,42 @@ def run_trajectories(
     equation is the density mode of a ManyBodyConfig (default "normalized")
     and the equation of a DiffusionConfig (required, see
     :func:`run_ensemble`; paths record at T when no sample times are given).
-    Indices run in contiguous blocks, each one batch of its engine, and the
-    blocks' columns are concatenated in index order.  Event rows are
-    bit-identical in any block, so a block holds at most _CHUNK rows and a
-    1/n_workers share (mixing rows: at most _MIXING_BATCH_BYTES of them,
-    sized from the copy-block row, not from the D x D density); density
-    paths agree with other batch sizes only to rounding, so a diffusion
-    block holds _CHUNK paths whatever n_workers.
+    Indices run in contiguous blocks, each one batch of its engine whose
+    final states are dropped as it returns (a caller that needs them runs
+    the batch), and the blocks' columns are concatenated in index order.
+    Event rows are bit-identical in any block, so a block holds at most
+    _CHUNK rows and a 1/n_workers share (mixing rows: at most
+    _MIXING_BATCH_BYTES of them, sized from the copy-block row, not from the
+    D x D density); density paths agree with other batch sizes only to
+    rounding, so a diffusion block holds _CHUNK paths whatever n_workers.
     """
     if n_traj < 1:
         raise ValidationError(f"n_traj must be >= 1, got {n_traj}")
     obs = {str(k): as_matrix(v) for k, v in dict(observables or {}).items()}
+    if isinstance(cfg, DiffusionConfig) and sample_times is None:
+        sample_times = [T]
+    check_result_size(n_traj, 0 if sample_times is None else np.size(sample_times), len(obs))
     share = -(-n_traj // max(n_workers, 1))
     kw = {"sample_times": sample_times, "observables": obs}
     if isinstance(cfg, JumpConfig):
-        size, state = min(_CHUNK, share), (cfg.meter.dim,)
+        size = min(_CHUNK, share)
         batch = partial(_jump_batch, cfg, initial, T, **kw)
     elif isinstance(cfg, ManyBodyConfig):
         entries = math.comb(cfg.d ** 2 + cfg.M - 1, cfg.M)
         size = min(_CHUNK, share, max(1, _MIXING_BATCH_BYTES // (16 * entries)))
-        state = (cfg.dim, cfg.dim)
         batch = partial(_mixing_batch, cfg, initial, T, equation or "normalized", **kw)
     elif isinstance(cfg, DiffusionConfig):
         if equation not in DIFFUSION_EQUATIONS:
             raise ValidationError(f"diffusion ensembles need equation= one of "
                                   f"{DIFFUSION_EQUATIONS}, got {equation!r}")
-        size, state = _CHUNK, None
-        kw["sample_times"] = [T] if sample_times is None else sample_times
+        size = _CHUNK
         batch = (partial(_density_batch, cfg, initial, T, **kw) if equation == "density"
                  else partial(_coupled_batch, cfg, initial, T, equation=equation, **kw))
     else:
         raise ValidationError(f"unsupported config type {type(cfg).__name__}")
-    # A row's bytes: its final state and its series (weight, entropy, min
-    # eigenvalue and one per observable).  The columns must fit in physical
-    # memory, which on 64-bit machines is tighter than numpy's intp range.
-    n_samples = 0 if kw["sample_times"] is None else np.size(kw["sample_times"])
-    row_bytes = 16 * math.prod(state or (0,)) + 8 * n_samples * (3 + len(obs))
-    memory = physical_memory()
-    if n_traj * row_bytes > memory:
-        raise ValidationError(f"n_traj must be at most {memory // row_bytes} "
-                              f"for {row_bytes}-byte result rows, got {n_traj}")
-    states = None if state is None else np.empty((n_traj, *state), dtype=complex)
-
-    def run(idx):
-        # Final states go to the run's array at once, so memory holds them once.
-        part = batch(idx)
-        if states is not None:
-            states[idx.start:idx.stop], part.states = part.states, None
-        return part
-
     chunks = (range(lo, min(lo + size, n_traj)) for lo in range(0, n_traj, size))
-    return EventColumns.concat(_map_chunks(run, chunks, n_workers), states)
+    return EventColumns.concat(
+        _map_chunks(lambda idx: replace(batch(idx), states=None), chunks, n_workers))
 
 
 def _series_stats(series: np.ndarray) -> np.ndarray:

@@ -148,9 +148,10 @@ class EventColumns:
     Row r's events are entries offsets[r]:offsets[r + 1] of times and of
     outcomes (support indices into the pointer readings grid).  final is the
     final squared norm or trace; the series are weights[r], values[o, r] for
-    names[o] and, for densities, entropy and min_eig.  Diffusion columns
-    carry no events: counts, times, outcomes, grid, log_weight, final and
-    states are None.
+    names[o] and, for densities, entropy and min_eig; states, the final
+    states, only in an event batch, not in a run's columns.  Diffusion
+    columns carry no events: counts, times, outcomes, grid, log_weight,
+    final and states are None.
     """
 
     indices: np.ndarray
@@ -178,15 +179,14 @@ class EventColumns:
         return tuple(zip(self.times[lo:hi].tolist(), self.grid[self.outcomes[lo:hi]].tolist()))
 
     @classmethod
-    def concat(cls, parts, states: np.ndarray | None) -> "EventColumns":
-        """The rows of parts in order, holding the given final states."""
+    def concat(cls, parts) -> "EventColumns":
+        """The rows of parts in order."""
         def join(name):
             first = getattr(parts[0], name)
             if name in ("grid", "sample_times", "names") or first is None:
                 return first
             return np.concatenate([getattr(p, name) for p in parts], axis=int(name == "values"))
-        return cls(**{f.name: join(f.name) for f in fields(cls) if f.name != "states"},
-                   states=states)
+        return cls(**{f.name: join(f.name) for f in fields(cls)})
 
 
 def sample_poisson_times(nu: float, T: float, rng: np.random.Generator) -> np.ndarray:

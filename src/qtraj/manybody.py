@@ -19,8 +19,9 @@ a direct sum of blocks A_lambda (x) I_{m_lambda} over the irreducible
 representations lambda of S_M.  The engine keeps only one copy of each
 A_lambda (:class:`_BlockRows`): C(d^2 + M - 1, M) entries against D^2, 816
 against 4096 at d = 4, M = 3.  It therefore rejects an initial density that
-is not permutation-invariant.  Final densities are rebuilt in the full
-tensor space, where the tests watch their symmetry defect.
+is not permutation-invariant.  A batch rebuilds its final densities in the
+full tensor space, where criterion 6 and the tests watch their symmetry
+defect; ensemble runs drop them as each batch returns.
 
 Density trajectories run on the event engine of :mod:`qtraj.jumps`, whose
 loop, schedule and outcome sampler they share.  In the copy basis of the
@@ -437,7 +438,8 @@ def _mixing_batch(cfg: ManyBodyConfig, rho0: DensityMatrix, T: float, mode: str,
                   sample_times=None, observables=None) -> EventColumns:
     """Density trajectories at the given indices, run as one batch of the
     event engine; row r equals evolve_density(cfg, rho0, T, mode,
-    indices[r], ...) bit for bit."""
+    indices[r], ...) bit for bit, final density (states[r]) included, which
+    run_trajectories drops."""
     if mode not in ("normalized", "linear"):
         raise ValidationError(f"mode must be 'normalized' or 'linear', got {mode!r}")
     if abs(rho0.trace() - 1.0) > 1e-8:

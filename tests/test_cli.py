@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -329,6 +330,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: n_samples must be at most "), err
         assert err.endswith(", got 1000000000\n") and err.count("\n") == 1
+
+    def test_result_rows_beyond_memory_exit_2_before_samples(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # One 64 MB row fits in 100 MB, a hundred do not; the sample times
+        # (16 MB) must not be built before that is known.
+        for module in ("ensemble", "cli"):
+            monkeypatch.setattr(f"qtraj.{module}.physical_memory", lambda: 100_000_000)
+        spec = tmp_path / "rows.json"
+        spec.write_text('{"experiment": "many", "n_samples": 2e6}')
+        tracemalloc.start()
+        try:
+            code = main(["many", "--spec", str(spec), "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 4_000_000
+        assert capsys.readouterr().err == (
+            "error: n_traj must be at most 1 for 64000032-byte result rows, got 100\n")
 
     def test_blow_up_exits_3(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "b.json", experiment="diffuse", overrides={"gamma": 30},

@@ -6,6 +6,7 @@ import dataclasses
 import filecmp
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,41 @@ class TestRunTrajectories:
         cfg, initial, _ = jump_setup("normalized") if engine == "jump" else mixing_setup()
         with pytest.raises(ValidationError, match=f"n_traj must be >= 1, got {n_traj}"):
             run_trajectories(cfg, initial, 1.0, n_traj)
+
+    @pytest.mark.parametrize("engine", ["jump", "mixing", "linear", "coupled", "density"])
+    def test_results_hold_no_states(self, engine):
+        equation = None
+        if engine == "jump":
+            cfg, initial, obs = jump_setup("normalized")
+        elif engine == "mixing":
+            cfg, initial, obs = mixing_setup()
+        else:
+            M, equation, eta = 1 + (engine == "density"), engine, np.array([0.6, 0.8j])
+            cfg = DiffusionConfig(H=HX, R=R01, gamma=1.0, pointer=gaussian_pointer(256, 6.0),
+                                  dt=0.01, M=M)
+            initial = StateVector(np.kron(eta, eta)).density() if M == 2 else StateVector(eta)
+            obs = {}
+        cols = run_trajectories(cfg, initial, 0.1, 30, obs, [0.05, 0.1], 2, equation)
+        assert cols.weights.shape == (30, 2) and cols.states is None
+
+    def test_mixing_run_holds_no_final_densities(self):
+        # D = 64: the final densities of 100 trajectories alone take 6.5 MB.
+        d, M, n = 4, 3, 100
+        H = HermitianOperator(np.diag(np.ones(d - 1), 1) + np.diag(np.ones(d - 1), -1))
+        R = HermitianOperator(np.diag(np.arange(d) - 1.5))
+        cfg = ManyBodyConfig(M=M, d=d, H_single=H, meter=build_gaussian_meter(0.5, R), nu=5.0,
+                             W=nearest_neighbor_coupling(d, 0.5), seed=5)
+        v = np.full(d, 0.5)
+        rho0 = StateVector(np.kron(np.kron(v, v), v)).density()
+        run_trajectories(cfg, rho0, 0.2, 2)  # builds the config's cached copy basis
+        tracemalloc.start()
+        try:
+            cols = run_trajectories(cfg, rho0, 0.2, n, sample_times=[0.1, 0.2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * cfg.dim ** 2 * 16
+        assert cols.states is None and cols.counts.sum() > 0
 
 
 class TestBatchLayout:

@@ -130,8 +130,7 @@ def test_chunked_rows_equal_one_batch_and_a_batch_of_one(engine, mode, sampled, 
     bounds = np.concatenate([[start], start + np.cumsum(sizes)]).tolist()
     whole = batch(range(bounds[0], bounds[-1]))
     parts = [batch(range(a, b)) for a, b in zip(bounds, bounds[1:])]
-    assert same_columns(EventColumns.concat(parts, np.concatenate([p.states for p in parts])),
-                        whole)
+    assert same_columns(EventColumns.concat(parts), whole)
     for r, i in enumerate(range(bounds[0], bounds[-1])):
         assert same_row(whole, r, single(i)), i
 
