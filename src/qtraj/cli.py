@@ -44,7 +44,7 @@ from .ensemble import (
     trajectory_stats,
 )
 from .errors import SimulationError, ValidationError
-from .jumps import JumpConfig
+from .jumps import MODES, JumpConfig
 from .linalg import HermitianOperator, StateVector, _check_particles, kron_power, slot_sum
 from .manybody import ManyBodyConfig, nearest_neighbor_coupling
 from .meter import DEFAULT_GRID_SIZE, MeterModel
@@ -181,8 +181,9 @@ class RunSpec:
       bridge; n_samples >= 1 (10): record times T/n, 2T/n, ..., T.
     - mode: "normalized" (default) or "linear" jump and mixing trajectories.
     - n_traj >= 2 (100), as a standard error needs two trajectories; seed
-      >= 0 (0) and threads >= 1 (1), the worker cap; diffusion runs split
-      only at blocks of 512 paths.
+      >= 0 (0) and threads >= 1 (1), the worker cap, itself capped at the
+      CPUs the process may use; diffusion runs split only at blocks of 512
+      paths.
     - observables (["R"]): array of "R", "H", "projector:k" and inline
       {"name", "matrix"} objects with number or [re, im] entries; an
       operator on one particle is averaged over the particles.
@@ -231,7 +232,7 @@ class RunSpec:
         _require(self.T > 0, "T > 0 required")
         _require(self.dt > 0, "dt > 0 required")
         _require(self.n_samples >= 1, "n_samples >= 1 required")
-        _require(self.mode in ("normalized", "linear"), "mode must be 'normalized' or 'linear'")
+        _require(self.mode in MODES, "mode must be 'normalized' or 'linear'")
         _require(self.n_traj >= 2, f"n_traj must be >= 2, got {self.n_traj}")
         _require(self.seed >= 0, "seed >= 0 required")
         _require(self.threads >= 1, "threads >= 1 required")
@@ -331,7 +332,6 @@ class _Model:
     d: int
     H: HermitianOperator
     R: HermitianOperator
-    kappa: float
     nu: float
     gamma: float
     hbar: float
@@ -370,9 +370,8 @@ def _parse_scalar(x) -> complex:
 def _resolve_model(spec: RunSpec) -> _Model:
     ov = _model_overrides(spec.overrides)
     preset = get_preset(spec.preset, d=ov.get("d"))
-    kappa = ov.get("kappa", preset.kappa)
     meter = preset_meter(
-        preset, kappa=kappa, n_points=ov.get("pointer_points", DEFAULT_GRID_SIZE),
+        preset, kappa=ov.get("kappa"), n_points=ov.get("pointer_points", DEFAULT_GRID_SIZE),
         phase_slope=ov.get("pointer_phase_slope", 0.0),
     )
     W = None
@@ -381,7 +380,7 @@ def _resolve_model(spec: RunSpec) -> _Model:
     with _reading("initial_state"):
         eta = _initial_single(spec, preset.d)
     return _Model(
-        M=ov.get("M", preset.M), d=preset.d, H=preset.H, R=preset.R, kappa=kappa,
+        M=ov.get("M", preset.M), d=preset.d, H=preset.H, R=preset.R,
         nu=ov.get("nu", preset.nu), gamma=ov.get("gamma", preset.gamma),
         hbar=ov.get("hbar", 1.0), meter=meter, W=W, eta_single=eta,
     )

@@ -437,6 +437,9 @@ def run_ensemble(
 
 
 def _map_chunks(worker, chunks, n_workers: int):
+    """worker over chunks in order, on at most n_workers threads and CPUs."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_workers = min(n_workers, cpus or 1)
     if n_workers <= 1:
         return [worker(c) for c in chunks]
     with ThreadPoolExecutor(max_workers=n_workers) as ex:

@@ -49,7 +49,8 @@ trajectory is bit-identical whether it runs alone (:func:`evolve_jump`, a
 batch of one) or in a batch (:func:`_jump_batch`).  The rows are a kernel
 object: :class:`_PureRows` here, amplitudes in H's eigenbasis; for
 label-averaged densities ``manybody._BlockRows``, one copy of each S_M block
-of the density.
+of the density.  The loop also finishes the columns from the kernel's
+final states, so a batch function only validates its input.
 
 A batch returns columns (:class:`EventColumns`); a :class:`Trajectory`
 object is built only by :func:`evolve_jump`.
@@ -74,6 +75,7 @@ MODES = ("normalized", "linear")
 SAMPLE, EVENT, IDLE = 0, 1, 2
 # Outcome totals and post-event norms below this are a degenerate state.
 VANISHING = 1e-300
+DEGENERATE = "all outcome weights vanish; state is degenerate"
 _PHASE_BLOCK_BYTES = 1 << 20
 # Widest first block of exponential gaps per row (2 KB).
 _GAP_BLOCK = 256
@@ -147,11 +149,11 @@ class EventColumns:
 
     Row r's events are entries offsets[r]:offsets[r + 1] of times and of
     outcomes (support indices into the pointer readings grid).  final is the
-    final squared norm or trace; the series are weights[r], values[o, r] for
-    names[o] and, for densities, entropy and min_eig; states, the final
-    states, only in an event batch, not in a run's columns.  Diffusion
-    columns carry no events: counts, times, outcomes, grid, log_weight,
-    final and states are None.
+    final squared norm or trace (of the linear solution in linear mode) of
+    states, the final states, which only an event batch keeps; the series
+    are weights[r], values[o, r] for names[o] and, for densities, entropy
+    and min_eig.  Diffusion columns carry no events: counts, times,
+    outcomes, grid, log_weight, final and states are None.
     """
 
     indices: np.ndarray
@@ -231,7 +233,7 @@ def sample_outcome(meter: MeterModel, chi, rng: np.random.Generator) -> float:
     ct = meter.eigenvectors.conj().T @ amps
     idx, total = _draw_outcomes(meter, (np.abs(ct) ** 2)[None, :], np.array([rng.random()]))
     if not total[0] >= VANISHING:
-        raise NumericError("all outcome weights vanish; state is degenerate")
+        raise NumericError(DEGENERATE)
     return float(meter.grid[meter.support_indices[idx[0]]])
 
 
@@ -282,7 +284,6 @@ class _Schedule:
 
     counts: np.ndarray
     times: np.ndarray
-    n_samples: int
     t: np.ndarray
     gaps: np.ndarray
     steps: list
@@ -291,14 +292,6 @@ class _Schedule:
     event_uniforms: np.ndarray
     sample_rows: np.ndarray
     sample_slots: np.ndarray
-
-    def collect(self, parts, tail=()) -> np.ndarray:
-        """(rows, samples, *tail) array of the values recorded at the sample
-        steps, given in step order."""
-        out = np.empty((self.counts.size, self.n_samples, *tail))
-        if parts:
-            out[self.sample_rows, self.sample_slots] = np.concatenate(parts)
-        return out
 
 
 def _event_draws(seed: int, rate: float, T: float, indices):
@@ -384,24 +377,25 @@ def _schedule(seed: int, rate: float, T: float, indices, samples, hbar: float) -
     ]
     e_slots = e_cols - ns
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    return _Schedule(counts, times[times < T], ns, t, gaps, steps, e_rows, e_slots,
+    return _Schedule(counts, times[times < T], t, gaps, steps, e_rows, e_slots,
                      uniforms[offsets[e_rows] + e_slots], s_rows, s_cols)
 
 
 def _run_rows(kern, meter: MeterModel, seed: int, rate: float, T: float, indices,
-              sample_times, names, linear: bool, hbar: float):
-    """The event loop shared by the jump and mixing engines.
+              sample_times, names, linear: bool, hbar: float) -> EventColumns:
+    """The event loop shared by the jump and mixing engines: the rows' columns.
 
     ``kern`` holds one state row per index in a basis of eigenvectors of H
-    (eigenvalues ``kern.w``) and implements advance (elementwise phases), record (a tuple
-    of per-row values at a sample), rotate_in and populations (R-basis rows
-    and their populations), reduce (unnormalized reduced rows and their
-    norm) and store.  Rows are selected by an index array or by a full slice,
-    and the kernel must treat both alike; the last value of a record holds
-    the observables, in the order of names.  Returns (the rows' event
-    columns, without final values, the schedule, the kernel's records in
-    step order).  A NumericError names the seed, trajectory index and time
-    to rerun.
+    (eigenvalues ``kern.w``) and implements advance (elementwise phases),
+    record (per-row values at a sample by name: "values", the observables in
+    the order of names, and the EventColumns series named in kern.series),
+    rotate_in and populations (R-basis rows and their populations), reduce
+    (unnormalized reduced rows and their norm), store and finish.  Rows are
+    selected by an index array or by a full slice, and the kernel must treat
+    both alike.  finish(log_w, None in normalized mode) returns the final
+    states, their final values and whether each row passes the kernel's
+    final check (a failure is kern.invalid).  A NumericError names the
+    seed, trajectory index and time to rerun.
     """
     samples = _record_times(sample_times, T)
     sch = _schedule(seed, rate, T, indices, samples, hbar)
@@ -414,17 +408,17 @@ def _run_rows(kern, meter: MeterModel, seed: int, rate: float, T: float, indices
         outcomes = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
     else:
         outcomes = np.empty(u.size, dtype=np.intp)
-    records, weight_parts = [], []
+    records = []
     minus_iw = -1j * kern.w
     # Phases of the next steps, computed together within a byte budget.
     phase_steps = max(1, _PHASE_BLOCK_BYTES // (16 * n * kern.w.size))
 
-    def fail(values, rows, k, what):
-        r = np.arange(n)[rows][np.argmin(values >= VANISHING)]
-        raise NumericError(
-            f"{what} at t={float(sch.t[r, k])!r} (seed={seed}, "
-            f"trajectory index={indices[r]}); rerun that index alone to reproduce"
-        )
+    def check(ok, rows, k, what):
+        """Raise a NumericError naming the first of rows not ok at step k."""
+        if not ok.all():
+            r = np.arange(n)[rows][np.argmin(ok)]
+            raise NumericError(f"{what} at t={float(sch.t[r, k])!r} (seed={seed}, trajectory "
+                               f"index={indices[r]}); rerun that index alone to reproduce")
 
     for k, (s_rows, e_rows, span) in enumerate(sch.steps):
         if k % phase_steps == 0:
@@ -433,21 +427,29 @@ def _run_rows(kern, meter: MeterModel, seed: int, rate: float, T: float, indices
         if s_rows is not None:
             records.append(kern.record(s_rows))
             if linear:
-                weight_parts.append(np.exp(log_w[s_rows]))
+                records[-1]["weights"] = np.exp(log_w[s_rows])
         if e_rows is not None:
             rot = kern.rotate_in(e_rows)
             if not linear:
                 idx, total = _draw_outcomes(meter, kern.populations(rot), u[span])
-                # NaN fails these comparisons too, and np.minimum propagates it.
-                if not np.minimum.reduce(total) >= VANISHING:
-                    fail(total, e_rows, k, "all outcome weights vanish; state is degenerate")
+                # NaN fails these comparisons too.
+                check(total >= VANISHING, e_rows, k, DEGENERATE)
                 outcomes[span] = idx
             reduced, norm = kern.reduce(rot, outcomes[span])
-            if not np.minimum.reduce(norm) >= VANISHING:
-                fail(norm, e_rows, k, kern.collapse)
+            check(norm >= VANISHING, e_rows, k, kern.collapse)
             kern.store(e_rows, reduced, norm)
             if linear:
                 log_w[e_rows] += np.log(norm)
+    states, final, ok = kern.finish(log_w if linear else None)
+    check(ok, slice(None), -1, kern.invalid)  # every row's last point is T
+
+    def collect(name, tail=()):
+        """(rows, samples, *tail) array of a recorded series."""
+        out = np.empty((n, samples.size, *tail))
+        if records:
+            out[sch.sample_rows, sch.sample_slots] = np.concatenate([rec[name] for rec in records])
+        return out
+
     cols = EventColumns(
         indices=np.array(indices, dtype=np.intp),
         counts=sch.counts,
@@ -455,21 +457,25 @@ def _run_rows(kern, meter: MeterModel, seed: int, rate: float, T: float, indices
         outcomes=np.empty(u.size, dtype=np.intp),
         grid=meter.support_grid,
         log_weight=log_w,
-        weights=sch.collect(weight_parts) if linear else np.ones((n, samples.size)),
+        weights=collect("weights") if linear else np.ones((n, samples.size)),
         sample_times=None if sample_times is None else samples,
         names=tuple(names),
-        values=np.ascontiguousarray(
-            sch.collect([rec[-1] for rec in records], (len(names),)).transpose(2, 0, 1)),
+        values=np.ascontiguousarray(collect("values", (len(names),)).transpose(2, 0, 1)),
+        final=final,
+        states=states,
+        **{name: collect(name) for name in kern.series},
     )
     # From step order to row order.
     cols.outcomes[cols.offsets[sch.event_rows] + sch.event_slots] = outcomes
-    return cols, sch, records
+    return cols
 
 
 class _PureRows:
     """Jump-engine rows: normalized amplitudes in H's eigenbasis."""
 
     collapse = "reduction annihilated the state (zero likelihood)"
+    invalid = "final state has non-finite entries"
+    series = ()
 
     def __init__(self, cfg: JumpConfig, eta: StateVector, n: int, observables):
         self.w, self.V = cfg._heig
@@ -486,7 +492,7 @@ class _PureRows:
     def record(self, rows):
         y = self.y[rows]
         Xy = np.matmul(self.X, y[:, None, :, None])[..., 0]
-        return (np.add.reduce(y.conj()[:, None, :] * Xy, axis=-1).real,)
+        return {"values": np.add.reduce(y.conj()[:, None, :] * Xy, axis=-1).real}
 
     def rotate_in(self, rows):
         return np.matmul(self.C, self.y[rows][:, :, None])[:, :, 0]
@@ -502,9 +508,15 @@ class _PureRows:
     def store(self, rows, reduced, n2):
         self.y[rows] = reduced / np.sqrt(n2)[:, None]
 
-    def final(self) -> np.ndarray:
-        """Rows rotated back to the original basis."""
-        return np.matmul(self.V, self.y[:, :, None])[:, :, 0]
+    def finish(self, log_w):
+        """Rows rotated back to the original basis, scaled to the linear
+        solution by exp(log_w / 2) when log_w is given; their squared norms;
+        which of them are finite."""
+        states = np.matmul(self.V, self.y[:, :, None])[:, :, 0]
+        if log_w is not None:
+            states *= np.exp(0.5 * log_w)[:, None]
+        return (states, np.array([np.vdot(amps, amps).real for amps in states]),
+                np.isfinite(states).all(axis=1))
 
 
 def _jump_batch(cfg: JumpConfig, eta: StateVector, T: float, indices,
@@ -517,17 +529,8 @@ def _jump_batch(cfg: JumpConfig, eta: StateVector, T: float, indices,
     obs = observables or {}
     indices = list(indices)
     kern = _PureRows(cfg, eta.normalized(), len(indices), obs)
-    linear = cfg.mode == "linear"
-    cols, _, _ = _run_rows(kern, cfg.meter, cfg.seed, cfg.nu, T, indices, sample_times, obs,
-                           linear, cfg.hbar)
-    final = kern.final()
-    if linear:
-        final *= np.exp(0.5 * cols.log_weight)[:, None]
-    if not np.isfinite(final).all():
-        raise ValidationError("amps contains non-finite entries")
-    cols.final = np.array([np.vdot(amps, amps).real for amps in final])
-    cols.states = final
-    return cols
+    return _run_rows(kern, cfg.meter, cfg.seed, cfg.nu, T, indices, sample_times, obs,
+                     cfg.mode == "linear", cfg.hbar)
 
 
 def evolve_jump(

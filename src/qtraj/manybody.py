@@ -19,9 +19,9 @@ a direct sum of blocks A_lambda (x) I_{m_lambda} over the irreducible
 representations lambda of S_M.  The engine keeps only one copy of each
 A_lambda (:class:`_BlockRows`): C(d^2 + M - 1, M) entries against D^2, 816
 against 4096 at d = 4, M = 3.  It therefore rejects an initial density that
-is not permutation-invariant.  A batch rebuilds its final densities in the
-full tensor space, where criterion 6 and the tests watch their symmetry
-defect; ensemble runs drop them as each batch returns.
+is not permutation-invariant.  Final densities are checked on the blocks,
+and rebuilt in the full tensor space for their traces and for criterion 6
+and the tests; ensemble runs drop them as each batch returns.
 
 Density trajectories run on the event engine of :mod:`qtraj.jumps`, whose
 loop, schedule and outcome sampler they share.  In the copy basis of the
@@ -45,13 +45,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .jumps import EventColumns, _run_rows
+from .jumps import MODES, EventColumns, _run_rows
 from .linalg import (
+    DENSITY_EIG_FLOOR,
     HERMITICITY_TOL,
     DensityMatrix,
     HermitianOperator,
     StateVector,
-    _check_density,
     _check_particles,
     as_matrix,
     embed_at_slot,
@@ -383,6 +383,8 @@ class _BlockRows:
     """
 
     collapse = "density trace collapsed at a mixing event"
+    invalid = "final density has an eigenvalue below DENSITY_EIG_FLOOR or a bad trace"
+    series = ("min_eig", "entropy")
 
     def __init__(self, cfg: ManyBodyConfig, rho: np.ndarray, n: int, observables):
         self.w, self.F, self.E, self.blocks, self.pairs, self.digits, self.slot_average = (
@@ -399,13 +401,17 @@ class _BlockRows:
     def advance(self, phases):
         self.rows *= phases[:, self.pairs[0]] * phases.conj()[:, self.pairs[1]]
 
-    def record(self, rows):
-        """(minimum eigenvalue, entropy, observables) of each row."""
-        A = self.rows[rows]
-        eigs = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b.view(A)), b.m, axis=1)
+    def spectra(self, A):
+        """The ascending spectrum of each row of A."""
+        return np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b.view(A)), b.m, axis=1)
                                        for b in self.blocks], axis=1), axis=1)
-        values = np.add.reduce(A[:, None, :] * self.XT, axis=2).real
-        return eigs[:, 0], spectrum_entropy(eigs), values
+
+    def record(self, rows):
+        """Minimum eigenvalue, entropy and observables of each row."""
+        A = self.rows[rows]
+        eigs = self.spectra(A)
+        return {"min_eig": eigs[:, 0], "entropy": spectrum_entropy(eigs),
+                "values": np.add.reduce(A[:, None, :] * self.XT, axis=2).real}
 
     def rotate_in(self, rows):
         return _rebuild(self.E, [b.E for b in self.blocks], self.blocks, self.rows[rows])
@@ -428,10 +434,21 @@ class _BlockRows:
     def store(self, rows, reduced, tr):
         self.rows[rows] = reduced / tr[:, None]
 
-    def final(self) -> np.ndarray:
-        """Rows rebuilt in the original basis; releases the rows."""
+    def finish(self, log_w):
+        """Rows rebuilt in the original basis, scaled by exp(log_w) when it
+        is given, and symmetrized; their traces; which rows pass: lowest
+        eigenvalue times that weight at least DENSITY_EIG_FLOOR, finite trace
+        at least -1e-12.  Releases the rows."""
         rows, self.rows = self.rows, None
-        return _rebuild(self.F, [b.F for b in self.blocks], self.blocks, rows)
+        weight = 1.0 if log_w is None else np.exp(log_w)
+        min_eig = self.spectra(rows)[:, 0] * weight
+        states = _rebuild(self.F, [b.F for b in self.blocks], self.blocks, rows)
+        if log_w is not None:
+            states *= weight[:, None, None]
+        states += states.conj().transpose(0, 2, 1)
+        states *= 0.5
+        final = np.array([np.trace(f).real for f in states])
+        return states, final, (min_eig >= DENSITY_EIG_FLOOR) & (-1e-12 <= final) & (final < np.inf)
 
 
 def _mixing_batch(cfg: ManyBodyConfig, rho0: DensityMatrix, T: float, mode: str, indices,
@@ -440,7 +457,7 @@ def _mixing_batch(cfg: ManyBodyConfig, rho0: DensityMatrix, T: float, mode: str,
     event engine; row r equals evolve_density(cfg, rho0, T, mode,
     indices[r], ...) bit for bit, final density (states[r]) included, which
     run_trajectories drops."""
-    if mode not in ("normalized", "linear"):
+    if mode not in MODES:
         raise ValidationError(f"mode must be 'normalized' or 'linear', got {mode!r}")
     if abs(rho0.trace() - 1.0) > 1e-8:
         raise ValidationError(f"initial density must have unit trace, got {rho0.trace()!r}")
@@ -452,23 +469,11 @@ def _mixing_batch(cfg: ManyBodyConfig, rho0: DensityMatrix, T: float, mode: str,
             "initial density is not permutation-invariant: max slot-swap defect "
             f"{defect:.3e} exceeds {HERMITICITY_TOL:.1e}"
         )
-    linear = mode == "linear"
-    rho = rho0.entries.astype(complex)
     obs = observables or {}
     indices = list(indices)
-    kern = _BlockRows(cfg, rho, len(indices), obs)
-    cols, sch, records = _run_rows(kern, cfg.meter, cfg.seed, cfg.total_intensity, T, indices,
-                                   sample_times, obs, linear, cfg.hbar)
-    cols.min_eig, cols.entropy = (sch.collect([rec[j] for rec in records]) for j in (0, 1))
-    final = kern.final()
-    if linear:
-        final *= np.exp(cols.log_weight)[:, None, None]
-    final += final.conj().transpose(0, 2, 1)
-    final *= 0.5
-    _check_density(final)
-    cols.final = np.array([np.trace(f).real for f in final])
-    cols.states = final
-    return cols
+    kern = _BlockRows(cfg, rho0.entries.astype(complex), len(indices), obs)
+    return _run_rows(kern, cfg.meter, cfg.seed, cfg.total_intensity, T, indices, sample_times,
+                     obs, mode == "linear", cfg.hbar)
 
 
 def evolve_density(

@@ -55,9 +55,9 @@ def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
-def coverage_half_width(kappa: float, r_max: float, base: float = COVERAGE_BASE) -> float:
+def coverage_half_width(kappa: float, r_max: float) -> float:
     """Grid half-width needed to keep the completeness defect below tolerance."""
-    return base + abs(kappa) * abs(r_max)
+    return COVERAGE_BASE + abs(kappa) * abs(r_max)
 
 
 @dataclass(frozen=True)
@@ -185,22 +185,16 @@ class MeterModel:
     reduction_family : diagonal of G(lambda_i) in the R eigenbasis, support only.
     outcome_weight_matrix : |f0(lambda_i - kappa r_x)|^2 dlambda_i, support only.
     cumulative_outcomes : its column-wise cumulative sums, blocked for search.
-    povm_defect : completeness defect of the discretized outcome family.
+    povm_defect : completeness defect of the discretized outcome family, at
+        most DEFAULT_TOL_POVM.
     """
 
-    def __init__(
-        self,
-        kappa: float,
-        R: HermitianOperator,
-        pointer: PointerState,
-        tol_povm: float = DEFAULT_TOL_POVM,
-    ):
+    def __init__(self, kappa: float, R: HermitianOperator, pointer: PointerState):
         if not isinstance(R, HermitianOperator):
             R = HermitianOperator(np.asarray(R, dtype=complex))
         self.kappa = float(kappa)
         self.R = R
         self.pointer = pointer
-        self.tol_povm = float(tol_povm)
         self.eigenvalues, self.eigenvectors = hermitian_eig(R)
 
         grid = pointer.grid
@@ -225,11 +219,11 @@ class MeterModel:
         # whose weights are renormalized over the support.
         povm_diag = (np.abs(self.packet_matrix) ** 2 * pointer.weights[:, None]).sum(axis=0)
         self.povm_defect = float(np.max(np.abs(povm_diag - 1.0)))
-        if self.povm_defect > self.tol_povm:
+        if self.povm_defect > DEFAULT_TOL_POVM:
             r_max = float(np.max(np.abs(self.eigenvalues)))
             raise ValidationError(
                 f"outcome family completeness defect {self.povm_defect:.3e} exceeds "
-                f"tol_povm={self.tol_povm:.1e}; grid half-width should be at least "
+                f"tol_povm={DEFAULT_TOL_POVM:.1e}; grid half-width should be at least "
                 f"{coverage_half_width(self.kappa, r_max)!r}"
             )
 
@@ -335,7 +329,6 @@ def build_gaussian_meter(
     R: HermitianOperator,
     n_points: int = DEFAULT_GRID_SIZE,
     phase_slope: float = 0.0,
-    tol_povm: float = DEFAULT_TOL_POVM,
 ) -> MeterModel:
     """Meter with a Gaussian pointer sized by the coverage rule for R."""
     if not isinstance(R, HermitianOperator):
@@ -343,7 +336,7 @@ def build_gaussian_meter(
     r_max = float(np.max(np.abs(np.linalg.eigvalsh(R.entries))))
     half_width = coverage_half_width(kappa, r_max)
     pointer = gaussian_pointer(n_points, half_width, phase_slope)
-    return MeterModel(kappa, R, pointer, tol_povm)
+    return MeterModel(kappa, R, pointer)
 
 
 def sharp_projections(R, kappa: float) -> dict[float, np.ndarray]:

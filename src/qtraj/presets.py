@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import HermitianOperator
-from .meter import DEFAULT_GRID_SIZE, DEFAULT_TOL_POVM, MeterModel, build_gaussian_meter
+from .meter import DEFAULT_GRID_SIZE, MeterModel, build_gaussian_meter
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,10 @@ class Preset:
     gamma: float
 
 
-def _hopping_matrix(d: int, amplitude: float = 1.0) -> np.ndarray:
+def _hopping_matrix(d: int) -> np.ndarray:
     h = np.zeros((d, d), dtype=complex)
     for j in range(d - 1):
-        h[j, j + 1] = -amplitude
-        h[j + 1, j] = -amplitude
+        h[j, j + 1] = h[j + 1, j] = -1.0
     return h
 
 
@@ -45,10 +44,10 @@ def two_level() -> Preset:
     return Preset("two-level", 1, 2, H, R, kappa=0.3, nu=5.0, gamma=1.0)
 
 
-def lattice_particle(d: int = 8, hopping: float = 1.0) -> Preset:
+def lattice_particle(d: int = 8) -> Preset:
     if d < 2:
         raise ValidationError(f"lattice needs d >= 2 sites, got {d}")
-    H = HermitianOperator(_hopping_matrix(d, hopping))
+    H = HermitianOperator(_hopping_matrix(d))
     sites = np.arange(d) - (d - 1) / 2.0
     R = HermitianOperator(np.diag(sites).astype(complex))
     return Preset("lattice-particle", 1, d, H, R, kappa=0.3, nu=5.0, gamma=1.0)
@@ -82,8 +81,7 @@ def preset_meter(
     kappa: float | None = None,
     n_points: int = DEFAULT_GRID_SIZE,
     phase_slope: float = 0.0,
-    tol_povm: float = DEFAULT_TOL_POVM,
 ) -> MeterModel:
     """Gaussian meter for a preset, grid sized by the coverage rule."""
     k = preset.kappa if kappa is None else float(kappa)
-    return build_gaussian_meter(k, preset.R, n_points=n_points, phase_slope=phase_slope, tol_povm=tol_povm)
+    return build_gaussian_meter(k, preset.R, n_points=n_points, phase_slope=phase_slope)

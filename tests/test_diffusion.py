@@ -481,6 +481,30 @@ class TestUnifiedPath:
             assert np.array_equal(cols.weights[i], path.norm2), i
             assert np.array_equal(cols.values[0, i], expect / path.norm2), i
 
+    @pytest.mark.parametrize("equation", ["linear", "coupled", "density"])
+    def test_paths_record_at_T_without_sample_times(self, equation):
+        cfg, initial = self.case(equation)
+        obs = {"R": embed_at_slot(RC.entries, 1, cfg.M)}
+        a = run_trajectories(cfg, initial, self.T, 6, obs, equation=equation)
+        b = run_trajectories(cfg, initial, self.T, 6, obs, [self.T], equation=equation)
+        assert a.sample_times.tolist() == [self.T]
+        for f in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+    @pytest.mark.parametrize("equation", ["linear", "coupled", "density"])
+    def test_record_at_t0_is_the_initial_state(self, equation):
+        cfg, initial = self.case(equation)
+        if equation == "density":
+            path = evolve_diffusive_density(cfg, initial, self.T, index=3,
+                                            record_times=[0.0, self.T])
+            assert np.max(np.abs(path.rhos[0] - initial.entries)) <= 1e-15
+            assert path.trace[0] == pytest.approx(1.0, abs=1e-15)
+        else:
+            evolve = evolve_diffusive_sse if equation == "linear" else evolve_coupled_sse
+            path = evolve(cfg, initial, self.T, index=3, record_times=[0.0, self.T])
+            assert np.array_equal(path.states[0], initial.amps)
+            assert not np.array_equal(path.states[1], initial.amps)
+
     def test_no_paths_rejected(self):
         cfg, eta = self.case("linear")
         with pytest.raises(ValidationError, match="n_traj must be >= 1, got 0"):

@@ -6,6 +6,7 @@ import dataclasses
 import filecmp
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from qtraj import (
     StateVector,
     ValidationError,
     build_gaussian_meter,
+    ensemble,
     evolve_density,
     evolve_diffusive_sse,
     evolve_jump,
@@ -32,7 +34,7 @@ from qtraj import (
 )
 from qtraj.cli import main
 from qtraj.ensemble import MasterConfig, master_generator, rk4_solve
-from qtraj.jumps import _draw_outcomes, _jump_batch, _schedule
+from qtraj.jumps import _PureRows, _draw_outcomes, _jump_batch, _schedule
 from qtraj.linalg import spectrum_entropy
 from qtraj.manybody import _mixing_batch
 from qtraj.rng import stream
@@ -59,6 +61,17 @@ def mixing_setup():
     rho0 = StateVector(np.kron([0.8, 0.6j], [0.8, 0.6j])).density()
     obs = {"R": np.kron(R01.entries, np.eye(2)) / 2 + np.kron(np.eye(2), R01.entries) / 2}
     return cfg, rho0, obs
+
+
+def d64_setup():
+    """Three particles on four lattice sites (D = 64) in a product state."""
+    d = 4
+    H = HermitianOperator(np.diag(np.ones(d - 1), 1) + np.diag(np.ones(d - 1), -1))
+    R = HermitianOperator(np.diag(np.arange(d) - 1.5))
+    cfg = ManyBodyConfig(M=3, d=d, H_single=H, meter=build_gaussian_meter(0.5, R), nu=5.0,
+                         W=nearest_neighbor_coupling(d, 0.5), seed=5)
+    v = np.full(d, 0.5)
+    return cfg, StateVector(np.kron(np.kron(v, v), v)).density()
 
 
 def same_row(cols, r, traj):
@@ -111,13 +124,8 @@ class TestRunTrajectories:
 
     def test_mixing_run_holds_no_final_densities(self):
         # D = 64: the final densities of 100 trajectories alone take 6.5 MB.
-        d, M, n = 4, 3, 100
-        H = HermitianOperator(np.diag(np.ones(d - 1), 1) + np.diag(np.ones(d - 1), -1))
-        R = HermitianOperator(np.diag(np.arange(d) - 1.5))
-        cfg = ManyBodyConfig(M=M, d=d, H_single=H, meter=build_gaussian_meter(0.5, R), nu=5.0,
-                             W=nearest_neighbor_coupling(d, 0.5), seed=5)
-        v = np.full(d, 0.5)
-        rho0 = StateVector(np.kron(np.kron(v, v), v)).density()
+        n = 100
+        cfg, rho0 = d64_setup()
         run_trajectories(cfg, rho0, 0.2, 2)  # builds the config's cached copy basis
         tracemalloc.start()
         try:
@@ -127,6 +135,33 @@ class TestRunTrajectories:
             tracemalloc.stop()
         assert peak < n * cfg.dim ** 2 * 16
         assert cols.states is None and cols.counts.sum() > 0
+
+    def test_thread_pool_capped_at_usable_cpus(self, monkeypatch):
+        # A stand-in pool records its size and maps serially, so no thread
+        # starts; the chunks stay one row each, as 100 000 workers ask.
+        sizes, chunks = [], []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, worker, items):
+                items = list(items)
+                chunks.extend(map(len, items))
+                return map(worker, items)
+
+        monkeypatch.setattr(ensemble, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        cfg, eta, obs = jump_setup("normalized")
+        cols = run_trajectories(cfg, eta, 1.0, 40, obs, TIMES, n_workers=100_000)
+        assert sizes == [3] and chunks == [1] * 40
+        assert same_columns(cols, run_trajectories(cfg, eta, 1.0, 40, obs, TIMES))
 
 
 class TestBatchLayout:
@@ -342,6 +377,48 @@ class TestReproducibleFailure:
         assert f"t={float(t_first)!r}" in msg
         with pytest.raises(NumericError, match="trajectory index=3"):
             evolve_jump(cfg, eta, 1.0, index=3)
+
+    def test_non_finite_final_state_names_seed_index_and_T(self, monkeypatch):
+        # No events and no samples: only the final check sees the NaN row.
+        cfg, eta, _ = jump_setup("linear")
+        advance = _PureRows.advance
+
+        def poisoned(kern, phases):
+            advance(kern, phases)
+            kern.y[1] = np.nan
+
+        monkeypatch.setattr(_PureRows, "advance", poisoned)
+        with pytest.raises(NumericError) as err:
+            _jump_batch(dataclasses.replace(cfg, nu=0.0), eta, 1.0, range(3, 6))
+        assert str(err.value) == (
+            "final state has non-finite entries at t=1.0 (seed=41, trajectory index=4); "
+            "rerun that index alone to reproduce")
+
+    def test_final_density_check_reads_only_copy_blocks(self, monkeypatch):
+        cfg, rho0 = d64_setup()
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a)[-1])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        for mode in ("normalized", "linear"):
+            cols = _mixing_batch(cfg, rho0, 0.2, mode, range(4))
+            assert cols.states.shape == (4, 64, 64) and cols.counts.sum() > 0
+        # The copy blocks are 20 x 20 and 4 x 4.
+        assert shapes and max(shapes) == 20
+
+    @pytest.mark.parametrize("mode", ["normalized", "linear"])
+    def test_failed_final_density_check_exits_3(self, tmp_path, capsys, monkeypatch, mode):
+        # A two-atom density (D = 4) of trace one has an eigenvalue of at most 1/4.
+        monkeypatch.setattr("qtraj.manybody.DENSITY_EIG_FLOOR", 0.5)
+        spec = write_spec(tmp_path / "s.json", experiment="many", mode=mode, n_traj=4, T=0.5)
+        assert main(["many", "--spec", spec, "--seed", "7", "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "error: final density has an eigenvalue below DENSITY_EIG_FLOOR or a bad trace "
+            "at t=0.5 (seed=7, trajectory index=0); rerun that index alone to reproduce\n")
 
 
 def write_spec(path, **fields):

@@ -81,10 +81,10 @@ def block_spectrum_error(d, M, amplitude, gen):
     kern = _BlockRows(cfg, rho, 1, {})
     blocks = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b.view(kern.rows)[0]), b.m)
                                      for b in kern.blocks]))
-    min_eig, entropy, _ = kern.record(slice(None))
+    rec = kern.record(slice(None))
     eigs = np.linalg.eigvalsh(rho)
-    err = max(np.max(np.abs(blocks - eigs)), abs(min_eig[0] - eigs[0]),
-              abs(entropy[0] - spectrum_entropy(eigs)))
+    err = max(np.max(np.abs(blocks - eigs)), abs(rec["min_eig"][0] - eigs[0]),
+              abs(rec["entropy"][0] - spectrum_entropy(eigs)))
     return float(err), kern.E.dtype.kind == "f"
 
 

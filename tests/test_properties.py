@@ -56,7 +56,7 @@ def test_copy_blocks_rebuild_the_state_and_apply_one_event(shape, amplitude, see
     # A row holds one copy of each block: C(d^2 + M - 1, M) entries.
     assert _BlockRows(cfg, rho, 1, {}).rows.shape == (1, math.comb(d * d + M - 1, M))
     # Projected onto the copies and rebuilt, the state comes back.
-    assert np.max(np.abs(_BlockRows(cfg, rho, 1, {}).final()[0] - rho)) <= 1e-12
+    assert np.max(np.abs(_BlockRows(cfg, rho, 1, {}).finish(None)[0][0] - rho)) <= 1e-12
     # One event, rebuilt in R's eigenbasis and projected back, is the
     # full-space mixing reduction.
     kern, every = _BlockRows(cfg, rho, 1, {}), slice(None)
@@ -65,7 +65,7 @@ def test_copy_blocks_rebuild_the_state_and_apply_one_event(shape, amplitude, see
     kern.store(every, reduced, np.ones(1))
     ref = mixing_reduction(cfg, rho, cfg.meter.support_grid[idx[0]]).entries
     scale = max(1.0, float(np.max(np.abs(ref))))
-    assert np.max(np.abs(kern.final()[0] - ref)) <= 1e-12 * scale
+    assert np.max(np.abs(kern.finish(None)[0][0] - ref)) <= 1e-12 * scale
     assert abs(trace[0] - np.trace(ref).real) <= 1e-12 * scale
 
 
@@ -144,6 +144,9 @@ EDGE_INDICES = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
     seed=st.integers(0, 2 ** 160 - 1),
     extra=st.lists(st.integers(0, 2 ** 96), max_size=6),
 )
+# Seeds of five words, which the pool mixes in after its first four.
+@hypothesis.example(seed=2 ** 128, extra=[])
+@hypothesis.example(seed=2 ** 160 - 1, extra=[])
 def test_batched_stream_keys_and_draws_equal_seed_sequence(seed, extra):
     indices = EDGE_INDICES + extra
     keys = stream_keys(seed, indices)

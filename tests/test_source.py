@@ -134,6 +134,19 @@ def test_rng_builds_the_streams():
     assert calls(PACKAGE / "rng.py", RNG_CONSTRUCTORS) == ["Generator", "Philox", "SeedSequence"]
 
 
+# A density is checked in full (one D x D eigvalsh) only where linalg.py
+# builds a DensityMatrix; the mixing engine checks its final densities on
+# their S_M blocks.
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_full_density_check_is_called_only_in_linalg(path):
+    assert calls(path, {"_check_density"}) == []
+
+
+def test_linalg_calls_the_full_density_check():
+    assert calls(PACKAGE / "linalg.py", {"_check_density"}) == ["_check_density"]
+
+
 # The engines key their generators through rng.Streams and rng.generators;
 # the one-stream reference rng.stream is called only by the acceptance
 # criteria, which draw their own test matrices from it.
