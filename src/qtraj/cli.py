@@ -38,12 +38,11 @@ from .ensemble import (
     check_result_size,
     jump_to_diffusion_bridge,
     master_generator,
-    physical_memory,
     rk4_solve,
     run_trajectories,
     trajectory_stats,
 )
-from .errors import SimulationError, ValidationError
+from .errors import SimulationError, ValidationError, physical_memory
 from .jumps import MODES, JumpConfig
 from .linalg import HermitianOperator, StateVector, _check_particles, kron_power, slot_sum
 from .manybody import ManyBodyConfig, nearest_neighbor_coupling
@@ -497,7 +496,7 @@ def _run_ensemble(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
     if spec.experiment == "jump":
         cfg = JumpConfig(H=model.H, meter=model.meter, nu=model.nu, hbar=model.hbar,
                          seed=spec.seed, mode=spec.mode)
-        M, equation = 1, spec.mode
+        M, equation = 1, None
     elif spec.experiment == "many":
         cfg, M, equation = _manybody_config(spec, model), model.M, spec.mode
     else:

@@ -37,12 +37,15 @@ step matrix and the real modulus of the noise factor; the noise phase is
 applied only when the noise is complex (a phase-modulated packet), and the
 complex density is rebuilt only at record steps.  A real packet gives
 exactly real noise: noise_covariance computes c1 and c2 from the same real
-sums.  With noise=False the noise map is replaced by its exact one-step
-mean, so the same kernel steps the averaged (Lindblad-form) equation.  The
-kernels draw the noise in their step loops, each path from its own stream
-(a generator of :func:`qtraj.rng.generators`); a complex increment dv is
-two normals mapped by the Cholesky factors of _noise_chol.  All noise draws
-are pure functions of (seed, path index, step index).
+sums.  The averaged (Lindblad-form) equation is not stepped here: its one
+integrator is the RK4 oracle ensemble.rk4_solve.
+
+Both kernels take their noise from one generator, _noise_blocks.  Each path
+draws from its own stream (a generator of :func:`qtraj.rng.generators`),
+_DRAW_BLOCK steps at a time, and the kernels build their step factors for
+runs of at most _FACTOR_BLOCK steps.  A complex increment dv is two normals
+mapped by the Cholesky factors of _noise_chol.  All noise draws are pure
+functions of (seed, path index, step index), whatever the block sizes.
 
 The two state equations share one batched kernel, _coupled_states: the rows
 live in R's eigenbasis, where each step is an elementwise factor (the
@@ -66,13 +69,13 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import NumericError, ValidationError
+from .errors import CapacityError, NumericError, ValidationError, physical_memory
 from .jumps import EventColumns, _step_grid
 from .linalg import (
+    DensityMatrix,
     HermitianOperator,
     StateVector,
     _check_particles,
-    as_matrix,
     embed_at_slot,
     hermitian_eig,
     kron_power,
@@ -85,9 +88,8 @@ from .rng import generators
 
 BLOWUP_LIMIT = 1e6
 POSITIVITY_TOL = 1e-6
-_NOISE_BLOCK = 64
-# Density kernel: steps per normal draw and per batch of noise factors
-# (2 MB of normals and 1 MB of real factors at 512 paths and D = 4).
+# Steps per normal draw and per run of step factors (for 512 paths: 2 MB of
+# normals, and 1 MB of real density factors at D = 4).
 _DRAW_BLOCK = 256
 _FACTOR_BLOCK = 16
 
@@ -223,6 +225,22 @@ def _rows_matmul(y: np.ndarray, M: np.ndarray) -> np.ndarray:
     return out
 
 
+def _noise_blocks(cfg: DiffusionConfig, indices, n_steps: int, width: int):
+    """The standard normals of paths indices, width per step, in runs of at
+    most _FACTOR_BLOCK steps: yields (s, z) with z[i, j] the normals of path
+    indices[i] at step s + j.  Each path draws from its own stream,
+    _DRAW_BLOCK steps at a time (the same sequence as one draw of all
+    steps); z is a view of the draw buffer, valid until the next yield."""
+    gens = generators(cfg.seed, indices)
+    z = np.empty((len(gens), _DRAW_BLOCK, width))
+    for s in range(0, n_steps, _DRAW_BLOCK):
+        block = min(_DRAW_BLOCK, n_steps - s)
+        for k, g in enumerate(gens):
+            g.standard_normal(out=z[k, :block])
+        for j in range(0, block, _FACTOR_BLOCK):
+            yield s + j, z[:, j : min(j + _FACTOR_BLOCK, block)]
+
+
 def _coupled_states(
     cfg: DiffusionConfig, eta: StateVector, T: float, indices, sample_times,
     equation: str = "coupled",
@@ -236,20 +254,19 @@ def _coupled_states(
     steps.  Coupled: the exact phase f = exp((i/hbar) gamma w du), du sigma
     sqrt(dt) times one normal.  Linear: the Euler-Maruyama factor
     f = 1 - dt (1/2) (gamma/hbar)^2 sigma^2 w^2 + gamma dv w, dv built by
-    :func:`_noise_chol` from two normals.  Each path draws from its own
-    stream in blocks of _NOISE_BLOCK steps (the same normals as one draw of
-    all steps) and the products are :func:`_rows_matmul`, so a row is
-    bit-identical in any batch.  A recorded squared norm beyond BLOWUP_LIMIT
-    or not finite fails :func:`_guard`.  Returns (record steps, states),
-    states[i, j] the unnormalized state of path indices[i] at record step j.
+    :func:`_noise_chol` from two normals.  The factors are built for each
+    run of normals from :func:`_noise_blocks`, and the products are
+    :func:`_rows_matmul`, so a row is bit-identical in any batch.  A
+    recorded squared norm beyond BLOWUP_LIMIT or not finite fails
+    :func:`_guard`.  Returns (record steps, states), states[i, j] the
+    unnormalized state of path indices[i] at record step j.
     """
     if cfg.M != 1:
         raise ValidationError("the state equations are single-particle; use M=1")
     if abs(eta.norm2() - 1.0) > STATE_NORM_TOL:
         raise ValidationError("initial state must be normalized")
     n_steps, rec, rec_map = _step_grid(T, cfg.dt, sample_times)
-    gens = generators(cfg.seed, indices)
-    n = len(gens)
+    n = len(indices)
     wR, VR = hermitian_eig(cfg.R)
     UT = (VR.conj().T @ propagator(cfg.H, cfg.dt, cfg.hbar) @ VR).T
     amps = eta.amps.astype(complex)
@@ -266,27 +283,23 @@ def _coupled_states(
     else:
         du_scale = math.sqrt(cfg.noise.sigma2 * cfg.dt)
         rate = (cfg.gamma / cfg.hbar) * wR
-    z = np.empty((n, _NOISE_BLOCK, 2 if linear else 1))
-    factor = np.empty((_NOISE_BLOCK, n, cfg.dim), dtype=complex)
+    factor = np.empty((_FACTOR_BLOCK, n, cfg.dim), dtype=complex)
     # _guard rejects every non-finite record, so numpy's inf/nan warnings add nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        s = 0
-        while s < n_steps:
-            block = min(_NOISE_BLOCK, n_steps - s)
-            for k, g in enumerate(gens):
-                g.standard_normal(out=z[k, :block])
-            zt = z[:, :block].transpose(1, 0, 2)  # (step, path, normal)
-            re, im = factor[:block].real, factor[:block].imag
+        for s, z in _noise_blocks(cfg, indices, n_steps, 2 if linear else 1):
+            m = z.shape[1]
+            zt = z.transpose(1, 0, 2)  # (step, path, normal)
+            re, im = factor[:m].real, factor[:m].imag
             if linear:  # re = drift + gamma Re(dv) w, im = gamma Im(dv) w
                 np.multiply((a11 * zt[:, :, 0])[:, :, None], rate, out=re)
                 re += drift
                 np.multiply((a21 * zt[:, :, 0] + a22 * zt[:, :, 1])[:, :, None], rate, out=im)
-            else:  # phase arguments du * rate, built in place to keep the block small
+            else:  # phase arguments du * rate, built in place to keep the run small
                 z *= du_scale
                 np.multiply(zt, rate, out=re)
                 np.sin(re, out=im)
                 np.cos(re, out=re)
-            for b in range(block):
+            for b in range(m):
                 y *= factor[b]
                 y = _rows_matmul(y, UT)
                 if s + b + 1 in rec_map:
@@ -296,7 +309,6 @@ def _coupled_states(
                            f"squared norm exceeded {BLOWUP_LIMIT:.0e}",
                            cfg.seed, indices, [(s + b + 1) * cfg.dt])
                     out[:, rec_map[s + b + 1]] = chi[:, None, :]
-            s += block
     return rec, out
 
 
@@ -405,8 +417,8 @@ def _density_kernel(cfg: DiffusionConfig):
     return VM, w, rbar, np.ascontiguousarray(np.concatenate([cols.real, cols[diag.size :].imag]))
 
 
-def _density_states(cfg: DiffusionConfig, rho0, T: float, indices, sample_times,
-                    noise: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def _density_states(cfg: DiffusionConfig, rho0, T: float, indices,
+                    sample_times) -> tuple[np.ndarray, np.ndarray]:
     """Paths of the M-particle density equation, one per index.
 
     The state lives in Rbar's eigenbasis in the real Hermitian coordinates
@@ -422,28 +434,34 @@ def _density_states(cfg: DiffusionConfig, rho0, T: float, indices, sample_times,
     q = exp(i gamma Im dw w / M); real noise builds and applies no phase.
     Every step factor maps Hermitian matrices to Hermitian ones, so the
     coordinates describe the state exactly and no symmetrization is needed.
-    Each path draws both normals of every step from its own stream in
-    blocks of _DRAW_BLOCK steps (the same sequence as one draw of all
-    steps), and the factors are built for _FACTOR_BLOCK steps at once.  With
-    noise=False nothing is drawn and G is its exact one-step mean
-    E[G]_IJ = exp(gamma^2 dt M (c1 r_I^2 + 2 c2 r_I r_J + conj(c1) r_J^2) / 2),
-    whose phase is nonzero only for a complex c1.  Returns (record steps,
-    rhos) with rhos[i, j] the density of path indices[i] at record step j,
-    rebuilt as a complex matrix and rotated back to the original basis.
+    The factors are built for each run of normals from
+    :func:`_noise_blocks`, two per step.  rho0 must be a density matrix of
+    unit trace (ValidationError), and a batch beyond physical memory raises
+    CapacityError; both are checked before anything is drawn or built.
+    Returns (record steps, rhos) with rhos[i, j] the density of path
+    indices[i] at record step j, rebuilt as a complex matrix and rotated
+    back to the original basis.
     """
-    arr = as_matrix(rho0)
+    rho = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)
     M = cfg.M
     D = cfg.dim ** M
-    if arr.shape != (D, D):
-        raise ValidationError(f"initial density must have shape {(D, D)}, got {arr.shape}")
-    if abs(float(np.trace(arr).real) - 1.0) > 1e-8:
+    if rho.dim != D:
+        raise ValidationError(f"initial density must have shape {(D, D)}, got {rho.entries.shape}")
+    if abs(rho.trace() - 1.0) > 1e-8:
         raise ValidationError("initial density must have unit trace")
     n_steps, rec, rec_map = _step_grid(T, cfg.dt, sample_times)
-    VM, w, rbar, P = _density_kernel(cfg)
     n = len(indices)
+    # Four complex D^2 x D^2 matrices for _density_kernel (its peak is about
+    # 3.1 of them), and per path its records and four complex D x D working
+    # copies (the coordinates, their step image and the record rebuild).
+    need, memory = 64 * D ** 4 + 16 * D * D * n * (rec.size + 4), physical_memory()
+    if need > memory:
+        raise CapacityError(f"the density equation at D={D} needs {need} bytes for {n} paths "
+                            f"with {rec.size} records, beyond the {memory} bytes of memory")
+    VM, w, rbar, P = _density_kernel(cfg)
     diag, up, lo = _hermitian_index(D)
     U = up.size
-    rt = (VM.conj().T @ arr @ VM).reshape(D * D)
+    rt = (VM.conj().T @ rho.entries @ VM).reshape(D * D)
     x = np.repeat(np.concatenate([rt[diag].real, rt[up].real, rt[up].imag])[:, None], n, axis=1)
     y = np.empty_like(x)
     out = np.empty((n, rec.size, D, D), dtype=complex)
@@ -455,26 +473,13 @@ def _density_states(cfg: DiffusionConfig, rho0, T: float, indices, sample_times,
         flat[lo] = flat[up].conj()
         out[:, slots] = (VM @ flat.T.reshape(n, D, D) @ VM.conj().T)[:, None]
 
-    c1, c2 = M * cfg.noise.c1, M * cfg.noise.c2
-    if noise:
-        gens = generators(cfg.seed, indices)
-        a11, a21, a22 = _noise_chol(cfg.dt, c1, c2)
-        rotate = a21 != 0.0 or a22 != 0.0
-        z = np.empty((n, _DRAW_BLOCK, 2))
-        G = np.empty((_FACTOR_BLOCK, D * D, n))
-        if rotate:  # cos and sin of phi_IJ over the upper triangle
-            cos, sin = np.empty((2, _FACTOR_BLOCK, U, n))
-            rot = np.empty((_FACTOR_BLOCK, U, n), dtype=complex)
-    else:
-        r = rbar[:, None]
-        expo = 0.5 * cfg.gamma ** 2 * cfg.dt * (
-            c1 * r * r + 2.0 * c2 * r * r.T + np.conj(c1) * r.T * r.T).reshape(D * D)
-        mod, phi = np.exp(expo.real), expo[up].imag
-        rotate = bool(np.any(phi != 0.0))
-        G, cos, sin = (
-            np.broadcast_to(f[:, None], (_FACTOR_BLOCK, f.size, 1))
-            for f in (np.concatenate([mod[diag], mod[up], mod[up]]), np.cos(phi), np.sin(phi))
-        )
+    a11, a21, a22 = _noise_chol(cfg.dt, M * cfg.noise.c1, M * cfg.noise.c2)
+    rotate = a21 != 0.0 or a22 != 0.0
+    G = np.empty((_FACTOR_BLOCK, D * D, n))
+    if rotate:  # cos and sin of phi_IJ over the upper triangle
+        cos, sin = np.empty((2, _FACTOR_BLOCK, U, n))
+        rot = np.empty((_FACTOR_BLOCK, U, n), dtype=complex)
+        t1, t2 = np.empty((2, U, n))
 
     def power(b):
         # b^{(x)M} along axis 1 of b (step, d, path)
@@ -490,39 +495,25 @@ def _density_states(cfg: DiffusionConfig, rho0, T: float, indices, sample_times,
             np.multiply(a[:, i : i + 1], b[:, i + 1 :], out=out[:, row : row + D - 1 - i])
             row += D - 1 - i
 
-    def build_factors(zb):
-        # G[:m] (and the phases) for the m steps whose normals are zb, shaped
-        # (path, step, 2)
-        m = zb.shape[1]
-        # (step, normal, path), copied: a strided view slows every product below
-        zt = np.ascontiguousarray(zb.transpose(1, 2, 0))
-        a = power(np.exp((cfg.gamma / M) * (a11 * zt[:, 0])[:, None] * w[:, None]))
-        np.multiply(a, a, out=G[:m, :D])
-        upper(a, a, G[:m, D : D + U])
-        G[:m, D + U :] = G[:m, D : D + U]
-        if rotate:
-            im_dw = a21 * zt[:, 0] + a22 * zt[:, 1]
-            p = power(np.exp((1j * cfg.gamma / M) * im_dw[:, None] * w[:, None]))
-            upper(p, p.conj(), rot[:m])
-            cos[:m], sin[:m] = rot[:m].real, rot[:m].imag
-
-    if rotate:
-        t1, t2 = np.empty((2, U, n))
-
     if 0 in rec_map:
         record(rec_map[0])
     # _guard rejects every non-finite record, so numpy's inf/nan warnings add nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        s = 0
-        while s < n_steps:
-            block = min(_DRAW_BLOCK, n_steps - s)
-            if noise:
-                for k, g in enumerate(gens):
-                    g.standard_normal(out=z[k, :block])
-            for j in range(block):
-                f = j % _FACTOR_BLOCK
-                if noise and f == 0:
-                    build_factors(z[:, j : min(j + _FACTOR_BLOCK, block)])
+        for s, z in _noise_blocks(cfg, indices, n_steps, 2):
+            # G[:m] and the phases for the m steps of z, from the normals as
+            # (step, normal, path), copied: a strided view slows every product
+            m = z.shape[1]
+            zt = np.ascontiguousarray(z.transpose(1, 2, 0))
+            a = power(np.exp((cfg.gamma / M) * (a11 * zt[:, 0])[:, None] * w[:, None]))
+            np.multiply(a, a, out=G[:m, :D])
+            upper(a, a, G[:m, D : D + U])
+            G[:m, D + U :] = G[:m, D : D + U]
+            if rotate:
+                im_dw = a21 * zt[:, 0] + a22 * zt[:, 1]
+                p = power(np.exp((1j * cfg.gamma / M) * im_dw[:, None] * w[:, None]))
+                upper(p, p.conj(), rot[:m])
+                cos[:m], sin[:m] = rot[:m].real, rot[:m].imag
+            for f in range(m):
                 np.matmul(P, x, out=y)
                 np.multiply(y, G[f], out=y)
                 if rotate:  # (re, im) <- (c re - s im, s re + c im)
@@ -534,9 +525,8 @@ def _density_states(cfg: DiffusionConfig, rho0, T: float, indices, sample_times,
                     im *= cos[f]
                     im += t1
                 x, y = y, x
-                if s + j + 1 in rec_map:
-                    record(rec_map[s + j + 1])
-            s += block
+                if s + f + 1 in rec_map:
+                    record(rec_map[s + f + 1])
     return rec, out
 
 
@@ -557,12 +547,7 @@ def _density_spectra(rhos: np.ndarray, seed: int, indices, times):
 
 
 def evolve_diffusive_density(
-    cfg: DiffusionConfig,
-    rho0,
-    T: float,
-    index: int = 0,
-    record_times=None,
-    noise: bool = True,
+    cfg: DiffusionConfig, rho0, T: float, index: int = 0, record_times=None
 ) -> DensityPath:
     """One path of the M-particle diffusive density equation, a batch of one
     of :func:`_density_states`.
@@ -570,13 +555,11 @@ def evolve_diffusive_density(
     Each step applies the completely positive deterministic factor from
     :func:`_density_kernel` followed by the exact completely positive noise
     map exp(gamma dw Rbar) . exp(gamma dw* Rbar); the recorded densities are
-    Hermitian by construction.  With noise=False the noise map is
-    replaced by its exact one-step mean, which steps the averaged
-    (Lindblad-form) equation with the same first-order accuracy.
+    Hermitian by construction.  Its mean over paths follows the Lindblad
+    equation, whose oracle is ensemble.rk4_solve.
     """
-    rec, rhos = _density_states(
-        cfg, rho0, T, [index], [T] if record_times is None else record_times, noise
-    )
+    rec, rhos = _density_states(cfg, rho0, T, [index],
+                                [T] if record_times is None else record_times)
     times = rec * cfg.dt
     trace, entropy, min_eig = _density_spectra(rhos, cfg.seed, [index], times)
     return DensityPath(times=times, rhos=rhos[0], trace=trace[0], entropy=entropy[0],

@@ -44,7 +44,7 @@ from itertools import repeat
 import numpy as np
 
 from .diffusion import DiffusionConfig, _coupled_batch, _density_batch
-from .errors import ValidationError
+from .errors import ValidationError, physical_memory
 from .jumps import EventColumns, JumpConfig, _jump_batch, _step_grid
 from .linalg import (
     HermitianOperator,
@@ -307,11 +307,6 @@ class EnsembleStats:
     entropy_se: np.ndarray | None = None
 
 
-def physical_memory() -> int:
-    """Bytes of physical memory, the bound of every result allocation."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
 def check_result_size(n_traj: int, n_samples: int, n_observables: int) -> None:
     """Reject n_traj result rows beyond physical memory, before any array
     exists.  A row holds its index, event count, log weight and final norm
@@ -343,7 +338,8 @@ def run_trajectories(
 
     equation is the density mode of a ManyBodyConfig (default "normalized")
     and the equation of a DiffusionConfig (required, see
-    :func:`run_ensemble`; paths record at T when no sample times are given).
+    :func:`run_ensemble`; paths record at T when no sample times are given);
+    a JumpConfig carries its own mode and takes none.
     Indices run in contiguous blocks, each one batch of its engine whose
     final states are dropped as it returns (a caller that needs them runs
     the batch), and the blocks' columns are concatenated in index order.
@@ -362,6 +358,9 @@ def run_trajectories(
     share = -(-n_traj // max(n_workers, 1))
     kw = {"sample_times": sample_times, "observables": obs}
     if isinstance(cfg, JumpConfig):
+        if equation is not None:
+            raise ValidationError(f"a JumpConfig runs in its own mode {cfg.mode!r}; "
+                                  f"pass no equation, got {equation!r}")
         size = min(_CHUNK, share)
         batch = partial(_jump_batch, cfg, initial, T, **kw)
     elif isinstance(cfg, ManyBodyConfig):
@@ -418,8 +417,9 @@ def run_ensemble(
     config, at ten equal steps up to T unless sample_times are given, and
     independent of the worker count.
 
-    A JumpConfig runs in its own mode, and for a ManyBodyConfig equation is
-    the density mode (default "normalized").  A DiffusionConfig needs one of
+    A JumpConfig runs in its own mode and takes no equation; for a
+    ManyBodyConfig equation is the density mode (default "normalized").  A
+    DiffusionConfig needs one of
     ``DIFFUSION_EQUATIONS``, each with its weight:
 
     * "linear": linear state equation, weight ||chi||^2;

@@ -349,6 +349,39 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: n_traj must be at most 1 for 64000032-byte result rows, got 100\n")
 
+    @pytest.mark.parametrize("overrides, fields, need", [
+        # the step kernel's D^2 x D^2 matrices
+        pytest.param({"d": 8, "M": 3}, {"n_traj": 2, "n_samples": 1, "T": 0.001},
+                     4398088454144, id="kernel"),
+        # the records of one batch of 512 paths
+        pytest.param({"d": 8, "M": 2}, {"n_traj": 512, "n_samples": 1000},
+                     34762391552, id="records"),
+    ])
+    def test_density_beyond_memory_exits_4(self, tmp_path, capsys, monkeypatch, overrides,
+                                           fields, need):
+        # Rejected before the kernel is built or a record allocated, against
+        # a fixed 16 GiB bound; if the check let the run through, the kernel
+        # build would raise here instead of allocating.
+        def no_kernel(*_):
+            raise AssertionError("the step kernel was built")
+
+        monkeypatch.setattr("qtraj.diffusion.physical_memory", lambda: 2 ** 34)
+        monkeypatch.setattr("qtraj.diffusion._density_kernel", no_kernel)
+        spec = write_spec(tmp_path / "big.json", experiment="diffuse", equation="density",
+                          preset="lattice-particle", overrides=overrides, **fields)
+        tracemalloc.start()
+        try:
+            code = main(["diffuse", "--spec", str(spec), "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        D = 8 ** overrides["M"]
+        assert code == 4 and peak < 32_000_000, peak
+        assert capsys.readouterr().err == (
+            f"error: the density equation at D={D} needs {need} bytes for "
+            f"{fields['n_traj']} paths with {fields['n_samples']} records, beyond the "
+            f"{2 ** 34} bytes of memory\n")
+
     def test_blow_up_exits_3(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "b.json", experiment="diffuse", overrides={"gamma": 30},
                           dt=0.01, n_traj=4)

@@ -31,8 +31,10 @@ from qtraj.diffusion import (
     _coupled_batch,
     _coupled_states,
     _density_batch,
+    _density_kernel,
     _density_spectra,
     _density_states,
+    _hermitian_index,
     _noise_chol,
 )
 from qtraj.ensemble import _CHUNK
@@ -307,33 +309,52 @@ class TestDiffusiveDensity:
         assert np.max(np.abs(path.trace - 1.0)) <= 1e-10
         assert np.max(np.abs(path.entropy)) <= 1e-8
 
-    def test_noise_off_matches_lindblad_oracle(self):
-        from qtraj.ensemble import MasterConfig, master_generator, rk4_solve
-
-        cfg = make_config(dt=1e-3, seed=14)
-        eta = StateVector(np.ones(2) / math.sqrt(2))
-        rho0 = eta.density()
-        path = evolve_diffusive_density(cfg, rho0, 1.0, record_times=[1.0], noise=False)
-        mcfg = MasterConfig.from_diffusion(cfg)
-        _, exact = rk4_solve(master_generator(mcfg), rho0, 1.0, 1e-3, record_times=[1.0])
-        assert np.max(np.abs(path.rhos[0] - exact[0])) <= 10 * cfg.dt
-
+    @pytest.mark.parametrize("M", [1, 2])
     @pytest.mark.parametrize("pointer", [
+        pytest.param(lambda: gaussian_pointer(1024, 6.0), id="real"),
         pytest.param(lambda: gaussian_pointer(1024, 6.0, phase_slope=0.5), id="phase-modulated"),
         pytest.param(chirped_pointer, id="chirped"),
     ])
-    def test_noise_off_complex_packet_matches_lindblad_oracle(self, pointer):
-        # a complex c1 gives the mean noise factor a phase that cancels the
-        # c1 term of the constant factor; the chirped packet has one, so the
-        # kernel must rotate the off-diagonal pairs every step
+    def test_mean_step_matches_lindblad_oracle(self, pointer, M):
+        # The kernel's exact one-step mean: its constant factor P, then the
+        # closed-form mean of the noise factor G = a (x) conj(a),
+        # E[G]_IJ = exp(gamma^2 dt (c1 r_I^2 + 2 c2 r_I r_J + conj(c1) r_J^2) / 2)
+        # with the M-particle c1 and c2.  The c1 term of P must cancel the
+        # modulus of E[G] and, for the complex c1 of the chirped packet, its
+        # phase, leaving a step of the Lindblad equation.
         from qtraj.ensemble import MasterConfig, master_generator, rk4_solve
 
-        cfg = make_config(dt=1e-3, seed=14, M=2, pointer=pointer())
-        rho0 = mixed_product_density(np.array([0.6, 0.8j]), 2)
-        path = evolve_diffusive_density(cfg, rho0, 1.0, record_times=[1.0], noise=False)
+        cfg = make_config(dt=1e-3, M=M, pointer=pointer())
+        rho0 = mixed_product_density(np.array([0.6, 0.8j]), M)
+        VM, _, rbar, P = _density_kernel(cfg)
+        D = rbar.size
+        diag, up, lo = _hermitian_index(D)
+        c1, c2, r = M * cfg.noise.c1, M * cfg.noise.c2, rbar[:, None]
+        mean_G = np.exp(0.5 * cfg.gamma ** 2 * cfg.dt * (
+            c1 * r * r + 2.0 * c2 * r * r.T + np.conj(c1) * r.T * r.T)).ravel()
+        rho = (VM.conj().T @ rho0.entries @ VM).ravel()
+        for _ in range(1000):
+            x = P @ np.concatenate([rho[diag].real, rho[up].real, rho[up].imag])
+            rho[diag] = x[:D]
+            rho[up] = x[D : D + up.size] + 1j * x[D + up.size :]
+            rho[lo] = rho[up].conj()
+            rho *= mean_G
         _, exact = rk4_solve(master_generator(MasterConfig.from_diffusion(cfg)), rho0, 1.0,
                              1e-3, record_times=[1.0])
-        assert np.max(np.abs(path.rhos[0] - exact[0])) <= 10 * cfg.dt
+        assert np.max(np.abs(VM @ rho.reshape(D, D) @ VM.conj().T - exact[0])) <= 10 * cfg.dt
+
+    @pytest.mark.parametrize("rho0, match", [
+        pytest.param([[0.5, 0.1], [0.0, 0.5]], "not Hermitian", id="non-hermitian"),
+        pytest.param([[np.nan, 0.0], [0.0, 1.0]], "non-finite", id="nan"),
+        pytest.param(np.diag([1.5, -0.5]), "eigenvalue", id="non-positive"),
+    ])
+    def test_invalid_initial_density_rejected_before_any_draw(self, monkeypatch, rho0, match):
+        def no_draws(*_):
+            raise AssertionError("noise was drawn")
+
+        monkeypatch.setattr("qtraj.diffusion.generators", no_draws)
+        with pytest.raises(ValidationError, match=match):
+            evolve_diffusive_density(make_config(), np.array(rho0, dtype=complex), 0.1)
 
     def test_positivity_pathwise(self):
         cfg = make_config(dt=1e-3, seed=15, M=2)
@@ -431,6 +452,35 @@ class TestDiffusiveDensity:
         finally:
             tracemalloc.stop()
         assert peak <= PEAK_BOUND_BYTES
+
+
+class TestNoiseBlocks:
+    """Paths split at other draw and factor block sizes: 7 and 3 divide
+    neither each other nor the 100 steps, so the runs cross draw blocks and
+    end in partial factor runs."""
+
+    T, TIMES, INDICES = 0.1, [0.03, 0.05, 0.1], [0, 5, 9]
+
+    def paths(self, equation, phase_slope):
+        if equation == "density":
+            cfg = make_config(seed=28, M=2, phase_slope=phase_slope)
+            rho0 = mixed_product_density(np.array([0.6, 0.8j]), 2)
+            return _density_states(cfg, rho0, self.T, self.INDICES, self.TIMES)[1]
+        cfg = make_config(seed=28, phase_slope=phase_slope)
+        eta = StateVector(np.array([0.6, 0.8j]))
+        return _coupled_states(cfg, eta, self.T, self.INDICES, self.TIMES, equation)[1]
+
+    @pytest.mark.parametrize("equation, phase_slope", [
+        pytest.param("linear", 0.5, id="linear"),
+        pytest.param("coupled", 0.0, id="coupled"),
+        pytest.param("density", 0.0, id="density-real"),
+        pytest.param("density", 0.5, id="density-complex"),
+    ])
+    def test_paths_independent_of_block_sizes(self, monkeypatch, equation, phase_slope):
+        default = self.paths(equation, phase_slope)
+        monkeypatch.setattr("qtraj.diffusion._DRAW_BLOCK", 7)
+        monkeypatch.setattr("qtraj.diffusion._FACTOR_BLOCK", 3)
+        assert np.array_equal(self.paths(equation, phase_slope), default)
 
 
 class TestEnsembleEquation:

@@ -12,6 +12,7 @@ from qtraj import (
     build_gaussian_meter,
     evolve_jump,
     propagator,
+    run_ensemble,
     run_trajectories,
     sample_outcome,
     sample_poisson_times,
@@ -169,6 +170,17 @@ class TestEvolveJump:
     def test_negative_intensity_rejected(self):
         with pytest.raises(ValidationError, match="nu"):
             make_config(nu=-1.0)
+
+
+class TestEnsembleEquation:
+    @pytest.mark.parametrize("run", [run_trajectories, run_ensemble])
+    def test_equation_rejected(self, run):
+        # The config carries its own mode, which an equation would not override.
+        eta = StateVector(np.array([0.6, 0.8], dtype=complex))
+        with pytest.raises(ValidationError,
+                           match="JumpConfig runs in its own mode 'normalized'; pass no "
+                                 "equation, got 'linear'"):
+            run(make_config(mode="normalized"), eta, 1.0, 4, equation="linear")
 
 
 class TestProductCheck:

@@ -111,17 +111,29 @@ def test_mixing_oracles_use_no_row_kernel_internals():
 RNG_CONSTRUCTORS = {"SeedSequence", "Philox", "Generator", "default_rng"}
 
 
-def calls(path: Path, names: set[str]) -> list[str]:
-    """Which of names a module calls, by name or attribute; annotations name
-    types without calling them."""
+def called(tree: ast.AST, names: set[str]) -> set[str]:
+    """Which of names the code under tree calls, by name or attribute;
+    annotations name types without calling them."""
     found = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             if name in names:
                 found.add(name)
-    return sorted(found)
+    return found
+
+
+def calls(path: Path, names: set[str]) -> list[str]:
+    """Which of names a module calls."""
+    return sorted(called(ast.parse(path.read_text()), names))
+
+
+def callers(path: Path, names: set[str]) -> list[str]:
+    """The top-level definitions of a module that call one of names, with
+    "<module>" for a call outside any definition."""
+    return sorted({getattr(top, "name", "<module>") for top in ast.parse(path.read_text()).body
+                   if called(top, names)})
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "rng.py"],
@@ -161,3 +173,15 @@ def test_reference_stream_is_not_called(path):
 
 def test_acceptance_calls_the_reference_stream():
     assert calls(PACKAGE / "acceptance.py", {"stream"}) == ["stream"]
+
+
+# The diffusive kernels take every normal from diffusion._noise_blocks, the
+# one place that keys per-path generators and draws from them; the
+# acceptance criteria draw their test matrices from the reference stream.
+NOISE_DRAWS = {"generators", "standard_normal"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_noise_is_drawn_only_in_the_noise_blocks(path):
+    names = {"generators"} if path.name == "acceptance.py" else NOISE_DRAWS
+    assert callers(path, names) == (["_noise_blocks"] if path.name == "diffusion.py" else [])
