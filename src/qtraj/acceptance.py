@@ -327,13 +327,17 @@ CRITERIA = [
 
 
 def run_criteria(ids=None) -> list[CriterionResult]:
-    """Run the given criteria, all by default; an unknown number is rejected
-    before any criterion runs."""
+    """Run the given criteria, all by default; an empty list, an unknown
+    number and a repeated one are rejected before any criterion runs."""
     table = {c: (title, fn) for c, title, fn in CRITERIA}
     ids = list(table) if ids is None else list(ids)
-    for cid in ids:
+    if not ids:
+        raise ValidationError("no acceptance criterion numbers given")
+    for k, cid in enumerate(ids):
         if cid not in table:
             raise ValidationError(f"no acceptance criterion numbered {cid}")
+        if cid in ids[:k]:
+            raise ValidationError(f"acceptance criterion {cid} given twice")
     results = []
     for cid in ids:
         title, fn = table[cid]

@@ -585,7 +585,7 @@ def _run_selftest(args) -> int:
     from .acceptance import format_table, run_criteria
 
     only = None
-    if args.only:
+    if args.only is not None:
         with _reading("--only"):
             only = [int(x) for x in str(args.only).split(",") if x.strip()]
     results = run_criteria(only)

@@ -50,10 +50,14 @@ functions of (seed, path index, step index), whatever the block sizes.
 The two state equations share one batched kernel, _coupled_states: the rows
 live in R's eigenbasis, where each step is an elementwise factor (the
 coupled phase or the linear Euler factor) followed by the fixed unitary
-VR^dag exp(-i H dt / hbar) VR.  The density equation has its own,
-_density_states.  The kernels run as a batch of one by evolve_diffusive_sse /
-evolve_coupled_sse / evolve_diffusive_density, and in fixed blocks of paths
-by ensemble.run_trajectories, whose batches (_coupled_batch, _density_batch)
+VR^dag exp(-i H dt / hbar) VR.  The rows are one (d, n) array, each
+component contiguous over the n paths, and the unitary is applied by
+_rows_product as a sum of elementwise products, component k ascending, the
+row operand first (numpy's SIMD complex multiply rounds a * b and b * a
+differently).  The density equation has its own, _density_states.  The
+kernels run as a batch of one by evolve_diffusive_sse / evolve_coupled_sse /
+evolve_diffusive_density, and in fixed blocks of paths by
+ensemble.run_trajectories, whose batches (_coupled_batch, _density_batch)
 return event-engine columns without events.  Every path draws from its own
 stream; state paths are bit-identical in any batch (their products are
 elementwise sums), density ones agree to rounding (their step is a BLAS
@@ -216,12 +220,15 @@ def _guard(ok: np.ndarray, what: str, seed: int, indices, times):
         )
 
 
-def _rows_matmul(y: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """y @ M as a sum of elementwise products, so every row is rounded the
-    same way whatever the number of rows (BLAS matmul does not promise that)."""
-    out = y[:, :1] * M[0]
+def _rows_product(y: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """The rows (d, n) y, one path per column, times M: out[j] = the sum
+    over ascending k of y[k] * M[k, j].  Each product is elementwise with
+    the row operand first (numpy's SIMD complex multiply rounds a * b and
+    b * a differently), so every path is rounded the same way whatever the
+    number of paths; a BLAS product does not promise that."""
+    out = y[0] * M[0][:, None]
     for k in range(1, M.shape[0]):
-        out += y[:, k : k + 1] * M[k]
+        out += y[k] * M[k][:, None]
     return out
 
 
@@ -254,12 +261,14 @@ def _coupled_states(
     steps.  Coupled: the exact phase f = exp((i/hbar) gamma w du), du sigma
     sqrt(dt) times one normal.  Linear: the Euler-Maruyama factor
     f = 1 - dt (1/2) (gamma/hbar)^2 sigma^2 w^2 + gamma dv w, dv built by
-    :func:`_noise_chol` from two normals.  The factors are built for each
-    run of normals from :func:`_noise_blocks`, and the products are
-    :func:`_rows_matmul`, so a row is bit-identical in any batch.  A
-    recorded squared norm beyond BLOWUP_LIMIT or not finite fails
-    :func:`_guard`.  Returns (record steps, states), states[i, j] the
-    unnormalized state of path indices[i] at record step j.
+    :func:`_noise_chol` from two normals.  The rows are a (d, n) array,
+    y[k, i] component k of path indices[i]; the factors are built as
+    (step, d, n) for each run of normals from :func:`_noise_blocks`, and
+    the products are :func:`_rows_product` (UT on every step, VR^T at
+    record steps), so a row is bit-identical in any batch.  A recorded
+    squared norm beyond BLOWUP_LIMIT or not finite fails :func:`_guard`.
+    Returns (record steps, states), states[i, j] the unnormalized state of
+    path indices[i] at record step j.
     """
     if cfg.M != 1:
         raise ValidationError("the state equations are single-particle; use M=1")
@@ -270,7 +279,7 @@ def _coupled_states(
     wR, VR = hermitian_eig(cfg.R)
     UT = (VR.conj().T @ propagator(cfg.H, cfg.dt, cfg.hbar) @ VR).T
     amps = eta.amps.astype(complex)
-    y = np.tile(VR.conj().T @ amps, (n, 1))
+    y = np.tile((VR.conj().T @ amps)[:, None], (1, n))
     out = np.empty((n, rec.size, cfg.dim), dtype=complex)
     if 0 in rec_map:
         out[:, rec_map[0]] = amps
@@ -278,37 +287,37 @@ def _coupled_states(
     if linear:
         a11, a21, a22 = _noise_chol(cfg.dt, cfg.noise.c1, cfg.noise.c2)
         g_h = cfg.gamma / cfg.hbar
-        drift = 1.0 - cfg.dt * 0.5 * g_h * g_h * cfg.noise.sigma2 * wR * wR
-        rate = cfg.gamma * wR
+        drift = (1.0 - cfg.dt * 0.5 * g_h * g_h * cfg.noise.sigma2 * wR * wR)[:, None]
+        rate = (cfg.gamma * wR)[:, None]
     else:
         du_scale = math.sqrt(cfg.noise.sigma2 * cfg.dt)
-        rate = (cfg.gamma / cfg.hbar) * wR
-    factor = np.empty((_FACTOR_BLOCK, n, cfg.dim), dtype=complex)
+        rate = ((cfg.gamma / cfg.hbar) * wR)[:, None]
+    factor = np.empty((_FACTOR_BLOCK, cfg.dim, n), dtype=complex)
     # _guard rejects every non-finite record, so numpy's inf/nan warnings add nothing
     with np.errstate(over="ignore", invalid="ignore"):
         for s, z in _noise_blocks(cfg, indices, n_steps, 2 if linear else 1):
             m = z.shape[1]
-            zt = z.transpose(1, 0, 2)  # (step, path, normal)
+            zt = z.transpose(1, 2, 0)[:, :, None, :]  # (step, normal, 1, path)
             re, im = factor[:m].real, factor[:m].imag
             if linear:  # re = drift + gamma Re(dv) w, im = gamma Im(dv) w
-                np.multiply((a11 * zt[:, :, 0])[:, :, None], rate, out=re)
+                np.multiply(a11 * zt[:, 0], rate, out=re)
                 re += drift
-                np.multiply((a21 * zt[:, :, 0] + a22 * zt[:, :, 1])[:, :, None], rate, out=im)
+                np.multiply(a21 * zt[:, 0] + a22 * zt[:, 1], rate, out=im)
             else:  # phase arguments du * rate, built in place to keep the run small
                 z *= du_scale
-                np.multiply(zt, rate, out=re)
+                np.multiply(zt[:, 0], rate, out=re)
                 np.sin(re, out=im)
                 np.cos(re, out=re)
             for b in range(m):
                 y *= factor[b]
-                y = _rows_matmul(y, UT)
+                y = _rows_product(y, UT)
                 if s + b + 1 in rec_map:
-                    chi = _rows_matmul(y, VR.T)
-                    n2 = np.einsum("ni,ni->n", chi.conj(), chi).real
+                    chi = _rows_product(y, VR.T)
+                    n2 = (chi.real * chi.real + chi.imag * chi.imag).sum(axis=0)
                     _guard((n2 <= BLOWUP_LIMIT)[:, None],
                            f"squared norm exceeded {BLOWUP_LIMIT:.0e}",
                            cfg.seed, indices, [(s + b + 1) * cfg.dt])
-                    out[:, rec_map[s + b + 1]] = chi[:, None, :]
+                    out[:, rec_map[s + b + 1]] = chi.T[:, None, :]
     return rec, out
 
 

@@ -13,6 +13,7 @@ import pytest
 from qtraj import (
     DiffusionConfig,
     StateVector,
+    ValidationError,
     acceptance,
     get_preset,
     jump_to_diffusion_bridge,
@@ -87,6 +88,18 @@ class TestSelftest:
         assert json.loads((tmp_path / "acceptance_summary.json").read_text())["all_passed"]
         table = (tmp_path / "acceptance_table.txt").read_text()
         assert table.endswith("2/2 criteria passed\n")
+
+    @pytest.mark.parametrize("ids", [[1, 1], [2, 1, 2], [], [1, 3]])
+    def test_bad_criterion_list_rejected_before_any_runs(self, monkeypatch, ids):
+        ran = []
+        monkeypatch.setattr(acceptance, "CRITERIA", [
+            (c, f"criterion {c}", lambda c=c: (ran.append(c) or True, "ok")) for c in (1, 2)
+        ])
+        with pytest.raises(ValidationError):
+            acceptance.run_criteria(ids)
+        assert ran == []
+        assert [r.cid for r in acceptance.run_criteria([2, 1])] == [2, 1]
+        assert ran == [2, 1]
 
 
 class TestModuleEntryPoint:
@@ -278,6 +291,10 @@ class TestExitCodes:
         ("x", "invalid --only"),
         ("12", "no acceptance criterion numbered 12"),
         ("1,12", "no acceptance criterion numbered 12"),
+        ("1,1", "acceptance criterion 1 given twice"),
+        ("2,1,2", "acceptance criterion 2 given twice"),
+        (",", "no acceptance criterion numbers given"),
+        ("", "no acceptance criterion numbers given"),
     ])
     def test_unknown_criterion_exits_2(self, tmp_path, capsys, only, message):
         assert main(["selftest", "--only", only, "--out", str(tmp_path)]) == 2

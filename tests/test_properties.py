@@ -16,9 +16,12 @@ from test_manybody import (block_spectrum_error, hopping_config,  # noqa: E402
                            invariant_density)
 from test_master import MODES, generator_error, master_case, random_hermitian  # noqa: E402
 
-from qtraj import (DensityMatrix, ValidationError, evolve_density, evolve_jump,  # noqa: E402
-                   mixing_reduction, permutation_defect)
+from qtraj import (DensityMatrix, DiffusionConfig, HermitianOperator,  # noqa: E402
+                   StateVector, ValidationError, evolve_coupled_sse, evolve_density,
+                   evolve_diffusive_sse, evolve_jump, gaussian_pointer, mixing_reduction,
+                   permutation_defect)
 from qtraj.cli import EQUATIONS, EXPERIMENTS, _resolved_for_hash, spec_from_dict  # noqa: E402
+from qtraj.diffusion import _coupled_batch  # noqa: E402
 from qtraj.ensemble import master_generator, superop_matrix  # noqa: E402
 from qtraj.jumps import EventColumns, _jump_batch  # noqa: E402
 from qtraj.manybody import _BlockRows, _mixing_batch  # noqa: E402
@@ -133,6 +136,47 @@ def test_chunked_rows_equal_one_batch_and_a_batch_of_one(engine, mode, sampled, 
     assert same_columns(EventColumns.concat(parts), whole)
     for r, i in enumerate(range(bounds[0], bounds[-1])):
         assert same_row(whole, r, single(i)), i
+
+
+# Paths of the state equations over one draw block and a partial second one,
+# recorded at the start, inside factor runs and at T.
+SSE_T = 0.3
+SSE_TIMES = [0.0, 0.013, 0.016, 0.2, SSE_T]
+SINGLE_PATH = {"linear": evolve_diffusive_sse, "coupled": evolve_coupled_sse}
+
+
+@hypothesis.settings(max_examples=20, deadline=None)
+@hypothesis.given(
+    equation=st.sampled_from(["linear", "coupled"]),
+    d=st.sampled_from([2, 3, 5]),
+    phase_slope=st.sampled_from([0.0, 0.7]),
+    seed=st.integers(0, 2 ** 32 - 1),
+    start=st.integers(0, 10 ** 6),
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+)
+def test_diffusion_rows_equal_one_batch_and_a_batch_of_one(equation, d, phase_slope, seed,
+                                                           start, sizes):
+    gen = np.random.default_rng(seed)
+    H, R = (HermitianOperator(random_hermitian(d, gen)) for _ in range(2))
+    cfg = DiffusionConfig(H=H, R=R, gamma=0.8, dt=1e-3, seed=seed,
+                          pointer=gaussian_pointer(256, 6.0, phase_slope=phase_slope))
+    amps = gen.standard_normal(d) + 1j * gen.standard_normal(d)
+    eta = StateVector(amps / np.linalg.norm(amps))
+    obs = {"R": R.entries, "H": H.entries}
+
+    def batch(idx):
+        return _coupled_batch(cfg, eta, SSE_T, idx, SSE_TIMES, obs, equation)
+
+    bounds = np.concatenate([[start], start + np.cumsum(sizes)]).tolist()
+    whole = batch(range(bounds[0], bounds[-1]))
+    parts = [batch(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    assert same_columns(EventColumns.concat(parts), whole)
+    for r, i in enumerate(range(bounds[0], bounds[-1])):
+        path = SINGLE_PATH[equation](cfg, eta, SSE_T, i, SSE_TIMES)
+        assert np.array_equal(path.norm2, whole.weights[r]), i
+        for o, X in enumerate(obs.values()):
+            value = np.einsum("ni,ij,nj->n", path.states.conj(), X, path.states).real
+            assert np.array_equal(value / path.norm2, whole.values[o, r]), i
 
 
 # Index words at the 32- and 64-bit edges, where the key's word count changes.

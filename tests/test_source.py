@@ -185,3 +185,50 @@ NOISE_DRAWS = {"generators", "standard_normal"}
 def test_noise_is_drawn_only_in_the_noise_blocks(path):
     names = {"generators"} if path.name == "acceptance.py" else NOISE_DRAWS
     assert callers(path, names) == (["_noise_blocks"] if path.name == "diffusion.py" else [])
+
+
+# A state path is bit-identical in any batch only while every product in the
+# step loop of the state kernel is elementwise: a BLAS product (@, matmul,
+# dot, einsum) may round a row differently for another number of rows.
+BLAS_PRODUCTS = {"matmul", "dot", "vdot", "einsum", "tensordot", "inner"}
+STATE_KERNEL, ROWS_PRODUCT = "_coupled_states", "_rows_product"
+
+
+def blas_products(tree: ast.AST) -> list[str]:
+    """The BLAS products the code under tree calls, "@" for the operator."""
+    found = called(tree, BLAS_PRODUCTS)
+    if any(isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+           for node in ast.walk(tree)):
+        found.add("@")
+    return sorted(found)
+
+
+def definition(path: Path, name: str) -> ast.FunctionDef:
+    return next(n for n in ast.parse(path.read_text()).body
+                if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def noise_loop(fn: ast.FunctionDef) -> ast.For:
+    """The loop of fn over the runs of diffusion._noise_blocks."""
+    return next(n for n in ast.walk(fn) if isinstance(n, ast.For) and isinstance(n.iter, ast.Call)
+                and getattr(n.iter.func, "id", "") == "_noise_blocks")
+
+
+def test_state_steps_use_no_blas_product():
+    path = PACKAGE / "diffusion.py"
+    kernel = definition(path, STATE_KERNEL)
+    assert blas_products(noise_loop(kernel)) == []
+    assert blas_products(definition(path, ROWS_PRODUCT)) == []
+    # The check sees a product: the kernel builds UT with @ before its loop.
+    assert blas_products(kernel) == ["@"]
+    assert blas_products(ast.parse("y = np.einsum('in,in->n', a, b) @ UT")) == ["@", "einsum"]
+
+
+def test_rows_product_multiplies_by_the_step_unitary():
+    loop = noise_loop(definition(PACKAGE / "diffusion.py", STATE_KERNEL))
+    reads = [n for n in ast.walk(loop) if isinstance(n, ast.Name) and n.id == "UT"]
+    products = [n for n in ast.walk(loop) if isinstance(n, ast.Call)
+                and getattr(n.func, "id", "") == ROWS_PRODUCT]
+    # UT is read once in the loop, as the matrix of the one product that takes it.
+    assert len(reads) == 1
+    assert [p.args[1] for p in products if getattr(p.args[1], "id", "") == "UT"] == reads
