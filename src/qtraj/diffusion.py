@@ -44,8 +44,10 @@ Both kernels take their noise from one generator, _noise_blocks.  Each path
 draws from its own stream (a generator of :func:`qtraj.rng.generators`),
 _DRAW_BLOCK steps at a time, and the kernels build their step factors for
 runs of at most _FACTOR_BLOCK steps.  A complex increment dv is two normals
-mapped by the Cholesky factors of _noise_chol.  All noise draws are pure
-functions of (seed, path index, step index), whatever the block sizes.
+mapped by the Cholesky factors of _noise_chol; the linear state equation
+draws one normal per step when the noise is real, and the density equation
+always draws two.  All noise draws are pure functions of (seed, path index,
+step index), whatever the block sizes.
 
 The two state equations share one batched kernel, _coupled_states: the rows
 live in R's eigenbasis, where each step is an elementwise factor (the
@@ -261,14 +263,15 @@ def _coupled_states(
     steps.  Coupled: the exact phase f = exp((i/hbar) gamma w du), du sigma
     sqrt(dt) times one normal.  Linear: the Euler-Maruyama factor
     f = 1 - dt (1/2) (gamma/hbar)^2 sigma^2 w^2 + gamma dv w, dv built by
-    :func:`_noise_chol` from two normals.  The rows are a (d, n) array,
-    y[k, i] component k of path indices[i]; the factors are built as
-    (step, d, n) for each run of normals from :func:`_noise_blocks`, and
-    the products are :func:`_rows_product` (UT on every step, VR^T at
-    record steps), so a row is bit-identical in any batch.  A recorded
-    squared norm beyond BLOWUP_LIMIT or not finite fails :func:`_guard`.
-    Returns (record steps, states), states[i, j] the unnormalized state of
-    path indices[i] at record step j.
+    :func:`_noise_chol` from two normals, or from one when the noise is real
+    (a21 = a22 = 0), where the second would never be read.  The rows are a
+    (d, n) array, y[k, i] component k of path indices[i]; the factors are
+    built as (step, d, n) for each run of normals from
+    :func:`_noise_blocks`, and the products are :func:`_rows_product` (UT
+    on every step, VR^T at record steps), so a row is bit-identical in any
+    batch.  A recorded squared norm beyond BLOWUP_LIMIT or not finite fails
+    :func:`_guard`.  Returns (record steps, states), states[i, j] the
+    unnormalized state of path indices[i] at record step j.
     """
     if cfg.M != 1:
         raise ValidationError("the state equations are single-particle; use M=1")
@@ -284,25 +287,29 @@ def _coupled_states(
     if 0 in rec_map:
         out[:, rec_map[0]] = amps
     linear = equation == "linear"
+    width = 1
     if linear:
         a11, a21, a22 = _noise_chol(cfg.dt, cfg.noise.c1, cfg.noise.c2)
+        width = 1 if a21 == a22 == 0 else 2
         g_h = cfg.gamma / cfg.hbar
         drift = (1.0 - cfg.dt * 0.5 * g_h * g_h * cfg.noise.sigma2 * wR * wR)[:, None]
         rate = (cfg.gamma * wR)[:, None]
     else:
         du_scale = math.sqrt(cfg.noise.sigma2 * cfg.dt)
         rate = ((cfg.gamma / cfg.hbar) * wR)[:, None]
-    factor = np.empty((_FACTOR_BLOCK, cfg.dim, n), dtype=complex)
+    # Real noise (the linear equation with width 1) leaves im at zero.
+    factor = np.zeros((_FACTOR_BLOCK, cfg.dim, n), dtype=complex)
     # _guard rejects every non-finite record, so numpy's inf/nan warnings add nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        for s, z in _noise_blocks(cfg, indices, n_steps, 2 if linear else 1):
+        for s, z in _noise_blocks(cfg, indices, n_steps, width):
             m = z.shape[1]
             zt = z.transpose(1, 2, 0)[:, :, None, :]  # (step, normal, 1, path)
             re, im = factor[:m].real, factor[:m].imag
             if linear:  # re = drift + gamma Re(dv) w, im = gamma Im(dv) w
                 np.multiply(a11 * zt[:, 0], rate, out=re)
                 re += drift
-                np.multiply(a21 * zt[:, 0] + a22 * zt[:, 1], rate, out=im)
+                if width == 2:
+                    np.multiply(a21 * zt[:, 0] + a22 * zt[:, 1], rate, out=im)
             else:  # phase arguments du * rate, built in place to keep the run small
                 z *= du_scale
                 np.multiply(zt[:, 0], rate, out=re)

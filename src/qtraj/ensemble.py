@@ -47,8 +47,10 @@ from .diffusion import DiffusionConfig, _coupled_batch, _density_batch
 from .errors import ValidationError, physical_memory
 from .jumps import EventColumns, JumpConfig, _jump_batch, _step_grid
 from .linalg import (
+    HERMITICITY_TOL,
     HermitianOperator,
     _check_particles,
+    _max_asymmetry,
     as_matrix,
     hermitian_eig,
     kron_power,
@@ -129,7 +131,8 @@ class MasterConfig:
             raise ValidationError(f"H must act on d^M = {d ** self.M}, got {self.H.dim}")
         U = kron_power(V, self.M)
         H_U = U.conj().T @ self.H.entries @ U
-        object.__setattr__(self, "_generator", MasterGenerator(U, H_U, mask, self.hbar))
+        object.__setattr__(self, "_generator", MasterGenerator(
+            U, _hermitian_part(H_U), _hermitian_part(mask), self.hbar))
 
     @classmethod
     def from_jump(cls, cfg: JumpConfig) -> "MasterConfig":
@@ -159,6 +162,13 @@ class MasterConfig:
         )
 
 
+def _hermitian_part(A: np.ndarray) -> np.ndarray:
+    """(A + A^dag) / 2, exactly Hermitian, as a real array when its
+    imaginary part is exactly zero."""
+    A = 0.5 * (A + A.conj().T)
+    return np.ascontiguousarray(A.real) if not np.any(A.imag) else A
+
+
 def _slot_mask(g: np.ndarray, M: int) -> np.ndarray:
     """The D x D matrix sum_k g[x_k, y_k] over the slots of an M-fold
     product index pair (x, y), for a d x d matrix g."""
@@ -176,9 +186,13 @@ class MasterGenerator:
     """Averaged generator held in the working basis U:
     L(X) = -(i/hbar)(H X - X H) + mask o X for X = U^dag rho U.
 
-    Calling it applies the generator in the original basis,
+    H and the mask are exactly Hermitian, and each is stored as a real
+    array when its imaginary part is exactly zero (see :class:`MasterConfig`).
+    Calling the generator applies it in the original basis,
     rho -> U L(U^dag rho U) U^dag, so it serves :func:`superop_matrix` like
-    any linear map; :func:`rk4_solve` steps :meth:`rhs` in U's basis.
+    any linear map; :meth:`rhs` is that general map in U's basis, and
+    :func:`rk4_solve` steps :meth:`hermitian_rhs`, its one-product form on
+    exactly Hermitian states.
     """
 
     U: np.ndarray
@@ -187,8 +201,20 @@ class MasterGenerator:
     hbar: float
 
     def rhs(self, X: np.ndarray) -> np.ndarray:
-        """The generator in U's basis."""
+        """The generator in U's basis, for any X."""
         return (-1j / self.hbar) * (self.H @ X - X @ self.H) + self.mask * X
+
+    def hermitian_rhs(self, X: np.ndarray) -> np.ndarray:
+        """:meth:`rhs` for an exactly Hermitian, C-contiguous X, from one
+        product: with B = -(i/hbar) H X, X H = (H X)^dag gives
+        L(X) = B + B^dag + mask o X, which is exactly Hermitian again.  A
+        real H takes one real GEMM on the float view of X, in which a
+        product from the left acts on rows only."""
+        B = np.matmul(self.H, X if self.H.dtype.kind == "c" else X.view(np.float64)).view(complex)
+        B *= -1j / self.hbar
+        out = B + B.conj().T
+        out += self.mask * X
+        return out
 
     def to_basis(self, rho: np.ndarray) -> np.ndarray:
         return self.U.conj().T @ rho @ self.U
@@ -232,9 +258,12 @@ def superop_matrix(step, dim: int) -> np.ndarray:
 def rk4_solve(gen: MasterGenerator, rho0, T: float, dt: float, record_times=None):
     """Classic fourth-order integration of drho/dt = gen(rho).
 
-    The state moves into the generator's basis U once; each stage there is
-    a commutator (two D x D products) plus one Hadamard product, and
-    Hermiticity is restored by symmetrization after every step.  States
+    rho0 must be Hermitian within HERMITICITY_TOL.  The state moves into the
+    generator's basis U once and is symmetrized there once; each stage is
+    then :meth:`MasterGenerator.hermitian_rhs`, one D x D product plus one
+    Hadamard product.  Its output is exactly Hermitian for an exactly
+    Hermitian input, and real-weighted sums keep that, so every stage and
+    step stays exactly Hermitian with no further symmetrization.  States
     rotate back only at record times, and a record at t = 0 returns rho0 as
     given.  The step size must satisfy the stability bound
     dt * gen.norm <= RK4_BOUND.  Returns (times, densities) at the requested
@@ -249,6 +278,12 @@ def rk4_solve(gen: MasterGenerator, rho0, T: float, dt: float, record_times=None
         raise ValidationError(
             f"rho0 must act on the generator's dimension {gen.dim}, got {arr.shape[0]}"
         )
+    asym = _max_asymmetry(arr)
+    if not asym <= HERMITICITY_TOL:
+        raise ValidationError(
+            f"rho0 is not Hermitian: max |rho0 - rho0^dag| = {asym:.3e} "
+            f"exceeds {HERMITICITY_TOL:.1e}"
+        )
     if not T > 0 or dt <= 0:
         raise ValidationError(f"need T > 0 and dt > 0, got T={T}, dt={dt}")
     gen_norm = gen.norm
@@ -262,15 +297,23 @@ def rk4_solve(gen: MasterGenerator, rho0, T: float, dt: float, record_times=None
     out = np.empty((times.size, *arr.shape), dtype=complex)
     for j in rec_map.get(0, []):
         out[j] = arr
-    step = gen.rhs
+    step = gen.hermitian_rhs
     rho = gen.to_basis(arr)
+    rho = 0.5 * (rho + rho.conj().T)
+    half, sixth = 0.5 * dt, dt / 6.0
     for s in range(n_steps):
         k1 = step(rho)
-        k2 = step(rho + 0.5 * dt * k1)
-        k3 = step(rho + 0.5 * dt * k2)
+        k2 = step(rho + half * k1)
+        k3 = step(rho + half * k2)
         k4 = step(rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
+        # rho += (dt / 6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
+        k2 *= 2.0
+        k3 *= 2.0
+        k1 += k2
+        k1 += k3
+        k1 += k4
+        k1 *= sixth
+        rho += k1
         for j in rec_map.get(s + 1, []):
             out[j] = gen.from_basis(rho)
     return times, out

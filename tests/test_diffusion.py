@@ -66,11 +66,16 @@ def chirped_pointer(beta=0.3):
     return PointerState(p.grid, p.values * np.exp(1j * beta * p.grid ** 2), p.weights)
 
 
-def wiener_increments(rng, n_steps, dt, c1, c2):
-    """n_steps complex increments dv from rng, two normals per step through
-    the Cholesky factors of _noise_chol, as the kernels draw them."""
+def wiener_increments(rng, n_steps, dt, c1, c2, normals):
+    """n_steps complex increments dv from rng through the Cholesky factors of
+    _noise_chol, as the kernels draw them: `normals` standard normals per
+    step, two in general and one for real noise (a21 = a22 = 0), as the
+    linear state equation draws it."""
     a11, a21, a22 = _noise_chol(dt, c1, c2)
-    z = rng.standard_normal((n_steps, 2))
+    z = rng.standard_normal((n_steps, normals))
+    if normals == 1:
+        assert a21 == a22 == 0.0
+        return a11 * z[:, 0] + 0j
     return a11 * z[:, 0] + 1j * (a21 * z[:, 0] + a22 * z[:, 1])
 
 
@@ -136,7 +141,7 @@ class TestNoiseCovariance:
 
 class TestWienerSampler:
     def test_real_packet_increments_real(self):
-        dv = wiener_increments(stream(1, 0), 1000, 1e-3, complex(PI_HALF), PI_HALF)
+        dv = wiener_increments(stream(1, 0), 1000, 1e-3, complex(PI_HALF), PI_HALF, 2)
         assert np.max(np.abs(dv.imag)) == 0.0
 
     def test_sample_covariance(self):
@@ -144,7 +149,7 @@ class TestWienerSampler:
         c2 = PI_HALF + 0.49
         n = 1_000_000
         dt = 1e-3
-        dv = wiener_increments(stream(2, 0), n, dt, c1, c2)
+        dv = wiener_increments(stream(2, 0), n, dt, c1, c2, 2)
         est_c1 = np.mean(dv * dv) / dt
         est_c2 = float(np.mean(np.abs(dv) ** 2) / dt)
         se = 3 * c2 / math.sqrt(n)
@@ -195,8 +200,9 @@ class TestDiffusiveSse:
     @pytest.mark.parametrize("phase_slope", [0.0, 0.7], ids=["real", "phase-modulated"])
     def test_matches_per_step_reference(self, phase_slope):
         # the full-space Euler-Maruyama step chi - dt D chi + gamma dv R chi,
-        # then expm(-i H dt), from the same stream; R is not diagonal, so the
-        # kernel's eigenbasis rotations are exercised
+        # then expm(-i H dt), from the same stream (one normal per step for
+        # the real packet, two for the phase-modulated one); R is not
+        # diagonal, so the kernel's eigenbasis rotations are exercised
         R = HermitianOperator(np.array([[0.3, 0.4 - 0.2j], [0.4 + 0.2j, -0.5]]))
         cfg = make_config(R=R, seed=22, phase_slope=phase_slope)
         eta = StateVector(np.array([0.6, 0.8j]))
@@ -206,7 +212,8 @@ class TestDiffusiveSse:
         D = 0.5 * (cfg.gamma / cfg.hbar) ** 2 * cov.sigma2 * R.entries @ R.entries
         expH = expm(-1j * HX.entries * cfg.dt)
         for row, i in enumerate([0, 5]):
-            dv = wiener_increments(stream(cfg.seed, i), n_steps, cfg.dt, cov.c1, cov.c2)
+            dv = wiener_increments(stream(cfg.seed, i), n_steps, cfg.dt, cov.c1, cov.c2,
+                                   1 if phase_slope == 0.0 else 2)
             chi = eta.amps.astype(complex)
             ref = []
             for s in range(n_steps):
@@ -418,7 +425,7 @@ class TestDiffusiveDensity:
         P = np.kron(E0, E0.conj()) + cfg.dt * g2s2 * sum(
             np.kron(Rk - Rbar, (Rk - Rbar).conj()) for Rk in Rks)
         for row, i in enumerate([0, 5]):
-            dw = wiener_increments(stream(cfg.seed, i), n_steps, cfg.dt, c1, c2)
+            dw = wiener_increments(stream(cfg.seed, i), n_steps, cfg.dt, c1, c2, 2)
             rho = rho0.entries.astype(complex)
             ref = []
             for s in range(n_steps):

@@ -37,12 +37,16 @@ def random_hermitian(D: int, rng) -> np.ndarray:
     return 0.5 * (A + A.conj().T)
 
 
-def master_case(mode: str, d: int, M: int, angle: float, slope: float, seed: int = 0):
+def master_case(mode: str, d: int, M: int, angle: float, slope: float, seed: int = 0,
+                real_h: bool = False):
     """A config on (C^d)^{x M} with rotated R, a packet of phase slope
-    `slope` (jump mode) and a random H; hbar = 0.8 exercises the 1/hbar."""
+    `slope` (jump mode) and a random H, real symmetric if real_h; hbar = 0.8
+    exercises the 1/hbar.  At angle 0 the eigenbasis of R is real, so a
+    real H stays real in it."""
     rng = np.random.default_rng(seed)
     R = rotated_observable(d, angle)
-    H = HermitianOperator(random_hermitian(d ** M, rng))
+    H = random_hermitian(d ** M, rng)
+    H = HermitianOperator(H.real if real_h else H)
     if mode == "jump-averaged":
         meter = build_gaussian_meter(0.7, R, n_points=256, phase_slope=slope)
         return MasterConfig(mode=mode, H=H, hbar=0.8, M=M, meter=meter, nu=2.5)
@@ -91,6 +95,16 @@ class TestGeneratorReference:
     def test_matches_original_basis_reference(self, mode, M):
         assert generator_error(mode, 3, M, angle=0.9, slope=0.7) <= 1e-12
 
+    def test_parts_are_stored_exactly_hermitian_and_real_when_exact(self):
+        gen = master_generator(master_case("jump-averaged", 3, 2, angle=0.0, slope=0.0,
+                                           real_h=True))
+        assert gen.H.dtype == gen.mask.dtype == np.float64
+        assert np.array_equal(gen.H, gen.H.T) and np.array_equal(gen.mask, gen.mask.T)
+        gen = master_generator(master_case("jump-averaged", 3, 2, angle=0.9, slope=0.7))
+        assert gen.H.dtype == gen.mask.dtype == np.complex128
+        assert np.array_equal(gen.H, gen.H.conj().T)
+        assert np.array_equal(gen.mask, gen.mask.conj().T)
+
     def test_cases_rotate_out_of_the_original_basis(self):
         cfg = master_case("jump-averaged", 3, 2, angle=0.9, slope=0.7)
         R = cfg.meter.R.entries
@@ -98,21 +112,35 @@ class TestGeneratorReference:
         assert np.max(np.abs(master_generator(cfg).U - np.eye(9))) > 0.1
 
 
+def assert_matches_exponential(cfg: MasterConfig):
+    """rk4_solve at dt = 1e-3 against expm of the superoperator, on a pure
+    state of (C^3)^{x 2}."""
+    gen = master_generator(cfg)
+    psi = np.random.default_rng(3).standard_normal(9) + 0.5j
+    rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    times = [0.0, 0.1, 0.2]
+    got_t, got = rk4_solve(gen, rho0, 0.2, 1e-3, record_times=times)
+    assert np.array_equal(got_t, times)
+    assert np.array_equal(got[0], rho0)
+    S = superop_matrix(gen, 9)
+    for j, t in enumerate(times[1:], start=1):
+        exact = (expm(t * S) @ rho0.reshape(-1)).reshape(9, 9)
+        assert np.max(np.abs(got[j] - exact)) <= 1e-10
+
+
 class TestRk4:
     @pytest.mark.parametrize("mode", MODES)
     def test_matches_exponential_at_record_times(self, mode):
         cfg = master_case(mode, 3, 2, angle=0.9, slope=0.7)
-        gen = master_generator(cfg)
-        psi = np.random.default_rng(3).standard_normal(9) + 0.5j
-        rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
-        times = [0.0, 0.1, 0.2]
-        got_t, got = rk4_solve(gen, rho0, 0.2, 1e-3, record_times=times)
-        assert np.array_equal(got_t, times)
-        assert np.array_equal(got[0], rho0)
-        S = superop_matrix(gen, 9)
-        for j, t in enumerate(times[1:], start=1):
-            exact = (expm(t * S) @ rho0.reshape(-1)).reshape(9, 9)
-            assert np.max(np.abs(got[j] - exact)) <= 1e-10
+        assert master_generator(cfg).H.dtype == np.complex128
+        assert_matches_exponential(cfg)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_real_hamiltonian_matches_exponential(self, mode):
+        # At angle 0 a real H stays real: the stage's real-GEMM path.
+        cfg = master_case(mode, 3, 2, angle=0.0, slope=0.7, real_h=True)
+        assert master_generator(cfg).H.dtype == np.float64
+        assert_matches_exponential(cfg)
 
     def test_rejects_a_plain_callable(self):
         cfg = master_case("diffusive", 2, 1, angle=0.4, slope=0.0)
@@ -124,6 +152,24 @@ class TestRk4:
         gen = master_generator(master_case("diffusive", 2, 2, angle=0.4, slope=0.0))
         with pytest.raises(ValidationError, match="dimension 4"):
             rk4_solve(gen, np.eye(2) / 2, 0.1, 1e-3)
+
+    def test_rejects_a_non_hermitian_state_before_any_step(self):
+        gen = master_generator(master_case("diffusive", 2, 1, angle=0.4, slope=0.0))
+        rho0 = np.eye(2, dtype=complex) / 2
+        rho0[0, 1] = 2e-12
+        # The check precedes the others: this dt also breaks the stability bound.
+        with pytest.raises(ValidationError, match=r"rho0 is not Hermitian: .* 2\.000e-12"):
+            rk4_solve(gen, rho0, 10.0, 1.0)
+
+    def test_symmetrizes_a_state_within_tolerance_once(self):
+        gen = master_generator(master_case("jump-averaged", 3, 1, angle=0.9, slope=0.7))
+        rho0 = np.eye(3, dtype=complex) / 3
+        rho0[0, 1] = 0.1 + 5e-13
+        rho0[1, 0] = 0.1
+        _, got = rk4_solve(gen, rho0, 0.1, 1e-3, record_times=[0.0, 0.1])
+        # a record at t = 0 is rho0 as given; the steps run on its Hermitian part
+        assert np.array_equal(got[0], rho0)
+        assert np.max(np.abs(got[1] - got[1].conj().T)) <= 1e-15
 
     def test_stability_bound_uses_the_generator_norm(self):
         gen = master_generator(master_case("jump-averaged", 2, 1, angle=0.4, slope=0.7))

@@ -104,6 +104,27 @@ def test_master_generator_matches_reference_and_keeps_hermiticity(mode, d, M, an
     assert np.linalg.norm(superop_matrix(gen, d ** M), 2) <= gen.norm * (1 + 1e-12)
 
 
+@hypothesis.settings(max_examples=25, deadline=None)
+@hypothesis.given(
+    mode=st.sampled_from(MODES),
+    d=st.sampled_from([2, 3]),
+    M=st.sampled_from([1, 2]),
+    angle=st.floats(0.0, 3.0),
+    slope=st.floats(-1.5, 1.5),
+    real_h=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_hermitian_stage_equals_the_general_generator(mode, d, M, angle, slope, real_h, seed):
+    # A real H at angle 0 stays real in R's eigenbasis: the real-GEMM path.
+    angle = 0.0 if real_h else angle
+    gen = master_generator(master_case(mode, d, M, angle, slope, seed, real_h))
+    assert (gen.H.dtype == np.float64) == real_h
+    X = random_hermitian(d ** M, np.random.default_rng(seed + 1))
+    got, ref = gen.hermitian_rhs(X), gen.rhs(X)
+    assert np.array_equal(got, got.conj().T)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
 @hypothesis.settings(max_examples=30, deadline=None)
 @hypothesis.given(
     engine=st.sampled_from(["jump", "mixing"]),

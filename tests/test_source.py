@@ -30,7 +30,8 @@ def test_no_unused_imports(path):
 
 # The master-equation oracle and the engines it checks; the oracle may share
 # the step-grid helper, nothing else private to an engine.
-ORACLE = ("MasterConfig", "MasterGenerator", "_slot_mask", "master_generator", "rk4_solve")
+ORACLE = ("MasterConfig", "MasterGenerator", "_hermitian_part", "_slot_mask", "master_generator",
+          "rk4_solve")
 ENGINES = ("jumps", "manybody", "diffusion")
 SHARED_PRIVATE = {"_step_grid"}
 # The full-space mixing references and the copy-block rows they check, which
@@ -232,3 +233,62 @@ def test_rows_product_multiplies_by_the_step_unitary():
     # UT is read once in the loop, as the matrix of the one product that takes it.
     assert len(reads) == 1
     assert [p.args[1] for p in products if getattr(p.args[1], "id", "") == "UT"] == reads
+
+
+# The RK4 oracle makes one D x D product per stage: MasterGenerator's
+# hermitian_rhs takes X H as the adjoint (H X)^dag of its one product, which
+# holds on the exactly Hermitian states rk4_solve keeps, so its step loop
+# makes no product and no symmetrization of its own.
+STAGE = "hermitian_rhs"
+
+
+def product_count(tree: ast.AST) -> int:
+    """How many BLAS products the code under tree makes, "@" included."""
+    return sum(1 for node in ast.walk(tree)
+               if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+               or isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) in BLAS_PRODUCTS)
+
+
+def adjoints(tree: ast.AST) -> list[str]:
+    """The names whose adjoint X.conj().T the code under tree takes."""
+    return sorted(node.value.func.value.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "T"
+                  and isinstance(node.value, ast.Call)
+                  and getattr(node.value.func, "attr", None) == "conj"
+                  and isinstance(node.value.func.value, ast.Name))
+
+
+def method(path: Path, cls: str, name: str) -> ast.FunctionDef:
+    body = next(n for n in ast.parse(path.read_text()).body
+                if isinstance(n, ast.ClassDef) and n.name == cls).body
+    return next(n for n in body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def test_rk4_stage_makes_one_product_and_adds_its_adjoint():
+    path = PACKAGE / "ensemble.py"
+    stage = method(path, "MasterGenerator", STAGE)
+    assert product_count(stage) == 1
+    # The name bound to the product is the one whose adjoint is added.
+    product = [t.id for n in ast.walk(stage)
+               if isinstance(n, ast.Assign) and product_count(n.value) for t in n.targets]
+    assert product and adjoints(stage) == product
+    # The check sees products: the general map makes two, with no adjoint.
+    general = method(path, "MasterGenerator", "rhs")
+    assert product_count(general) == 2 and adjoints(general) == []
+    assert product_count(ast.parse("y = np.einsum('ij,jk', a, b) @ c")) == 2
+
+
+def test_rk4_steps_the_hermitian_stage_with_no_product():
+    solve = definition(PACKAGE / "ensemble.py", "rk4_solve")
+    step = [n for n in ast.walk(solve) if isinstance(n, ast.Assign)
+            and [getattr(t, "id", None) for t in n.targets] == ["step"]]
+    assert [getattr(n.value, "attr", None) for n in step] == [STAGE]
+    loop = next(n for n in solve.body if isinstance(n, ast.For)
+                and getattr(getattr(n.iter, "func", None), "id", None) == "range")
+    stages = [n for n in ast.walk(loop) if isinstance(n, ast.Call)
+              and getattr(n.func, "id", None) == "step"]
+    assert len(stages) == 4
+    assert product_count(loop) == 0 and adjoints(loop) == []
+    # rk4_solve symmetrizes once, before its loop.
+    assert adjoints(solve) == ["rho"]
