@@ -82,11 +82,14 @@ from .linalg import (
     HermitianOperator,
     StateVector,
     _check_particles,
+    _hermitian_index,
     embed_at_slot,
+    hermitian_coordinates,
     hermitian_eig,
     kron_power,
     propagator,
     slot_sum,
+    real_superop,
     spectrum_entropy,
 )
 from .meter import PointerState, STATE_NORM_TOL
@@ -376,13 +379,6 @@ def evolve_coupled_sse(
     return _single_path("coupled", cfg, eta, T, index, record_times)
 
 
-def _hermitian_index(D: int):
-    """Row-major positions (diag, up, lo) in vec(rho) of the diagonal, the
-    strict upper triangle and its mirror in the lower one."""
-    I, J = np.triu_indices(D, 1)
-    return np.arange(D) * (D + 1), I * D + J, J * D + I
-
-
 def _density_kernel(cfg: DiffusionConfig):
     """Stepping data in the eigenbasis of the mean coupling operator Rbar,
     in real Hermitian coordinates.
@@ -402,11 +398,9 @@ def _density_kernel(cfg: DiffusionConfig):
 
     A Hermitian D x D matrix has D^2 real coordinates x: the diagonal
     rho_ii, then Re rho_ij and Im rho_ij over the strict upper triangle
-    (row-major, see :func:`_hermitian_index`).  P0 maps Hermitian matrices
-    to Hermitian ones, so it acts on x as a real D^2 x D^2 matrix P: the
-    column of a coordinate is P0 applied to that coordinate's Hermitian unit
-    matrix (E_ii, E_ij + E_ji or i E_ij - i E_ji), read in coordinates.
-    Returns (VM, w, rbar, P), w the single-particle eigenvalues of R and
+    (row-major, see :func:`qtraj.linalg.hermitian_coordinates`).  P0 maps
+    Hermitian matrices to Hermitian ones, so it acts on x as the real
+    D^2 x D^2 matrix P of :func:`qtraj.linalg.real_superop`.  Returns (VM, w, rbar, P), w the single-particle eigenvalues of R and
     rbar the diagonal of Rbar.
     """
     M = cfg.M
@@ -424,13 +418,7 @@ def _density_kernel(cfg: DiffusionConfig):
     P0 = np.kron(E0, E0.conj())
     exchange = sum(np.outer(rk - rbar, rk - rbar).ravel() for rk in rk_vecs)
     P0 += np.diag(cfg.dt * g_h * g_h * cfg.noise.sigma2 * exchange)
-    diag, up, lo = _hermitian_index(VM.shape[0])
-    # The rows read back (diagonal, upper triangle) applied to the Hermitian
-    # unit matrices E_ii, E_ij + E_ji and i E_ij - i E_ji
-    A = P0[np.concatenate([diag, up])]
-    cols = np.concatenate([A[:, diag], A[:, up] + A[:, lo], 1j * (A[:, up] - A[:, lo])], axis=1)
-    # C order fixes the BLAS kernel, and so the rounding, of the step GEMM
-    return VM, w, rbar, np.ascontiguousarray(np.concatenate([cols.real, cols[diag.size :].imag]))
+    return VM, w, rbar, real_superop(P0)
 
 
 def _density_states(cfg: DiffusionConfig, rho0, T: float, indices,
@@ -477,8 +465,7 @@ def _density_states(cfg: DiffusionConfig, rho0, T: float, indices,
     VM, w, rbar, P = _density_kernel(cfg)
     diag, up, lo = _hermitian_index(D)
     U = up.size
-    rt = (VM.conj().T @ rho.entries @ VM).reshape(D * D)
-    x = np.repeat(np.concatenate([rt[diag].real, rt[up].real, rt[up].imag])[:, None], n, axis=1)
+    x = np.repeat(hermitian_coordinates(VM.conj().T @ rho.entries @ VM)[:, None], n, axis=1)
     y = np.empty_like(x)
     out = np.empty((n, rec.size, D, D), dtype=complex)
     flat = np.empty((D * D, n), dtype=complex)

@@ -3,7 +3,9 @@
 Provides the value types used across the package (state vectors, Hermitian
 operators, density matrices) plus the operations the engines are built on:
 Hermitian eigendecomposition, exact unitary propagators, tensor-slot
-embeddings and their slot sums, slot permutations, and von Neumann entropy.
+embeddings and their slot sums, slot permutations, von Neumann entropy, and
+the D^2 real coordinates of Hermitian matrices with the real matrices of
+Hermitian-preserving superoperators on them.
 
 All value types are immutable after construction: wrapped arrays are copied
 and marked read-only, so instances are safe to share across threads.
@@ -145,6 +147,51 @@ class DensityMatrix:
 
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
+
+
+def _hermitian_index(D: int):
+    """Row-major positions (diag, up, lo) in vec(rho) of the diagonal, the
+    strict upper triangle and its mirror in the lower one."""
+    I, J = np.triu_indices(D, 1)
+    return np.arange(D) * (D + 1), I * D + J, J * D + I
+
+
+def hermitian_coordinates(A: np.ndarray) -> np.ndarray:
+    """The D^2 real coordinates of a Hermitian D x D matrix: the diagonal,
+    then Re and Im of the strict upper triangle (row-major, see
+    :func:`_hermitian_index`)."""
+    D = A.shape[0]
+    diag, up, _ = _hermitian_index(D)
+    flat = A.reshape(D * D)
+    return np.concatenate([flat[diag].real, flat[up].real, flat[up].imag])
+
+
+def hermitian_from_coordinates(x: np.ndarray) -> np.ndarray:
+    """The Hermitian D x D matrix of the coordinates x (see
+    :func:`hermitian_coordinates`): the exact inverse on exactly Hermitian
+    matrices."""
+    D = math.isqrt(x.size)
+    diag, up, lo = _hermitian_index(D)
+    flat = np.empty(D * D, dtype=complex)
+    flat[diag] = x[:D]
+    flat[up] = x[D : D + up.size] + 1j * x[D + up.size :]
+    flat[lo] = flat[up].conj()
+    return flat.reshape(D, D)
+
+
+def real_superop(S: np.ndarray) -> np.ndarray:
+    """The real D^2 x D^2 matrix by which a Hermitian-preserving
+    superoperator S (row-major, acting on vec(rho)) maps the coordinates of
+    :func:`hermitian_coordinates`: the column of a coordinate is S applied
+    to that coordinate's Hermitian unit matrix (E_ii, E_ij + E_ji or
+    i E_ij - i E_ji), read in coordinates."""
+    diag, up, lo = _hermitian_index(math.isqrt(S.shape[0]))
+    # The rows read back (diagonal, upper triangle) applied to the Hermitian
+    # unit matrices E_ii, E_ij + E_ji and i E_ij - i E_ji
+    A = S[np.concatenate([diag, up])]
+    cols = np.concatenate([A[:, diag], A[:, up] + A[:, lo], 1j * (A[:, up] - A[:, lo])], axis=1)
+    # C order fixes the BLAS kernel, and so the rounding, of a product with it
+    return np.ascontiguousarray(np.concatenate([cols.real, cols[diag.size :].imag]))
 
 
 def hermitian_eig(A) -> tuple[np.ndarray, np.ndarray]:

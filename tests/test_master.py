@@ -6,15 +6,19 @@ import pytest
 from scipy.linalg import expm
 
 from qtraj import (
+    DiffusionConfig,
     HermitianOperator,
     MasterConfig,
     ValidationError,
     build_gaussian_meter,
     embed_at_slot,
+    gaussian_pointer,
     rk4_solve,
     superop_matrix,
 )
-from qtraj.ensemble import master_generator
+from qtraj.ensemble import RK4_MATRIX_MAX_DIM, MasterGenerator, _jump_superop, master_generator
+from qtraj.linalg import hermitian_coordinates, hermitian_from_coordinates
+from qtraj.presets import two_level
 
 MODES = ("jump-averaged", "diffusive")
 
@@ -187,3 +191,120 @@ class TestRk4:
         assert gen.norm == (w[-1] - w[0]) / 0.8 + np.max(np.abs(gen.mask))
         exact = np.linalg.norm(superop_matrix(gen, 3 ** M), 2)
         assert exact <= gen.norm <= 2.0 * exact
+
+
+def criterion_generators():
+    """The generators criteria 9 and 10 compare: the two-level diffusive one,
+    the jump ones at kappa = gamma / sqrt(nu) on a real packet and at
+    kappa = gamma / nu on a chirped one, and the mean-field commutator with
+    H - gamma q0 R, a zero mask and U = I."""
+    preset = two_level()
+    gens = []
+    for slope in (0.0, 0.7):
+        base = DiffusionConfig(H=preset.H, R=preset.R, gamma=1.0, dt=1e-3,
+                               pointer=gaussian_pointer(1024, 6.0, phase_slope=slope))
+        gens.append(master_generator(MasterConfig.from_diffusion(base)))
+        for nu in (100.0, 1000.0, 10000.0):
+            kappa = base.gamma / (nu if slope else np.sqrt(nu))
+            meter = build_gaussian_meter(kappa, base.R, n_points=base.pointer.size,
+                                         phase_slope=slope)
+            gens.append(master_generator(MasterConfig(mode="jump-averaged", H=base.H,
+                                                      hbar=base.hbar, meter=meter, nu=nu)))
+        Heff = base.H.entries - base.gamma * base.noise.q0 * base.R.entries
+        gens.append(MasterGenerator(np.eye(2), Heff, np.zeros((2, 2)), base.hbar))
+    return gens
+
+
+def rotated_two_level_generator():
+    """The two-level jump generator with R rotated by a fixed unitary, so
+    that U is not the identity and the basis change of the closed form is
+    exercised."""
+    preset = two_level()
+    Q = expm(1j * np.array([[0.3, 0.4 - 0.2j], [0.4 + 0.2j, -0.1]]))
+    R = Q @ preset.R.entries @ Q.conj().T
+    meter = build_gaussian_meter(0.3, HermitianOperator(0.5 * (R + R.conj().T)), n_points=256,
+                                 phase_slope=0.7)
+    return master_generator(MasterConfig(mode="jump-averaged", H=preset.H, hbar=0.8,
+                                         meter=meter, nu=5.0))
+
+
+class TestClosedFormSuperoperator:
+    @pytest.mark.parametrize("k", range(10))
+    def test_matches_the_column_build_on_criterion_generators(self, k):
+        gen = criterion_generators()[k]
+        ref = superop_matrix(gen, gen.dim)
+        assert np.max(np.abs(gen.superop() - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_matches_the_column_build_off_the_identity_basis(self):
+        gen = rotated_two_level_generator()
+        assert np.max(np.abs(gen.U - np.diag(np.diag(gen.U)))) > 0.1
+        ref = superop_matrix(gen, 2)
+        assert np.max(np.abs(gen.superop() - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # In U's basis it is the general map rhs.
+        ref = superop_matrix(gen.rhs, 2)
+        assert np.max(np.abs(gen.superop(original_basis=False) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_bridge_uses_the_closed_form(self):
+        preset = two_level()
+        base = DiffusionConfig(H=preset.H, R=preset.R, gamma=1.0, dt=1e-3,
+                               pointer=gaussian_pointer(1024, 6.0))
+        ref = superop_matrix(master_generator(MasterConfig(
+            mode="jump-averaged", H=base.H, meter=build_gaussian_meter(0.1, base.R, 1024),
+            nu=100.0)), 2)
+        assert np.max(np.abs(_jump_superop(base, 0.1, 100.0) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def crossover_generator(D: int, complex_parts: bool, seed: int = 0) -> MasterGenerator:
+    """A generator with U = I and a random Hermitian H and mask, real or
+    complex, hbar = 0.8; the mask's real part is non-positive, so the
+    evolution contracts the Frobenius norm."""
+    rng = np.random.default_rng(seed)
+    H = random_hermitian(D, rng)
+    decay = np.abs(random_hermitian(D, rng))
+    if complex_parts:
+        phase = rng.standard_normal((D, D))
+        mask = -decay + 1j * (phase - phase.T)
+        return MasterGenerator(np.eye(D), H, mask, 0.8)
+    return MasterGenerator(np.eye(D), np.ascontiguousarray(H.real), -decay, 0.8)
+
+
+def plain_rk4(gen: MasterGenerator, rho: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
+    for _ in range(n_steps):
+        k1 = gen.rhs(rho)
+        k2 = gen.rhs(rho + 0.5 * dt * k1)
+        k3 = gen.rhs(rho + 0.5 * dt * k2)
+        k4 = gen.rhs(rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rho
+
+
+class TestRk4Kernels:
+    @pytest.mark.parametrize("complex_parts", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("D", [2, 3, 4, 8, 9, 16, 27])
+    def test_both_kernels_take_the_plain_rk4_steps(self, D, complex_parts):
+        gen = crossover_generator(D, complex_parts, seed=D)
+        assert (gen.H.dtype == np.complex128) == complex_parts
+        rho0 = random_hermitian(D, np.random.default_rng(D + 1))
+        rho0 = rho0 @ rho0 / np.trace(rho0 @ rho0).real
+        dt = 0.1 / gen.norm
+        times = [0.0, 500 * dt, 1000 * dt]
+        _, got = rk4_solve(gen, rho0, times[-1], dt, record_times=times)
+        assert np.array_equal(got[0], rho0)
+        mid = plain_rk4(gen, rho0, dt, 500)
+        for rec, ref in zip(got[1:], (mid, plain_rk4(gen, mid, dt, 500))):
+            assert np.array_equal(rec, rec.conj().T)
+            assert np.linalg.norm(rec - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_the_cases_cover_both_kernels(self):
+        assert 16 <= RK4_MATRIX_MAX_DIM < 27
+
+    def test_step_matrix_is_the_rk4_polynomial(self):
+        gen = crossover_generator(3, True)
+        dt = 0.05 / gen.norm
+        L = gen.superop(original_basis=False)
+        hL = dt * L
+        ref = np.eye(9) + hL + hL @ hL / 2 + hL @ hL @ hL / 6 + hL @ hL @ hL @ hL / 24
+        rng = np.random.default_rng(5)
+        X = random_hermitian(3, rng)
+        got = hermitian_from_coordinates(gen.rk4_matrix(dt) @ hermitian_coordinates(X))
+        assert np.max(np.abs(got - (ref @ X.reshape(-1)).reshape(3, 3))) <= 1e-14

@@ -24,6 +24,8 @@ from qtraj.cli import EQUATIONS, EXPERIMENTS, _resolved_for_hash, spec_from_dict
 from qtraj.diffusion import _coupled_batch  # noqa: E402
 from qtraj.ensemble import master_generator, superop_matrix  # noqa: E402
 from qtraj.jumps import EventColumns, _jump_batch  # noqa: E402
+from qtraj.linalg import (hermitian_coordinates, hermitian_from_coordinates,  # noqa: E402
+                          real_superop)
 from qtraj.manybody import _BlockRows, _mixing_batch  # noqa: E402
 from qtraj.records import spec_hash  # noqa: E402
 from qtraj.rng import Streams, generators, stream, stream_keys  # noqa: E402
@@ -123,6 +125,25 @@ def test_hermitian_stage_equals_the_general_generator(mode, d, M, angle, slope, 
     got, ref = gen.hermitian_rhs(X), gen.rhs(X)
     assert np.array_equal(got, got.conj().T)
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@hypothesis.settings(max_examples=30, deadline=None)
+@hypothesis.given(D=st.integers(1, 5), n_kraus=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_hermitian_coordinates_round_trip_and_carry_the_superoperator(D, n_kraus, seed):
+    rng = np.random.default_rng(seed)
+    A = random_hermitian(D, rng)
+    x = hermitian_coordinates(A)
+    assert x.dtype == np.float64 and x.shape == (D * D,)
+    assert np.array_equal(hermitian_from_coordinates(x), A)
+    # X -> sum_k c_k K_k X K_k^dag with real c_k preserves Hermiticity; the
+    # average with its mirror S[(j, i), (l, k)]^* makes it do so exactly.
+    K = rng.standard_normal((n_kraus, D, D)) + 1j * rng.standard_normal((n_kraus, D, D))
+    S = sum(c * np.kron(k, k.conj()) for c, k in zip(rng.standard_normal(n_kraus), K))
+    swap = np.arange(D * D).reshape(D, D).T.ravel()
+    S = 0.5 * (S + S[np.ix_(swap, swap)].conj())
+    got = hermitian_from_coordinates(real_superop(S) @ x)
+    ref = (S @ A.reshape(-1)).reshape(D, D)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @hypothesis.settings(max_examples=30, deadline=None)

@@ -292,3 +292,51 @@ def test_rk4_steps_the_hermitian_stage_with_no_product():
     assert product_count(loop) == 0 and adjoints(loop) == []
     # rk4_solve symmetrizes once, before its loop.
     assert adjoints(solve) == ["rho"]
+
+
+# Up to RK4_MATRIX_MAX_DIM, rk4_solve steps with a step matrix built before
+# its loop: each step is one product with that matrix, which the loop reads
+# and never assigns, with no adjoint, no conjugate and no transpose.
+MATRIX_LOOP_CALLS = {"matmul", "get", "from_basis", "hermitian_from_coordinates"}
+
+
+def matrix_step_loop(solve: ast.FunctionDef) -> ast.For:
+    """The loop over range of rk4_solve that is not its stage loop."""
+    return next(n for n in ast.walk(solve) if isinstance(n, ast.For) and n not in solve.body
+                and getattr(getattr(n.iter, "func", None), "id", None) == "range")
+
+
+def matrix_loop_faults(loop: ast.For) -> list[str]:
+    """What keeps a loop from being one product per step with a fixed matrix."""
+    faults = []
+    if product_count(loop) != 1:
+        faults.append("products")
+    matmuls = [n for n in ast.walk(loop) if isinstance(n, ast.Call)
+               and getattr(n.func, "attr", None) == "matmul"]
+    stored = {n.id for n in ast.walk(loop) if isinstance(n, ast.Name)
+              and isinstance(n.ctx, ast.Store)}
+    if not matmuls or getattr(matmuls[0].args[0], "id", None) in stored:
+        faults.append("matrix assigned in the loop")
+    if called(loop, {"conj", "transpose"}) or any(
+            isinstance(n, ast.Attribute) and n.attr == "T" for n in ast.walk(loop)):
+        faults.append("symmetrization")
+    extra = {getattr(n.func, "id", getattr(n.func, "attr", None)) for n in ast.walk(loop)
+             if isinstance(n, ast.Call)} - MATRIX_LOOP_CALLS - {"range"}
+    if extra:
+        faults.append(f"calls {sorted(extra)}")
+    return faults
+
+
+def test_rk4_matrix_kernel_makes_one_product_per_step():
+    solve = definition(PACKAGE / "ensemble.py", "rk4_solve")
+    loop = matrix_step_loop(solve)
+    assert matrix_loop_faults(loop) == []
+    # The step matrix comes from the generator, once, before the loop.
+    assert [n.value.func.attr for n in ast.walk(solve) if isinstance(n, ast.Assign)
+            and [getattr(t, "id", None) for t in n.targets] == ["P"]] == ["rk4_matrix"]
+    # The check sees a rebuilt matrix, an added adjoint and a second product.
+    for body, fault in (("P = gen.rk4_matrix(dt)\n    np.matmul(P, x, out=y)", "assigned"),
+                        ("np.matmul(P, x, out=y)\n    y += y.conj().T", "symmetrization"),
+                        ("np.matmul(P, x, out=y)\n    y = P @ y", "products")):
+        mutant = ast.parse(f"for s in range(n_steps):\n    {body}\n").body[0]
+        assert any(fault in f for f in matrix_loop_faults(mutant))
