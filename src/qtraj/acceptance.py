@@ -3,7 +3,9 @@
 Each criterion is a self-contained check with pinned tolerances; the CLI
 selftest prints the pass/fail table of all of them, and the test suite
 asserts all of them.  Monte-Carlo criteria use fixed seeds, so a failing run
-is reproducible bit for bit.
+is reproducible bit for bit.  Criteria 3, 4 and 8 run their ensembles on
+every usable CPU, since ensemble statistics do not depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .ensemble import (
     mean_field_limit_error,
     rk4_solve,
     run_ensemble,
+    usable_cpus,
 )
 from .errors import ValidationError
 from .jumps import JumpConfig
@@ -96,7 +99,8 @@ def criterion_3() -> tuple[bool, str]:
     R = HermitianOperator(np.diag([-0.5, 0.5]).astype(complex))
     meter = build_gaussian_meter(0.3, R)
     cfg = JumpConfig(H=preset.H, meter=meter, nu=5.0, seed=SEED + 3, mode="linear")
-    stats = run_ensemble(cfg, _uniform_state(2), T=1.0, n_traj=20000, sample_times=[1.0])
+    stats = run_ensemble(cfg, _uniform_state(2), T=1.0, n_traj=20000, sample_times=[1.0],
+                         n_workers=usable_cpus())
     dev = abs(stats.weight_mean[0] - 1.0)
     bound = 3.0 * stats.weight_se[0]
     return dev <= bound, f"|E||chi||^2 - 1| = {dev:.2e} vs 3*SE = {bound:.2e} (n=20000)"
@@ -129,7 +133,8 @@ def _criterion_4_scenario(H: HermitianOperator, label: str, seed: int) -> tuple[
     obs = {"R": R.entries, "coherence": proj}
     times = np.linspace(0.1, 1.0, 10)
     eta = _uniform_state(d)
-    stats = run_ensemble(cfg, eta, T=1.0, n_traj=20000, observables=obs, sample_times=times)
+    stats = run_ensemble(cfg, eta, T=1.0, n_traj=20000, observables=obs, sample_times=times,
+                         n_workers=usable_cpus())
     ok, worst = _within_3se_of_oracle(stats, obs, MasterConfig.from_jump(cfg), eta.density())
     return ok, f"{label}: max |MC - master| / (3 SE) = {worst:.2f}"
 
@@ -214,6 +219,8 @@ def criterion_7() -> tuple[bool, str]:
     for dt in (1e-3, 1e-4):
         cfg = DiffusionConfig(H=preset.H, R=R, gamma=1.0, pointer=pointer,
                               dt=dt, seed=SEED + 7)
+        # One worker: the state kernel makes many short numpy calls, and
+        # two threads contending for them ran this criterion 1.4x slower.
         stats = run_ensemble(cfg, eta, T=T, n_traj=10000, sample_times=[T],
                              equation="linear")
         results[dt] = (float(stats.weight_mean[0]), float(stats.weight_se[0]))
@@ -245,7 +252,7 @@ def _criterion_8_case(M: int, seed: int) -> tuple[bool, str]:
     obs = {"R": slot_sum(R.entries, M) / M, "coherence": slot_sum(proj, M) / M}
     times = np.linspace(0.1, 1.0, 10)
     stats = run_ensemble(cfg, rho0, T=1.0, n_traj=10000, observables=obs,
-                         sample_times=times, equation="density")
+                         sample_times=times, n_workers=usable_cpus(), equation="density")
     ok, worst = _within_3se_of_oracle(stats, obs, MasterConfig.from_diffusion(cfg), rho0)
     return ok, f"M={M}: max |MC - Lindblad| / (3 SE) = {worst:.2f}"
 

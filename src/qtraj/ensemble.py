@@ -78,11 +78,15 @@ RK4_BOUND = 0.1
 # grows like D^4 and its build like D^6.
 RK4_MATRIX_MAX_DIM = 16
 # Rows per batch, and the byte budget of one mixing batch's rows of S_M
-# copy blocks, C(d^2 + M - 1, M) entries each: 20 rows at D = 64, where 20
-# to 96 ran equally fast and twice as fast as 2, and 4 at D = 256.  An event
-# needs about two D x D arrays per row, which caps the budget.
+# copy blocks, C(d^2 + M - 1, M) entries each: 48 rows at D = 64 and 10 at
+# D = 256.  An event needs only each branch's block of Y per row, so larger
+# batches pay off: the many-mixing run spec (D = 64, 500 trajectories, one
+# BLAS thread) took 1.71, 1.36, 1.12, 0.94, 0.89, 0.83, 0.80 and 0.80 s of
+# CPU at 8, 12, 16, 20, 32, 48, 64 and 96 rows (medians of 4).  The final
+# D x D states of a batch cap it: peak RSS of that run rose by 4 MB from 20
+# to 48 rows and by 6 MB to 64.
 _CHUNK = 512
-_MIXING_BATCH_BYTES = 256 * 1024
+_MIXING_BATCH_BYTES = 612 * 1024
 DIFFUSION_EQUATIONS = ("linear", "coupled", "density")
 
 
@@ -541,10 +545,15 @@ def run_ensemble(
                                              sample_times, n_workers, equation))
 
 
+def usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
+
+
 def _map_chunks(worker, chunks, n_workers: int):
     """worker over chunks in order, on at most n_workers threads and CPUs."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n_workers = min(n_workers, cpus or 1)
+    n_workers = min(n_workers, usable_cpus())
     if n_workers <= 1:
         return [worker(c) for c in chunks]
     with ThreadPoolExecutor(max_workers=n_workers) as ex:

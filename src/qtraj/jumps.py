@@ -39,8 +39,9 @@ k-th point.
 
 * Rows are held in a basis of eigenvectors of H, where a free gap is the
   elementwise phase exp(-i w dt / hbar).
-* At an event the rows are taken into the eigenbasis of R, where the
-  reduction is elementwise, and back.
+* At an event the jump rows are taken into the eigenbasis of R, where the
+  reduction is elementwise, and back; mixing rows apply their event in
+  their own copy coordinates.
 * Outcomes follow outcome_weight_matrix @ p for the R-populations p, drawn
   by a row-wise coarse-then-fine inverse CDF (:func:`_draw_outcomes`).
 
@@ -389,8 +390,10 @@ def _run_rows(kern, meter: MeterModel, seed: int, rate: float, T: float, indices
     (eigenvalues ``kern.w``) and implements advance (elementwise phases),
     record (per-row values at a sample by name: "values", the observables in
     the order of names, and the EventColumns series named in kern.series),
-    rotate_in and populations (R-basis rows and their populations), reduce
-    (unnormalized reduced rows and their norm), store and finish.  Rows are
+    rotate_in (the rows an event reads: amplitudes in R's eigenbasis for
+    :class:`_PureRows`, the copy-block rows themselves for the mixing
+    kernel), populations (their R-populations), reduce (unnormalized reduced
+    rows and their norm), store and finish.  Rows are
     selected by an index array or by a full slice, and the kernel must treat
     both alike.  finish(log_w, None in normalized mode) returns the final
     states, their final values and whether each row passes the kernel's

@@ -26,13 +26,20 @@ and the tests; ensemble runs drop them as each batch returns.
 Density trajectories run on the event engine of :mod:`qtraj.jumps`, whose
 loop, schedule and outcome sampler they share.  In the copy basis of the
 blocks (``ManyBodyConfig._mixing_basis``) the total Hamiltonian is
-diagonal, so a free gap is elementwise phases; each mixing event is applied
-elementwise in the product eigenbasis of R, on the density rebuilt there
-from every copy.  The outcome law is outcome_weight_matrix @ p with p the
-slot-averaged R-populations.  Basis changes whose matrices are exactly
-real, as in every preset, run as real GEMMs on the float view of the
-complex rows (:func:`_left`).  evolve_density is a batch of one, and the
-only place a DensityTrajectory object is built.
+diagonal, so a free gap is elementwise phases.  A mixing event never builds
+the D x D density.  On an invariant rho the label average is the S_M
+symmetrization of the slot-1 term G_1 rho G_1^dag, so by Schur's lemma each
+block's new copy is A'_lambda = (1/m_lambda) sum_j U_j^dag G_1 rho G_1^dag
+U_j over its m_lambda copies U_j.  In copy coordinates G_1 is
+Y = sum_c g(lambda, c) T_c, with T_c the slot-1 projector onto R-digit c.
+G_1 commutes with the permutations of slots 2..M, and the copies are
+adapted to them, so Y joins only copies of one branch and the event is a
+few small products per branch (:meth:`_BlockRows.reduce`).  The outcome law
+is outcome_weight_matrix @ p, and the slot-1 R-populations p are linear
+functionals of a row.  A free gap cannot change a spectrum, so records keep
+each row's block spectra until its next event.  Exactly real basis changes,
+as in every preset, run as real GEMMs (:func:`_left`).  evolve_density is a
+batch of one, and the only place a DensityTrajectory object is built.
 """
 
 from __future__ import annotations
@@ -139,48 +146,51 @@ def _real_if_exact(A: np.ndarray) -> np.ndarray:
 
 def _left(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """A X for a stack X whose last axis is contiguous.  A real A (see
-    :func:`_real_if_exact`) takes one real GEMM on the float view of X, in
-    which a product from the left acts on rows only."""
-    if A.dtype.kind == "c":
+    :func:`_real_if_exact`) times a complex X takes one real GEMM on the float
+    view of X, in which a product from the left acts on rows only; other
+    pairs take np.matmul."""
+    if A.dtype.kind == "c" or X.dtype.kind != "c":
         return np.matmul(A, X)
     return np.matmul(A, X.view(np.float64)).view(complex)
 
 
-def _sandwich(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """A X A^dag = A (A X)^dag for a stack X of Hermitian matrices: two
-    GEMMs (:func:`_left`)."""
-    return _left(A, np.conjugate(_left(A, X).swapaxes(-1, -2), order="C"))
-
-
 class _Block(NamedTuple):
     """One S_M block of the mixing engine: m copies of a Q-dimensional
-    space, at columns cols of the full copy bases and at entries of a row.
-    F and E are the copies as an (m, D, Q) stack in the original basis and
-    in R's product eigenbasis."""
+    space, at columns cols of the full copy basis and at entries of a row.
+    F holds the copies as an (m, D, Q) stack in the original basis."""
 
     m: int
     Q: int
     cols: slice
     entries: slice
     F: np.ndarray
-    E: np.ndarray
 
     def view(self, rows: np.ndarray) -> np.ndarray:
         """The block of a stack of rows, as a view of Q x Q matrices."""
-        return rows[:, self.entries].reshape(rows.shape[0], self.Q, self.Q)
+        return rows[..., self.entries].reshape(*rows.shape[:-1], self.Q, self.Q)
 
 
-def _rebuild(full: np.ndarray, copies, blocks, rows: np.ndarray) -> np.ndarray:
-    """Densities full Z full^dag of a stack of rows, Z the direct sum over
-    the blocks of I_m (x) A_lambda, given every copy's columns (full) and
-    each block's copies.  Z full^dag is blockwise; full (Z full^dag) is one
-    D x D GEMM."""
-    n, D = rows.shape[0], full.shape[0]
+class _Group(NamedTuple):
+    """Copies that share their branch under the permutations of slots
+    2..M, between which alone the slot-1 projectors have entries: their
+    size x size block is at entries at of a flattened stack, and members
+    lists (block index, offset in the group) of each copy."""
+
+    at: slice
+    size: int
+    members: tuple[tuple[int, int], ...]
+
+
+def _rebuild(F: np.ndarray, blocks, rows: np.ndarray) -> np.ndarray:
+    """Densities F Z F^dag of a stack of rows, Z the direct sum over the
+    blocks of I_m (x) A_lambda, given every copy's columns F.  Z F^dag is
+    blockwise; F (Z F^dag) is one D x D GEMM."""
+    n, D = rows.shape[0], F.shape[0]
     Yh = np.empty((n, D, D), dtype=complex)
-    for U, b in zip(copies, blocks):
-        Y = _left(U, b.view(rows)[:, None])
+    for b in blocks:
+        Y = _left(b.F, b.view(rows)[:, None])
         np.conjugate(Y.swapaxes(2, 3), out=Yh[:, b.cols].reshape(n, b.m, b.Q, D))
-    return _left(full, Yh)
+    return _left(F, Yh)
 
 
 @dataclass(frozen=True)
@@ -255,24 +265,42 @@ class ManyBodyConfig:
 
     @cached_property
     def _mixing_basis(self):
-        """Constants of the mixing engine, built on first use: (w, F, E,
-        blocks, pairs, digits, slot_average).
+        """Constants of the mixing engine, built on first use: (w, F, blocks,
+        groups, pairs, T, populations).
 
         Each :class:`_Block` spans m aligned copies U_j of one space: an
         invariant rho is sum_j U_j A U_j^dag, A = U_j^dag rho U_j for every j.
         U_1 = B W (B from :func:`_isotypic_blocks`, W the eigenvectors of
         B^dag H B, eigenvalues w), so H is diag(w) on every copy.  The
         slot-permuted images of U_1 have Gram matrix G (x) I_Q, and G's top m
-        eigenvectors combine them into the copies.  F holds every copy's
-        columns, E = (V_R^dag)^{(x) M} F, and row entry e is A[pairs[:, e]]
-        of its block, indexed into w.  Product state x has R-index
-        digits[x, k] in slot k, and slot_average[x, a] = #{k: digits[x, k] =
-        a} / M.  Exactly real F and E are stored real (for :func:`_left`)."""
+        eigenvectors combine them into the copies.  A unitary mix of aligned
+        copies is aligned again, so the copies are then turned into
+        eigenvectors of sum_s (2M)^s X_s, where X_s = sum_{t > s} (s t) are
+        the Jucys-Murphy elements of slots 2..M (0-based s >= 1): its
+        eigenvalue names the copy's branch under the permutations that fix
+        slot 1 (the Gelfand-Tsetlin basis of that chain).  F holds every
+        copy's columns, and row entry e is A[pairs[:, e]] of its block,
+        indexed into w.
+
+        With E = (V_R^dag)^{(x) M} F, T_c = E^dag Pi_c E is the projector
+        onto R-digit c in slot 1 in copy coordinates.  It commutes with the
+        permutations of slots 2..M, so it joins only copies of one branch (a
+        :class:`_Group`), and T stores each group's block of every T_c,
+        flattened and stacked: T[at][i * size + j, c].  The population
+        functionals act on the float view of a row: row.view(float) @
+        populations[:, c] = Tr(Pi_c rho).  Exactly real F and T are stored
+        real (for :func:`_left`)."""
         d, M, D = self.d, self.M, self.dim
         index = np.arange(D).reshape((d,) * M)
         perms = [index.transpose(p).reshape(-1) for p in itertools.permutations(range(M))]
+        jm = []
+        for s in range(1, M - 1):
+            for t in range(s + 1, M):
+                swap = list(range(M))
+                swap[s], swap[t] = t, s
+                jm.append(((2 * M) ** s, index.transpose(swap).reshape(-1)))
         CR = kron_power(self.meter.eigenvectors, M).conj().T
-        w, blocks, pairs = [], [], []
+        w, blocks, pairs, branches = [], [], [], []
         col = entry = 0
         for B, m in _isotypic_blocks(d, M):
             h, W = np.linalg.eigh(_real_if_exact(B.T @ self._h_total @ B))
@@ -280,18 +308,37 @@ class ManyBodyConfig:
             images = np.stack([(B @ W)[p] for p in perms])
             g, v = np.linalg.eigh(np.einsum("aiq,biq->ab", images.conj(), images) / Q)
             U = np.einsum("ak,aiq->kiq", v[:, -m:] / np.sqrt(g[-m:]), images)
+            XU = sum((a * U[:, p] for a, p in jm), np.zeros_like(U))
+            branch, O = np.linalg.eigh(np.einsum("jiq,kiq->jk", U.conj(), XU) / Q)
+            U = np.einsum("jk,jiq->kiq", O, U)
+            branches += [(int(np.rint(x)), len(blocks), col + j * Q) for j, x in enumerate(branch)]
             blocks.append(_Block(m, Q, slice(col, col + m * Q), slice(entry, entry + Q * Q),
-                                 _real_if_exact(U), _real_if_exact(np.matmul(CR, U))))
+                                 _real_if_exact(U)))
             pairs.append(np.indices((Q, Q)).reshape(2, -1) + len(w))
             w.extend(h)
             col, entry = col + m * Q, entry + Q * Q
         F = np.concatenate([b.F.transpose(1, 0, 2).reshape(D, -1) for b in blocks], axis=1)
-        digits = np.array(list(itertools.product(range(d), repeat=M)))
-        slot_average = np.stack(
-            [np.count_nonzero(digits == a, axis=1) for a in range(d)], axis=1
-        ) / M
-        return (np.array(w), F, _real_if_exact(CR @ F), blocks, np.concatenate(pairs, axis=1),
-                digits, slot_average)
+        # Slot 1 is the leading digit of a product index.
+        E = _real_if_exact(CR @ F).reshape(d, D // d, D)
+        T = np.matmul(E.conj().transpose(0, 2, 1), E)
+        P = np.array([
+            np.concatenate([Tc[b.cols, b.cols].reshape(b.m, b.Q, b.m, b.Q)
+                            .trace(axis1=0, axis2=2).T.reshape(-1) for b in blocks])
+            for Tc in T])
+        groups, stacked = [], []
+        at = 0
+        for key in sorted({key for key, _, _ in branches}):
+            members, cols = [], []
+            for _, b, start in (x for x in branches if x[0] == key):
+                members.append((b, len(cols)))
+                cols.extend(range(start, start + blocks[b].Q))
+            size = len(cols)
+            groups.append(_Group(slice(at, at + size * size), size, tuple(members)))
+            stacked.append(T[:, cols][:, :, cols].reshape(d, -1))
+            at += size * size
+        return (np.array(w), F, blocks, groups, np.concatenate(pairs, axis=1),
+                np.ascontiguousarray(np.concatenate(stacked, axis=1).T),
+                np.stack([P.real.T, -P.imag.T], axis=1).reshape(-1, d))
 
 
 @dataclass
@@ -373,13 +420,19 @@ class _BlockRows:
     ``ManyBodyConfig._mixing_basis``.
 
     H is diagonal there, so a free gap multiplies each entry by two phases.
-    In R's product eigenbasis the mixing reduction (1/M) sum_k G_k rho
-    G_k^dag is the Hadamard product with K = (1/M) sum_k a_k a_k^dag,
-    a_k[x] = g(lambda, x_k): an event rebuilds the density there from every
-    copy (:func:`_rebuild`), multiplies it by K and projects it onto the
-    first copy of each block (:func:`_sandwich`).  A spectrum is each
-    A_lambda's, repeated m times, and an observable X is
-    sum_lambda Re Tr(X_lambda A_lambda) with X_lambda = sum_j U_j^dag X U_j.
+    An event stays in copy coordinates (:meth:`reduce`): with Y = sum_c
+    g(lambda, c) T_c and Z the direct sum of I_m (x) A_lambda, each block's
+    new copy is (1/m) sum_j Y_j Z Y_j^dag, Y_j the rows of copy j, and the
+    reduced trace is sum_lambda m Tr A'_lambda.  Y has entries only within
+    a :class:`_Group`, so Y_j Z Y_j^dag sums over the copies of j's group.
+    rotate_in hands the rows themselves to the event, and their
+    R-populations are one product with the population functionals.  A
+    spectrum is each A_lambda's, repeated m times; each row keeps its
+    minimum eigenvalue and entropy from its first record after an event
+    until its next event, and the final check reads them.  An observable X
+    is sum_lambda Re Tr(X_lambda A_lambda) with X_lambda = sum_j U_j^dag X
+    U_j.  Only :meth:`finish` rebuilds the D x D densities, for the callers
+    that keep them.
     """
 
     collapse = "density trace collapsed at a mixing event"
@@ -387,16 +440,18 @@ class _BlockRows:
     series = ("min_eig", "entropy")
 
     def __init__(self, cfg: ManyBodyConfig, rho: np.ndarray, n: int, observables):
-        self.w, self.F, self.E, self.blocks, self.pairs, self.digits, self.slot_average = (
-            cfg._mixing_basis)
+        (self.w, self.F, self.blocks, self.groups, self.pairs, self.T,
+         self.P) = cfg._mixing_basis
         self.G = _real_if_exact(cfg.meter.reduction_family)
-        self.M = cfg.M
         first = [(b.F[0].conj().T @ rho @ b.F[0]).reshape(-1) for b in self.blocks]
         self.rows = np.tile(np.concatenate(first), (n, 1))
         self.XT = np.array([
             np.concatenate([(b.F.conj().transpose(0, 2, 1) @ X @ b.F).sum(axis=0).T.reshape(-1)
                             for b in self.blocks])
             for X in observables.values()]).reshape(len(observables), self.rows.shape[1])
+        # Minimum eigenvalue and entropy of each row, valid where fresh.
+        self.min_eig, self.entropy = np.empty(n), np.empty(n)
+        self.fresh = np.zeros(n, dtype=bool)
 
     def advance(self, phases):
         self.rows *= phases[:, self.pairs[0]] * phases.conj()[:, self.pairs[1]]
@@ -406,46 +461,84 @@ class _BlockRows:
         return np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b.view(A)), b.m, axis=1)
                                        for b in self.blocks], axis=1), axis=1)
 
+    def refresh(self, rows):
+        """Indices of the selected rows, after computing the spectral values
+        of those that had an event since they were last computed."""
+        idx = np.arange(self.fresh.size)[rows]
+        stale = idx[~self.fresh[idx]]
+        if stale.size:
+            eigs = self.spectra(self.rows[stale])
+            self.min_eig[stale], self.entropy[stale] = eigs[:, 0], spectrum_entropy(eigs)
+            self.fresh[stale] = True
+        return idx
+
     def record(self, rows):
         """Minimum eigenvalue, entropy and observables of each row."""
+        idx = self.refresh(rows)
         A = self.rows[rows]
-        eigs = self.spectra(A)
-        return {"min_eig": eigs[:, 0], "entropy": spectrum_entropy(eigs),
+        return {"min_eig": self.min_eig[idx], "entropy": self.entropy[idx],
                 "values": np.add.reduce(A[:, None, :] * self.XT, axis=2).real}
 
     def rotate_in(self, rows):
-        return _rebuild(self.E, [b.E for b in self.blocks], self.blocks, self.rows[rows])
+        return self.rows[rows]
 
-    def populations(self, rot):
-        diag = np.ascontiguousarray(rot.diagonal(0, 1, 2).real)
-        return np.matmul(diag[:, None, :], self.slot_average)[:, 0, :]
+    def populations(self, Z):
+        return np.matmul(Z.view(np.float64)[:, None, :], self.P)[:, 0, :]
 
-    def reduce(self, rot, idx):
-        a = self.G[idx][:, self.digits]
-        rot *= np.matmul(a, a.conj().transpose(0, 2, 1))
-        out = np.empty((rot.shape[0], self.rows.shape[1]), dtype=complex)
-        for b in self.blocks:
-            A = _sandwich(b.E[0].conj().T, rot)
-            np.add(A, A.conj().transpose(0, 2, 1), out=b.view(out))
-        out *= 0.5 / self.M
-        # The trace of (1/M) K o rot, which the projection onto the copies keeps.
-        return out, np.ascontiguousarray(rot.diagonal(0, 1, 2).real).sum(axis=1) / self.M
+    def reduce(self, Z, idx):
+        n = Z.shape[0]
+        Y = _left(self.T, self.G[idx][:, :, None])[:, :, 0]
+        # conj(Y Z) is kept whole, or as its real and imaginary parts when Y
+        # is real, so that every product below is a real GEMM with no
+        # conjugate transpose.
+        parts = Z[None] if Y.dtype.kind == "c" else np.stack([Z.real, -Z.imag])
+        S = [None] * len(self.blocks)
+        for grp in self.groups:
+            Yg = Y[:, grp.at].reshape(n, grp.size, grp.size)
+            W = np.empty((len(parts), n, grp.size, grp.size), dtype=Y.dtype)
+            for k, q in grp.members:
+                # Y's columns of a copy, times its block.
+                c = slice(q, q + self.blocks[k].Q)
+                np.matmul(Yg[:, :, c], self.blocks[k].view(parts), out=W[..., c])
+            if len(parts) == 1:
+                np.conjugate(W, out=W)
+            for k, q in grp.members:
+                # Y_j (Y_j Z)^dag of copy j, summed over the block's copies.
+                r = slice(q, q + self.blocks[k].Q)
+                Sj = np.matmul(Yg[:, r], W[:, :, r].swapaxes(2, 3))
+                S[k] = Sj if S[k] is None else S[k] + Sj
+        out = np.empty_like(Z)
+        tr = np.zeros(n)
+        for b, Sb in zip(self.blocks, S):
+            Sb = Sb[0] if len(Sb) == 1 else Sb[0] + 1j * Sb[1]
+            A = b.view(out)
+            np.add(Sb, Sb.conj().swapaxes(1, 2), out=A)
+            A *= 0.5 / b.m
+            tr += b.m * np.trace(A, axis1=1, axis2=2).real
+        return out, tr
 
     def store(self, rows, reduced, tr):
         self.rows[rows] = reduced / tr[:, None]
+        self.fresh[rows] = False
 
     def finish(self, log_w):
         """Rows rebuilt in the original basis, scaled by exp(log_w) when it
         is given, and symmetrized; their traces; which rows pass: lowest
         eigenvalue times that weight at least DENSITY_EIG_FLOOR, finite trace
         at least -1e-12.  Releases the rows."""
+        self.refresh(slice(None))
         rows, self.rows = self.rows, None
         weight = 1.0 if log_w is None else np.exp(log_w)
-        min_eig = self.spectra(rows)[:, 0] * weight
-        states = _rebuild(self.F, [b.F for b in self.blocks], self.blocks, rows)
+        min_eig = self.min_eig * weight
+        # Eight rows, and one row's adjoint, at a time: the temporaries stay
+        # small beside the states.
+        states = np.empty((rows.shape[0], *self.F.shape), dtype=complex)
+        for lo in range(0, rows.shape[0], 8):
+            states[lo:lo + 8] = _rebuild(self.F, self.blocks, rows[lo:lo + 8])
         if log_w is not None:
             states *= weight[:, None, None]
-        states += states.conj().transpose(0, 2, 1)
+        for state in states:
+            state += state.conj().T
         states *= 0.5
         final = np.array([np.trace(f).real for f in states])
         return states, final, (min_eig >= DENSITY_EIG_FLOOR) & (-1e-12 <= final) & (final < np.inf)

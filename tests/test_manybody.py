@@ -27,7 +27,7 @@ from qtraj import (
     von_neumann_entropy,
 )
 from qtraj.linalg import MAX_PARTICLES, permute_slots_matrix, spectrum_entropy
-from qtraj.manybody import _BlockRows, _mixing_batch, _sandwich
+from qtraj.manybody import _BlockRows, _left, _mixing_batch
 
 rng = np.random.default_rng(303)
 
@@ -64,18 +64,21 @@ def invariant_density(d, M, gen):
     return rho / np.trace(rho).real
 
 
-def hopping_config(d, M, amplitude, nu=1.0, seed=0):
-    """M particles hopping on d sites, R the centred site position."""
+def hopping_config(d, M, amplitude, nu=1.0, seed=0, phase_slope=0.0):
+    """M particles hopping on d sites, R the centred site position; a
+    nonzero phase_slope gives the pointer a linear phase."""
     R = HermitianOperator(np.diag(np.arange(d) - (d - 1) / 2).astype(complex))
     return ManyBodyConfig(M=M, d=d, H_single=hopping(d, amplitude),
-                          meter=build_gaussian_meter(0.3, R), nu=nu, seed=seed)
+                          meter=build_gaussian_meter(0.3, R, phase_slope=phase_slope), nu=nu,
+                          seed=seed)
 
 
 def block_spectrum_error(d, M, amplitude, gen):
     """Max deviation from eigvalsh of the full matrix, on a random
     permutation-invariant density, of the spectrum of an engine row (each
     block's eigenvalues, m times) and of the minimum eigenvalue and entropy
-    it records; and whether the copy basis in R's eigenbasis is stored real."""
+    it records; and whether the slot-1 projectors in copy coordinates are
+    stored real."""
     cfg = hopping_config(d, M, amplitude)
     rho = invariant_density(d, M, gen)
     kern = _BlockRows(cfg, rho, 1, {})
@@ -85,7 +88,7 @@ def block_spectrum_error(d, M, amplitude, gen):
     eigs = np.linalg.eigvalsh(rho)
     err = max(np.max(np.abs(blocks - eigs)), abs(rec["min_eig"][0] - eigs[0]),
               abs(rec["entropy"][0] - spectrum_entropy(eigs)))
-    return float(err), kern.E.dtype.kind == "f"
+    return float(err), kern.T.dtype.kind == "f"
 
 
 def product_pure(amps, M):
@@ -207,13 +210,34 @@ class TestBlockSpectra:
         assert stored_real == real
         assert err <= 1e-12
 
-    def test_real_and_complex_sandwich_agree(self):
+    def test_records_reuse_spectra_until_the_next_event(self):
+        # A row whose last event falls between two records reads its final
+        # spectral values from the spectra computed at an earlier record.
+        cfg = hopping_config(2, 3, -1.0, nu=1.0, seed=8)
+        rho0 = invariant_density(2, 3, np.random.default_rng(8))
+        times = np.linspace(0.1, 1.0, 10)
+        checked = 0
+        for index in range(40):
+            traj = evolve_density(cfg, DensityMatrix(rho0), 1.0, index=index, sample_times=times)
+            if not traj.events or not 0.1 < traj.events[-1][0] < 0.9:
+                continue
+            eigs = np.linalg.eigvalsh(traj.rho.entries)
+            assert abs(traj.min_eig_series[-1] - eigs[0]) <= 1e-12
+            assert abs(traj.entropy_series[-1] - spectrum_entropy(eigs)) <= 1e-12
+            checked += 1
+        assert checked >= 5
+
+    def test_real_and_complex_left_products_agree(self):
         A = np.linalg.qr(rng.standard_normal((27, 27)))[0][:10]
-        a = rng.standard_normal((3, 27, 27)) + 1j * rng.standard_normal((3, 27, 27))
-        X = a + a.conj().transpose(0, 2, 1)
-        real = _sandwich(A, X)
-        assert np.max(np.abs(real - _sandwich(A.astype(complex), X))) <= 1e-13
-        assert np.max(np.abs(real - A @ X @ A.T)) <= 1e-13
+        X = rng.standard_normal((3, 27, 27)) + 1j * rng.standard_normal((3, 27, 27))
+        real = _left(A, X)
+        assert real.dtype == complex
+        assert np.max(np.abs(real - _left(A.astype(complex), X))) <= 1e-13
+        assert np.max(np.abs(real - A @ X)) <= 1e-13
+        # A strided stack, as the mixing event passes, and a real one.
+        view = X[:, :, 3:9]
+        assert np.max(np.abs(_left(A, view) - A @ view)) <= 1e-13
+        assert np.array_equal(_left(A, X.real), A @ X.real)
 
 
 class TestEvolveDensity:

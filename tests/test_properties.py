@@ -24,9 +24,11 @@ from qtraj.cli import EQUATIONS, EXPERIMENTS, _resolved_for_hash, spec_from_dict
 from qtraj.diffusion import _coupled_batch  # noqa: E402
 from qtraj.ensemble import master_generator, superop_matrix  # noqa: E402
 from qtraj.jumps import EventColumns, _jump_batch  # noqa: E402
-from qtraj.linalg import (hermitian_coordinates, hermitian_from_coordinates,  # noqa: E402
-                          real_superop)
+from qtraj.linalg import (embed_at_slot, hermitian_coordinates,  # noqa: E402
+                          hermitian_from_coordinates, real_superop)
 from qtraj.manybody import _BlockRows, _mixing_batch  # noqa: E402
+from qtraj.meter import (DEFAULT_GRID_SIZE, DEFAULT_TOL_POVM, MeterModel,  # noqa: E402
+                         coverage_half_width)
 from qtraj.records import spec_hash  # noqa: E402
 from qtraj.rng import Streams, generators, stream, stream_keys  # noqa: E402
 
@@ -52,10 +54,13 @@ COPY_BLOCK_CASES = {
 
 
 @hypothesis.settings(max_examples=25, deadline=None)
-@hypothesis.given(**COPY_BLOCK_CASES, seed=st.integers(0, 2 ** 32 - 1))
-def test_copy_blocks_rebuild_the_state_and_apply_one_event(shape, amplitude, seed):
+@hypothesis.given(**COPY_BLOCK_CASES, phase_slope=st.sampled_from([0.0, 0.7]),
+                  seed=st.integers(0, 2 ** 32 - 1))
+# A phase-modulated pointer with real H: the event's complex branch.
+@hypothesis.example(shape=(2, 3), amplitude=-1.0, phase_slope=0.7, seed=1)
+def test_copy_blocks_rebuild_the_state_and_apply_one_event(shape, amplitude, phase_slope, seed):
     d, M = shape
-    cfg = hopping_config(d, M, amplitude)
+    cfg = hopping_config(d, M, amplitude, phase_slope=phase_slope)
     gen = np.random.default_rng(seed)
     rho = invariant_density(d, M, gen)
     # A row holds one copy of each block: C(d^2 + M - 1, M) entries.
@@ -72,6 +77,26 @@ def test_copy_blocks_rebuild_the_state_and_apply_one_event(shape, amplitude, see
     scale = max(1.0, float(np.max(np.abs(ref))))
     assert np.max(np.abs(kern.finish(None)[0][0] - ref)) <= 1e-12 * scale
     assert abs(trace[0] - np.trace(ref).real) <= 1e-12 * scale
+
+
+@hypothesis.settings(max_examples=25, deadline=None)
+@hypothesis.given(**COPY_BLOCK_CASES, seed=st.integers(0, 2 ** 32 - 1))
+def test_copy_average_equals_the_label_sum(shape, amplitude, seed):
+    # On an invariant rho, (1/m) sum_j U_j^dag G_1 rho G_1^dag U_j over a
+    # block's copies is the label average (1/M) sum_k G_k rho G_k^dag seen
+    # by the first copy, for any single-particle operator g.
+    d, M = shape
+    cfg = hopping_config(d, M, amplitude)
+    gen = np.random.default_rng(seed)
+    rho = invariant_density(d, M, gen)
+    g = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+    slots = [embed_at_slot(g, k, M) for k in range(1, M + 1)]
+    label = sum(G @ rho @ G.conj().T for G in slots) / M
+    one = slots[0] @ rho @ slots[0].conj().T
+    scale = max(1.0, float(np.max(np.abs(label))))
+    for b in _BlockRows(cfg, rho, 1, {}).blocks:
+        average = sum(U.conj().T @ one @ U for U in b.F) / b.m
+        assert np.max(np.abs(average - b.F[0].conj().T @ label @ b.F[0])) <= 1e-12 * scale
 
 
 @hypothesis.settings(max_examples=25, deadline=None)
@@ -271,6 +296,23 @@ SPEC_FIELDS = {
     "kick_lambdas": st.none() | st.lists(st.floats(-5, 5), max_size=3),
     "out": st.text("abc/", min_size=1, max_size=8),
 }
+
+
+@hypothesis.settings(max_examples=50, deadline=None)
+@hypothesis.given(d=st.integers(2, 5), scale=st.floats(0.1, 2.0), kappa=st.floats(-5.0, 5.0),
+                  extra=st.floats(0.0, 4.0), margin=st.floats(0.05, 1.0),
+                  seed=st.integers(0, 2 ** 32 - 1))
+def test_meters_on_covering_grids_are_complete(d, scale, kappa, extra, margin, seed):
+    R = HermitianOperator(scale * random_hermitian(d, np.random.default_rng(seed)))
+    r_max = float(np.max(np.abs(np.linalg.eigvalsh(R.entries))))
+    wide = gaussian_pointer(DEFAULT_GRID_SIZE, coverage_half_width(kappa, r_max) + extra)
+    assert MeterModel(kappa, R, wide).povm_defect <= DEFAULT_TOL_POVM
+    # A grid that cuts into the most shifted packet, far inside the coverage
+    # half-width, is rejected when the meter is built.
+    hypothesis.assume(abs(kappa) * r_max >= 1.0)
+    narrow = gaussian_pointer(DEFAULT_GRID_SIZE, abs(kappa) * r_max + margin)
+    with pytest.raises(ValidationError, match="half-width should be at least"):
+        MeterModel(kappa, R, narrow)
 
 
 @st.composite

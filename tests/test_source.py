@@ -101,7 +101,7 @@ def test_mixing_oracles_use_no_row_kernel_internals():
     path = PACKAGE / "manybody.py"
     assert set(MIXING_ORACLE) <= defined_names(path)
     # The check sees the row kernel, its copy basis and the event loop.
-    assert {"_BlockRows", "_Block", "_mixing_basis", "_rebuild", "_sandwich", "_left",
+    assert {"_BlockRows", "_Block", "_Group", "_mixing_basis", "_rebuild", "_left",
             "_isotypic_blocks", "_run_rows"} <= set().union(
         *(private_definitions(PACKAGE / f"{m}.py") for m in MIXING_ENGINE))
     assert engine_names_in_oracle(path, MIXING_ORACLE, MIXING_ENGINE, set()) == []
@@ -340,3 +340,27 @@ def test_rk4_matrix_kernel_makes_one_product_per_step():
                         ("np.matmul(P, x, out=y)\n    y = P @ y", "products")):
         mutant = ast.parse(f"for s in range(n_steps):\n    {body}\n").body[0]
         assert any(fault in f for f in matrix_loop_faults(mutant))
+
+
+# A mixing event stays in copy coordinates: the kernel methods it runs
+# rebuild no D x D density and do not read the full copy basis.
+EVENT_METHODS = ("rotate_in", "populations", "reduce")
+FULL_BASES = {"E", "F"}
+
+
+def self_attributes(tree: ast.AST) -> set[str]:
+    """The attributes of self that the code under tree reads."""
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name) and n.value.id == "self"}
+
+
+def test_mixing_events_rebuild_no_density():
+    path = PACKAGE / "manybody.py"
+    for name in EVENT_METHODS:
+        event = method(path, "_BlockRows", name)
+        assert called(event, {"_rebuild"}) == set(), name
+        assert self_attributes(event) & FULL_BASES == set(), name
+    # The check sees both: the final densities are rebuilt from F.
+    finish = method(path, "_BlockRows", "finish")
+    assert called(finish, {"_rebuild"}) == {"_rebuild"}
+    assert "F" in self_attributes(finish)
