@@ -63,7 +63,6 @@ from .ensemble import (
     rk4_solve,
     run_ensemble,
     run_trajectories,
-    superop_matrix,
     trajectory_stats,
 )
 from .presets import PRESETS, Preset, get_preset, preset_meter
@@ -122,7 +121,6 @@ __all__ = [
     "sample_poisson_times",
     "sharp_projections",
     "single_kick_evolve",
-    "superop_matrix",
     "trajectory_stats",
     "trajectory_product_check",
     "von_neumann_entropy",

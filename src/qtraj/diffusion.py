@@ -82,10 +82,10 @@ from .linalg import (
     HermitianOperator,
     StateVector,
     _check_particles,
-    _hermitian_index,
     embed_at_slot,
     hermitian_coordinates,
     hermitian_eig,
+    hermitian_from_coordinates,
     kron_power,
     propagator,
     slot_sum,
@@ -463,18 +463,14 @@ def _density_states(cfg: DiffusionConfig, rho0, T: float, indices,
         raise CapacityError(f"the density equation at D={D} needs {need} bytes for {n} paths "
                             f"with {rec.size} records, beyond the {memory} bytes of memory")
     VM, w, rbar, P = _density_kernel(cfg)
-    diag, up, lo = _hermitian_index(D)
-    U = up.size
+    U = D * (D - 1) // 2
     x = np.repeat(hermitian_coordinates(VM.conj().T @ rho.entries @ VM)[:, None], n, axis=1)
     y = np.empty_like(x)
     out = np.empty((n, rec.size, D, D), dtype=complex)
-    flat = np.empty((D * D, n), dtype=complex)
 
     def record(slots):
-        flat[diag] = x[:D]
-        flat[up] = x[D : D + U] + 1j * x[D + U :]
-        flat[lo] = flat[up].conj()
-        out[:, slots] = (VM @ flat.T.reshape(n, D, D) @ VM.conj().T)[:, None]
+        rhos = hermitian_from_coordinates(x).transpose(2, 0, 1)
+        out[:, slots] = (VM @ rhos @ VM.conj().T)[:, None]
 
     a11, a21, a22 = _noise_chol(cfg.dt, M * cfg.noise.c1, M * cfg.noise.c2)
     rotate = a21 != 0.0 or a22 != 0.0

@@ -18,8 +18,8 @@ product with a fixed mask (see :class:`MasterConfig`); :func:`rk4_solve`
 rotates into that basis once and steps there, with one of two kernels
 chosen by size alone: up to D = RK4_MATRIX_MAX_DIM = 16 each step is one
 precomputed real D^2 x D^2 matrix on the state's Hermitian coordinates,
-and above it each RK4 stage is one D x D product (the measured crossover
-lies between D = 16 and 32; see :func:`rk4_solve`).
+and above it each RK4 stage is one D x D product (the timings that place
+the crossover are quoted at RK4_MATRIX_MAX_DIM).
 
 Ensembles run through one chunk runner, :func:`run_trajectories`, in
 contiguous blocks of trajectory indices.  Each block is one batch of its
@@ -56,6 +56,7 @@ from .linalg import (
     HermitianOperator,
     _check_particles,
     _max_asymmetry,
+    _real_if_exact,
     as_matrix,
     hermitian_coordinates,
     hermitian_eig,
@@ -184,8 +185,7 @@ class MasterConfig:
 def _hermitian_part(A: np.ndarray) -> np.ndarray:
     """(A + A^dag) / 2, exactly Hermitian, as a real array when its
     imaginary part is exactly zero."""
-    A = 0.5 * (A + A.conj().T)
-    return np.ascontiguousarray(A.real) if not np.any(A.imag) else A
+    return _real_if_exact(0.5 * (A + A.conj().T))
 
 
 def _slot_mask(g: np.ndarray, M: int) -> np.ndarray:
@@ -207,12 +207,12 @@ class MasterGenerator:
 
     H and the mask are exactly Hermitian, and each is stored as a real
     array when its imaginary part is exactly zero (see :class:`MasterConfig`).
-    Calling the generator applies it in the original basis,
-    rho -> U L(U^dag rho U) U^dag; :meth:`rhs` is that general map in U's
-    basis, and :meth:`superop` its D^2 x D^2 matrix in closed form.
-    :func:`rk4_solve` has two kernels: up to RK4_MATRIX_MAX_DIM it steps
-    the real matrix :meth:`rk4_matrix` of one whole RK4 step, and above it
-    :meth:`hermitian_rhs`, the one-product stage on exactly Hermitian states.
+    :meth:`superop` is the D^2 x D^2 matrix of L in closed form, in U's
+    basis or in the original one, where the generator acts as
+    rho -> U L(U^dag rho U) U^dag.  :func:`rk4_solve` has two kernels: up
+    to RK4_MATRIX_MAX_DIM it steps the real matrix :meth:`rk4_matrix` of one
+    whole RK4 step, and above it :meth:`hermitian_rhs`, the one-product
+    stage on exactly Hermitian states.
     """
 
     U: np.ndarray
@@ -220,16 +220,12 @@ class MasterGenerator:
     mask: np.ndarray
     hbar: float
 
-    def rhs(self, X: np.ndarray) -> np.ndarray:
-        """The generator in U's basis, for any X."""
-        return (-1j / self.hbar) * (self.H @ X - X @ self.H) + self.mask * X
-
     def hermitian_rhs(self, X: np.ndarray) -> np.ndarray:
-        """:meth:`rhs` for an exactly Hermitian, C-contiguous X, from one
-        product: with B = -(i/hbar) H X, X H = (H X)^dag gives
-        L(X) = B + B^dag + mask o X, which is exactly Hermitian again.  A
-        real H takes one real GEMM on the float view of X, in which a
-        product from the left acts on rows only."""
+        """L(X) = -(i/hbar)(H X - X H) + mask o X for an exactly Hermitian,
+        C-contiguous X, from one product: with B = -(i/hbar) H X,
+        X H = (H X)^dag gives L(X) = B + B^dag + mask o X, which is exactly
+        Hermitian again.  A real H takes one real GEMM on the float view of
+        X, in which a product from the left acts on rows only."""
         B = np.matmul(self.H, X if self.H.dtype.kind == "c" else X.view(np.float64)).view(complex)
         B *= -1j / self.hbar
         out = B + B.conj().T
@@ -267,9 +263,6 @@ class MasterGenerator:
     def from_basis(self, X: np.ndarray) -> np.ndarray:
         return self.U @ X @ self.U.conj().T
 
-    def __call__(self, rho) -> np.ndarray:
-        return self.from_basis(self.rhs(self.to_basis(np.asarray(rho, dtype=complex))))
-
     @property
     def dim(self) -> int:
         return self.U.shape[0]
@@ -288,21 +281,9 @@ def master_generator(cfg: MasterConfig) -> MasterGenerator:
     return cfg._generator
 
 
-def superop_matrix(step, dim: int) -> np.ndarray:
-    """Dense row-major superoperator matrix of a linear map on dim x dim
-    matrices, built column by column from the elementary-matrix basis: the
-    independent reference of :meth:`MasterGenerator.superop`."""
-    cols = np.empty((dim * dim, dim * dim), dtype=complex)
-    basis = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim * dim):
-        basis.flat[j] = 1.0
-        cols[:, j] = step(basis).reshape(-1)
-        basis.flat[j] = 0.0
-    return cols
-
-
 def rk4_solve(gen: MasterGenerator, rho0, T: float, dt: float, record_times=None):
-    """Classic fourth-order integration of drho/dt = gen(rho).
+    """Classic fourth-order integration of drho/dt = L(rho), L the
+    averaged generator gen.
 
     rho0 must be Hermitian within HERMITICITY_TOL.  The state moves into the
     generator's basis U once and is symmetrized there once.  Then one of two
@@ -318,11 +299,10 @@ def rk4_solve(gen: MasterGenerator, rho0, T: float, dt: float, record_times=None
       that.
 
     Either way every step is exactly Hermitian with no further
-    symmetrization.  In 1000 steps on one thread the matrix took 2.4-3.4 ms
-    against 40-59 ms for the stages at D = 2 to 8, 16 against 67 ms at
-    D = 16, and 528 against 106 ms at D = 32.  States rotate back only at
-    record times, and a record at t = 0 returns rho0 as given.  The step
-    size must satisfy the stability bound dt * gen.norm <= RK4_BOUND.
+    symmetrization; the timings that set the crossover are quoted at
+    RK4_MATRIX_MAX_DIM.  States rotate back only at record times, and a
+    record at t = 0 returns rho0 as given.  The step size must satisfy the
+    stability bound dt * gen.norm <= RK4_BOUND.
     Returns (times, densities) at the requested record times (default: T).
     """
     if not isinstance(gen, MasterGenerator):

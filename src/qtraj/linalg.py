@@ -167,16 +167,21 @@ def hermitian_coordinates(A: np.ndarray) -> np.ndarray:
 
 
 def hermitian_from_coordinates(x: np.ndarray) -> np.ndarray:
-    """The Hermitian D x D matrix of the coordinates x (see
-    :func:`hermitian_coordinates`): the exact inverse on exactly Hermitian
-    matrices."""
-    D = math.isqrt(x.size)
+    """The Hermitian D x D matrices of a (D^2, ...) stack of coordinates x
+    (see :func:`hermitian_coordinates`), as a (D, D, ...) complex array: the
+    exact inverse on exactly Hermitian matrices."""
+    D = math.isqrt(x.shape[0])
     diag, up, lo = _hermitian_index(D)
-    flat = np.empty(D * D, dtype=complex)
+    flat = np.empty(x.shape, dtype=complex)
     flat[diag] = x[:D]
     flat[up] = x[D : D + up.size] + 1j * x[D + up.size :]
     flat[lo] = flat[up].conj()
-    return flat.reshape(D, D)
+    return flat.reshape(D, D, *x.shape[1:])
+
+
+def _real_if_exact(A: np.ndarray) -> np.ndarray:
+    """A as a real array when its imaginary part is exactly zero."""
+    return A if np.any(A.imag) else np.ascontiguousarray(A.real)
 
 
 def real_superop(S: np.ndarray) -> np.ndarray:

@@ -60,6 +60,7 @@ from .linalg import (
     HermitianOperator,
     StateVector,
     _check_particles,
+    _real_if_exact,
     as_matrix,
     embed_at_slot,
     embed_pair,
@@ -139,11 +140,6 @@ def _isotypic_blocks(d: int, M: int) -> list[tuple[np.ndarray, int]]:
     return blocks
 
 
-def _real_if_exact(A: np.ndarray) -> np.ndarray:
-    """A as a real array when its imaginary part is exactly zero."""
-    return A if np.any(A.imag) else np.ascontiguousarray(A.real)
-
-
 def _left(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """A X for a stack X whose last axis is contiguous.  A real A (see
     :func:`_real_if_exact`) times a complex X takes one real GEMM on the float
@@ -200,8 +196,9 @@ class ManyBodyConfig:
     The single-particle meter supplies kappa, R and the pointer packet; nu is
     the per-particle scattering intensity, so the merged observed stream has
     intensity M nu.  W, if given, is a pair potential on d^2 applied once to
-    every unordered pair of slots k < l; it must be symmetric under the swap
-    |i, j> <-> |j, i>, or the total Hamiltonian would single out a slot order.
+    every unordered pair of slots k < l; it must be a Hermitian operator
+    (checked as H_single is), symmetric under the swap |i, j> <-> |j, i>,
+    or the total Hamiltonian would single out a slot order.
     """
 
     M: int
@@ -227,7 +224,10 @@ class ManyBodyConfig:
         h = slot_sum(self.H_single.entries, self.M)
         if self.W is not None:
             d = self.d
-            W = as_matrix(self.W)
+            try:
+                W = HermitianOperator(as_matrix(self.W)).entries
+            except ValidationError as exc:
+                raise ValidationError(f"pair potential W: {exc}") from None
             if W.shape != (d * d, d * d):
                 raise ValidationError(
                     f"pair potential W must have shape {(d * d, d * d)}, got {W.shape}"

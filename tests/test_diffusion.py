@@ -34,10 +34,10 @@ from qtraj.diffusion import (
     _density_kernel,
     _density_spectra,
     _density_states,
-    _hermitian_index,
     _noise_chol,
 )
 from qtraj.ensemble import _CHUNK
+from qtraj.linalg import _hermitian_index
 from qtraj.rng import stream
 
 R01 = HermitianOperator(np.diag([0.0, 1.0]).astype(complex))

@@ -173,6 +173,20 @@ class TestConfigInvariants:
         with pytest.raises(ValidationError, match="swap-symmetric.*5.000e-01"):
             make_config(M=2, W=W)
 
+    @pytest.mark.parametrize("entries, message", [
+        ([(1, 1, np.nan)], "pair potential W: .*non-finite entries"),
+        ([(0, 3, 0.3)], r"pair potential W: .*not Hermitian: .* 3\.000e-01"),
+        ([(0, 1, 0.3), (1, 0, 0.3)], r"pair potential W is not swap-symmetric: .* 3\.000e-01"),
+    ], ids=["nan", "non-hermitian", "non-swap-symmetric"])
+    def test_invalid_pair_potential_rejected_when_built(self, entries, message):
+        # |0, 0> <-> |1, 1> is swap-symmetric, so only Hermiticity fails there;
+        # |0, 0> <-> |0, 1> is Hermitian, but the swap maps it to |0, 0> <-> |1, 0>.
+        W = np.zeros((4, 4), dtype=complex)
+        for i, j, value in entries:
+            W[i, j] = value
+        with pytest.raises(ValidationError, match=message):
+            make_config(M=2, W=W)
+
     def test_swap_symmetric_off_diagonal_pair_potential_accepted(self):
         W = np.zeros((4, 4), dtype=complex)
         W[1, 2] = W[2, 1] = 0.3  # exchange |0, 1> <-> |1, 0>

@@ -1,9 +1,14 @@
 """Property tests of engine invariants, drawn by hypothesis (skipped when it
 is not installed)."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,15 +19,17 @@ st = hypothesis.strategies
 from test_engine import TIMES, jump_setup, mixing_setup, same_columns, same_row  # noqa: E402
 from test_manybody import (block_spectrum_error, hopping_config,  # noqa: E402
                            invariant_density)
-from test_master import MODES, generator_error, master_case, random_hermitian  # noqa: E402
+from test_master import (MODES, general_map, generator_error, master_case,  # noqa: E402
+                         random_hermitian)
 
 from qtraj import (DensityMatrix, DiffusionConfig, HermitianOperator,  # noqa: E402
                    StateVector, ValidationError, evolve_coupled_sse, evolve_density,
                    evolve_diffusive_sse, evolve_jump, gaussian_pointer, mixing_reduction,
                    permutation_defect)
-from qtraj.cli import EQUATIONS, EXPERIMENTS, _resolved_for_hash, spec_from_dict  # noqa: E402
+from qtraj.cli import (EQUATIONS, EXPERIMENTS, OVERRIDES_READ, READS,  # noqa: E402
+                       _resolved_for_hash, main, spec_from_dict)
 from qtraj.diffusion import _coupled_batch  # noqa: E402
-from qtraj.ensemble import master_generator, superop_matrix  # noqa: E402
+from qtraj.ensemble import master_generator  # noqa: E402
 from qtraj.jumps import EventColumns, _jump_batch  # noqa: E402
 from qtraj.linalg import (embed_at_slot, hermitian_coordinates,  # noqa: E402
                           hermitian_from_coordinates, real_superop)
@@ -125,10 +132,11 @@ def test_master_generator_matches_reference_and_keeps_hermiticity(mode, d, M, an
                                                                  seed):
     assert generator_error(mode, d, M, angle, slope, seed) <= 1e-12
     gen = master_generator(master_case(mode, d, M, angle, slope, seed))
-    out = gen(random_hermitian(d ** M, np.random.default_rng(seed)))
+    D, S = d ** M, gen.superop()
+    out = (S @ random_hermitian(D, np.random.default_rng(seed)).reshape(-1)).reshape(D, D)
     assert np.max(np.abs(out - out.conj().T)) <= 1e-12 * np.max(np.abs(out))
     # The closed-form RK4 norm bounds the spectral norm of the superoperator.
-    assert np.linalg.norm(superop_matrix(gen, d ** M), 2) <= gen.norm * (1 + 1e-12)
+    assert np.linalg.norm(S, 2) <= gen.norm * (1 + 1e-12)
 
 
 @hypothesis.settings(max_examples=25, deadline=None)
@@ -147,7 +155,7 @@ def test_hermitian_stage_equals_the_general_generator(mode, d, M, angle, slope, 
     gen = master_generator(master_case(mode, d, M, angle, slope, seed, real_h))
     assert (gen.H.dtype == np.float64) == real_h
     X = random_hermitian(d ** M, np.random.default_rng(seed + 1))
-    got, ref = gen.hermitian_rhs(X), gen.rhs(X)
+    got, ref = gen.hermitian_rhs(X), general_map(gen, original_basis=False)(X)
     assert np.array_equal(got, got.conj().T)
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -160,6 +168,15 @@ def test_hermitian_coordinates_round_trip_and_carry_the_superoperator(D, n_kraus
     x = hermitian_coordinates(A)
     assert x.dtype == np.float64 and x.shape == (D * D,)
     assert np.array_equal(hermitian_from_coordinates(x), A)
+    # A stack of coordinates, one matrix per column, decodes to each matrix
+    # and to the decode of each column alone.
+    stack = [random_hermitian(D, rng) for _ in range(n_kraus + 1)]
+    cols = np.stack([hermitian_coordinates(B) for B in stack], axis=1)
+    decoded = hermitian_from_coordinates(cols)
+    assert decoded.shape == (D, D, len(stack))
+    for j, B in enumerate(stack):
+        assert np.array_equal(decoded[..., j], B)
+        assert np.array_equal(decoded[..., j], hermitian_from_coordinates(cols[:, j]))
     # X -> sum_k c_k K_k X K_k^dag with real c_k preserves Hermiticity; the
     # average with its mirror S[(j, i), (l, k)]^* makes it do so exactly.
     K = rng.standard_normal((n_kraus, D, D)) + 1j * rng.standard_normal((n_kraus, D, D))
@@ -337,3 +354,88 @@ def test_random_valid_specs_round_trip(raw, n_traj):
     assert spec_hash(_resolved_for_hash(again)) == spec_hash(_resolved_for_hash(spec))
     with pytest.raises(ValidationError, match=f"^n_traj must be >= 2, got {n_traj}$"):
         spec_from_dict({**raw, "n_traj": n_traj})
+
+
+# Runnable specs for the exit-code contract: each field an experiment reads
+# takes a usual value or, one time in eight, an edge value, valid or not.
+# Sizes stay at desk scale (d <= 3, T <= 0.2 at dt >= 1e-3, a few
+# trajectories), except n_traj and n_samples far beyond FUZZ_MEMORY, which
+# the size checks must reject before anything of that size is allocated.
+FUZZ_MEMORY = 2 ** 25
+FUZZ_PEAK = 2 * FUZZ_MEMORY
+FUZZ_FIELDS = {  # name: (usual values, edge values)
+    "T": ([0.02, 0.2], [1e-3, 0.0, math.inf]),
+    "dt": ([1e-3], [0.01, 0.3, -1e-3]),
+    "n_samples": ([1, 4], [10 ** 9]),
+    "n_traj": ([2, 3], [10 ** 12]),
+    "mode": (["normalized", "linear"], []),
+    "initial_state": (["uniform", "basis:1"], ["basis:3", [1.0, [0.0, 1.0]], [0.0, 0.0]]),
+    "observables": ([["R"], ["H", "projector:1"]], [["projector:3"]]),
+    "kick_lambdas": ([None, [0.0, 3.0]], [[-1e3]]),
+    "nus": ([[10.0, 100.0]], [[1.0], [100.0, 10.0]]),
+}
+FUZZ_OVERRIDES = {
+    "d": ([2, 3], [1]),
+    "M": ([1, 2], [4, 0, 5]),
+    "kappa": ([0.3, 1.0], [0.0, -1.0, 40.0]),
+    "nu": ([1.0, 5.0], [0.0, 30.0, -1.0]),
+    "gamma": ([1.0, 0.5], [0.0, 10.0]),
+    "hbar": ([1.0, 0.8], [0.05, 0.0]),
+    "pointer_points": ([256], [16, 8]),
+    "pointer_phase_slope": ([0.0, 0.7], []),
+    "interaction": (["nearest-neighbor", "none"], []),
+    "interaction_strength": ([0.5], [-2.0]),
+}
+
+
+@st.composite
+def run_specs(draw):
+    """A specification of any experiment that sets some of the fields and
+    overrides the experiment reads, from FUZZ_FIELDS and FUZZ_OVERRIDES."""
+    def pick(values):
+        usual, edges = values
+        return draw(st.sampled_from(edges if edges and draw(st.integers(0, 7)) == 0 else usual))
+
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    raw = {"experiment": experiment, "seed": draw(st.sampled_from([0, 1, 2 ** 64 - 1]))}
+    raw["preset"] = draw(st.sampled_from(["two-level", "lattice-particle", "two-atoms"]))
+    if experiment in EQUATIONS:
+        raw["equation"] = draw(st.sampled_from(EQUATIONS[experiment]))
+    for name in sorted(READS[experiment] & set(FUZZ_FIELDS)):
+        # T and the counts are always set: the defaults run for seconds.
+        if name in ("T", "n_traj", "n_samples") or draw(st.booleans()):
+            raw[name] = pick(FUZZ_FIELDS[name])
+    key = (experiment, raw["equation"]) if experiment in EQUATIONS else experiment
+    raw["overrides"] = {}
+    for name in sorted(OVERRIDES_READ[key] - {"d"}):
+        if draw(st.booleans()):
+            raw["overrides"][name] = pick(FUZZ_OVERRIDES[name])
+    if raw["preset"] == "lattice-particle":  # its own d = 8 is too large to run here
+        raw["overrides"]["d"] = pick(FUZZ_OVERRIDES["d"])
+    return raw
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(raw=run_specs())
+def test_every_run_exits_with_its_code(raw):
+    # A run ends in 0 or in the exit code of its SimulationError, with a
+    # one-line message and no traceback, and allocates nothing beyond the
+    # memory the size checks are told the machine has.
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        for module in ("cli", "ensemble", "diffusion"):
+            patch.setattr(f"qtraj.{module}.physical_memory", lambda: FUZZ_MEMORY)
+        path = Path(tmp, "spec.json")
+        path.write_text(json.dumps(raw))
+        err = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stderr(err):
+                code = main([raw["experiment"], "--spec", str(path), "--out", tmp])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code in (0, 2, 3, 4)
+    message = err.getvalue()
+    assert (message == "") == (code == 0)
+    assert code == 0 or message.startswith("error: ") and message.count("\n") == 1, message
+    assert peak < FUZZ_PEAK

@@ -274,7 +274,7 @@ def test_rk4_stage_makes_one_product_and_adds_its_adjoint():
                if isinstance(n, ast.Assign) and product_count(n.value) for t in n.targets]
     assert product and adjoints(stage) == product
     # The check sees products: the general map makes two, with no adjoint.
-    general = method(path, "MasterGenerator", "rhs")
+    general = ast.parse("out = (-1j / hbar) * (H @ X - X @ H) + mask * X")
     assert product_count(general) == 2 and adjoints(general) == []
     assert product_count(ast.parse("y = np.einsum('ij,jk', a, b) @ c")) == 2
 
