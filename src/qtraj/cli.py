@@ -175,7 +175,8 @@ class RunSpec:
       lattice-particle takes a d other than its own), M (1 to
       ``MAX_PARTICLES``), kappa, nu >= 0, gamma, hbar > 0 (1),
       pointer_points >= 16 (1024), pointer_phase_slope (0), interaction
-      "none" (default) or "nearest-neighbor", interaction_strength (0.5).
+      "none" (default) or "nearest-neighbor", interaction_strength (0.5);
+      stored converted, so {"nu": 5} and {"nu": 5.0} hash alike.
     - T > 0 (1): final time; dt > 0 (1e-3): step of diffuse, master and
       bridge; n_samples >= 1 (10): record times T/n, 2T/n, ..., T.
     - mode: "normalized" (default) or "linear" jump and mixing trajectories.
@@ -241,7 +242,7 @@ class RunSpec:
                 self.equation in allowed,
                 f"equation must be one of {allowed} for {self.experiment} runs",
             )
-        _model_overrides(self.overrides)
+        self.overrides = _model_overrides(self.overrides)
 
 
 def _model_overrides(overrides: dict) -> dict:
@@ -311,7 +312,7 @@ def _check_fields_read(spec: RunSpec):
     # Of the runs that get here, many and jump-averaged master take the pair
     # potential; they read it only for M > 1, and its strength only for the
     # nearest-neighbor potential.
-    ov = _model_overrides(spec.overrides)
+    ov = spec.overrides
     pair = sorted(set(ov) & {"interaction", "interaction_strength"})
     _require(
         not pair or ov.get("M", get_preset(spec.preset, d=ov.get("d")).M) > 1,
@@ -367,7 +368,7 @@ def _parse_scalar(x) -> complex:
 
 
 def _resolve_model(spec: RunSpec) -> _Model:
-    ov = _model_overrides(spec.overrides)
+    ov = spec.overrides
     preset = get_preset(spec.preset, d=ov.get("d"))
     meter = preset_meter(
         preset, kappa=ov.get("kappa"), n_points=ov.get("pointer_points", DEFAULT_GRID_SIZE),

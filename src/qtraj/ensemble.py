@@ -15,11 +15,11 @@ average folded in), and the diffusive equation averages to the Lindblad form
 Both are evaluated in the product eigenbasis of the measured observable,
 where each is a commutator with the rotated Hamiltonian plus a Hadamard
 product with a fixed mask (see :class:`MasterConfig`); :func:`rk4_solve`
-rotates into that basis once and steps there, with one of two kernels
-chosen by size alone: up to D = RK4_MATRIX_MAX_DIM = 16 each step is one
-precomputed real D^2 x D^2 matrix on the state's Hermitian coordinates,
-and above it each RK4 stage is one D x D product (the timings that place
-the crossover are quoted at RK4_MATRIX_MAX_DIM).
+rotates into that basis once and takes one RK4 step a loop pass there,
+chosen by size alone: up to D = RK4_MATRIX_MAX_DIM = 16 the step is
+tabulated as one real D^2 x D^2 matrix on the state's Hermitian
+coordinates, and above it applied through four D x D products (the
+timings that place the crossover are quoted at RK4_MATRIX_MAX_DIM).
 
 Ensembles run through one chunk runner, :func:`run_trajectories`, in
 contiguous blocks of trajectory indices.  Each block is one batch of its
@@ -71,12 +71,12 @@ from .meter import MeterModel, build_gaussian_meter
 MASTER_MODES = ("jump-averaged", "diffusive")
 # Stability bound of rk4_solve on dt * ||generator||.
 RK4_BOUND = 0.1
-# rk4_solve steps D <= RK4_MATRIX_MAX_DIM as one real D^2 x D^2 product per
-# step, larger D through the one-product stage loop.  1000 steps on one
-# thread, the matrix build included: D = 2 to 8 took 40-59 ms in the stage
-# loop, nearly all numpy call overhead, and 2.4-3.4 ms as a product; D = 16
-# took 67 ms against 16 ms, D = 32 106 ms against 528 ms, as the product
-# grows like D^4 and its build like D^6.
+# rk4_solve takes its RK4 step for D <= RK4_MATRIX_MAX_DIM as one real
+# D^2 x D^2 product, for larger D as four hermitian_rhs products.  1000
+# steps on one thread, the matrix build included: D = 2 to 8 took 40-59 ms
+# through hermitian_rhs, nearly all numpy call overhead, and 2.4-3.4 ms as
+# a product; D = 16 took 67 ms against 16 ms, D = 32 106 ms against 528 ms,
+# as the product grows like D^4 and its build like D^6.
 RK4_MATRIX_MAX_DIM = 16
 # Rows per batch, and the byte budget of one mixing batch's rows of S_M
 # copy blocks, C(d^2 + M - 1, M) entries each: 48 rows at D = 64 and 10 at
@@ -209,10 +209,10 @@ class MasterGenerator:
     array when its imaginary part is exactly zero (see :class:`MasterConfig`).
     :meth:`superop` is the D^2 x D^2 matrix of L in closed form, in U's
     basis or in the original one, where the generator acts as
-    rho -> U L(U^dag rho U) U^dag.  :func:`rk4_solve` has two kernels: up
-    to RK4_MATRIX_MAX_DIM it steps the real matrix :meth:`rk4_matrix` of one
-    whole RK4 step, and above it :meth:`hermitian_rhs`, the one-product
-    stage on exactly Hermitian states.
+    rho -> U L(U^dag rho U) U^dag.  :func:`rk4_solve` takes one RK4 step
+    in one of two forms: up to RK4_MATRIX_MAX_DIM the real matrix
+    :meth:`rk4_matrix` of the step, and above it the same step applied
+    through :meth:`hermitian_rhs`, one product on exactly Hermitian states.
     """
 
     U: np.ndarray
@@ -245,17 +245,11 @@ class MasterGenerator:
         return W @ L @ W.conj().T
 
     def rk4_matrix(self, dt: float) -> np.ndarray:
-        """One classic RK4 step of size dt in U's basis, for this
-        time-independent generator the polynomial
-        P = I + dt L (I + (dt/2) L (I + (dt/3) L (I + (dt/4) L))), as the
-        real matrix of :func:`qtraj.linalg.real_superop` on Hermitian
-        coordinates."""
+        """One classic RK4 step of size dt in U's basis, :func:`_rk4_step`
+        applied to the identity, as the real matrix of
+        :func:`qtraj.linalg.real_superop` on Hermitian coordinates."""
         L = real_superop(self.superop(original_basis=False))
-        eye = np.eye(L.shape[0])
-        P = eye + (dt / 4.0) * L
-        for k in (3.0, 2.0, 1.0):
-            P = eye + (dt / k) * (L @ P)
-        return P
+        return _rk4_step(partial(np.matmul, L), np.eye(L.shape[0]), dt)
 
     def to_basis(self, rho: np.ndarray) -> np.ndarray:
         return self.U.conj().T @ rho @ self.U
@@ -281,22 +275,35 @@ def master_generator(cfg: MasterConfig) -> MasterGenerator:
     return cfg._generator
 
 
+def _rk4_step(apply, x: np.ndarray, dt: float) -> np.ndarray:
+    """One classic RK4 step of size dt from x for dx/dt = L(x), L = apply
+    linear and time-independent: the degree-4 Taylor polynomial of
+    exp(dt L) on x, x + dt L(x + (dt/2) L(x + (dt/3) L(x + (dt/4) L(x))))."""
+    y = x
+    for k in (4.0, 3.0, 2.0, 1.0):
+        y = apply(y)
+        y *= dt / k
+        y += x
+    return y
+
+
 def rk4_solve(gen: MasterGenerator, rho0, T: float, dt: float, record_times=None):
     """Classic fourth-order integration of drho/dt = L(rho), L the
     averaged generator gen.
 
     rho0 must be Hermitian within HERMITICITY_TOL.  The state moves into the
-    generator's basis U once and is symmetrized there once.  Then one of two
-    kernels takes the same RK4 steps, chosen by size alone:
+    generator's basis U once and is symmetrized there once.  Then one loop
+    takes the classic RK4 step :func:`_rk4_step`, in one of two forms chosen
+    by size alone:
 
-    * D <= RK4_MATRIX_MAX_DIM: the generator does not depend on time, so a
+    * D <= RK4_MATRIX_MAX_DIM: the generator does not depend on time, so the
       step is the fixed real D^2 x D^2 matrix
       :meth:`MasterGenerator.rk4_matrix` on the state's Hermitian
       coordinates, one matrix-vector product per step;
-    * larger D: each stage is :meth:`MasterGenerator.hermitian_rhs`, one
-      D x D product plus one Hadamard product.  Its output is exactly
-      Hermitian for an exactly Hermitian input, and real-weighted sums keep
-      that.
+    * larger D: the step applies :meth:`MasterGenerator.hermitian_rhs`, one
+      D x D product plus one Hadamard product, to the state itself.  Its
+      output is exactly Hermitian for an exactly Hermitian input, and
+      real-weighted sums keep that.
 
     Either way every step is exactly Hermitian with no further
     symmetrization; the timings that set the crossover are quoted at
@@ -336,32 +343,15 @@ def rk4_solve(gen: MasterGenerator, rho0, T: float, dt: float, record_times=None
     rho = gen.to_basis(arr)
     rho = 0.5 * (rho + rho.conj().T)
     if gen.dim <= RK4_MATRIX_MAX_DIM:
-        P = gen.rk4_matrix(dt)
-        x = hermitian_coordinates(rho)
-        y = np.empty_like(x)
-        for s in range(n_steps):
-            np.matmul(P, x, out=y)
-            x, y = y, x
-            for j in rec_map.get(s + 1, []):
-                out[j] = gen.from_basis(hermitian_from_coordinates(x))
-        return times, out
-    step = gen.hermitian_rhs
-    half, sixth = 0.5 * dt, dt / 6.0
+        step = partial(np.matmul, gen.rk4_matrix(dt))
+        x, decode = hermitian_coordinates(rho), hermitian_from_coordinates
+    else:
+        step = partial(_rk4_step, gen.hermitian_rhs, dt=dt)
+        x, decode = rho, np.asarray
     for s in range(n_steps):
-        k1 = step(rho)
-        k2 = step(rho + half * k1)
-        k3 = step(rho + half * k2)
-        k4 = step(rho + dt * k3)
-        # rho += (dt / 6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
-        k2 *= 2.0
-        k3 *= 2.0
-        k1 += k2
-        k1 += k3
-        k1 += k4
-        k1 *= sixth
-        rho += k1
+        x = step(x)
         for j in rec_map.get(s + 1, []):
-            out[j] = gen.from_basis(rho)
+            out[j] = gen.from_basis(decode(x))
     return times, out
 
 
@@ -433,7 +423,8 @@ def run_trajectories(
     final states are dropped as it returns (a caller that needs them runs
     the batch), and the blocks' columns are concatenated in index order.
     Event rows are bit-identical in any block, so a block holds at most
-    _CHUNK rows and a 1/n_workers share (mixing rows: at most
+    _CHUNK rows and a 1/n share, n being n_workers capped at
+    :func:`usable_cpus` (mixing rows: at most
     _MIXING_BATCH_BYTES of them, sized from the copy-block row, not from the
     D x D density); density paths agree with other batch sizes only to
     rounding, so a diffusion block holds _CHUNK paths whatever n_workers.
@@ -444,7 +435,8 @@ def run_trajectories(
     if isinstance(cfg, DiffusionConfig) and sample_times is None:
         sample_times = [T]
     check_result_size(n_traj, 0 if sample_times is None else np.size(sample_times), len(obs))
-    share = -(-n_traj // max(n_workers, 1))
+    n_workers = max(1, min(n_workers, usable_cpus()))
+    share = -(-n_traj // n_workers)
     kw = {"sample_times": sample_times, "observables": obs}
     if isinstance(cfg, JumpConfig):
         if equation is not None:
@@ -532,8 +524,7 @@ def usable_cpus() -> int:
 
 
 def _map_chunks(worker, chunks, n_workers: int):
-    """worker over chunks in order, on at most n_workers threads and CPUs."""
-    n_workers = min(n_workers, usable_cpus())
+    """worker over chunks in order, on n_workers threads."""
     if n_workers <= 1:
         return [worker(c) for c in chunks]
     with ThreadPoolExecutor(max_workers=n_workers) as ex:

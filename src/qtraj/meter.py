@@ -313,13 +313,13 @@ class MeterModel:
         return (np.abs(self.packet_matrix) ** 2) @ (np.abs(et) ** 2)
 
     def posterior_state(self, eta: StateVector, lam: float) -> StateVector:
-        """Conditioned state G(lambda) eta / ||G(lambda) eta||."""
-        g = self.reduction(lam)
-        psi = g @ eta.amps
+        """Conditioned state G(lambda) eta / ||G(lambda) eta|| = F(lambda) eta /
+        ||F(lambda) eta||, which needs no f0(lambda) and so holds where it vanishes."""
+        psi = self.localizer(lam) @ eta.amps
         n = float(np.linalg.norm(psi))
         if n < 1e-12:
             raise NumericError(
-                f"zero-likelihood outcome lambda={float(lam)}: ||G eta|| = {n:.3e}"
+                f"zero-likelihood outcome lambda={float(lam)}: ||F eta|| = {n:.3e}"
             )
         return StateVector(psi / n)
 

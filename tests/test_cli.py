@@ -226,6 +226,16 @@ class TestRunSpec:
         spec = spec_from_dict({"experiment": experiment})
         assert spec_hash(_resolved_for_hash(spec)) == DEFAULT_SPEC_HASHES[experiment]
 
+    def test_override_spellings_of_one_value_give_one_manifest(self, tmp_path):
+        manifests = []
+        for nu in (5, 5.0):
+            spec = write_spec(tmp_path / "s.json", experiment="kick", overrides={"kappa": nu})
+            out = tmp_path / str(nu)
+            assert main(["kick", "--spec", str(spec), "--out", str(out)]) == 0
+            manifests.append((out / "manifest.json").read_text())
+        assert manifests[0] == manifests[1]
+        assert json.loads(manifests[0])["resolved"]["overrides"] == {"kappa": 5.0}
+
     def test_experiment_dependent_defaults(self):
         assert spec_from_dict({"experiment": "many"}).preset == "two-atoms"
         assert spec_from_dict({"experiment": "master"}).equation == "jump-averaged"
@@ -286,6 +296,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, text, message", [
+        pytest.param("kick", None, "specification file not found: ", id="missing-file"),
+        pytest.param("kick", '{"experiment": "kick",\n  "T": }',
+                     "at line 2, column 8: Expecting value", id="malformed-json"),
+        pytest.param("kick", '{"experiment": "kick", "initial_state": "bogus"}',
+                     "initial_state must be 'uniform', 'basis:k' or an amplitude list, "
+                     "got 'bogus'", id="initial-state-name"),
+        pytest.param("jump", '{"experiment": "jump", "observables": ["Q"]}',
+                     "observable 'Q' not recognized", id="observable-name"),
+        pytest.param("jump", '{"experiment": "jump", "observables": [5]}',
+                     "bad observable entry: 5", id="observable-number"),
+    ])
+    def test_spec_file_error_exits_2(self, tmp_path, capsys, command, text, message):
+        spec = tmp_path / "s.json"
+        if text is not None:
+            spec.write_text(text)
+        assert main([command, "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
 
     @pytest.mark.parametrize("only, message", [
         ("x", "invalid --only"),
@@ -514,6 +544,19 @@ class TestSpecForms:
             post = meter.posterior_state(eta, lam).amps
             got = [table[f"re_{i}"][j] + 1j * table[f"im_{i}"][j] for i in range(2)]
             assert np.max(np.abs(np.array(got) - post)) <= 1e-12
+
+    @pytest.mark.parametrize("kappa", [6.0, 40.0])
+    def test_kick_where_the_pointer_vanishes(self, tmp_path, kappa):
+        # The upper quartile of the bimodal outcome density lies near
+        # lambda = kappa, where f0(lambda) is below 1e-12; the posterior there
+        # is the R = 1 eigenstate.
+        out = self.run(tmp_path, "kick", overrides={"kappa": kappa})
+        meter = preset_meter(get_preset("two-level"), kappa=kappa)
+        table = read_table(out / "kick_posteriors.tsv")
+        lam = table["lambda"][2]
+        assert abs(meter.pointer.evaluate(lam)) < 1e-12
+        got = [table[f"re_{i}"][2] + 1j * table[f"im_{i}"][2] for i in range(2)]
+        assert np.max(np.abs(np.array(got) - [0.0, 1.0])) <= 1e-12
 
     @pytest.mark.parametrize("M", [1, 2])
     def test_projector_and_inline_observables(self, tmp_path, M):

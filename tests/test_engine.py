@@ -138,7 +138,8 @@ class TestRunTrajectories:
 
     def test_thread_pool_capped_at_usable_cpus(self, monkeypatch):
         # A stand-in pool records its size and maps serially, so no thread
-        # starts; the chunks stay one row each, as 100 000 workers ask.
+        # starts; the chunks are sized for the 3 usable CPUs, not for the
+        # 100 000 workers asked for.
         sizes, chunks = [], []
 
         class SerialPool:
@@ -160,7 +161,7 @@ class TestRunTrajectories:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         cfg, eta, obs = jump_setup("normalized")
         cols = run_trajectories(cfg, eta, 1.0, 40, obs, TIMES, n_workers=100_000)
-        assert sizes == [3] and chunks == [1] * 40
+        assert sizes == [3] and chunks == [14, 14, 12]
         assert same_columns(cols, run_trajectories(cfg, eta, 1.0, 40, obs, TIMES))
 
 

@@ -235,10 +235,10 @@ def test_rows_product_multiplies_by_the_step_unitary():
     assert [p.args[1] for p in products if getattr(p.args[1], "id", "") == "UT"] == reads
 
 
-# The RK4 oracle makes one D x D product per stage: MasterGenerator's
-# hermitian_rhs takes X H as the adjoint (H X)^dag of its one product, which
-# holds on the exactly Hermitian states rk4_solve keeps, so its step loop
-# makes no product and no symmetrization of its own.
+# The RK4 oracle makes one D x D product per application of the generator:
+# MasterGenerator's hermitian_rhs takes X H as the adjoint (H X)^dag of its
+# one product, which holds on the exactly Hermitian states rk4_solve keeps,
+# so its step loop makes no product and no symmetrization of its own.
 STAGE = "hermitian_rhs"
 
 
@@ -279,67 +279,96 @@ def test_rk4_stage_makes_one_product_and_adds_its_adjoint():
     assert product_count(ast.parse("y = np.einsum('ij,jk', a, b) @ c")) == 2
 
 
-def test_rk4_steps_the_hermitian_stage_with_no_product():
-    solve = definition(PACKAGE / "ensemble.py", "rk4_solve")
-    step = [n for n in ast.walk(solve) if isinstance(n, ast.Assign)
-            and [getattr(t, "id", None) for t in n.targets] == ["step"]]
-    assert [getattr(n.value, "attr", None) for n in step] == [STAGE]
-    loop = next(n for n in solve.body if isinstance(n, ast.For)
-                and getattr(getattr(n.iter, "func", None), "id", None) == "range")
-    stages = [n for n in ast.walk(loop) if isinstance(n, ast.Call)
-              and getattr(n.func, "id", None) == "step"]
-    assert len(stages) == 4
-    assert product_count(loop) == 0 and adjoints(loop) == []
-    # rk4_solve symmetrizes once, before its loop.
-    assert adjoints(solve) == ["rho"]
+# rk4_solve has one step loop.  Before it, the step is chosen by size: the
+# step matrix, built once, or the one RK4 helper over hermitian_rhs.  The
+# loop only applies the step and records, with no product, adjoint,
+# conjugate or transpose of its own.
+STEP_HELPER = "_rk4_step"
+STEPS = {"partial(np.matmul, gen.rk4_matrix(dt))", f"partial({STEP_HELPER}, gen.{STAGE}, dt=dt)"}
+LOOP_CALLS = {"range", "step", "get", "from_basis", "decode"}
 
 
-# Up to RK4_MATRIX_MAX_DIM, rk4_solve steps with a step matrix built before
-# its loop: each step is one product with that matrix, which the loop reads
-# and never assigns, with no adjoint, no conjugate and no transpose.
-MATRIX_LOOP_CALLS = {"matmul", "get", "from_basis", "hermitian_from_coordinates"}
+def step_loops(solve: ast.FunctionDef) -> list[ast.For]:
+    """The loops over range in rk4_solve."""
+    return [n for n in ast.walk(solve) if isinstance(n, ast.For)
+            and getattr(getattr(n.iter, "func", None), "id", None) == "range"]
 
 
-def matrix_step_loop(solve: ast.FunctionDef) -> ast.For:
-    """The loop over range of rk4_solve that is not its stage loop."""
-    return next(n for n in ast.walk(solve) if isinstance(n, ast.For) and n not in solve.body
-                and getattr(getattr(n.iter, "func", None), "id", None) == "range")
-
-
-def matrix_loop_faults(loop: ast.For) -> list[str]:
-    """What keeps a loop from being one product per step with a fixed matrix."""
+def step_loop_faults(loop: ast.For) -> list[str]:
+    """What keeps a loop from only applying a step chosen before it."""
     faults = []
-    if product_count(loop) != 1:
+    if product_count(loop):
         faults.append("products")
-    matmuls = [n for n in ast.walk(loop) if isinstance(n, ast.Call)
-               and getattr(n.func, "attr", None) == "matmul"]
-    stored = {n.id for n in ast.walk(loop) if isinstance(n, ast.Name)
-              and isinstance(n.ctx, ast.Store)}
-    if not matmuls or getattr(matmuls[0].args[0], "id", None) in stored:
-        faults.append("matrix assigned in the loop")
     if called(loop, {"conj", "transpose"}) or any(
             isinstance(n, ast.Attribute) and n.attr == "T" for n in ast.walk(loop)):
         faults.append("symmetrization")
+    stored = {n.id for n in ast.walk(loop) if isinstance(n, ast.Name)
+              and isinstance(n.ctx, ast.Store)}
+    if "step" in stored:
+        faults.append("step assigned in the loop")
     extra = {getattr(n.func, "id", getattr(n.func, "attr", None)) for n in ast.walk(loop)
-             if isinstance(n, ast.Call)} - MATRIX_LOOP_CALLS - {"range"}
+             if isinstance(n, ast.Call)} - LOOP_CALLS
     if extra:
         faults.append(f"calls {sorted(extra)}")
     return faults
 
 
-def test_rk4_matrix_kernel_makes_one_product_per_step():
+def applications(fn: ast.FunctionDef) -> int | None:
+    """How many times fn calls its first argument, a call in a loop over a
+    literal tuple or list counting once per element; None for a call in any
+    other loop."""
+    name = fn.args.args[0].arg
+    parents = {child: node for node in ast.walk(fn) for child in ast.iter_child_nodes(node)}
+    total = 0
+    for call in ast.walk(fn):
+        if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) == name):
+            continue
+        times, node = 1, call
+        while node is not fn:
+            node = parents[node]
+            if isinstance(node, (ast.While, ast.comprehension)):
+                return None
+            if isinstance(node, ast.For):
+                if not isinstance(node.iter, (ast.Tuple, ast.List)):
+                    return None
+                times *= len(node.iter.elts)
+        total += times
+    return total
+
+
+def test_rk4_solve_applies_a_fixed_step_in_one_loop():
     solve = definition(PACKAGE / "ensemble.py", "rk4_solve")
-    loop = matrix_step_loop(solve)
-    assert matrix_loop_faults(loop) == []
-    # The step matrix comes from the generator, once, before the loop.
-    assert [n.value.func.attr for n in ast.walk(solve) if isinstance(n, ast.Assign)
-            and [getattr(t, "id", None) for t in n.targets] == ["P"]] == ["rk4_matrix"]
-    # The check sees a rebuilt matrix, an added adjoint and a second product.
-    for body, fault in (("P = gen.rk4_matrix(dt)\n    np.matmul(P, x, out=y)", "assigned"),
-                        ("np.matmul(P, x, out=y)\n    y += y.conj().T", "symmetrization"),
-                        ("np.matmul(P, x, out=y)\n    y = P @ y", "products")):
+    loops = step_loops(solve)
+    assert len(loops) == 1 and loops[0] in solve.body
+    assert step_loop_faults(loops[0]) == []
+    # Both steps are chosen before the loop, the step matrix built once.
+    steps = [n.value for n in ast.walk(solve) if isinstance(n, ast.Assign)
+             and [getattr(t, "id", None) for t in n.targets] == ["step"]]
+    assert len(steps) == 2 and {ast.unparse(v) for v in steps} == STEPS
+    assert sum(1 for n in ast.walk(solve) if isinstance(n, ast.Attribute)
+               and n.attr == "rk4_matrix") == 1
+    # rk4_solve symmetrizes once, before its loop.
+    assert adjoints(solve) == ["rho"]
+    # The check sees a rebuilt step, an added adjoint and a product.
+    for body, fault in (("step = partial(np.matmul, gen.rk4_matrix(dt))\n    x = step(x)",
+                         "assigned"),
+                        ("x = step(x)\n    x += x.conj().T", "symmetrization"),
+                        ("x = step(x)\n    x = P @ x", "products")):
         mutant = ast.parse(f"for s in range(n_steps):\n    {body}\n").body[0]
-        assert any(fault in f for f in matrix_loop_faults(mutant))
+        assert any(fault in f for f in step_loop_faults(mutant))
+
+
+def test_rk4_step_is_written_once_and_applies_its_map_four_times():
+    path = PACKAGE / "ensemble.py"
+    assert applications(definition(path, STEP_HELPER)) == 4
+    # The step matrix is the same helper applied to the identity.
+    assert called(method(path, "MasterGenerator", "rk4_matrix"), {STEP_HELPER}) == {STEP_HELPER}
+    # The check counts loops: three elements, or one more call after the loop.
+    three = "def h(apply, x):\n    for k in (3, 2, 1):\n        x = apply(x)\n"
+    five = ("def h(apply, x):\n    for k in (4, 3, 2, 1):\n        x = apply(x)\n"
+            "    return apply(x)\n")
+    unknown = "def h(apply, x):\n    for k in range(4):\n        x = apply(x)\n"
+    assert [applications(ast.parse(t).body[0]) for t in (three, five, unknown)] == [3, 5, None]
 
 
 # A mixing event stays in copy coordinates: the kernel methods it runs
