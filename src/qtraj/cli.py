@@ -10,7 +10,9 @@ and diffuse share one runner: ``timeseries.tsv`` holds the statistics of
 ``trajectories.jsonl`` one record per trajectory.  A ``master`` run also
 records its RK4 stability margin, dt * ||generator|| against the bound,
 under ``diagnostics`` in the manifest.  Outputs are byte-identical for a
-fixed specification and seed, independent of the worker count.
+fixed specification and seed, independent of the worker count.  A runner
+writes its files once its run has finished, and the first file written
+makes the output directory, so a rejected run leaves no directory behind.
 
 Exit codes: 0 success, 2 configuration errors, 3 numerical errors,
 4 capacity errors.
@@ -29,9 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffusion import DiffusionConfig
+from .diffusion import EQUATIONS as DIFFUSION_EQUATIONS, DiffusionConfig
 from .ensemble import (
-    DIFFUSION_EQUATIONS,
     MASTER_MODES,
     RK4_BOUND,
     MasterConfig,
@@ -459,10 +460,8 @@ def _run_kick(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
     meter = model.meter
     eta = model.eta_single
     p = meter.output_density(eta)
-    weights = meter.pointer.weights
-    write_table(outdir / "kick_density.tsv", meta, [("lambda", meter.grid), ("density", p)])
     if spec.kick_lambdas is None:
-        cdf = np.cumsum(p * weights)
+        cdf = np.cumsum(p * meter.pointer.weights)
         cdf /= cdf[-1]
         lams = [
             float(meter.grid[int(np.searchsorted(cdf, q))]) for q in (0.25, 0.5, 0.75)
@@ -474,6 +473,7 @@ def _run_kick(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
     for i in range(model.d):
         cols.append((f"re_{i}", np.array([ps.amps[i].real for ps in posts])))
         cols.append((f"im_{i}", np.array([ps.amps[i].imag for ps in posts])))
+    write_table(outdir / "kick_density.tsv", meta, [("lambda", meter.grid), ("density", p)])
     write_table(outdir / "kick_posteriors.tsv", meta, cols)
 
 
@@ -561,7 +561,6 @@ def execute(spec: RunSpec) -> int:
     _check_fields_read(spec)
     model = _resolve_model(spec)
     outdir = Path(spec.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     resolved = _resolved_for_hash(spec)
     meta = {"spec_hash": spec_hash(resolved), "seed": spec.seed}
     runner = {

@@ -56,14 +56,14 @@ VR^dag exp(-i H dt / hbar) VR.  The rows are one (d, n) array, each
 component contiguous over the n paths, and the unitary is applied by
 _rows_product as a sum of elementwise products, component k ascending, the
 row operand first (numpy's SIMD complex multiply rounds a * b and b * a
-differently).  The density equation has its own, _density_states.  The
-kernels run as a batch of one by evolve_diffusive_sse / evolve_coupled_sse /
-evolve_diffusive_density, and in fixed blocks of paths by
-ensemble.run_trajectories, whose batches (_coupled_batch, _density_batch)
-return event-engine columns without events.  Every path draws from its own
-stream; state paths are bit-identical in any batch (their products are
-elementwise sums), density ones agree to rounding (their step is a BLAS
-product).
+differently).  The density equation has its own, _density_states.  Each
+of the three EQUATIONS runs through one batch function, _diffusion_batch,
+which returns event-engine columns without events: in fixed blocks of
+paths from ensemble.run_trajectories, and as a batch of one from
+evolve_diffusive_sse / evolve_coupled_sse / evolve_diffusive_density.
+Every path draws from its own stream; state paths are bit-identical in any
+batch (their products are elementwise sums), density ones agree to
+rounding (their step is a BLAS product).
 """
 
 from __future__ import annotations
@@ -97,6 +97,7 @@ from .rng import generators
 
 BLOWUP_LIMIT = 1e6
 POSITIVITY_TOL = 1e-6
+EQUATIONS = ("linear", "coupled", "density")
 # Steps per normal draw and per run of step factors (for 512 paths: 2 MB of
 # normals, and 1 MB of real density factors at D = 4).
 _DRAW_BLOCK = 256
@@ -331,54 +332,6 @@ def _coupled_states(
     return rec, out
 
 
-def _coupled_batch(cfg, eta, T, indices, sample_times, observables, equation="coupled"):
-    """State-equation paths as columns (no events): weights[i, s] =
-    ||chi||^2 and values[o, i, s] the normalized expectation of observable o.
-    Rows are reduced one by one as in :func:`_single_path`, so a path's
-    values do not depend on the batch it ran in."""
-    states = _coupled_states(cfg, eta, T, indices, sample_times, equation)[1]
-    n, n_times, d = states.shape
-    flat = states.reshape(n * n_times, d)
-    n2 = np.einsum("ni,ni->n", flat.conj(), flat).real
-    values = np.empty((len(observables), n * n_times))
-    for o, X in enumerate(observables.values()):
-        values[o] = np.einsum("ni,ij,nj->n", flat.conj(), X, flat).real / n2
-    return EventColumns(indices=np.array(indices, dtype=np.intp), weights=n2.reshape(n, n_times),
-                        sample_times=np.asarray(sample_times, dtype=float),
-                        names=tuple(observables), values=values.reshape(-1, n, n_times))
-
-
-def _single_path(equation, cfg, eta, T, index, record_times) -> StatePath:
-    """Path `index` as a batch of one, recorded at record_times (default: T)."""
-    rec, states = _coupled_states(
-        cfg, eta, T, [index], [T] if record_times is None else record_times, equation
-    )
-    chi = states[0]
-    return StatePath(rec * cfg.dt, chi, np.einsum("ni,ni->n", chi.conj(), chi).real)
-
-
-def evolve_diffusive_sse(
-    cfg: DiffusionConfig, eta: StateVector, T: float, index: int = 0, record_times=None
-) -> StatePath:
-    """One path of the linear diffusive state equation, a batch of one of
-    :func:`_coupled_states`: per step the Euler-Maruyama factor of the
-    measurement terms, then the exact unitary exp(-i H dt / hbar)."""
-    return _single_path("linear", cfg, eta, T, index, record_times)
-
-
-def evolve_coupled_sse(
-    cfg: DiffusionConfig, eta: StateVector, T: float, index: int = 0, record_times=None
-) -> StatePath:
-    """One unitary-dilation path, a batch of one of :func:`_coupled_states`:
-    per step the exact phase factor exp((i/hbar) gamma R du), then
-    exp(-i H dt / hbar).
-
-    Pathwise norm-preserving; R-populations are exactly conserved whenever
-    [R, H] = 0 because the noise acts as an R-generated phase.
-    """
-    return _single_path("coupled", cfg, eta, T, index, record_times)
-
-
 def _density_kernel(cfg: DiffusionConfig):
     """Stepping data in the eigenbasis of the mean coupling operator Rbar,
     in real Hermitian coordinates.
@@ -545,11 +498,72 @@ def _density_spectra(rhos: np.ndarray, seed: int, indices, times):
     return trace, spectrum_entropy(eigs), min_eig
 
 
+def _diffusion_batch(cfg: DiffusionConfig, initial, T: float, equation: str, indices,
+                     sample_times=None, observables=None) -> EventColumns:
+    """Paths of one diffusive equation at the given indices, one batch of
+    its kernel (:func:`_coupled_states` for "linear" and "coupled",
+    :func:`_density_states` for "density"), recorded at sample_times
+    (default: T).  Returns columns without events: weights[i, s] the
+    squared norm ||chi||^2 (the trace Tr rho), values[o, i, s] the
+    normalized expectation of observable o, states[i, s] the recorded
+    state, and for densities entropy and min_eig.  Rows are reduced one by
+    one, so a path's series do not depend on the batch it ran in."""
+    if equation not in EQUATIONS:
+        raise ValidationError(f"diffusion ensembles need equation= one of "
+                              f"{EQUATIONS}, got {equation!r}")
+    times = np.asarray([T] if sample_times is None else sample_times, dtype=float)
+    obs = observables or {}
+    extra = {}
+    if equation == "density":
+        states = _density_states(cfg, initial, T, indices, times)[1]
+        weights, entropy, min_eig = _density_spectra(states, cfg.seed, indices, times)
+        extra = {"entropy": entropy, "min_eig": min_eig}
+        values = np.empty((len(obs), *weights.shape))
+        for o, X in enumerate(obs.values()):
+            values[o] = np.einsum("ij,nsji->ns", X, states).real / weights
+    else:
+        states = _coupled_states(cfg, initial, T, indices, times, equation)[1]
+        n, n_times, d = states.shape
+        flat = states.reshape(n * n_times, d)
+        n2 = np.einsum("ni,ni->n", flat.conj(), flat).real
+        values = np.empty((len(obs), n * n_times))
+        for o, X in enumerate(obs.values()):
+            values[o] = np.einsum("ni,ij,nj->n", flat.conj(), X, flat).real / n2
+        weights, values = n2.reshape(n, n_times), values.reshape(-1, n, n_times)
+    return EventColumns(indices=np.array(indices, dtype=np.intp), weights=weights,
+                        sample_times=times, names=tuple(obs), values=values, states=states,
+                        **extra)
+
+
+def evolve_diffusive_sse(
+    cfg: DiffusionConfig, eta: StateVector, T: float, index: int = 0, record_times=None
+) -> StatePath:
+    """One path of the linear diffusive state equation, a batch of one of
+    :func:`_diffusion_batch`: per step the Euler-Maruyama factor of the
+    measurement terms, then the exact unitary exp(-i H dt / hbar)."""
+    cols = _diffusion_batch(cfg, eta, T, "linear", [index], record_times)
+    return StatePath(cols.sample_times, cols.states[0], cols.weights[0])
+
+
+def evolve_coupled_sse(
+    cfg: DiffusionConfig, eta: StateVector, T: float, index: int = 0, record_times=None
+) -> StatePath:
+    """One unitary-dilation path, a batch of one of :func:`_diffusion_batch`:
+    per step the exact phase factor exp((i/hbar) gamma R du), then
+    exp(-i H dt / hbar).
+
+    Pathwise norm-preserving; R-populations are exactly conserved whenever
+    [R, H] = 0 because the noise acts as an R-generated phase.
+    """
+    cols = _diffusion_batch(cfg, eta, T, "coupled", [index], record_times)
+    return StatePath(cols.sample_times, cols.states[0], cols.weights[0])
+
+
 def evolve_diffusive_density(
     cfg: DiffusionConfig, rho0, T: float, index: int = 0, record_times=None
 ) -> DensityPath:
     """One path of the M-particle diffusive density equation, a batch of one
-    of :func:`_density_states`.
+    of :func:`_diffusion_batch`.
 
     Each step applies the completely positive deterministic factor from
     :func:`_density_kernel` followed by the exact completely positive noise
@@ -557,12 +571,9 @@ def evolve_diffusive_density(
     Hermitian by construction.  Its mean over paths follows the Lindblad
     equation, whose oracle is ensemble.rk4_solve.
     """
-    rec, rhos = _density_states(cfg, rho0, T, [index],
-                                [T] if record_times is None else record_times)
-    times = rec * cfg.dt
-    trace, entropy, min_eig = _density_spectra(rhos, cfg.seed, [index], times)
-    return DensityPath(times=times, rhos=rhos[0], trace=trace[0], entropy=entropy[0],
-                       min_eig=min_eig[0])
+    cols = _diffusion_batch(cfg, rho0, T, "density", [index], record_times)
+    return DensityPath(cols.sample_times, cols.states[0], cols.weights[0], cols.entropy[0],
+                       cols.min_eig[0])
 
 
 def mean_field_evolve(
@@ -581,18 +592,3 @@ def mean_field_evolve(
         out[j] = V @ (np.exp(-1j * w * (t / cfg.hbar)) * et)
     norm2 = np.einsum("ni,ni->n", out.conj(), out).real
     return StatePath(times=rec_times, states=out, norm2=norm2)
-
-
-def _density_batch(cfg, rho0, T, indices, sample_times, observables):
-    """Density-equation paths as columns (no events): weights the traces,
-    values the normalized expectations Tr(X rho) / Tr(rho), with entropy and
-    min_eig."""
-    rec, rhos = _density_states(cfg, rho0, T, indices, sample_times)
-    trace, entropy, min_eig = _density_spectra(rhos, cfg.seed, indices, rec * cfg.dt)
-    values = np.empty((len(observables), *trace.shape))
-    for o, X in enumerate(observables.values()):
-        values[o] = np.einsum("ij,nsji->ns", X, rhos).real / trace
-    return EventColumns(indices=np.array(indices, dtype=np.intp), weights=trace,
-                        sample_times=np.asarray(sample_times, dtype=float),
-                        names=tuple(observables), values=values, entropy=entropy,
-                        min_eig=min_eig)

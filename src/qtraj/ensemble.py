@@ -48,7 +48,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .diffusion import DiffusionConfig, _coupled_batch, _density_batch
+from .diffusion import DiffusionConfig, _diffusion_batch
 from .errors import ValidationError, physical_memory
 from .jumps import EventColumns, JumpConfig, _jump_batch, _step_grid
 from .linalg import (
@@ -88,7 +88,6 @@ RK4_MATRIX_MAX_DIM = 16
 # to 48 rows and by 6 MB to 64.
 _CHUNK = 512
 _MIXING_BATCH_BYTES = 612 * 1024
-DIFFUSION_EQUATIONS = ("linear", "coupled", "density")
 
 
 @dataclass(frozen=True)
@@ -420,8 +419,9 @@ def run_trajectories(
     :func:`run_ensemble`; paths record at T when no sample times are given);
     a JumpConfig carries its own mode and takes none.
     Indices run in contiguous blocks, each one batch of its engine whose
-    final states are dropped as it returns (a caller that needs them runs
-    the batch), and the blocks' columns are concatenated in index order.
+    states (final ones, or a diffusion batch's recorded ones) are dropped as
+    it returns (a caller that needs them runs the batch), and the blocks'
+    columns are concatenated in index order.
     Event rows are bit-identical in any block, so a block holds at most
     _CHUNK rows and a 1/n share, n being n_workers capped at
     :func:`usable_cpus` (mixing rows: at most
@@ -449,12 +449,8 @@ def run_trajectories(
         size = min(_CHUNK, share, max(1, _MIXING_BATCH_BYTES // (16 * entries)))
         batch = partial(_mixing_batch, cfg, initial, T, equation or "normalized", **kw)
     elif isinstance(cfg, DiffusionConfig):
-        if equation not in DIFFUSION_EQUATIONS:
-            raise ValidationError(f"diffusion ensembles need equation= one of "
-                                  f"{DIFFUSION_EQUATIONS}, got {equation!r}")
         size = _CHUNK
-        batch = (partial(_density_batch, cfg, initial, T, **kw) if equation == "density"
-                 else partial(_coupled_batch, cfg, initial, T, equation=equation, **kw))
+        batch = partial(_diffusion_batch, cfg, initial, T, equation, **kw)
     else:
         raise ValidationError(f"unsupported config type {type(cfg).__name__}")
     chunks = (range(lo, min(lo + size, n_traj)) for lo in range(0, n_traj, size))
@@ -501,7 +497,7 @@ def run_ensemble(
     A JumpConfig runs in its own mode and takes no equation; for a
     ManyBodyConfig equation is the density mode (default "normalized").  A
     DiffusionConfig needs one of
-    ``DIFFUSION_EQUATIONS``, each with its weight:
+    :data:`qtraj.diffusion.EQUATIONS`, each with its weight:
 
     * "linear": linear state equation, weight ||chi||^2;
     * "coupled": unitary-dilation state equation, weight ||psi||^2 (one to

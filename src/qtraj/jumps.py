@@ -151,10 +151,11 @@ class EventColumns:
     Row r's events are entries offsets[r]:offsets[r + 1] of times and of
     outcomes (support indices into the pointer readings grid).  final is the
     final squared norm or trace (of the linear solution in linear mode) of
-    states, the final states, which only an event batch keeps; the series
-    are weights[r], values[o, r] for names[o] and, for densities, entropy
-    and min_eig.  Diffusion columns carry no events: counts, times,
-    outcomes, grid, log_weight, final and states are None.
+    states[r], the final state of an event batch; the series are
+    weights[r], values[o, r] for names[o] and, for densities, entropy and
+    min_eig.  Diffusion columns carry no events: counts, times, outcomes,
+    grid, log_weight and final are None, and states[r, s] is the state
+    recorded at sample_times[s].  run_trajectories drops states.
     """
 
     indices: np.ndarray

@@ -271,7 +271,7 @@ class MeterModel:
         return (V * diag) @ V.conj().T
 
     def reduction(self, lam: float) -> np.ndarray:
-        """G(lambda) = f0(lambda I - kappa R) / f0(lambda).
+        """G(lambda) = F(lambda) / f0(lambda), the localizer over f0(lambda).
 
         Raises a degenerate-point error when |f0(lambda)| is below 1e-12;
         such points carry no outcome probability and must be excluded.
@@ -283,9 +283,7 @@ class MeterModel:
                 f"reduction operator degenerate at lambda={float(lam)}: "
                 f"|f0| = {abs(f0):.3e} below {POINTER_ZERO:.0e}"
             )
-        diag = self.pointer.evaluate(lam - self.kappa * self.eigenvalues) / f0
-        V = self.eigenvectors
-        return (V * diag) @ V.conj().T
+        return self.localizer(lam) / f0
 
     def reduction_closed_form(self, lam: float) -> np.ndarray:
         """Closed Gaussian form exp(pi kappa R (lambda I - kappa R / 2)),

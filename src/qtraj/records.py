@@ -33,7 +33,8 @@ def spec_hash(resolved: dict) -> str:
 
 
 def write_table(path, meta: dict, columns: list[tuple[str, np.ndarray]]) -> None:
-    """Write named columns as a tab-separated table with '#' header lines."""
+    """Write named columns as a tab-separated table with '#' header lines,
+    creating the directory that holds it."""
     lines = []
     for key in sorted(meta):
         lines.append(f"# {key}={meta[key]}")
@@ -46,6 +47,7 @@ def write_table(path, meta: dict, columns: list[tuple[str, np.ndarray]]) -> None
             raise ValueError("all table columns must have equal length")
     for i in range(n):
         lines.append("\t".join(fmt(arr[i]) for arr in arrays))
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -79,7 +81,8 @@ def write_trajectories(path, meta: dict, cols, seed: int) -> None:
     (density_trajectory_record) of row r's trajectory, with each pointer
     reading, the sample times and each distinct weight row rendered once.
     A non-finite value raises NumericError naming the seed and the
-    trajectory index before anything is written."""
+    trajectory index before anything is written, or the directory that
+    holds path is created."""
     n, seed = len(cols.indices), int(seed)
     density = cols.entropy is not None
     numeric = {"final_trace" if density else "final_norm2": cols.final,
@@ -110,6 +113,7 @@ def write_trajectories(path, meta: dict, cols, seed: int) -> None:
         fields["sample_times"] = repeat(_rows(cols.sample_times[None])[0])
         fields["observables"] = _objects(
             {name: _rows(cols.values[o]) for o, name in enumerate(cols.names)}, n)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write(json_dumps_stable({"type": "meta", **meta}) + "\n")
         f.writelines(map("{}\n".format, _objects(fields, n)))

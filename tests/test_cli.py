@@ -338,6 +338,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: lambda=100.0 outside pointer grid range [-6.3, 6.3]\n"
 
+    @pytest.mark.parametrize("command, spec_fields, code, message", [
+        pytest.param("jump", {"observables": ["Q"]}, 2, "error: observable 'Q' not recognized",
+                     id="jump-unknown-observable"),
+        pytest.param("kick", {"kick_lambdas": [100]}, 2, "error: lambda=100.0 outside",
+                     id="kick-outside-grid"),
+        pytest.param("kick", {"kick_lambdas": [5.9]}, 3,
+                     "error: zero-likelihood outcome lambda=5.9", id="kick-zero-likelihood"),
+    ])
+    def test_rejected_run_leaves_no_output(self, tmp_path, capsys, command, spec_fields, code,
+                                           message):
+        # the runner fails before its first write, so not even the directory is made
+        spec = write_spec(tmp_path / "s.json", experiment=command, **spec_fields)
+        assert main([command, "--spec", str(spec), "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["jump", "many", "diffuse"])
     def test_single_trajectory_rejected(self, tmp_path, capsys, command):
         # A standard error needs two trajectories.

@@ -28,12 +28,11 @@ from qtraj import (
 )
 from qtraj.cli import main
 from qtraj.diffusion import (
-    _coupled_batch,
     _coupled_states,
-    _density_batch,
     _density_kernel,
     _density_spectra,
     _density_states,
+    _diffusion_batch,
     _noise_chol,
 )
 from qtraj.ensemble import _CHUNK
@@ -173,7 +172,7 @@ class TestDiffusiveSse:
         R = HermitianOperator(0.7 * np.eye(2, dtype=complex))
         cfg = make_config(R=R, dt=1e-3, seed=5)
         eta = StateVector(np.ones(2) / math.sqrt(2))
-        w = _coupled_batch(cfg, eta, 1.0, range(4000), [1.0], {}, "linear").weights
+        w = _diffusion_batch(cfg, eta, 1.0, "linear", range(4000), [1.0]).weights
         se = w[:, 0].std(ddof=1) / math.sqrt(w.shape[0])
         assert abs(w[:, 0].mean() - 1.0) <= 3 * se
 
@@ -181,8 +180,8 @@ class TestDiffusiveSse:
         H0 = HermitianOperator(np.zeros((2, 2)))
         cfg = make_config(H=H0, dt=1e-3, seed=6)
         eta = StateVector(np.array([0.6, 0.8], dtype=complex))
-        cols = _coupled_batch(cfg, eta, 1.0, range(4000), [1.0],
-                              {"P1": np.diag([0.0, 1.0]).astype(complex)}, "linear")
+        cols = _diffusion_batch(cfg, eta, 1.0, "linear", range(4000), [1.0],
+                                {"P1": np.diag([0.0, 1.0]).astype(complex)})
         pops = cols.weights[:, 0] * cols.values[0, :, 0]  # unnormalized population of level 1
         se = pops.std(ddof=1) / math.sqrt(pops.size)
         assert abs(pops.mean() - 0.64) <= 3 * se
@@ -193,7 +192,7 @@ class TestDiffusiveSse:
         times = np.linspace(0.2, 1.0, 5)
         single = evolve_diffusive_sse(cfg, eta, 1.0, index=3, record_times=times)
         _, states = _coupled_states(cfg, eta, 1.0, [2, 3, 4], times, "linear")
-        w = _coupled_batch(cfg, eta, 1.0, [2, 3, 4], times, {}, "linear").weights
+        w = _diffusion_batch(cfg, eta, 1.0, "linear", [2, 3, 4], times).weights
         assert np.array_equal(single.states, states[1])
         assert np.array_equal(single.norm2, w[1])
 
@@ -263,7 +262,7 @@ class TestCoupledSse:
         eta = StateVector(np.array([0.6, 0.8j]))
         times = np.linspace(0.2, 1.0, 5)
         obs = {"R": RC.entries, "H": HX.entries}
-        cols = _coupled_batch(cfg, eta, 1.0, [2, 3, 4], times, obs)
+        cols = _diffusion_batch(cfg, eta, 1.0, "coupled", [2, 3, 4], times, obs)
         w, o = cols.weights, cols.values
         for row, i in enumerate([2, 3, 4]):
             single = evolve_coupled_sse(cfg, eta, 1.0, index=i, record_times=times)
@@ -385,7 +384,7 @@ class TestDiffusiveDensity:
         cfg = make_config(dt=1e-3, seed=17)
         eta = StateVector(np.ones(2) / math.sqrt(2))
         rho0 = DensityMatrix(0.9 * eta.density().entries + 0.05 * np.eye(2))
-        tr = _density_batch(cfg, rho0, 1.0, range(4000), [1.0], {}).weights
+        tr = _diffusion_batch(cfg, rho0, 1.0, "density", range(4000), [1.0]).weights
         se = tr[:, 0].std(ddof=1) / math.sqrt(tr.shape[0])
         assert abs(tr[:, 0].mean() - 1.0) <= 3 * se + 10 * cfg.dt
 
@@ -394,7 +393,7 @@ class TestDiffusiveDensity:
         rho0 = mixed_product_density(np.array([0.6, 0.8j]), 2)
         times = np.linspace(0.2, 1.0, 5)
         obs = {"R1": embed_at_slot(RC.entries, 1, 2), "H2": embed_at_slot(HX.entries, 2, 2)}
-        cols = _density_batch(cfg, rho0, 1.0, [2, 3, 4], times, obs)
+        cols = _diffusion_batch(cfg, rho0, 1.0, "density", [2, 3, 4], times, obs)
         tr, o, ent = cols.weights, cols.values, cols.entropy
         for row, i in enumerate([2, 3, 4]):
             single = evolve_diffusive_density(cfg, rho0, 1.0, index=i, record_times=times)
@@ -455,7 +454,7 @@ class TestDiffusiveDensity:
         obs = {"Rbar": sum(embed_at_slot(RC.entries, k, 2) for k in (1, 2)) / 2}
         tracemalloc.start()
         try:
-            _density_batch(cfg, rho0, 0.1, range(512), [0.05, 0.1], obs)
+            _diffusion_batch(cfg, rho0, 0.1, "density", range(512), [0.05, 0.1], obs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -562,6 +561,18 @@ class TestUnifiedPath:
             path = evolve(cfg, initial, self.T, index=3, record_times=[0.0, self.T])
             assert np.array_equal(path.states[0], initial.amps)
             assert not np.array_equal(path.states[1], initial.amps)
+
+    @pytest.mark.parametrize("equation", ["linear", "coupled", "density"])
+    def test_path_times_are_the_record_times(self, equation):
+        # the requested times as given, not the step counts times dt: at
+        # dt = 1e-3, 9 dt, 13 dt and 18 dt each differ from the time by 1 ulp
+        cfg, initial = self.case(equation)
+        evolve = {"linear": evolve_diffusive_sse, "coupled": evolve_coupled_sse,
+                  "density": evolve_diffusive_density}[equation]
+        times = [0.0, 0.009, 0.013, 0.018, 0.02]
+        path = evolve(cfg, initial, self.T, record_times=times)
+        assert path.times.dtype == float and path.times.tolist() == times
+        assert evolve(cfg, initial, self.T).times.tolist() == [self.T]
 
     def test_no_paths_rejected(self):
         cfg, eta = self.case("linear")

@@ -1,6 +1,7 @@
 """The shared event engine of the jump and mixing trajectories: batch
 layout independence, draw order, an independent one-path reference loop,
-reproducible numeric failures and byte-identical CLI outputs."""
+reproducible numeric failures and byte-identical CLI outputs; and the input
+checks of every engine."""
 
 import dataclasses
 import filecmp
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from qtraj import (
+    DensityMatrix,
     DiffusionConfig,
     HermitianOperator,
     JumpConfig,
@@ -22,17 +24,21 @@ from qtraj import (
     ValidationError,
     build_gaussian_meter,
     ensemble,
+    evolve_coupled_sse,
     evolve_density,
+    evolve_diffusive_density,
     evolve_diffusive_sse,
     evolve_jump,
     gaussian_pointer,
     mixing_povm_element,
     mixing_reduction,
     nearest_neighbor_coupling,
+    run_ensemble,
     run_trajectories,
     sample_poisson_times,
 )
 from qtraj.cli import main
+from qtraj.diffusion import _diffusion_batch
 from qtraj.ensemble import MasterConfig, master_generator, rk4_solve
 from qtraj.jumps import _PureRows, _draw_outcomes, _jump_batch, _schedule
 from qtraj.linalg import spectrum_entropy
@@ -163,6 +169,54 @@ class TestRunTrajectories:
         cols = run_trajectories(cfg, eta, 1.0, 40, obs, TIMES, n_workers=100_000)
         assert sizes == [3] and chunks == [14, 14, 12]
         assert same_columns(cols, run_trajectories(cfg, eta, 1.0, 40, obs, TIMES))
+
+
+def diffusion_setup(M=1, dt=1e-3):
+    cfg = DiffusionConfig(H=HX, R=R01, gamma=1.0, pointer=gaussian_pointer(256, 6.0), dt=dt, M=M)
+    return cfg, StateVector(np.array([0.6, 0.8j]))
+
+
+def maximally_mixed(D):
+    return DensityMatrix(np.eye(D, dtype=complex) / D)
+
+
+# Input checks of every engine and oracle: a call that must raise a
+# ValidationError, and a pattern of its message.
+REJECTED_INPUTS = [
+    pytest.param(lambda: evolve_diffusive_sse(*diffusion_setup(dt=0.3), 1.0),
+                 r"T=1\.0 must be a positive multiple of dt=0\.3", id="step-grid-multiple"),
+    pytest.param(lambda: rk4_solve(master_generator(MasterConfig.from_diffusion(
+                     diffusion_setup()[0])), maximally_mixed(2), 1.0, 0.0),
+                 r"need T > 0 and dt > 0, got T=1\.0, dt=0\.0", id="rk4-dt-zero"),
+    pytest.param(lambda: run_ensemble(*jump_setup("normalized")[:2], 1.0, 1),
+                 r"n_traj must be >= 2, got 1", id="ensemble-one-trajectory"),
+    pytest.param(lambda: run_trajectories(object(), diffusion_setup()[1], 1.0, 2),
+                 r"unsupported config type object", id="unsupported-config"),
+    pytest.param(lambda: evolve_coupled_sse(*diffusion_setup(M=2), 0.1),
+                 r"the state equations are single-particle; use M=1", id="state-two-particles"),
+    pytest.param(lambda: evolve_diffusive_sse(diffusion_setup()[0], StateVector(np.ones(2)), 0.1),
+                 r"initial state must be normalized", id="state-unnormalized"),
+    pytest.param(lambda: evolve_diffusive_density(diffusion_setup()[0], maximally_mixed(4), 0.1),
+                 r"initial density must have shape \(2, 2\), got \(4, 4\)",
+                 id="density-shape"),
+    pytest.param(lambda: evolve_diffusive_density(diffusion_setup()[0], np.eye(2), 0.1),
+                 r"initial density must have unit trace", id="density-trace"),
+    pytest.param(lambda: _diffusion_batch(*diffusion_setup(), 0.1, "jump-averaged", [0]),
+                 r"diffusion ensembles need equation= one of \('linear', "
+                 r"'coupled', 'density'\), got 'jump-averaged'", id="diffusion-equation"),
+    pytest.param(lambda: _mixing_batch(mixing_setup()[0], maximally_mixed(4), 0.1, "bogus", [0]),
+                 r"mode must be 'normalized' or 'linear', got 'bogus'",
+                 id="mixing-mode"),
+    pytest.param(lambda: _mixing_batch(mixing_setup()[0], maximally_mixed(2), 0.1, "linear", [0]),
+                 r"initial density dimension 2 != d\^M = 4", id="mixing-dim"),
+]
+
+
+@pytest.mark.parametrize("call, message", REJECTED_INPUTS)
+def test_invalid_input_rejected(call, message):
+    with pytest.raises(ValidationError, match=message) as exc:
+        call()
+    assert type(exc.value) is ValidationError
 
 
 class TestBatchLayout:

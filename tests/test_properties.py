@@ -28,7 +28,7 @@ from qtraj import (DensityMatrix, DiffusionConfig, HermitianOperator,  # noqa: E
                    permutation_defect)
 from qtraj.cli import (EQUATIONS, EXPERIMENTS, OVERRIDES_READ, READS,  # noqa: E402
                        _resolved_for_hash, main, spec_from_dict)
-from qtraj.diffusion import _coupled_batch  # noqa: E402
+from qtraj.diffusion import _diffusion_batch  # noqa: E402
 from qtraj.ensemble import master_generator  # noqa: E402
 from qtraj.jumps import EventColumns, _jump_batch  # noqa: E402
 from qtraj.linalg import (embed_at_slot, hermitian_coordinates,  # noqa: E402
@@ -249,7 +249,7 @@ def test_diffusion_rows_equal_one_batch_and_a_batch_of_one(equation, d, phase_sl
     obs = {"R": R.entries, "H": H.entries}
 
     def batch(idx):
-        return _coupled_batch(cfg, eta, SSE_T, idx, SSE_TIMES, obs, equation)
+        return _diffusion_batch(cfg, eta, SSE_T, equation, idx, SSE_TIMES, obs)
 
     bounds = np.concatenate([[start], start + np.cumsum(sizes)]).tolist()
     whole = batch(range(bounds[0], bounds[-1]))
