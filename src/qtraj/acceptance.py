@@ -34,6 +34,7 @@ from .jumps import JumpConfig
 from .linalg import DensityMatrix, HermitianOperator, StateVector, kron_power, propagator, slot_sum
 from .manybody import (
     ManyBodyConfig,
+    _densities,
     _mixing_batch,
     entropy_after_first_event,
     mixing_brute_force_oracle,
@@ -179,12 +180,13 @@ def criterion_6() -> tuple[bool, str]:
     rho0 = _product_density(eta, 2)
     times = np.linspace(0.1, 1.0, 10)
     n_traj = 5000
-    # One batch, whose rows equal run_trajectories' bit for bit and keep their final states.
+    # One batch, whose rows equal run_trajectories' bit for bit and keep their final rows.
     cols = _mixing_batch(cfg, rho0, 1.0, "linear", range(n_traj), times)
+    finals = _densities(*cfg._mixing_basis[1:3], cols.states, cols.log_weight)
     traces = np.exp(cols.log_weight)
     counts = cols.counts.astype(float)
     min_eig = float(np.min(cols.min_eig))
-    max_defect = max(permutation_defect(rho, 2, 2) for rho in cols.states)
+    max_defect = max(permutation_defect(rho, 2, 2) for rho in finals)
     t_mean = float(np.mean(traces))
     t_se = float(np.std(traces, ddof=1) / math.sqrt(n_traj))
     c_mean = float(np.mean(counts))

@@ -257,7 +257,7 @@ def _noise_blocks(cfg: DiffusionConfig, indices, n_steps: int, width: int):
 def _coupled_states(
     cfg: DiffusionConfig, eta: StateVector, T: float, indices, sample_times,
     equation: str = "coupled",
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Paths of the coupled (default) or the linear state equation, one row
     per index.
 
@@ -274,8 +274,8 @@ def _coupled_states(
     :func:`_noise_blocks`, and the products are :func:`_rows_product` (UT
     on every step, VR^T at record steps), so a row is bit-identical in any
     batch.  A recorded squared norm beyond BLOWUP_LIMIT or not finite fails
-    :func:`_guard`.  Returns (record steps, states), states[i, j] the
-    unnormalized state of path indices[i] at record step j.
+    :func:`_guard` at its requested time.  Returns states[i, j], the
+    unnormalized state of path indices[i] at record time sample_times[j].
     """
     if cfg.M != 1:
         raise ValidationError("the state equations are single-particle; use M=1")
@@ -327,9 +327,9 @@ def _coupled_states(
                     n2 = (chi.real * chi.real + chi.imag * chi.imag).sum(axis=0)
                     _guard((n2 <= BLOWUP_LIMIT)[:, None],
                            f"squared norm exceeded {BLOWUP_LIMIT:.0e}",
-                           cfg.seed, indices, [(s + b + 1) * cfg.dt])
+                           cfg.seed, indices, [sample_times[rec_map[s + b + 1][0]]])
                     out[:, rec_map[s + b + 1]] = chi.T[:, None, :]
-    return rec, out
+    return out
 
 
 def _density_kernel(cfg: DiffusionConfig):
@@ -407,16 +407,18 @@ def _density_states(cfg: DiffusionConfig, rho0, T: float, indices,
     if abs(rho.trace() - 1.0) > 1e-8:
         raise ValidationError("initial density must have unit trace")
     n_steps, rec, rec_map = _step_grid(T, cfg.dt, sample_times)
-    n = len(indices)
+    n, U = len(indices), D * (D - 1) // 2
+    a11, a21, a22 = _noise_chol(cfg.dt, M * cfg.noise.c1, M * cfg.noise.c2)
+    rotate = a21 != 0.0 or a22 != 0.0
     # Four complex D^2 x D^2 matrices for _density_kernel (its peak is about
-    # 3.1 of them), and per path its records and four complex D x D working
-    # copies (the coordinates, their step image and the record rebuild).
-    need, memory = 64 * D ** 4 + 16 * D * D * n * (rec.size + 4), physical_memory()
-    if need > memory:
+    # 3.1 of them); per path, in real D x D copies, its complex records (two
+    # each), x and y (two), the record rebuild (six) and the factor run G,
+    # and with complex noise cos, sin, rot, t1 and t2 over the upper triangle.
+    need = 64 * D ** 4 + 8 * D * D * n * (2 * rec.size + 8 + _FACTOR_BLOCK) + rotate * 528 * U * n
+    if need > (memory := physical_memory()):
         raise CapacityError(f"the density equation at D={D} needs {need} bytes for {n} paths "
                             f"with {rec.size} records, beyond the {memory} bytes of memory")
     VM, w, rbar, P = _density_kernel(cfg)
-    U = D * (D - 1) // 2
     x = np.repeat(hermitian_coordinates(VM.conj().T @ rho.entries @ VM)[:, None], n, axis=1)
     y = np.empty_like(x)
     out = np.empty((n, rec.size, D, D), dtype=complex)
@@ -425,8 +427,6 @@ def _density_states(cfg: DiffusionConfig, rho0, T: float, indices,
         rhos = hermitian_from_coordinates(x).transpose(2, 0, 1)
         out[:, slots] = (VM @ rhos @ VM.conj().T)[:, None]
 
-    a11, a21, a22 = _noise_chol(cfg.dt, M * cfg.noise.c1, M * cfg.noise.c2)
-    rotate = a21 != 0.0 or a22 != 0.0
     G = np.empty((_FACTOR_BLOCK, D * D, n))
     if rotate:  # cos and sin of phi_IJ over the upper triangle
         cos, sin = np.empty((2, _FACTOR_BLOCK, U, n))
@@ -522,7 +522,7 @@ def _diffusion_batch(cfg: DiffusionConfig, initial, T: float, equation: str, ind
         for o, X in enumerate(obs.values()):
             values[o] = np.einsum("ij,nsji->ns", X, states).real / weights
     else:
-        states = _coupled_states(cfg, initial, T, indices, times, equation)[1]
+        states = _coupled_states(cfg, initial, T, indices, times, equation)
         n, n_times, d = states.shape
         flat = states.reshape(n * n_times, d)
         n2 = np.einsum("ni,ni->n", flat.conj(), flat).real

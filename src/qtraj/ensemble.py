@@ -28,7 +28,7 @@ trajectories (free gaps elementwise in a basis of H's eigenvectors,
 reductions elementwise in R's eigenbasis), or its equation's batched kernel
 for diffusion paths.  Every batch returns columns (:class:`EventColumns`),
 with no object per trajectory, and :func:`trajectory_stats` aggregates
-them; a run drops final states.  Event rows are bit-identical in any
+them; a run drops their states.  Event rows are bit-identical in any
 block and diffusion blocks do not depend on the worker count; aggregation
 uses exact compensated summation in trajectory-index order, so serial and
 parallel runs produce identical statistics.  The jump-to-diffusion bridge
@@ -83,9 +83,9 @@ RK4_MATRIX_MAX_DIM = 16
 # D = 256.  An event needs only each branch's block of Y per row, so larger
 # batches pay off: the many-mixing run spec (D = 64, 500 trajectories, one
 # BLAS thread) took 1.71, 1.36, 1.12, 0.94, 0.89, 0.83, 0.80 and 0.80 s of
-# CPU at 8, 12, 16, 20, 32, 48, 64 and 96 rows (medians of 4).  The final
-# D x D states of a batch cap it: peak RSS of that run rose by 4 MB from 20
-# to 48 rows and by 6 MB to 64.
+# CPU at 8, 12, 16, 20, 32, 48, 64 and 96 rows (medians of 4).  The cap was
+# set when a batch kept its final D x D states; it no longer does, and the
+# value stands until a re-sweep with peak RSS.
 _CHUNK = 512
 _MIXING_BATCH_BYTES = 612 * 1024
 
@@ -419,8 +419,8 @@ def run_trajectories(
     :func:`run_ensemble`; paths record at T when no sample times are given);
     a JumpConfig carries its own mode and takes none.
     Indices run in contiguous blocks, each one batch of its engine whose
-    states (final ones, or a diffusion batch's recorded ones) are dropped as
-    it returns (a caller that needs them runs the batch), and the blocks'
+    states (final rows, or a diffusion batch's recorded states) are dropped
+    as it returns (a caller that needs them runs the batch), and the blocks'
     columns are concatenated in index order.
     Event rows are bit-identical in any block, so a block holds at most
     _CHUNK rows and a 1/n share, n being n_workers capped at

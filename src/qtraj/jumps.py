@@ -51,7 +51,7 @@ batch of one) or in a batch (:func:`_jump_batch`).  The rows are a kernel
 object: :class:`_PureRows` here, amplitudes in H's eigenbasis; for
 label-averaged densities ``manybody._BlockRows``, one copy of each S_M block
 of the density.  The loop also finishes the columns from the kernel's
-final states, so a batch function only validates its input.
+final rows, so a batch function only validates its input.
 
 A batch returns columns (:class:`EventColumns`); a :class:`Trajectory`
 object is built only by :func:`evolve_jump`.
@@ -149,13 +149,13 @@ class EventColumns:
     trajectory indices[r].
 
     Row r's events are entries offsets[r]:offsets[r + 1] of times and of
-    outcomes (support indices into the pointer readings grid).  final is the
-    final squared norm or trace (of the linear solution in linear mode) of
-    states[r], the final state of an event batch; the series are
-    weights[r], values[o, r] for names[o] and, for densities, entropy and
-    min_eig.  Diffusion columns carry no events: counts, times, outcomes,
-    grid, log_weight and final are None, and states[r, s] is the state
-    recorded at sample_times[s].  run_trajectories drops states.
+    outcomes (support indices into the pointer readings grid).  states[r] is
+    an event batch's final amplitudes or mixing copy-block row, and final its
+    squared norm or density trace (of the linear solution in linear mode);
+    the series are weights[r], values[o, r] for names[o] and, for densities,
+    entropy and min_eig.  Diffusion columns carry no events: counts, times,
+    outcomes, grid, log_weight and final are None, and states[r, s] is the
+    state recorded at sample_times[s].  run_trajectories drops states.
     """
 
     indices: np.ndarray
@@ -396,8 +396,8 @@ def _run_rows(kern, meter: MeterModel, seed: int, rate: float, T: float, indices
     kernel), populations (their R-populations), reduce (unnormalized reduced
     rows and their norm), store and finish.  Rows are
     selected by an index array or by a full slice, and the kernel must treat
-    both alike.  finish(log_w, None in normalized mode) returns the final
-    states, their final values and whether each row passes the kernel's
+    both alike.  finish(log_w, zero in normalized mode) returns the final
+    rows, their final values and whether each row passes the kernel's
     final check (a failure is kern.invalid).  A NumericError names the
     seed, trajectory index and time to rerun.
     """
@@ -444,7 +444,7 @@ def _run_rows(kern, meter: MeterModel, seed: int, rate: float, T: float, indices
             kern.store(e_rows, reduced, norm)
             if linear:
                 log_w[e_rows] += np.log(norm)
-    states, final, ok = kern.finish(log_w if linear else None)
+    states, final, ok = kern.finish(log_w)
     check(ok, slice(None), -1, kern.invalid)  # every row's last point is T
 
     def collect(name, tail=()):
@@ -514,11 +514,10 @@ class _PureRows:
 
     def finish(self, log_w):
         """Rows rotated back to the original basis, scaled to the linear
-        solution by exp(log_w / 2) when log_w is given; their squared norms;
-        which of them are finite."""
+        solution by exp(log_w / 2); their squared norms; which of them are
+        finite."""
         states = np.matmul(self.V, self.y[:, :, None])[:, :, 0]
-        if log_w is not None:
-            states *= np.exp(0.5 * log_w)[:, None]
+        states *= np.exp(0.5 * log_w)[:, None]
         return (states, np.array([np.vdot(amps, amps).real for amps in states]),
                 np.isfinite(states).all(axis=1))
 

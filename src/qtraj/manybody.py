@@ -19,9 +19,9 @@ a direct sum of blocks A_lambda (x) I_{m_lambda} over the irreducible
 representations lambda of S_M.  The engine keeps only one copy of each
 A_lambda (:class:`_BlockRows`): C(d^2 + M - 1, M) entries against D^2, 816
 against 4096 at d = 4, M = 3.  It therefore rejects an initial density that
-is not permutation-invariant.  Final densities are checked on the blocks,
-and rebuilt in the full tensor space for their traces and for criterion 6
-and the tests; ensemble runs drop them as each batch returns.
+is not permutation-invariant.  A batch returns its final rows, checked on
+the blocks; :func:`_densities` alone rebuilds D x D densities from rows, for
+their traces and for evolve_density, criterion 6 and the tests.
 
 Density trajectories run on the event engine of :mod:`qtraj.jumps`, whose
 loop, schedule and outcome sampler they share.  In the copy basis of the
@@ -177,8 +177,9 @@ class _Group(NamedTuple):
     members: tuple[tuple[int, int], ...]
 
 
-def _rebuild(F: np.ndarray, blocks, rows: np.ndarray) -> np.ndarray:
-    """Densities F Z F^dag of a stack of rows, Z the direct sum over the
+def _densities(F: np.ndarray, blocks, rows: np.ndarray, log_w: np.ndarray) -> np.ndarray:
+    """Symmetrized densities F Z F^dag of a stack of rows times exp(log_w),
+    exactly 1 where log_w is 0 (normalized mode), Z the direct sum over the
     blocks of I_m (x) A_lambda, given every copy's columns F.  Z F^dag is
     blockwise; F (Z F^dag) is one D x D GEMM."""
     n, D = rows.shape[0], F.shape[0]
@@ -186,7 +187,13 @@ def _rebuild(F: np.ndarray, blocks, rows: np.ndarray) -> np.ndarray:
     for b in blocks:
         Y = _left(b.F, b.view(rows)[:, None])
         np.conjugate(Y.swapaxes(2, 3), out=Yh[:, b.cols].reshape(n, b.m, b.Q, D))
-    return _left(F, Yh)
+    states = _left(F, Yh)
+    states *= np.exp(log_w)[:, None, None]
+    # One row's adjoint at a time: the temporaries stay small beside the states.
+    for state in states:
+        state += state.conj().T
+    states *= 0.5
+    return states
 
 
 @dataclass(frozen=True)
@@ -431,8 +438,7 @@ class _BlockRows:
     minimum eigenvalue and entropy from its first record after an event
     until its next event, and the final check reads them.  An observable X
     is sum_lambda Re Tr(X_lambda A_lambda) with X_lambda = sum_j U_j^dag X
-    U_j.  Only :meth:`finish` rebuilds the D x D densities, for the callers
-    that keep them.
+    U_j.  :meth:`finish` rebuilds D x D densities only for their traces.
     """
 
     collapse = "density trace collapsed at a mixing event"
@@ -522,34 +528,25 @@ class _BlockRows:
         self.fresh[rows] = False
 
     def finish(self, log_w):
-        """Rows rebuilt in the original basis, scaled by exp(log_w) when it
-        is given, and symmetrized; their traces; which rows pass: lowest
-        eigenvalue times that weight at least DENSITY_EIG_FLOOR, finite trace
-        at least -1e-12.  Releases the rows."""
+        """The rows; their densities' traces, eight rows at a time; which
+        pass: lowest eigenvalue times exp(log_w) at least DENSITY_EIG_FLOOR,
+        finite trace at least -1e-12.  Releases the rows."""
         self.refresh(slice(None))
         rows, self.rows = self.rows, None
-        weight = 1.0 if log_w is None else np.exp(log_w)
-        min_eig = self.min_eig * weight
-        # Eight rows, and one row's adjoint, at a time: the temporaries stay
-        # small beside the states.
-        states = np.empty((rows.shape[0], *self.F.shape), dtype=complex)
+        final = np.empty(rows.shape[0])
         for lo in range(0, rows.shape[0], 8):
-            states[lo:lo + 8] = _rebuild(self.F, self.blocks, rows[lo:lo + 8])
-        if log_w is not None:
-            states *= weight[:, None, None]
-        for state in states:
-            state += state.conj().T
-        states *= 0.5
-        final = np.array([np.trace(f).real for f in states])
-        return states, final, (min_eig >= DENSITY_EIG_FLOOR) & (-1e-12 <= final) & (final < np.inf)
+            states = _densities(self.F, self.blocks, rows[lo:lo + 8], log_w[lo:lo + 8])
+            final[lo:lo + 8] = [np.trace(f).real for f in states]
+        min_eig = self.min_eig * np.exp(log_w)
+        return rows, final, (min_eig >= DENSITY_EIG_FLOOR) & (-1e-12 <= final) & (final < np.inf)
 
 
 def _mixing_batch(cfg: ManyBodyConfig, rho0: DensityMatrix, T: float, mode: str, indices,
                   sample_times=None, observables=None) -> EventColumns:
     """Density trajectories at the given indices, run as one batch of the
     event engine; row r equals evolve_density(cfg, rho0, T, mode,
-    indices[r], ...) bit for bit, final density (states[r]) included, which
-    run_trajectories drops."""
+    indices[r], ...) bit for bit, states[r] being its final copy-block row
+    (see :func:`_densities`), which run_trajectories drops."""
     if mode not in MODES:
         raise ValidationError(f"mode must be 'normalized' or 'linear', got {mode!r}")
     if abs(rho0.trace() - 1.0) > 1e-8:
@@ -590,7 +587,8 @@ def evolve_density(
     cols = _mixing_batch(cfg, rho0, T, mode, [index], sample_times, observables)
     sampled = cols.sample_times is not None
     series = [a[0] if sampled else None for a in (cols.weights, cols.entropy, cols.min_eig)]
-    return DensityTrajectory(cols.events(0), float(T), DensityMatrix(cols.states[0]),
+    rho = _densities(*cfg._mixing_basis[1:3], cols.states, cols.log_weight)[0]
+    return DensityTrajectory(cols.events(0), float(T), DensityMatrix(rho),
                              float(cols.log_weight[0]), cols.sample_times, *series,
                              dict(zip(cols.names, cols.values[:, 0])) if sampled else {})
 

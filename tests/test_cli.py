@@ -415,10 +415,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("overrides, fields, need", [
         # the step kernel's D^2 x D^2 matrices
         pytest.param({"d": 8, "M": 3}, {"n_traj": 2, "n_samples": 1, "T": 0.001},
-                     4398088454144, id="kernel"),
+                     4398155563008, id="kernel"),
         # the records of one batch of 512 paths
         pytest.param({"d": 8, "M": 2}, {"n_traj": 512, "n_samples": 1000},
-                     34762391552, id="records"),
+                     35030827008, id="records"),
     ])
     def test_density_beyond_memory_exits_4(self, tmp_path, capsys, monkeypatch, overrides,
                                            fields, need):

@@ -191,7 +191,7 @@ class TestDiffusiveSse:
         eta = StateVector(np.ones(2) / math.sqrt(2))
         times = np.linspace(0.2, 1.0, 5)
         single = evolve_diffusive_sse(cfg, eta, 1.0, index=3, record_times=times)
-        _, states = _coupled_states(cfg, eta, 1.0, [2, 3, 4], times, "linear")
+        states = _coupled_states(cfg, eta, 1.0, [2, 3, 4], times, "linear")
         w = _diffusion_batch(cfg, eta, 1.0, "linear", [2, 3, 4], times).weights
         assert np.array_equal(single.states, states[1])
         assert np.array_equal(single.norm2, w[1])
@@ -206,7 +206,7 @@ class TestDiffusiveSse:
         cfg = make_config(R=R, seed=22, phase_slope=phase_slope)
         eta = StateVector(np.array([0.6, 0.8j]))
         T, n_steps = 0.3, 300
-        _, states = _coupled_states(cfg, eta, T, [0, 5], [0.1, T], "linear")
+        states = _coupled_states(cfg, eta, T, [0, 5], [0.1, T], "linear")
         cov = noise_covariance(cfg.pointer)
         D = 0.5 * (cfg.gamma / cfg.hbar) ** 2 * cov.sigma2 * R.entries @ R.entries
         expH = expm(-1j * HX.entries * cfg.dt)
@@ -227,6 +227,19 @@ class TestDiffusiveSse:
         eta = StateVector(np.ones(2) / math.sqrt(2))
         with pytest.raises(NumericError, match="reduce dt"):
             evolve_diffusive_sse(cfg, eta, 50.0, record_times=np.linspace(5, 50, 10))
+
+    @pytest.mark.parametrize("equation", ["linear", "coupled"])
+    def test_blow_up_names_the_requested_time(self, monkeypatch, equation):
+        # Nine steps of 1e-3 end at 0.009000000000000001; the error names the
+        # record time asked for.  A squared norm near one exceeds the limit.
+        monkeypatch.setattr("qtraj.diffusion.BLOWUP_LIMIT", 0.5)
+        cfg = make_config(dt=1e-3, seed=3)
+        eta = StateVector(np.ones(2) / math.sqrt(2))
+        with pytest.raises(NumericError) as err:
+            _diffusion_batch(cfg, eta, 0.02, equation, [4], [0.009, 0.02])
+        assert str(err.value) == (
+            "squared norm exceeded 5e-01 at t=0.009 (seed=3, path index=4); "
+            "reduce dt, or rerun that index alone to reproduce")
 
     def test_step_grid_validation(self):
         cfg = make_config(dt=1e-3)
@@ -280,7 +293,7 @@ class TestCoupledSse:
         T = 0.3
         n_steps = 300
         expH = propagator(HX, cfg.dt)
-        _, states = _coupled_states(cfg, eta, T, [0, 5], [0.1, T])
+        states = _coupled_states(cfg, eta, T, [0, 5], [0.1, T])
         for row, i in enumerate([0, 5]):
             du = math.sqrt(cfg.noise.sigma2 * cfg.dt) * stream(cfg.seed, i).standard_normal(n_steps)
             chi = eta.amps.astype(complex)
@@ -299,7 +312,7 @@ class TestCoupledSse:
         eta = StateVector(np.array([0.0, 1.0], dtype=complex))
         n = 3000
         T = 1.0
-        _, states = _coupled_states(cfg, eta, T, range(n), [T])
+        states = _coupled_states(cfg, eta, T, range(n), [T])
         phases = np.angle(states[:, 0, 1])
         var = phases.var(ddof=1)
         expected = cfg.gamma ** 2 * r ** 2 * cfg.noise.sigma2 * T
@@ -475,7 +488,7 @@ class TestNoiseBlocks:
             return _density_states(cfg, rho0, self.T, self.INDICES, self.TIMES)[1]
         cfg = make_config(seed=28, phase_slope=phase_slope)
         eta = StateVector(np.array([0.6, 0.8j]))
-        return _coupled_states(cfg, eta, self.T, self.INDICES, self.TIMES, equation)[1]
+        return _coupled_states(cfg, eta, self.T, self.INDICES, self.TIMES, equation)
 
     @pytest.mark.parametrize("equation, phase_slope", [
         pytest.param("linear", 0.5, id="linear"),

@@ -19,10 +19,13 @@ from qtraj import (
     HermitianOperator,
     JumpConfig,
     ManyBodyConfig,
+    MeterModel,
     NumericError,
+    PointerState,
     StateVector,
     ValidationError,
     build_gaussian_meter,
+    embed_pair,
     ensemble,
     evolve_coupled_sse,
     evolve_density,
@@ -30,20 +33,27 @@ from qtraj import (
     evolve_diffusive_sse,
     evolve_jump,
     gaussian_pointer,
+    get_preset,
+    jump_to_diffusion_bridge,
+    mean_field_limit_error,
     mixing_povm_element,
     mixing_reduction,
     nearest_neighbor_coupling,
+    noise_covariance,
     run_ensemble,
     run_trajectories,
     sample_poisson_times,
+    trajectory_product_check,
+    trajectory_stats,
 )
 from qtraj.cli import main
 from qtraj.diffusion import _diffusion_batch
 from qtraj.ensemble import MasterConfig, master_generator, rk4_solve
 from qtraj.jumps import _PureRows, _draw_outcomes, _jump_batch, _schedule
-from qtraj.linalg import spectrum_entropy
-from qtraj.manybody import _mixing_batch
-from qtraj.rng import stream
+from qtraj.linalg import as_matrix, permutation_matrix, spectrum_entropy
+from qtraj.manybody import _densities, _mixing_batch
+from qtraj.meter import trapezoid_weights
+from qtraj.rng import stream, stream_keys
 
 R3 = HermitianOperator(np.diag([-1.0, 0.0, 1.0]).astype(complex))
 H3 = HermitianOperator(
@@ -80,12 +90,18 @@ def d64_setup():
     return cfg, StateVector(np.kron(np.kron(v, v), v)).density()
 
 
-def same_row(cols, r, traj):
-    """Whether row r of event columns equals a trajectory object bit for bit."""
+def same_row(cols, r, traj, cfg=None):
+    """Whether row r of event columns equals a trajectory object bit for bit;
+    a density row's final copy-block row is compared as the density that
+    the ManyBodyConfig cfg maps it to."""
     density = hasattr(traj, "rho")
-    state, final = ((traj.rho.entries, traj.rho.trace()) if density
-                    else (traj.state.amps, traj.state.norm2()))
-    same = (cols.events(r) == traj.events and np.array_equal(cols.states[r], state)
+    if density:
+        state, final = traj.rho.entries, traj.rho.trace()
+        rows = slice(r, r + 1)
+        row = _densities(*cfg._mixing_basis[1:3], cols.states[rows], cols.log_weight[rows])[0]
+    else:
+        state, final, row = traj.state.amps, traj.state.norm2(), cols.states[r]
+    same = (cols.events(r) == traj.events and np.array_equal(row, state)
             and cols.final[r] == final and cols.log_weight[r] == traj.log_weight)
     if traj.sample_times is None:
         return same and cols.sample_times is None and traj.observable_series == {}
@@ -180,6 +196,22 @@ def maximally_mixed(D):
     return DensityMatrix(np.eye(D, dtype=complex) / D)
 
 
+def tabulated_pointer(**changes):
+    """The 256-point Gaussian packet as a tabulated PointerState, with the
+    given fields replaced."""
+    p = gaussian_pointer(256, 6.0)
+    return PointerState(**{"grid": p.grid, "values": p.values, "weights": p.weights, **changes})
+
+
+def pointer_with_nan():
+    values = gaussian_pointer(256, 6.0).values.copy()
+    values[3] = np.nan
+    return tabulated_pointer(values=values)
+
+
+METER = build_gaussian_meter(0.5, R01)
+
+
 # Input checks of every engine and oracle: a call that must raise a
 # ValidationError, and a pattern of its message.
 REJECTED_INPUTS = [
@@ -209,6 +241,101 @@ REJECTED_INPUTS = [
                  id="mixing-mode"),
     pytest.param(lambda: _mixing_batch(mixing_setup()[0], maximally_mixed(2), 0.1, "linear", [0]),
                  r"initial density dimension 2 != d\^M = 4", id="mixing-dim"),
+    # The averaged generator's inputs.
+    pytest.param(lambda: MasterConfig(mode="bogus", H=HX),
+                 r"mode must be one of \('jump-averaged', 'diffusive'\), got 'bogus'",
+                 id="master-mode"),
+    pytest.param(lambda: MasterConfig(mode="jump-averaged", H=HX),
+                 r"jump-averaged mode requires a meter", id="master-no-meter"),
+    pytest.param(lambda: MasterConfig(mode="jump-averaged", H=HX, meter=METER, nu=-1.0),
+                 r"nu >= 0 required, got -1\.0", id="master-nu"),
+    pytest.param(lambda: MasterConfig(mode="diffusive", H=HX),
+                 r"diffusive mode requires the coupling operator R", id="master-no-R"),
+    pytest.param(lambda: MasterConfig(mode="diffusive", H=HX, R=R01, sigma2=0.0),
+                 r"sigma2 must be positive, got 0\.0", id="master-sigma2"),
+    pytest.param(lambda: MasterConfig(mode="diffusive", H=HX, R=R01, sigma2=1.0, M=2),
+                 r"H must act on d\^M = 4, got 2", id="master-H-dim"),
+    # Engine configurations.
+    pytest.param(lambda: JumpConfig(H=HX, meter=METER, nu=1.0, hbar=0.0),
+                 r"hbar must be positive, got 0\.0", id="jump-hbar"),
+    pytest.param(lambda: JumpConfig(H=HX, meter=METER, nu=1.0, mode="bogus"),
+                 r"mode must be one of \('normalized', 'linear'\), got 'bogus'", id="jump-mode"),
+    pytest.param(lambda: JumpConfig(H=H3, meter=METER, nu=1.0),
+                 r"H dimension 3 does not match meter dimension 2", id="jump-dim"),
+    pytest.param(lambda: ManyBodyConfig(M=2, d=2, H_single=HX, meter=METER, nu=-1.0),
+                 r"nu >= 0 required, got -1\.0", id="many-nu"),
+    pytest.param(lambda: ManyBodyConfig(M=2, d=2, H_single=HX, meter=METER, nu=1.0, hbar=-1.0),
+                 r"hbar must be positive, got -1\.0", id="many-hbar"),
+    pytest.param(lambda: ManyBodyConfig(M=2, d=3, H_single=HX, meter=METER, nu=1.0),
+                 r"H_single and meter must act on dimension d=3, got 2 and 2", id="many-d"),
+    pytest.param(lambda: ManyBodyConfig(M=2, d=2, H_single=HX, meter=METER, nu=1.0,
+                                        W=np.eye(2)),
+                 r"pair potential W must have shape \(4, 4\), got \(2, 2\)", id="many-W-shape"),
+    pytest.param(lambda: dataclasses.replace(diffusion_setup()[0], dt=0.0),
+                 r"dt must be positive, got 0\.0", id="diffusion-dt"),
+    pytest.param(lambda: dataclasses.replace(diffusion_setup()[0], hbar=0.0),
+                 r"hbar must be positive, got 0\.0", id="diffusion-hbar"),
+    pytest.param(lambda: dataclasses.replace(diffusion_setup()[0], H=H3),
+                 r"H and R must share a dimension", id="diffusion-dims"),
+    pytest.param(lambda: noise_covariance(gaussian_pointer(256, 6.0), hbar=0.0),
+                 r"hbar must be positive, got 0\.0", id="noise-hbar"),
+    # The pointer packet and its quadrature.
+    pytest.param(lambda: tabulated_pointer(grid=[0.0], values=[1.0], weights=[1.0]),
+                 r"pointer grid must be 1-D with at least two points", id="pointer-points"),
+    pytest.param(lambda: tabulated_pointer(weights=np.ones(3)),
+                 r"grid, values and weights must have equal lengths", id="pointer-lengths"),
+    pytest.param(lambda: tabulated_pointer(grid=gaussian_pointer(256, 6.0).grid[::-1]),
+                 r"pointer grid must be strictly increasing", id="pointer-order"),
+    pytest.param(lambda: tabulated_pointer(weights=-gaussian_pointer(256, 6.0).weights),
+                 r"quadrature weights must be positive", id="pointer-weights"),
+    pytest.param(pointer_with_nan, r"pointer values contain non-finite entries", id="pointer-nan"),
+    pytest.param(lambda: tabulated_pointer(values=2 * gaussian_pointer(256, 6.0).values),
+                 r"pointer packet must have unit quadrature norm, got 4\.0", id="pointer-norm"),
+    pytest.param(lambda: trapezoid_weights(np.zeros(1)),
+                 r"grid must be a 1-D array with at least two points", id="trapezoid-points"),
+    # Event draws and checks.
+    pytest.param(lambda: sample_poisson_times(-1.0, 1.0, stream(0, 0)),
+                 r"nu >= 0 required, got -1\.0", id="poisson-nu"),
+    pytest.param(lambda: sample_poisson_times(1.0, 0.0, stream(0, 0)),
+                 r"T must be positive, got 0\.0", id="poisson-T"),
+    pytest.param(lambda: trajectory_product_check(jump_setup("normalized")[0], [(2.0, 0.0)],
+                                                  jump_setup("normalized")[1], 1.0),
+                 r"event times must lie in \[0, T\)", id="product-check-time"),
+    # Closed forms that need a Gaussian pointer, given a tabulated one.
+    pytest.param(lambda: MeterModel(0.5, R01, tabulated_pointer()).reduction_closed_form(0.0),
+                 r"closed-form reduction requires a Gaussian pointer", id="closed-form-tabulated"),
+    pytest.param(lambda: mean_field_limit_error(dataclasses.replace(
+                     diffusion_setup()[0], pointer=tabulated_pointer()), 10.0),
+                 r"mean-field comparison requires a Gaussian pointer", id="mean-field-tabulated"),
+    pytest.param(lambda: get_preset("bogus"), r"unknown preset 'bogus'; choose from \[",
+                 id="preset-name"),
+    pytest.param(lambda: stream_keys(-1, [0]),
+                 r"stream seeds and indices must be non-negative", id="stream-seed"),
+    pytest.param(lambda: trajectory_stats(_jump_batch(*jump_setup("normalized")[:2], 1.0, [0])),
+                 r"trajectory statistics need sampled trajectories", id="stats-unsampled"),
+    pytest.param(lambda: jump_to_diffusion_bridge(diffusion_setup(M=2)[0], [10.0, 20.0]),
+                 r"the bridge is a single-particle comparison; use M=1", id="bridge-M2"),
+    # Linear-algebra value types and helpers.
+    pytest.param(lambda: StateVector(np.eye(2)),
+                 r"amps must be 1-dimensional, got shape \(2, 2\)", id="state-2d"),
+    pytest.param(lambda: StateVector(np.empty(0)), r"amps must be non-empty", id="state-empty"),
+    pytest.param(lambda: as_matrix(np.ones((2, 3))),
+                 r"expected a square matrix, got shape \(2, 3\)", id="as-matrix-square"),
+    pytest.param(lambda: HermitianOperator(np.ones((2, 3))),
+                 r"operator must be square, got shape \(2, 3\)", id="operator-square"),
+    pytest.param(lambda: DensityMatrix(np.ones((2, 3))),
+                 r"density matrix must be square, got shape \(2, 3\)", id="density-square"),
+    pytest.param(lambda: DensityMatrix(-np.eye(2) / 2),
+                 r"density matrix trace must be real and >= 0, got \(-1\+0j\)",
+                 id="density-negative-trace"),
+    pytest.param(lambda: StateVector(np.zeros(2)).normalized(),
+                 r"cannot normalize a \(near-\)zero state vector", id="normalize-zero"),
+    pytest.param(lambda: embed_pair(np.eye(2), 1, 2, 2, 2),
+                 r"pair operator must act on dimension d\^2=4, got 2", id="pair-shape"),
+    pytest.param(lambda: embed_pair(np.eye(4), 2, 1, 2, 2),
+                 r"need 1 <= k < l <= M, got k=2, l=1, M=2", id="pair-slots"),
+    pytest.param(lambda: permutation_matrix((0, 0), 2, 2),
+                 r"perm must be a permutation of 0\.\.1, got \(0, 0\)", id="permutation"),
 ]
 
 
@@ -234,7 +361,7 @@ class TestBatchLayout:
         batch = _mixing_batch(cfg, rho0, 1.0, mode, range(600), TIMES, obs)
         for i in range(0, 600, 29):
             single = evolve_density(cfg, rho0, 1.0, mode, i, TIMES, obs)
-            assert same_row(batch, i, single), i
+            assert same_row(batch, i, single, cfg), i
 
     def test_event_times_follow_the_row_stream(self):
         cfg, eta, _ = jump_setup("normalized")
@@ -461,7 +588,9 @@ class TestReproducibleFailure:
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         for mode in ("normalized", "linear"):
             cols = _mixing_batch(cfg, rho0, 0.2, mode, range(4))
-            assert cols.states.shape == (4, 64, 64) and cols.counts.sum() > 0
+            assert cols.states.shape == (4, math.comb(4 ** 2 + 3 - 1, 3)) and cols.counts.sum() > 0
+            states = _densities(*cfg._mixing_basis[1:3], cols.states, cols.log_weight)
+            assert states.shape == (4, 64, 64)
         # The copy blocks are 20 x 20 and 4 x 4.
         assert shapes and max(shapes) == 20
 

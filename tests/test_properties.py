@@ -33,7 +33,7 @@ from qtraj.ensemble import master_generator  # noqa: E402
 from qtraj.jumps import EventColumns, _jump_batch  # noqa: E402
 from qtraj.linalg import (embed_at_slot, hermitian_coordinates,  # noqa: E402
                           hermitian_from_coordinates, real_superop)
-from qtraj.manybody import _BlockRows, _mixing_batch  # noqa: E402
+from qtraj.manybody import _BlockRows, _densities, _mixing_batch  # noqa: E402
 from qtraj.meter import (DEFAULT_GRID_SIZE, DEFAULT_TOL_POVM, MeterModel,  # noqa: E402
                          coverage_half_width)
 from qtraj.records import spec_hash  # noqa: E402
@@ -71,9 +71,11 @@ def test_copy_blocks_rebuild_the_state_and_apply_one_event(shape, amplitude, pha
     gen = np.random.default_rng(seed)
     rho = invariant_density(d, M, gen)
     # A row holds one copy of each block: C(d^2 + M - 1, M) entries.
-    assert _BlockRows(cfg, rho, 1, {}).rows.shape == (1, math.comb(d * d + M - 1, M))
+    kern = _BlockRows(cfg, rho, 1, {})
+    assert kern.rows.shape == (1, math.comb(d * d + M - 1, M))
     # Projected onto the copies and rebuilt, the state comes back.
-    assert np.max(np.abs(_BlockRows(cfg, rho, 1, {}).finish(None)[0][0] - rho)) <= 1e-12
+    rebuilt = _densities(kern.F, kern.blocks, kern.finish(np.zeros(1))[0], np.zeros(1))[0]
+    assert np.max(np.abs(rebuilt - rho)) <= 1e-12
     # One event, rebuilt in R's eigenbasis and projected back, is the
     # full-space mixing reduction.
     kern, every = _BlockRows(cfg, rho, 1, {}), slice(None)
@@ -82,7 +84,8 @@ def test_copy_blocks_rebuild_the_state_and_apply_one_event(shape, amplitude, pha
     kern.store(every, reduced, np.ones(1))
     ref = mixing_reduction(cfg, rho, cfg.meter.support_grid[idx[0]]).entries
     scale = max(1.0, float(np.max(np.abs(ref))))
-    assert np.max(np.abs(kern.finish(None)[0][0] - ref)) <= 1e-12 * scale
+    rebuilt = _densities(kern.F, kern.blocks, kern.finish(np.zeros(1))[0], np.zeros(1))[0]
+    assert np.max(np.abs(rebuilt - ref)) <= 1e-12 * scale
     assert abs(trace[0] - np.trace(ref).real) <= 1e-12 * scale
 
 
@@ -115,7 +118,7 @@ def test_rebuilt_states_stay_permutation_invariant_over_a_run(shape, amplitude, 
     rho0 = invariant_density(d, M, np.random.default_rng(start))
     cols = _mixing_batch(cfg, DensityMatrix(rho0), 1.0, mode, range(start, start + 3))
     assert cols.counts.sum() > 0
-    for state in cols.states:
+    for state in _densities(*cfg._mixing_basis[1:3], cols.states, cols.log_weight):
         assert permutation_defect(state, d, M) <= 1e-12 * np.max(np.abs(state))
 
 
@@ -219,7 +222,7 @@ def test_chunked_rows_equal_one_batch_and_a_batch_of_one(engine, mode, sampled, 
     parts = [batch(range(a, b)) for a, b in zip(bounds, bounds[1:])]
     assert same_columns(EventColumns.concat(parts), whole)
     for r, i in enumerate(range(bounds[0], bounds[-1])):
-        assert same_row(whole, r, single(i)), i
+        assert same_row(whole, r, single(i), cfg), i
 
 
 # Paths of the state equations over one draw block and a partial second one,

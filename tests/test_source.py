@@ -101,7 +101,7 @@ def test_mixing_oracles_use_no_row_kernel_internals():
     path = PACKAGE / "manybody.py"
     assert set(MIXING_ORACLE) <= defined_names(path)
     # The check sees the row kernel, its copy basis and the event loop.
-    assert {"_BlockRows", "_Block", "_Group", "_mixing_basis", "_rebuild", "_left",
+    assert {"_BlockRows", "_Block", "_Group", "_mixing_basis", "_densities", "_left",
             "_isotypic_blocks", "_run_rows"} <= set().union(
         *(private_definitions(PACKAGE / f"{m}.py") for m in MIXING_ENGINE))
     assert engine_names_in_oracle(path, MIXING_ORACLE, MIXING_ENGINE, set()) == []
@@ -387,9 +387,36 @@ def test_mixing_events_rebuild_no_density():
     path = PACKAGE / "manybody.py"
     for name in EVENT_METHODS:
         event = method(path, "_BlockRows", name)
-        assert called(event, {"_rebuild"}) == set(), name
+        assert called(event, {"_densities"}) == set(), name
         assert self_attributes(event) & FULL_BASES == set(), name
     # The check sees both: the final densities are rebuilt from F.
     finish = method(path, "_BlockRows", "finish")
-    assert called(finish, {"_rebuild"}) == {"_rebuild"}
+    assert called(finish, {"_densities"}) == {"_densities"}
     assert "F" in self_attributes(finish)
+
+
+# A mixing batch returns its rows in copy coordinates.  The one map from
+# rows to D x D densities is called only where a density is kept: for each
+# row's final trace, by evolve_density and by criterion 6.
+DENSITY_MAP = {"_densities"}
+
+
+def density_map_callers(path: Path) -> set[str]:
+    """The definitions of a module that call the density map, a class's
+    methods named Class.method."""
+    found = set()
+    for top in ast.parse(path.read_text()).body:
+        if isinstance(top, ast.ClassDef):
+            found.update(f"{top.name}.{n.name}" for n in top.body
+                         if isinstance(n, ast.FunctionDef) and called(n, DENSITY_MAP))
+        elif called(top, DENSITY_MAP):
+            found.add(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_densities_are_rebuilt_only_where_kept():
+    found = {path.name: density_map_callers(path) for path in MODULES}
+    assert {name: c for name, c in found.items() if c} == {
+        "manybody.py": {"_BlockRows.finish", "evolve_density"},
+        "acceptance.py": {"criterion_6"},
+    }
