@@ -76,7 +76,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import CapacityError, NumericError, ValidationError, physical_memory
-from .jumps import EventColumns, _step_grid
+from .jumps import EventColumns, _record_times, _step_grid
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
@@ -275,19 +275,20 @@ def _coupled_states(
     on every step, VR^T at record steps), so a row is bit-identical in any
     batch.  A recorded squared norm beyond BLOWUP_LIMIT or not finite fails
     :func:`_guard` at its requested time.  Returns states[i, j], the
-    unnormalized state of path indices[i] at record time sample_times[j].
+    unnormalized state of path indices[i] at record time j of
+    :func:`_step_grid`.
     """
     if cfg.M != 1:
         raise ValidationError("the state equations are single-particle; use M=1")
     if abs(eta.norm2() - 1.0) > STATE_NORM_TOL:
         raise ValidationError("initial state must be normalized")
-    n_steps, rec, rec_map = _step_grid(T, cfg.dt, sample_times)
+    n_steps, times, rec_map = _step_grid(T, cfg.dt, sample_times)
     n = len(indices)
     wR, VR = hermitian_eig(cfg.R)
     UT = (VR.conj().T @ propagator(cfg.H, cfg.dt, cfg.hbar) @ VR).T
     amps = eta.amps.astype(complex)
     y = np.tile((VR.conj().T @ amps)[:, None], (1, n))
-    out = np.empty((n, rec.size, cfg.dim), dtype=complex)
+    out = np.empty((n, times.size, cfg.dim), dtype=complex)
     if 0 in rec_map:
         out[:, rec_map[0]] = amps
     linear = equation == "linear"
@@ -327,7 +328,7 @@ def _coupled_states(
                     n2 = (chi.real * chi.real + chi.imag * chi.imag).sum(axis=0)
                     _guard((n2 <= BLOWUP_LIMIT)[:, None],
                            f"squared norm exceeded {BLOWUP_LIMIT:.0e}",
-                           cfg.seed, indices, [sample_times[rec_map[s + b + 1][0]]])
+                           cfg.seed, indices, [times[rec_map[s + b + 1][0]]])
                     out[:, rec_map[s + b + 1]] = chi.T[:, None, :]
     return out
 
@@ -374,8 +375,7 @@ def _density_kernel(cfg: DiffusionConfig):
     return VM, w, rbar, real_superop(P0)
 
 
-def _density_states(cfg: DiffusionConfig, rho0, T: float, indices,
-                    sample_times) -> tuple[np.ndarray, np.ndarray]:
+def _density_states(cfg: DiffusionConfig, rho0, T: float, indices, sample_times) -> np.ndarray:
     """Paths of the M-particle density equation, one per index.
 
     The state lives in Rbar's eigenbasis in the real Hermitian coordinates
@@ -395,9 +395,9 @@ def _density_states(cfg: DiffusionConfig, rho0, T: float, indices,
     :func:`_noise_blocks`, two per step.  rho0 must be a density matrix of
     unit trace (ValidationError), and a batch beyond physical memory raises
     CapacityError; both are checked before anything is drawn or built.
-    Returns (record steps, rhos) with rhos[i, j] the density of path
-    indices[i] at record step j, rebuilt as a complex matrix and rotated
-    back to the original basis.
+    Returns rhos[i, j], the density of path indices[i] at record time j of
+    :func:`_step_grid`, rebuilt as a complex matrix and rotated back to the
+    original basis.
     """
     rho = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)
     M = cfg.M
@@ -406,7 +406,7 @@ def _density_states(cfg: DiffusionConfig, rho0, T: float, indices,
         raise ValidationError(f"initial density must have shape {(D, D)}, got {rho.entries.shape}")
     if abs(rho.trace() - 1.0) > 1e-8:
         raise ValidationError("initial density must have unit trace")
-    n_steps, rec, rec_map = _step_grid(T, cfg.dt, sample_times)
+    n_steps, times, rec_map = _step_grid(T, cfg.dt, sample_times)
     n, U = len(indices), D * (D - 1) // 2
     a11, a21, a22 = _noise_chol(cfg.dt, M * cfg.noise.c1, M * cfg.noise.c2)
     rotate = a21 != 0.0 or a22 != 0.0
@@ -414,14 +414,14 @@ def _density_states(cfg: DiffusionConfig, rho0, T: float, indices,
     # 3.1 of them); per path, in real D x D copies, its complex records (two
     # each), x and y (two), the record rebuild (six) and the factor run G,
     # and with complex noise cos, sin, rot, t1 and t2 over the upper triangle.
-    need = 64 * D ** 4 + 8 * D * D * n * (2 * rec.size + 8 + _FACTOR_BLOCK) + rotate * 528 * U * n
+    need = 64 * D ** 4 + 8 * D * D * n * (2 * times.size + 8 + _FACTOR_BLOCK) + rotate * 528 * U * n
     if need > (memory := physical_memory()):
         raise CapacityError(f"the density equation at D={D} needs {need} bytes for {n} paths "
-                            f"with {rec.size} records, beyond the {memory} bytes of memory")
+                            f"with {times.size} records, beyond the {memory} bytes of memory")
     VM, w, rbar, P = _density_kernel(cfg)
     x = np.repeat(hermitian_coordinates(VM.conj().T @ rho.entries @ VM)[:, None], n, axis=1)
     y = np.empty_like(x)
-    out = np.empty((n, rec.size, D, D), dtype=complex)
+    out = np.empty((n, times.size, D, D), dtype=complex)
 
     def record(slots):
         rhos = hermitian_from_coordinates(x).transpose(2, 0, 1)
@@ -479,7 +479,7 @@ def _density_states(cfg: DiffusionConfig, rho0, T: float, indices,
                 x, y = y, x
                 if s + f + 1 in rec_map:
                     record(rec_map[s + f + 1])
-    return rec, out
+    return out
 
 
 def _density_spectra(rhos: np.ndarray, seed: int, indices, times):
@@ -503,7 +503,7 @@ def _diffusion_batch(cfg: DiffusionConfig, initial, T: float, equation: str, ind
     """Paths of one diffusive equation at the given indices, one batch of
     its kernel (:func:`_coupled_states` for "linear" and "coupled",
     :func:`_density_states` for "density"), recorded at sample_times
-    (default: T).  Returns columns without events: weights[i, s] the
+    (:func:`qtraj.jumps._record_times`, default: T).  Returns columns without events: weights[i, s] the
     squared norm ||chi||^2 (the trace Tr rho), values[o, i, s] the
     normalized expectation of observable o, states[i, s] the recorded
     state, and for densities entropy and min_eig.  Rows are reduced one by
@@ -511,11 +511,11 @@ def _diffusion_batch(cfg: DiffusionConfig, initial, T: float, equation: str, ind
     if equation not in EQUATIONS:
         raise ValidationError(f"diffusion ensembles need equation= one of "
                               f"{EQUATIONS}, got {equation!r}")
-    times = np.asarray([T] if sample_times is None else sample_times, dtype=float)
+    times = _record_times(sample_times, T)
     obs = observables or {}
     extra = {}
     if equation == "density":
-        states = _density_states(cfg, initial, T, indices, times)[1]
+        states = _density_states(cfg, initial, T, indices, times)
         weights, entropy, min_eig = _density_spectra(states, cfg.seed, indices, times)
         extra = {"entropy": entropy, "min_eig": min_eig}
         values = np.empty((len(obs), *weights.shape))

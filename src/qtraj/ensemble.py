@@ -50,7 +50,7 @@ import numpy as np
 
 from .diffusion import DiffusionConfig, _diffusion_batch
 from .errors import ValidationError, physical_memory
-from .jumps import EventColumns, JumpConfig, _jump_batch, _step_grid
+from .jumps import EventColumns, JumpConfig, _jump_batch, _record_times, _step_grid
 from .linalg import (
     HERMITICITY_TOL,
     HermitianOperator,
@@ -334,8 +334,7 @@ def rk4_solve(gen: MasterGenerator, rho0, T: float, dt: float, record_times=None
             f"dt * ||generator|| = {dt * gen_norm:.3e} violates the stability "
             f"bound {RK4_BOUND}; reduce dt below {RK4_BOUND / max(gen_norm, 1e-300):.3e}"
         )
-    times = np.asarray(record_times if record_times is not None else [T], dtype=float)
-    n_steps, _, rec_map = _step_grid(T, dt, times)
+    n_steps, times, rec_map = _step_grid(T, dt, record_times)
     out = np.empty((times.size, *arr.shape), dtype=complex)
     for j in rec_map.get(0, []):
         out[j] = arr
@@ -414,10 +413,10 @@ def run_trajectories(
     """Columns of trajectories 0..n_traj-1 of any stochastic config, row i
     being trajectory i, which uses the random stream (cfg.seed, i).
 
+    Every row records at sample_times (default: T), validated once here.
     equation is the density mode of a ManyBodyConfig (default "normalized")
     and the equation of a DiffusionConfig (required, see
-    :func:`run_ensemble`; paths record at T when no sample times are given);
-    a JumpConfig carries its own mode and takes none.
+    :func:`run_ensemble`); a JumpConfig carries its own mode and takes none.
     Indices run in contiguous blocks, each one batch of its engine whose
     states (final rows, or a diffusion batch's recorded states) are dropped
     as it returns (a caller that needs them runs the batch), and the blocks'
@@ -432,9 +431,8 @@ def run_trajectories(
     if n_traj < 1:
         raise ValidationError(f"n_traj must be >= 1, got {n_traj}")
     obs = {str(k): as_matrix(v) for k, v in dict(observables or {}).items()}
-    if isinstance(cfg, DiffusionConfig) and sample_times is None:
-        sample_times = [T]
-    check_result_size(n_traj, 0 if sample_times is None else np.size(sample_times), len(obs))
+    sample_times = _record_times(sample_times, T)
+    check_result_size(n_traj, sample_times.size, len(obs))
     n_workers = max(1, min(n_workers, usable_cpus()))
     share = -(-n_traj // n_workers)
     kw = {"sample_times": sample_times, "observables": obs}
@@ -467,8 +465,6 @@ def trajectory_stats(cols: EventColumns) -> EnsembleStats:
     """Per-time statistics of the columns of any stochastic run, summed over
     rows in index order: weights are the reported squared norms (traces),
     observable estimators weight * <X>; density rows add entropy statistics."""
-    if cols.sample_times is None:
-        raise ValidationError("trajectory statistics need sampled trajectories")
     obs = np.array([_series_stats(cols.weights * v) for v in cols.values]).reshape(
         -1, 2, cols.sample_times.size)
     extra = {}

@@ -60,7 +60,7 @@ object is built only by :func:`evolve_jump`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -126,17 +126,18 @@ class Trajectory:
     state is the final state at t_final: normalized in normalized mode, the
     unnormalized linear solution in linear mode.  log_weight is the log of
     the squared norm of the linear solution (zero in normalized mode).
-    Optional per-sample series hold the reported squared norm and normalized
-    expectation values at the requested sample times.
+    The per-sample series hold the reported squared norm and normalized
+    expectation values at the sample times (T alone unless others were
+    requested).
     """
 
     events: tuple[tuple[float, float], ...]
     t_final: float
     state: StateVector
     log_weight: float
-    sample_times: np.ndarray | None = None
-    norm2_series: np.ndarray | None = None
-    observable_series: dict[str, np.ndarray] = field(default_factory=dict)
+    sample_times: np.ndarray
+    norm2_series: np.ndarray
+    observable_series: dict[str, np.ndarray]
 
     @property
     def count(self) -> int:
@@ -153,14 +154,16 @@ class EventColumns:
     an event batch's final amplitudes or mixing copy-block row, and final its
     squared norm or density trace (of the linear solution in linear mode);
     the series are weights[r], values[o, r] for names[o] and, for densities,
-    entropy and min_eig.  Diffusion columns carry no events: counts, times,
-    outcomes, grid, log_weight and final are None, and states[r, s] is the
-    state recorded at sample_times[s].  run_trajectories drops states.
+    entropy and min_eig, each recorded at every one of sample_times (T
+    alone unless others were requested).  Diffusion columns carry no
+    events: counts, times, outcomes, grid, log_weight and final are None,
+    and states[r, s] is the state recorded at sample_times[s].
+    run_trajectories drops states.
     """
 
     indices: np.ndarray
     weights: np.ndarray
-    sample_times: np.ndarray | None
+    sample_times: np.ndarray
     names: tuple[str, ...]
     values: np.ndarray
     counts: np.ndarray | None = None
@@ -240,22 +243,23 @@ def sample_outcome(meter: MeterModel, chi, rng: np.random.Generator) -> float:
 
 
 def _record_times(times, T: float) -> np.ndarray:
-    """Validated record times, in any order (empty when none are
-    requested): T must be positive and finite, and every time finite and
-    in [0, T]."""
+    """Validated record times, in any order (T alone when none are given):
+    T must be positive and finite, and every time finite and in [0, T].
+    The one default of every engine's record times."""
     if not 0 < T < math.inf:
         raise ValidationError(f"T must be positive and finite, got {T}")
-    times = np.empty(0) if times is None else np.asarray(times, dtype=float)
+    times = np.asarray([T] if times is None else times, dtype=float)
     if not np.all((times >= 0) & (times <= T)):
         raise ValidationError(f"record times must be finite and lie in [0, T={T}]")
     return times
 
 
 def _step_grid(T: float, dt: float, times) -> tuple[int, np.ndarray, dict[int, list[int]]]:
-    """(step count, record steps, rec_map) of a fixed-step run over [0, T]:
-    rec[j] is the step of record time times[j] and rec_map[s] the record
-    slots to fill after step s.  T must be a positive multiple of dt and
-    every record time a grid point in [0, T] (:func:`_record_times`)."""
+    """(step count, record times, rec_map) of a fixed-step run over [0, T]:
+    the record times are :func:`_record_times` of times (T alone when none
+    are given) and rec_map[s] the slots among them to fill after step s.
+    T must be a positive multiple of dt and every record time a grid point
+    in [0, T]."""
     times = _record_times(times, T)
     n_steps = int(round(T / dt)) if dt > 0 and T / dt < math.inf else 0
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
@@ -266,7 +270,7 @@ def _step_grid(T: float, dt: float, times) -> tuple[int, np.ndarray, dict[int, l
     rec_map: dict[int, list[int]] = {}
     for j, s in enumerate(rec.tolist()):
         rec_map.setdefault(s, []).append(j)
-    return n_steps, rec, rec_map
+    return n_steps, times, rec_map
 
 
 @dataclass
@@ -462,7 +466,7 @@ def _run_rows(kern, meter: MeterModel, seed: int, rate: float, T: float, indices
         grid=meter.support_grid,
         log_weight=log_w,
         weights=collect("weights") if linear else np.ones((n, samples.size)),
-        sample_times=None if sample_times is None else samples,
+        sample_times=samples,
         names=tuple(names),
         values=np.ascontiguousarray(collect("values", (len(names),)).transpose(2, 0, 1)),
         final=final,
@@ -547,18 +551,16 @@ def evolve_jump(
     """Propagate one trajectory exactly from a normalized initial state.
 
     Event times are Poisson(nu); between events the evolution is the exact
-    unitary, at events exactly one reduction is applied.  With sample_times
-    given, the reported squared norm (1 in normalized mode, exp(log_weight)
-    in linear mode) and normalized expectations of the observables are
-    recorded at those times.  A batch of one of the event engine, and the
-    only place a Trajectory object is built.
+    unitary, at events exactly one reduction is applied.  The reported
+    squared norm (1 in normalized mode, exp(log_weight) in linear mode) and
+    normalized expectations of the observables are recorded at sample_times
+    (default: T).  A batch of one of the event engine, and the only place a
+    Trajectory object is built.
     """
     cols = _jump_batch(cfg, eta, T, [index], sample_times, observables)
-    sampled = cols.sample_times is not None
     return Trajectory(cols.events(0), float(T), StateVector(cols.states[0]),
-                      float(cols.log_weight[0]), cols.sample_times,
-                      cols.weights[0] if sampled else None,
-                      dict(zip(cols.names, cols.values[:, 0])) if sampled else {})
+                      float(cols.log_weight[0]), cols.sample_times, cols.weights[0],
+                      dict(zip(cols.names, cols.values[:, 0])))
 
 
 def trajectory_product_check(

@@ -45,7 +45,7 @@ batch of one, and the only place a DensityTrajectory object is built.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -356,18 +356,19 @@ class DensityTrajectory:
     mean-normalized linear solution in linear mode, with log_weight holding
     the log trace of the linear solution.  Per-sample series carry the
     reported trace, entropy, minimum eigenvalue and requested normalized
-    expectations.
+    expectations at the sample times (T alone unless others were
+    requested).
     """
 
     events: tuple[tuple[float, float], ...]
     t_final: float
     rho: DensityMatrix
     log_weight: float
-    sample_times: np.ndarray | None = None
-    trace_series: np.ndarray | None = None
-    entropy_series: np.ndarray | None = None
-    min_eig_series: np.ndarray | None = None
-    observable_series: dict[str, np.ndarray] = field(default_factory=dict)
+    sample_times: np.ndarray
+    trace_series: np.ndarray
+    entropy_series: np.ndarray
+    min_eig_series: np.ndarray
+    observable_series: dict[str, np.ndarray]
 
     @property
     def count(self) -> int:
@@ -581,16 +582,16 @@ def evolve_density(
     from Tr{E(lambda) rho} |f0|^2 dlambda and the trace is renormalized after
     each event; in linear mode outcomes follow the bare pointer density and
     the log trace is accumulated, making the reported trace a mean-one
-    martingale.  A batch of one of the event engine, and the only place a
+    martingale.  The series are recorded at sample_times (default: T).  A
+    batch of one of the event engine, and the only place a
     DensityTrajectory object is built.
     """
     cols = _mixing_batch(cfg, rho0, T, mode, [index], sample_times, observables)
-    sampled = cols.sample_times is not None
-    series = [a[0] if sampled else None for a in (cols.weights, cols.entropy, cols.min_eig)]
     rho = _densities(*cfg._mixing_basis[1:3], cols.states, cols.log_weight)[0]
     return DensityTrajectory(cols.events(0), float(T), DensityMatrix(rho),
-                             float(cols.log_weight[0]), cols.sample_times, *series,
-                             dict(zip(cols.names, cols.values[:, 0])) if sampled else {})
+                             float(cols.log_weight[0]), cols.sample_times, cols.weights[0],
+                             cols.entropy[0], cols.min_eig[0],
+                             dict(zip(cols.names, cols.values[:, 0])))
 
 
 def entropy_after_first_event(cfg: ManyBodyConfig, psi: StateVector, lam: float) -> float:

@@ -86,13 +86,11 @@ def write_trajectories(path, meta: dict, cols, seed: int) -> None:
     n, seed = len(cols.indices), int(seed)
     density = cols.entropy is not None
     numeric = {"final_trace" if density else "final_norm2": cols.final,
-               "log_weight": cols.log_weight}
-    if cols.sample_times is not None:
-        numeric["trace" if density else "norm2"] = cols.weights
-        numeric.update({"entropy": cols.entropy, "min_eig": cols.min_eig} if density else {})
+               "log_weight": cols.log_weight, "trace" if density else "norm2": cols.weights}
+    numeric.update({"entropy": cols.entropy, "min_eig": cols.min_eig} if density else {})
     shared = {"events": cols.times, "sample_times": cols.sample_times, "observables": cols.values}
     for key, a in {**shared, **numeric}.items():
-        if a is not None and not np.isfinite(a).all():
+        if not np.isfinite(a).all():
             bad = np.nonzero(~np.isfinite(a))[int(key == "observables")]
             rows = {"events": np.searchsorted(cols.offsets, bad, side="right") - 1,
                     "sample_times": [0]}.get(key, bad)
@@ -108,11 +106,10 @@ def write_trajectories(path, meta: dict, cols, seed: int) -> None:
               for key, a in numeric.items()}
     fields.update(events=("[" + ",".join(events[a:b]) + "]" for a, b in zip(off, off[1:])),
                   index=map(str, cols.indices.tolist()), seed=repeat(str(seed)),
-                  type=repeat('"trajectory"'))
-    if cols.sample_times is not None:
-        fields["sample_times"] = repeat(_rows(cols.sample_times[None])[0])
-        fields["observables"] = _objects(
-            {name: _rows(cols.values[o]) for o, name in enumerate(cols.names)}, n)
+                  type=repeat('"trajectory"'),
+                  sample_times=repeat(_rows(cols.sample_times[None])[0]),
+                  observables=_objects({name: _rows(cols.values[o])
+                                        for o, name in enumerate(cols.names)}, n))
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write(json_dumps_stable({"type": "meta", **meta}) + "\n")
@@ -121,20 +118,17 @@ def write_trajectories(path, meta: dict, cols, seed: int) -> None:
 
 def _record(traj, index: int, seed: int, final: dict, series: dict) -> dict:
     """A trajectory record with the given final value and sampled series."""
-    rec = {"type": "trajectory", "index": int(index), "seed": int(seed),
-           "events": [[t, lam] for t, lam in traj.events], "log_weight": traj.log_weight,
-           **final}
-    if traj.sample_times is not None:
-        rec.update({key: values.tolist() for key, values in series.items()},
-                   sample_times=traj.sample_times.tolist(),
-                   observables={name: values.tolist()
-                                for name, values in sorted(traj.observable_series.items())})
-    return rec
+    return {"type": "trajectory", "index": int(index), "seed": int(seed),
+            "events": [[t, lam] for t, lam in traj.events], "log_weight": traj.log_weight,
+            **final, **{key: values.tolist() for key, values in series.items()},
+            "sample_times": traj.sample_times.tolist(),
+            "observables": {name: values.tolist()
+                            for name, values in sorted(traj.observable_series.items())}}
 
 
 def jump_trajectory_record(traj, index: int, seed: int) -> dict:
-    """Record for one jump trajectory: events, final squared norm and any
-    sampled observable series."""
+    """Record for one jump trajectory: events, final squared norm and the
+    sampled series."""
     return _record(traj, index, seed, {"final_norm2": traj.state.norm2()},
                    {"norm2": traj.norm2_series})
 

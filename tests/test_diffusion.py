@@ -426,7 +426,7 @@ class TestDiffusiveDensity:
         cfg = make_config(dt=1e-3, seed=24, M=M, phase_slope=phase_slope)
         rho0 = mixed_product_density(np.array([0.6, 0.8j]), M)
         T, n_steps = 0.3, 300
-        _, rhos = _density_states(cfg, rho0, T, [0, 5], [0.1, T])
+        rhos = _density_states(cfg, rho0, T, [0, 5], [0.1, T])
         g2s2 = (cfg.gamma / cfg.hbar) ** 2 * cfg.noise.sigma2
         c1, c2 = M * cfg.noise.c1, M * cfg.noise.c2
         Rks = [embed_at_slot(RC.entries, k, M) for k in range(1, M + 1)]
@@ -485,7 +485,7 @@ class TestNoiseBlocks:
         if equation == "density":
             cfg = make_config(seed=28, M=2, phase_slope=phase_slope)
             rho0 = mixed_product_density(np.array([0.6, 0.8j]), 2)
-            return _density_states(cfg, rho0, self.T, self.INDICES, self.TIMES)[1]
+            return _density_states(cfg, rho0, self.T, self.INDICES, self.TIMES)
         cfg = make_config(seed=28, phase_slope=phase_slope)
         eta = StateVector(np.array([0.6, 0.8j]))
         return _coupled_states(cfg, eta, self.T, self.INDICES, self.TIMES, equation)

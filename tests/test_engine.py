@@ -44,7 +44,6 @@ from qtraj import (
     run_trajectories,
     sample_poisson_times,
     trajectory_product_check,
-    trajectory_stats,
 )
 from qtraj.cli import main
 from qtraj.diffusion import _diffusion_batch
@@ -103,8 +102,6 @@ def same_row(cols, r, traj, cfg=None):
         state, final, row = traj.state.amps, traj.state.norm2(), cols.states[r]
     same = (cols.events(r) == traj.events and np.array_equal(row, state)
             and cols.final[r] == final and cols.log_weight[r] == traj.log_weight)
-    if traj.sample_times is None:
-        return same and cols.sample_times is None and traj.observable_series == {}
     pairs = ([(cols.weights, traj.trace_series), (cols.entropy, traj.entropy_series),
               (cols.min_eig, traj.min_eig_series)] if density
              else [(cols.weights, traj.norm2_series)])
@@ -311,8 +308,6 @@ REJECTED_INPUTS = [
                  id="preset-name"),
     pytest.param(lambda: stream_keys(-1, [0]),
                  r"stream seeds and indices must be non-negative", id="stream-seed"),
-    pytest.param(lambda: trajectory_stats(_jump_batch(*jump_setup("normalized")[:2], 1.0, [0])),
-                 r"trajectory statistics need sampled trajectories", id="stats-unsampled"),
     pytest.param(lambda: jump_to_diffusion_bridge(diffusion_setup(M=2)[0], [10.0, 20.0]),
                  r"the bridge is a single-particle comparison; use M=1", id="bridge-M2"),
     # Linear-algebra value types and helpers.
@@ -561,7 +556,8 @@ class TestReproducibleFailure:
             evolve_jump(cfg, eta, 1.0, index=3)
 
     def test_non_finite_final_state_names_seed_index_and_T(self, monkeypatch):
-        # No events and no samples: only the final check sees the NaN row.
+        # No events, and a record checks nothing: only the final check sees
+        # the NaN row.
         cfg, eta, _ = jump_setup("linear")
         advance = _PureRows.advance
 
