@@ -62,7 +62,7 @@ READS = {
     "many": {"T", "n_samples", "mode", "n_traj", "observables", "initial_state"},
     "diffuse": {"equation", "T", "dt", "n_samples", "n_traj", "observables", "initial_state"},
     "master": {"equation", "T", "dt", "n_samples", "observables", "initial_state"},
-    "bridge": {"dt", "nus"},
+    "bridge": {"nus"},
 }
 ALWAYS_READ = {"experiment", "preset", "overrides", "seed", "out", "threads"}
 # Model overrides: conversion, range check (None: any value) and its message.
@@ -178,8 +178,8 @@ class RunSpec:
       pointer_points >= 16 (1024), pointer_phase_slope (0), interaction
       "none" (default) or "nearest-neighbor", interaction_strength (0.5);
       stored converted, so {"nu": 5} and {"nu": 5.0} hash alike.
-    - T > 0 (1): final time; dt > 0 (1e-3): step of diffuse, master and
-      bridge; n_samples >= 1 (10): record times T/n, 2T/n, ..., T.
+    - T > 0 (1): final time; dt > 0 (1e-3): step of diffuse and master;
+      n_samples >= 1 (10): record times T/n, 2T/n, ..., T.
     - mode: "normalized" (default) or "linear" jump and mixing trajectories.
     - n_traj >= 2 (100), as a standard error needs two trajectories; seed
       >= 0 (0) and threads >= 1 (1), the worker cap, itself capped at the

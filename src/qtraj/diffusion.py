@@ -68,6 +68,7 @@ rounding (their step is a BLAS product).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -140,9 +141,11 @@ def noise_covariance(pointer: PointerState, hbar: float = 1.0) -> NoiseCovarianc
     # c1 and c2 from the same real sums: for a real packet (Im lp = 0) they
     # give c2 == Re c1 and Im c1 == 0 exactly, so the noise is exactly real.
     re, im = lp.real, lp.imag
-    c1 = complex(np.sum((re * re - im * im) * dens), 2.0 * np.sum(re * im * dens))
-    c2 = float(np.sum((re * re + im * im) * dens))
-    q0 = float((1j * hbar * np.sum(f0.conj() * df0 * dlam)).real)
+    # A packet too steep for floats gives inf or nan, which DiffusionConfig rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        c1 = complex(np.sum((re * re - im * im) * dens), 2.0 * np.sum(re * im * dens))
+        c2 = float(np.sum((re * re + im * im) * dens))
+        q0 = float((1j * hbar * np.sum(f0.conj() * df0 * dlam)).real)
     return NoiseCovariance(c1=c1, c2=c2, q0=q0, sigma2=hbar * hbar * c2)
 
 
@@ -191,6 +194,12 @@ class DiffusionConfig:
         cov = noise_covariance(self.pointer, self.hbar)
         if cov.sigma2 <= 0:
             raise ValidationError("pointer packet has zero dispersion sigma^2")
+        g_h = self.gamma / self.hbar
+        scales = {"c1": cov.c1, "c2": cov.c2, "q0": cov.q0, "sigma^2": cov.sigma2,
+                  "(gamma/hbar)^2 sigma^2": g_h * g_h * cov.sigma2}
+        for name, value in scales.items():
+            if not cmath.isfinite(value):
+                raise ValidationError(f"noise scale {name} must be finite, got {value!r}")
         object.__setattr__(self, "noise", cov)
 
     @property

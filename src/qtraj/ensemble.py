@@ -49,8 +49,9 @@ from itertools import repeat
 import numpy as np
 
 from .diffusion import DiffusionConfig, _diffusion_batch
-from .errors import ValidationError, physical_memory
-from .jumps import EventColumns, JumpConfig, _jump_batch, _record_times, _step_grid
+from .errors import NumericError, ValidationError, physical_memory
+from .jumps import (EventColumns, JumpConfig, _event_bound, _jump_batch, _record_times,
+                    _step_grid)
 from .linalg import (
     HERMITICITY_TOL,
     HermitianOperator,
@@ -88,6 +89,10 @@ RK4_MATRIX_MAX_DIM = 16
 # value stands until a re-sweep with peak RSS.
 _CHUNK = 512
 _MIXING_BATCH_BYTES = 612 * 1024
+# Peak bytes per event of an event batch (draws, timeline, loop and record),
+# measured with tracemalloc at nu = 1e4 and 1e5, T = 1: 126-180 over 4 to 16
+# rows, 290-340 for one row alone.
+_EVENT_BYTES = 320
 
 
 @dataclass(frozen=True)
@@ -142,6 +147,10 @@ class MasterConfig:
                 raise ValidationError("diffusive mode requires the coupling operator R")
             if self.sigma2 <= 0:
                 raise ValidationError(f"sigma2 must be positive, got {self.sigma2}")
+            g_h = self.gamma / self.hbar
+            if not math.isfinite(g_h * g_h * self.sigma2):
+                raise ValidationError(f"(gamma/hbar)^2 sigma2 must be finite, got gamma="
+                                      f"{self.gamma!r}, hbar={self.hbar!r}, sigma2={self.sigma2!r}")
             r, V = hermitian_eig(self.R)
             rate = (self.gamma / self.hbar) ** 2 * self.sigma2
             mask = (-0.5 * rate) * _slot_mask((r[:, None] - r[None, :]) ** 2, self.M)
@@ -384,17 +393,23 @@ class EnsembleStats:
     entropy_se: np.ndarray | None = None
 
 
-def check_result_size(n_traj: int, n_samples: int, n_observables: int) -> None:
+def check_result_size(n_traj: int, n_samples: int, n_observables: int,
+                      events: float = 0.0) -> None:
     """Reject n_traj result rows beyond physical memory, before any array
     exists.  A row holds its index, event count, log weight and final norm
     or trace, and per sample a weight, entropy, minimum eigenvalue and one
-    value per observable, 8 bytes each; events are not counted."""
+    value per observable, 8 bytes each, and events (a bound on its event
+    count, :func:`qtraj.jumps._event_bound`) at _EVENT_BYTES each."""
     memory = physical_memory()
     record_bytes = 8 * (3 + n_observables)
     row_bytes = 32 + n_samples * record_bytes
     if row_bytes > memory:
         raise ValidationError(f"n_samples must be at most {(memory - 32) // record_bytes} "
                               f"for {record_bytes}-byte records, got {n_samples}")
+    if _EVENT_BYTES * events > memory:
+        raise ValidationError(f"n_traj must be at most 0 for rows of {events:.3g} expected "
+                              f"events, got {n_traj}")
+    row_bytes += math.ceil(_EVENT_BYTES * events)
     if n_traj * row_bytes > memory:
         raise ValidationError(f"n_traj must be at most {memory // row_bytes} "
                               f"for {row_bytes}-byte result rows, got {n_traj}")
@@ -413,7 +428,9 @@ def run_trajectories(
     """Columns of trajectories 0..n_traj-1 of any stochastic config, row i
     being trajectory i, which uses the random stream (cfg.seed, i).
 
-    Every row records at sample_times (default: T), validated once here.
+    Every row records at sample_times (default: T), validated once here,
+    and the rows' size, events included, is checked before anything is
+    drawn (:func:`check_result_size`).
     equation is the density mode of a ManyBodyConfig (default "normalized")
     and the equation of a DiffusionConfig (required, see
     :func:`run_ensemble`); a JumpConfig carries its own mode and takes none.
@@ -432,7 +449,6 @@ def run_trajectories(
         raise ValidationError(f"n_traj must be >= 1, got {n_traj}")
     obs = {str(k): as_matrix(v) for k, v in dict(observables or {}).items()}
     sample_times = _record_times(sample_times, T)
-    check_result_size(n_traj, sample_times.size, len(obs))
     n_workers = max(1, min(n_workers, usable_cpus()))
     share = -(-n_traj // n_workers)
     kw = {"sample_times": sample_times, "observables": obs}
@@ -440,17 +456,19 @@ def run_trajectories(
         if equation is not None:
             raise ValidationError(f"a JumpConfig runs in its own mode {cfg.mode!r}; "
                                   f"pass no equation, got {equation!r}")
-        size = min(_CHUNK, share)
+        size, rate = min(_CHUNK, share), cfg.nu
         batch = partial(_jump_batch, cfg, initial, T, **kw)
     elif isinstance(cfg, ManyBodyConfig):
         entries = math.comb(cfg.d ** 2 + cfg.M - 1, cfg.M)
         size = min(_CHUNK, share, max(1, _MIXING_BATCH_BYTES // (16 * entries)))
+        rate = cfg.total_intensity
         batch = partial(_mixing_batch, cfg, initial, T, equation or "normalized", **kw)
     elif isinstance(cfg, DiffusionConfig):
-        size = _CHUNK
+        size, rate = _CHUNK, 0.0
         batch = partial(_diffusion_batch, cfg, initial, T, equation, **kw)
     else:
         raise ValidationError(f"unsupported config type {type(cfg).__name__}")
+    check_result_size(n_traj, sample_times.size, len(obs), _event_bound(rate, T))
     chunks = (range(lo, min(lo + size, n_traj)) for lo in range(0, n_traj, size))
     return EventColumns.concat(
         _map_chunks(lambda idx: replace(batch(idx), states=None), chunks, n_workers))
@@ -553,6 +571,8 @@ def jump_to_diffusion_bridge(base: DiffusionConfig, nu_list) -> BridgeReport:
     nus = np.asarray(list(nu_list), dtype=float)
     if nus.size < 2 or np.any(np.diff(nus) <= 0):
         raise ValidationError("nu list must be increasing with at least two entries")
+    if not nus[0] > 0:
+        raise ValidationError(f"bridge jump rates must be positive, got nu={float(nus[0])!r}")
     if base.M != 1:
         raise ValidationError("the bridge is a single-particle comparison; use M=1")
     if abs(base.noise.q0) > 1e-8:
@@ -566,7 +586,10 @@ def jump_to_diffusion_bridge(base: DiffusionConfig, nu_list) -> BridgeReport:
     for j, nu in enumerate(nus):
         kappa = base.gamma / math.sqrt(nu)
         kappas[j] = kappa
-        errors[j] = float(np.linalg.norm(_jump_superop(base, kappa, nu) - L_diff)) / denom
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            errors[j] = float(np.linalg.norm(_jump_superop(base, kappa, nu) - L_diff)) / denom
+        if not math.isfinite(errors[j]):
+            raise NumericError(f"the bridge distance at nu={float(nu)!r} is not finite")
     monotone = bool(np.all(np.diff(errors) < 0))
     return BridgeReport(
         nus=nus,

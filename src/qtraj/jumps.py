@@ -300,6 +300,12 @@ class _Schedule:
     sample_slots: np.ndarray
 
 
+def _event_bound(rate: float, T: float) -> float:
+    """Four standard deviations above a row's mean event count rate T."""
+    mean = rate * T
+    return mean + 4.0 * math.sqrt(mean)
+
+
 def _event_draws(seed: int, rate: float, T: float, indices):
     """Each row's Poisson event times and outcome uniforms.
 
@@ -319,8 +325,7 @@ def _event_draws(seed: int, rate: float, T: float, indices):
     n = len(streams.keys)
     if rate == 0:
         return np.full((n, 1), np.inf), np.zeros(n, dtype=np.intp), np.empty(0)
-    mean = rate * T
-    width = min(_GAP_BLOCK, math.ceil(mean + 4.0 * math.sqrt(mean)) + 4)
+    width = min(_GAP_BLOCK, math.ceil(_event_bound(rate, T)) + 4)
     times = np.empty((n, 0))
     rows = np.arange(n)
     while rows.size:

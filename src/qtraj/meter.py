@@ -36,6 +36,10 @@ from .linalg import HermitianOperator, StateVector, hermitian_eig, propagator
 
 DEFAULT_GRID_SIZE = 1024
 DEFAULT_TOL_POVM = 1e-6
+# By Poisson summation the trapezoid sum of the packet on a grid of spacing h
+# aliases by about 4 exp(-pi / h^2), so a coarser grid cannot meet
+# DEFAULT_TOL_POVM whatever its half-width.
+MAX_POINTER_SPACING = math.sqrt(math.pi / math.log(4.0 / DEFAULT_TOL_POVM))
 POINTER_ZERO = 1e-12
 COVERAGE_BASE = 6.0
 POINTER_NORM_TOL = 1e-8
@@ -163,6 +167,12 @@ def gaussian_pointer(
         raise ValidationError(f"n_points must be >= 16, got {n_points}")
     if not half_width > 0:
         raise ValidationError(f"half_width must be positive, got {half_width}")
+    spacing = 2.0 * half_width / (int(n_points) - 1)
+    if spacing > MAX_POINTER_SPACING:
+        raise ValidationError(
+            f"pointer grid spacing {spacing:.3g} ({n_points} pointer points over half-width "
+            f"{half_width!r}) exceeds {MAX_POINTER_SPACING:.3g}: too coarse to resolve the packet"
+        )
     grid = np.linspace(-half_width, half_width, int(n_points))
     raw = np.exp(-0.5 * math.pi * grid ** 2)
     weights = trapezoid_weights(grid)

@@ -412,6 +412,30 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: n_traj must be at most 1 for 64000032-byte result rows, got 100\n")
 
+    @pytest.mark.parametrize("command, spec_fields, message", [
+        pytest.param("jump", {"overrides": {"nu": 1e9}, "n_traj": 2},
+                     "n_traj must be at most 0 for rows of 1e+09 expected events, got 2",
+                     id="jump-rows-of-events"),
+        pytest.param("many", {"overrides": {"nu": 1e300}, "n_traj": 2},
+                     "n_traj must be at most 0 for rows of 2e+300 expected events, got 2",
+                     id="many-rows-of-events"),
+        # 4 sigma above nu T = 1e5: 101264.9 events of 320 bytes, and 352
+        # bytes of row and samples
+        pytest.param("jump", {"overrides": {"nu": 1e5}, "n_traj": 4},
+                     "n_traj must be at most 3 for 32405124-byte result rows, got 4",
+                     id="jump-n_traj"),
+    ])
+    def test_events_beyond_memory_exit_2_before_any_draw(self, tmp_path, capsys, monkeypatch,
+                                                         command, spec_fields, message):
+        def no_chunks(*_):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr("qtraj.ensemble._map_chunks", no_chunks)
+        monkeypatch.setattr("qtraj.ensemble.physical_memory", lambda: 100_000_000)
+        spec = write_spec(tmp_path / "s.json", experiment=command, **spec_fields)
+        assert main([command, "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("overrides, fields, need", [
         # the step kernel's D^2 x D^2 matrices
         pytest.param({"d": 8, "M": 3}, {"n_traj": 2, "n_samples": 1, "T": 0.001},
@@ -616,6 +640,8 @@ class TestUnreadFields:
         pytest.param("master", {"n_traj": 5}, "['n_traj']", id="master-n_traj"),
         pytest.param("diffuse", {"mode": "linear"}, "['mode']", id="diffuse-mode"),
         pytest.param("jump", {"dt": 0.01, "nus": [1.0, 2.0]}, "['dt', 'nus']", id="jump-dt-nus"),
+        # the bridge compares generators; it steps nothing
+        pytest.param("bridge", {"dt": 0.5}, "['dt']", id="bridge-dt"),
     ])
     def test_non_default_unread_field_exits_2(self, tmp_path, capsys, command, spec_fields,
                                               names):

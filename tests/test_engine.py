@@ -310,6 +310,36 @@ REJECTED_INPUTS = [
                  r"stream seeds and indices must be non-negative", id="stream-seed"),
     pytest.param(lambda: jump_to_diffusion_bridge(diffusion_setup(M=2)[0], [10.0, 20.0]),
                  r"the bridge is a single-particle comparison; use M=1", id="bridge-M2"),
+    # kappa = gamma / sqrt(nu) needs a positive rate.
+    pytest.param(lambda: jump_to_diffusion_bridge(diffusion_setup()[0], [0.0, 100.0]),
+                 r"bridge jump rates must be positive, got nu=0\.0", id="bridge-nu-zero"),
+    pytest.param(lambda: jump_to_diffusion_bridge(diffusion_setup()[0], [-5.0, 100.0]),
+                 r"bridge jump rates must be positive, got nu=-5\.0", id="bridge-nu-negative"),
+    # A grid too coarse for the packet, however wide: rejected before the
+    # amplitude of an unresolved packet divides by zero.
+    pytest.param(lambda: gaussian_pointer(1024, 10006.0),
+                 r"^pointer grid spacing 19\.6 \(1024 pointer points over half-width 10006\.0\) "
+                 r"exceeds 0\.455: too coarse to resolve the packet$", id="pointer-spacing"),
+    pytest.param(lambda: build_gaussian_meter(1e6, R01),
+                 r"pointer grid spacing 1\.96e\+03 \(1024 pointer points", id="meter-coarse"),
+    # Noise scales beyond floats.
+    pytest.param(lambda: dataclasses.replace(diffusion_setup()[0], gamma=1e200),
+                 r"noise scale \(gamma/hbar\)\^2 sigma\^2 must be finite, got inf",
+                 id="noise-rate"),
+    pytest.param(lambda: dataclasses.replace(diffusion_setup()[0], hbar=1e300),
+                 r"noise scale sigma\^2 must be finite, got inf", id="noise-sigma2"),
+    pytest.param(lambda: dataclasses.replace(
+                     diffusion_setup()[0], pointer=gaussian_pointer(256, 6.0, phase_slope=1e300)),
+                 r"noise scale c1 must be finite", id="noise-c1"),
+    pytest.param(lambda: MasterConfig(mode="diffusive", H=HX, R=R01, gamma=1e200, sigma2=1.0),
+                 r"\(gamma/hbar\)\^2 sigma2 must be finite, got gamma=1e\+200, hbar=1\.0, "
+                 r"sigma2=1\.0", id="master-rate"),
+    # A row's events count against memory before anything is drawn.
+    pytest.param(lambda: run_trajectories(dataclasses.replace(jump_setup("normalized")[0],
+                                                              nu=1e300),
+                                          jump_setup("normalized")[1], 1.0, 2),
+                 r"n_traj must be at most 0 for rows of 1e\+300 expected events, got 2",
+                 id="events-beyond-memory"),
     # Linear-algebra value types and helpers.
     pytest.param(lambda: StateVector(np.eye(2)),
                  r"amps must be 1-dimensional, got shape \(2, 2\)", id="state-2d"),
@@ -339,6 +369,13 @@ def test_invalid_input_rejected(call, message):
     with pytest.raises(ValidationError, match=message) as exc:
         call()
     assert type(exc.value) is ValidationError
+
+
+def test_non_finite_bridge_distance_names_nu():
+    # The CLI's 1024-point packet: its jump generator at nu = 1e300 overflows.
+    base = dataclasses.replace(diffusion_setup()[0], pointer=gaussian_pointer(1024, 6.0))
+    with pytest.raises(NumericError, match=r"^the bridge distance at nu=1e\+300 is not finite$"):
+        jump_to_diffusion_bridge(base, [1.0, 1e300])
 
 
 class TestBatchLayout:

@@ -375,17 +375,17 @@ FUZZ_FIELDS = {  # name: (usual values, edge values)
     "initial_state": (["uniform", "basis:1"], ["basis:3", [1.0, [0.0, 1.0]], [0.0, 0.0]]),
     "observables": ([["R"], ["H", "projector:1"]], [["projector:3"]]),
     "kick_lambdas": ([None, [0.0, 3.0]], [[-1e3]]),
-    "nus": ([[10.0, 100.0]], [[1.0], [100.0, 10.0]]),
+    "nus": ([[10.0, 100.0]], [[1.0], [100.0, 10.0], [0.0, 10.0], [10.0, 1e300]]),
 }
 FUZZ_OVERRIDES = {
     "d": ([2, 3], [1]),
     "M": ([1, 2], [4, 0, 5]),
-    "kappa": ([0.3, 1.0], [0.0, -1.0, 40.0]),
-    "nu": ([1.0, 5.0], [0.0, 30.0, -1.0]),
-    "gamma": ([1.0, 0.5], [0.0, 10.0]),
-    "hbar": ([1.0, 0.8], [0.05, 0.0]),
+    "kappa": ([0.3, 1.0], [0.0, -1.0, 40.0, 1e6]),
+    "nu": ([1.0, 5.0], [0.0, 30.0, -1.0, 1e9]),
+    "gamma": ([1.0, 0.5], [0.0, 10.0, 1e200]),
+    "hbar": ([1.0, 0.8], [0.05, 0.0, 1e300]),
     "pointer_points": ([256], [16, 8]),
-    "pointer_phase_slope": ([0.0, 0.7], []),
+    "pointer_phase_slope": ([0.0, 0.7], [1e300]),
     "interaction": (["nearest-neighbor", "none"], []),
     "interaction_strength": ([0.5], [-2.0]),
 }

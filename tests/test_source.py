@@ -420,3 +420,55 @@ def test_densities_are_rebuilt_only_where_kept():
         "manybody.py": {"_BlockRows.finish", "evolve_density"},
         "acceptance.py": {"criterion_6"},
     }
+
+
+# Record times have one default, T, set in jumps._record_times.  Besides it
+# only run_ensemble (its documented ten equal steps) and mean_field_evolve
+# (a closed form at any t, not an engine) test a record-time argument
+# against None; an engine that did would grow its own default again.
+RECORD_TIME_NAMES = {"sample_times", "record_times", "times"}
+RECORD_TIME_DEFAULTS = {("jumps.py", "_record_times"), ("ensemble.py", "run_ensemble"),
+                        ("diffusion.py", "mean_field_evolve")}
+
+
+def record_time_none_tests(source: str) -> set[str]:
+    """The innermost definitions of a source that compare a record-time
+    name or attribute with None ("<module>" outside any definition)."""
+    found = set()
+
+    def visit(node, name):
+        if isinstance(node, ast.FunctionDef):
+            name = node.name
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if (any(getattr(o, "id", getattr(o, "attr", None)) in RECORD_TIME_NAMES
+                    for o in operands)
+                    and any(isinstance(o, ast.Constant) and o.value is None for o in operands)):
+                found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, name)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_record_times_default_in_one_place():
+    found = {(path.name, name) for path in MODULES
+             for name in record_time_none_tests(path.read_text())}
+    assert found == RECORD_TIME_DEFAULTS
+
+
+@pytest.mark.parametrize("module, old, new, name", [
+    # the event engine's unsampled columns
+    ("jumps.py", "sample_times=samples,",
+     "sample_times=None if sample_times is None else samples,", "_run_rows"),
+    # the record writer's branch on them
+    ("records.py", '    numeric.update({"entropy"',
+     '    if cols.sample_times is not None:\n        pass\n    numeric.update({"entropy"',
+     "write_trajectories"),
+])
+def test_record_time_check_sees_an_engine_default(module, old, new, name):
+    source = (PACKAGE / module).read_text()
+    assert source.count(old) == 1
+    assert name not in record_time_none_tests(source)
+    assert name in record_time_none_tests(source.replace(old, new))
