@@ -399,7 +399,9 @@ def check_result_size(n_traj: int, n_samples: int, n_observables: int,
     exists.  A row holds its index, event count, log weight and final norm
     or trace, and per sample a weight, entropy, minimum eigenvalue and one
     value per observable, 8 bytes each, and events (a bound on its event
-    count, :func:`qtraj.jumps._event_bound`) at _EVENT_BYTES each."""
+    count, :func:`qtraj.jumps._event_bound`) at _EVENT_BYTES each.  The
+    record text is not counted: :func:`qtraj.records.write_trajectories`
+    holds at most one block of it beyond the columns."""
     memory = physical_memory()
     record_bytes = 8 * (3 + n_observables)
     row_bytes = 32 + n_samples * record_bytes

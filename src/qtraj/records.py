@@ -4,6 +4,12 @@ records, and stable JSON.
 Numbers are written with 17 significant digits (round-trip exact for IEEE
 doubles) and all dictionary output is key-sorted, so a rerun with the same
 configuration and seed reproduces every output byte for byte.
+
+trajectories.jsonl is written from a run's columns in two passes: a scan of
+every column for non-finite values, which writes nothing, then blocks of
+consecutive rows, each rendered and written before the next.  A block holds
+at most BLOCK_ROWS rows and BLOCK_EVENTS events, and at least one row, so
+the writer holds the text of one block beyond the columns at any one time.
 """
 
 from __future__ import annotations
@@ -16,6 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericError
+
+# Bounds of one block of trajectories.jsonl rows; a row with more events
+# than BLOCK_EVENTS is a block of its own.
+BLOCK_ROWS = 256
+BLOCK_EVENTS = 16384
 
 
 def fmt(x) -> str:
@@ -75,15 +86,49 @@ def _objects(fields: dict, n: int):
             for _, *row in zip(range(n), *(fields[key] for key in keys)))
 
 
+def _blocks(offsets: np.ndarray):
+    """Row bounds (a, b) of consecutive blocks covering every row, in order:
+    b - a <= BLOCK_ROWS and offsets[b] - offsets[a] <= BLOCK_EVENTS, except
+    that a block always holds at least one row."""
+    n, a = len(offsets) - 1, 0
+    while a < n:
+        b = int(np.searchsorted(offsets, offsets[a] + BLOCK_EVENTS, side="right")) - 1
+        b = max(a + 1, min(b, a + BLOCK_ROWS))
+        yield a, b
+        a = b
+
+
+def _lines(cols, numeric: dict, grid: list[str], seed: str, a: int, b: int):
+    """An iterator over the lines of rows a:b of the trajectories.jsonl of
+    cols; the block's strings are freed once it is consumed and dropped."""
+    lo, hi = cols.offsets[a], cols.offsets[b]
+    events = [f"[{t},{grid[k]}]" for t, k in zip(map(float.__repr__, cols.times[lo:hi].tolist()),
+                                                 cols.outcomes[lo:hi].tolist())]
+    off = (cols.offsets[a:b + 1] - lo).tolist()
+    fields = {key: _rows(v[a:b]) if v.ndim == 2 else map(float.__repr__, v[a:b].tolist())
+              for key, v in numeric.items()}
+    fields.update(events=("[" + ",".join(events[i:j]) + "]" for i, j in zip(off, off[1:])),
+                  index=map(str, cols.indices[a:b].tolist()), seed=repeat(seed),
+                  type=repeat('"trajectory"'),
+                  sample_times=repeat(_rows(cols.sample_times[None])[0]),
+                  observables=_objects({name: _rows(cols.values[o, a:b])
+                                        for o, name in enumerate(cols.names)}, b - a))
+    return map("{}\n".format, _objects(fields, b - a))
+
+
 def write_trajectories(path, meta: dict, cols, seed: int) -> None:
     """Write the trajectories.jsonl of a jump or mixing run from its event
     columns: line r equals json_dumps_stable of jump_trajectory_record
-    (density_trajectory_record) of row r's trajectory, with each pointer
-    reading, the sample times and each distinct weight row rendered once.
-    A non-finite value raises NumericError naming the seed and the
-    trajectory index before anything is written, or the directory that
-    holds path is created."""
-    n, seed = len(cols.indices), int(seed)
+    (density_trajectory_record) of row r's trajectory.
+
+    Every column is scanned first: a non-finite value raises NumericError
+    naming the seed and the trajectory index before anything is written,
+    or the directory that holds path is created.  The rows are then
+    rendered and written block by block (:func:`_blocks`), each pointer
+    reading rendered once, and the sample times and each distinct series
+    row once per block.  The text held at any one time is that of one
+    block: at most BLOCK_ROWS rows and BLOCK_EVENTS events, or one row."""
+    seed = int(seed)
     density = cols.entropy is not None
     numeric = {"final_trace" if density else "final_norm2": cols.final,
                "log_weight": cols.log_weight, "trace" if density else "norm2": cols.weights}
@@ -99,21 +144,11 @@ def write_trajectories(path, meta: dict, cols, seed: int) -> None:
                 f"{cols.indices[min(rows)]} (seed={seed}); rerun that index alone to reproduce"
             )
     grid = list(map(float.__repr__, cols.grid.tolist()))
-    events = [f"[{t},{grid[k]}]"
-              for t, k in zip(map(float.__repr__, cols.times.tolist()), cols.outcomes.tolist())]
-    off = cols.offsets.tolist()
-    fields = {key: _rows(a) if a.ndim == 2 else map(float.__repr__, a.tolist())
-              for key, a in numeric.items()}
-    fields.update(events=("[" + ",".join(events[a:b]) + "]" for a, b in zip(off, off[1:])),
-                  index=map(str, cols.indices.tolist()), seed=repeat(str(seed)),
-                  type=repeat('"trajectory"'),
-                  sample_times=repeat(_rows(cols.sample_times[None])[0]),
-                  observables=_objects({name: _rows(cols.values[o])
-                                        for o, name in enumerate(cols.names)}, n))
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write(json_dumps_stable({"type": "meta", **meta}) + "\n")
-        f.writelines(map("{}\n".format, _objects(fields, n)))
+        for a, b in _blocks(cols.offsets):
+            f.writelines(_lines(cols, numeric, grid, str(seed), a, b))
 
 
 def _record(traj, index: int, seed: int, final: dict, series: dict) -> dict:

@@ -1,11 +1,16 @@
 """The column-wise trajectories.jsonl encoder: equal to the reference record
-helpers line for line, and a non-finite value ends the run with exit 3."""
+helpers line for line in any row blocks, holding one block of text at a
+time, and a non-finite value ends the run with exit 3."""
+
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from test_engine import TIMES, jump_setup, mixing_setup
 
-from qtraj import NumericError, cli, evolve_density, evolve_jump, run_trajectories
+from qtraj import NumericError, cli, evolve_density, evolve_jump, records, run_trajectories
+from qtraj.jumps import EventColumns
 from qtraj.records import (
     density_trajectory_record,
     jump_trajectory_record,
@@ -18,18 +23,21 @@ ESCAPED = 'x "quoted" \\ é\t'
 META = {"seed": 41, "spec_hash": "0123456789abcdef"}
 
 
-def run_case(engine, mode, sampled, n=30):
+def run_case(engine, mode, sampled, n=30, nu=None):
     """Event columns of n trajectories (two chunks), and the reference
-    records of the same trajectories built one by one."""
+    records of the same trajectories built one by one; nu replaces the
+    setup's event rate."""
     times = TIMES if sampled else None
     if engine == "jump":
         cfg, eta, obs = jump_setup(mode)
+        cfg = cfg if nu is None else dataclasses.replace(cfg, nu=nu)
         obs = {**obs, ESCAPED: obs["R"]}
         cols = run_trajectories(cfg, eta, 1.0, n, obs, times, n_workers=2)
         refs = [jump_trajectory_record(evolve_jump(cfg, eta, 1.0, i, times, obs), i, cfg.seed)
                 for i in range(n)]
     else:
         cfg, rho0, obs = mixing_setup()
+        cfg = cfg if nu is None else dataclasses.replace(cfg, nu=nu)
         obs = {**obs, ESCAPED: obs["R"]}
         cols = run_trajectories(cfg, rho0, 1.0, n, obs, times, n_workers=2, equation=mode)
         refs = [density_trajectory_record(evolve_density(cfg, rho0, 1.0, mode, i, times, obs),
@@ -50,6 +58,85 @@ def test_encoder_equals_reference_helpers(tmp_path, engine, mode, sampled):
     want = (tmp_path / "reference.jsonl").read_text().splitlines()
     assert len(got) == 31 and got == want
     assert (tmp_path / "columns.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+
+
+# Block bounds (rows, events) that cut 30 rows every way: a row a block, 7
+# rows a block, and 3 events a block, where a row with more events is a
+# block of its own.  The rates leave some rows without events.
+BOUNDS = [(1, 10**6), (7, 10**6), (256, 3)]
+SPARSE_NU = {"jump": 2.0, "mixing": 1.0}
+
+
+def set_bounds(monkeypatch, rows, events):
+    monkeypatch.setattr(records, "BLOCK_ROWS", rows)
+    monkeypatch.setattr(records, "BLOCK_EVENTS", events)
+
+
+@pytest.mark.parametrize("mode", ["normalized", "linear"])
+@pytest.mark.parametrize("engine", ["jump", "mixing"])
+def test_block_bounds_change_no_byte(tmp_path, monkeypatch, engine, mode):
+    cfg, cols, refs = run_case(engine, mode, True, nu=SPARSE_NU[engine])
+    write_jsonl(tmp_path / "reference.jsonl", META, refs)
+    want = (tmp_path / "reference.jsonl").read_bytes()
+    empty_starts, own_blocks = 0, 0
+    for rows, events in BOUNDS:
+        set_bounds(monkeypatch, rows, events)
+        blocks = list(records._blocks(cols.offsets))
+        # The blocks cover the rows in order, each within both bounds or one row.
+        assert [r for a, b in blocks for r in range(a, b)] == list(range(30))
+        sizes = [(b - a, cols.offsets[b] - cols.offsets[a]) for a, b in blocks]
+        assert all(r <= rows and (e <= events or r == 1) for r, e in sizes)
+        empty_starts += sum(cols.counts[a] == 0 for a, _ in blocks)
+        own_blocks += sum(e > events for _, e in sizes)
+        write_trajectories(tmp_path / "columns.jsonl", META, cols, cfg.seed)
+        assert (tmp_path / "columns.jsonl").read_bytes() == want
+    assert empty_starts > 0 and own_blocks > 0
+
+
+@pytest.mark.parametrize("column, key", [("times", "events"), ("weights", "norm2"),
+                                         ("values", "observables")])
+def test_non_finite_value_in_the_last_block_is_found_before_writing(tmp_path, monkeypatch,
+                                                                     column, key):
+    set_bounds(monkeypatch, 3, 10**6)
+    cfg, cols, _ = run_case("jump", "linear", True, n=8)
+    row = int(np.flatnonzero(cols.counts)[-1])
+    assert row >= list(records._blocks(cols.offsets))[-1][0]
+    poison(cols, column, row)
+    path = tmp_path / "out" / "t.jsonl"
+    with pytest.raises(NumericError, match=f"non-finite {key} value .* index={row} "):
+        write_trajectories(path, META, cols, cfg.seed)
+    assert not path.parent.exists()
+
+
+def synthetic_jump_columns(n, events=2, samples=4):
+    """Jump columns of n rows of random values, with events per row."""
+    rng = np.random.default_rng(n)
+    return EventColumns(indices=np.arange(n), weights=rng.random((n, samples)),
+                        sample_times=np.linspace(0.1, 1.0, samples), names=("R",),
+                        values=rng.standard_normal((1, n, samples)), counts=np.full(n, events),
+                        times=np.sort(rng.random((n, events)), axis=1).ravel(),
+                        outcomes=rng.integers(0, 8, n * events), grid=np.linspace(-2.0, 2.0, 8),
+                        log_weight=rng.standard_normal(n), final=rng.random(n))
+
+
+# A bound on the writer's traced peak beyond its columns, whatever the row
+# count.  With 256-row blocks it peaks at about 0.25 MB on these rows at
+# both counts; rendering all 2000 rows at once peaks at about 1.8 MB.
+WRITER_PEAK_BYTES = 1_000_000
+
+
+@pytest.mark.parametrize("n", [2000, 16000])
+def test_writer_memory_does_not_grow_with_rows(tmp_path, n):
+    cols = synthetic_jump_columns(n)
+    cols.offsets  # the columns' cumulative event counts, cached on them
+    tracemalloc.start()
+    try:
+        write_trajectories(tmp_path / "t.jsonl", META, cols, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < WRITER_PEAK_BYTES
+    assert len((tmp_path / "t.jsonl").read_text().splitlines()) == n + 1
 
 
 def poison(cols, column, row):

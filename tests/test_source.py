@@ -472,3 +472,64 @@ def test_record_time_check_sees_an_engine_default(module, old, new, name):
     assert source.count(old) == 1
     assert name not in record_time_none_tests(source)
     assert name in record_time_none_tests(source.replace(old, new))
+
+
+# trajectories.jsonl is written from whole columns: every column is scanned
+# for non-finite values before the file is opened, so a bad value writes
+# nothing; the file is opened once; and lines are rendered only in the loop
+# over row blocks, so the writer holds the text of one block at a time.
+WRITER, BLOCKS = "write_trajectories", "_blocks"
+LINE_RENDERERS = {"_lines", "_rows", "_objects"}
+
+
+def writer_faults(source: str) -> list[str]:
+    """What keeps the record writer in source from scanning before it opens
+    its file once and rendering lines only in its block loop."""
+    fn = next(n for n in ast.parse(source).body
+              if isinstance(n, ast.FunctionDef) and n.name == WRITER)
+    faults = []
+    opens = [n.lineno for n in ast.walk(fn) if isinstance(n, ast.Call)
+             and getattr(n.func, "id", getattr(n.func, "attr", None)) == "open"]
+    if len(opens) != 1:
+        faults.append(f"opened {len(opens)} times")
+    scans = [n.lineno for n in ast.walk(fn) if isinstance(n, ast.Call)
+             and getattr(n.func, "attr", None) == "isfinite"]
+    if not scans or opens and max(scans) > min(opens):
+        faults.append("scan not before open")
+    loops = [n for n in ast.walk(fn) if isinstance(n, ast.For) and isinstance(n.iter, ast.Call)
+             and getattr(n.iter.func, "id", None) == BLOCKS]
+    inside = {id(n) for loop in loops for n in ast.walk(loop)}
+    if len(loops) != 1 or not called(loops[0], LINE_RENDERERS):
+        faults.append("no one block loop that renders")
+    if any(id(n) not in inside for n in ast.walk(fn)
+           if isinstance(n, ast.Call) and getattr(n.func, "id", None) in LINE_RENDERERS):
+        faults.append("lines rendered outside the block loop")
+    return faults
+
+
+def test_writer_scans_then_writes_row_blocks():
+    assert writer_faults((PACKAGE / "records.py").read_text()) == []
+
+
+@pytest.mark.parametrize("old, new, fault", [
+    # every block rendered before the file is opened
+    ("    grid = list(",
+     "    lines = [list(_lines(cols, numeric, [], str(seed), a, b))\n"
+     "             for a, b in _blocks(cols.offsets)]\n    grid = list(",
+     "lines rendered outside the block loop"),
+    # the whole weight column rendered at once
+    ("    grid = list(", "    weights = _rows(cols.weights)\n    grid = list(",
+     "lines rendered outside the block loop"),
+    # each block scanned as it is written
+    ("            f.writelines(",
+     "            if not np.isfinite(cols.weights[a:b]).all():\n"
+     "                raise NumericError('weights')\n            f.writelines(",
+     "scan not before open"),
+    # the file truncated, then opened again
+    ('    with open(path, "w") as f:', '    open(path, "w").close()\n    with open(path, "w") as f:',
+     "opened 2 times"),
+], ids=["pre-rendered", "whole-column", "scan-per-block", "opened-twice"])
+def test_writer_check_sees_a_mutant(old, new, fault):
+    source = (PACKAGE / "records.py").read_text()
+    assert source.count(old) == 1
+    assert fault in writer_faults(source.replace(old, new))
