@@ -44,7 +44,7 @@ from .ensemble import (
     trajectory_stats,
 )
 from .errors import SimulationError, ValidationError, physical_memory
-from .jumps import MODES, JumpConfig
+from .jumps import JumpConfig
 from .linalg import HermitianOperator, StateVector, _check_particles, kron_power, slot_sum
 from .manybody import ManyBodyConfig, nearest_neighbor_coupling
 from .meter import DEFAULT_GRID_SIZE, MeterModel
@@ -70,9 +70,9 @@ OVERRIDES = {
     "d": (int, None, None),
     "M": (int, lambda M: M >= 1, "M >= 1 required"),
     "kappa": (float, None, None),
-    "nu": (float, lambda nu: nu >= 0, "nu >= 0 required"),
+    "nu": (float, None, None),
     "gamma": (float, None, None),
-    "hbar": (float, lambda hbar: hbar > 0, "hbar > 0 required"),
+    "hbar": (float, None, None),
     "pointer_points": (int, lambda n: n >= 16, "pointer_points >= 16 required"),
     "pointer_phase_slope": (float, None, None),
     "interaction": (str, INTERACTIONS.__contains__,
@@ -174,11 +174,11 @@ class RunSpec:
       master "jump-averaged" (default) or "diffusive".
     - overrides ({}): model parameters that replace the preset's: d (only
       lattice-particle takes a d other than its own), M (1 to
-      ``MAX_PARTICLES``), kappa, nu >= 0, gamma, hbar > 0 (1),
-      pointer_points >= 16 (1024), pointer_phase_slope (0), interaction
-      "none" (default) or "nearest-neighbor", interaction_strength (0.5);
-      stored converted, so {"nu": 5} and {"nu": 5.0} hash alike.
-    - T > 0 (1): final time; dt > 0 (1e-3): step of diffuse and master;
+      ``MAX_PARTICLES``), kappa, nu, gamma, hbar (1), pointer_points >= 16
+      (1024), pointer_phase_slope (0), interaction "none" (default) or
+      "nearest-neighbor", interaction_strength (0.5); stored converted, so
+      {"nu": 5} and {"nu": 5.0} hash alike.
+    - T (1): final time; dt (1e-3): step of diffuse and master;
       n_samples >= 1 (10): record times T/n, 2T/n, ..., T.
     - mode: "normalized" (default) or "linear" jump and mixing trajectories.
     - n_traj >= 2 (100), as a standard error needs two trajectories; seed
@@ -201,7 +201,8 @@ class RunSpec:
     non-default value of any other field and any other override key, and
     also interaction and interaction_strength when M is 1 and
     interaction_strength without the nearest-neighbor interaction.  Every
-    number, nested ones included, must be finite.
+    number, nested ones included, must be finite.  The engines alone check
+    T > 0, dt > 0, the mode, nu >= 0 and hbar > 0, before any output.
     """
 
     experiment: str = _field(str)
@@ -230,10 +231,7 @@ class RunSpec:
             self.experiment in EXPERIMENTS,
             f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}",
         )
-        _require(self.T > 0, "T > 0 required")
-        _require(self.dt > 0, "dt > 0 required")
         _require(self.n_samples >= 1, "n_samples >= 1 required")
-        _require(self.mode in MODES, "mode must be 'normalized' or 'linear'")
         _require(self.n_traj >= 2, f"n_traj must be >= 2, got {self.n_traj}")
         _require(self.seed >= 0, "seed >= 0 required")
         _require(self.threads >= 1, "threads >= 1 required")

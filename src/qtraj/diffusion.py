@@ -63,7 +63,8 @@ paths from ensemble.run_trajectories, and as a batch of one from
 evolve_diffusive_sse / evolve_coupled_sse / evolve_diffusive_density.
 Every path draws from its own stream; state paths are bit-identical in any
 batch (their products are elementwise sums), density ones agree to
-rounding (their step is a BLAS product).
+rounding (their step is a BLAS product).  A path that blows up or loses
+positivity fails through the event engine's guard, qtraj.jumps._guard.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import CapacityError, NumericError, ValidationError, physical_memory
-from .jumps import EventColumns, _record_times, _step_grid
+from .jumps import EventColumns, _guard, _observables, _record_times, _step_grid
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
@@ -87,18 +88,20 @@ from .linalg import (
     hermitian_coordinates,
     hermitian_eig,
     hermitian_from_coordinates,
+    initial_state,
     kron_power,
     propagator,
     slot_sum,
     real_superop,
     spectrum_entropy,
 )
-from .meter import PointerState, STATE_NORM_TOL
+from .meter import PointerState
 from .rng import generators
 
 BLOWUP_LIMIT = 1e6
 POSITIVITY_TOL = 1e-6
 EQUATIONS = ("linear", "coupled", "density")
+_REDUCE_DT = "reduce dt, or "
 # Steps per normal draw and per run of step factors (for 512 paths: 2 MB of
 # normals, and 1 MB of real density factors at D = 4).
 _DRAW_BLOCK = 256
@@ -186,8 +189,6 @@ class DiffusionConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValidationError(f"dt must be positive, got {self.dt}")
-        if self.hbar <= 0:
-            raise ValidationError(f"hbar must be positive, got {self.hbar}")
         _check_particles(self.M)
         if self.H.dim != self.R.dim:
             raise ValidationError("H and R must share a dimension")
@@ -221,18 +222,6 @@ class DensityPath:
     trace: np.ndarray
     entropy: np.ndarray
     min_eig: np.ndarray
-
-
-def _guard(ok: np.ndarray, what: str, seed: int, indices, times):
-    """Raise a NumericError unless ok holds everywhere; ok[i, s] is the
-    verdict on path indices[i] at record time times[s], and the message names
-    the seed, the path index and the time of the first failing path."""
-    if not np.all(ok):
-        i, s = np.argwhere(~ok)[0]
-        raise NumericError(
-            f"{what} at t={float(times[s])!r} (seed={seed}, path index={indices[i]}); "
-            "reduce dt, or rerun that index alone to reproduce"
-        )
 
 
 def _rows_product(y: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -289,17 +278,15 @@ def _coupled_states(
     """
     if cfg.M != 1:
         raise ValidationError("the state equations are single-particle; use M=1")
-    if abs(eta.norm2() - 1.0) > STATE_NORM_TOL:
-        raise ValidationError("initial state must be normalized")
+    eta = initial_state(eta, StateVector, cfg.dim)
     n_steps, times, rec_map = _step_grid(T, cfg.dt, sample_times)
     n = len(indices)
     wR, VR = hermitian_eig(cfg.R)
     UT = (VR.conj().T @ propagator(cfg.H, cfg.dt, cfg.hbar) @ VR).T
-    amps = eta.amps.astype(complex)
-    y = np.tile((VR.conj().T @ amps)[:, None], (1, n))
+    y = np.tile((VR.conj().T @ eta.amps)[:, None], (1, n))
     out = np.empty((n, times.size, cfg.dim), dtype=complex)
     if 0 in rec_map:
-        out[:, rec_map[0]] = amps
+        out[:, rec_map[0]] = eta.amps
     linear = equation == "linear"
     width = 1
     if linear:
@@ -335,9 +322,8 @@ def _coupled_states(
                 if s + b + 1 in rec_map:
                     chi = _rows_product(y, VR.T)
                     n2 = (chi.real * chi.real + chi.imag * chi.imag).sum(axis=0)
-                    _guard((n2 <= BLOWUP_LIMIT)[:, None],
-                           f"squared norm exceeded {BLOWUP_LIMIT:.0e}",
-                           cfg.seed, indices, [times[rec_map[s + b + 1][0]]])
+                    _guard(n2 <= BLOWUP_LIMIT, f"squared norm exceeded {BLOWUP_LIMIT:.0e}",
+                           cfg.seed, indices, times[rec_map[s + b + 1][0]], _REDUCE_DT)
                     out[:, rec_map[s + b + 1]] = chi.T[:, None, :]
     return out
 
@@ -401,20 +387,15 @@ def _density_states(cfg: DiffusionConfig, rho0, T: float, indices, sample_times)
     Every step factor maps Hermitian matrices to Hermitian ones, so the
     coordinates describe the state exactly and no symmetrization is needed.
     The factors are built for each run of normals from
-    :func:`_noise_blocks`, two per step.  rho0 must be a density matrix of
-    unit trace (ValidationError), and a batch beyond physical memory raises
-    CapacityError; both are checked before anything is drawn or built.
+    :func:`_noise_blocks`, two per step.  A bad rho0 (ValidationError) or a
+    batch beyond physical memory (CapacityError) fails before any draw.
     Returns rhos[i, j], the density of path indices[i] at record time j of
     :func:`_step_grid`, rebuilt as a complex matrix and rotated back to the
     original basis.
     """
-    rho = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)
     M = cfg.M
     D = cfg.dim ** M
-    if rho.dim != D:
-        raise ValidationError(f"initial density must have shape {(D, D)}, got {rho.entries.shape}")
-    if abs(rho.trace() - 1.0) > 1e-8:
-        raise ValidationError("initial density must have unit trace")
+    rho = initial_state(rho0, DensityMatrix, D)
     n_steps, times, rec_map = _step_grid(T, cfg.dt, sample_times)
     n, U = len(indices), D * (D - 1) // 2
     a11, a21, a22 = _noise_chol(cfg.dt, M * cfg.noise.c1, M * cfg.noise.c2)
@@ -498,12 +479,12 @@ def _density_spectra(rhos: np.ndarray, seed: int, indices, times):
     :func:`_guard` applied."""
     trace = np.einsum("...ii->...", rhos).real
     _guard(np.abs(trace) <= BLOWUP_LIMIT, f"density trace exceeded {BLOWUP_LIMIT:.0e}",
-           seed, indices, times)
+           seed, indices, times, _REDUCE_DT)
     eigs = np.linalg.eigvalsh(rhos)
     min_eig = eigs[..., 0]
     _guard(min_eig >= -POSITIVITY_TOL * np.maximum(np.sum(np.abs(eigs), axis=-1), 1e-30),
            f"positivity defect beyond -{POSITIVITY_TOL:.0e} of the trace norm",
-           seed, indices, times)
+           seed, indices, times, _REDUCE_DT)
     return trace, spectrum_entropy(eigs), min_eig
 
 
@@ -521,7 +502,7 @@ def _diffusion_batch(cfg: DiffusionConfig, initial, T: float, equation: str, ind
         raise ValidationError(f"diffusion ensembles need equation= one of "
                               f"{EQUATIONS}, got {equation!r}")
     times = _record_times(sample_times, T)
-    obs = observables or {}
+    obs = _observables(observables, cfg.dim ** cfg.M if equation == "density" else cfg.dim)
     extra = {}
     if equation == "density":
         states = _density_states(cfg, initial, T, indices, times)

@@ -449,11 +449,10 @@ def run_trajectories(
     """
     if n_traj < 1:
         raise ValidationError(f"n_traj must be >= 1, got {n_traj}")
-    obs = {str(k): as_matrix(v) for k, v in dict(observables or {}).items()}
     sample_times = _record_times(sample_times, T)
     n_workers = max(1, min(n_workers, usable_cpus()))
     share = -(-n_traj // n_workers)
-    kw = {"sample_times": sample_times, "observables": obs}
+    kw = {"sample_times": sample_times, "observables": observables}
     if isinstance(cfg, JumpConfig):
         if equation is not None:
             raise ValidationError(f"a JumpConfig runs in its own mode {cfg.mode!r}; "
@@ -470,7 +469,7 @@ def run_trajectories(
         batch = partial(_diffusion_batch, cfg, initial, T, equation, **kw)
     else:
         raise ValidationError(f"unsupported config type {type(cfg).__name__}")
-    check_result_size(n_traj, sample_times.size, len(obs), _event_bound(rate, T))
+    check_result_size(n_traj, sample_times.size, len(observables or {}), _event_bound(rate, T))
     chunks = (range(lo, min(lo + size, n_traj)) for lo in range(0, n_traj, size))
     return EventColumns.concat(
         _map_chunks(lambda idx: replace(batch(idx), states=None), chunks, n_workers))

@@ -51,7 +51,8 @@ batch of one) or in a batch (:func:`_jump_batch`).  The rows are a kernel
 object: :class:`_PureRows` here, amplitudes in H's eigenbasis; for
 label-averaged densities ``manybody._BlockRows``, one copy of each S_M block
 of the density.  The loop also finishes the columns from the kernel's
-final rows, so a batch function only validates its input.
+final rows, so a batch function only validates its input.  A row fails,
+here and in the diffusive batches, through the one guard :func:`_guard`.
 
 A batch returns columns (:class:`EventColumns`); a :class:`Trajectory`
 object is built only by :func:`evolve_jump`.
@@ -66,8 +67,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .linalg import HermitianOperator, StateVector, hermitian_eig
-from .meter import MeterModel, STATE_NORM_TOL
+from .linalg import HermitianOperator, StateVector, as_matrix, hermitian_eig, initial_state
+from .meter import MeterModel
 from .rng import Streams
 
 MODES = ("normalized", "linear")
@@ -254,6 +255,27 @@ def _record_times(times, T: float) -> np.ndarray:
     return times
 
 
+def _observables(observables, dim: int) -> dict[str, np.ndarray]:
+    """Every batch function's observables (none by default) as complex
+    matrices by str name, a ValidationError unless each acts on dim."""
+    obs = {str(k): as_matrix(v) for k, v in dict(observables or {}).items()}
+    for name, X in obs.items():
+        if X.shape[0] != dim:
+            raise ValidationError(f"observable {name!r} must act on dimension {dim}, "
+                                  f"got {X.shape[0]}")
+    return obs
+
+
+def _guard(ok, what: str, seed: int, indices, times, advice: str = ""):
+    """Raise the NumericError of the first failure in row order unless ok
+    holds: ok[i] (ok[i, s]) is trajectory indices[i] at times[i] (times[s])."""
+    if not np.all(ok):
+        at = tuple(np.argwhere(~ok)[0])
+        t = float(np.broadcast_to(times, ok.shape)[at])
+        raise NumericError(f"{what} at t={t!r} (seed={seed}, trajectory index={indices[at[0]]}); "
+                           f"{advice}rerun that index alone to reproduce")
+
+
 def _step_grid(T: float, dt: float, times) -> tuple[int, np.ndarray, dict[int, list[int]]]:
     """(step count, record times, rec_map) of a fixed-step run over [0, T]:
     the record times are :func:`_record_times` of times (T alone when none
@@ -407,12 +429,12 @@ def _run_rows(kern, meter: MeterModel, seed: int, rate: float, T: float, indices
     selected by an index array or by a full slice, and the kernel must treat
     both alike.  finish(log_w, zero in normalized mode) returns the final
     rows, their final values and whether each row passes the kernel's
-    final check (a failure is kern.invalid).  A NumericError names the
-    seed, trajectory index and time to rerun.
+    final check (a failure is kern.invalid, raised by :func:`_guard`).
     """
     samples = _record_times(sample_times, T)
     sch = _schedule(seed, rate, T, indices, samples, hbar)
-    n = len(indices)
+    index = np.array(indices, dtype=np.intp)
+    n = index.size
     log_w = np.zeros(n)
     u = sch.event_uniforms
     if linear:
@@ -425,14 +447,6 @@ def _run_rows(kern, meter: MeterModel, seed: int, rate: float, T: float, indices
     minus_iw = -1j * kern.w
     # Phases of the next steps, computed together within a byte budget.
     phase_steps = max(1, _PHASE_BLOCK_BYTES // (16 * n * kern.w.size))
-
-    def check(ok, rows, k, what):
-        """Raise a NumericError naming the first of rows not ok at step k."""
-        if not ok.all():
-            r = np.arange(n)[rows][np.argmin(ok)]
-            raise NumericError(f"{what} at t={float(sch.t[r, k])!r} (seed={seed}, trajectory "
-                               f"index={indices[r]}); rerun that index alone to reproduce")
-
     for k, (s_rows, e_rows, span) in enumerate(sch.steps):
         if k % phase_steps == 0:
             phases = np.exp(np.multiply.outer(sch.gaps[k:k + phase_steps], minus_iw))
@@ -446,15 +460,15 @@ def _run_rows(kern, meter: MeterModel, seed: int, rate: float, T: float, indices
             if not linear:
                 idx, total = _draw_outcomes(meter, kern.populations(rot), u[span])
                 # NaN fails these comparisons too.
-                check(total >= VANISHING, e_rows, k, DEGENERATE)
+                _guard(total >= VANISHING, DEGENERATE, seed, index[e_rows], sch.t[e_rows, k])
                 outcomes[span] = idx
             reduced, norm = kern.reduce(rot, outcomes[span])
-            check(norm >= VANISHING, e_rows, k, kern.collapse)
+            _guard(norm >= VANISHING, kern.collapse, seed, index[e_rows], sch.t[e_rows, k])
             kern.store(e_rows, reduced, norm)
             if linear:
                 log_w[e_rows] += np.log(norm)
     states, final, ok = kern.finish(log_w)
-    check(ok, slice(None), -1, kern.invalid)  # every row's last point is T
+    _guard(ok, kern.invalid, seed, index, sch.t[:, -1])  # every row's last point is T
 
     def collect(name, tail=()):
         """(rows, samples, *tail) array of a recorded series."""
@@ -464,7 +478,7 @@ def _run_rows(kern, meter: MeterModel, seed: int, rate: float, T: float, indices
         return out
 
     cols = EventColumns(
-        indices=np.array(indices, dtype=np.intp),
+        indices=index,
         counts=sch.counts,
         times=sch.times,
         outcomes=np.empty(u.size, dtype=np.intp),
@@ -536,10 +550,8 @@ def _jump_batch(cfg: JumpConfig, eta: StateVector, T: float, indices,
     """Trajectories at the given indices, run as one batch of the event
     engine; row r equals evolve_jump(cfg, eta, T, indices[r], ...) bit for
     bit."""
-    if abs(eta.norm2() - 1.0) > STATE_NORM_TOL:
-        raise ValidationError(f"initial state must be normalized, norm^2={eta.norm2()!r}")
-    obs = observables or {}
-    indices = list(indices)
+    eta = initial_state(eta, StateVector, cfg.H.dim)
+    obs = _observables(observables, cfg.H.dim)
     kern = _PureRows(cfg, eta.normalized(), len(indices), obs)
     return _run_rows(kern, cfg.meter, cfg.seed, cfg.nu, T, indices, sample_times, obs,
                      cfg.mode == "linear", cfg.hbar)

@@ -24,6 +24,7 @@ from .errors import CapacityError, ValidationError
 
 HERMITICITY_TOL = 1e-12
 DENSITY_EIG_FLOOR = -1e-10
+STATE_NORM_TOL = 1e-8
 MAX_PARTICLES = 4
 
 
@@ -147,6 +148,22 @@ class DensityMatrix:
 
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
+
+
+def initial_state(state, kind, dim: int):
+    """state as a kind, StateVector or DensityMatrix (built from an array):
+    a ValidationError unless on dimension dim with unit norm or trace."""
+    state = state if isinstance(state, kind) else kind(state)
+    vector = kind is StateVector
+    shape = (dim,) if vector else (dim, dim)
+    if state.dim != dim:
+        raise ValidationError(f"initial {'state' if vector else 'density'} must have shape "
+                              f"{shape}, got {(state.dim,) * len(shape)}")
+    size = state.norm2() if vector else state.trace()
+    if abs(size - 1.0) > STATE_NORM_TOL:
+        raise ValidationError(f"initial state must be normalized, norm^2={size!r}" if vector
+                              else f"initial density must have unit trace, got {size!r}")
+    return state
 
 
 def _hermitian_index(D: int):

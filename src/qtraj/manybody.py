@@ -52,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .jumps import MODES, EventColumns, _run_rows
+from .jumps import MODES, EventColumns, _observables, _run_rows
 from .linalg import (
     DENSITY_EIG_FLOOR,
     HERMITICITY_TOL,
@@ -65,6 +65,7 @@ from .linalg import (
     embed_at_slot,
     embed_pair,
     hermitian_eig,
+    initial_state,
     kron_power,
     permutation_matrix,
     permute_slots_matrix,
@@ -550,18 +551,14 @@ def _mixing_batch(cfg: ManyBodyConfig, rho0: DensityMatrix, T: float, mode: str,
     (see :func:`_densities`), which run_trajectories drops."""
     if mode not in MODES:
         raise ValidationError(f"mode must be 'normalized' or 'linear', got {mode!r}")
-    if abs(rho0.trace() - 1.0) > 1e-8:
-        raise ValidationError(f"initial density must have unit trace, got {rho0.trace()!r}")
-    if rho0.dim != cfg.dim:
-        raise ValidationError(f"initial density dimension {rho0.dim} != d^M = {cfg.dim}")
+    rho0 = initial_state(rho0, DensityMatrix, cfg.dim)
     defect = permutation_defect(rho0, cfg.d, cfg.M)
     if defect > HERMITICITY_TOL:
         raise ValidationError(
             "initial density is not permutation-invariant: max slot-swap defect "
             f"{defect:.3e} exceeds {HERMITICITY_TOL:.1e}"
         )
-    obs = observables or {}
-    indices = list(indices)
+    obs = _observables(observables, cfg.dim)
     kern = _BlockRows(cfg, rho0.entries.astype(complex), len(indices), obs)
     return _run_rows(kern, cfg.meter, cfg.seed, cfg.total_intensity, T, indices, sample_times,
                      obs, mode == "linear", cfg.hbar)

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import NumericError, ValidationError
-from .linalg import HermitianOperator, StateVector, hermitian_eig, propagator
+from .linalg import HermitianOperator, StateVector, hermitian_eig, initial_state, propagator
 
 DEFAULT_GRID_SIZE = 1024
 DEFAULT_TOL_POVM = 1e-6
@@ -43,7 +43,6 @@ MAX_POINTER_SPACING = math.sqrt(math.pi / math.log(4.0 / DEFAULT_TOL_POVM))
 POINTER_ZERO = 1e-12
 COVERAGE_BASE = 6.0
 POINTER_NORM_TOL = 1e-8
-STATE_NORM_TOL = 1e-8
 
 
 def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
@@ -313,10 +312,7 @@ class MeterModel:
         finite on the whole grid; integrates to one up to the completeness
         defect.
         """
-        if abs(eta.norm2() - 1.0) > STATE_NORM_TOL:
-            raise ValidationError(
-                f"output density requires a normalized state, norm^2={eta.norm2()!r}"
-            )
+        eta = initial_state(eta, StateVector, self.dim)
         et = self.eigenvectors.conj().T @ eta.amps
         return (np.abs(self.packet_matrix) ** 2) @ (np.abs(et) ** 2)
 

@@ -162,7 +162,7 @@ class TestManifestDiagnostics:
 
 
 class TestParticleCap:
-    @pytest.mark.parametrize("experiment", ["many", "diffuse", "master"])
+    @pytest.mark.parametrize("experiment", ["kick", "many", "diffuse", "master"])
     def test_too_many_particles_exits_4(self, tmp_path, capsys, experiment):
         spec = write_spec(tmp_path / "m5.json", experiment=experiment, overrides={"M": 5})
         assert main([experiment, "--spec", str(spec), "--out", str(tmp_path / "o")]) == 4
@@ -354,6 +354,30 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(message)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, spec_fields, value", [
+        pytest.param("jump", {"T": -1}, "-1.0", id="jump-T-negative"),
+        pytest.param("jump", {"T": 0}, "0.0", id="jump-T-zero"),
+        pytest.param("many", {"T": 0}, "0.0", id="many-T-zero"),
+        pytest.param("diffuse", {"T": -1}, "-1.0", id="diffuse-T-negative"),
+        pytest.param("master", {"T": 0}, "T=0.0", id="master-T-zero"),
+        pytest.param("diffuse", {"dt": 0}, "0.0", id="diffuse-dt"),
+        pytest.param("master", {"dt": 0}, "dt=0.0", id="master-dt"),
+        pytest.param("jump", {"mode": "bogus"}, "'bogus'", id="jump-mode"),
+        pytest.param("many", {"mode": "bogus"}, "'bogus'", id="many-mode"),
+        pytest.param("jump", {"overrides": {"nu": -1}}, "-1.0", id="jump-nu"),
+        pytest.param("many", {"overrides": {"nu": -1}}, "-1.0", id="many-nu"),
+        pytest.param("master", {"overrides": {"nu": -1}}, "-1.0", id="master-nu"),
+        pytest.param("jump", {"overrides": {"hbar": 0}}, "0.0", id="jump-hbar"),
+        pytest.param("bridge", {"overrides": {"hbar": 0}}, "0.0", id="bridge-hbar"),
+    ])
+    def test_engine_range_check_exits_2(self, tmp_path, capsys, command, spec_fields, value):
+        # The engines own these checks; the spec layer does not repeat them.
+        spec = write_spec(tmp_path / "s.json", experiment=command, **spec_fields)
+        assert main([command, "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and value in err, err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["jump", "many", "diffuse"])
     def test_single_trajectory_rejected(self, tmp_path, capsys, command):
         # A standard error needs two trajectories.
@@ -487,7 +511,7 @@ class TestExitCodes:
                           overrides={"gamma": 40.0}, dt=0.25, T=T, n_samples=1, n_traj=2)
         assert main(["diffuse", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == (
-            f"error: {what} exceeded 1e+06 at t={T} (seed=0, path index=0); "
+            f"error: {what} exceeded 1e+06 at t={T} (seed=0, trajectory index=0); "
             "reduce dt, or rerun that index alone to reproduce\n"
         )
 

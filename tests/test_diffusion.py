@@ -238,7 +238,7 @@ class TestDiffusiveSse:
         with pytest.raises(NumericError) as err:
             _diffusion_batch(cfg, eta, 0.02, equation, [4], [0.009, 0.02])
         assert str(err.value) == (
-            "squared norm exceeded 5e-01 at t=0.009 (seed=3, path index=4); "
+            "squared norm exceeded 5e-01 at t=0.009 (seed=3, trajectory index=4); "
             "reduce dt, or rerun that index alone to reproduce")
 
     def test_step_grid_validation(self):
@@ -452,12 +452,12 @@ class TestDiffusiveDensity:
         rhos = np.tile(np.eye(2, dtype=complex) / 2, (2, 3, 1, 1))
         rhos[1, 2] = np.diag([1.1, -0.1])  # path index 8 at t = 0.3
         with pytest.raises(NumericError, match=r"positivity defect .* at t=0\.3 "
-                                               r"\(seed=7, path index=8\)"):
+                                               r"\(seed=7, trajectory index=8\)"):
             _density_spectra(rhos, 7, [3, 8], np.array([0.1, 0.2, 0.3]))
         rhos[1, 2] = np.eye(2)
         rhos[0, 1] = 1e7 * np.eye(2)  # path index 3 at t = 0.2
         with pytest.raises(NumericError, match=r"density trace exceeded .* at t=0\.2 "
-                                               r"\(seed=7, path index=3\)"):
+                                               r"\(seed=7, trajectory index=3\)"):
             _density_spectra(rhos, 7, [3, 8], np.array([0.1, 0.2, 0.3]))
 
     def test_batch_peak_memory(self):

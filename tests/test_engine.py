@@ -237,7 +237,7 @@ REJECTED_INPUTS = [
                  r"mode must be 'normalized' or 'linear', got 'bogus'",
                  id="mixing-mode"),
     pytest.param(lambda: _mixing_batch(mixing_setup()[0], maximally_mixed(2), 0.1, "linear", [0]),
-                 r"initial density dimension 2 != d\^M = 4", id="mixing-dim"),
+                 r"initial density must have shape \(4, 4\), got \(2, 2\)", id="mixing-dim"),
     # The averaged generator's inputs.
     pytest.param(lambda: MasterConfig(mode="bogus", H=HX),
                  r"mode must be one of \('jump-averaged', 'diffusive'\), got 'bogus'",
@@ -369,6 +369,69 @@ def test_invalid_input_rejected(call, message):
     with pytest.raises(ValidationError, match=message) as exc:
         call()
     assert type(exc.value) is ValidationError
+
+
+def batch_case(engine):
+    """(batch, initial, state of the wrong dimension, observables): batch(initial,
+    observables) runs three trajectories of one batch function."""
+    if engine == "jump":
+        cfg, eta, obs = jump_setup("normalized")
+        return (lambda init, o: _jump_batch(cfg, init, 1.0, range(3), TIMES, o),
+                eta, StateVector(np.array([0.6, 0.8])), obs)
+    if engine == "mixing":
+        cfg, rho0, obs = mixing_setup()
+        return (lambda init, o: _mixing_batch(cfg, init, 1.0, "linear", range(3), TIMES, o),
+                rho0, maximally_mixed(2), obs)
+    M = 2 if engine == "density" else 1
+    cfg, eta = diffusion_setup(M=M, dt=0.01)
+    initial = StateVector(np.kron(eta.amps, eta.amps)).density() if M == 2 else eta
+    wrong = maximally_mixed(2) if M == 2 else StateVector(np.ones(3) / math.sqrt(3))
+    obs = {"R": np.kron(R01.entries, np.eye(2)) if M == 2 else R01.entries}
+    return (lambda init, o: _diffusion_batch(cfg, init, 0.1, engine, range(3), [0.05, 0.1], o),
+            initial, wrong, obs)
+
+
+def entries(state):
+    return state.amps if isinstance(state, StateVector) else state.entries
+
+
+BATCH_ENGINES = ["jump", "mixing", "linear", "coupled", "density"]
+
+
+class TestBatchInputs:
+    """Each batch function takes its initial state as a value type or an
+    array, and rejects a state or an observable of the wrong dimension
+    before anything is drawn."""
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def drawn(*args):
+            raise AssertionError("a stream was keyed")
+
+        for target in ("qtraj.rng.Streams", "qtraj.rng.generators", "qtraj.jumps.Streams",
+                       "qtraj.diffusion.generators"):
+            monkeypatch.setattr(target, drawn)
+
+    @pytest.mark.parametrize("engine", BATCH_ENGINES)
+    def test_array_initial_state_equals_value_type(self, engine):
+        batch, initial, _, obs = batch_case(engine)
+        assert same_columns(batch(np.array(entries(initial)), obs), batch(initial, obs))
+
+    @pytest.mark.parametrize("engine", BATCH_ENGINES)
+    def test_wrong_dimension_state_rejected_before_draws(self, engine, no_draws):
+        batch, _, wrong, obs = batch_case(engine)
+        for state in (wrong, np.array(entries(wrong))):
+            with pytest.raises(ValidationError, match=r"^initial (state|density) must have "
+                                                      r"shape \((\d+, )*\d+,?\), got "):
+                batch(state, obs)
+
+    @pytest.mark.parametrize("engine", BATCH_ENGINES)
+    def test_wrong_dimension_observable_rejected_before_draws(self, engine, no_draws):
+        batch, initial, _, obs = batch_case(engine)
+        dim = next(iter(obs.values())).shape[0]
+        with pytest.raises(ValidationError, match=f"^observable 'X' must act on dimension "
+                                                  f"{dim}, got {dim + 1}$"):
+            batch(initial, {**obs, "X": np.eye(dim + 1)})
 
 
 def test_non_finite_bridge_distance_names_nu():
@@ -636,6 +699,109 @@ class TestReproducibleFailure:
         assert capsys.readouterr().err == (
             "error: final density has an eigenvalue below DENSITY_EIG_FLOOR or a bad trace "
             "at t=0.5 (seed=7, trajectory index=0); rerun that index alone to reproduce\n")
+
+
+def poison_row(monkeypatch, row):
+    """Make row of every jump batch NaN after each free gap."""
+    advance = _PureRows.advance
+
+    def poisoned(kern, phases):
+        advance(kern, phases)
+        kern.y[row] = np.nan
+
+    monkeypatch.setattr(_PureRows, "advance", poisoned)
+
+
+def first_event(rate, seed, index):
+    return float(sample_poisson_times(rate, 1.0, stream(seed, index))[0])
+
+
+def degenerate_outcome(monkeypatch):
+    cfg, eta, _ = jump_setup("normalized")
+    poison_row(monkeypatch, 1)
+    return (lambda: _jump_batch(cfg, eta, 1.0, range(3, 6)),
+            "all outcome weights vanish; state is degenerate", 41, 4, first_event(6.0, 41, 4))
+
+
+def annihilation(monkeypatch):
+    # Far from the pointer peak, G(lambda) underflows to zero on |1>.
+    cfg = JumpConfig(H=HermitianOperator(np.zeros((2, 2))), meter=build_gaussian_meter(40.0, R01),
+                     nu=5.0, seed=17, mode="linear")
+    eta = StateVector(np.array([0.0, 1.0]))
+    return (lambda: _jump_batch(cfg, eta, 1.0, range(3, 9)),
+            "reduction annihilated the state (zero likelihood)", 17, 3, first_event(5.0, 17, 3))
+
+
+def non_finite_final_state(monkeypatch):
+    cfg, eta, _ = jump_setup("linear")
+    poison_row(monkeypatch, 1)
+    return (lambda: _jump_batch(dataclasses.replace(cfg, nu=0.0), eta, 1.0, range(3, 6)),
+            "final state has non-finite entries", 41, 4, 1.0)
+
+
+def mixing_collapse(monkeypatch):
+    cfg = ManyBodyConfig(M=2, d=2, H_single=HermitianOperator(np.zeros((2, 2))),
+                         meter=build_gaussian_meter(40.0, R01), nu=5.0, seed=17)
+    rho0 = StateVector(np.array([0.0, 0.0, 0.0, 1.0])).density()
+    return (lambda: _mixing_batch(cfg, rho0, 1.0, "linear", range(3, 9)),
+            "density trace collapsed at a mixing event", 17, 3, first_event(10.0, 17, 3))
+
+
+def mixing_final_check(monkeypatch):
+    # A two-atom density of trace one has an eigenvalue of at most 1/4.
+    monkeypatch.setattr("qtraj.manybody.DENSITY_EIG_FLOOR", 0.5)
+    cfg, rho0, _ = mixing_setup()
+    return (lambda: _mixing_batch(cfg, rho0, 0.5, "normalized", range(2, 5)),
+            "final density has an eigenvalue below DENSITY_EIG_FLOOR or a bad trace", 42, 2, 0.5)
+
+
+def diffusive_blow_up(equation, what):
+    def case(monkeypatch):
+        # A squared norm or trace near one exceeds the limit at the first record.
+        monkeypatch.setattr("qtraj.diffusion.BLOWUP_LIMIT", 0.5)
+        cfg, eta = diffusion_setup(M=1, dt=1e-3)
+        initial = eta.density() if equation == "density" else eta
+        return (lambda: _diffusion_batch(dataclasses.replace(cfg, seed=3), initial, 0.02,
+                                         equation, [4, 5], [0.009, 0.02]),
+                f"{what} exceeded 5e-01", 3, 4, 0.009)
+    return case
+
+
+def positivity(monkeypatch):
+    # Path index 5 has a negative eigenvalue at its second record, t = 0.02.
+    cfg, eta = diffusion_setup(M=1, dt=1e-3)
+    rho0 = eta.density()
+    eigvalsh = np.linalg.eigvalsh
+
+    def negative(a):
+        eigs = eigvalsh(a)
+        eigs[1, 1, 0] = -0.5
+        return eigs
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", negative)
+    return (lambda: _diffusion_batch(cfg, rho0, 0.02, "density", [4, 5], [0.009, 0.02]),
+            "positivity defect beyond -1e-06 of the trace norm", 0, 5, 0.02)
+
+
+@pytest.mark.parametrize("case, advice", [
+    pytest.param(degenerate_outcome, "", id="degenerate-outcome"),
+    pytest.param(annihilation, "", id="annihilation"),
+    pytest.param(non_finite_final_state, "", id="non-finite-final-state"),
+    pytest.param(mixing_collapse, "", id="mixing-collapse"),
+    pytest.param(mixing_final_check, "", id="mixing-final-check"),
+    pytest.param(diffusive_blow_up("linear", "squared norm"), "reduce dt, or ", id="linear"),
+    pytest.param(diffusive_blow_up("coupled", "squared norm"), "reduce dt, or ", id="coupled"),
+    pytest.param(diffusive_blow_up("density", "density trace"), "reduce dt, or ",
+                 id="density-trace"),
+    pytest.param(positivity, "reduce dt, or ", id="positivity"),
+])
+def test_every_row_failure_names_seed_index_and_time(monkeypatch, case, advice):
+    # One message format for every trajectory-level failure of the engines.
+    run, what, seed, index, t = case(monkeypatch)
+    with pytest.raises(NumericError) as err:
+        run()
+    assert str(err.value) == (f"{what} at t={t!r} (seed={seed}, trajectory index={index}); "
+                              f"{advice}rerun that index alone to reproduce")
 
 
 def write_spec(path, **fields):

@@ -533,3 +533,94 @@ def test_writer_check_sees_a_mutant(old, new, fault):
     source = (PACKAGE / "records.py").read_text()
     assert source.count(old) == 1
     assert fault in writer_faults(source.replace(old, new))
+
+
+# Every trajectory-level NumericError of the engines, the one whose message
+# names an index to rerun, is built by one guard, jumps._guard; the record
+# writer's non-finite scan in records.py keeps its own.  No batch function
+# compares a norm or a trace with 1 itself: linalg.initial_state checks
+# every initial state.
+ENGINE_FILES = tuple(f"{m}.py" for m in ENGINES)
+BATCH_FUNCTIONS = {"jumps.py": ("_jump_batch",), "manybody.py": ("_mixing_batch",),
+                   "diffusion.py": ("_diffusion_batch", "_coupled_states", "_density_states")}
+SIZES = {"norm2", "trace", "norm"}
+
+
+def index_error_builders(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, top-level definition) of each NumericError call whose message
+    names an index."""
+    found = set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "NumericError"
+                        and "index=" in ast.unparse(node)):
+                    found.add((module, getattr(top, "name", "<module>")))
+    return sorted(found)
+
+
+def unit_size_comparisons(source: str, names) -> list[str]:
+    """The definitions among names that compare or subtract a norm or a
+    trace and the constant 1."""
+    found = set()
+    for top in ast.parse(source).body:
+        if not (isinstance(top, ast.FunctionDef) and top.name in names):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+            elif isinstance(node, ast.BinOp):
+                operands = [node.left, node.right]
+            else:
+                continue
+            if (any(isinstance(o, ast.Constant) and o.value == 1 for o in operands)
+                    and called(node, SIZES)):
+                found.add(top.name)
+    return sorted(found)
+
+
+def engine_sources() -> dict[str, str]:
+    return {name: (PACKAGE / name).read_text() for name in ENGINE_FILES}
+
+
+def test_one_guard_builds_the_index_errors():
+    assert index_error_builders(engine_sources()) == [("jumps.py", "_guard")]
+
+
+def test_batch_functions_leave_unit_checks_to_linalg():
+    for name, functions in BATCH_FUNCTIONS.items():
+        assert set(functions) <= defined_names(PACKAGE / name)
+        assert unit_size_comparisons((PACKAGE / name).read_text(), functions) == [], name
+
+
+@pytest.mark.parametrize("module, old, new, found", [
+    # the event loop's final check raising its own error again
+    ("jumps.py", "    _guard(ok, kern.invalid, seed, index, sch.t[:, -1])",
+     "    if not ok.all():\n"
+     "        raise NumericError(f'{kern.invalid} (index={index[np.argmin(ok)]})')",
+     ("jumps.py", "_run_rows")),
+    # a second guard for the diffusion paths
+    ("diffusion.py", "def _rows_product(",
+     "def _path_guard(ok, seed, indices):\n    if not np.all(ok):\n"
+     "        raise NumericError(f'blow-up (seed={seed}, path index={indices[0]})')\n\n\n"
+     "def _rows_product(", ("diffusion.py", "_path_guard")),
+], ids=["loop-check", "path-guard"])
+def test_guard_check_sees_a_mutant(module, old, new, found):
+    sources = engine_sources()
+    assert sources[module].count(old) == 1
+    sources[module] = sources[module].replace(old, new)
+    assert found in index_error_builders(sources)
+
+
+@pytest.mark.parametrize("module, old, new, name", [
+    ("jumps.py", "    eta = initial_state(eta, StateVector, cfg.H.dim)\n",
+     "    if abs(eta.norm2() - 1.0) > 1e-8:\n        raise ValidationError('not normalized')\n",
+     "_jump_batch"),
+    ("diffusion.py", "    rho = initial_state(rho0, DensityMatrix, D)\n",
+     "    rho = DensityMatrix(rho0)\n    if not np.trace(rho.entries).real == 1:\n"
+     "        raise ValidationError('no unit trace')\n", "_density_states"),
+], ids=["norm", "trace"])
+def test_unit_check_sees_a_mutant(module, old, new, name):
+    source = (PACKAGE / module).read_text()
+    assert source.count(old) == 1
+    assert unit_size_comparisons(source.replace(old, new), BATCH_FUNCTIONS[module]) == [name]
