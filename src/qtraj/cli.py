@@ -45,7 +45,7 @@ from .ensemble import (
 )
 from .errors import SimulationError, ValidationError, physical_memory
 from .jumps import JumpConfig
-from .linalg import HermitianOperator, StateVector, _check_particles, kron_power, slot_sum
+from .linalg import HermitianOperator, StateVector, check_model, kron_power, slot_sum
 from .manybody import ManyBodyConfig, nearest_neighbor_coupling
 from .meter import DEFAULT_GRID_SIZE, MeterModel
 from .presets import get_preset, preset_meter
@@ -68,7 +68,7 @@ ALWAYS_READ = {"experiment", "preset", "overrides", "seed", "out", "threads"}
 # Model overrides: conversion, range check (None: any value) and its message.
 OVERRIDES = {
     "d": (int, None, None),
-    "M": (int, lambda M: M >= 1, "M >= 1 required"),
+    "M": (int, None, None),
     "kappa": (float, None, None),
     "nu": (float, None, None),
     "gamma": (float, None, None),
@@ -255,8 +255,7 @@ def _model_overrides(overrides: dict) -> dict:
             values[key] = convert(raw)
         _check_finite(f"overrides.{key}", values[key])
         _require(ok is None or ok(values[key]), message)
-    if "M" in values:
-        _check_particles(values["M"])
+    check_model(values.get("M", 1))
     return values
 
 

@@ -83,7 +83,7 @@ from .linalg import (
     DensityMatrix,
     HermitianOperator,
     StateVector,
-    _check_particles,
+    check_model,
     embed_at_slot,
     hermitian_coordinates,
     hermitian_eig,
@@ -125,8 +125,7 @@ def noise_covariance(pointer: PointerState, hbar: float = 1.0) -> NoiseCovarianc
     as hbar^2 c2 so the martingale balance of the linear equation is exact
     by construction.
     """
-    if hbar <= 0:
-        raise ValidationError(f"hbar must be positive, got {hbar}")
+    check_model(hbar=hbar)
     mask = pointer.support
     if not np.any(mask):
         raise ValidationError("pointer packet has empty support")
@@ -189,7 +188,7 @@ class DiffusionConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValidationError(f"dt must be positive, got {self.dt}")
-        _check_particles(self.M)
+        check_model(self.M)
         if self.H.dim != self.R.dim:
             raise ValidationError("H and R must share a dimension")
         cov = noise_covariance(self.pointer, self.hbar)

@@ -55,10 +55,10 @@ from .jumps import (EventColumns, JumpConfig, _event_bound, _jump_batch, _record
 from .linalg import (
     HERMITICITY_TOL,
     HermitianOperator,
-    _check_particles,
     _max_asymmetry,
     _real_if_exact,
     as_matrix,
+    check_model,
     hermitian_coordinates,
     hermitian_eig,
     hermitian_from_coordinates,
@@ -132,12 +132,10 @@ class MasterConfig:
     def __post_init__(self):
         if self.mode not in MASTER_MODES:
             raise ValidationError(f"mode must be one of {MASTER_MODES}, got {self.mode!r}")
-        _check_particles(self.M)
+        check_model(self.M, self.nu, self.hbar)
         if self.mode == "jump-averaged":
             if self.meter is None:
                 raise ValidationError("jump-averaged mode requires a meter")
-            if self.nu < 0:
-                raise ValidationError(f"nu >= 0 required, got {self.nu}")
             V = self.meter.eigenvectors
             pk = self.meter.packet_matrix
             kernel = (pk * self.meter.pointer.weights[:, None]).T @ pk.conj()
@@ -335,8 +333,6 @@ def rk4_solve(gen: MasterGenerator, rho0, T: float, dt: float, record_times=None
             f"rho0 is not Hermitian: max |rho0 - rho0^dag| = {asym:.3e} "
             f"exceeds {HERMITICITY_TOL:.1e}"
         )
-    if not T > 0 or dt <= 0:
-        raise ValidationError(f"need T > 0 and dt > 0, got T={T}, dt={dt}")
     gen_norm = gen.norm
     if dt * gen_norm > RK4_BOUND + 1e-12:
         raise ValidationError(

@@ -67,7 +67,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .linalg import HermitianOperator, StateVector, as_matrix, hermitian_eig, initial_state
+from .linalg import (HermitianOperator, StateVector, as_matrix, check_model, hermitian_eig,
+                     initial_state)
 from .meter import MeterModel
 from .rng import Streams
 
@@ -95,10 +96,7 @@ class JumpConfig:
     mode: str = "normalized"
 
     def __post_init__(self):
-        if self.nu < 0:
-            raise ValidationError(f"nu >= 0 required, got {self.nu}")
-        if self.hbar <= 0:
-            raise ValidationError(f"hbar must be positive, got {self.hbar}")
+        check_model(nu=self.nu, hbar=self.hbar)
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.H.dim != self.meter.dim:
@@ -200,10 +198,8 @@ class EventColumns:
 def sample_poisson_times(nu: float, T: float, rng: np.random.Generator) -> np.ndarray:
     """Event times of a homogeneous Poisson process on [0, T), one gap per
     draw; the reference of the batched draws of :func:`_event_draws`."""
-    if nu < 0:
-        raise ValidationError(f"nu >= 0 required, got {nu}")
-    if not T > 0:
-        raise ValidationError(f"T must be positive, got {T}")
+    check_model(nu=nu)
+    _record_times(None, T)
     if nu == 0:
         return np.empty(0)
     times = []

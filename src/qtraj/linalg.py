@@ -28,12 +28,20 @@ STATE_NORM_TOL = 1e-8
 MAX_PARTICLES = 4
 
 
-def _check_particles(M: int):
-    """Reject a particle count outside 1..MAX_PARTICLES."""
-    if M < 1:
+def check_model(M: int = 1, nu: float = 0.0, hbar: float = 1.0):
+    """The one check of the model parameters: a particle count in
+    1..MAX_PARTICLES, a finite jump rate nu >= 0 and hbar > 0, each failed
+    by NaN."""
+    if not M >= 1:
         raise ValidationError(f"M must be >= 1, got {M}")
     if M > MAX_PARTICLES:
         raise CapacityError(f"at most {MAX_PARTICLES} particles supported, got M={M}")
+    if not nu >= 0:
+        raise ValidationError(f"nu >= 0 required, got {nu}")
+    if nu == math.inf:
+        raise ValidationError("nu must be finite, got inf")
+    if not hbar > 0:
+        raise ValidationError(f"hbar must be positive, got {hbar}")
 
 
 def _frozen_array(values, name: str, ndim: int) -> np.ndarray:
@@ -153,6 +161,9 @@ class DensityMatrix:
 def initial_state(state, kind, dim: int):
     """state as a kind, StateVector or DensityMatrix (built from an array):
     a ValidationError unless on dimension dim with unit norm or trace."""
+    if isinstance(state, (StateVector, DensityMatrix)) and not isinstance(state, kind):
+        raise ValidationError(f"initial state must be a {kind.__name__} or an array, "
+                              f"got a {type(state).__name__}")
     state = state if isinstance(state, kind) else kind(state)
     vector = kind is StateVector
     shape = (dim,) if vector else (dim, dim)
@@ -236,8 +247,7 @@ def hermitian_eig(A) -> tuple[np.ndarray, np.ndarray]:
 
 def propagator(H, t: float, hbar: float = 1.0) -> np.ndarray:
     """Unitary exp(-i H t / hbar) computed through the eigenbasis of H."""
-    if hbar <= 0:
-        raise ValidationError(f"hbar must be positive, got {hbar}")
+    check_model(hbar=hbar)
     w, V = hermitian_eig(H)
     phases = np.exp(-1j * w * (float(t) / hbar))
     return (V * phases) @ V.conj().T

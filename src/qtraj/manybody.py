@@ -59,9 +59,9 @@ from .linalg import (
     DensityMatrix,
     HermitianOperator,
     StateVector,
-    _check_particles,
     _real_if_exact,
     as_matrix,
+    check_model,
     embed_at_slot,
     embed_pair,
     hermitian_eig,
@@ -219,11 +219,7 @@ class ManyBodyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_particles(self.M)
-        if self.nu < 0:
-            raise ValidationError(f"nu >= 0 required, got {self.nu}")
-        if self.hbar <= 0:
-            raise ValidationError(f"hbar must be positive, got {self.hbar}")
+        check_model(self.M, self.nu, self.hbar)
         if self.H_single.dim != self.d or self.meter.dim != self.d:
             raise ValidationError(
                 "H_single and meter must act on dimension d="

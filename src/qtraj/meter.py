@@ -128,7 +128,8 @@ class PointerState:
         """
         x = np.asarray(x, dtype=float)
         if self.analytic_tag == "gaussian":
-            out = self.amplitude * np.exp(-0.5 * math.pi * x ** 2)
+            with np.errstate(over="ignore"):  # x^2 beyond floats: the packet is 0 there
+                out = self.amplitude * np.exp(-0.5 * math.pi * x ** 2)
             if self.phase_slope != 0.0:
                 out = out * np.exp(1j * self.phase_slope * x)
             return np.asarray(out, dtype=complex)
@@ -202,6 +203,8 @@ class MeterModel:
         if not isinstance(R, HermitianOperator):
             R = HermitianOperator(np.asarray(R, dtype=complex))
         self.kappa = float(kappa)
+        if not math.isfinite(self.kappa):
+            raise ValidationError(f"kappa must be finite, got {self.kappa}")
         self.R = R
         self.pointer = pointer
         self.eigenvalues, self.eigenvectors = hermitian_eig(R)
@@ -228,7 +231,7 @@ class MeterModel:
         # whose weights are renormalized over the support.
         povm_diag = (np.abs(self.packet_matrix) ** 2 * pointer.weights[:, None]).sum(axis=0)
         self.povm_defect = float(np.max(np.abs(povm_diag - 1.0)))
-        if self.povm_defect > DEFAULT_TOL_POVM:
+        if not self.povm_defect <= DEFAULT_TOL_POVM:
             r_max = float(np.max(np.abs(self.eigenvalues)))
             raise ValidationError(
                 f"outcome family completeness defect {self.povm_defect:.3e} exceeds "
@@ -350,7 +353,7 @@ def sharp_projections(R, kappa: float) -> dict[float, np.ndarray]:
     the returned family is idempotent, mutually orthogonal and complete.
     Keys are the cell anchors y, integer multiples of kappa.
     """
-    if kappa <= 0:
+    if not kappa > 0:
         raise ValidationError(f"kappa must be positive, got {kappa}")
     w, V = hermitian_eig(R)
     bins = np.floor(w).astype(int)  # floor(kappa*w / kappa) = floor(w)

@@ -171,7 +171,7 @@ class TestParticleCap:
     def test_zero_particles_exits_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "m0.json", experiment="many", overrides={"M": 0})
         assert main(["many", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
-        assert "M >= 1 required" in capsys.readouterr().err
+        assert "M must be >= 1, got 0" in capsys.readouterr().err
 
 
 # Hashes of the default specifications, as written by the spec layer that
@@ -359,7 +359,7 @@ class TestExitCodes:
         pytest.param("jump", {"T": 0}, "0.0", id="jump-T-zero"),
         pytest.param("many", {"T": 0}, "0.0", id="many-T-zero"),
         pytest.param("diffuse", {"T": -1}, "-1.0", id="diffuse-T-negative"),
-        pytest.param("master", {"T": 0}, "T=0.0", id="master-T-zero"),
+        pytest.param("master", {"T": 0}, "0.0", id="master-T-zero"),
         pytest.param("diffuse", {"dt": 0}, "0.0", id="diffuse-dt"),
         pytest.param("master", {"dt": 0}, "dt=0.0", id="master-dt"),
         pytest.param("jump", {"mode": "bogus"}, "'bogus'", id="jump-mode"),

@@ -40,9 +40,11 @@ from qtraj import (
     mixing_reduction,
     nearest_neighbor_coupling,
     noise_covariance,
+    propagator,
     run_ensemble,
     run_trajectories,
     sample_poisson_times,
+    sharp_projections,
     trajectory_product_check,
 )
 from qtraj.cli import main
@@ -209,6 +211,13 @@ def pointer_with_nan():
 METER = build_gaussian_meter(0.5, R01)
 
 
+class NoDraws:
+    """A generator stand-in that fails on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew {name}")
+
+
 # Input checks of every engine and oracle: a call that must raise a
 # ValidationError, and a pattern of its message.
 REJECTED_INPUTS = [
@@ -216,7 +225,7 @@ REJECTED_INPUTS = [
                  r"T=1\.0 must be a positive multiple of dt=0\.3", id="step-grid-multiple"),
     pytest.param(lambda: rk4_solve(master_generator(MasterConfig.from_diffusion(
                      diffusion_setup()[0])), maximally_mixed(2), 1.0, 0.0),
-                 r"need T > 0 and dt > 0, got T=1\.0, dt=0\.0", id="rk4-dt-zero"),
+                 r"T=1\.0 must be a positive multiple of dt=0\.0", id="rk4-dt-zero"),
     pytest.param(lambda: run_ensemble(*jump_setup("normalized")[:2], 1.0, 1),
                  r"n_traj must be >= 2, got 1", id="ensemble-one-trajectory"),
     pytest.param(lambda: run_trajectories(object(), diffusion_setup()[1], 1.0, 2),
@@ -246,6 +255,16 @@ REJECTED_INPUTS = [
                  r"jump-averaged mode requires a meter", id="master-no-meter"),
     pytest.param(lambda: MasterConfig(mode="jump-averaged", H=HX, meter=METER, nu=-1.0),
                  r"nu >= 0 required, got -1\.0", id="master-nu"),
+    pytest.param(lambda: MasterConfig(mode="jump-averaged", H=HX, meter=METER, nu=math.nan),
+                 r"nu >= 0 required, got nan", id="master-nu-nan"),
+    pytest.param(lambda: MasterConfig(mode="jump-averaged", H=HX, meter=METER, nu=1.0,
+                                      hbar=math.nan),
+                 r"hbar must be positive, got nan", id="master-hbar-nan"),
+    pytest.param(lambda: MasterConfig(mode="jump-averaged", H=HX, meter=METER, nu=1.0, hbar=0.0),
+                 r"hbar must be positive, got 0\.0", id="master-jump-hbar-zero"),
+    pytest.param(lambda: MasterConfig(mode="diffusive", H=HX, R=R01, sigma2=1.0, gamma=1.0,
+                                      hbar=0.0),
+                 r"hbar must be positive, got 0\.0", id="master-diffusive-hbar-zero"),
     pytest.param(lambda: MasterConfig(mode="diffusive", H=HX),
                  r"diffusive mode requires the coupling operator R", id="master-no-R"),
     pytest.param(lambda: MasterConfig(mode="diffusive", H=HX, R=R01, sigma2=0.0),
@@ -255,6 +274,12 @@ REJECTED_INPUTS = [
     # Engine configurations.
     pytest.param(lambda: JumpConfig(H=HX, meter=METER, nu=1.0, hbar=0.0),
                  r"hbar must be positive, got 0\.0", id="jump-hbar"),
+    pytest.param(lambda: JumpConfig(H=HX, meter=METER, nu=math.nan),
+                 r"nu >= 0 required, got nan", id="jump-nu-nan"),
+    pytest.param(lambda: JumpConfig(H=HX, meter=METER, nu=math.inf),
+                 r"nu must be finite, got inf", id="jump-nu-inf"),
+    pytest.param(lambda: JumpConfig(H=HX, meter=METER, nu=1.0, hbar=math.nan),
+                 r"hbar must be positive, got nan", id="jump-hbar-nan"),
     pytest.param(lambda: JumpConfig(H=HX, meter=METER, nu=1.0, mode="bogus"),
                  r"mode must be one of \('normalized', 'linear'\), got 'bogus'", id="jump-mode"),
     pytest.param(lambda: JumpConfig(H=H3, meter=METER, nu=1.0),
@@ -263,6 +288,11 @@ REJECTED_INPUTS = [
                  r"nu >= 0 required, got -1\.0", id="many-nu"),
     pytest.param(lambda: ManyBodyConfig(M=2, d=2, H_single=HX, meter=METER, nu=1.0, hbar=-1.0),
                  r"hbar must be positive, got -1\.0", id="many-hbar"),
+    pytest.param(lambda: ManyBodyConfig(M=2, d=2, H_single=HX, meter=METER, nu=math.nan),
+                 r"nu >= 0 required, got nan", id="many-nu-nan"),
+    pytest.param(lambda: ManyBodyConfig(M=2, d=2, H_single=HX, meter=METER, nu=1.0,
+                                        hbar=math.nan),
+                 r"hbar must be positive, got nan", id="many-hbar-nan"),
     pytest.param(lambda: ManyBodyConfig(M=2, d=3, H_single=HX, meter=METER, nu=1.0),
                  r"H_single and meter must act on dimension d=3, got 2 and 2", id="many-d"),
     pytest.param(lambda: ManyBodyConfig(M=2, d=2, H_single=HX, meter=METER, nu=1.0,
@@ -276,6 +306,10 @@ REJECTED_INPUTS = [
                  r"H and R must share a dimension", id="diffusion-dims"),
     pytest.param(lambda: noise_covariance(gaussian_pointer(256, 6.0), hbar=0.0),
                  r"hbar must be positive, got 0\.0", id="noise-hbar"),
+    pytest.param(lambda: noise_covariance(gaussian_pointer(256, 6.0), hbar=math.nan),
+                 r"hbar must be positive, got nan", id="noise-hbar-nan"),
+    pytest.param(lambda: propagator(HX, 1.0, hbar=math.nan),
+                 r"hbar must be positive, got nan", id="propagator-hbar-nan"),
     # The pointer packet and its quadrature.
     pytest.param(lambda: tabulated_pointer(grid=[0.0], values=[1.0], weights=[1.0]),
                  r"pointer grid must be 1-D with at least two points", id="pointer-points"),
@@ -294,10 +328,22 @@ REJECTED_INPUTS = [
     pytest.param(lambda: sample_poisson_times(-1.0, 1.0, stream(0, 0)),
                  r"nu >= 0 required, got -1\.0", id="poisson-nu"),
     pytest.param(lambda: sample_poisson_times(1.0, 0.0, stream(0, 0)),
-                 r"T must be positive, got 0\.0", id="poisson-T"),
+                 r"T must be positive and finite, got 0\.0", id="poisson-T"),
+    pytest.param(lambda: sample_poisson_times(math.nan, 1.0, NoDraws()),
+                 r"nu >= 0 required, got nan", id="poisson-nu-nan"),
+    # A draw would never reach T = inf.
+    pytest.param(lambda: sample_poisson_times(5.0, math.inf, NoDraws()),
+                 r"T must be positive and finite, got inf", id="poisson-T-inf"),
     pytest.param(lambda: trajectory_product_check(jump_setup("normalized")[0], [(2.0, 0.0)],
                                                   jump_setup("normalized")[1], 1.0),
                  r"event times must lie in \[0, T\)", id="product-check-time"),
+    # A coupling strength that is not a number, or not finite.
+    pytest.param(lambda: MeterModel(math.nan, R01, gaussian_pointer(256, 6.0)),
+                 r"kappa must be finite, got nan", id="meter-kappa-nan"),
+    pytest.param(lambda: MeterModel(math.inf, R01, gaussian_pointer(256, 6.0)),
+                 r"kappa must be finite, got inf", id="meter-kappa-inf"),
+    pytest.param(lambda: sharp_projections(R01, math.nan),
+                 r"kappa must be positive, got nan", id="sharp-kappa-nan"),
     # Closed forms that need a Gaussian pointer, given a tabulated one.
     pytest.param(lambda: MeterModel(0.5, R01, tabulated_pointer()).reduction_closed_form(0.0),
                  r"closed-form reduction requires a Gaussian pointer", id="closed-form-tabulated"),
@@ -424,6 +470,16 @@ class TestBatchInputs:
             with pytest.raises(ValidationError, match=r"^initial (state|density) must have "
                                                       r"shape \((\d+, )*\d+,?\), got "):
                 batch(state, obs)
+
+    @pytest.mark.parametrize("engine", BATCH_ENGINES)
+    def test_other_kind_of_state_rejected_before_draws(self, engine, no_draws):
+        batch, initial, _, obs = batch_case(engine)
+        other = (initial.density() if isinstance(initial, StateVector)
+                 else StateVector(np.ones(initial.dim)))
+        with pytest.raises(ValidationError, match=f"^initial state must be a "
+                                                  f"{type(initial).__name__} or an array, got "
+                                                  f"a {type(other).__name__}$"):
+            batch(other, obs)
 
     @pytest.mark.parametrize("engine", BATCH_ENGINES)
     def test_wrong_dimension_observable_rejected_before_draws(self, engine, no_draws):

@@ -16,20 +16,21 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from test_engine import TIMES, jump_setup, mixing_setup, same_columns, same_row  # noqa: E402
+from test_engine import (HX, METER, R01, TIMES, jump_setup, mixing_setup,  # noqa: E402
+                         same_columns, same_row)
 from test_manybody import (block_spectrum_error, hopping_config,  # noqa: E402
                            invariant_density)
 from test_master import (MODES, general_map, generator_error, master_case,  # noqa: E402
                          random_hermitian)
 
 from qtraj import (DensityMatrix, DiffusionConfig, HermitianOperator,  # noqa: E402
-                   StateVector, ValidationError, evolve_coupled_sse, evolve_density,
-                   evolve_diffusive_sse, evolve_jump, gaussian_pointer, mixing_reduction,
-                   permutation_defect)
+                   JumpConfig, ManyBodyConfig, SimulationError, StateVector, ValidationError,
+                   evolve_coupled_sse, evolve_density, evolve_diffusive_sse, evolve_jump,
+                   gaussian_pointer, mixing_reduction, permutation_defect)
 from qtraj.cli import (EQUATIONS, EXPERIMENTS, OVERRIDES_READ, READS,  # noqa: E402
                        _resolved_for_hash, main, spec_from_dict)
 from qtraj.diffusion import _diffusion_batch  # noqa: E402
-from qtraj.ensemble import master_generator  # noqa: E402
+from qtraj.ensemble import MasterConfig, master_generator  # noqa: E402
 from qtraj.jumps import EventColumns, _jump_batch  # noqa: E402
 from qtraj.linalg import (embed_at_slot, hermitian_coordinates,  # noqa: E402
                           hermitian_from_coordinates, real_superop)
@@ -333,6 +334,31 @@ def test_meters_on_covering_grids_are_complete(d, scale, kappa, extra, margin, s
     narrow = gaussian_pointer(DEFAULT_GRID_SIZE, abs(kappa) * r_max + margin)
     with pytest.raises(ValidationError, match="half-width should be at least"):
         MeterModel(kappa, R, narrow)
+
+
+# Model parameters at the edges of the floats, NaN included.
+EDGES = st.sampled_from([math.nan, math.inf, -math.inf, -1, 0, 5e-324, 1, 1e300])
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(M=EDGES, nu=EDGES, hbar=EDGES, kappa=EDGES)
+def test_model_builds_fail_only_with_simulation_errors(M, nu, hbar, kappa):
+    pointer = gaussian_pointer(256, 6.0)
+    try:
+        meter = MeterModel(kappa, R01, pointer)
+    except SimulationError:
+        meter = METER
+    builds = [
+        lambda: JumpConfig(H=HX, meter=meter, nu=nu, hbar=hbar),
+        lambda: ManyBodyConfig(M=M, d=2, H_single=HX, meter=meter, nu=nu, hbar=hbar),
+        lambda: DiffusionConfig(H=HX, R=R01, gamma=1.0, pointer=pointer, dt=1e-3, hbar=hbar, M=M),
+        lambda: MasterConfig(mode="jump-averaged", H=HX, M=M, meter=meter, nu=nu, hbar=hbar),
+        lambda: MasterConfig(mode="diffusive", H=HX, M=M, R=R01, gamma=1.0, sigma2=1.0, nu=nu,
+                             hbar=hbar),
+    ]
+    for build in builds:
+        with contextlib.suppress(SimulationError):
+            build()
 
 
 @st.composite

@@ -624,3 +624,66 @@ def test_unit_check_sees_a_mutant(module, old, new, name):
     source = (PACKAGE / module).read_text()
     assert source.count(old) == 1
     assert unit_size_comparisons(source.replace(old, new), BATCH_FUNCTIONS[module]) == [name]
+
+
+# Each rule on a model parameter (M, nu, hbar) is written once, in
+# linalg.check_model, and the CLI reaches the engines only through their
+# public names.
+MODEL_RULES = ("M must be >= 1", "nu >= 0 required", "hbar must be positive")
+
+
+def package_sources() -> dict[str, str]:
+    return {path.name: path.read_text() for path in MODULES}
+
+
+def rule_builders(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, top-level definition) of each string that states one of the
+    model rules."""
+    found = set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                        and any(rule in node.value for rule in MODEL_RULES)):
+                    found.add((module, getattr(top, "name", "<module>")))
+    return sorted(found)
+
+
+def private_imports(source: str) -> list[str]:
+    """Names with a leading underscore that a module imports from the package."""
+    return sorted(alias.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.level > 0
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_one_function_states_the_model_rules():
+    assert rule_builders(package_sources()) == [("linalg.py", "check_model")]
+
+
+def test_cli_imports_no_private_engine_name():
+    assert private_imports((PACKAGE / "cli.py").read_text()) == []
+
+
+@pytest.mark.parametrize("module, old, new, found", [
+    # a config checking hbar itself again
+    ("jumps.py", "        check_model(nu=self.nu, hbar=self.hbar)\n",
+     "        check_model(nu=self.nu)\n        if not self.hbar > 0:\n"
+     "            raise ValidationError(f'hbar must be positive, got {self.hbar}')\n",
+     ("jumps.py", "JumpConfig")),
+    # the spec layer's own particle-count check
+    ("cli.py", '"M": (int, None, None),', '"M": (int, lambda M: M >= 1, "M must be >= 1"),',
+     ("cli.py", "<module>")),
+], ids=["config-copy", "cli-copy"])
+def test_model_rule_check_sees_a_mutant(module, old, new, found):
+    sources = package_sources()
+    assert sources[module].count(old) == 1
+    sources[module] = sources[module].replace(old, new)
+    assert found in rule_builders(sources)
+
+
+def test_private_import_check_sees_a_mutant():
+    source = (PACKAGE / "cli.py").read_text()
+    old = "from .jumps import JumpConfig\n"
+    assert source.count(old) == 1
+    new = "from .jumps import JumpConfig, _record_times\n"
+    assert private_imports(source.replace(old, new)) == ["_record_times"]
