@@ -75,7 +75,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import CapacityError, NumericError, ValidationError, physical_memory
 from .jumps import EventColumns, _guard, _observables, _record_times, _step_grid
@@ -85,6 +84,7 @@ from .linalg import (
     StateVector,
     check_model,
     embed_at_slot,
+    expm_small,
     hermitian_coordinates,
     hermitian_eig,
     hermitian_from_coordinates,
@@ -186,7 +186,7 @@ class DiffusionConfig:
     M: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         check_model(self.M)
         if self.H.dim != self.R.dim:
@@ -336,13 +336,14 @@ def _density_kernel(cfg: DiffusionConfig):
     density.  The deterministic part of a step is the constant superoperator
 
         P0 = kron(E0, conj(E0)) + dt * S,
-        E0 = expm(-K' dt),  S[rho] = (gamma/hbar)^2 sigma^2
-                                     sum_k (R_k - Rbar) rho (R_k - Rbar),
+        E0 = exp(-K' dt),  S[rho] = (gamma/hbar)^2 sigma^2
+                                    sum_k (R_k - Rbar) rho (R_k - Rbar),
 
     with K' = K + (1/2) gamma^2 M c1 Rbar^2 absorbing the one-step mean of
-    the noise factor.  Every factor of a step is a completely positive map,
-    so positivity holds pathwise up to rounding, while the one-step mean
-    still matches the density equation to first weak order.
+    the noise factor, and E0 from :func:`qtraj.linalg.expm_small`.  Every
+    factor of a step is a completely positive map, so positivity holds
+    pathwise up to rounding, while the one-step mean still matches the
+    density equation to first weak order.
 
     A Hermitian D x D matrix has D^2 real coordinates x: the diagonal
     rho_ii, then Re rho_ij and Im rho_ij over the strict upper triangle
@@ -362,7 +363,7 @@ def _density_kernel(cfg: DiffusionConfig):
         0.5 * g_h * g_h * cfg.noise.sigma2 * sum(rk * rk for rk in rk_vecs)
     ).astype(complex)
     Kp = Kt + np.diag(0.5 * cfg.gamma ** 2 * cfg.M * cfg.noise.c1 * rbar * rbar)
-    E0 = expm(-Kp * cfg.dt)
+    E0 = expm_small(-Kp * cfg.dt)
     P0 = np.kron(E0, E0.conj())
     exchange = sum(np.outer(rk - rbar, rk - rbar).ravel() for rk in rk_vecs)
     P0 += np.diag(cfg.dt * g_h * g_h * cfg.noise.sigma2 * exchange)

@@ -253,12 +253,15 @@ def _record_times(times, T: float) -> np.ndarray:
 
 def _observables(observables, dim: int) -> dict[str, np.ndarray]:
     """Every batch function's observables (none by default) as complex
-    matrices by str name, a ValidationError unless each acts on dim."""
+    matrices by str name, a ValidationError unless each acts on dim with
+    finite entries."""
     obs = {str(k): as_matrix(v) for k, v in dict(observables or {}).items()}
     for name, X in obs.items():
         if X.shape[0] != dim:
             raise ValidationError(f"observable {name!r} must act on dimension {dim}, "
                                   f"got {X.shape[0]}")
+        if not np.isfinite(X).all():
+            raise ValidationError(f"observable {name!r} contains non-finite entries")
     return obs
 
 

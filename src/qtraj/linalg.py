@@ -253,6 +253,29 @@ def propagator(H, t: float, hbar: float = 1.0) -> np.ndarray:
     return (V * phases) @ V.conj().T
 
 
+def expm_small(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a small square matrix A by scaling and squaring:
+    the Taylor sum of X = A / 2^s, with s the least such that ||X||_1 <= 1/2,
+    squared s times (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).  Terms are
+    added until one falls below the unit roundoff of the sum, in the 1-norm;
+    at ||X||_1 <= 1/2 that takes at most 15."""
+    A = as_matrix(A)
+    norm = np.linalg.norm(A, 1)
+    if not math.isfinite(norm):
+        raise ValidationError("expm_small needs finite entries")
+    s = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0 else 0
+    X = A / 2.0 ** s
+    E = np.eye(A.shape[0], dtype=complex) + X
+    term, k = X, 1
+    while np.linalg.norm(term, 1) > 2.0 ** -53 * np.linalg.norm(E, 1):
+        k += 1
+        term = term @ X / k
+        E += term
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
 def kron_power(a: np.ndarray, M: int) -> np.ndarray:
     """The M-fold Kronecker power of a vector or matrix, built left to right
     as kron(kron(a, a), a)..., the slot order of :func:`embed_at_slot`."""

@@ -16,7 +16,8 @@ the unit-weight Gaussian density exp(-pi lambda^2).  Grid coverage follows the
 rule half_width >= 6 + kappa * max|spec(R)|, which keeps the truncated
 completeness defect below the default tolerance of 1e-6.  Any other packet
 is a tabulated PointerState(grid, values, weights) without a tag, evaluated
-between grid points by cubic splines.
+between grid points by cubic splines; scipy's spline module is loaded on the
+first such evaluation, so a run on Gaussian packets never imports scipy.
 
 Grid points where |f0| falls below 1e-12 carry no outcome probability mass
 and are excluded from the sampling support; G is singular exactly there.
@@ -25,11 +26,11 @@ and are excluded from the sampling support; G is singular exactly there.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import NumericError, ValidationError
 from .linalg import HermitianOperator, StateVector, hermitian_eig, initial_state, propagator
@@ -124,7 +125,8 @@ class PointerState:
         """Packet amplitude at arbitrary points.
 
         Uses the closed Gaussian form when tagged; otherwise a cubic spline
-        through the tabulated values, zero outside the grid.
+        through the tabulated values, zero outside the grid.  The splines,
+        and scipy's spline module, are loaded on the first tabulated call.
         """
         x = np.asarray(x, dtype=float)
         if self.analytic_tag == "gaussian":
@@ -135,6 +137,8 @@ class PointerState:
             return np.asarray(out, dtype=complex)
         splines = object.__getattribute__(self, "_splines")
         if splines is None:
+            from scipy.interpolate import CubicSpline
+
             splines = (
                 CubicSpline(self.grid, self.values.real, extrapolate=False),
                 CubicSpline(self.grid, self.values.imag, extrapolate=False),
@@ -173,6 +177,13 @@ def gaussian_pointer(
             f"pointer grid spacing {spacing:.3g} ({n_points} pointer points over half-width "
             f"{half_width!r}) exceeds {MAX_POINTER_SPACING:.3g}: too coarse to resolve the packet"
         )
+    # Below the least normal float the weights lose precision, and the norm underflows to 0
+    if spacing < sys.float_info.min:
+        raise ValidationError(f"pointer grid spacing {spacing:.3g} ({n_points} pointer points over "
+                              f"half-width {half_width!r}) underflows the quadrature")
+    if not math.isfinite(phase_slope * half_width):
+        raise ValidationError(f"phase_slope {phase_slope!r} over half-width {half_width!r} "
+                              f"must give a finite phase")
     grid = np.linspace(-half_width, half_width, int(n_points))
     raw = np.exp(-0.5 * math.pi * grid ** 2)
     weights = trapezoid_weights(grid)
@@ -355,6 +366,8 @@ def sharp_projections(R, kappa: float) -> dict[float, np.ndarray]:
     """
     if not kappa > 0:
         raise ValidationError(f"kappa must be positive, got {kappa}")
+    if kappa == math.inf:
+        raise ValidationError("kappa must be finite, got inf")
     w, V = hermitian_eig(R)
     bins = np.floor(w).astype(int)  # floor(kappa*w / kappa) = floor(w)
     out: dict[float, np.ndarray] = {}

@@ -115,6 +115,28 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "o" / "timeseries.tsv").is_file()
 
+    def test_no_experiment_imports_scipy(self, tmp_path):
+        # Every experiment, at desk size, in one fresh interpreter: the
+        # engines need numpy alone, so scipy's ~45 MB stay out of every run.
+        runs = [("kick", {}), ("jump", {"T": 0.2, "n_traj": 2}),
+                ("many", {"T": 0.2, "n_traj": 2}), ("master", {"T": 0.1}),
+                ("master", {"equation": "diffusive", "T": 0.1}), ("bridge", {"nus": [10, 100]})]
+        runs += [("diffuse", {"equation": eq, "T": 0.01, "n_traj": 2}) for eq in
+                 ("linear", "coupled", "density")]
+        args = []
+        for k, (experiment, fields) in enumerate(runs):
+            spec = write_spec(tmp_path / f"{k}.json", experiment=experiment, **fields)
+            args += [experiment, str(spec), str(tmp_path / f"out{k}")]
+        script = ("import sys\nfrom qtraj.cli import main\n"
+                  "a = sys.argv[1:]\n"
+                  "codes = [main([a[k], '--spec', a[k + 1], '--out', a[k + 2]])"
+                  " for k in range(0, len(a), 3)]\n"
+                  "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        proc = subprocess.run([sys.executable, "-c", script, *args], cwd=tmp_path,
+                              env=module_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{[0] * len(runs)} []"
+
 
 class TestCoupledDiffuse:
     @pytest.fixture

@@ -300,6 +300,8 @@ REJECTED_INPUTS = [
                  r"pair potential W must have shape \(4, 4\), got \(2, 2\)", id="many-W-shape"),
     pytest.param(lambda: dataclasses.replace(diffusion_setup()[0], dt=0.0),
                  r"dt must be positive, got 0\.0", id="diffusion-dt"),
+    pytest.param(lambda: dataclasses.replace(diffusion_setup()[0], dt=math.nan),
+                 r"dt must be positive, got nan", id="diffusion-dt-nan"),
     pytest.param(lambda: dataclasses.replace(diffusion_setup()[0], hbar=0.0),
                  r"hbar must be positive, got 0\.0", id="diffusion-hbar"),
     pytest.param(lambda: dataclasses.replace(diffusion_setup()[0], H=H3),
@@ -344,6 +346,8 @@ REJECTED_INPUTS = [
                  r"kappa must be finite, got inf", id="meter-kappa-inf"),
     pytest.param(lambda: sharp_projections(R01, math.nan),
                  r"kappa must be positive, got nan", id="sharp-kappa-nan"),
+    pytest.param(lambda: sharp_projections(R01, math.inf),
+                 r"kappa must be finite, got inf", id="sharp-kappa-inf"),
     # Closed forms that need a Gaussian pointer, given a tabulated one.
     pytest.param(lambda: MeterModel(0.5, R01, tabulated_pointer()).reduction_closed_form(0.0),
                  r"closed-form reduction requires a Gaussian pointer", id="closed-form-tabulated"),
@@ -368,6 +372,16 @@ REJECTED_INPUTS = [
                  r"exceeds 0\.455: too coarse to resolve the packet$", id="pointer-spacing"),
     pytest.param(lambda: build_gaussian_meter(1e6, R01),
                  r"pointer grid spacing 1\.96e\+03 \(1024 pointer points", id="meter-coarse"),
+    # A grid whose quadrature norm underflows, or a phase beyond floats.
+    pytest.param(lambda: gaussian_pointer(256, 5e-324),
+                 r"^pointer grid spacing 0 \(256 pointer points over half-width 5e-324\) "
+                 r"underflows the quadrature$", id="pointer-underflow"),
+    pytest.param(lambda: gaussian_pointer(256, 6.0, phase_slope=math.inf),
+                 r"^phase_slope inf over half-width 6\.0 must give a finite phase$",
+                 id="pointer-phase-inf"),
+    pytest.param(lambda: gaussian_pointer(256, 6.0, phase_slope=-math.inf),
+                 r"^phase_slope -inf over half-width 6\.0 must give a finite phase$",
+                 id="pointer-phase-minus-inf"),
     # Noise scales beyond floats.
     pytest.param(lambda: dataclasses.replace(diffusion_setup()[0], gamma=1e200),
                  r"noise scale \(gamma/hbar\)\^2 sigma\^2 must be finite, got inf",
@@ -488,6 +502,15 @@ class TestBatchInputs:
         with pytest.raises(ValidationError, match=f"^observable 'X' must act on dimension "
                                                   f"{dim}, got {dim + 1}$"):
             batch(initial, {**obs, "X": np.eye(dim + 1)})
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=str)
+    @pytest.mark.parametrize("engine", BATCH_ENGINES)
+    def test_non_finite_observable_rejected_before_draws(self, engine, bad, no_draws):
+        batch, initial, _, obs = batch_case(engine)
+        X = np.eye(next(iter(obs.values())).shape[0])
+        X[0, 0] = bad
+        with pytest.raises(ValidationError, match="^observable 'X' contains non-finite entries$"):
+            batch(initial, {**obs, "X": X})
 
 
 def test_non_finite_bridge_distance_names_nu():

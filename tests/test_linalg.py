@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qtraj import (
     DensityMatrix,
@@ -14,7 +15,8 @@ from qtraj import (
     propagator,
     von_neumann_entropy,
 )
-from qtraj.linalg import kron_power, permutation_matrix, permute_slots_matrix, slot_sum
+from qtraj.linalg import (expm_small, kron_power, permutation_matrix, permute_slots_matrix,
+                          slot_sum)
 
 rng = np.random.default_rng(101)
 
@@ -109,6 +111,27 @@ class TestPropagator:
     def test_bad_hbar(self):
         with pytest.raises(ValidationError):
             propagator(np.eye(2), 1.0, hbar=0.0)
+
+
+class TestExpmSmall:
+    @pytest.mark.parametrize("D", range(2, 17))
+    def test_matches_scipy_on_random_complex_matrices(self, D):
+        gen = np.random.default_rng(D)
+        for norm in np.logspace(-4, 1, 11):
+            A = gen.standard_normal((D, D)) + 1j * gen.standard_normal((D, D))
+            A *= norm / np.linalg.norm(A, 1)
+            ref = expm(A)
+            assert np.linalg.norm(expm_small(A) - ref, 1) <= 1e-13 * np.linalg.norm(ref, 1)
+
+    def test_zero_and_diagonal(self):
+        assert np.array_equal(expm_small(np.zeros((3, 3))), np.eye(3))
+        w = np.array([-30.0, 0.5j, 2.0 - 1j])
+        assert np.allclose(expm_small(np.diag(w)), np.diag(np.exp(w)), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=str)
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValidationError, match="^expm_small needs finite entries$"):
+            expm_small(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 class TestEmbedding:

@@ -53,6 +53,19 @@ class TestGaussianPointer:
         with pytest.raises(ValidationError):
             gaussian_pointer(64, -1.0)
 
+    @pytest.mark.parametrize("half_width, phase_slope", [
+        (5e-324, 0.0), (1e-310, 0.0), (6.0, math.inf), (6.0, -math.inf), (6.0, math.nan),
+        (6.0, 1e308)], ids=str)
+    def test_edge_parameters_rejected_before_the_grid(self, monkeypatch, half_width, phase_slope):
+        # A quadrature norm that underflows to 0 and a phase beyond floats
+        # fail as ValidationError before any array is built.
+        def built(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(np, "linspace", built)
+        with pytest.raises(ValidationError):
+            gaussian_pointer(256, half_width, phase_slope)
+
 
 class TestMeterConstruction:
     def test_povm_completeness_presets(self):

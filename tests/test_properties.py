@@ -36,7 +36,7 @@ from qtraj.linalg import (embed_at_slot, hermitian_coordinates,  # noqa: E402
                           hermitian_from_coordinates, real_superop)
 from qtraj.manybody import _BlockRows, _densities, _mixing_batch  # noqa: E402
 from qtraj.meter import (DEFAULT_GRID_SIZE, DEFAULT_TOL_POVM, MeterModel,  # noqa: E402
-                         coverage_half_width)
+                         coverage_half_width, sharp_projections)
 from qtraj.records import spec_hash  # noqa: E402
 from qtraj.rng import Streams, generators, stream, stream_keys  # noqa: E402
 
@@ -341,8 +341,13 @@ EDGES = st.sampled_from([math.nan, math.inf, -math.inf, -1, 0, 5e-324, 1, 1e300]
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
-@hypothesis.given(M=EDGES, nu=EDGES, hbar=EDGES, kappa=EDGES)
-def test_model_builds_fail_only_with_simulation_errors(M, nu, hbar, kappa):
+@hypothesis.given(M=EDGES, nu=EDGES, hbar=EDGES, kappa=EDGES, dt=EDGES, width=EDGES,
+                  slope=EDGES)
+def test_model_builds_fail_only_with_simulation_errors(M, nu, hbar, kappa, dt, width, slope):
+    with contextlib.suppress(SimulationError):
+        gaussian_pointer(256, width, slope)
+    with contextlib.suppress(SimulationError):
+        sharp_projections(R01, kappa)
     pointer = gaussian_pointer(256, 6.0)
     try:
         meter = MeterModel(kappa, R01, pointer)
@@ -352,6 +357,7 @@ def test_model_builds_fail_only_with_simulation_errors(M, nu, hbar, kappa):
         lambda: JumpConfig(H=HX, meter=meter, nu=nu, hbar=hbar),
         lambda: ManyBodyConfig(M=M, d=2, H_single=HX, meter=meter, nu=nu, hbar=hbar),
         lambda: DiffusionConfig(H=HX, R=R01, gamma=1.0, pointer=pointer, dt=1e-3, hbar=hbar, M=M),
+        lambda: DiffusionConfig(H=HX, R=R01, gamma=1.0, pointer=pointer, dt=dt),
         lambda: MasterConfig(mode="jump-averaged", H=HX, M=M, meter=meter, nu=nu, hbar=hbar),
         lambda: MasterConfig(mode="diffusive", H=HX, M=M, R=R01, gamma=1.0, sigma2=1.0, nu=nu,
                              hbar=hbar),

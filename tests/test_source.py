@@ -687,3 +687,43 @@ def test_private_import_check_sees_a_mutant():
     assert source.count(old) == 1
     new = "from .jumps import JumpConfig, _record_times\n"
     assert private_imports(source.replace(old, new)) == ["_record_times"]
+
+
+def import_time_modules(source: str) -> list[str]:
+    """Absolute modules a module imports when it is itself imported: every
+    import statement outside a function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend(alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.append(child.module)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def scipy_imports(source: str) -> list[str]:
+    return [m for m in import_time_modules(source) if m.split(".")[0] == "scipy"]
+
+
+# The engines need numpy alone: scipy (about 45 MB of resident memory and a
+# third of a second) is loaded only inside the function that needs it.
+@pytest.mark.parametrize("path", [PACKAGE / "__init__.py", *MODULES], ids=lambda p: p.name)
+def test_no_module_imports_scipy_when_imported(path):
+    assert scipy_imports(path.read_text()) == []
+
+
+def test_import_time_scipy_check_sees_a_mutant():
+    source = (PACKAGE / "meter.py").read_text()
+    old = "import numpy as np\n"
+    assert source.count(old) == 1
+    mutant = source.replace(old, old + "from scipy.interpolate import CubicSpline\n")
+    assert scipy_imports(mutant) == ["scipy.interpolate"]
+    # The same import inside a function is not loaded with the module.
+    assert "from scipy.interpolate import CubicSpline" in source
