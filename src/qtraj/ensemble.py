@@ -50,14 +50,13 @@ import numpy as np
 
 from .diffusion import DiffusionConfig, _diffusion_batch
 from .errors import NumericError, ValidationError, physical_memory
-from .jumps import (EventColumns, JumpConfig, _event_bound, _jump_batch, _record_times,
-                    _step_grid)
+from .jumps import (_EVENT_BYTES, EventColumns, JumpConfig, _event_bound, _jump_batch,
+                    _record_times, _step_grid)
 from .linalg import (
-    HERMITICITY_TOL,
     HermitianOperator,
-    _max_asymmetry,
     _real_if_exact,
     as_matrix,
+    check_hermitian,
     check_model,
     hermitian_coordinates,
     hermitian_eig,
@@ -89,10 +88,6 @@ RK4_MATRIX_MAX_DIM = 16
 # value stands until a re-sweep with peak RSS.
 _CHUNK = 512
 _MIXING_BATCH_BYTES = 612 * 1024
-# Peak bytes per event of an event batch (draws, timeline, loop and record),
-# measured with tracemalloc at nu = 1e4 and 1e5, T = 1: 126-180 over 4 to 16
-# rows, 290-340 for one row alone.
-_EVENT_BYTES = 320
 
 
 @dataclass(frozen=True)
@@ -322,17 +317,12 @@ def rk4_solve(gen: MasterGenerator, rho0, T: float, dt: float, record_times=None
         raise ValidationError(
             f"rk4_solve needs a generator from master_generator, got {type(gen).__name__}"
         )
-    arr = as_matrix(rho0)
+    arr = as_matrix(rho0, "rho0")
     if arr.shape[0] != gen.dim:
         raise ValidationError(
             f"rho0 must act on the generator's dimension {gen.dim}, got {arr.shape[0]}"
         )
-    asym = _max_asymmetry(arr)
-    if not asym <= HERMITICITY_TOL:
-        raise ValidationError(
-            f"rho0 is not Hermitian: max |rho0 - rho0^dag| = {asym:.3e} "
-            f"exceeds {HERMITICITY_TOL:.1e}"
-        )
+    check_hermitian(arr, "rho0")
     gen_norm = gen.norm
     if dt * gen_norm > RK4_BOUND + 1e-12:
         raise ValidationError(
@@ -519,6 +509,7 @@ def run_ensemble(
     if n_traj < 2:
         raise ValidationError(f"n_traj must be >= 2, got {n_traj}")
     if sample_times is None:
+        _record_times(None, T)  # T, before its ten steps are built from it
         sample_times = np.linspace(T / 10.0, T, 10)
     return trajectory_stats(run_trajectories(cfg, initial, T, n_traj, observables,
                                              sample_times, n_workers, equation))

@@ -66,7 +66,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, physical_memory
 from .linalg import (HermitianOperator, StateVector, as_matrix, check_model, hermitian_eig,
                      initial_state)
 from .meter import MeterModel
@@ -82,6 +82,10 @@ DEGENERATE = "all outcome weights vanish; state is degenerate"
 _PHASE_BLOCK_BYTES = 1 << 20
 # Widest first block of exponential gaps per row (2 KB).
 _GAP_BLOCK = 256
+# Peak bytes per event of an event batch (draws, timeline, loop and record),
+# measured with tracemalloc at nu = 1e4 and 1e5, T = 1: 126-180 over 4 to 16
+# rows, 290-340 for one row alone.
+_EVENT_BYTES = 320
 
 
 @dataclass(frozen=True)
@@ -225,7 +229,8 @@ def _draw_outcomes(meter: MeterModel, pops: np.ndarray, u: np.ndarray):
     x = (u * total)[:, None]
     # The last block holds the rest, so the total is not compared.
     block = np.add.reduce(cum[:, :-1] <= x, axis=1)
-    fine = np.matmul(blocks[block], p)[:, :, 0]
+    with np.errstate(invalid="ignore"):  # inf * 0 on a row of zero total, which callers reject
+        fine = np.matmul(blocks[block], p)[:, :, 0]
     return block * blocks.shape[1] + np.add.reduce(fine <= x, axis=1), total
 
 
@@ -255,13 +260,12 @@ def _observables(observables, dim: int) -> dict[str, np.ndarray]:
     """Every batch function's observables (none by default) as complex
     matrices by str name, a ValidationError unless each acts on dim with
     finite entries."""
-    obs = {str(k): as_matrix(v) for k, v in dict(observables or {}).items()}
+    obs = {str(k): as_matrix(v, f"observable {str(k)!r}")
+           for k, v in dict(observables or {}).items()}
     for name, X in obs.items():
         if X.shape[0] != dim:
             raise ValidationError(f"observable {name!r} must act on dimension {dim}, "
                                   f"got {X.shape[0]}")
-        if not np.isfinite(X).all():
-            raise ValidationError(f"observable {name!r} contains non-finite entries")
     return obs
 
 
@@ -280,11 +284,12 @@ def _step_grid(T: float, dt: float, times) -> tuple[int, np.ndarray, dict[int, l
     the record times are :func:`_record_times` of times (T alone when none
     are given) and rec_map[s] the slots among them to fill after step s.
     T must be a positive multiple of dt and every record time a grid point
-    in [0, T]."""
+    in [0, T], with fewer than 2**53 steps."""
     times = _record_times(times, T)
-    n_steps = int(round(T / dt)) if dt > 0 and T / dt < math.inf else 0
+    n_steps = int(round(T / dt)) if dt > 0 and T / dt < 2.0 ** 53 else 0
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
-        raise ValidationError(f"T={T} must be a positive multiple of dt={dt}")
+        raise ValidationError(f"T={T} must be a positive multiple of dt={dt}, "
+                              f"fewer than 2**53 steps")
     rec = np.round(times / dt).astype(int)
     if np.any(np.abs(rec * dt - times) > 1e-9):
         raise ValidationError("record times must align with the integration step grid")
@@ -340,13 +345,17 @@ def _event_draws(seed: int, rate: float, T: float, indices):
 
     Returns (times, counts, uniforms): times[r] holds row r's event times
     first and values >= T after them, and the uniforms are flat in row
-    order.
+    order.  Rows of :func:`_event_bound` events at _EVENT_BYTES each
+    beyond physical memory fail before any draw.
     """
+    n, events = len(indices), _event_bound(rate, T)
+    if n * events * _EVENT_BYTES > (memory := physical_memory()):
+        raise ValidationError(f"a batch of {n} rows of {events:.3g} expected events at "
+                              f"{_EVENT_BYTES} bytes each exceeds the {memory} bytes of memory")
     streams = Streams(seed, indices)
-    n = len(streams.keys)
     if rate == 0:
         return np.full((n, 1), np.inf), np.zeros(n, dtype=np.intp), np.empty(0)
-    width = min(_GAP_BLOCK, math.ceil(_event_bound(rate, T)) + 4)
+    width = min(_GAP_BLOCK, math.ceil(events) + 4)
     times = np.empty((n, 0))
     rows = np.arange(n)
     while rows.size:

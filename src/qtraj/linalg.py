@@ -7,6 +7,8 @@ embeddings and their slot sums, slot permutations, von Neumann entropy, and
 the D^2 real coordinates of Hermitian matrices with the real matrices of
 Hermitian-preserving superoperators on them.
 
+Matrix inputs pass one gate, :func:`_checked` (rank, non-empty, square, finite)
+by way of a value type or :func:`as_matrix`, and :func:`check_hermitian`.
 All value types are immutable after construction: wrapped arrays are copied
 and marked read-only, so instances are safe to share across threads.
 Tensor ordering is row-major with slot 1 varying slowest, matching repeated
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, NumericError, ValidationError
 
 HERMITICITY_TOL = 1e-12
 DENSITY_EIG_FLOOR = -1e-10
@@ -44,39 +46,46 @@ def check_model(M: int = 1, nu: float = 0.0, hbar: float = 1.0):
         raise ValidationError(f"hbar must be positive, got {hbar}")
 
 
-def _frozen_array(values, name: str, ndim: int) -> np.ndarray:
-    arr = np.array(values, dtype=complex, order="C")
+def _checked(arr: np.ndarray, name: str, ndim: int) -> np.ndarray:
+    """The one gate of every array the package takes: arr, a ValidationError
+    unless it is non-empty and finite with ndim axes, square if a matrix."""
     if arr.ndim != ndim:
         raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValidationError(f"{name} must be non-empty")
+    if ndim == 2 and arr.shape[0] != arr.shape[1]:
+        raise ValidationError(f"{name} must be square, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite entries")
+    return arr
+
+
+def _frozen_array(values, name: str, ndim: int) -> np.ndarray:
+    arr = _checked(np.array(values, dtype=complex, order="C"), name, ndim)
     arr.setflags(write=False)
     return arr
 
 
-def as_matrix(op) -> np.ndarray:
-    """Unwrap an operator-like object (value type or ndarray) to an ndarray."""
+def as_matrix(op, name: str = "matrix") -> np.ndarray:
+    """An operator-like object as a complex ndarray: a value type's entries,
+    checked when it was built, or an array through :func:`_checked`."""
     if isinstance(op, (HermitianOperator, DensityMatrix)):
         return op.entries
-    arr = np.asarray(op, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
-    return arr
+    return _checked(np.asarray(op, dtype=complex), name, 2)
 
 
-def _max_asymmetry(arr: np.ndarray) -> float:
-    gap = np.swapaxes(arr, -1, -2).conj()
-    gap -= arr
-    return float(np.max(np.abs(gap)))
+def check_hermitian(arr: np.ndarray, name: str):
+    """The one Hermiticity check: a ValidationError unless the matrix arr is
+    Hermitian within HERMITICITY_TOL, failed by NaN."""
+    asym = float(np.max(np.abs(arr.conj().T - arr)))
+    if not asym <= HERMITICITY_TOL:
+        raise ValidationError(f"{name} is not Hermitian: max |A - A^dag| = {asym:.3e} "
+                              f"exceeds {HERMITICITY_TOL:.1e}")
 
 
 def _check_density(arr: np.ndarray):
     """The checks of DensityMatrix on its finite square entries."""
-    asym = _max_asymmetry(arr)
-    if asym > HERMITICITY_TOL:
-        raise ValidationError(f"density matrix is not Hermitian: max asymmetry {asym:.3e}")
+    check_hermitian(arr, "density matrix")
     tr = np.trace(arr)
     if abs(tr.imag) > 1e-12 or tr.real < -1e-12:
         raise ValidationError(f"density matrix trace must be real and >= 0, got {tr}")
@@ -121,15 +130,8 @@ class HermitianOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.entries, "entries", 2)
-        if arr.shape[0] != arr.shape[1]:
-            raise ValidationError(f"operator must be square, got shape {arr.shape}")
-        asym = _max_asymmetry(arr)
-        if asym > HERMITICITY_TOL:
-            raise ValidationError(
-                f"operator is not Hermitian: max |A - A^dag| = {asym:.3e} "
-                f"exceeds {HERMITICITY_TOL:.1e}"
-            )
+        arr = _frozen_array(self.entries, "operator", 2)
+        check_hermitian(arr, "operator")
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -144,9 +146,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.entries, "entries", 2)
-        if arr.shape[0] != arr.shape[1]:
-            raise ValidationError(f"density matrix must be square, got shape {arr.shape}")
+        arr = _frozen_array(self.entries, "density matrix", 2)
         _check_density(arr)
         object.__setattr__(self, "entries", arr)
 
@@ -231,25 +231,24 @@ def hermitian_eig(A) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian operator.
 
     Returns (w, V) with eigenvalues w ascending and unitary V such that
-    A = V diag(w) V^dag.  Raises a validation error naming the maximum
-    asymmetry when the input is not Hermitian.
+    A = V diag(w) V^dag, once A passes :func:`as_matrix` and :func:`check_hermitian`.
     """
     arr = as_matrix(A)
-    asym = _max_asymmetry(arr)
-    if asym > HERMITICITY_TOL:
-        raise ValidationError(
-            f"eigendecomposition requires a Hermitian matrix: "
-            f"max |A - A^dag| = {asym:.3e}"
-        )
+    check_hermitian(arr, "matrix")
     w, V = np.linalg.eigh(arr)
     return w, V
 
 
 def propagator(H, t: float, hbar: float = 1.0) -> np.ndarray:
-    """Unitary exp(-i H t / hbar) computed through the eigenbasis of H."""
+    """Unitary exp(-i H t / hbar) computed through the eigenbasis of H; a
+    phase w t / hbar beyond floats raises a ValidationError."""
     check_model(hbar=hbar)
     w, V = hermitian_eig(H)
-    phases = np.exp(-1j * w * (float(t) / hbar))
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        angles = w * (float(t) / hbar)
+    if not np.isfinite(angles).all():
+        raise ValidationError(f"propagator phases must be finite, got t={t}, hbar={hbar}")
+    phases = np.exp(-1j * angles)
     return (V * phases) @ V.conj().T
 
 
@@ -258,21 +257,25 @@ def expm_small(A: np.ndarray) -> np.ndarray:
     the Taylor sum of X = A / 2^s, with s the least such that ||X||_1 <= 1/2,
     squared s times (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).  Terms are
     added until one falls below the unit roundoff of the sum, in the 1-norm;
-    at ||X||_1 <= 1/2 that takes at most 15."""
+    at ||X||_1 <= 1/2 that takes at most 15.  A 1-norm beyond floats raises
+    a ValidationError, an exponential beyond them a NumericError."""
     A = as_matrix(A)
-    norm = np.linalg.norm(A, 1)
-    if not math.isfinite(norm):
-        raise ValidationError("expm_small needs finite entries")
-    s = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0 else 0
-    X = A / 2.0 ** s
-    E = np.eye(A.shape[0], dtype=complex) + X
-    term, k = X, 1
-    while np.linalg.norm(term, 1) > 2.0 ** -53 * np.linalg.norm(E, 1):
-        k += 1
-        term = term @ X / k
-        E += term
-    for _ in range(s):
-        E = E @ E
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows are rejected below
+        norm = np.linalg.norm(A, 1)
+        if not math.isfinite(norm):  # finite entries can still overflow the norm
+            raise ValidationError(f"expm_small needs a finite 1-norm, got {norm}")
+        s = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0 else 0
+        X = A / 2.0 ** s
+        E = np.eye(A.shape[0], dtype=complex) + X
+        term, k = X, 1
+        while np.linalg.norm(term, 1) > 2.0 ** -53 * np.linalg.norm(E, 1):
+            k += 1
+            term = term @ X / k
+            E += term
+        for _ in range(s):
+            E = E @ E
+    if not np.isfinite(E).all():
+        raise NumericError(f"expm_small overflows at 1-norm {norm:.3g}")
     return E
 
 

@@ -546,7 +546,7 @@ def _mixing_batch(cfg: ManyBodyConfig, rho0: DensityMatrix, T: float, mode: str,
     indices[r], ...) bit for bit, states[r] being its final copy-block row
     (see :func:`_densities`), which run_trajectories drops."""
     if mode not in MODES:
-        raise ValidationError(f"mode must be 'normalized' or 'linear', got {mode!r}")
+        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     rho0 = initial_state(rho0, DensityMatrix, cfg.dim)
     defect = permutation_defect(rho0, cfg.d, cfg.M)
     if defect > HERMITICITY_TOL:

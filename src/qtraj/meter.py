@@ -33,7 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .linalg import HermitianOperator, StateVector, hermitian_eig, initial_state, propagator
+from .linalg import (HermitianOperator, StateVector, as_matrix, hermitian_eig, initial_state,
+                     propagator)
 
 DEFAULT_GRID_SIZE = 1024
 DEFAULT_TOL_POVM = 1e-6
@@ -108,6 +109,8 @@ class PointerState:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "_splines", None)
+        if not self.support.any():
+            raise ValidationError("pointer packet has empty sampling support")
 
     @property
     def size(self) -> int:
@@ -225,8 +228,6 @@ class MeterModel:
         self.packet_matrix = pointer.evaluate(shifted)
 
         self.support_indices = np.flatnonzero(pointer.support)
-        if self.support_indices.size == 0:
-            raise ValidationError("pointer packet has empty sampling support")
         pk_s = self.packet_matrix[self.support_indices, :]
         f0_s = pointer.values[self.support_indices]
         dlam_s = pointer.weights[self.support_indices]
@@ -349,9 +350,7 @@ def build_gaussian_meter(
     phase_slope: float = 0.0,
 ) -> MeterModel:
     """Meter with a Gaussian pointer sized by the coverage rule for R."""
-    if not isinstance(R, HermitianOperator):
-        R = HermitianOperator(np.asarray(R, dtype=complex))
-    r_max = float(np.max(np.abs(np.linalg.eigvalsh(R.entries))))
+    r_max = float(np.max(np.abs(np.linalg.eigvalsh(as_matrix(R)))))
     half_width = coverage_half_width(kappa, r_max)
     pointer = gaussian_pointer(n_points, half_width, phase_slope)
     return MeterModel(kappa, R, pointer)
@@ -369,7 +368,7 @@ def sharp_projections(R, kappa: float) -> dict[float, np.ndarray]:
     if kappa == math.inf:
         raise ValidationError("kappa must be finite, got inf")
     w, V = hermitian_eig(R)
-    bins = np.floor(w).astype(int)  # floor(kappa*w / kappa) = floor(w)
+    bins = np.floor(w)  # floor(kappa*w / kappa) = floor(w), kept as floats beyond int64
     out: dict[float, np.ndarray] = {}
     for m in np.unique(bins):
         cols = V[:, bins == m]

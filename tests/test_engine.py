@@ -25,6 +25,7 @@ from qtraj import (
     StateVector,
     ValidationError,
     build_gaussian_meter,
+    embed_at_slot,
     embed_pair,
     ensemble,
     evolve_coupled_sse,
@@ -34,18 +35,23 @@ from qtraj import (
     evolve_jump,
     gaussian_pointer,
     get_preset,
+    hermitian_eig,
     jump_to_diffusion_bridge,
+    mean_field_evolve,
     mean_field_limit_error,
     mixing_povm_element,
     mixing_reduction,
     nearest_neighbor_coupling,
     noise_covariance,
+    permutation_defect,
     propagator,
     run_ensemble,
     run_trajectories,
     sample_poisson_times,
     sharp_projections,
     trajectory_product_check,
+    trajectory_stats,
+    von_neumann_entropy,
 )
 from qtraj.cli import main
 from qtraj.diffusion import _diffusion_batch
@@ -228,6 +234,22 @@ REJECTED_INPUTS = [
                  r"T=1\.0 must be a positive multiple of dt=0\.0", id="rk4-dt-zero"),
     pytest.param(lambda: run_ensemble(*jump_setup("normalized")[:2], 1.0, 1),
                  r"n_traj must be >= 2, got 1", id="ensemble-one-trajectory"),
+    # Times beyond floats, rejected before anything is computed from them.
+    pytest.param(lambda: propagator(HX, math.inf),
+                 r"^propagator phases must be finite, got t=inf, hbar=1\.0$",
+                 id="propagator-t-inf"),
+    pytest.param(lambda: propagator(HX, -math.inf),
+                 r"^propagator phases must be finite, got t=-inf", id="propagator-t-minus-inf"),
+    pytest.param(lambda: mean_field_evolve(*diffusion_setup(), math.inf),
+                 r"^T must be positive and finite, got inf$", id="mean-field-T-inf"),
+    pytest.param(lambda: run_ensemble(*jump_setup("normalized")[:2], math.inf, 4),
+                 r"^T must be positive and finite, got inf$", id="ensemble-T-inf"),
+    pytest.param(lambda: run_ensemble(*jump_setup("normalized")[:2], -math.inf, 4),
+                 r"^T must be positive and finite, got -inf$", id="ensemble-T-minus-inf"),
+    pytest.param(lambda: evolve_diffusive_sse(*diffusion_setup(), 1e300),
+                 r"^T=1e\+300 must be a positive multiple of dt=0\.001, "
+                 r"fewer than 2\*\*53 steps$",
+                 id="step-count"),
     pytest.param(lambda: run_trajectories(object(), diffusion_setup()[1], 1.0, 2),
                  r"unsupported config type object", id="unsupported-config"),
     pytest.param(lambda: evolve_coupled_sse(*diffusion_setup(M=2), 0.1),
@@ -243,7 +265,7 @@ REJECTED_INPUTS = [
                  r"diffusion ensembles need equation= one of \('linear', "
                  r"'coupled', 'density'\), got 'jump-averaged'", id="diffusion-equation"),
     pytest.param(lambda: _mixing_batch(mixing_setup()[0], maximally_mixed(4), 0.1, "bogus", [0]),
-                 r"mode must be 'normalized' or 'linear', got 'bogus'",
+                 r"mode must be one of \('normalized', 'linear'\), got 'bogus'",
                  id="mixing-mode"),
     pytest.param(lambda: _mixing_batch(mixing_setup()[0], maximally_mixed(2), 0.1, "linear", [0]),
                  r"initial density must have shape \(4, 4\), got \(2, 2\)", id="mixing-dim"),
@@ -298,10 +320,10 @@ REJECTED_INPUTS = [
     pytest.param(lambda: ManyBodyConfig(M=2, d=2, H_single=HX, meter=METER, nu=1.0,
                                         W=np.eye(2)),
                  r"pair potential W must have shape \(4, 4\), got \(2, 2\)", id="many-W-shape"),
-    pytest.param(lambda: dataclasses.replace(diffusion_setup()[0], dt=0.0),
-                 r"dt must be positive, got 0\.0", id="diffusion-dt"),
-    pytest.param(lambda: dataclasses.replace(diffusion_setup()[0], dt=math.nan),
-                 r"dt must be positive, got nan", id="diffusion-dt-nan"),
+    pytest.param(lambda: evolve_diffusive_sse(*diffusion_setup(dt=0.0), 1.0),
+                 r"T=1\.0 must be a positive multiple of dt=0\.0", id="diffusion-dt"),
+    pytest.param(lambda: evolve_diffusive_sse(*diffusion_setup(dt=math.nan), 1.0),
+                 r"T=1\.0 must be a positive multiple of dt=nan", id="diffusion-dt-nan"),
     pytest.param(lambda: dataclasses.replace(diffusion_setup()[0], hbar=0.0),
                  r"hbar must be positive, got 0\.0", id="diffusion-hbar"),
     pytest.param(lambda: dataclasses.replace(diffusion_setup()[0], H=H3),
@@ -324,6 +346,9 @@ REJECTED_INPUTS = [
     pytest.param(pointer_with_nan, r"pointer values contain non-finite entries", id="pointer-nan"),
     pytest.param(lambda: tabulated_pointer(values=2 * gaussian_pointer(256, 6.0).values),
                  r"pointer packet must have unit quadrature norm, got 4\.0", id="pointer-norm"),
+    pytest.param(lambda: PointerState(grid=[0.0, 1e26], values=[1e-13, 1e-13],
+                                      weights=[5e25, 5e25]),
+                 r"^pointer packet has empty sampling support$", id="pointer-empty-support"),
     pytest.param(lambda: trapezoid_weights(np.zeros(1)),
                  r"grid must be a 1-D array with at least two points", id="trapezoid-points"),
     # Event draws and checks.
@@ -405,7 +430,25 @@ REJECTED_INPUTS = [
                  r"amps must be 1-dimensional, got shape \(2, 2\)", id="state-2d"),
     pytest.param(lambda: StateVector(np.empty(0)), r"amps must be non-empty", id="state-empty"),
     pytest.param(lambda: as_matrix(np.ones((2, 3))),
-                 r"expected a square matrix, got shape \(2, 3\)", id="as-matrix-square"),
+                 r"matrix must be square, got shape \(2, 3\)", id="as-matrix-square"),
+    # A raw matrix passes the same gate as the value types.
+    pytest.param(lambda: hermitian_eig([[math.nan, 0.0], [0.0, 1.0]]),
+                 r"^matrix contains non-finite entries$", id="eig-nan"),
+    pytest.param(lambda: hermitian_eig([[math.inf, 0.0], [0.0, 1.0]]),
+                 r"^matrix contains non-finite entries$", id="eig-inf"),
+    pytest.param(lambda: propagator([[0.0, math.nan], [math.nan, 0.0]], 1.0),
+                 r"^matrix contains non-finite entries$", id="propagator-H-nan"),
+    pytest.param(lambda: sharp_projections([[math.nan, 0.0], [0.0, 1.0]], 1.0),
+                 r"^matrix contains non-finite entries$", id="sharp-R-nan"),
+    pytest.param(lambda: von_neumann_entropy([[math.nan, 0.0], [0.0, 0.5]]),
+                 r"^matrix contains non-finite entries$", id="entropy-nan"),
+    pytest.param(lambda: embed_at_slot([[math.nan, 0.0], [0.0, 1.0]], 1, 2),
+                 r"^matrix contains non-finite entries$", id="embed-nan"),
+    pytest.param(lambda: permutation_defect(np.full((4, 4), math.nan), 2, 2),
+                 r"^matrix contains non-finite entries$", id="permutation-defect-nan"),
+    pytest.param(lambda: rk4_solve(master_generator(MasterConfig.from_diffusion(
+                     diffusion_setup()[0])), [[math.nan, 0.0], [0.0, 0.5]], 1.0, 1e-3),
+                 r"^rho0 contains non-finite entries$", id="rk4-rho0-nan"),
     pytest.param(lambda: HermitianOperator(np.ones((2, 3))),
                  r"operator must be square, got shape \(2, 3\)", id="operator-square"),
     pytest.param(lambda: DensityMatrix(np.ones((2, 3))),
@@ -503,6 +546,16 @@ class TestBatchInputs:
                                                   f"{dim}, got {dim + 1}$"):
             batch(initial, {**obs, "X": np.eye(dim + 1)})
 
+    @pytest.mark.parametrize("run", [lambda: evolve_jump(*jump_setup("normalized")[:2], 1e300),
+                                     lambda: evolve_density(*mixing_setup()[:2], 1e300)],
+                             ids=["jump", "mixing"])
+    def test_events_beyond_memory_rejected_before_draws(self, run, no_draws, monkeypatch):
+        monkeypatch.setattr("qtraj.jumps.physical_memory", lambda: 2 ** 25)
+        with pytest.raises(ValidationError, match=r"^a batch of 1 rows of 6e\+300 expected "
+                                                  r"events at 320 bytes each exceeds the "
+                                                  r"33554432 bytes of memory$"):
+            run()
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=str)
     @pytest.mark.parametrize("engine", BATCH_ENGINES)
     def test_non_finite_observable_rejected_before_draws(self, engine, bad, no_draws):
@@ -511,6 +564,15 @@ class TestBatchInputs:
         X[0, 0] = bad
         with pytest.raises(ValidationError, match="^observable 'X' contains non-finite entries$"):
             batch(initial, {**obs, "X": X})
+
+
+def test_one_row_has_zero_standard_errors():
+    cfg, eta, obs = jump_setup("normalized")
+    cols = run_trajectories(cfg, eta, 1.0, 1, obs, TIMES)
+    stats = trajectory_stats(cols)
+    assert np.array_equal(stats.obs_mean, (cols.weights * cols.values)[:, 0].T)
+    assert np.array_equal(stats.weight_mean, cols.weights[0])
+    assert not stats.obs_se.any() and not stats.weight_se.any()
 
 
 def test_non_finite_bridge_distance_names_nu():

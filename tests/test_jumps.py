@@ -7,6 +7,7 @@ from scipy import stats as sps
 from qtraj import (
     HermitianOperator,
     JumpConfig,
+    NumericError,
     StateVector,
     ValidationError,
     build_gaussian_meter,
@@ -18,6 +19,7 @@ from qtraj import (
     sample_poisson_times,
     trajectory_product_check,
 )
+from qtraj.jumps import DEGENERATE
 from qtraj.rng import stream
 
 R01 = HermitianOperator(np.diag([0.0, 1.0]).astype(complex))
@@ -74,6 +76,10 @@ class TestSampleOutcome:
         observed = np.histogram(draws, bins=edges)[0]
         chi2 = sps.chisquare(observed, expected * draws.size).statistic
         assert chi2 < sps.chi2.ppf(0.99, df=edges.size - 2)
+
+    def test_zero_state_is_degenerate(self):
+        with pytest.raises(NumericError, match=f"^{DEGENERATE}$"):
+            sample_outcome(make_config().meter, np.zeros(2), stream(4, 0))
 
     def test_eigenvector_gives_shifted_packet(self):
         # closed form: density exp(-pi (lambda - kappa)^2), mean kappa, var 1/(2 pi)

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from qtraj import (
     DensityMatrix,
     HermitianOperator,
+    NumericError,
     StateVector,
     ValidationError,
     embed_at_slot,
@@ -130,8 +131,14 @@ class TestExpmSmall:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=str)
     def test_non_finite_entries_rejected(self, bad):
-        with pytest.raises(ValidationError, match="^expm_small needs finite entries$"):
+        with pytest.raises(ValidationError, match="^matrix contains non-finite entries$"):
             expm_small(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    def test_overflow_rejected(self):
+        with pytest.raises(ValidationError, match=r"^expm_small needs a finite 1-norm, got inf$"):
+            expm_small(np.array([[1e308, 0.0], [1e308, 0.0]]))
+        with pytest.raises(NumericError, match=r"^expm_small overflows at 1-norm 1e\+03$"):
+            expm_small(np.diag([1000.0, 0.0]))
 
 
 class TestEmbedding:

@@ -16,8 +16,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from test_engine import (HX, METER, R01, TIMES, jump_setup, mixing_setup,  # noqa: E402
-                         same_columns, same_row)
+from test_engine import (HX, METER, R01, R3, TIMES, diffusion_setup, jump_setup,  # noqa: E402
+                         mixing_setup, same_columns, same_row)
 from test_manybody import (block_spectrum_error, hopping_config,  # noqa: E402
                            invariant_density)
 from test_master import (MODES, general_map, generator_error, master_case,  # noqa: E402
@@ -25,14 +25,16 @@ from test_master import (MODES, general_map, generator_error, master_case,  # no
 
 from qtraj import (DensityMatrix, DiffusionConfig, HermitianOperator,  # noqa: E402
                    JumpConfig, ManyBodyConfig, SimulationError, StateVector, ValidationError,
-                   evolve_coupled_sse, evolve_density, evolve_diffusive_sse, evolve_jump,
-                   gaussian_pointer, mixing_reduction, permutation_defect)
+                   evolve_coupled_sse, evolve_density, evolve_diffusive_density,
+                   evolve_diffusive_sse, evolve_jump, gaussian_pointer, hermitian_eig,
+                   mean_field_evolve, mixing_reduction, permutation_defect, propagator,
+                   run_ensemble, von_neumann_entropy)
 from qtraj.cli import (EQUATIONS, EXPERIMENTS, OVERRIDES_READ, READS,  # noqa: E402
                        _resolved_for_hash, main, spec_from_dict)
 from qtraj.diffusion import _diffusion_batch  # noqa: E402
-from qtraj.ensemble import MasterConfig, master_generator  # noqa: E402
+from qtraj.ensemble import MasterConfig, master_generator, rk4_solve  # noqa: E402
 from qtraj.jumps import EventColumns, _jump_batch  # noqa: E402
-from qtraj.linalg import (embed_at_slot, hermitian_coordinates,  # noqa: E402
+from qtraj.linalg import (embed_at_slot, expm_small, hermitian_coordinates,  # noqa: E402
                           hermitian_from_coordinates, real_superop)
 from qtraj.manybody import _BlockRows, _densities, _mixing_batch  # noqa: E402
 from qtraj.meter import (DEFAULT_GRID_SIZE, DEFAULT_TOL_POVM, MeterModel,  # noqa: E402
@@ -398,6 +400,7 @@ def test_random_valid_specs_round_trip(raw, n_traj):
 # the size checks must reject before anything of that size is allocated.
 FUZZ_MEMORY = 2 ** 25
 FUZZ_PEAK = 2 * FUZZ_MEMORY
+MEMORY_USERS = ("cli", "ensemble", "diffusion", "jumps")  # the modules that call physical_memory
 FUZZ_FIELDS = {  # name: (usual values, edge values)
     "T": ([0.02, 0.2], [1e-3, 0.0, math.inf]),
     "dt": ([1e-3], [0.01, 0.3, -1e-3]),
@@ -457,7 +460,7 @@ def test_every_run_exits_with_its_code(raw):
     # one-line message and no traceback, and allocates nothing beyond the
     # memory the size checks are told the machine has.
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-        for module in ("cli", "ensemble", "diffusion"):
+        for module in MEMORY_USERS:
             patch.setattr(f"qtraj.{module}.physical_memory", lambda: FUZZ_MEMORY)
         path = Path(tmp, "spec.json")
         path.write_text(json.dumps(raw))
@@ -473,4 +476,63 @@ def test_every_run_exits_with_its_code(raw):
     message = err.getvalue()
     assert (message == "") == (code == 0)
     assert code == 0 or message.startswith("error: ") and message.count("\n") == 1, message
+    assert peak < FUZZ_PEAK
+
+
+# Every public entry point that takes a matrix, a time or a rate, with the
+# valid values of those arguments; counts, indices and configs are not drawn.
+JUMP_CFG, ETA3, _ = jump_setup("normalized")
+MIX_CFG, RHO4, _ = mixing_setup()
+DIFF_CFG, ETA2 = diffusion_setup()
+MIXED2 = np.eye(2) / 2
+EDGE_CALLS = {
+    "propagator": (propagator, {"H": HX.entries, "t": 0.1, "hbar": 1.0}),
+    "hermitian_eig": (hermitian_eig, {"A": HX.entries}),
+    "sharp_projections": (sharp_projections, {"R": R01.entries, "kappa": 1.0}),
+    "von_neumann_entropy": (von_neumann_entropy, {"rho": MIXED2}),
+    "embed_at_slot": (lambda A: embed_at_slot(A, 1, 2), {"A": HX.entries}),
+    "permutation_defect": (lambda rho: permutation_defect(rho, 2, 2), {"rho": RHO4.entries}),
+    "expm_small": (expm_small, {"A": HX.entries}),
+    "mean_field_evolve": (lambda T: mean_field_evolve(DIFF_CFG, ETA2, T), {"T": 0.1}),
+    "run_ensemble": (lambda eta, T, X: run_ensemble(JUMP_CFG, eta, T, 2, {"X": X}),
+                     {"eta": ETA3.amps, "T": 0.1, "X": R3.entries}),
+    "rk4_solve": (lambda rho0, T, dt: rk4_solve(
+                      master_generator(MasterConfig.from_diffusion(DIFF_CFG)), rho0, T, dt),
+                  {"rho0": MIXED2, "T": 0.1, "dt": 1e-2}),
+    "evolve_jump": (lambda eta, T, X: evolve_jump(JUMP_CFG, eta, T, observables={"X": X}),
+                    {"eta": ETA3.amps, "T": 0.1, "X": R3.entries}),
+    "evolve_density": (lambda rho0, T: evolve_density(MIX_CFG, rho0, T),
+                       {"rho0": RHO4.entries, "T": 0.1}),
+    "evolve_diffusive_sse": (lambda eta, T: evolve_diffusive_sse(DIFF_CFG, eta, T),
+                             {"eta": ETA2.amps, "T": 0.01}),
+    "evolve_coupled_sse": (lambda eta, T: evolve_coupled_sse(DIFF_CFG, eta, T),
+                           {"eta": ETA2.amps, "T": 0.01}),
+    "evolve_diffusive_density": (lambda rho0, T: evolve_diffusive_density(DIFF_CFG, rho0, T),
+                                 {"rho0": MIXED2, "T": 0.01}),
+}
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(name=st.sampled_from(sorted(EDGE_CALLS)), data=st.data())
+def test_entry_points_fail_only_with_simulation_errors(name, data):
+    # One argument at an edge of the floats, or one entry of a matrix or
+    # state there: the call returns or raises a SimulationError, and
+    # allocates nothing beyond the memory the size checks are told of.
+    call, args = EDGE_CALLS[name]
+    key = data.draw(st.sampled_from(sorted(args)))
+    value = data.draw(EDGES)
+    if isinstance(args[key], np.ndarray):
+        arr = np.array(args[key], dtype=complex)
+        arr.flat[data.draw(st.integers(0, arr.size - 1))] = value
+        value = arr
+    with pytest.MonkeyPatch.context() as patch:
+        for module in MEMORY_USERS:
+            patch.setattr(f"qtraj.{module}.physical_memory", lambda: FUZZ_MEMORY)
+        tracemalloc.start()
+        try:
+            with contextlib.suppress(SimulationError):
+                call(**{**args, key: value})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert peak < FUZZ_PEAK

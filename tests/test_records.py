@@ -15,6 +15,7 @@ from qtraj.records import (
     density_trajectory_record,
     jump_trajectory_record,
     write_jsonl,
+    write_table,
     write_trajectories,
 )
 
@@ -190,3 +191,10 @@ def test_cli_non_finite_record_exits_3(tmp_path, monkeypatch, capsys, experiment
         f"error: non-finite {key} value in the record of trajectory index=3 (seed=0); "
         "rerun that index alone to reproduce\n"
     )
+
+
+def test_table_of_unequal_columns_is_not_written(tmp_path):
+    path = tmp_path / "out" / "t.tsv"
+    with pytest.raises(ValueError, match="^all table columns must have equal length$"):
+        write_table(path, META, [("a", np.zeros(2)), ("b", np.zeros(3))])
+    assert not path.parent.exists()

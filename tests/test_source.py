@@ -423,12 +423,10 @@ def test_densities_are_rebuilt_only_where_kept():
 
 
 # Record times have one default, T, set in jumps._record_times.  Besides it
-# only run_ensemble (its documented ten equal steps) and mean_field_evolve
-# (a closed form at any t, not an engine) test a record-time argument
-# against None; an engine that did would grow its own default again.
+# only run_ensemble (its documented ten equal steps) tests a record-time
+# argument against None; an engine that did would grow its own default again.
 RECORD_TIME_NAMES = {"sample_times", "record_times", "times"}
-RECORD_TIME_DEFAULTS = {("jumps.py", "_record_times"), ("ensemble.py", "run_ensemble"),
-                        ("diffusion.py", "mean_field_evolve")}
+RECORD_TIME_DEFAULTS = {("jumps.py", "_record_times"), ("ensemble.py", "run_ensemble")}
 
 
 def record_time_none_tests(source: str) -> set[str]:
@@ -636,15 +634,15 @@ def package_sources() -> dict[str, str]:
     return {path.name: path.read_text() for path in MODULES}
 
 
-def rule_builders(sources: dict[str, str]) -> list[tuple[str, str]]:
+def rule_builders(sources: dict[str, str], rules=MODEL_RULES) -> list[tuple[str, str]]:
     """(module, top-level definition) of each string that states one of the
-    model rules."""
+    rules (by default the model rules)."""
     found = set()
     for module, source in sources.items():
         for top in ast.parse(source).body:
             for node in ast.walk(top):
                 if (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                        and any(rule in node.value for rule in MODEL_RULES)):
+                        and any(rule in node.value for rule in rules)):
                     found.add((module, getattr(top, "name", "<module>")))
     return sorted(found)
 
@@ -679,6 +677,29 @@ def test_model_rule_check_sees_a_mutant(module, old, new, found):
     assert sources[module].count(old) == 1
     sources[module] = sources[module].replace(old, new)
     assert found in rule_builders(sources)
+
+
+# Each rule on a matrix argument is stated in one linalg function, which
+# every function that takes a matrix calls: the value types and as_matrix
+# through _checked, the Hermitian ones through check_hermitian.
+MATRIX_RULES = {"must be square": "_checked", "contains non-finite entries": "_checked",
+                "is not Hermitian": "check_hermitian"}
+
+
+@pytest.mark.parametrize("rule", MATRIX_RULES)
+def test_one_linalg_function_states_each_matrix_rule(rule):
+    assert rule_builders(package_sources(), [rule]) == [("linalg.py", MATRIX_RULES[rule])]
+
+
+def test_matrix_rule_check_sees_a_mutant():
+    # the RK4 oracle checking its initial density itself again
+    sources = package_sources()
+    old = '    check_hermitian(arr, "rho0")\n'
+    assert sources["ensemble.py"].count(old) == 1
+    sources["ensemble.py"] = sources["ensemble.py"].replace(
+        old, "    if not np.allclose(arr, arr.conj().T):\n"
+             "        raise ValidationError('rho0 is not Hermitian')\n")
+    assert ("ensemble.py", "rk4_solve") in rule_builders(sources, ["is not Hermitian"])
 
 
 def test_private_import_check_sees_a_mutant():
