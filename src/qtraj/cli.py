@@ -43,7 +43,7 @@ from .ensemble import (
     run_trajectories,
     trajectory_stats,
 )
-from .errors import SimulationError, ValidationError, physical_memory
+from .errors import SimulationError, ValidationError, check_memory
 from .jumps import JumpConfig
 from .linalg import HermitianOperator, StateVector, check_model, kron_power, slot_sum
 from .manybody import ManyBodyConfig, nearest_neighbor_coupling
@@ -518,10 +518,7 @@ def _run_ensemble(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
 
 def _run_master(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
     # rk4_solve holds every record, a time and a D x D density, until it returns.
-    record_bytes, memory = 8 + 16 * model.d ** (2 * model.M), physical_memory()
-    _require(spec.n_samples * record_bytes <= memory,
-             f"n_samples must be at most {memory // record_bytes} for {record_bytes}-byte "
-             f"records, got {spec.n_samples}")
+    check_memory("n_samples", spec.n_samples, 8 + 16 * model.d ** (2 * model.M), "records")
     times = _sample_times(spec)
     if spec.equation == "diffusive":
         mcfg = MasterConfig.from_diffusion(_diffusion_config(spec, model, model.M))

@@ -76,7 +76,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, NumericError, ValidationError, physical_memory
+from .errors import NumericError, ValidationError, check_memory
 from .jumps import EventColumns, _guard, _observables, _record_times, _step_grid
 from .linalg import (
     DensityMatrix,
@@ -383,8 +383,8 @@ def _density_states(cfg: DiffusionConfig, rho0, T: float, indices, sample_times)
     Every step factor maps Hermitian matrices to Hermitian ones, so the
     coordinates describe the state exactly and no symmetrization is needed.
     The factors are built for each run of normals from
-    :func:`_noise_blocks`, two per step.  A bad rho0 (ValidationError) or a
-    batch beyond physical memory (CapacityError) fails before any draw.
+    :func:`_noise_blocks`, two per step.  A bad rho0 or a batch beyond
+    memory (:func:`qtraj.errors.check_memory`) fails before any draw.
     Returns rhos[i, j], the density of path indices[i] at record time j of
     :func:`_step_grid`, rebuilt as a complex matrix and rotated back to the
     original basis.
@@ -400,10 +400,8 @@ def _density_states(cfg: DiffusionConfig, rho0, T: float, indices, sample_times)
     # 3.1 of them); per path, in real D x D copies, its complex records (two
     # each), x and y (two), the record rebuild (six) and the factor run G,
     # and with complex noise cos, sin, rot, t1 and t2 over the upper triangle.
-    need = 64 * D ** 4 + 8 * D * D * n * (2 * times.size + 8 + _FACTOR_BLOCK) + rotate * 528 * U * n
-    if need > (memory := physical_memory()):
-        raise CapacityError(f"the density equation at D={D} needs {need} bytes for {n} paths "
-                            f"with {times.size} records, beyond the {memory} bytes of memory")
+    per_path = 8 * D * D * (2 * times.size + 8 + _FACTOR_BLOCK) + rotate * 528 * U
+    check_memory(f"paths of a D={D} density batch", n, per_path, "paths", fixed=64 * D ** 4)
     VM, w, rbar, P = _density_kernel(cfg)
     x = np.repeat(hermitian_coordinates(VM.conj().T @ rho.entries @ VM)[:, None], n, axis=1)
     y = np.empty_like(x)

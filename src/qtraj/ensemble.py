@@ -49,7 +49,7 @@ from itertools import repeat
 import numpy as np
 
 from .diffusion import DiffusionConfig, _diffusion_batch
-from .errors import NumericError, ValidationError, physical_memory
+from .errors import NumericError, ValidationError, check_memory
 from .jumps import (_EVENT_BYTES, EventColumns, JumpConfig, _event_bound, _jump_batch,
                     _record_times, _step_grid)
 from .linalg import (
@@ -381,26 +381,17 @@ class EnsembleStats:
 
 def check_result_size(n_traj: int, n_samples: int, n_observables: int,
                       events: float = 0.0) -> None:
-    """Reject n_traj result rows beyond physical memory, before any array
-    exists.  A row holds its index, event count, log weight and final norm
-    or trace, and per sample a weight, entropy, minimum eigenvalue and one
-    value per observable, 8 bytes each, and events (a bound on its event
-    count, :func:`qtraj.jumps._event_bound`) at _EVENT_BYTES each.  The
-    record text is not counted: :func:`qtraj.records.write_trajectories`
-    holds at most one block of it beyond the columns."""
-    memory = physical_memory()
+    """Reject n_traj result rows through :func:`qtraj.errors.check_memory`
+    before any array exists.  A row holds its index, event count, log weight
+    and final norm or trace, and per sample a weight, entropy, minimum
+    eigenvalue and one value per observable, 8 bytes each, and events (a
+    bound on its event count, :func:`qtraj.jumps._event_bound`) at
+    _EVENT_BYTES each.  The record text is not counted: it is held one
+    block at a time (:func:`qtraj.records.write_trajectories`)."""
     record_bytes = 8 * (3 + n_observables)
-    row_bytes = 32 + n_samples * record_bytes
-    if row_bytes > memory:
-        raise ValidationError(f"n_samples must be at most {(memory - 32) // record_bytes} "
-                              f"for {record_bytes}-byte records, got {n_samples}")
-    if _EVENT_BYTES * events > memory:
-        raise ValidationError(f"n_traj must be at most 0 for rows of {events:.3g} expected "
-                              f"events, got {n_traj}")
-    row_bytes += math.ceil(_EVENT_BYTES * events)
-    if n_traj * row_bytes > memory:
-        raise ValidationError(f"n_traj must be at most {memory // row_bytes} "
-                              f"for {row_bytes}-byte result rows, got {n_traj}")
+    check_memory("n_samples", n_samples, record_bytes, "records", fixed=32)
+    check_memory("n_traj", n_traj, 32 + n_samples * record_bytes + _EVENT_BYTES * events,
+                 "result rows")
 
 
 def run_trajectories(

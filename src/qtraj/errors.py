@@ -1,10 +1,11 @@
 """Exception hierarchy shared by all engine modules.
 
 Each class carries the process exit code the command-line front end maps it
-to, so engine code never has to know about the CLI.  physical_memory is the
-bound every size check of the engines and the CLI compares against.
+to, so engine code never has to know about the CLI.  check_memory is the one
+size rule of the engines and the CLI, and the only reader of physical_memory.
 """
 
+import math
 import os
 
 
@@ -35,3 +36,17 @@ class CapacityError(SimulationError):
 def physical_memory() -> int:
     """Bytes of physical memory, the bound of every result and kernel allocation."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_memory(name: str, count: int, unit: float, items: str, fixed: int = 0) -> None:
+    """The one size rule: a ValidationError unless count items of unit bytes
+    (rounded up) and fixed bytes fit in physical memory, failed by NaN and
+    inf.  The message names count, the bytes per item and the largest count
+    that fits."""
+    memory = physical_memory()
+    per = math.ceil(unit) if math.isfinite(unit) else unit
+    if not count * per + fixed <= memory:
+        fit = (memory - fixed) // per if math.isfinite(per) and fixed <= memory else 0
+        beyond = f" beyond {fixed} fixed bytes" if fixed else ""
+        raise ValidationError(f"{name} must be at most {fit} for {per:.15g}-byte {items}"
+                              f"{beyond}, got {count}")

@@ -66,7 +66,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, physical_memory
+from .errors import NumericError, ValidationError, check_memory
 from .linalg import (HermitianOperator, StateVector, as_matrix, check_model, hermitian_eig,
                      initial_state)
 from .meter import MeterModel
@@ -346,12 +346,10 @@ def _event_draws(seed: int, rate: float, T: float, indices):
     Returns (times, counts, uniforms): times[r] holds row r's event times
     first and values >= T after them, and the uniforms are flat in row
     order.  Rows of :func:`_event_bound` events at _EVENT_BYTES each
-    beyond physical memory fail before any draw.
+    beyond physical memory fail the memory gate before any draw.
     """
     n, events = len(indices), _event_bound(rate, T)
-    if n * events * _EVENT_BYTES > (memory := physical_memory()):
-        raise ValidationError(f"a batch of {n} rows of {events:.3g} expected events at "
-                              f"{_EVENT_BYTES} bytes each exceeds the {memory} bytes of memory")
+    check_memory("batch rows", n, _EVENT_BYTES * events, "event rows")
     streams = Streams(seed, indices)
     if rate == 0:
         return np.full((n, 1), np.inf), np.zeros(n, dtype=np.intp), np.empty(0)

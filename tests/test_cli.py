@@ -444,8 +444,7 @@ class TestExitCodes:
                                                              monkeypatch):
         # One 64 MB row fits in 100 MB, a hundred do not; the sample times
         # (16 MB) must not be built before that is known.
-        for module in ("ensemble", "cli"):
-            monkeypatch.setattr(f"qtraj.{module}.physical_memory", lambda: 100_000_000)
+        monkeypatch.setattr("qtraj.errors.physical_memory", lambda: 100_000_000)
         spec = tmp_path / "rows.json"
         spec.write_text('{"experiment": "many", "n_samples": 2e6}')
         tracemalloc.start()
@@ -460,10 +459,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, spec_fields, message", [
         pytest.param("jump", {"overrides": {"nu": 1e9}, "n_traj": 2},
-                     "n_traj must be at most 0 for rows of 1e+09 expected events, got 2",
+                     "n_traj must be at most 0 for 320040477507-byte result rows, got 2",
                      id="jump-rows-of-events"),
         pytest.param("many", {"overrides": {"nu": 1e300}, "n_traj": 2},
-                     "n_traj must be at most 0 for rows of 2e+300 expected events, got 2",
+                     "n_traj must be at most 0 for 6.4e+302-byte result rows, got 2",
                      id="many-rows-of-events"),
         # 4 sigma above nu T = 1e5: 101264.9 events of 320 bytes, and 352
         # bytes of row and samples
@@ -477,28 +476,30 @@ class TestExitCodes:
             raise AssertionError("a chunk ran")
 
         monkeypatch.setattr("qtraj.ensemble._map_chunks", no_chunks)
-        monkeypatch.setattr("qtraj.ensemble.physical_memory", lambda: 100_000_000)
+        monkeypatch.setattr("qtraj.errors.physical_memory", lambda: 100_000_000)
         spec = write_spec(tmp_path / "s.json", experiment=command, **spec_fields)
         assert main([command, "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("overrides, fields, need", [
+    @pytest.mark.parametrize("overrides, fields, message", [
         # the step kernel's D^2 x D^2 matrices
         pytest.param({"d": 8, "M": 3}, {"n_traj": 2, "n_samples": 1, "T": 0.001},
-                     4398155563008, id="kernel"),
+                     "paths of a D=512 density batch must be at most 0 for 54525952-byte "
+                     "paths beyond 4398046511104 fixed bytes, got 2", id="kernel"),
         # the records of one batch of 512 paths
         pytest.param({"d": 8, "M": 2}, {"n_traj": 512, "n_samples": 1000},
-                     35030827008, id="records"),
+                     "paths of a D=64 density batch must be at most 242 for 66322432-byte "
+                     "paths beyond 1073741824 fixed bytes, got 512", id="records"),
     ])
-    def test_density_beyond_memory_exits_4(self, tmp_path, capsys, monkeypatch, overrides,
-                                           fields, need):
+    def test_density_beyond_memory_exits_2(self, tmp_path, capsys, monkeypatch, overrides,
+                                           fields, message):
         # Rejected before the kernel is built or a record allocated, against
         # a fixed 16 GiB bound; if the check let the run through, the kernel
         # build would raise here instead of allocating.
         def no_kernel(*_):
             raise AssertionError("the step kernel was built")
 
-        monkeypatch.setattr("qtraj.diffusion.physical_memory", lambda: 2 ** 34)
+        monkeypatch.setattr("qtraj.errors.physical_memory", lambda: 2 ** 34)
         monkeypatch.setattr("qtraj.diffusion._density_kernel", no_kernel)
         spec = write_spec(tmp_path / "big.json", experiment="diffuse", equation="density",
                           preset="lattice-particle", overrides=overrides, **fields)
@@ -508,12 +509,8 @@ class TestExitCodes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        D = 8 ** overrides["M"]
-        assert code == 4 and peak < 32_000_000, peak
-        assert capsys.readouterr().err == (
-            f"error: the density equation at D={D} needs {need} bytes for "
-            f"{fields['n_traj']} paths with {fields['n_samples']} records, beyond the "
-            f"{2 ** 34} bytes of memory\n")
+        assert code == 2 and peak < 32_000_000, peak
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_blow_up_exits_3(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "b.json", experiment="diffuse", overrides={"gamma": 30},

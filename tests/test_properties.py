@@ -400,7 +400,7 @@ def test_random_valid_specs_round_trip(raw, n_traj):
 # the size checks must reject before anything of that size is allocated.
 FUZZ_MEMORY = 2 ** 25
 FUZZ_PEAK = 2 * FUZZ_MEMORY
-MEMORY_USERS = ("cli", "ensemble", "diffusion", "jumps")  # the modules that call physical_memory
+MEMORY_USERS = ("errors",)  # the modules that call physical_memory
 FUZZ_FIELDS = {  # name: (usual values, edge values)
     "T": ([0.02, 0.2], [1e-3, 0.0, math.inf]),
     "dt": ([1e-3], [0.01, 0.3, -1e-3]),

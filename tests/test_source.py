@@ -748,3 +748,36 @@ def test_import_time_scipy_check_sees_a_mutant():
     assert scipy_imports(mutant) == ["scipy.interpolate"]
     # The same import inside a function is not loaded with the module.
     assert "from scipy.interpolate import CubicSpline" in source
+
+
+# The memory rule has one owner: errors.check_memory alone reads
+# physical_memory and builds the size text, so a test patches one name.
+MEMORY_GATE = [("errors.py", "check_memory")]
+MEMORY_TEXT = ["must be at most"]
+
+
+def memory_readers(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, top-level definition) of each call of physical_memory."""
+    return sorted({(module, getattr(top, "name", "<module>"))
+                   for module, source in sources.items() for top in ast.parse(source).body
+                   if called(top, {"physical_memory"})})
+
+
+def test_one_gate_reads_memory_and_states_the_size_rule():
+    sources = package_sources()
+    assert memory_readers(sources) == MEMORY_GATE
+    assert rule_builders(sources, MEMORY_TEXT) == MEMORY_GATE
+
+
+def test_memory_gate_check_sees_a_mutant():
+    # the density kernel restating its own comparison and text
+    sources = package_sources()
+    old = ('    check_memory(f"paths of a D={D} density batch", n, per_path, "paths", '
+           'fixed=64 * D ** 4)\n')
+    assert sources["diffusion.py"].count(old) == 1
+    sources["diffusion.py"] = sources["diffusion.py"].replace(
+        old, "    if 64 * D ** 4 + n * per_path > physical_memory():\n"
+             "        raise ValidationError(f'n must be at most 0, got {n}')\n")
+    found = ("diffusion.py", "_density_states")
+    assert found in memory_readers(sources)
+    assert found in rule_builders(sources, MEMORY_TEXT)
