@@ -77,7 +77,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericError, ValidationError, check_memory
-from .jumps import EventColumns, _guard, _observables, _record_times, _step_grid
+from .jumps import EventColumns, _guard, _index_column, _observables, _record_times, _step_grid
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
@@ -184,7 +184,7 @@ class DiffusionConfig:
     M: int = 1
 
     def __post_init__(self):
-        check_model(self.M)
+        check_model(self.M, d=self.H.dim)
         if self.H.dim != self.R.dim:
             raise ValidationError("H and R must share a dimension")
         cov = noise_covariance(self.pointer, self.hbar)
@@ -276,6 +276,12 @@ def _coupled_states(
     eta = initial_state(eta, StateVector, cfg.dim)
     n_steps, times, rec_map = _step_grid(T, cfg.dt, sample_times)
     n = len(indices)
+    # Per path, 16 bytes a component for each record twice (out, and the
+    # conjugate copy of _diffusion_batch) and 64 more times (the factor run,
+    # the rows and their products), and 8 KB of normals: traced peaks were
+    # 33-35 bytes per path, record and component at d = 16 and 64.
+    check_memory(f"paths of a d={cfg.dim} state batch", n,
+                 16 * cfg.dim * (2 * times.size + 64) + 8192, "paths")
     wR, VR = hermitian_eig(cfg.R)
     UT = (VR.conj().T @ propagator(cfg.H, cfg.dt, cfg.hbar) @ VR).T
     y = np.tile((VR.conj().T @ eta.amps)[:, None], (1, n))
@@ -496,6 +502,7 @@ def _diffusion_batch(cfg: DiffusionConfig, initial, T: float, equation: str, ind
         raise ValidationError(f"diffusion ensembles need equation= one of "
                               f"{EQUATIONS}, got {equation!r}")
     times = _record_times(sample_times, T)
+    indices = _index_column(indices)
     obs = _observables(observables, cfg.dim ** cfg.M if equation == "density" else cfg.dim)
     extra = {}
     if equation == "density":
@@ -514,7 +521,7 @@ def _diffusion_batch(cfg: DiffusionConfig, initial, T: float, equation: str, ind
         for o, X in enumerate(obs.values()):
             values[o] = np.einsum("ni,ij,nj->n", flat.conj(), X, flat).real / n2
         weights, values = n2.reshape(n, n_times), values.reshape(-1, n, n_times)
-    return EventColumns(indices=np.array(indices, dtype=np.intp), weights=weights,
+    return EventColumns(indices=indices, weights=weights,
                         sample_times=times, names=tuple(obs), values=values, states=states,
                         **extra)
 
@@ -565,8 +572,10 @@ def mean_field_evolve(
 ) -> StatePath:
     """Deterministic macroscopic-limit evolution under H - gamma q0 R.
 
-    For a real packet (q0 = 0) this is the free unitary evolution.
+    For a real packet (q0 = 0) this is the free unitary evolution; eta
+    passes :func:`qtraj.linalg.initial_state`.
     """
+    eta = initial_state(eta, StateVector, cfg.dim)
     rec_times = _record_times(record_times, T)
     Heff = cfg.H.entries - cfg.gamma * cfg.noise.q0 * cfg.R.entries
     w, V = hermitian_eig(Heff)

@@ -50,13 +50,14 @@ import numpy as np
 
 from .diffusion import DiffusionConfig, _diffusion_batch
 from .errors import NumericError, ValidationError, check_memory
-from .jumps import (_EVENT_BYTES, EventColumns, JumpConfig, _event_bound, _jump_batch,
-                    _record_times, _step_grid)
+from .jumps import (_EVENT_BYTES, _SAMPLE_BYTES, EventColumns, JumpConfig, _event_bound,
+                    _jump_batch, _record_times, _step_grid)
 from .linalg import (
     HermitianOperator,
     _real_if_exact,
     as_matrix,
     check_hermitian,
+    check_integer,
     check_model,
     hermitian_coordinates,
     hermitian_eig,
@@ -382,15 +383,18 @@ class EnsembleStats:
 def check_result_size(n_traj: int, n_samples: int, n_observables: int,
                       events: float = 0.0) -> None:
     """Reject n_traj result rows through :func:`qtraj.errors.check_memory`
-    before any array exists.  A row holds its index, event count, log weight
-    and final norm or trace, and per sample a weight, entropy, minimum
-    eigenvalue and one value per observable, 8 bytes each, and events (a
-    bound on its event count, :func:`qtraj.jumps._event_bound`) at
-    _EVENT_BYTES each.  The record text is not counted: it is held one
-    block at a time (:func:`qtraj.records.write_trajectories`)."""
+    before any array exists.  A row is charged for its index, event count,
+    log weight and final norm or trace; per sample, for a weight, entropy,
+    minimum eigenvalue and one value per observable, 8 bytes each, and
+    _SAMPLE_BYTES for the run's timeline, records and concatenated batch
+    columns; and events (a bound on its event count,
+    :func:`qtraj.jumps._event_bound`) at _EVENT_BYTES each.  The record
+    text is not counted: it is held one block at a time
+    (:func:`qtraj.records.write_trajectories`)."""
     record_bytes = 8 * (3 + n_observables)
-    check_memory("n_samples", n_samples, record_bytes, "records", fixed=32)
-    check_memory("n_traj", n_traj, 32 + n_samples * record_bytes + _EVENT_BYTES * events,
+    check_memory("n_samples", n_samples, record_bytes + _SAMPLE_BYTES, "records", fixed=32)
+    check_memory("n_traj", n_traj,
+                 32 + n_samples * (record_bytes + _SAMPLE_BYTES) + _EVENT_BYTES * events,
                  "result rows")
 
 
@@ -424,8 +428,7 @@ def run_trajectories(
     D x D density); density paths agree with other batch sizes only to
     rounding, so a diffusion block holds _CHUNK paths whatever n_workers.
     """
-    if n_traj < 1:
-        raise ValidationError(f"n_traj must be >= 1, got {n_traj}")
+    check_integer("n_traj", n_traj, 1)
     sample_times = _record_times(sample_times, T)
     n_workers = max(1, min(n_workers, usable_cpus()))
     share = -(-n_traj // n_workers)
@@ -497,8 +500,7 @@ def run_ensemble(
     * "density": M-particle density equation, weight Tr(rho), with entropy
       statistics.
     """
-    if n_traj < 2:
-        raise ValidationError(f"n_traj must be >= 2, got {n_traj}")
+    check_integer("n_traj", n_traj, 2)
     if sample_times is None:
         _record_times(None, T)  # T, before its ten steps are built from it
         sample_times = np.linspace(T / 10.0, T, 10)

@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, check_memory
 from .jumps import MODES, EventColumns, _observables, _run_rows
 from .linalg import (
     DENSITY_EIG_FLOOR,
@@ -76,6 +76,11 @@ from .linalg import (
 from .meter import MeterModel
 
 MAX_BRUTE_FORCE_EVENTS = 6
+# Peak bytes per entry of a D x D operator and per d + 2 while a mixing
+# config is built and its copy basis derived (the slot-1 projectors alone
+# are d such operators), measured with tracemalloc: 33-48 from D = 125 to
+# 1024 (d = 4 to 32, M = 2 to 4).
+_BASIS_BYTES = 48
 
 
 def nearest_neighbor_coupling(d: int, strength: float) -> np.ndarray:
@@ -105,6 +110,9 @@ def permutation_defect(rho, d: int, M: int) -> float:
     """Max over slot transpositions of the entrywise deviation of the
     conjugated operator from the original."""
     arr = as_matrix(rho)
+    check_model(M, d=d)
+    if arr.shape[0] != d ** M:
+        raise ValidationError(f"rho must act on d^M = {d ** M}, got {arr.shape[0]}")
     worst = 0.0
     for perm in _transpositions(M):
         swapped = permute_slots_matrix(arr, perm, d, M)
@@ -225,9 +233,10 @@ class ManyBodyConfig:
                 "H_single and meter must act on dimension d="
                 f"{self.d}, got {self.H_single.dim} and {self.meter.dim}"
             )
+        d = self.H_single.dim
+        check_memory("d^(2M)", d ** (2 * self.M), _BASIS_BYTES * (d + 2), "copy-basis entries")
         h = slot_sum(self.H_single.entries, self.M)
         if self.W is not None:
-            d = self.d
             try:
                 W = HermitianOperator(as_matrix(self.W)).entries
             except ValidationError as exc:

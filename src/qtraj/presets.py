@@ -14,9 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_memory
 from .linalg import HermitianOperator
 from .meter import DEFAULT_GRID_SIZE, MeterModel, build_gaussian_meter
+
+
+# Peak bytes per entry of the d x d operators of a run on a preset, beyond
+# its meter's charge, measured with tracemalloc on `jump` runs of
+# lattice-particle: 97 at d = 1024.
+_OPERATOR_BYTES = 128
 
 
 @dataclass(frozen=True)
@@ -47,6 +53,7 @@ def two_level() -> Preset:
 def lattice_particle(d: int = 8) -> Preset:
     if d < 2:
         raise ValidationError(f"lattice needs d >= 2 sites, got {d}")
+    check_memory("d^2", d * d, _OPERATOR_BYTES, "operator entries")
     H = HermitianOperator(_hopping_matrix(d))
     sites = np.arange(d) - (d - 1) / 2.0
     R = HermitianOperator(np.diag(sites).astype(complex))

@@ -7,9 +7,10 @@ configuration and seed reproduces every output byte for byte.
 
 trajectories.jsonl is written from a run's columns in two passes: a scan of
 every column for non-finite values, which writes nothing, then blocks of
-consecutive rows, each rendered and written before the next.  A block holds
-at most BLOCK_ROWS rows and BLOCK_EVENTS events, and at least one row, so
-the writer holds the text of one block beyond the columns at any one time.
+consecutive rows, each rendered and written before the next.  A block
+renders at most BLOCK_NUMBERS numbers, or one row, so the writer holds the
+text of one block beyond the columns at any one time, whatever the event
+and sample counts.
 """
 
 from __future__ import annotations
@@ -23,10 +24,14 @@ import numpy as np
 
 from .errors import NumericError
 
-# Bounds of one block of trajectories.jsonl rows; a row with more events
-# than BLOCK_EVENTS is a block of its own.
-BLOCK_ROWS = 256
-BLOCK_EVENTS = 16384
+# Bound on the numbers one block of trajectories.jsonl rows renders, where
+# a row's keys weigh 17 numbers beyond its index, log weight and final
+# value (see _blocks).  Traced text costs about 20 bytes a sample number,
+# 100 an event and 470 a row's rest, so a block holds about 280 jump-lattice
+# rows (about 100 numbers each: 20 events and 10 samples of three series),
+# and the writer peaks at about 1.1 MB there.  A row beyond the bound is a
+# block of its own.
+BLOCK_NUMBERS = 28_000
 
 
 def fmt(x) -> str:
@@ -86,14 +91,18 @@ def _objects(fields: dict, n: int):
             for _, *row in zip(range(n), *(fields[key] for key in keys)))
 
 
-def _blocks(offsets: np.ndarray):
-    """Row bounds (a, b) of consecutive blocks covering every row, in order:
-    b - a <= BLOCK_ROWS and offsets[b] - offsets[a] <= BLOCK_EVENTS, except
-    that a block always holds at least one row."""
-    n, a = len(offsets) - 1, 0
+def _blocks(cols):
+    """Row bounds (a, b) of consecutive blocks covering every row of cols, in
+    order, each rendering at most BLOCK_NUMBERS numbers, except that a block
+    always holds at least one row.  A row renders two numbers per event,
+    its index, log weight and final value, with its keys weighing 17 more,
+    and per sample its time, weight, observables and, for densities,
+    entropy and minimum eigenvalue."""
+    series = 2 + len(cols.names) + 2 * (cols.entropy is not None)
+    n, a = len(cols.offsets) - 1, 0
+    numbers = 2 * cols.offsets + (20 + series * cols.sample_times.size) * np.arange(n + 1)
     while a < n:
-        b = int(np.searchsorted(offsets, offsets[a] + BLOCK_EVENTS, side="right")) - 1
-        b = max(a + 1, min(b, a + BLOCK_ROWS))
+        b = max(a + 1, int(np.searchsorted(numbers, numbers[a] + BLOCK_NUMBERS, "right")) - 1)
         yield a, b
         a = b
 
@@ -127,7 +136,7 @@ def write_trajectories(path, meta: dict, cols, seed: int) -> None:
     rendered and written block by block (:func:`_blocks`), each pointer
     reading rendered once, and the sample times and each distinct series
     row once per block.  The text held at any one time is that of one
-    block: at most BLOCK_ROWS rows and BLOCK_EVENTS events, or one row."""
+    block: at most BLOCK_NUMBERS numbers, or one row."""
     seed = int(seed)
     density = cols.entropy is not None
     numeric = {"final_trace" if density else "final_norm2": cols.final,
@@ -147,7 +156,7 @@ def write_trajectories(path, meta: dict, cols, seed: int) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write(json_dumps_stable({"type": "meta", **meta}) + "\n")
-        for a, b in _blocks(cols.offsets):
+        for a, b in _blocks(cols):
             f.writelines(_lines(cols, numeric, grid, str(seed), a, b))
 
 

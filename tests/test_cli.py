@@ -442,9 +442,9 @@ class TestExitCodes:
 
     def test_result_rows_beyond_memory_exit_2_before_samples(self, tmp_path, capsys,
                                                              monkeypatch):
-        # One 64 MB row fits in 100 MB, a hundred do not; the sample times
+        # One 256 MB row fits in 400 MB, a hundred do not; the sample times
         # (16 MB) must not be built before that is known.
-        monkeypatch.setattr("qtraj.errors.physical_memory", lambda: 100_000_000)
+        monkeypatch.setattr("qtraj.errors.physical_memory", lambda: 400_000_000)
         spec = tmp_path / "rows.json"
         spec.write_text('{"experiment": "many", "n_samples": 2e6}')
         tracemalloc.start()
@@ -455,19 +455,19 @@ class TestExitCodes:
             tracemalloc.stop()
         assert code == 2 and peak < 4_000_000
         assert capsys.readouterr().err == (
-            "error: n_traj must be at most 1 for 64000032-byte result rows, got 100\n")
+            "error: n_traj must be at most 1 for 256000032-byte result rows, got 100\n")
 
     @pytest.mark.parametrize("command, spec_fields, message", [
         pytest.param("jump", {"overrides": {"nu": 1e9}, "n_traj": 2},
-                     "n_traj must be at most 0 for 320040477507-byte result rows, got 2",
+                     "n_traj must be at most 0 for 320040478467-byte result rows, got 2",
                      id="jump-rows-of-events"),
         pytest.param("many", {"overrides": {"nu": 1e300}, "n_traj": 2},
                      "n_traj must be at most 0 for 6.4e+302-byte result rows, got 2",
                      id="many-rows-of-events"),
-        # 4 sigma above nu T = 1e5: 101264.9 events of 320 bytes, and 352
+        # 4 sigma above nu T = 1e5: 101264.9 events of 320 bytes, and 1312
         # bytes of row and samples
         pytest.param("jump", {"overrides": {"nu": 1e5}, "n_traj": 4},
-                     "n_traj must be at most 3 for 32405124-byte result rows, got 4",
+                     "n_traj must be at most 3 for 32406084-byte result rows, got 4",
                      id="jump-n_traj"),
     ])
     def test_events_beyond_memory_exit_2_before_any_draw(self, tmp_path, capsys, monkeypatch,
@@ -511,6 +511,88 @@ class TestExitCodes:
             tracemalloc.stop()
         assert code == 2 and peak < 32_000_000, peak
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("fields, memory, builders, message", [
+        # the pointer grid
+        pytest.param({"experiment": "jump", "overrides": {"pointer_points": 10 ** 6}}, 2 ** 25,
+                     ["qtraj.meter.trapezoid_weights"],
+                     "n_points must be at most 381300 for 88-byte pointer points, got 1000000",
+                     id="pointer"),
+        # the preset's d x d operators
+        pytest.param({"experiment": "jump", "preset": "lattice-particle",
+                      "overrides": {"d": 1024}}, 2 ** 25, ["qtraj.presets._hopping_matrix"],
+                     "d^2 must be at most 262144 for 128-byte operator entries, got 1048576",
+                     id="lattice"),
+        # the d^M product space, before the mixing config lifts H
+        pytest.param({"experiment": "many", "preset": "lattice-particle",
+                      "overrides": {"d": 8, "M": 3}}, 2 ** 24, ["qtraj.manybody.slot_sum"],
+                     "d^(2M) must be at most 34952 for 480-byte copy-basis entries, got 262144",
+                     id="mixing"),
+        # and before the CLI builds a density run's initial state and lifts
+        # its observables
+        pytest.param({"experiment": "diffuse", "equation": "density",
+                      "preset": "lattice-particle", "overrides": {"d": 8, "M": 3}}, 2 ** 24,
+                     ["qtraj.cli.kron_power", "qtraj.cli.slot_sum"],
+                     "d^(2M) must be at most 174762 for 96-byte product-space operator "
+                     "entries, got 262144", id="density"),
+    ])
+    def test_model_sizes_beyond_memory_exit_2_before_any_build(self, tmp_path, capsys,
+                                                               monkeypatch, fields, memory,
+                                                               builders, message):
+        def no_build(*_, **__):
+            raise AssertionError("an array of that size was built")
+
+        monkeypatch.setattr("qtraj.errors.physical_memory", lambda: memory)
+        for builder in builders:
+            monkeypatch.setattr(builder, no_build)
+        spec = write_spec(tmp_path / "s.json", **fields)
+        assert main([fields["experiment"], "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("equation", ["linear", "coupled"])
+    def test_state_batch_beyond_memory_exits_2_before_any_draw(self, tmp_path, capsys,
+                                                               monkeypatch, equation):
+        # The rows fit in 128 MiB (66 MB); a batch of 512 paths' records
+        # and the copies made of them (275 MB) does not.
+        def no_draws(*_):
+            raise AssertionError("noise was drawn")
+
+        monkeypatch.setattr("qtraj.errors.physical_memory", lambda: 2 ** 27)
+        monkeypatch.setattr("qtraj.diffusion._noise_blocks", no_draws)
+        spec = write_spec(tmp_path / "s.json", experiment="diffuse", equation=equation,
+                          preset="lattice-particle", overrides={"d": 16}, n_traj=512,
+                          n_samples=1000)
+        tracemalloc.start()
+        try:
+            code = main(["diffuse", "--spec", str(spec), "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 4_000_000, peak
+        assert capsys.readouterr().err == (
+            "error: paths of a d=16 state batch must be at most 250 for 536576-byte paths, "
+            "got 512\n")
+
+    @pytest.mark.parametrize("command", ["jump", "many"])
+    def test_event_samples_are_charged(self, tmp_path, capsys, monkeypatch, command):
+        # A run's timeline, records and concatenated columns cost about 66
+        # to 86 bytes per row and sample beyond the columns.  At 8 MiB, 64
+        # rows of 2800 samples are rejected, and 930 samples (the charge at
+        # about 94%) run within 1.1 times the bound.
+        bound = 2 ** 23
+        monkeypatch.setattr("qtraj.errors.physical_memory", lambda: bound)
+        for n_samples, want in [(2800, 2), (930, 0)]:
+            spec = write_spec(tmp_path / "s.json", experiment=command, n_traj=64,
+                              n_samples=n_samples)
+            tracemalloc.start()
+            try:
+                code = main([command, "--spec", str(spec), "--out", str(tmp_path / "o")])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            err = capsys.readouterr().err
+            assert code == want and peak < 1.1 * bound, (n_samples, code, peak, err)
+        assert err == ""
 
     def test_blow_up_exits_3(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "b.json", experiment="diffuse", overrides={"gamma": 30},

@@ -647,6 +647,14 @@ class TestMeanField:
         ])
         assert np.max(np.abs(path.states[0] - expected)) <= 1e-9
 
+    def test_initial_state_is_checked(self):
+        # An array is taken as a state; an unnormalized state is rejected.
+        cfg = make_config(seed=18)
+        path = mean_field_evolve(cfg, np.array([0.6, 0.8]), 1.0)
+        assert np.allclose(path.norm2, 1.0)
+        with pytest.raises(ValidationError, match=r"^initial state must be normalized"):
+            mean_field_evolve(cfg, StateVector([2.0, 0.0]), 1.0)
+
     def test_populations_conserved_for_commuting(self):
         Hd = HermitianOperator(np.diag([0.4, 0.9]).astype(complex))
         cfg = make_config(H=Hd, R=R01, phase_slope=0.5, seed=20)

@@ -30,6 +30,19 @@ def random_hermitian(d):
     return HermitianOperator((a + a.conj().T) / 2)
 
 
+def test_meter_rows_beyond_memory_rejected_before_any_table(monkeypatch):
+    # 1e5 pointer points at d = 64 take 64 * 66 bytes each (422 MB).
+    def no_tables(*_):
+        raise AssertionError("a meter table was built")
+
+    monkeypatch.setattr("qtraj.errors.physical_memory", lambda: 2 ** 25)
+    pointer = gaussian_pointer(100_000, 40.0)
+    monkeypatch.setattr(PointerState, "evaluate", no_tables)
+    with pytest.raises(ValidationError, match=r"^pointer points at d=64 must be at most 7943 "
+                                              r"for 4224-byte meter rows, got 100000$"):
+        MeterModel(0.3, HermitianOperator(np.diag(np.arange(64.0))), pointer)
+
+
 class TestGaussianPointer:
     def test_center_value_before_renormalization(self):
         p = gaussian_pointer(512, 6.0)

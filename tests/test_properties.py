@@ -34,7 +34,8 @@ from qtraj.cli import (EQUATIONS, EXPERIMENTS, OVERRIDES_READ, READS,  # noqa: E
 from qtraj.diffusion import _diffusion_batch  # noqa: E402
 from qtraj.ensemble import MasterConfig, master_generator, rk4_solve  # noqa: E402
 from qtraj.jumps import EventColumns, _jump_batch  # noqa: E402
-from qtraj.linalg import (embed_at_slot, expm_small, hermitian_coordinates,  # noqa: E402
+from qtraj.linalg import (embed_at_slot, embed_pair, expm_small,  # noqa: E402
+                          hermitian_coordinates,
                           hermitian_from_coordinates, real_superop)
 from qtraj.manybody import _BlockRows, _densities, _mixing_batch  # noqa: E402
 from qtraj.meter import (DEFAULT_GRID_SIZE, DEFAULT_TOL_POVM, MeterModel,  # noqa: E402
@@ -479,34 +480,43 @@ def test_every_run_exits_with_its_code(raw):
     assert peak < FUZZ_PEAK
 
 
-# Every public entry point that takes a matrix, a time or a rate, with the
-# valid values of those arguments; counts, indices and configs are not drawn.
+# Every public entry point that takes a matrix, a time, a rate, a count or
+# an index, with the valid values of those arguments; configs are not drawn.
+# An integer argument (an int here) takes its edge values from INT_EDGES.
 JUMP_CFG, ETA3, _ = jump_setup("normalized")
 MIX_CFG, RHO4, _ = mixing_setup()
 DIFF_CFG, ETA2 = diffusion_setup()
 MIXED2 = np.eye(2) / 2
+INT_VALUES = [0, -1, 5, 40, 2 ** 64, 1e300, math.inf, math.nan, 2.5]
+INT_EDGES = st.sampled_from(INT_VALUES)
 EDGE_CALLS = {
     "propagator": (propagator, {"H": HX.entries, "t": 0.1, "hbar": 1.0}),
     "hermitian_eig": (hermitian_eig, {"A": HX.entries}),
     "sharp_projections": (sharp_projections, {"R": R01.entries, "kappa": 1.0}),
     "von_neumann_entropy": (von_neumann_entropy, {"rho": MIXED2}),
-    "embed_at_slot": (lambda A: embed_at_slot(A, 1, 2), {"A": HX.entries}),
-    "permutation_defect": (lambda rho: permutation_defect(rho, 2, 2), {"rho": RHO4.entries}),
+    "embed_at_slot": (lambda A, M: embed_at_slot(A, 1, M), {"A": HX.entries, "M": 2}),
+    "embed_pair": (lambda W, M: embed_pair(W, 1, 2, M, 2),
+                   {"W": np.kron(HX.entries, HX.entries), "M": 2}),
+    "permutation_defect": (lambda rho, M: permutation_defect(rho, 2, M),
+                           {"rho": RHO4.entries, "M": 2}),
+    "gaussian_pointer": (gaussian_pointer, {"n_points": 256}),
     "expm_small": (expm_small, {"A": HX.entries}),
-    "mean_field_evolve": (lambda T: mean_field_evolve(DIFF_CFG, ETA2, T), {"T": 0.1}),
-    "run_ensemble": (lambda eta, T, X: run_ensemble(JUMP_CFG, eta, T, 2, {"X": X}),
-                     {"eta": ETA3.amps, "T": 0.1, "X": R3.entries}),
+    "mean_field_evolve": (lambda eta, T: mean_field_evolve(DIFF_CFG, eta, T),
+                          {"eta": ETA2.amps, "T": 0.1}),
+    "run_ensemble": (lambda eta, T, X, n_traj: run_ensemble(JUMP_CFG, eta, T, n_traj, {"X": X}),
+                     {"eta": ETA3.amps, "T": 0.1, "X": R3.entries, "n_traj": 2}),
     "rk4_solve": (lambda rho0, T, dt: rk4_solve(
                       master_generator(MasterConfig.from_diffusion(DIFF_CFG)), rho0, T, dt),
                   {"rho0": MIXED2, "T": 0.1, "dt": 1e-2}),
-    "evolve_jump": (lambda eta, T, X: evolve_jump(JUMP_CFG, eta, T, observables={"X": X}),
-                    {"eta": ETA3.amps, "T": 0.1, "X": R3.entries}),
-    "evolve_density": (lambda rho0, T: evolve_density(MIX_CFG, rho0, T),
-                       {"rho0": RHO4.entries, "T": 0.1}),
+    "evolve_jump": (lambda eta, T, X, index: evolve_jump(JUMP_CFG, eta, T, index,
+                                                         observables={"X": X}),
+                    {"eta": ETA3.amps, "T": 0.1, "X": R3.entries, "index": 0}),
+    "evolve_density": (lambda rho0, T, index: evolve_density(MIX_CFG, rho0, T, index=index),
+                       {"rho0": RHO4.entries, "T": 0.1, "index": 0}),
     "evolve_diffusive_sse": (lambda eta, T: evolve_diffusive_sse(DIFF_CFG, eta, T),
                              {"eta": ETA2.amps, "T": 0.01}),
-    "evolve_coupled_sse": (lambda eta, T: evolve_coupled_sse(DIFF_CFG, eta, T),
-                           {"eta": ETA2.amps, "T": 0.01}),
+    "evolve_coupled_sse": (lambda eta, T, index: evolve_coupled_sse(DIFF_CFG, eta, T, index),
+                           {"eta": ETA2.amps, "T": 0.01, "index": 0}),
     "evolve_diffusive_density": (lambda rho0, T: evolve_diffusive_density(DIFF_CFG, rho0, T),
                                  {"rho0": MIXED2, "T": 0.01}),
 }
@@ -515,12 +525,13 @@ EDGE_CALLS = {
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(name=st.sampled_from(sorted(EDGE_CALLS)), data=st.data())
 def test_entry_points_fail_only_with_simulation_errors(name, data):
-    # One argument at an edge of the floats, or one entry of a matrix or
-    # state there: the call returns or raises a SimulationError, and
-    # allocates nothing beyond the memory the size checks are told of.
+    # One argument at an edge of the floats (of the integers, for a count or
+    # an index), or one entry of a matrix or state there: the call returns
+    # or raises a SimulationError, and allocates nothing beyond the memory
+    # the size checks are told of.
     call, args = EDGE_CALLS[name]
     key = data.draw(st.sampled_from(sorted(args)))
-    value = data.draw(EDGES)
+    value = data.draw(INT_EDGES if isinstance(args[key], int) else EDGES)
     if isinstance(args[key], np.ndarray):
         arr = np.array(args[key], dtype=complex)
         arr.flat[data.draw(st.integers(0, arr.size - 1))] = value
@@ -536,3 +547,26 @@ def test_entry_points_fail_only_with_simulation_errors(name, data):
         finally:
             tracemalloc.stop()
     assert peak < FUZZ_PEAK
+
+
+INT_ARGS = [(name, key) for name, (_, args) in sorted(EDGE_CALLS.items())
+            for key, value in sorted(args.items()) if isinstance(value, int)]
+
+
+def test_integer_arguments_fail_only_with_simulation_errors():
+    # Each count, index and particle count at each integer edge, exhaustively:
+    # a float, NaN, inf, a value beyond the intp columns or the particle cap,
+    # and a negative one return or raise a SimulationError.
+    other = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("qtraj.errors.physical_memory", lambda: FUZZ_MEMORY)
+        for name, key in INT_ARGS:
+            call, args = EDGE_CALLS[name]
+            for value in INT_VALUES:
+                try:
+                    call(**{**args, key: value})
+                except SimulationError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - collected and reported below
+                    other.append(f"{name}({key}={value!r}): {type(exc).__name__}: {exc}")
+    assert len(INT_ARGS) == 8 and other == []

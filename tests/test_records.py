@@ -3,6 +3,7 @@ helpers line for line in any row blocks, holding one block of text at a
 time, and a non-finite value ends the run with exit 3."""
 
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -61,16 +62,26 @@ def test_encoder_equals_reference_helpers(tmp_path, engine, mode, sampled):
     assert (tmp_path / "columns.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
 
 
-# Block bounds (rows, events) that cut 30 rows every way: a row a block, 7
-# rows a block, and 3 events a block, where a row with more events is a
-# block of its own.  The rates leave some rows without events.
-BOUNDS = [(1, 10**6), (7, 10**6), (256, 3)]
+# Block bounds, in mean rows, that cut 30 rows every way: a row a block,
+# where a row with events is beyond the bound, and two and seven rows a
+# block.  The rates leave some rows without events.
+BOUNDS = [0.0, 2.5, 7.0]
 SPARSE_NU = {"jump": 2.0, "mixing": 1.0}
 
 
-def set_bounds(monkeypatch, rows, events):
-    monkeypatch.setattr(records, "BLOCK_ROWS", rows)
-    monkeypatch.setattr(records, "BLOCK_EVENTS", events)
+def set_bounds(monkeypatch, numbers):
+    monkeypatch.setattr(records, "BLOCK_NUMBERS", numbers)
+
+
+def rendered_numbers(line: str) -> int:
+    """The numbers a trajectories.jsonl line renders, its seed aside, and
+    the 17 its keys weigh in the block bound."""
+    def count(x):
+        if isinstance(x, (dict, list)):
+            return sum(map(count, x.values() if isinstance(x, dict) else x))
+        return int(isinstance(x, (int, float)))
+
+    return count(json.loads(line)) - 1 + 17
 
 
 @pytest.mark.parametrize("mode", ["normalized", "linear"])
@@ -79,29 +90,34 @@ def test_block_bounds_change_no_byte(tmp_path, monkeypatch, engine, mode):
     cfg, cols, refs = run_case(engine, mode, True, nu=SPARSE_NU[engine])
     write_jsonl(tmp_path / "reference.jsonl", META, refs)
     want = (tmp_path / "reference.jsonl").read_bytes()
-    empty_starts, own_blocks = 0, 0
-    for rows, events in BOUNDS:
-        set_bounds(monkeypatch, rows, events)
-        blocks = list(records._blocks(cols.offsets))
-        # The blocks cover the rows in order, each within both bounds or one row.
+    numbers = [rendered_numbers(line) for line in want.decode().splitlines()[1:]]
+    empty_starts, own_blocks, shared_blocks = 0, 0, 0
+    for rows in BOUNDS:
+        bound = int(rows * np.mean(numbers))
+        set_bounds(monkeypatch, bound)
+        blocks = list(records._blocks(cols))
+        # The blocks cover the rows in order, each within the bound or one
+        # row, and each as long as the bound allows.
         assert [r for a, b in blocks for r in range(a, b)] == list(range(30))
-        sizes = [(b - a, cols.offsets[b] - cols.offsets[a]) for a, b in blocks]
-        assert all(r <= rows and (e <= events or r == 1) for r, e in sizes)
+        sizes = [(b - a, sum(numbers[a:b])) for a, b in blocks]
+        assert all(size <= bound or r == 1 for r, size in sizes)
+        assert all(b == 30 or sum(numbers[a:b + 1]) > bound for a, b in blocks)
         empty_starts += sum(cols.counts[a] == 0 for a, _ in blocks)
-        own_blocks += sum(e > events for _, e in sizes)
+        own_blocks += sum(size > bound for _, size in sizes)
+        shared_blocks += sum(r > 1 for r, _ in sizes)
         write_trajectories(tmp_path / "columns.jsonl", META, cols, cfg.seed)
         assert (tmp_path / "columns.jsonl").read_bytes() == want
-    assert empty_starts > 0 and own_blocks > 0
+    assert empty_starts > 0 and own_blocks > 0 and shared_blocks > 0
 
 
 @pytest.mark.parametrize("column, key", [("times", "events"), ("weights", "norm2"),
                                          ("values", "observables")])
 def test_non_finite_value_in_the_last_block_is_found_before_writing(tmp_path, monkeypatch,
                                                                      column, key):
-    set_bounds(monkeypatch, 3, 10**6)
+    set_bounds(monkeypatch, 200)  # about three rows
     cfg, cols, _ = run_case("jump", "linear", True, n=8)
     row = int(np.flatnonzero(cols.counts)[-1])
-    assert row >= list(records._blocks(cols.offsets))[-1][0]
+    assert row >= list(records._blocks(cols))[-1][0] > 0
     poison(cols, column, row)
     path = tmp_path / "out" / "t.jsonl"
     with pytest.raises(NumericError, match=f"non-finite {key} value .* index={row} "):
@@ -121,14 +137,17 @@ def synthetic_jump_columns(n, events=2, samples=4):
 
 
 # A bound on the writer's traced peak beyond its columns, whatever the row
-# count.  With 256-row blocks it peaks at about 0.25 MB on these rows at
-# both counts; rendering all 2000 rows at once peaks at about 1.8 MB.
+# and sample counts.  With blocks of BLOCK_NUMBERS (777 rows of 4 samples, 3
+# of 2800) it peaks at 0.74 and 0.86 MB at the two row counts; all 2000 rows
+# at once take 1.8 MB, and one block of all 64 rows of 2800 samples 10 MB.
 WRITER_PEAK_BYTES = 1_000_000
 
 
-@pytest.mark.parametrize("n", [2000, 16000])
-def test_writer_memory_does_not_grow_with_rows(tmp_path, n):
-    cols = synthetic_jump_columns(n)
+@pytest.mark.parametrize("n, samples", [pytest.param(2000, 4, id="2000"),
+                                        pytest.param(16000, 4, id="16000"),
+                                        pytest.param(64, 2800, id="64x2800")])
+def test_writer_memory_does_not_grow_with_rows(tmp_path, n, samples):
+    cols = synthetic_jump_columns(n, samples=samples)
     cols.offsets  # the columns' cumulative event counts, cached on them
     tracemalloc.start()
     try:
