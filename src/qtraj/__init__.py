@@ -63,6 +63,8 @@ from .ensemble import (
     rk4_solve,
     run_ensemble,
     run_trajectories,
+    series_columns,
+    trajectory_chunks,
     trajectory_stats,
 )
 from .presets import PRESETS, Preset, get_preset, preset_meter
@@ -119,8 +121,10 @@ __all__ = [
     "run_trajectories",
     "sample_outcome",
     "sample_poisson_times",
+    "series_columns",
     "sharp_projections",
     "single_kick_evolve",
+    "trajectory_chunks",
     "trajectory_stats",
     "trajectory_product_check",
     "von_neumann_entropy",

@@ -6,13 +6,17 @@ A run specification is a JSON object whose fields are documented in
 manifest together with a content hash of the resolved specification, and all
 emitted files carry that hash and the seed in a header line.  jump, many
 and diffuse share one runner: ``timeseries.tsv`` holds the statistics of
-``run_trajectories`` and, for the event runs jump and many,
+the chunks of ``trajectory_chunks`` and, for the event runs jump and many,
 ``trajectories.jsonl`` one record per trajectory.  A ``master`` run also
 records its RK4 stability margin, dt * ||generator|| against the bound,
 under ``diagnostics`` in the manifest.  Outputs are byte-identical for a
-fixed specification and seed, independent of the worker count.  A runner
-writes its files once its run has finished, and the first file written
-makes the output directory, so a rejected run leaves no directory behind.
+fixed specification and seed, independent of the worker count.  An event
+run writes ``trajectories.jsonl`` chunk by chunk as its trajectories are
+drawn, under a temporary name that is renamed once every chunk is written
+and removed, with the output directory if the run made it, on any failure.
+Every other file is written once its run has finished, and the first file
+written makes the output directory, so a rejected run leaves no directory
+behind.
 
 Exit codes: 0 success, 2 configuration errors, 3 numerical errors,
 4 capacity errors.
@@ -25,7 +29,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -40,7 +44,8 @@ from .ensemble import (
     jump_to_diffusion_bridge,
     master_generator,
     rk4_solve,
-    run_trajectories,
+    series_columns,
+    trajectory_chunks,
     trajectory_stats,
 )
 from .errors import SimulationError, ValidationError, check_memory
@@ -49,7 +54,7 @@ from .linalg import HermitianOperator, StateVector, check_model, kron_power, slo
 from .manybody import ManyBodyConfig, nearest_neighbor_coupling
 from .meter import DEFAULT_GRID_SIZE, MeterModel
 from .presets import get_preset, preset_meter
-from .records import json_dumps_stable, spec_hash, write_table, write_trajectories
+from .records import json_dumps_stable, spec_hash, trajectory_writer, write_table
 
 EXPERIMENTS = ("kick", "jump", "many", "diffuse", "master", "bridge")
 EQUATIONS = {"diffuse": DIFFUSION_EQUATIONS, "master": MASTER_MODES}
@@ -490,7 +495,9 @@ def _diffusion_config(spec: RunSpec, model: _Model, M: int) -> DiffusionConfig:
 
 def _run_ensemble(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
     """jump, many and diffuse: trajectories, their statistics and, for event
-    runs, their records."""
+    runs, their records.  The chunks are consumed as they are drawn: an
+    event chunk's records are written, and every chunk's series kept for
+    the statistics, before the next chunk is drawn."""
     if spec.experiment == "jump":
         cfg = JumpConfig(H=model.H, meter=model.meter, nu=model.nu, hbar=model.hbar,
                          seed=spec.seed, mode=spec.mode)
@@ -505,11 +512,14 @@ def _run_ensemble(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
         initial = _product_state(model.eta_single, M).density()
     obs = _observable_matrices(spec, model, M)
     check_result_size(spec.n_traj, spec.n_samples, len(obs))
-    cols = run_trajectories(cfg, initial, spec.T, spec.n_traj, observables=obs,
-                            sample_times=_sample_times(spec), n_workers=spec.threads,
-                            equation=equation)
-    if cols.counts is not None:
-        write_trajectories(outdir / "trajectories.jsonl", meta, cols, spec.seed)
+    chunks = trajectory_chunks(cfg, initial, spec.T, spec.n_traj, observables=obs,
+                               sample_times=_sample_times(spec), n_workers=spec.threads,
+                               equation=equation)
+    records = nullcontext(lambda chunk: chunk)  # diffusion paths have no records
+    if spec.experiment != "diffuse":
+        records = trajectory_writer(outdir / "trajectories.jsonl", meta, spec.seed)
+    with records as write:
+        cols = series_columns(map(write, chunks), spec.n_traj)
     table = _stats_columns(trajectory_stats(cols))
     if spec.experiment == "many":
         table.append(("min_eig_min", np.min(cols.min_eig, axis=0)))

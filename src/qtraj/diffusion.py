@@ -247,6 +247,28 @@ def _noise_blocks(cfg: DiffusionConfig, indices, n_steps: int, width: int):
             yield s + j, z[:, j : min(j + _FACTOR_BLOCK, block)]
 
 
+def _batch_charge(cfg: DiffusionConfig, equation: str, n_times: int) -> tuple[int, int]:
+    """(bytes per path, fixed bytes) that one batch of equation's kernel is
+    charged for n_times records, as its memory check and the window of
+    concurrent chunks count them.
+
+    The state equations (:func:`_coupled_states`): 16 bytes a component for
+    each record twice (out, and the conjugate copy of _diffusion_batch) and
+    64 more times (the factor run, the rows and their products), and 8 KB of
+    normals; traced peaks were 33-35 bytes per path, record and component at
+    d = 16 and 64.  The density equation (:func:`_density_states`): four
+    complex D^2 x D^2 matrices for _density_kernel (its peak is about 3.1 of
+    them), fixed; per path, in real D x D copies, its complex records (two
+    each), x and y (two), the record rebuild (six) and the factor run G, and
+    with complex noise cos, sin, rot, t1 and t2 over the upper triangle."""
+    if equation != "density":
+        return 16 * cfg.dim * (2 * n_times + 64) + 8192, 0
+    D = cfg.dim ** cfg.M
+    _, a21, a22 = _noise_chol(cfg.dt, cfg.M * cfg.noise.c1, cfg.M * cfg.noise.c2)
+    rotate = a21 != 0.0 or a22 != 0.0
+    return 8 * D * D * (2 * n_times + 8 + _FACTOR_BLOCK) + rotate * 264 * D * (D - 1), 64 * D ** 4
+
+
 def _coupled_states(
     cfg: DiffusionConfig, eta: StateVector, T: float, indices, sample_times,
     equation: str = "coupled",
@@ -276,12 +298,8 @@ def _coupled_states(
     eta = initial_state(eta, StateVector, cfg.dim)
     n_steps, times, rec_map = _step_grid(T, cfg.dt, sample_times)
     n = len(indices)
-    # Per path, 16 bytes a component for each record twice (out, and the
-    # conjugate copy of _diffusion_batch) and 64 more times (the factor run,
-    # the rows and their products), and 8 KB of normals: traced peaks were
-    # 33-35 bytes per path, record and component at d = 16 and 64.
     check_memory(f"paths of a d={cfg.dim} state batch", n,
-                 16 * cfg.dim * (2 * times.size + 64) + 8192, "paths")
+                 _batch_charge(cfg, equation, times.size)[0], "paths")
     wR, VR = hermitian_eig(cfg.R)
     UT = (VR.conj().T @ propagator(cfg.H, cfg.dt, cfg.hbar) @ VR).T
     y = np.tile((VR.conj().T @ eta.amps)[:, None], (1, n))
@@ -402,11 +420,7 @@ def _density_states(cfg: DiffusionConfig, rho0, T: float, indices, sample_times)
     n, U = len(indices), D * (D - 1) // 2
     a11, a21, a22 = _noise_chol(cfg.dt, M * cfg.noise.c1, M * cfg.noise.c2)
     rotate = a21 != 0.0 or a22 != 0.0
-    # Four complex D^2 x D^2 matrices for _density_kernel (its peak is about
-    # 3.1 of them); per path, in real D x D copies, its complex records (two
-    # each), x and y (two), the record rebuild (six) and the factor run G,
-    # and with complex noise cos, sin, rot, t1 and t2 over the upper triangle.
-    per_path = 8 * D * D * (2 * times.size + 8 + _FACTOR_BLOCK) + rotate * 528 * U
+    per_path = _batch_charge(cfg, "density", times.size)[0]
     check_memory(f"paths of a D={D} density batch", n, per_path, "paths", fixed=64 * D ** 4)
     VM, w, rbar, P = _density_kernel(cfg)
     x = np.repeat(hermitian_coordinates(VM.conj().T @ rho.entries @ VM)[:, None], n, axis=1)

@@ -21,17 +21,20 @@ tabulated as one real D^2 x D^2 matrix on the state's Hermitian
 coordinates, and above it applied through four D x D products (the
 timings that place the crossover are quoted at RK4_MATRIX_MAX_DIM).
 
-Ensembles run through one chunk runner, :func:`run_trajectories`, in
-contiguous blocks of trajectory indices.  Each block is one batch of its
-engine: the event engine of :mod:`qtraj.jumps` for jump and density
-trajectories (free gaps elementwise in a basis of H's eigenvectors,
-reductions elementwise in R's eigenbasis), or its equation's batched kernel
-for diffusion paths.  Every batch returns columns (:class:`EventColumns`),
-with no object per trajectory, and :func:`trajectory_stats` aggregates
-them; a run drops their states.  Event rows are bit-identical in any
-block and diffusion blocks do not depend on the worker count; aggregation
-uses exact compensated summation in trajectory-index order, so serial and
-parallel runs produce identical statistics.  The jump-to-diffusion bridge
+Ensembles run through one chunk iterator, :func:`trajectory_chunks`, which
+yields contiguous chunks of trajectory indices in index order as they
+finish.  Each chunk is one batch of its engine: the event engine of
+:mod:`qtraj.jumps` for jump and density trajectories (free gaps
+elementwise in a basis of H's eigenvectors, reductions elementwise in R's
+eigenbasis), or its equation's batched kernel for diffusion paths.  Every
+batch returns columns (:class:`EventColumns`), with no object per
+trajectory, and drops its states.  :func:`run_trajectories` concatenates
+the chunks; :func:`series_columns` keeps only what :func:`trajectory_stats`
+aggregates, so a run that streams its chunks holds one chunk per worker
+besides those series.  Event rows are bit-identical in any chunk and
+diffusion chunks do not depend on the worker count; aggregation uses exact
+compensated summation in trajectory-index order, so serial and parallel
+runs produce identical statistics.  The jump-to-diffusion bridge
 compares generators directly (as closed-form superoperator matrices,
 :meth:`MasterGenerator.superop`), which keeps
 Monte-Carlo noise out of the convergence-rate measurement.
@@ -44,11 +47,11 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from itertools import repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .diffusion import DiffusionConfig, _diffusion_batch
+from .diffusion import DiffusionConfig, _batch_charge, _diffusion_batch
 from .errors import NumericError, ValidationError, check_memory
 from .jumps import (_EVENT_BYTES, _SAMPLE_BYTES, EventColumns, JumpConfig, _event_bound,
                     _jump_batch, _record_times, _step_grid)
@@ -79,15 +82,18 @@ RK4_BOUND = 0.1
 # a product; D = 16 took 67 ms against 16 ms, D = 32 106 ms against 528 ms,
 # as the product grows like D^4 and its build like D^6.
 RK4_MATRIX_MAX_DIM = 16
-# Rows per batch, and the byte budget of one mixing batch's rows of S_M
-# copy blocks, C(d^2 + M - 1, M) entries each: 48 rows at D = 64 and 10 at
-# D = 256.  An event needs only each branch's block of Y per row, so larger
-# batches pay off: the many-mixing run spec (D = 64, 500 trajectories, one
-# BLAS thread) took 1.71, 1.36, 1.12, 0.94, 0.89, 0.83, 0.80 and 0.80 s of
-# CPU at 8, 12, 16, 20, 32, 48, 64 and 96 rows (medians of 4).  The cap was
-# set when a batch kept its final D x D states; it no longer does, and the
-# value stands until a re-sweep with peak RSS.
+# Paths per diffusion chunk, and rows per event chunk at most.  Event
+# chunks are further sized by bytes: the rows of an event chunk are charged
+# _EVENT_BYTES per expected event and _SAMPLE_BYTES per sample, as in
+# check_result_size, within _EVENT_CHUNK_BYTES; and a mixing chunk's rows of
+# S_M copy blocks, C(d^2 + M - 1, M) entries each, within
+# _MIXING_BATCH_BYTES: 48 rows at D = 64 and 10 at D = 256.  An event needs
+# only each branch's block of Y per row, so larger mixing batches pay off:
+# the many-mixing run spec (D = 64, 500 trajectories, one BLAS thread) took
+# 1.71, 1.36, 1.12, 0.94, 0.89, 0.83, 0.80 and 0.80 s of CPU at 8, 12, 16,
+# 20, 32, 48, 64 and 96 rows (medians of 4).
 _CHUNK = 512
+_EVENT_CHUNK_BYTES = 128 << 20
 _MIXING_BATCH_BYTES = 612 * 1024
 
 
@@ -349,15 +355,21 @@ def rk4_solve(gen: MasterGenerator, rho0, T: float, dt: float, record_times=None
     return times, out
 
 
+def _floats(values: np.ndarray):
+    """The entries of a 1-D array as Python floats, made 4096 at a time:
+    a whole column's floats would cost 32 bytes a row."""
+    return chain.from_iterable(values[i:i + 4096].tolist() for i in range(0, values.size, 4096))
+
+
 def _fsum_mean_se(values: np.ndarray) -> tuple[float, float]:
     n = values.shape[0]
-    mean = math.fsum(values.tolist()) / n
+    mean = math.fsum(_floats(values)) / n
     if n < 2:
         return mean, 0.0
     # Squares through libm pow, as float ** 2 rounds them: numpy's square is
     # correctly rounded and differs from pow in the last bit of about 0.1% of
     # values, which could move the last bit of the standard error.
-    var = math.fsum(map(pow, (values - mean).tolist(), repeat(2.0))) / (n - 1)
+    var = math.fsum(map(pow, _floats(values - mean), repeat(2.0))) / (n - 1)
     return mean, math.sqrt(var / n)
 
 
@@ -386,16 +398,92 @@ def check_result_size(n_traj: int, n_samples: int, n_observables: int,
     before any array exists.  A row is charged for its index, event count,
     log weight and final norm or trace; per sample, for a weight, entropy,
     minimum eigenvalue and one value per observable, 8 bytes each, and
-    _SAMPLE_BYTES for the run's timeline, records and concatenated batch
-    columns; and events (a bound on its event count,
-    :func:`qtraj.jumps._event_bound`) at _EVENT_BYTES each.  The record
-    text is not counted: it is held one block at a time
-    (:func:`qtraj.records.write_trajectories`)."""
+    _SAMPLE_BYTES for its timeline, records and batch columns; and events (a
+    bound on its event count, :func:`qtraj.jumps._event_bound`) at
+    _EVENT_BYTES each.
+
+    This is the cost of a whole run held at once, as
+    :func:`run_trajectories` holds it.  A run that streams its chunks
+    (:func:`series_columns`) holds only the per-sample series of every row,
+    and one chunk per worker, whose rows are at most n_traj; so the charge
+    bounds it too, if loosely for runs of many chunks.  The record text is
+    not counted: it is held one block at a time
+    (:func:`qtraj.records.trajectory_writer`)."""
     record_bytes = 8 * (3 + n_observables)
     check_memory("n_samples", n_samples, record_bytes + _SAMPLE_BYTES, "records", fixed=32)
     check_memory("n_traj", n_traj,
                  32 + n_samples * (record_bytes + _SAMPLE_BYTES) + _EVENT_BYTES * events,
                  "result rows")
+
+
+def trajectory_chunks(
+    cfg,
+    initial,
+    T: float,
+    n_traj: int,
+    observables=None,
+    sample_times=None,
+    n_workers: int = 1,
+    equation: str | None = None,
+):
+    """The columns of trajectories 0..n_traj-1 of any stochastic config, as
+    an iterator over consecutive chunks of rows in index order; row i is
+    trajectory i, which uses the random stream (cfg.seed, i).
+
+    The arguments are validated, sample_times (default: T) once here, and
+    the rows' size charged (:func:`check_result_size`) when this is called,
+    before anything is drawn.  equation is the density mode of a
+    ManyBodyConfig (default "normalized") and the equation of a
+    DiffusionConfig (required, see :func:`run_ensemble`); a JumpConfig
+    carries its own mode and takes none.
+
+    Each chunk is one batch of its engine, run as the iterator is consumed,
+    whose states (final rows, or a diffusion batch's recorded states) are
+    dropped.  Event rows are bit-identical in any chunk, so an event chunk
+    holds at most _CHUNK rows, a 1/n share, n being n_workers capped at
+    :func:`usable_cpus`, and the rows that fit in _EVENT_CHUNK_BYTES (for
+    mixing rows also in _MIXING_BATCH_BYTES, sized from the copy-block row,
+    not from the D x D density); density paths agree with other batch sizes
+    only to rounding, so a diffusion chunk holds _CHUNK paths whatever
+    n_workers.  With more than one chunk and worker, n_workers chunks run
+    at a time (:func:`_map_chunks`), and as many chunks are charged
+    against memory, each at its batch's own charge.
+    """
+    check_integer("n_traj", n_traj, 1)
+    sample_times = _record_times(sample_times, T)
+    n_workers = max(1, min(n_workers, usable_cpus()))
+    share = -(-n_traj // n_workers)
+    kw = {"sample_times": sample_times, "observables": observables}
+    if isinstance(cfg, (JumpConfig, ManyBodyConfig)):
+        if isinstance(cfg, JumpConfig):
+            if equation is not None:
+                raise ValidationError(f"a JumpConfig runs in its own mode {cfg.mode!r}; "
+                                      f"pass no equation, got {equation!r}")
+            rate, copies, rows = cfg.nu, 0, _CHUNK
+            batch = partial(_jump_batch, cfg, initial, T, **kw)
+        else:
+            rate = cfg.total_intensity
+            copies = 16 * math.comb(cfg.d ** 2 + cfg.M - 1, cfg.M)
+            rows = min(_CHUNK, max(1, _MIXING_BATCH_BYTES // copies))
+            batch = partial(_mixing_batch, cfg, initial, T, equation or "normalized", **kw)
+        # A row's charge in check_result_size beyond its series, and its copy blocks.
+        row = _SAMPLE_BYTES * sample_times.size + _EVENT_BYTES * _event_bound(rate, T) + copies
+        size = min(rows, share, max(1, int(_EVENT_CHUNK_BYTES // row)))
+        chunk_bytes = size * row
+    elif isinstance(cfg, DiffusionConfig):
+        size, rate = _CHUNK, 0.0
+        per_path, fixed = _batch_charge(cfg, equation, sample_times.size)
+        chunk_bytes = size * per_path + fixed
+        batch = partial(_diffusion_batch, cfg, initial, T, equation, **kw)
+    else:
+        raise ValidationError(f"unsupported config type {type(cfg).__name__}")
+    check_result_size(n_traj, sample_times.size, len(observables or {}), _event_bound(rate, T))
+    n_workers = min(n_workers, -(-n_traj // size))
+    if n_workers > 1:
+        # A batch checks its own size when it runs; n_workers of them run at once.
+        check_memory("worker threads", n_workers, chunk_bytes, "chunks")
+    chunks = (range(lo, min(lo + size, n_traj)) for lo in range(0, n_traj, size))
+    return _map_chunks(lambda idx: replace(batch(idx), states=None), chunks, n_workers)
 
 
 def run_trajectories(
@@ -409,62 +497,52 @@ def run_trajectories(
     equation: str | None = None,
 ) -> EventColumns:
     """Columns of trajectories 0..n_traj-1 of any stochastic config, row i
-    being trajectory i, which uses the random stream (cfg.seed, i).
-
-    Every row records at sample_times (default: T), validated once here,
-    and the rows' size, events included, is checked before anything is
-    drawn (:func:`check_result_size`).
-    equation is the density mode of a ManyBodyConfig (default "normalized")
-    and the equation of a DiffusionConfig (required, see
-    :func:`run_ensemble`); a JumpConfig carries its own mode and takes none.
-    Indices run in contiguous blocks, each one batch of its engine whose
-    states (final rows, or a diffusion batch's recorded states) are dropped
-    as it returns (a caller that needs them runs the batch), and the blocks'
-    columns are concatenated in index order.
-    Event rows are bit-identical in any block, so a block holds at most
-    _CHUNK rows and a 1/n share, n being n_workers capped at
-    :func:`usable_cpus` (mixing rows: at most
-    _MIXING_BATCH_BYTES of them, sized from the copy-block row, not from the
-    D x D density); density paths agree with other batch sizes only to
-    rounding, so a diffusion block holds _CHUNK paths whatever n_workers.
-    """
-    check_integer("n_traj", n_traj, 1)
-    sample_times = _record_times(sample_times, T)
-    n_workers = max(1, min(n_workers, usable_cpus()))
-    share = -(-n_traj // n_workers)
-    kw = {"sample_times": sample_times, "observables": observables}
-    if isinstance(cfg, JumpConfig):
-        if equation is not None:
-            raise ValidationError(f"a JumpConfig runs in its own mode {cfg.mode!r}; "
-                                  f"pass no equation, got {equation!r}")
-        size, rate = min(_CHUNK, share), cfg.nu
-        batch = partial(_jump_batch, cfg, initial, T, **kw)
-    elif isinstance(cfg, ManyBodyConfig):
-        entries = math.comb(cfg.d ** 2 + cfg.M - 1, cfg.M)
-        size = min(_CHUNK, share, max(1, _MIXING_BATCH_BYTES // (16 * entries)))
-        rate = cfg.total_intensity
-        batch = partial(_mixing_batch, cfg, initial, T, equation or "normalized", **kw)
-    elif isinstance(cfg, DiffusionConfig):
-        size, rate = _CHUNK, 0.0
-        batch = partial(_diffusion_batch, cfg, initial, T, equation, **kw)
-    else:
-        raise ValidationError(f"unsupported config type {type(cfg).__name__}")
-    check_result_size(n_traj, sample_times.size, len(observables or {}), _event_bound(rate, T))
-    chunks = (range(lo, min(lo + size, n_traj)) for lo in range(0, n_traj, size))
-    return EventColumns.concat(
-        _map_chunks(lambda idx: replace(batch(idx), states=None), chunks, n_workers))
+    being trajectory i: the chunks of :func:`trajectory_chunks`, with the
+    same arguments, concatenated in index order, events included.  Use
+    :func:`series_columns` where the per-sample series are enough."""
+    return EventColumns.concat(list(trajectory_chunks(
+        cfg, initial, T, n_traj, observables, sample_times, n_workers, equation)))
 
 
-def _series_stats(series: np.ndarray) -> np.ndarray:
-    """(means, standard errors) per sample of series[row, sample]."""
-    return np.array([_fsum_mean_se(series[:, s]) for s in range(series.shape[1])]).T
+# The per-sample series of a row, all that trajectory_stats reads.
+SERIES = ("weights", "values", "entropy", "min_eig")
+
+
+def series_columns(chunks, n_traj: int) -> EventColumns:
+    """The indices and per-sample series (:data:`SERIES`) of n_traj rows,
+    from chunks of their columns in index order, such as those of
+    :func:`trajectory_chunks`: each is copied into an array allocated once,
+    at the first chunk, so a chunk is dropped once the next is drawn.
+    Events, final values and log weights are not kept."""
+    out, lo = None, 0
+    for cols in chunks:
+        if out is None:
+            shapes = {name: getattr(cols, name).shape for name in SERIES
+                      if getattr(cols, name) is not None}
+            out = EventColumns(indices=np.empty(n_traj, dtype=np.intp),
+                               sample_times=cols.sample_times, names=cols.names,
+                               **{name: np.empty((*shape[:-2], n_traj, shape[-1]))
+                                  for name, shape in shapes.items()})
+        hi = lo + cols.indices.size
+        out.indices[lo:hi] = cols.indices
+        for name in shapes:
+            getattr(out, name)[..., lo:hi, :] = getattr(cols, name)
+        lo = hi
+    return out
+
+
+def _series_stats(series: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """(means, standard errors) per sample of series[row, sample], times
+    weights[row, sample] if given, one sample at a time."""
+    return np.array([_fsum_mean_se(series[:, s] if weights is None else weights[:, s] * series[:, s])
+                     for s in range(series.shape[1])]).T
 
 
 def trajectory_stats(cols: EventColumns) -> EnsembleStats:
     """Per-time statistics of the columns of any stochastic run, summed over
     rows in index order: weights are the reported squared norms (traces),
     observable estimators weight * <X>; density rows add entropy statistics."""
-    obs = np.array([_series_stats(cols.weights * v) for v in cols.values]).reshape(
+    obs = np.array([_series_stats(v, cols.weights) for v in cols.values]).reshape(
         -1, 2, cols.sample_times.size)
     extra = {}
     if cols.entropy is not None:
@@ -484,7 +562,7 @@ def run_ensemble(
     n_workers: int = 1,
     equation: str | None = None,
 ) -> EnsembleStats:
-    """:func:`trajectory_stats` of :func:`run_trajectories`: per-time
+    """:func:`trajectory_stats` of :func:`trajectory_chunks`: per-time
     statistics of n_traj >= 2 independent trajectories of any stochastic
     config, at ten equal steps up to T unless sample_times are given, and
     independent of the worker count.
@@ -504,8 +582,8 @@ def run_ensemble(
     if sample_times is None:
         _record_times(None, T)  # T, before its ten steps are built from it
         sample_times = np.linspace(T / 10.0, T, 10)
-    return trajectory_stats(run_trajectories(cfg, initial, T, n_traj, observables,
-                                             sample_times, n_workers, equation))
+    return trajectory_stats(series_columns(trajectory_chunks(
+        cfg, initial, T, n_traj, observables, sample_times, n_workers, equation), n_traj))
 
 
 def usable_cpus() -> int:
@@ -515,11 +593,16 @@ def usable_cpus() -> int:
 
 
 def _map_chunks(worker, chunks, n_workers: int):
-    """worker over chunks in order, on n_workers threads."""
+    """An iterator over worker of each of chunks (an iterator), in order.
+    On n_workers threads, windows of n_workers chunks are mapped one after
+    the other, so no more than n_workers chunks are in flight, where
+    Executor.map over every chunk would submit them all at once."""
     if n_workers <= 1:
-        return [worker(c) for c in chunks]
+        yield from map(worker, chunks)
+        return
     with ThreadPoolExecutor(max_workers=n_workers) as ex:
-        return list(ex.map(worker, chunks))
+        while window := list(islice(chunks, n_workers)):
+            yield from ex.map(worker, window)
 
 
 @dataclass

@@ -79,7 +79,11 @@ SAMPLE, EVENT, IDLE = 0, 1, 2
 # Outcome totals and post-event norms below this are a degenerate state.
 VANISHING = 1e-300
 DEGENERATE = "all outcome weights vanish; state is degenerate"
-_PHASE_BLOCK_BYTES = 1 << 20
+# Byte budget of the phases of consecutive steps, computed together (held
+# twice while they are).  On the jump-lattice workload (512 rows, d = 8),
+# medians of 6 alternating benchmark runs gave peak RSS 50.9, 49.2, 48.9 and
+# 48.9 MB at 1 MB, 256, 128 and 64 KB, with trajectories/s within noise.
+_PHASE_BLOCK_BYTES = 1 << 18
 # Widest first block of exponential gaps per row (2 KB).
 _GAP_BLOCK = 256
 # Peak bytes per event of an event batch (draws, timeline, loop and record),

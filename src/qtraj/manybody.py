@@ -77,9 +77,11 @@ from .meter import MeterModel
 
 MAX_BRUTE_FORCE_EVENTS = 6
 # Peak bytes per entry of a D x D operator and per d + 2 while a mixing
-# config is built and its copy basis derived (the slot-1 projectors alone
-# are d such operators), measured with tracemalloc: 33-48 from D = 125 to
-# 1024 (d = 4 to 32, M = 2 to 4).
+# config is built and its copy basis derived (the slot-1 projectors' blocks
+# alone are up to d such operators at M = 2, where one group holds every
+# copy), measured with tracemalloc: 19-29 from D = 64 to 1024 (d = 4 to 32,
+# M = 2 to 4; 687 MB at d = 32, M = 2), since the projectors are built one
+# at a time.  When all d were built at once it was 33-48 (1.47 GB there).
 _BASIS_BYTES = 48
 
 
@@ -333,12 +335,7 @@ class ManyBodyConfig:
         F = np.concatenate([b.F.transpose(1, 0, 2).reshape(D, -1) for b in blocks], axis=1)
         # Slot 1 is the leading digit of a product index.
         E = _real_if_exact(CR @ F).reshape(d, D // d, D)
-        T = np.matmul(E.conj().transpose(0, 2, 1), E)
-        P = np.array([
-            np.concatenate([Tc[b.cols, b.cols].reshape(b.m, b.Q, b.m, b.Q)
-                            .trace(axis1=0, axis2=2).T.reshape(-1) for b in blocks])
-            for Tc in T])
-        groups, stacked = [], []
+        groups, group_cols = [], []
         at = 0
         for key in sorted({key for key, _, _ in branches}):
             members, cols = [], []
@@ -347,11 +344,21 @@ class ManyBodyConfig:
                 cols.extend(range(start, start + blocks[b].Q))
             size = len(cols)
             groups.append(_Group(slice(at, at + size * size), size, tuple(members)))
-            stacked.append(T[:, cols][:, :, cols].reshape(d, -1))
+            group_cols.append(np.ix_(cols, cols))
             at += size * size
-        return (np.array(w), F, blocks, groups, np.concatenate(pairs, axis=1),
-                np.ascontiguousarray(np.concatenate(stacked, axis=1).T),
-                np.stack([P.real.T, -P.imag.T], axis=1).reshape(-1, d))
+        # One D x D T_c at a time, of which only the group blocks are kept,
+        # each written where it is stored, in the layout the stacked build of
+        # all d of them left (see _BASIS_BYTES).
+        T = np.empty((at, d), dtype=E.dtype)
+        P = np.empty((d, sum(b.Q * b.Q for b in blocks), 2))
+        for c, Ec in enumerate(E):
+            Tc = Ec.conj().T @ Ec
+            T[:, c] = np.concatenate([Tc[cols].reshape(-1) for cols in group_cols])
+            Pc = np.concatenate([Tc[b.cols, b.cols].reshape(b.m, b.Q, b.m, b.Q)
+                                 .trace(axis1=0, axis2=2).T.reshape(-1) for b in blocks])
+            P[c, :, 0], P[c, :, 1] = Pc.real, -Pc.imag
+        return (np.array(w), F, blocks, groups, np.concatenate(pairs, axis=1), T,
+                P.reshape(d, -1).T)
 
 
 @dataclass

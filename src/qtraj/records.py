@@ -5,18 +5,25 @@ Numbers are written with 17 significant digits (round-trip exact for IEEE
 doubles) and all dictionary output is key-sorted, so a rerun with the same
 configuration and seed reproduces every output byte for byte.
 
-trajectories.jsonl is written from a run's columns in two passes: a scan of
+trajectories.jsonl is written from event columns in two passes: a scan of
 every column for non-finite values, which writes nothing, then blocks of
 consecutive rows, each rendered and written before the next.  A block
 renders at most BLOCK_NUMBERS numbers, or one row, so the writer holds the
 text of one block beyond the columns at any one time, whatever the event
-and sample counts.
+and sample counts.  :func:`write_trajectories` writes a whole run's
+columns so.  :func:`trajectory_writer` writes a run chunk by chunk, as its
+chunks are drawn: each chunk is scanned, then written block by block, to a
+temporary name beside the file, which is renamed to the file once every
+chunk is written and removed if any step fails, so a rejected run leaves
+no partial file, and no directory it made, behind.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager, suppress
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -125,6 +132,17 @@ def _lines(cols, numeric: dict, grid: list[str], seed: str, a: int, b: int):
     return map("{}\n".format, _objects(fields, b - a))
 
 
+def _non_finite(cols, key: str, a: np.ndarray, seed: int) -> NumericError:
+    """The error of a non-finite value in column a of cols, stored under key:
+    it names the seed and the first row that holds such a value."""
+    bad = np.nonzero(~np.isfinite(a))[int(key == "observables")]
+    rows = {"events": np.searchsorted(cols.offsets, bad, side="right") - 1,
+            "sample_times": [0]}.get(key, bad)
+    return NumericError(f"non-finite {key} value in the record of trajectory index="
+                        f"{cols.indices[min(rows)]} (seed={seed}); rerun that index alone to "
+                        "reproduce")
+
+
 def write_trajectories(path, meta: dict, cols, seed: int) -> None:
     """Write the trajectories.jsonl of a jump or mixing run from its event
     columns: line r equals json_dumps_stable of jump_trajectory_record
@@ -136,7 +154,10 @@ def write_trajectories(path, meta: dict, cols, seed: int) -> None:
     rendered and written block by block (:func:`_blocks`), each pointer
     reading rendered once, and the sample times and each distinct series
     row once per block.  The text held at any one time is that of one
-    block: at most BLOCK_NUMBERS numbers, or one row."""
+    block: at most BLOCK_NUMBERS numbers, or one row.  A run written chunk
+    by chunk goes through :func:`trajectory_writer` instead, which scans
+    each chunk before writing it, under a temporary name renamed at the
+    end, and gives the same bytes."""
     seed = int(seed)
     density = cols.entropy is not None
     numeric = {"final_trace" if density else "final_norm2": cols.final,
@@ -145,19 +166,61 @@ def write_trajectories(path, meta: dict, cols, seed: int) -> None:
     shared = {"events": cols.times, "sample_times": cols.sample_times, "observables": cols.values}
     for key, a in {**shared, **numeric}.items():
         if not np.isfinite(a).all():
-            bad = np.nonzero(~np.isfinite(a))[int(key == "observables")]
-            rows = {"events": np.searchsorted(cols.offsets, bad, side="right") - 1,
-                    "sample_times": [0]}.get(key, bad)
-            raise NumericError(
-                f"non-finite {key} value in the record of trajectory index="
-                f"{cols.indices[min(rows)]} (seed={seed}); rerun that index alone to reproduce"
-            )
+            raise _non_finite(cols, key, a, seed)
     grid = list(map(float.__repr__, cols.grid.tolist()))
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write(json_dumps_stable({"type": "meta", **meta}) + "\n")
         for a, b in _blocks(cols):
             f.writelines(_lines(cols, numeric, grid, str(seed), a, b))
+
+
+def _append(f, seed: int, cols):
+    """Scan one chunk's columns as :func:`write_trajectories` scans a run's,
+    then write its lines to f block by block; returns cols."""
+    density = cols.entropy is not None
+    numeric = {"final_trace" if density else "final_norm2": cols.final,
+               "log_weight": cols.log_weight, "trace" if density else "norm2": cols.weights,
+               **({"entropy": cols.entropy, "min_eig": cols.min_eig} if density else {})}
+    for key, a in {"events": cols.times, "sample_times": cols.sample_times,
+                   "observables": cols.values, **numeric}.items():
+        if not np.isfinite(a).all():
+            raise _non_finite(cols, key, a, seed)
+    text = list(map(float.__repr__, cols.grid.tolist()))
+    for a, b in _blocks(cols):
+        f.writelines(_lines(cols, numeric, text, str(seed), a, b))
+    return cols
+
+
+@contextmanager
+def trajectory_writer(path, meta: dict, seed: int):
+    """Write the trajectories.jsonl of a jump or mixing run chunk by chunk:
+    yields write(cols), which appends the lines of a chunk of event columns
+    (the next rows in index order) and returns cols.  The lines equal those
+    of :func:`write_trajectories` of the concatenated columns.
+
+    write scans its chunk first, and a non-finite value raises the
+    NumericError of write_trajectories, naming the seed and the first such
+    row of the chunk, before the chunk is written.  The file is written
+    under the temporary name path + ".part", in path's directory, and
+    renamed to path when the block ends.  If the block raises, the partial
+    file is removed, and so is every directory made for it, before the
+    error propagates."""
+    path = Path(path)
+    made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
+    part = path.with_name(path.name + ".part")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(part, "w") as out:
+            out.write(json_dumps_stable({"type": "meta", **meta}) + "\n")
+            yield partial(_append, out, int(seed))
+        part.replace(path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        with suppress(OSError):  # a directory that holds anything else stays
+            for d in filter(Path.exists, made):
+                d.rmdir()
+        raise
 
 
 def _record(traj, index: int, seed: int, final: dict, series: dict) -> dict:

@@ -617,6 +617,63 @@ class TestExitCodes:
         )
 
 
+class TestStreamedRuns:
+    """An event run is drawn, written and aggregated one chunk at a time."""
+
+    @pytest.mark.parametrize("mode", ["normalized", "linear"])
+    @pytest.mark.parametrize("command", ["jump", "many"])
+    def test_thread_counts_give_the_same_bytes(self, tmp_path, monkeypatch, command, mode):
+        # A guard: the bytes were independent of the thread count before
+        # runs streamed, too.  Chunks of 8 rows make 30 trajectories four
+        # chunks at every thread count, and three CPUs run windows of three.
+        monkeypatch.setattr("qtraj.ensemble._CHUNK", 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        spec = write_spec(tmp_path / "s.json", experiment=command, mode=mode, n_traj=30,
+                          n_samples=3)
+        for threads in (1, 2, 3):
+            assert main([command, "--spec", str(spec), "--threads", str(threads),
+                         "--out", str(tmp_path / str(threads))]) == 0
+        assert same_files(tmp_path / "1", tmp_path / "2")
+        assert same_files(tmp_path / "1", tmp_path / "3")
+
+    def test_memory_grows_by_the_kept_series_alone(self, tmp_path):
+        # Four times the rows may add only what each added row keeps for the
+        # statistics, its index, weights and values (8 + 2 * 10 * 8 bytes),
+        # and 10%.  A run that held every row's events, records and final
+        # state to its end added about 2.5 times the kept series.
+        def peak(n_traj):
+            spec = write_spec(tmp_path / "s.json", experiment="jump", n_traj=n_traj)
+            tracemalloc.start()
+            try:
+                assert main(["jump", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        n = 1000
+        small, large = peak(n), peak(4 * n)
+        kept = 3 * n * (8 + 2 * 10 * 8)
+        assert large - small <= kept + 0.1 * small, (small, large, kept)
+
+    def test_concurrent_state_batches_are_charged_together(self, tmp_path, capsys, monkeypatch):
+        # One batch of 512 d = 16 paths of 200 records is charged 65 MB and
+        # fits in 70 MB; two at once, as two threads run them, do not.
+        def no_draws(*_):
+            raise AssertionError("noise was drawn")
+
+        monkeypatch.setattr("qtraj.errors.physical_memory", lambda: 70_000_000)
+        monkeypatch.setattr("qtraj.diffusion._noise_blocks", no_draws)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        spec = write_spec(tmp_path / "s.json", experiment="diffuse", equation="coupled",
+                          preset="lattice-particle", overrides={"d": 16}, n_traj=1024,
+                          n_samples=200)
+        assert main(["diffuse", "--spec", str(spec), "--threads", "2",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: worker threads must be at most 1 for 65011712-byte chunks, got 2\n")
+        assert not (tmp_path / "o").exists()
+
+
 # Spec fields holding the placeholder NONFINITE, the experiment and the name
 # the error must give.
 NON_FINITE = [

@@ -48,7 +48,9 @@ from qtraj import (
     run_ensemble,
     run_trajectories,
     sample_poisson_times,
+    series_columns,
     sharp_projections,
+    trajectory_chunks,
     trajectory_product_check,
     trajectory_stats,
     von_neumann_entropy,
@@ -56,7 +58,8 @@ from qtraj import (
 from qtraj.cli import main
 from qtraj.diffusion import _diffusion_batch
 from qtraj.ensemble import MasterConfig, master_generator, rk4_solve
-from qtraj.jumps import _PureRows, _draw_outcomes, _jump_batch, _schedule
+from qtraj.jumps import (_EVENT_BYTES, _SAMPLE_BYTES, EventColumns, _draw_outcomes, _event_bound,
+                         _jump_batch, _PureRows, _schedule)
 from qtraj.linalg import as_matrix, permutation_matrix, spectrum_entropy
 from qtraj.manybody import _densities, _mixing_batch
 from qtraj.meter import trapezoid_weights
@@ -162,6 +165,22 @@ class TestRunTrajectories:
             tracemalloc.stop()
         assert peak < n * cfg.dim ** 2 * 16
         assert cols.states is None and cols.counts.sum() > 0
+
+    def test_event_chunks_hold_the_rows_of_their_byte_budget(self, monkeypatch):
+        # A row is charged _EVENT_BYTES per expected event and _SAMPLE_BYTES
+        # per sample; a budget of 3.5 rows makes chunks of three, which
+        # concatenate to the run of one chunk, and whose series are kept.
+        cfg, eta, obs = jump_setup("linear")
+        whole = run_trajectories(cfg, eta, 1.0, 10, obs, TIMES)
+        row = _SAMPLE_BYTES * len(TIMES) + _EVENT_BYTES * _event_bound(cfg.nu, 1.0)
+        monkeypatch.setattr(ensemble, "_EVENT_CHUNK_BYTES", 3.5 * row)
+        chunks = list(trajectory_chunks(cfg, eta, 1.0, 10, obs, TIMES))
+        assert [c.indices.size for c in chunks] == [3, 3, 3, 1]
+        assert same_columns(EventColumns.concat(chunks), whole)
+        kept = series_columns(iter(chunks), 10)
+        assert all(np.array_equal(getattr(kept, name), getattr(whole, name))
+                   for name in ("indices", "weights", "values", "sample_times"))
+        assert kept.names == whole.names and kept.counts is None and kept.final is None
 
     def test_thread_pool_capped_at_usable_cpus(self, monkeypatch):
         # A stand-in pool records its size and maps serially, so no thread

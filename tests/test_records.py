@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 from test_engine import TIMES, jump_setup, mixing_setup
 
-from qtraj import NumericError, cli, evolve_density, evolve_jump, records, run_trajectories
+from qtraj import (NumericError, cli, evolve_density, evolve_jump, records, run_trajectories,
+                   trajectory_chunks)
 from qtraj.jumps import EventColumns
 from qtraj.records import (
     density_trajectory_record,
     jump_trajectory_record,
+    trajectory_writer,
     write_jsonl,
     write_table,
     write_trajectories,
@@ -60,6 +62,25 @@ def test_encoder_equals_reference_helpers(tmp_path, engine, mode, sampled):
     want = (tmp_path / "reference.jsonl").read_text().splitlines()
     assert len(got) == 31 and got == want
     assert (tmp_path / "columns.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["normalized", "linear"])
+@pytest.mark.parametrize("engine", ["jump", "mixing"])
+def test_chunk_writer_equals_reference_helpers(tmp_path, monkeypatch, engine, mode):
+    # Chunks of 7 rows, each written in blocks of about three rows.
+    cfg, _, refs = run_case(engine, mode, True)
+    write_jsonl(tmp_path / "reference.jsonl", META, refs)
+    monkeypatch.setattr("qtraj.ensemble._CHUNK", 7)
+    set_bounds(monkeypatch, 200)
+    _, initial, obs = jump_setup(mode) if engine == "jump" else mixing_setup()
+    chunks = trajectory_chunks(cfg, initial, 1.0, 30, {**obs, ESCAPED: obs["R"]}, TIMES,
+                               equation=None if engine == "jump" else mode)
+    path = tmp_path / "out" / "columns.jsonl"
+    with trajectory_writer(path, META, cfg.seed) as write:
+        assert [write(cols).indices.size for cols in chunks] == [7, 7, 7, 7, 2]
+        assert not path.exists()
+    assert path.read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+    assert [p.name for p in path.parent.iterdir()] == ["columns.jsonl"]
 
 
 # Block bounds, in mean rows, that cut 30 rows every way: a row a block,
@@ -196,20 +217,54 @@ def test_non_finite_value_names_seed_and_index(tmp_path, engine, column, key):
 
 @pytest.mark.parametrize("experiment, column", [("jump", "values"), ("many", "entropy")])
 def test_cli_non_finite_record_exits_3(tmp_path, monkeypatch, capsys, experiment, column):
-    real = cli.run_trajectories
+    real = cli.trajectory_chunks
 
     def poisoned(*args, **kwargs):
-        cols = real(*args, **kwargs)
-        poison(cols, column, 3)
-        return cols
+        for cols in real(*args, **kwargs):
+            if 3 in cols.indices:
+                poison(cols, column, 3 - int(cols.indices[0]))
+            yield cols
 
-    monkeypatch.setattr(cli, "run_trajectories", poisoned)
+    monkeypatch.setattr(cli, "trajectory_chunks", poisoned)
     assert cli.main([experiment, "--traj", "8", "--out", str(tmp_path)]) == 3
     key = {"values": "observables", "entropy": "entropy"}[column]
     assert capsys.readouterr().err == (
         f"error: non-finite {key} value in the record of trajectory index=3 (seed=0); "
         "rerun that index alone to reproduce\n"
     )
+
+
+@pytest.mark.parametrize("made", [True, False], ids=["new-directory", "existing-directory"])
+@pytest.mark.parametrize("failure", ["record", "engine"])
+@pytest.mark.parametrize("experiment, column", [("jump", "values"), ("many", "entropy")])
+def test_cli_failure_in_the_last_chunk_leaves_nothing(tmp_path, monkeypatch, capsys, experiment,
+                                                      column, failure, made):
+    # Chunks of 3 rows: rows 0-5 are written before row 7 fails, either in
+    # the record scan or in its engine, and the partial file goes, with the
+    # output directory if the run made it.
+    monkeypatch.setattr("qtraj.ensemble._CHUNK", 3)
+    real, sizes = cli.trajectory_chunks, []
+
+    def failing(*args, **kwargs):
+        for cols in real(*args, **kwargs):
+            sizes.append(cols.indices.size)
+            if 7 in cols.indices:
+                if failure == "engine":
+                    raise NumericError("a late chunk failed")
+                poison(cols, column, 7 - int(cols.indices[0]))
+            yield cols
+
+    monkeypatch.setattr(cli, "trajectory_chunks", failing)
+    out = tmp_path / "out" / "run"
+    if not made:
+        out.mkdir(parents=True)
+    assert cli.main([experiment, "--traj", "8", "--out", str(out)]) == 3
+    key = {"values": "observables", "entropy": "entropy"}[column]
+    assert capsys.readouterr().err == ("error: a late chunk failed\n" if failure == "engine" else
+                                       f"error: non-finite {key} value in the record of trajectory "
+                                       "index=7 (seed=0); rerun that index alone to reproduce\n")
+    assert sizes == [3, 3, 2]
+    assert list(tmp_path.rglob("*")) == ([] if made else [tmp_path / "out", out])
 
 
 def test_table_of_unequal_columns_is_not_written(tmp_path):

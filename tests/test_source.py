@@ -781,3 +781,34 @@ def test_memory_gate_check_sees_a_mutant():
     found = ("diffusion.py", "_density_states")
     assert found in memory_readers(sources)
     assert found in rule_builders(sources, MEMORY_TEXT)
+
+
+# The CLI streams an ensemble run: it consumes trajectory_chunks one chunk
+# at a time, and builds no whole run's columns, as run_trajectories,
+# EventColumns.concat or a concatenation of chunk columns would.
+WHOLE_RUN = {"run_trajectories", "concat", "concatenate"}
+
+
+def whole_run_callers(source: str) -> list[str]:
+    """The top-level definitions of source that build a whole run's columns."""
+    return sorted({getattr(top, "name", "<module>") for top in ast.parse(source).body
+                   if called(top, WHOLE_RUN)})
+
+
+def test_cli_streams_the_chunks_of_a_run():
+    source = (PACKAGE / "cli.py").read_text()
+    assert whole_run_callers(source) == []
+    assert callers(PACKAGE / "cli.py", {"trajectory_chunks"}) == ["_run_ensemble"]
+
+
+@pytest.mark.parametrize("old, new", [
+    ("    chunks = trajectory_chunks(", "    chunks = run_trajectories("),
+    ("        cols = series_columns(map(write, chunks), spec.n_traj)\n",
+     "        cols = EventColumns.concat(list(map(write, chunks)))\n"),
+    ("        cols = series_columns(map(write, chunks), spec.n_traj)\n",
+     "        cols = np.concatenate([c.weights for c in map(write, chunks)])\n"),
+], ids=["whole-run", "concat", "concatenate"])
+def test_stream_check_sees_a_mutant(old, new):
+    source = (PACKAGE / "cli.py").read_text()
+    assert source.count(old) == 1
+    assert whole_run_callers(source.replace(old, new)) == ["_run_ensemble"]
