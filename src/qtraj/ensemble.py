@@ -430,12 +430,13 @@ def trajectory_chunks(
     an iterator over consecutive chunks of rows in index order; row i is
     trajectory i, which uses the random stream (cfg.seed, i).
 
-    The arguments are validated, sample_times (default: T) once here, and
-    the rows' size charged (:func:`check_result_size`) when this is called,
-    before anything is drawn.  equation is the density mode of a
-    ManyBodyConfig (default "normalized") and the equation of a
-    DiffusionConfig (required, see :func:`run_ensemble`); a JumpConfig
-    carries its own mode and takes none.
+    n_traj, the config type and sample_times (default: T) are validated,
+    and the rows' size charged (:func:`check_result_size`), when this is
+    called, before anything is drawn; each batch checks its own inputs
+    (initial state, observables, equation) when it runs.  equation is the
+    density mode of a ManyBodyConfig (default "normalized") and the
+    equation of a DiffusionConfig (required, see :func:`run_ensemble`); a
+    JumpConfig carries its own mode and takes none.
 
     Each chunk is one batch of its engine, run as the iterator is consumed,
     whose states (final rows, or a diffusion batch's recorded states) are
