@@ -85,13 +85,16 @@ RK4_MATRIX_MAX_DIM = 16
 # Paths per diffusion chunk, and rows per event chunk at most.  Event
 # chunks are further sized by bytes: the rows of an event chunk are charged
 # _EVENT_BYTES per expected event and _SAMPLE_BYTES per sample, as in
-# check_result_size, within _EVENT_CHUNK_BYTES; and a mixing chunk's rows of
-# S_M copy blocks, C(d^2 + M - 1, M) entries each, within
-# _MIXING_BATCH_BYTES: 48 rows at D = 64 and 10 at D = 256.  An event needs
-# only each branch's block of Y per row, so larger mixing batches pay off:
-# the many-mixing run spec (D = 64, 500 trajectories, one BLAS thread) took
-# 1.71, 1.36, 1.12, 0.94, 0.89, 0.83, 0.80 and 0.80 s of CPU at 8, 12, 16,
-# 20, 32, 48, 64 and 96 rows (medians of 4).
+# check_result_size, within _EVENT_CHUNK_BYTES.  That is 512 rows on the
+# jump-lattice workload, and 38 at nu = 1e4 (d = 8), where a batch peaked at
+# about 1.2 MB a row (tracemalloc) and the loop costs about 36 us a step
+# beside 0.9 us a row and step: fewer rows would mostly pay that overhead.
+# A mixing chunk's rows of S_M copy blocks, C(d^2 + M - 1, M) entries each,
+# also fit in _MIXING_BATCH_BYTES: 48 rows at D = 64 and 10 at D = 256.  An
+# event needs only each branch's block of Y per row, so larger mixing
+# batches pay off: the many-mixing run spec (D = 64, 500 trajectories, one
+# BLAS thread) took 1.71, 1.36, 1.12, 0.94, 0.89, 0.83, 0.80 and 0.80 s of
+# CPU at 8, 12, 16, 20, 32, 48, 64 and 96 rows (medians of 4).
 _CHUNK = 512
 _EVENT_CHUNK_BYTES = 128 << 20
 _MIXING_BATCH_BYTES = 612 * 1024
