@@ -1,22 +1,21 @@
-"""Benchmark driver: every workload of BENCHMARK.json over several seeds,
-tier-1 wall time and the time of each acceptance criterion, written to one
-JSON file, optionally beside the same for a parent revision.
+"""Benchmark driver: every workload of BENCHMARK.json over at least three
+seeds, tier-1 wall time and the time of each acceptance criterion, written
+to BENCH_<pr>.json, optionally beside the same for a parent revision.
 
     python3 bench/bench.py --pr 34 --parent HEAD~1     # writes BENCH_34.json
-    python3 bench/bench.py --seeds 1,2,3 --no-tier1 --no-criteria --out b.json
 
 Run it from anywhere inside a checkout; it changes no file of the checkout
 but the one it writes.  Each run is one subprocess
 ``python3 perfbench/run.py --workload W --seed S --seconds N`` of the tree
-under test, whose standard output begins with the environment block and
-ends with the result object ``{correct, attempted, failed, metrics}``.  The
-workloads alternate within a seed.  With ``--parent REV`` the parent's tree
-is extracted with ``git archive`` into a temporary directory, every
-workload run alternates between the two trees, and tier-1 and the criteria
-run once in each, so that both columns come from one session: wall times
-of different sessions on a shared machine do not compare.  The head column
-is the checkout as it stands; ``dirty`` says whether it differs from its
-commit.
+under test, N being BENCHMARK.json's run_seconds, whose standard output
+begins with the environment block and ends with the result object
+``{correct, attempted, failed, metrics}``.  The workloads alternate within
+a seed.  With ``--parent REV`` the parent's tree is extracted with ``git
+archive`` into a temporary directory, every workload run alternates
+between the two trees, and tier-1 and the criteria run once in each, so
+that both columns come from one session: wall times of different sessions
+on a shared machine do not compare.  The head column is the checkout as
+it stands; ``dirty`` says whether it differs from its commit.
 
 Per workload and metric the file holds the median, the quartiles and the
 raw values, and ``noisy`` when the runs' spread (max - min over the median)
@@ -144,10 +143,9 @@ def extract(rev: str, into: Path) -> Path:
     return into
 
 
-def measure(trees: dict, workloads: list, seeds: list, seconds: int, tier1: bool,
-            criteria: bool, log) -> dict:
+def measure(trees: dict, workloads: list, seeds: list, seconds: int, log) -> dict:
     """Every run of every tree, alternating trees run by run (their order
-    flips with each seed)."""
+    flips with each seed), then tier-1 and the criteria of each tree."""
     out = {tag: {"runs": [], "env": None} for tag in trees}
     for k, seed in enumerate(seeds):
         order = list(trees) if k % 2 == 0 else list(trees)[::-1]
@@ -159,13 +157,11 @@ def measure(trees: dict, workloads: list, seeds: list, seconds: int, tier1: bool
                 log(f"{tag} {workload} seed {seed}: " + json.dumps(
                     {n: m["value"] for n, m in result["metrics"].items()}))
     for tag in trees:
-        if tier1:
-            out[tag]["tier1"] = run_tier1(trees[tag])
-            log(f"{tag} tier-1: {out[tag]['tier1']}")
-        if criteria:
-            out[tag]["criteria"] = run_criteria(trees[tag])
-            log(f"{tag} criteria: " + json.dumps({c["id"]: round(c["seconds"], 2)
-                                                  for c in out[tag]["criteria"]}))
+        out[tag]["tier1"] = run_tier1(trees[tag])
+        log(f"{tag} tier-1: {out[tag]['tier1']}")
+        out[tag]["criteria"] = run_criteria(trees[tag])
+        log(f"{tag} criteria: " + json.dumps({c["id"]: round(c["seconds"], 2)
+                                              for c in out[tag]["criteria"]}))
     return out
 
 
@@ -191,28 +187,21 @@ def report(measured: dict, spec: dict, revs: dict) -> dict:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--pr", type=int, help="PR number; the file is BENCH_<pr>.json")
-    p.add_argument("--out", type=Path, help="output file (default BENCH_<pr>.json)")
+    p.add_argument("--pr", type=int, required=True, help="PR number; the file is BENCH_<pr>.json")
     p.add_argument("--parent", help="a revision to measure alternately, as the parent column")
     p.add_argument("--seeds", default="1,2,3", help="comma-separated seeds (at least 3)")
-    p.add_argument("--seconds", type=int, default=20, help="run length of each workload run")
-    p.add_argument("--workloads", help="comma-separated workloads (default: BENCHMARK.json's)")
-    p.add_argument("--no-tier1", dest="tier1", action="store_false", help="skip tier-1")
-    p.add_argument("--no-criteria", dest="criteria", action="store_false",
-                   help="skip the acceptance criteria")
     args = p.parse_args(argv)
-    if args.out is None and args.pr is None:
-        p.error("give --pr or --out")
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads.split(",") if args.workloads else [
-        w["name"] for w in spec["workloads"]]
     seeds = [int(s) for s in args.seeds.split(",")]
+    if len(seeds) < 3:
+        p.error(f"give at least 3 seeds, got {args.seeds}")
+    out = ROOT / f"BENCH_{args.pr}.json"
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
         trees, revs = {"head": ROOT}, {"head": "HEAD"}
         if args.parent:
             trees["parent"], revs["parent"] = extract(args.parent, Path(tmp) / "parent"), args.parent
-        measured = measure(trees, workloads, seeds, args.seconds, args.tier1, args.criteria,
+        measured = measure(trees, workloads, seeds, spec["run_seconds"],
                            lambda line: print(line, file=sys.stderr, flush=True))
     result = report(measured, spec, revs)
     out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")

@@ -86,9 +86,14 @@ RK4_MATRIX_MAX_DIM = 16
 # chunks are further sized by bytes: the rows of an event chunk are charged
 # _EVENT_BYTES per expected event and _SAMPLE_BYTES per sample, as in
 # check_result_size, within _EVENT_CHUNK_BYTES.  That is 512 rows on the
-# jump-lattice workload, and 38 at nu = 1e4 (d = 8), where a batch peaked at
-# about 1.2 MB a row (tracemalloc) and the loop costs about 36 us a step
-# beside 0.9 us a row and step: fewer rows would mostly pay that overhead.
+# jump-lattice workload, and 50 on the jump run spec at nu = 1e4 (d = 8,
+# 3.3 MB a row), the most rows whose peak holds over many chunks: ru_maxrss
+# of that run at 100 and 1000 trajectories was 92.7 and 99.3 MB in chunks
+# of 38 rows, 100.8 and 106.9 at 44, 108.8 and 116.3 at 50, 106.2 and
+# 125.2 at 56 and 115.4 and 136.0 at 64 (156.8 and 695.7 at the parent,
+# unchunked).  The loop costs about 36 us a step beside 0.9 us a row and
+# step, so fewer rows cost time: 1000 trajectories took 38.2 and 40.3 s of
+# CPU at 38 rows, 29.4 and 27.7 at 50, and 20.4 and 17.5 unchunked.
 # A mixing chunk's rows of S_M copy blocks, C(d^2 + M - 1, M) entries each,
 # also fit in _MIXING_BATCH_BYTES: 48 rows at D = 64 and 10 at D = 256.  An
 # event needs only each branch's block of Y per row, so larger mixing
@@ -96,7 +101,7 @@ RK4_MATRIX_MAX_DIM = 16
 # BLAS thread) took 1.71, 1.36, 1.12, 0.94, 0.89, 0.83, 0.80 and 0.80 s of
 # CPU at 8, 12, 16, 20, 32, 48, 64 and 96 rows (medians of 4).
 _CHUNK = 512
-_EVENT_CHUNK_BYTES = 128 << 20
+_EVENT_CHUNK_BYTES = 160 << 20
 _MIXING_BATCH_BYTES = 612 * 1024
 
 
@@ -450,8 +455,8 @@ def trajectory_chunks(
     not from the D x D density); density paths agree with other batch sizes
     only to rounding, so a diffusion chunk holds _CHUNK paths whatever
     n_workers.  With more than one chunk and worker, n_workers chunks run
-    at a time (:func:`_map_chunks`), and as many chunks are charged
-    against memory, each at its batch's own charge.
+    at a time (:func:`_map_chunks`), n_workers being lowered until their
+    batches' charges fit in memory together (:func:`_fitting_workers`).
     """
     check_integer("n_traj", n_traj, 1)
     sample_times = _record_times(sample_times, T)
@@ -473,21 +478,32 @@ def trajectory_chunks(
         # A row's charge in check_result_size beyond its series, and its copy blocks.
         row = _SAMPLE_BYTES * sample_times.size + _EVENT_BYTES * _event_bound(rate, T) + copies
         size = min(rows, share, max(1, int(_EVENT_CHUNK_BYTES // row)))
-        chunk_bytes = size * row
+        fixed = 0
     elif isinstance(cfg, DiffusionConfig):
         size, rate = _CHUNK, 0.0
-        per_path, fixed = _batch_charge(cfg, equation, sample_times.size)
-        chunk_bytes = size * per_path + fixed
+        row, fixed = _batch_charge(cfg, equation, sample_times.size)
         batch = partial(_diffusion_batch, cfg, initial, T, equation, **kw)
     else:
         raise ValidationError(f"unsupported config type {type(cfg).__name__}")
     check_result_size(n_traj, sample_times.size, len(observables or {}), _event_bound(rate, T))
-    n_workers = min(n_workers, -(-n_traj // size))
-    if n_workers > 1:
-        # A batch checks its own size when it runs; n_workers of them run at once.
-        check_memory("worker threads", n_workers, chunk_bytes, "chunks")
+    n_workers = _fitting_workers(min(n_workers, -(-n_traj // size)), n_traj, size, row, fixed)
     chunks = (range(lo, min(lo + size, n_traj)) for lo in range(0, n_traj, size))
     return _map_chunks(lambda idx: replace(batch(idx), states=None), chunks, n_workers)
+
+
+def _fitting_workers(n_workers: int, n_traj: int, size: int, row: float, fixed: int) -> int:
+    """The most workers, up to n_workers, whose chunks of size rows fit in
+    memory together (:func:`qtraj.errors.check_memory`): the first window
+    of n chunks, the largest, holds min(n_traj, n * size) rows at row bytes
+    each beside n batches' fixed bytes.  One worker always runs, its batch
+    checking its own size; any count gives the same rows."""
+    for n in range(n_workers, 1, -1):
+        try:
+            check_memory("rows in flight", min(n_traj, n * size), row, "rows", fixed=n * fixed)
+            return n
+        except ValidationError:
+            pass
+    return 1
 
 
 def run_trajectories(

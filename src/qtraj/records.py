@@ -5,17 +5,17 @@ Numbers are written with 17 significant digits (round-trip exact for IEEE
 doubles) and all dictionary output is key-sorted, so a rerun with the same
 configuration and seed reproduces every output byte for byte.
 
-trajectories.jsonl is written from event columns in two passes: a scan of
-every column for non-finite values, which writes nothing, then blocks of
-consecutive rows, each rendered and written before the next.  A block
-renders at most BLOCK_NUMBERS numbers, or one row, so the writer holds the
-text of one block beyond the columns at any one time, whatever the event
-and sample counts.  :func:`write_trajectories` writes a whole run's
-columns so.  :func:`trajectory_writer` writes a run chunk by chunk, as its
-chunks are drawn: each chunk is scanned, then written block by block, to a
-temporary name beside the file, which is renamed to the file once every
-chunk is written and removed if any step fails, so a rejected run leaves
-no partial file, and no directory it made, behind.
+trajectories.jsonl is written from chunks of event columns, each in two
+passes: a scan of every column for non-finite values, which writes
+nothing, then blocks of consecutive rows, each rendered and written before
+the next.  A block renders at most BLOCK_NUMBERS numbers, or one row, so
+the writer holds the text of one block beyond the columns at any one time,
+whatever the event and sample counts.  :func:`trajectory_writer` writes a run chunk by chunk,
+as its chunks are drawn, and :func:`write_trajectories` a whole run's
+columns as one chunk: each chunk is scanned, then written block by block,
+to a temporary name beside the file, which is renamed to the file once
+every chunk is written and removed if any step fails, so a rejected run
+leaves no partial file, and no directory it made, behind.
 """
 
 from __future__ import annotations
@@ -148,17 +148,22 @@ def write_trajectories(path, meta: dict, cols, seed: int) -> None:
     columns: line r equals json_dumps_stable of jump_trajectory_record
     (density_trajectory_record) of row r's trajectory.
 
-    Every column is scanned first: a non-finite value raises NumericError
-    naming the seed and the trajectory index before anything is written,
-    or the directory that holds path is created.  The rows are then
-    rendered and written block by block (:func:`_blocks`), each pointer
+    The columns are written as the one chunk of :func:`trajectory_writer`:
+    every column is scanned first, and a non-finite value raises
+    NumericError naming the seed and the trajectory index before any row
+    is written; the file is written under a temporary name, renamed at the
+    end and removed, with any directory made for it, on failure.  The rows
+    are rendered and written block by block (:func:`_blocks`), each pointer
     reading rendered once, and the sample times and each distinct series
     row once per block.  The text held at any one time is that of one
-    block: at most BLOCK_NUMBERS numbers, or one row.  A run written chunk
-    by chunk goes through :func:`trajectory_writer` instead, which scans
-    each chunk before writing it, under a temporary name renamed at the
-    end, and gives the same bytes."""
-    seed = int(seed)
+    block: at most BLOCK_NUMBERS numbers, or one row."""
+    with trajectory_writer(path, meta, seed) as write:
+        write(cols)
+
+
+def _append(f, seed: int, cols):
+    """Scan one chunk's columns for non-finite values, then write its lines
+    to f block by block; returns cols."""
     density = cols.entropy is not None
     numeric = {"final_trace" if density else "final_norm2": cols.final,
                "log_weight": cols.log_weight, "trace" if density else "norm2": cols.weights}
@@ -168,27 +173,8 @@ def write_trajectories(path, meta: dict, cols, seed: int) -> None:
         if not np.isfinite(a).all():
             raise _non_finite(cols, key, a, seed)
     grid = list(map(float.__repr__, cols.grid.tolist()))
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        f.write(json_dumps_stable({"type": "meta", **meta}) + "\n")
-        for a, b in _blocks(cols):
-            f.writelines(_lines(cols, numeric, grid, str(seed), a, b))
-
-
-def _append(f, seed: int, cols):
-    """Scan one chunk's columns as :func:`write_trajectories` scans a run's,
-    then write its lines to f block by block; returns cols."""
-    density = cols.entropy is not None
-    numeric = {"final_trace" if density else "final_norm2": cols.final,
-               "log_weight": cols.log_weight, "trace" if density else "norm2": cols.weights,
-               **({"entropy": cols.entropy, "min_eig": cols.min_eig} if density else {})}
-    for key, a in {"events": cols.times, "sample_times": cols.sample_times,
-                   "observables": cols.values, **numeric}.items():
-        if not np.isfinite(a).all():
-            raise _non_finite(cols, key, a, seed)
-    text = list(map(float.__repr__, cols.grid.tolist()))
     for a, b in _blocks(cols):
-        f.writelines(_lines(cols, numeric, text, str(seed), a, b))
+        f.writelines(_lines(cols, numeric, grid, str(seed), a, b))
     return cols
 
 
@@ -199,11 +185,11 @@ def trajectory_writer(path, meta: dict, seed: int):
     (the next rows in index order) and returns cols.  The lines equal those
     of :func:`write_trajectories` of the concatenated columns.
 
-    write scans its chunk first, and a non-finite value raises the
-    NumericError of write_trajectories, naming the seed and the first such
-    row of the chunk, before the chunk is written.  The file is written
-    under the temporary name path + ".part", in path's directory, and
-    renamed to path when the block ends.  If the block raises, the partial
+    write scans its chunk first, and a non-finite value raises
+    NumericError, naming the seed and the first such row of the chunk,
+    before the chunk is written.  The file is written under the temporary
+    name path + ".part", in path's directory, and renamed to path when the
+    block ends.  If the block raises, the partial
     file is removed, and so is every directory made for it, before the
     error propagates."""
     path = Path(path)

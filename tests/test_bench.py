@@ -67,3 +67,9 @@ def test_spread_beyond_the_bound_is_noisy_and_failures_count():
 def test_output_without_a_result_is_rejected():
     with pytest.raises(ValueError, match="not the output of perfbench/run.py"):
         bench.parse_run('{"env": {}}\nerror: no qtraj sources\n')
+
+
+def test_fewer_than_three_seeds_are_refused(capsys):
+    with pytest.raises(SystemExit):
+        bench.main(["--pr", "0", "--seeds", "1,2"])
+    assert "give at least 3 seeds, got 1,2" in capsys.readouterr().err

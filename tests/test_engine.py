@@ -56,7 +56,7 @@ from qtraj import (
     von_neumann_entropy,
 )
 from qtraj.cli import main
-from qtraj.diffusion import _diffusion_batch
+from qtraj.diffusion import _batch_charge, _diffusion_batch
 from qtraj.ensemble import MasterConfig, master_generator, rk4_solve
 from qtraj.jumps import (_EVENT_BYTES, _SAMPLE_BYTES, EventColumns, _draw_outcomes, _event_bound,
                          _jump_batch, _PureRows, _schedule)
@@ -181,6 +181,22 @@ class TestRunTrajectories:
         assert all(np.array_equal(getattr(kept, name), getattr(whole, name))
                    for name in ("indices", "weights", "values", "sample_times"))
         assert kept.names == whole.names and kept.counts is None and kept.final is None
+
+    @pytest.mark.parametrize("rows_that_fit, workers", [(4, 1), (8, 2), (12, 3)])
+    def test_workers_capped_by_their_chunks_together(self, monkeypatch, rows_that_fit, workers):
+        # Three chunks of 4 paths on 3 CPUs: as many workers run as their
+        # chunks' batch charges fit in memory together, one at the least.
+        cfg = DiffusionConfig(H=HX, R=R01, gamma=1.0, pointer=gaussian_pointer(256, 6.0), dt=0.1)
+        per_path, fixed = _batch_charge(cfg, "coupled", len(TIMES))
+        assert fixed == 0
+        monkeypatch.setattr("qtraj.errors.physical_memory", lambda: rows_that_fit * per_path)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(ensemble, "_CHUNK", 4)
+        seen = []
+        monkeypatch.setattr(ensemble, "_map_chunks", lambda worker, chunks, n: seen.append(n))
+        trajectory_chunks(cfg, StateVector(np.array([1.0, 0.0])), 1.0, 12,
+                          sample_times=TIMES, n_workers=3, equation="coupled")
+        assert seen == [workers]
 
     def test_thread_pool_capped_at_usable_cpus(self, monkeypatch):
         # A stand-in pool records its size and maps serially, so no thread

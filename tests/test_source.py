@@ -463,7 +463,7 @@ def test_record_times_default_in_one_place():
     # the record writer's branch on them
     ("records.py", '    numeric.update({"entropy"',
      '    if cols.sample_times is not None:\n        pass\n    numeric.update({"entropy"',
-     "write_trajectories"),
+     "_append"),
 ])
 def test_record_time_check_sees_an_engine_default(module, old, new, name):
     source = (PACKAGE / module).read_text()
@@ -472,30 +472,31 @@ def test_record_time_check_sees_an_engine_default(module, old, new, name):
     assert name in record_time_none_tests(source.replace(old, new))
 
 
-# trajectories.jsonl is written from whole columns: every column is scanned
-# for non-finite values before the file is opened, so a bad value writes
-# nothing; the file is opened once; and lines are rendered only in the loop
-# over row blocks, so the writer holds the text of one block at a time.
-WRITER, BLOCKS = "write_trajectories", "_blocks"
+# trajectories.jsonl is written chunk by chunk (records._append, the one
+# writer of its lines): every column of a chunk is scanned for non-finite
+# values before the block loop, so a bad value writes none of the chunk;
+# lines are rendered only in the loop over row blocks, so the writer holds
+# the text of one block at a time; and trajectory_writer opens the file once.
+WRITER, OPENER, BLOCKS = "_append", "trajectory_writer", "_blocks"
 LINE_RENDERERS = {"_lines", "_rows", "_objects"}
 
 
 def writer_faults(source: str) -> list[str]:
-    """What keeps the record writer in source from scanning before it opens
-    its file once and rendering lines only in its block loop."""
-    fn = next(n for n in ast.parse(source).body
-              if isinstance(n, ast.FunctionDef) and n.name == WRITER)
-    faults = []
-    opens = [n.lineno for n in ast.walk(fn) if isinstance(n, ast.Call)
+    """What keeps the record writer in source from scanning a chunk before
+    its block loop and rendering lines only in that loop, or its opener
+    from opening the file once."""
+    top = {n.name: n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
+    fn, faults = top[WRITER], []
+    opens = [n for n in ast.walk(top[OPENER]) if isinstance(n, ast.Call)
              and getattr(n.func, "id", getattr(n.func, "attr", None)) == "open"]
     if len(opens) != 1:
         faults.append(f"opened {len(opens)} times")
     scans = [n.lineno for n in ast.walk(fn) if isinstance(n, ast.Call)
              and getattr(n.func, "attr", None) == "isfinite"]
-    if not scans or opens and max(scans) > min(opens):
-        faults.append("scan not before open")
     loops = [n for n in ast.walk(fn) if isinstance(n, ast.For) and isinstance(n.iter, ast.Call)
              and getattr(n.iter.func, "id", None) == BLOCKS]
+    if not scans or loops and max(scans) > min(loop.lineno for loop in loops):
+        faults.append("scan not before the block loop")
     inside = {id(n) for loop in loops for n in ast.walk(loop)}
     if len(loops) != 1 or not called(loops[0], LINE_RENDERERS):
         faults.append("no one block loop that renders")
@@ -519,13 +520,13 @@ def test_writer_scans_then_writes_row_blocks():
     ("    grid = list(", "    weights = _rows(cols.weights)\n    grid = list(",
      "lines rendered outside the block loop"),
     # each block scanned as it is written
-    ("            f.writelines(",
-     "            if not np.isfinite(cols.weights[a:b]).all():\n"
-     "                raise NumericError('weights')\n            f.writelines(",
-     "scan not before open"),
+    ("        f.writelines(",
+     "        if not np.isfinite(cols.weights[a:b]).all():\n"
+     "            raise NumericError('weights')\n        f.writelines(",
+     "scan not before the block loop"),
     # the file truncated, then opened again
-    ('    with open(path, "w") as f:', '    open(path, "w").close()\n    with open(path, "w") as f:',
-     "opened 2 times"),
+    ('        with open(part, "w") as out:',
+     '        open(part, "w").close()\n        with open(part, "w") as out:', "opened 2 times"),
 ], ids=["pre-rendered", "whole-column", "scan-per-block", "opened-twice"])
 def test_writer_check_sees_a_mutant(old, new, fault):
     source = (PACKAGE / "records.py").read_text()
