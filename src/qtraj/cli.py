@@ -25,6 +25,7 @@ Exit codes: 0 success, 2 configuration errors, 3 numerical errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -617,7 +618,10 @@ def _run_selftest(args) -> int:
     return 0 if summary["all_passed"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: it holds no state
+    between calls, since parse_args returns a new namespace each time."""
     parser = argparse.ArgumentParser(
         prog="qtraj",
         description="Monitored quantum system simulator: jump, mixing and diffusion runs",

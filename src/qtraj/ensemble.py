@@ -15,11 +15,13 @@ average folded in), and the diffusive equation averages to the Lindblad form
 Both are evaluated in the product eigenbasis of the measured observable,
 where each is a commutator with the rotated Hamiltonian plus a Hadamard
 product with a fixed mask (see :class:`MasterConfig`); :func:`rk4_solve`
-rotates into that basis once and takes one RK4 step a loop pass there,
-chosen by size alone: up to D = RK4_MATRIX_MAX_DIM = 16 the step is
-tabulated as one real D^2 x D^2 matrix on the state's Hermitian
-coordinates, and above it applied through four D x D products (the
-timings that place the crossover are quoted at RK4_MATRIX_MAX_DIM).
+rotates into that basis once and advances there from record to record,
+in a form chosen by size alone: up to D = RK4_MATRIX_MAX_DIM = 16 the RK4
+step is tabulated as one real D^2 x D^2 matrix S on the state's Hermitian
+coordinates, and a stride of s steps applies the powers S^(2^k) of the
+binary digits of s, squared once; above it each step is applied in turn
+through four D x D products (the timings that place the crossover are
+quoted at RK4_MATRIX_MAX_DIM).
 
 Ensembles run through one chunk iterator, :func:`trajectory_chunks`, which
 yields contiguous chunks of trajectory indices in index order as they
@@ -75,12 +77,14 @@ from .meter import MeterModel, build_gaussian_meter
 MASTER_MODES = ("jump-averaged", "diffusive")
 # Stability bound of rk4_solve on dt * ||generator||.
 RK4_BOUND = 0.1
-# rk4_solve takes its RK4 step for D <= RK4_MATRIX_MAX_DIM as one real
-# D^2 x D^2 product, for larger D as four hermitian_rhs products.  1000
-# steps on one thread, the matrix build included: D = 2 to 8 took 40-59 ms
-# through hermitian_rhs, nearly all numpy call overhead, and 2.4-3.4 ms as
-# a product; D = 16 took 67 ms against 16 ms, D = 32 106 ms against 528 ms,
-# as the product grows like D^4 and its build like D^6.
+# rk4_solve advances by D^2 x D^2 powers of the step matrix for
+# D <= RK4_MATRIX_MAX_DIM, for larger D step by step through four
+# hermitian_rhs products.  1000 steps on one thread in 10 and in 1 records,
+# the matrix and its ladder built included: D = 2 to 9 took 48-56 ms through
+# hermitian_rhs, nearly all numpy call overhead, and 0.4-1.1 ms by powers;
+# D = 16 took 38-42 ms against 12-13 ms, D = 27 71-87 ms against 159-214 ms
+# and D = 32 105-110 ms against 431-626 ms, as the matrix build grows like
+# D^6 and each squaring like D^6.
 RK4_MATRIX_MAX_DIM = 16
 # Paths per diffusion chunk, and rows per event chunk at most.  Event
 # chunks are further sized by bytes: the rows of an event chunk are charged
@@ -225,10 +229,10 @@ class MasterGenerator:
     array when its imaginary part is exactly zero (see :class:`MasterConfig`).
     :meth:`superop` is the D^2 x D^2 matrix of L in closed form, in U's
     basis or in the original one, where the generator acts as
-    rho -> U L(U^dag rho U) U^dag.  :func:`rk4_solve` takes one RK4 step
-    in one of two forms: up to RK4_MATRIX_MAX_DIM the real matrix
-    :meth:`rk4_matrix` of the step, and above it the same step applied
-    through :meth:`hermitian_rhs`, one product on exactly Hermitian states.
+    rho -> U L(U^dag rho U) U^dag.  :func:`rk4_solve` takes RK4 steps in
+    one of two forms: up to RK4_MATRIX_MAX_DIM by powers of the real matrix
+    :meth:`rk4_matrix` of the step, and above it one step at a time through
+    :meth:`hermitian_rhs`, one product on exactly Hermitian states.
     """
 
     U: np.ndarray
@@ -303,29 +307,63 @@ def _rk4_step(apply, x: np.ndarray, dt: float) -> np.ndarray:
     return y
 
 
+def _repeated(step, x: np.ndarray, stride: int) -> np.ndarray:
+    """step applied stride times to x."""
+    for _ in range(stride):
+        x = step(x)
+    return x
+
+
+def _squaring_ladder(S: np.ndarray, longest: int) -> list[np.ndarray]:
+    """S, S^2, S^4, ..., one rung per binary digit of longest, each the
+    square of the one before.  The rungs are charged as 8 D^4 bytes each
+    through :func:`qtraj.errors.check_memory`."""
+    rungs = longest.bit_length()
+    check_memory("rungs of the step-matrix ladder", rungs, S.nbytes, "matrices")
+    ladder = [S]
+    while len(ladder) < rungs:
+        ladder.append(ladder[-1] @ ladder[-1])
+    return ladder
+
+
+def _climbed(ladder: list[np.ndarray], x: np.ndarray, stride: int) -> np.ndarray:
+    """S^stride x from the ladder of S: the rung of each binary digit of
+    stride that is set, applied low digit first."""
+    for k, rung in enumerate(ladder):
+        if stride >> k & 1:
+            x = rung @ x
+    return x
+
+
 def rk4_solve(gen: MasterGenerator, rho0, T: float, dt: float, record_times=None):
     """Classic fourth-order integration of drho/dt = L(rho), L the
     averaged generator gen.
 
     rho0 must be Hermitian within HERMITICITY_TOL.  The state moves into the
     generator's basis U once and is symmetrized there once.  Then one loop
-    takes the classic RK4 step :func:`_rk4_step`, in one of two forms chosen
-    by size alone:
+    over the record steps, in time order, advances the state by the stride
+    of steps to the next record, in one of two forms chosen by size alone:
 
     * D <= RK4_MATRIX_MAX_DIM: the generator does not depend on time, so the
-      step is the fixed real D^2 x D^2 matrix
-      :meth:`MasterGenerator.rk4_matrix` on the state's Hermitian
-      coordinates, one matrix-vector product per step;
-    * larger D: the step applies :meth:`MasterGenerator.hermitian_rhs`, one
-      D x D product plus one Hadamard product, to the state itself.  Its
-      output is exactly Hermitian for an exactly Hermitian input, and
-      real-weighted sums keep that.
+      classic RK4 step :func:`_rk4_step` is the fixed real D^2 x D^2 matrix
+      S = :meth:`MasterGenerator.rk4_matrix` on the state's Hermitian
+      coordinates, and s steps are S^s.  A ladder S, S^2, S^4, ... is
+      squared once, up to the longest stride, and a stride applies the rung
+      of each of its binary digits: about log2(s) matrix-vector products
+      in place of s.  The powers round differently from s single steps,
+      by an amount that grows with s: below 1e-13 of the state over 1000
+      steps, 2.4e-12 over 10^5 at D = 4 (1.1e-14 step by step);
+    * larger D: :func:`_rk4_step` applies :meth:`MasterGenerator.hermitian_rhs`,
+      one D x D product plus one Hadamard product, to the state itself,
+      step by step.  Its output is exactly Hermitian for an exactly
+      Hermitian input, and real-weighted sums keep that.
 
-    Either way every step is exactly Hermitian with no further
-    symmetrization; the timings that set the crossover are quoted at
-    RK4_MATRIX_MAX_DIM.  States rotate back only at record times, and a
-    record at t = 0 returns rho0 as given.  The step size must satisfy the
-    stability bound dt * gen.norm <= RK4_BOUND.
+    Either way every state is exactly Hermitian in U's basis with no
+    further symmetrization; the timings that set the crossover are quoted at
+    RK4_MATRIX_MAX_DIM.  States rotate back only at record times, a record
+    at t = 0 returns rho0 as given, and no step is taken past the last
+    record.  The step size must satisfy the stability bound
+    dt * gen.norm <= RK4_BOUND.
     Returns (times, densities) at the requested record times (default: T).
     """
     if not isinstance(gen, MasterGenerator):
@@ -344,21 +382,23 @@ def rk4_solve(gen: MasterGenerator, rho0, T: float, dt: float, record_times=None
             f"dt * ||generator|| = {dt * gen_norm:.3e} violates the stability "
             f"bound {RK4_BOUND}; reduce dt below {RK4_BOUND / max(gen_norm, 1e-300):.3e}"
         )
-    n_steps, times, rec_map = _step_grid(T, dt, record_times)
+    _, times, rec_map = _step_grid(T, dt, record_times)
     out = np.empty((times.size, *arr.shape), dtype=complex)
-    for j in rec_map.get(0, []):
+    for j in rec_map.pop(0, []):
         out[j] = arr
+    steps = sorted(rec_map)
+    strides = np.diff(steps, prepend=0).tolist()
     rho = gen.to_basis(arr)
     rho = 0.5 * (rho + rho.conj().T)
     if gen.dim <= RK4_MATRIX_MAX_DIM:
-        step = partial(np.matmul, gen.rk4_matrix(dt))
+        advance = partial(_climbed, _squaring_ladder(gen.rk4_matrix(dt), max(strides, default=0)))
         x, decode = hermitian_coordinates(rho), hermitian_from_coordinates
     else:
-        step = partial(_rk4_step, gen.hermitian_rhs, dt=dt)
+        advance = partial(_repeated, partial(_rk4_step, gen.hermitian_rhs, dt=dt))
         x, decode = rho, np.asarray
-    for s in range(n_steps):
-        x = step(x)
-        for j in rec_map.get(s + 1, []):
+    for s, stride in zip(steps, strides):
+        x = advance(x, stride)
+        for j in rec_map[s]:
             out[j] = gen.from_basis(decode(x))
     return times, out
 

@@ -17,6 +17,7 @@ Kronecker products.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -201,11 +202,16 @@ def initial_state(state, kind, dim: int):
     return state
 
 
+@functools.cache
 def _hermitian_index(D: int):
     """Row-major positions (diag, up, lo) in vec(rho) of the diagonal, the
-    strict upper triangle and its mirror in the lower one."""
+    strict upper triangle and its mirror in the lower one, built once per D
+    and read-only, since every caller shares them."""
     I, J = np.triu_indices(D, 1)
-    return np.arange(D) * (D + 1), I * D + J, J * D + I
+    index = np.arange(D) * (D + 1), I * D + J, J * D + I
+    for arr in index:
+        arr.flags.writeable = False
+    return index
 
 
 def hermitian_coordinates(A: np.ndarray) -> np.ndarray:

@@ -68,8 +68,8 @@ def write_table(path, meta: dict, columns: list[tuple[str, np.ndarray]]) -> None
     for arr in arrays:
         if arr.shape[0] != n:
             raise ValueError("all table columns must have equal length")
-    for i in range(n):
-        lines.append("\t".join(fmt(arr[i]) for arr in arrays))
+    # Python floats from tolist() format as the numpy scalars would, faster.
+    lines.extend("\t".join(map(fmt, row)) for row in zip(*(arr.tolist() for arr in arrays)))
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -24,6 +24,7 @@ from qtraj.cli import (
     RunSpec,
     _check_fields_read,
     _resolved_for_hash,
+    build_parser,
     main,
     spec_from_dict,
 )
@@ -271,6 +272,19 @@ class TestRunSpec:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 9
         assert "threads" not in manifest["resolved"]
+
+    def test_a_call_reads_no_flag_of_the_call_before(self, tmp_path):
+        # The parser is built once per process, and a call's flags are its own.
+        assert build_parser() is build_parser()
+        assert main(["jump", "--seed", "7", "--traj", "3", "--out", str(tmp_path / "a")]) == 0
+        fields = {"experiment": "jump", "n_traj": 2}
+        spec = write_spec(tmp_path / "s.json", **fields, out=str(tmp_path / "b"))
+        assert main(["jump", "--spec", str(spec)]) == 0
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        resolved = _resolved_for_hash(spec_from_dict(fields))
+        assert manifest["seed"] == 0
+        assert manifest["resolved"] == json.loads(json.dumps(resolved))
+        assert manifest["resolved"]["n_traj"] == 2
 
 
 MALFORMED = [

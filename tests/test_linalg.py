@@ -16,8 +16,9 @@ from qtraj import (
     propagator,
     von_neumann_entropy,
 )
-from qtraj.linalg import (expm_small, kron_power, permutation_matrix, permute_slots_matrix,
-                          slot_sum)
+from qtraj.linalg import (_hermitian_index, expm_small, hermitian_coordinates,
+                          hermitian_from_coordinates, kron_power, permutation_matrix,
+                          permute_slots_matrix, slot_sum)
 
 rng = np.random.default_rng(101)
 
@@ -197,6 +198,20 @@ class TestSlotPermutation:
         perm = (2, 0, 1)
         P = permutation_matrix(perm, 2, 3)
         assert np.allclose(permute_slots_matrix(rho, perm, 2, 3), P @ rho @ P.conj().T)
+
+
+
+class TestHermitianCoordinates:
+    def test_index_tables_are_built_once_and_read_only(self):
+        index = _hermitian_index(4)
+        assert _hermitian_index(4) is index
+        for arr in index:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
+    def test_round_trip_is_exact(self):
+        A = random_hermitian(5).entries
+        assert np.array_equal(hermitian_from_coordinates(hermitian_coordinates(A)), A)
 
 
 class TestEntropy:

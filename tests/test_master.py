@@ -83,15 +83,11 @@ def reference_generator(cfg: MasterConfig, X: np.ndarray) -> np.ndarray:
 
 def superop_matrix(step, dim: int) -> np.ndarray:
     """Dense row-major superoperator matrix of a linear map on dim x dim
-    matrices, built column by column from the elementary-matrix basis: the
-    independent reference of :meth:`MasterGenerator.superop`."""
-    cols = np.empty((dim * dim, dim * dim), dtype=complex)
-    basis = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim * dim):
-        basis.flat[j] = 1.0
-        cols[:, j] = step(basis).reshape(-1)
-        basis.flat[j] = 0.0
-    return cols
+    matrices, its columns the map of each elementary matrix, applied once
+    to the stacked (dim^2, dim, dim) basis: the independent reference of
+    :meth:`MasterGenerator.superop`."""
+    basis = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
+    return step(basis).reshape(dim * dim, dim * dim).T
 
 
 def general_map(gen: MasterGenerator, original_basis: bool = True):
@@ -303,6 +299,11 @@ def plain_rk4(gen: MasterGenerator, rho: np.ndarray, dt: float, n_steps: int) ->
     return rho
 
 
+# Record steps out of order: t = 0, a duplicate, strides of one step and
+# strides 5, 38 and 255, which are not powers of two.
+STRIDE_STEPS = [300, 7, 0, 45, 1, 7, 2]
+
+
 class TestRk4Kernels:
     @pytest.mark.parametrize("complex_parts", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("D", [2, 3, 4, 8, 9, 16, 27])
@@ -319,6 +320,51 @@ class TestRk4Kernels:
         for rec, ref in zip(got[1:], (mid, plain_rk4(gen, mid, dt, 500))):
             assert np.array_equal(rec, rec.conj().T)
             assert np.linalg.norm(rec - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("complex_parts", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("D", [2, 4, 8, 16])
+    def test_uneven_record_steps_take_the_plain_rk4_steps(self, D, complex_parts):
+        gen = crossover_generator(D, complex_parts, seed=D)
+        rho0 = random_hermitian(D, np.random.default_rng(D + 1))
+        rho0 = rho0 @ rho0 / np.trace(rho0 @ rho0).real
+        dt = 0.1 / gen.norm
+        _, got = rk4_solve(gen, rho0, STRIDE_STEPS[0] * dt, dt,
+                           record_times=[s * dt for s in STRIDE_STEPS])
+        refs, done = {0: rho0}, 0
+        for s in sorted(set(STRIDE_STEPS) - {0}):
+            refs[s] = plain_rk4(gen, refs[done], dt, s - done)
+            done = s
+        for s, rec in zip(STRIDE_STEPS, got):
+            # a record at t = 0 is rho0 as given, every other one is exactly Hermitian
+            assert np.array_equal(rec, rec.conj().T) if s else np.array_equal(rec, rho0)
+            assert np.linalg.norm(rec - refs[s]) <= 1e-12 * np.linalg.norm(refs[s])
+        assert np.array_equal(got[1], got[-2])
+
+    def test_a_long_stride_takes_the_plain_rk4_steps(self):
+        # 10^5 steps in one stride climb 17 rungs of the ladder.  A rung's
+        # rounding is carried through every square above it, so the error
+        # grows like the stride, and the bound is 10^5 double-precision
+        # epsilons (2.2e-11; 2.4e-12 measured, against 1.1e-14 for the step
+        # matrix applied 10^5 times).  The generator preserves the trace, so
+        # the state does not vanish.
+        gen = master_generator(master_case("diffusive", 4, 1, angle=0.9, slope=0.0))
+        psi = np.random.default_rng(4).standard_normal(4) + 0.5j
+        rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        dt = 0.1 / gen.norm
+        _, got = rk4_solve(gen, rho0, 10 ** 5 * dt, dt)
+        ref = plain_rk4(gen, gen.to_basis(rho0), dt, 10 ** 5)
+        bound = 10 ** 5 * np.finfo(float).eps
+        assert np.linalg.norm(gen.to_basis(got[0]) - ref) <= bound * np.linalg.norm(ref)
+
+    def test_ladder_is_charged_before_it_is_built(self, monkeypatch):
+        gen = crossover_generator(16, False)
+        dt = 0.1 / gen.norm
+        # 1000 steps take 10 rungs of 8 * 16^4 bytes; 8 fit in 4 MiB.
+        monkeypatch.setattr("qtraj.errors.physical_memory", lambda: 4 << 20)
+        with pytest.raises(ValidationError, match="rungs of the step-matrix ladder must be "
+                                                  "at most 8 for 524288-byte matrices, got 10"):
+            rk4_solve(gen, np.eye(16) / 16, 1000 * dt, dt)
+        assert rk4_solve(gen, np.eye(16) / 16, 255 * dt, dt)[1].shape == (1, 16, 16)
 
     def test_the_cases_cover_both_kernels(self):
         assert 16 <= RK4_MATRIX_MAX_DIM < 27

@@ -272,3 +272,20 @@ def test_table_of_unequal_columns_is_not_written(tmp_path):
     with pytest.raises(ValueError, match="^all table columns must have equal length$"):
         write_table(path, META, [("a", np.zeros(2)), ("b", np.zeros(3))])
     assert not path.parent.exists()
+
+
+def test_table_bytes_equal_the_per_element_format(tmp_path):
+    # Signed zero, the smallest subnormal, a large float and integers, each
+    # row formatted as numpy scalars by records.fmt.
+    columns = [("t", np.array([-0.0, 5e-324, 1e300, -1e300])),
+               ("n", np.array([0, -3, 2 ** 53 + 1, 7])),
+               ("x", [1, 2.5, -0.0, 1 / 3])]
+    path = tmp_path / "t.tsv"
+    write_table(path, META, columns)
+    arrays = [np.asarray(col, dtype=float) for _, col in columns]
+    rows = ["\t".join(records.fmt(arr[i]) for arr in arrays) for i in range(4)]
+    header = ["# seed=41", "# spec_hash=0123456789abcdef", "# columns: t\tn\tx"]
+    assert path.read_text() == "\n".join(header + rows) + "\n"
+    assert rows[0].split("\t") == ["-0", "0", "1"]
+    assert rows[1].split("\t")[0] == "4.9406564584124654e-324"
+

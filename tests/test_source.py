@@ -279,23 +279,25 @@ def test_rk4_stage_makes_one_product_and_adds_its_adjoint():
     assert product_count(ast.parse("y = np.einsum('ij,jk', a, b) @ c")) == 2
 
 
-# rk4_solve has one step loop.  Before it, the step is chosen by size: the
-# step matrix, built once, or the one RK4 helper over hermitian_rhs.  The
-# loop only applies the step and records, with no product, adjoint,
-# conjugate or transpose of its own.
+# rk4_solve has one step loop, over the record steps.  Before it, the
+# advance by a stride of steps is chosen by size: the squaring ladder of the
+# step matrix, built once, or the one RK4 helper over hermitian_rhs, taken
+# step by step.  The loop only advances and records, with no product,
+# adjoint, conjugate or transpose of its own.
 STEP_HELPER = "_rk4_step"
-STEPS = {"partial(np.matmul, gen.rk4_matrix(dt))", f"partial({STEP_HELPER}, gen.{STAGE}, dt=dt)"}
-LOOP_CALLS = {"range", "step", "get", "from_basis", "decode"}
+STEPS = {"partial(_climbed, _squaring_ladder(gen.rk4_matrix(dt), max(strides, default=0)))",
+         f"partial(_repeated, partial({STEP_HELPER}, gen.{STAGE}, dt=dt))"}
+LOOP_CALLS = {"zip", "advance", "from_basis", "decode"}
 
 
 def step_loops(solve: ast.FunctionDef) -> list[ast.For]:
-    """The loops over range in rk4_solve."""
+    """The loops in rk4_solve that advance the state."""
     return [n for n in ast.walk(solve) if isinstance(n, ast.For)
-            and getattr(getattr(n.iter, "func", None), "id", None) == "range"]
+            and called(n, {"advance"})]
 
 
 def step_loop_faults(loop: ast.For) -> list[str]:
-    """What keeps a loop from only applying a step chosen before it."""
+    """What keeps a loop from only applying an advance chosen before it."""
     faults = []
     if product_count(loop):
         faults.append("products")
@@ -304,8 +306,8 @@ def step_loop_faults(loop: ast.For) -> list[str]:
         faults.append("symmetrization")
     stored = {n.id for n in ast.walk(loop) if isinstance(n, ast.Name)
               and isinstance(n.ctx, ast.Store)}
-    if "step" in stored:
-        faults.append("step assigned in the loop")
+    if "advance" in stored:
+        faults.append("advance assigned in the loop")
     extra = {getattr(n.func, "id", getattr(n.func, "attr", None)) for n in ast.walk(loop)
              if isinstance(n, ast.Call)} - LOOP_CALLS
     if extra:
@@ -337,24 +339,33 @@ def applications(fn: ast.FunctionDef) -> int | None:
 
 
 def test_rk4_solve_applies_a_fixed_step_in_one_loop():
-    solve = definition(PACKAGE / "ensemble.py", "rk4_solve")
+    path = PACKAGE / "ensemble.py"
+    solve = definition(path, "rk4_solve")
     loops = step_loops(solve)
     assert len(loops) == 1 and loops[0] in solve.body
     assert step_loop_faults(loops[0]) == []
-    # Both steps are chosen before the loop, the step matrix built once.
+    # Both advances are chosen before the loop, the step matrix built once.
     steps = [n.value for n in ast.walk(solve) if isinstance(n, ast.Assign)
-             and [getattr(t, "id", None) for t in n.targets] == ["step"]]
+             and [getattr(t, "id", None) for t in n.targets] == ["advance"]]
     assert len(steps) == 2 and {ast.unparse(v) for v in steps} == STEPS
+    choice = next(top for top in solve.body if isinstance(top, ast.If)
+                  and any(n in steps for n in ast.walk(top)))
+    assert ast.unparse(choice.test) == "gen.dim <= RK4_MATRIX_MAX_DIM"
+    assert solve.body.index(choice) < solve.body.index(loops[0])
     assert sum(1 for n in ast.walk(solve) if isinstance(n, ast.Attribute)
                and n.attr == "rk4_matrix") == 1
     # rk4_solve symmetrizes once, before its loop.
     assert adjoints(solve) == ["rho"]
-    # The check sees a rebuilt step, an added adjoint and a product.
-    for body, fault in (("step = partial(np.matmul, gen.rk4_matrix(dt))\n    x = step(x)",
+    # A stride climbs the ladder with one product per rung; step by step it
+    # only repeats the step.
+    assert product_count(definition(path, "_climbed")) == 1
+    assert product_count(definition(path, "_repeated")) == 0
+    # The check sees a rebuilt advance, an added adjoint and a product.
+    for body, fault in (("advance = partial(_repeated, step)\n    x = advance(x, stride)",
                          "assigned"),
-                        ("x = step(x)\n    x += x.conj().T", "symmetrization"),
-                        ("x = step(x)\n    x = P @ x", "products")):
-        mutant = ast.parse(f"for s in range(n_steps):\n    {body}\n").body[0]
+                        ("x = advance(x, stride)\n    x += x.conj().T", "symmetrization"),
+                        ("x = advance(x, stride)\n    x = P @ x", "products")):
+        mutant = ast.parse(f"for s, stride in zip(steps, strides):\n    {body}\n").body[0]
         assert any(fault in f for f in step_loop_faults(mutant))
 
 
