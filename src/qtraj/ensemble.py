@@ -55,8 +55,8 @@ import numpy as np
 
 from .diffusion import DiffusionConfig, _batch_charge, _diffusion_batch
 from .errors import NumericError, ValidationError, check_memory
-from .jumps import (_EVENT_BYTES, _SAMPLE_BYTES, EventColumns, JumpConfig, _event_bound,
-                    _jump_batch, _record_times, _step_grid)
+from .jumps import (EventColumns, JumpConfig, _event_bound, _event_charge, _jump_batch,
+                    _record_times, _step_grid)
 from .linalg import (
     HermitianOperator,
     _real_if_exact,
@@ -87,17 +87,17 @@ RK4_BOUND = 0.1
 # D^6 and each squaring like D^6.
 RK4_MATRIX_MAX_DIM = 16
 # Paths per diffusion chunk, and rows per event chunk at most.  Event
-# chunks are further sized by bytes: the rows of an event chunk are charged
-# _EVENT_BYTES per expected event and _SAMPLE_BYTES per sample, as in
-# check_result_size, within _EVENT_CHUNK_BYTES.  That is 512 rows on the
+# chunks are further sized by bytes: the rows of an event chunk, at their
+# batch's charge per row (jumps._event_charge), fit within
+# _EVENT_CHUNK_BYTES, and beside the kept columns.  That is 512 rows on the
 # jump-lattice workload, and 50 on the jump run spec at nu = 1e4 (d = 8,
 # 3.3 MB a row), the most rows whose peak holds over many chunks: ru_maxrss
 # of that run at 100 and 1000 trajectories was 92.7 and 99.3 MB in chunks
 # of 38 rows, 100.8 and 106.9 at 44, 108.8 and 116.3 at 50, 106.2 and
-# 125.2 at 56 and 115.4 and 136.0 at 64 (156.8 and 695.7 at the parent,
-# unchunked).  The loop costs about 36 us a step beside 0.9 us a row and
-# step, so fewer rows cost time: 1000 trajectories took 38.2 and 40.3 s of
-# CPU at 38 rows, 29.4 and 27.7 at 50, and 20.4 and 17.5 unchunked.
+# 125.2 at 56 and 115.4 and 136.0 at 64 (156.8 and 695.7 unchunked).  The
+# loop costs about 36 us a step beside 0.9 us a row and step, so fewer rows
+# cost time: 1000 trajectories took 38.2 and 40.3 s of CPU at 38 rows, 29.4
+# and 27.7 at 50, and 20.4 and 17.5 unchunked.
 # A mixing chunk's rows of S_M copy blocks, C(d^2 + M - 1, M) entries each,
 # also fit in _MIXING_BATCH_BYTES: 48 rows at D = 64 and 10 at D = 256.  An
 # event needs only each branch's block of Y per row, so larger mixing
@@ -441,27 +441,23 @@ class EnsembleStats:
 
 
 def check_result_size(n_traj: int, n_samples: int, n_observables: int,
-                      events: float = 0.0) -> None:
-    """Reject n_traj result rows through :func:`qtraj.errors.check_memory`
-    before any array exists.  A row is charged for its index, event count,
-    log weight and final norm or trace; per sample, for a weight, entropy,
-    minimum eigenvalue and one value per observable, 8 bytes each, and
-    _SAMPLE_BYTES for its timeline, records and batch columns; and events (a
-    bound on its event count, :func:`qtraj.jumps._event_bound`) at
-    _EVENT_BYTES each.
+                      events: float = 0.0) -> int:
+    """The bytes of the columns that n_traj rows keep beyond their chunks,
+    rejected through :func:`qtraj.errors.check_memory` before any array
+    exists.  A row keeps its index, event count, log weight and final norm
+    or trace; per sample a weight, entropy, minimum eigenvalue and one value
+    per observable; and per event (events a bound on its event count,
+    :func:`qtraj.jumps._event_bound`) a time and an outcome, as
+    :func:`run_trajectories` keeps them, 8 bytes each.
 
-    This is the cost of a whole run held at once, as
-    :func:`run_trajectories` holds it.  A run that streams its chunks
-    (:func:`series_columns`) holds only the per-sample series of every row,
-    and one chunk per worker, whose rows are at most n_traj; so the charge
-    bounds it too, if loosely for runs of many chunks.  The record text is
-    not counted: it is held one block at a time
-    (:func:`qtraj.records.trajectory_writer`)."""
+    The chunks in flight are charged beside these columns by
+    :func:`trajectory_chunks`, and the record text is held one block at a
+    time (:func:`qtraj.records.trajectory_writer`)."""
     record_bytes = 8 * (3 + n_observables)
-    check_memory("n_samples", n_samples, record_bytes + _SAMPLE_BYTES, "records", fixed=32)
-    check_memory("n_traj", n_traj,
-                 32 + n_samples * (record_bytes + _SAMPLE_BYTES) + _EVENT_BYTES * events,
-                 "result rows")
+    check_memory("n_samples", n_samples, record_bytes, "records", fixed=32)
+    row = 32 + n_samples * record_bytes + 16 * events
+    check_memory("n_traj", n_traj, row, "result rows")
+    return n_traj * math.ceil(row)
 
 
 def trajectory_chunks(
@@ -479,71 +475,65 @@ def trajectory_chunks(
     trajectory i, which uses the random stream (cfg.seed, i).
 
     n_traj, the config type and sample_times (default: T) are validated,
-    and the rows' size charged (:func:`check_result_size`), when this is
-    called, before anything is drawn; each batch checks its own inputs
-    (initial state, observables, equation) when it runs.  equation is the
-    density mode of a ManyBodyConfig (default "normalized") and the
-    equation of a DiffusionConfig (required, see :func:`run_ensemble`); a
-    JumpConfig carries its own mode and takes none.
+    and the run's memory decided, when this is called, before anything is
+    drawn; each batch checks its own inputs (initial state, observables,
+    equation) and its own charge when it runs.  equation is the density
+    mode of a ManyBodyConfig (default "normalized") and the equation of a
+    DiffusionConfig (required, see :func:`run_ensemble`); a JumpConfig
+    carries its own mode and takes none.
 
     Each chunk is one batch of its engine, run as the iterator is consumed,
     whose states (final rows, or a diffusion batch's recorded states) are
-    dropped.  Event rows are bit-identical in any chunk, so an event chunk
-    holds at most _CHUNK rows, a 1/n share, n being n_workers capped at
-    :func:`usable_cpus`, and the rows that fit in _EVENT_CHUNK_BYTES (for
-    mixing rows also in _MIXING_BATCH_BYTES, sized from the copy-block row,
-    not from the D x D density); density paths agree with other batch sizes
-    only to rounding, so a diffusion chunk holds _CHUNK paths whatever
-    n_workers.  With more than one chunk and worker, n_workers chunks run
-    at a time (:func:`_map_chunks`), n_workers being lowered until their
-    batches' charges fit in memory together (:func:`_fitting_workers`).
+    dropped.  The memory rule: the columns the run keeps
+    (:func:`check_result_size`) and one window of n_workers chunks in
+    flight must fit, each chunk charged rows times its batch's bytes per row
+    plus its fixed bytes (:func:`qtraj.jumps._event_charge`,
+    :func:`qtraj.diffusion._batch_charge`).  Event rows are bit-identical in
+    any chunk, so an event chunk holds at most _CHUNK rows, a 1/n share, n
+    being n_workers capped at :func:`usable_cpus`, the rows that fit in
+    _EVENT_CHUNK_BYTES (for mixing rows also in _MIXING_BATCH_BYTES, sized
+    from the copy-block row) and the rows that fit beside the kept columns.
+    Density paths agree with other batch sizes only to rounding, so a
+    diffusion chunk holds _CHUNK paths whatever n_workers and memory.  The
+    run fails before any draw unless the kept columns and one chunk (of one
+    row, for events) fit; then n_workers falls until the window fits, and
+    n_workers chunks run at a time (:func:`_map_chunks`).
     """
     check_integer("n_traj", n_traj, 1)
     sample_times = _record_times(sample_times, T)
     n_workers = max(1, min(n_workers, usable_cpus()))
-    share = -(-n_traj // n_workers)
     kw = {"sample_times": sample_times, "observables": observables}
     if isinstance(cfg, (JumpConfig, ManyBodyConfig)):
         if isinstance(cfg, JumpConfig):
             if equation is not None:
                 raise ValidationError(f"a JumpConfig runs in its own mode {cfg.mode!r}; "
                                       f"pass no equation, got {equation!r}")
-            rate, copies, rows = cfg.nu, 0, _CHUNK
+            rate, copies, size = cfg.nu, 0, _CHUNK
             batch = partial(_jump_batch, cfg, initial, T, **kw)
         else:
-            rate = cfg.total_intensity
-            copies = 16 * math.comb(cfg.d ** 2 + cfg.M - 1, cfg.M)
-            rows = min(_CHUNK, max(1, _MIXING_BATCH_BYTES // copies))
+            rate, copies = cfg.total_intensity, cfg.copy_row_bytes
+            size = min(_CHUNK, max(1, _MIXING_BATCH_BYTES // copies))
             batch = partial(_mixing_batch, cfg, initial, T, equation or "normalized", **kw)
-        # A row's charge in check_result_size beyond its series, and its copy blocks.
-        row = _SAMPLE_BYTES * sample_times.size + _EVENT_BYTES * _event_bound(rate, T) + copies
-        size = min(rows, share, max(1, int(_EVENT_CHUNK_BYTES // row)))
-        fixed = 0
+        row, fixed = _event_charge(rate, T, sample_times.size, copies)
+        size = min(size, -(-n_traj // n_workers), max(1, int(_EVENT_CHUNK_BYTES // row)))
+        least = 1
     elif isinstance(cfg, DiffusionConfig):
-        size, rate = _CHUNK, 0.0
+        rate, size = 0.0, min(_CHUNK, n_traj)
+        least = size
         row, fixed = _batch_charge(cfg, equation, sample_times.size)
         batch = partial(_diffusion_batch, cfg, initial, T, equation, **kw)
     else:
         raise ValidationError(f"unsupported config type {type(cfg).__name__}")
-    check_result_size(n_traj, sample_times.size, len(observables or {}), _event_bound(rate, T))
-    n_workers = _fitting_workers(min(n_workers, -(-n_traj // size)), n_traj, size, row, fixed)
+    kept = check_result_size(n_traj, sample_times.size, len(observables or {}),
+                             _event_bound(rate, T))
+    # An event chunk shrinks to the rows that fit beside the kept columns,
+    # one row at the least; a diffusion chunk must fit whole.
+    size = min(size, check_memory("rows of a chunk beside the kept columns", least, row,
+                                  "rows", fixed=kept + fixed))
+    n_workers = min(n_workers, -(-n_traj // size),
+                    check_memory("chunks in flight", 1, size * row + fixed, "chunks", fixed=kept))
     chunks = (range(lo, min(lo + size, n_traj)) for lo in range(0, n_traj, size))
     return _map_chunks(lambda idx: replace(batch(idx), states=None), chunks, n_workers)
-
-
-def _fitting_workers(n_workers: int, n_traj: int, size: int, row: float, fixed: int) -> int:
-    """The most workers, up to n_workers, whose chunks of size rows fit in
-    memory together (:func:`qtraj.errors.check_memory`): the first window
-    of n chunks, the largest, holds min(n_traj, n * size) rows at row bytes
-    each beside n batches' fixed bytes.  One worker always runs, its batch
-    checking its own size; any count gives the same rows."""
-    for n in range(n_workers, 1, -1):
-        try:
-            check_memory("rows in flight", min(n_traj, n * size), row, "rows", fixed=n * fixed)
-            return n
-        except ValidationError:
-            pass
-    return 1
 
 
 def run_trajectories(
@@ -588,6 +578,7 @@ def series_columns(chunks, n_traj: int) -> EventColumns:
         for name in shapes:
             getattr(out, name)[..., lo:hi, :] = getattr(cols, name)
         lo = hi
+        del cols  # before the next chunk is drawn
     return out
 
 

@@ -38,15 +38,16 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def check_memory(name: str, count: int, unit: float, items: str, fixed: int = 0) -> None:
+def check_memory(name: str, count: int, unit: float, items: str, fixed: int = 0) -> int:
     """The one size rule: a ValidationError unless count items of unit bytes
     (rounded up) and fixed bytes fit in physical memory, failed by NaN and
-    inf.  The message names count, the bytes per item and the largest count
-    that fits."""
+    inf.  Returns the largest count that fits, which the message names with
+    count and the bytes per item."""
     memory = physical_memory()
     per = math.ceil(unit) if math.isfinite(unit) else unit
+    fit = (memory - fixed) // per if math.isfinite(per) and fixed <= memory else 0
     if not count * per + fixed <= memory:
-        fit = (memory - fixed) // per if math.isfinite(per) and fixed <= memory else 0
         beyond = f" beyond {fixed} fixed bytes" if fixed else ""
         raise ValidationError(f"{name} must be at most {fit} for {per:.15g}-byte {items}"
                               f"{beyond}, got {count}")
+    return fit

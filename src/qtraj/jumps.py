@@ -86,15 +86,18 @@ DEGENERATE = "all outcome weights vanish; state is degenerate"
 _PHASE_BLOCK_BYTES = 1 << 18
 # Widest first block of exponential gaps per row (2 KB).
 _GAP_BLOCK = 256
-# Peak bytes per event of an event batch (draws, timeline, loop and record),
-# measured with tracemalloc at nu = 1e4 and 1e5, T = 1: 126-180 over 4 to 16
-# rows, 290-340 for one row alone.
+# The charge of an event batch (_event_charge), from tracemalloc peaks with
+# its returned columns.  Per row and event (draws, timeline, loop, record) at
+# nu = 1e4 and 1e5, T = 1: 126-180 over 4 to 16 rows, 290-340 for one row.
 _EVENT_BYTES = 320
-# Peak bytes per row and sample of a run beyond its columns (the timeline,
-# the records and the concatenated batch columns), measured with tracemalloc
-# on 512 rows of 1000 and 2800 samples: 66-68 for jump rows with one
-# observable, 82-86 for mixing rows.
-_SAMPLE_BYTES = 96
+# Per row and sample (timeline, records, columns), fitted from 1 and 64 rows
+# of the default jump and many specs at 930 and 2800 samples: 82-90 (jump)
+# and 113-125 (mixing), normalized and linear.
+_SAMPLE_BYTES = 128
+# Per batch and sample (a step and a record dict of small arrays), from the
+# same fits: 570-700 (jump) and 840-970 (mixing); one row of 2800 samples
+# peaked at 1.9-3.0 MB.
+_BATCH_SAMPLE_BYTES = 1024
 
 
 @dataclass(frozen=True)
@@ -347,6 +350,17 @@ def _event_bound(rate: float, T: float) -> float:
     return mean + 4.0 * math.sqrt(mean)
 
 
+def _event_charge(rate: float, T: float, n_samples: int, copies: int = 0) -> tuple[float, int]:
+    """(bytes per row, fixed bytes) that one event batch of n_samples record
+    times is charged, as its own check, the chunk sizing and the window of
+    concurrent chunks count them: per row, _EVENT_BYTES for each of
+    :func:`_event_bound` events, _SAMPLE_BYTES for each sample and copies
+    bytes (a mixing row's copy blocks); fixed, _BATCH_SAMPLE_BYTES for each
+    sample."""
+    return (_EVENT_BYTES * _event_bound(rate, T) + _SAMPLE_BYTES * n_samples + copies,
+            _BATCH_SAMPLE_BYTES * n_samples)
+
+
 def _event_draws(seed: int, rate: float, T: float, indices):
     """Each row's Poisson event times and outcome uniforms.
 
@@ -360,11 +374,9 @@ def _event_draws(seed: int, rate: float, T: float, indices):
 
     Returns (times, counts, uniforms): times[r] holds row r's event times
     first and values >= T after them, and the uniforms are flat in row
-    order.  Rows of :func:`_event_bound` events at _EVENT_BYTES each
-    beyond physical memory fail the memory gate before any draw.
+    order.
     """
     n, events = len(indices), _event_bound(rate, T)
-    check_memory("batch rows", n, _EVENT_BYTES * events, "event rows")
     streams = Streams(seed, indices)
     if rate == 0:
         return np.full((n, 1), np.inf), np.zeros(n, dtype=np.intp), np.empty(0)
@@ -436,8 +448,9 @@ def _schedule(seed: int, rate: float, T: float, indices, samples, hbar: float) -
 
 
 def _run_rows(kern, meter: MeterModel, seed: int, rate: float, T: float, indices,
-              sample_times, names, linear: bool, hbar: float) -> EventColumns:
+              sample_times, names, linear: bool, hbar: float, copies: int = 0) -> EventColumns:
     """The event loop shared by the jump and mixing engines: the rows' columns.
+    Rows beyond memory at :func:`_event_charge` fail before any draw.
 
     ``kern`` holds one state row per index in a basis of eigenvectors of H
     (eigenvalues ``kern.w``) and implements advance (elementwise phases),
@@ -454,8 +467,10 @@ def _run_rows(kern, meter: MeterModel, seed: int, rate: float, T: float, indices
     """
     samples = _record_times(sample_times, T)
     index = _index_column(indices)
-    sch = _schedule(seed, rate, T, index, samples, hbar)
     n = index.size
+    per_row, fixed = _event_charge(rate, T, samples.size, copies)
+    check_memory("batch rows", n, per_row, "event rows", fixed)
+    sch = _schedule(seed, rate, T, index, samples, hbar)
     log_w = np.zeros(n)
     u = sch.event_uniforms
     if linear:

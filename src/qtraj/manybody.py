@@ -45,6 +45,7 @@ batch of one, and the only place a DensityTrajectory object is built.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -267,6 +268,11 @@ class ManyBodyConfig:
     @property
     def total_intensity(self) -> float:
         return self.M * self.nu
+
+    @property
+    def copy_row_bytes(self) -> int:
+        """Bytes of a mixing-engine row: C(d^2 + M - 1, M) complex entries."""
+        return 16 * math.comb(self.d ** 2 + self.M - 1, self.M)
 
     @property
     def hamiltonian(self) -> np.ndarray:
@@ -573,7 +579,7 @@ def _mixing_batch(cfg: ManyBodyConfig, rho0: DensityMatrix, T: float, mode: str,
     obs = _observables(observables, cfg.dim)
     kern = _BlockRows(cfg, rho0.entries.astype(complex), len(indices), obs)
     return _run_rows(kern, cfg.meter, cfg.seed, cfg.total_intensity, T, indices, sample_times,
-                     obs, mode == "linear", cfg.hbar)
+                     obs, mode == "linear", cfg.hbar, cfg.copy_row_bytes)
 
 
 def evolve_density(

@@ -10,12 +10,12 @@ passes: a scan of every column for non-finite values, which writes
 nothing, then blocks of consecutive rows, each rendered and written before
 the next.  A block renders at most BLOCK_NUMBERS numbers, or one row, so
 the writer holds the text of one block beyond the columns at any one time,
-whatever the event and sample counts.  :func:`trajectory_writer` writes a run chunk by chunk,
-as its chunks are drawn, and :func:`write_trajectories` a whole run's
-columns as one chunk: each chunk is scanned, then written block by block,
-to a temporary name beside the file, which is renamed to the file once
-every chunk is written and removed if any step fails, so a rejected run
-leaves no partial file, and no directory it made, behind.
+whatever the event and sample counts.  :func:`trajectory_writer` writes a
+run chunk by chunk, as its chunks are drawn: each chunk is scanned, then
+written block by block, to a temporary name beside the file, which is
+renamed to the file once every chunk is written and removed if any step
+fails, so a rejected run leaves no partial file, and no directory it made,
+behind.
 """
 
 from __future__ import annotations
@@ -143,24 +143,6 @@ def _non_finite(cols, key: str, a: np.ndarray, seed: int) -> NumericError:
                         "reproduce")
 
 
-def write_trajectories(path, meta: dict, cols, seed: int) -> None:
-    """Write the trajectories.jsonl of a jump or mixing run from its event
-    columns: line r equals json_dumps_stable of jump_trajectory_record
-    (density_trajectory_record) of row r's trajectory.
-
-    The columns are written as the one chunk of :func:`trajectory_writer`:
-    every column is scanned first, and a non-finite value raises
-    NumericError naming the seed and the trajectory index before any row
-    is written; the file is written under a temporary name, renamed at the
-    end and removed, with any directory made for it, on failure.  The rows
-    are rendered and written block by block (:func:`_blocks`), each pointer
-    reading rendered once, and the sample times and each distinct series
-    row once per block.  The text held at any one time is that of one
-    block: at most BLOCK_NUMBERS numbers, or one row."""
-    with trajectory_writer(path, meta, seed) as write:
-        write(cols)
-
-
 def _append(f, seed: int, cols):
     """Scan one chunk's columns for non-finite values, then write its lines
     to f block by block; returns cols."""
@@ -182,8 +164,12 @@ def _append(f, seed: int, cols):
 def trajectory_writer(path, meta: dict, seed: int):
     """Write the trajectories.jsonl of a jump or mixing run chunk by chunk:
     yields write(cols), which appends the lines of a chunk of event columns
-    (the next rows in index order) and returns cols.  The lines equal those
-    of :func:`write_trajectories` of the concatenated columns.
+    (the next rows in index order) and returns cols.  Line r of a chunk
+    equals json_dumps_stable of jump_trajectory_record
+    (density_trajectory_record) of row r's trajectory.  The rows are
+    rendered and written block by block (:func:`_blocks`), each pointer
+    reading rendered once, and the sample times and each distinct series
+    row once per block.
 
     write scans its chunk first, and a non-finite value raises
     NumericError, naming the seed and the first such row of the chunk,

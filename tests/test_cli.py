@@ -15,6 +15,7 @@ from qtraj import (
     StateVector,
     ValidationError,
     acceptance,
+    ensemble,
     get_preset,
     jump_to_diffusion_bridge,
     preset_meter,
@@ -29,6 +30,7 @@ from qtraj.cli import (
     spec_from_dict,
 )
 from qtraj.ensemble import _CHUNK
+from qtraj.jumps import _event_charge
 from qtraj.records import spec_hash
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -51,6 +53,14 @@ def run_module(args, cwd):
         [sys.executable, "-m", "qtraj", *args],
         cwd=cwd, env=module_env(), capture_output=True, text=True, timeout=120,
     )
+
+
+def chunk_sizes(monkeypatch) -> list[int]:
+    """The rows of each chunk that the next run draws, in order."""
+    sizes, run = [], ensemble._map_chunks
+    monkeypatch.setattr(ensemble, "_map_chunks", lambda worker, chunks, n: run(
+        lambda idx: sizes.append(len(idx)) or worker(idx), chunks, n))
+    return sizes
 
 
 def same_files(a: Path, b: Path) -> bool:
@@ -456,8 +466,9 @@ class TestExitCodes:
 
     def test_result_rows_beyond_memory_exit_2_before_samples(self, tmp_path, capsys,
                                                              monkeypatch):
-        # One 256 MB row fits in 400 MB, a hundred do not; the sample times
-        # (16 MB) must not be built before that is known.
+        # A row keeps 64 MB of series, so six fit in 400 MB and a hundred do
+        # not; the sample times (16 MB) must not be built before that is
+        # known.
         monkeypatch.setattr("qtraj.errors.physical_memory", lambda: 400_000_000)
         spec = tmp_path / "rows.json"
         spec.write_text('{"experiment": "many", "n_samples": 2e6}')
@@ -469,20 +480,27 @@ class TestExitCodes:
             tracemalloc.stop()
         assert code == 2 and peak < 4_000_000
         assert capsys.readouterr().err == (
-            "error: n_traj must be at most 1 for 256000032-byte result rows, got 100\n")
+            "error: n_traj must be at most 6 for 64000032-byte result rows, got 100\n")
 
     @pytest.mark.parametrize("command, spec_fields, message", [
+        # The kept columns: 16 bytes for each of 4 sigma above nu T events,
+        # and 352 bytes of row and samples.
         pytest.param("jump", {"overrides": {"nu": 1e9}, "n_traj": 2},
-                     "n_traj must be at most 0 for 320040478467-byte result rows, got 2",
+                     "n_traj must be at most 0 for 16002024210-byte result rows, got 2",
                      id="jump-rows-of-events"),
         pytest.param("many", {"overrides": {"nu": 1e300}, "n_traj": 2},
-                     "n_traj must be at most 0 for 6.4e+302-byte result rows, got 2",
+                     "n_traj must be at most 0 for 3.2e+301-byte result rows, got 2",
                      id="many-rows-of-events"),
-        # 4 sigma above nu T = 1e5: 101264.9 events of 320 bytes, and 1312
-        # bytes of row and samples
-        pytest.param("jump", {"overrides": {"nu": 1e5}, "n_traj": 4},
-                     "n_traj must be at most 3 for 32406084-byte result rows, got 4",
+        # 101264.9 events at nu T = 1e5
+        pytest.param("jump", {"overrides": {"nu": 1e5}, "n_traj": 100},
+                     "n_traj must be at most 61 for 1620591-byte result rows, got 100",
                      id="jump-n_traj"),
+        # The kept columns of 60 rows fit, with no room for a chunk of one
+        # row (32.4 MB of events) beside them.
+        pytest.param("jump", {"overrides": {"nu": 1e5}, "n_traj": 60},
+                     "rows of a chunk beside the kept columns must be at most 0 for "
+                     "32406052-byte rows beyond 97245700 fixed bytes, got 1",
+                     id="jump-chunk"),
     ])
     def test_events_beyond_memory_exit_2_before_any_draw(self, tmp_path, capsys, monkeypatch,
                                                          command, spec_fields, message):
@@ -498,12 +516,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("overrides, fields, message", [
         # the step kernel's D^2 x D^2 matrices
         pytest.param({"d": 8, "M": 3}, {"n_traj": 2, "n_samples": 1, "T": 0.001},
-                     "paths of a D=512 density batch must be at most 0 for 54525952-byte "
-                     "paths beyond 4398046511104 fixed bytes, got 2", id="kernel"),
+                     "rows of a chunk beside the kept columns must be at most 0 for "
+                     "54525952-byte rows beyond 4398046511232 fixed bytes, got 2", id="kernel"),
         # the records of one batch of 512 paths
         pytest.param({"d": 8, "M": 2}, {"n_traj": 512, "n_samples": 1000},
-                     "paths of a D=64 density batch must be at most 242 for 66322432-byte "
-                     "paths beyond 1073741824 fixed bytes, got 512", id="records"),
+                     "rows of a chunk beside the kept columns must be at most 242 for "
+                     "66322432-byte rows beyond 1090142208 fixed bytes, got 512",
+                     id="records"),
     ])
     def test_density_beyond_memory_exits_2(self, tmp_path, capsys, monkeypatch, overrides,
                                            fields, message):
@@ -566,8 +585,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("equation", ["linear", "coupled"])
     def test_state_batch_beyond_memory_exits_2_before_any_draw(self, tmp_path, capsys,
                                                                monkeypatch, equation):
-        # The rows fit in 128 MiB (66 MB); a batch of 512 paths' records
-        # and the copies made of them (275 MB) does not.
+        # The kept rows fit in 128 MiB (16 MB); a batch of 512 paths'
+        # records and the copies made of them (275 MB) does not.
         def no_draws(*_):
             raise AssertionError("noise was drawn")
 
@@ -584,19 +603,25 @@ class TestExitCodes:
             tracemalloc.stop()
         assert code == 2 and peak < 4_000_000, peak
         assert capsys.readouterr().err == (
-            "error: paths of a d=16 state batch must be at most 250 for 536576-byte paths, "
-            "got 512\n")
+            "error: rows of a chunk beside the kept columns must be at most 219 for "
+            "536576-byte rows beyond 16400384 fixed bytes, got 512\n")
 
     @pytest.mark.parametrize("command", ["jump", "many"])
     def test_event_samples_are_charged(self, tmp_path, capsys, monkeypatch, command):
-        # A run's timeline, records and concatenated columns cost about 66
-        # to 86 bytes per row and sample beyond the columns.  At 8 MiB, 64
-        # rows of 2800 samples are rejected, and 930 samples (the charge at
-        # about 94%) run within 1.1 times the bound.
-        bound = 2 ** 23
-        monkeypatch.setattr("qtraj.errors.physical_memory", lambda: bound)
-        for n_samples, want in [(2800, 2), (930, 0)]:
-            spec = write_spec(tmp_path / "s.json", experiment=command, n_traj=64,
+        # A batch's timeline, records and columns cost about 80 to 125 bytes
+        # per row and sample, and 570 to 970 per sample whatever its rows,
+        # beside the series that the 16 rows keep.  At 4 MiB, 2800 samples
+        # leave no room for a chunk of one row, and nothing is drawn; 930
+        # samples at 3 MiB and 2800 at 8 MiB run in chunks of fewer rows,
+        # within 1.1 times the bound.  A first run loads what a process
+        # loads once, and no charge covers (numpy.ma, at the first
+        # np.unique call, is 1 MB).
+        assert main([command, "--traj", "2", "--out", str(tmp_path / "first")]) == 0
+        for n_samples, bound, want in [(2800, 2 ** 22, 2), (930, 3 << 20, 0),
+                                       (2800, 2 ** 23, 0)]:
+            monkeypatch.setattr("qtraj.errors.physical_memory", lambda: bound)
+            sizes = chunk_sizes(monkeypatch)
+            spec = write_spec(tmp_path / "s.json", experiment=command, n_traj=16,
                               n_samples=n_samples)
             tracemalloc.start()
             try:
@@ -606,7 +631,11 @@ class TestExitCodes:
                 tracemalloc.stop()
             err = capsys.readouterr().err
             assert code == want and peak < 1.1 * bound, (n_samples, code, peak, err)
-        assert err == ""
+            if want:
+                assert sizes == [] and err.startswith(
+                    "error: rows of a chunk beside the kept columns must be at most 0 "), err
+            else:
+                assert sum(sizes) == 16 and max(sizes) < 16 and err == "", sizes
 
     def test_blow_up_exits_3(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "b.json", experiment="diffuse", overrides={"gamma": 30},
@@ -669,12 +698,34 @@ class TestStreamedRuns:
         kept = 3 * n * (8 + 2 * 10 * 8)
         assert large - small <= kept + 0.1 * small, (small, large, kept)
 
+    def test_high_rate_rows_run_in_chunks_that_fit(self, tmp_path, monkeypatch):
+        # At nu = 1e5 a row is charged 0.7 MB for its events in flight and
+        # keeps 35 kB of them.  Four such rows do not fit in 2 MB at once,
+        # but chunks of two beside the kept columns of four do, and they
+        # write the bytes of an unbounded run.
+        spec = write_spec(tmp_path / "s.json", experiment="jump", overrides={"nu": 1e5},
+                          T=0.02, n_traj=4)
+        assert main(["jump", "--spec", str(spec), "--out", str(tmp_path / "free")]) == 0
+        bound = 2_000_000
+        assert 4 * _event_charge(1e5, 0.02, 10)[0] > bound
+        monkeypatch.setattr("qtraj.errors.physical_memory", lambda: bound)
+        sizes = chunk_sizes(monkeypatch)
+        tracemalloc.start()
+        try:
+            assert main(["jump", "--spec", str(spec), "--out", str(tmp_path / "bounded")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes == [2, 2] and peak <= 1.1 * bound, (sizes, peak / bound)
+        assert same_files(tmp_path / "free", tmp_path / "bounded")
+
     def test_concurrent_state_batches_are_charged_together(self, tmp_path, monkeypatch):
         # One batch of 512 d = 16 paths of 200 records is charged 65 MB and
-        # fits in 70 MB; two at once, as two threads would run them, do not,
-        # so the run takes one thread and stays within the bound.  Two
-        # threads peaked at 1.63 times it.
-        bound = 70_000_000
+        # fits in 75 MB beside the 7 MB of series that the run keeps; two at
+        # once, as two threads would run them, do not, so the run takes one
+        # thread and stays within the bound.  Two threads peaked at 1.63
+        # times 70 MB.
+        bound = 75_000_000
         monkeypatch.setattr("qtraj.errors.physical_memory", lambda: bound)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         spec = write_spec(tmp_path / "s.json", experiment="diffuse", equation="coupled",

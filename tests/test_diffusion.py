@@ -126,6 +126,19 @@ class TestNoiseCovariance:
         cov = noise_covariance(PointerState(p.grid, p.values, p.weights))
         assert cov.c2 == pytest.approx(PI_HALF, rel=1e-3)
 
+    def test_flat_packet_has_no_dispersion_and_no_config(self):
+        # A flat packet on a dyadic grid has an exactly zero difference
+        # quotient; on a linspace grid np.gradient's rounding leaves a
+        # dispersion near 7.5e-32 instead.
+        from qtraj.meter import PointerState, trapezoid_weights
+
+        grid = np.arange(64) * 0.125 - 4
+        w = trapezoid_weights(grid)
+        pointer = PointerState(grid, np.full(grid.size, 1 / math.sqrt(w.sum()), dtype=complex), w)
+        assert noise_covariance(pointer).sigma2 == 0.0
+        with pytest.raises(ValidationError, match=r"^pointer packet has zero dispersion sigma\^2$"):
+            make_config(pointer=pointer)
+
     def test_interior_zero_rejected(self):
         grid = np.linspace(-6, 6, 513)  # odd count puts a grid point on the node
         vals = np.exp(-0.5 * math.pi * grid ** 2) * np.tanh(grid)

@@ -57,9 +57,9 @@ from qtraj import (
 )
 from qtraj.cli import main
 from qtraj.diffusion import _batch_charge, _diffusion_batch
-from qtraj.ensemble import MasterConfig, master_generator, rk4_solve
-from qtraj.jumps import (_EVENT_BYTES, _SAMPLE_BYTES, EventColumns, _draw_outcomes, _event_bound,
-                         _jump_batch, _PureRows, _schedule)
+from qtraj.ensemble import MasterConfig, check_result_size, master_generator, rk4_solve
+from qtraj.jumps import (EventColumns, _draw_outcomes, _event_charge, _jump_batch, _PureRows,
+                         _schedule)
 from qtraj.linalg import as_matrix, permutation_matrix, spectrum_entropy
 from qtraj.manybody import _densities, _mixing_batch
 from qtraj.meter import trapezoid_weights
@@ -167,12 +167,12 @@ class TestRunTrajectories:
         assert cols.states is None and cols.counts.sum() > 0
 
     def test_event_chunks_hold_the_rows_of_their_byte_budget(self, monkeypatch):
-        # A row is charged _EVENT_BYTES per expected event and _SAMPLE_BYTES
-        # per sample; a budget of 3.5 rows makes chunks of three, which
-        # concatenate to the run of one chunk, and whose series are kept.
+        # A row is charged its batch's bytes per row; a budget of 3.5 rows
+        # makes chunks of three, which concatenate to the run of one chunk,
+        # and whose series are kept.
         cfg, eta, obs = jump_setup("linear")
         whole = run_trajectories(cfg, eta, 1.0, 10, obs, TIMES)
-        row = _SAMPLE_BYTES * len(TIMES) + _EVENT_BYTES * _event_bound(cfg.nu, 1.0)
+        row = _event_charge(cfg.nu, 1.0, len(TIMES))[0]
         monkeypatch.setattr(ensemble, "_EVENT_CHUNK_BYTES", 3.5 * row)
         chunks = list(trajectory_chunks(cfg, eta, 1.0, 10, obs, TIMES))
         assert [c.indices.size for c in chunks] == [3, 3, 3, 1]
@@ -185,11 +185,14 @@ class TestRunTrajectories:
     @pytest.mark.parametrize("rows_that_fit, workers", [(4, 1), (8, 2), (12, 3)])
     def test_workers_capped_by_their_chunks_together(self, monkeypatch, rows_that_fit, workers):
         # Three chunks of 4 paths on 3 CPUs: as many workers run as their
-        # chunks' batch charges fit in memory together, one at the least.
+        # chunks' batch charges fit in memory together beside the columns
+        # the run keeps, one at the least.
         cfg = DiffusionConfig(H=HX, R=R01, gamma=1.0, pointer=gaussian_pointer(256, 6.0), dt=0.1)
         per_path, fixed = _batch_charge(cfg, "coupled", len(TIMES))
         assert fixed == 0
-        monkeypatch.setattr("qtraj.errors.physical_memory", lambda: rows_that_fit * per_path)
+        kept = check_result_size(12, len(TIMES), 0)
+        monkeypatch.setattr("qtraj.errors.physical_memory",
+                            lambda: kept + rows_that_fit * per_path)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setattr(ensemble, "_CHUNK", 4)
         seen = []
@@ -458,7 +461,7 @@ REJECTED_INPUTS = [
     pytest.param(lambda: run_trajectories(dataclasses.replace(jump_setup("normalized")[0],
                                                               nu=1e300),
                                           jump_setup("normalized")[1], 1.0, 2),
-                 r"^n_traj must be at most 0 for 3\.2e\+302-byte result rows, got 2$",
+                 r"^n_traj must be at most 0 for 1\.6e\+301-byte result rows, got 2$",
                  id="events-beyond-memory"),
     # Linear-algebra value types and helpers.
     pytest.param(lambda: StateVector(np.eye(2)),
@@ -587,7 +590,8 @@ class TestBatchInputs:
     def test_events_beyond_memory_rejected_before_draws(self, run, no_draws, monkeypatch):
         monkeypatch.setattr("qtraj.errors.physical_memory", lambda: 2 ** 25)
         with pytest.raises(ValidationError, match=r"^batch rows must be at most 0 for "
-                                                  r"1\.92e\+303-byte event rows, got 1$"):
+                                                  r"1\.92e\+303-byte event rows beyond 1024 "
+                                                  r"fixed bytes, got 1$"):
             run()
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=str)

@@ -94,6 +94,18 @@ class TestMeterConstruction:
     def test_coverage_rule(self):
         assert coverage_half_width(0.5, 3.0) == pytest.approx(7.5)
 
+    def test_plain_array_R_builds_the_same_tables(self):
+        R = HermitianOperator(np.array([[0.5, 1j, 0.0], [-1j, 0.0, 0.25], [0.0, 0.25, -1.0]]))
+        pointer = gaussian_pointer(256, 6.0)
+        meter, plain = MeterModel(0.3, R, pointer), MeterModel(0.3, R.entries.copy(), pointer)
+        assert isinstance(plain.R, HermitianOperator)
+        assert plain.reduction_family.tobytes() == meter.reduction_family.tobytes()
+        assert plain.eigenvectors.tobytes() == meter.eigenvectors.tobytes()
+
+    def test_plain_non_hermitian_R_rejected(self):
+        with pytest.raises(ValidationError, match="is not Hermitian"):
+            MeterModel(0.3, np.array([[0.0, 1.0], [0.0, 1.0]]), gaussian_pointer(256, 6.0))
+
 
 class TestLocalizer:
     def test_kappa_zero_is_scalar(self):

@@ -19,7 +19,6 @@ from qtraj.records import (
     trajectory_writer,
     write_jsonl,
     write_table,
-    write_trajectories,
 )
 
 # An observable name that JSON must escape, sorting after "R" and "H".
@@ -56,7 +55,8 @@ def run_case(engine, mode, sampled, n=30, nu=None):
 def test_encoder_equals_reference_helpers(tmp_path, engine, mode, sampled):
     cfg, cols, refs = run_case(engine, mode, sampled)
     assert cols.counts.sum() > 0
-    write_trajectories(tmp_path / "columns.jsonl", META, cols, cfg.seed)
+    with trajectory_writer(tmp_path / "columns.jsonl", META, cfg.seed) as write:
+        write(cols)
     write_jsonl(tmp_path / "reference.jsonl", META, refs)
     got = (tmp_path / "columns.jsonl").read_text().splitlines()
     want = (tmp_path / "reference.jsonl").read_text().splitlines()
@@ -126,7 +126,8 @@ def test_block_bounds_change_no_byte(tmp_path, monkeypatch, engine, mode):
         empty_starts += sum(cols.counts[a] == 0 for a, _ in blocks)
         own_blocks += sum(size > bound for _, size in sizes)
         shared_blocks += sum(r > 1 for r, _ in sizes)
-        write_trajectories(tmp_path / "columns.jsonl", META, cols, cfg.seed)
+        with trajectory_writer(tmp_path / "columns.jsonl", META, cfg.seed) as write:
+            write(cols)
         assert (tmp_path / "columns.jsonl").read_bytes() == want
     assert empty_starts > 0 and own_blocks > 0 and shared_blocks > 0
 
@@ -142,7 +143,8 @@ def test_non_finite_value_in_the_last_block_is_found_before_writing(tmp_path, mo
     poison(cols, column, row)
     path = tmp_path / "out" / "t.jsonl"
     with pytest.raises(NumericError, match=f"non-finite {key} value .* index={row} "):
-        write_trajectories(path, META, cols, cfg.seed)
+        with trajectory_writer(path, META, cfg.seed) as write:
+            write(cols)
     assert not path.parent.exists()
 
 
@@ -172,7 +174,8 @@ def test_writer_memory_does_not_grow_with_rows(tmp_path, n, samples):
     cols.offsets  # the columns' cumulative event counts, cached on them
     tracemalloc.start()
     try:
-        write_trajectories(tmp_path / "t.jsonl", META, cols, 0)
+        with trajectory_writer(tmp_path / "t.jsonl", META, 0) as write:
+            write(cols)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -207,7 +210,8 @@ def test_non_finite_value_names_seed_and_index(tmp_path, engine, column, key):
     poison(cols, column, row)
     path = tmp_path / "t.jsonl"
     with pytest.raises(NumericError) as err:
-        write_trajectories(path, META, cols, cfg.seed)
+        with trajectory_writer(path, META, cfg.seed) as write:
+            write(cols)
     assert str(err.value) == (
         f"non-finite {key} value in the record of trajectory index={row} "
         f"(seed={cfg.seed}); rerun that index alone to reproduce"

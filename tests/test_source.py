@@ -795,6 +795,70 @@ def test_memory_gate_check_sees_a_mutant():
     assert found in rule_builders(sources, MEMORY_TEXT)
 
 
+# An event batch's charge is written once: the batch's own check, the chunk
+# sizing and the window of trajectory_chunks all read jumps._event_charge,
+# and the window is arithmetic on the count that check_memory returns, with
+# no retry on its error.
+EVENT_CONSTANTS = {"_EVENT_BYTES", "_SAMPLE_BYTES"}
+EVENT_CHARGE = [("jumps.py", "_event_charge")]
+
+
+def constant_readers(sources: dict[str, str], names=EVENT_CONSTANTS) -> list[tuple[str, str]]:
+    """(module, top-level definition) of each read of one of names."""
+    return sorted({(module, getattr(top, "name", "<module>"))
+                   for module, source in sources.items() for top in ast.parse(source).body
+                   for node in ast.walk(top)
+                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                   and node.id in names})
+
+
+def validation_retries(source: str) -> list[int]:
+    """Lines of the handlers of source that catch ValidationError."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ExceptHandler) and node.type is not None
+            and "ValidationError" in ast.unparse(node.type)]
+
+
+def test_one_function_states_the_event_charge():
+    sources = package_sources()
+    assert constant_readers(sources) == EVENT_CHARGE
+    assert validation_retries(sources["ensemble.py"]) == []
+
+
+@pytest.mark.parametrize("module, old, new, found", [
+    # the chunk sizing restating the row formula
+    ("ensemble.py", "        row, fixed = _event_charge(rate, T, sample_times.size, copies)\n",
+     "        row = _SAMPLE_BYTES * sample_times.size + _EVENT_BYTES * _event_bound(rate, T)\n"
+     "        fixed = 0\n", ("ensemble.py", "trajectory_chunks")),
+    # the draws checking their events again
+    ("jumps.py", "    streams = Streams(seed, indices)\n",
+     "    check_memory('batch rows', n, _EVENT_BYTES * events, 'event rows')\n"
+     "    streams = Streams(seed, indices)\n", ("jumps.py", "_event_draws")),
+], ids=["sizing", "draws"])
+def test_event_charge_check_sees_a_mutant(module, old, new, found):
+    sources = package_sources()
+    assert sources[module].count(old) == 1
+    sources[module] = sources[module].replace(old, new)
+    assert found in constant_readers(sources)
+
+
+def test_retry_check_sees_a_mutant():
+    # a worker count found by catching the gate's error
+    source = (PACKAGE / "ensemble.py").read_text()
+    old = "def run_trajectories(\n"
+    assert source.count(old) == 1
+    mutant = source.replace(old, (
+        "def _fitting_workers(n_workers, size, row):\n"
+        "    for n in range(n_workers, 1, -1):\n"
+        "        try:\n"
+        "            check_memory('rows in flight', n * size, row, 'rows')\n"
+        "            return n\n"
+        "        except ValidationError:\n"
+        "            pass\n"
+        "    return 1\n\n\n") + old)
+    assert len(validation_retries(mutant)) == 1
+
+
 # The CLI streams an ensemble run: it consumes trajectory_chunks one chunk
 # at a time, and builds no whole run's columns, as run_trajectories,
 # EventColumns.concat or a concatenation of chunk columns would.
