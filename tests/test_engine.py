@@ -9,6 +9,7 @@ import json
 import math
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -181,6 +182,21 @@ class TestRunTrajectories:
         assert all(np.array_equal(getattr(kept, name), getattr(whole, name))
                    for name in ("indices", "weights", "values", "sample_times"))
         assert kept.names == whole.names and kept.counts is None and kept.final is None
+
+    def test_series_keep_no_chunk_while_the_next_is_drawn(self):
+        # The window of chunks in flight is charged beside the kept series
+        # alone, so a consumed chunk must be freed before the next is drawn.
+        cfg, eta, obs = jump_setup("linear")
+        drawn = []
+
+        def draw(idx):
+            assert all(ref() is None for ref in drawn), "a consumed chunk is still held"
+            cols = _jump_batch(cfg, eta, 1.0, idx, TIMES, obs)
+            drawn.append(weakref.ref(cols))
+            return cols
+
+        kept = series_columns(map(draw, (range(0, 3), range(3, 6), range(6, 8))), 8)
+        assert np.array_equal(kept.indices, np.arange(8))
 
     @pytest.mark.parametrize("rows_that_fit, workers", [(4, 1), (8, 2), (12, 3)])
     def test_workers_capped_by_their_chunks_together(self, monkeypatch, rows_that_fit, workers):
