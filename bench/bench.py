@@ -19,9 +19,13 @@ it stands; ``dirty`` says whether it differs from its commit.
 
 Per workload and metric the file holds the median, the quartiles and the
 raw values, and ``noisy`` when the runs' spread (max - min over the median)
-exceeds the metric's bound in BENCHMARK.json.  With a parent, ``deltas``
-holds the relative change of each median from the parent's, signed so that
-a positive delta is an improvement.
+exceeds the metric's bound in BENCHMARK.json; and the same of each run's
+wall-clock timings (``wall_clock``, uncorrected by the speed probe) and of
+the probe's speed factor over the timed call (``speed_factor_call``), so
+that a gain in the corrected metrics can be told from one in wall time.
+With a parent, ``deltas`` holds the relative change of each median from
+the parent's, signed so that a positive delta is an improvement, the
+wall-clock ones named ``wall_clock.<metric>``.
 """
 
 from __future__ import annotations
@@ -47,13 +51,15 @@ CRITERIA_SCRIPT = (
 )
 
 
-def parse_run(stdout: str) -> tuple[dict, dict]:
-    """(environment block, result object) of the standard output of one
-    perfbench/run.py run: its first JSON line and its last."""
+def parse_run(stdout: str) -> tuple[dict, dict, dict]:
+    """(environment block, run report, result object) of the standard output
+    of one perfbench/run.py run: its first JSON line, the line that holds
+    the report (empty if none does) and its last."""
     lines = [json.loads(line) for line in stdout.splitlines() if line.startswith("{")]
     if not lines or "env" not in lines[0] or "metrics" not in lines[-1]:
         raise ValueError("not the output of perfbench/run.py:\n" + stdout[-2000:])
-    return lines[0]["env"], lines[-1]
+    report = next((line["report"] for line in lines if "report" in line), {})
+    return lines[0]["env"], report, lines[-1]
 
 
 def describe(values: list[float], bound: float | None) -> dict:
@@ -68,22 +74,31 @@ def describe(values: list[float], bound: float | None) -> dict:
 
 
 def summarize(results: list[dict], bounds: dict) -> dict:
-    """Per workload: the runs' correctness and each metric described, from
-    results [{"workload", "seed", "result"}] in run order."""
+    """Per workload: the runs' correctness, each metric and each wall-clock
+    timing described, and the speed factor of the timed calls, from results
+    [{"workload", "seed", "result", "report"}] in run order."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in results):
         runs = [r for r in results if r["workload"] == workload]
-        metrics = {}
+        metrics, wall = {}, {}
         for run in runs:
             for name, metric in run["result"]["metrics"].items():
                 metrics.setdefault(name, []).append(metric["value"])
+            for name, value in run["report"].get("wall_clock", {}).items():
+                wall.setdefault(name, []).append(value)
+        factors = [run["report"]["speed_factor"]["call"] for run in runs
+                   if "speed_factor" in run["report"]]
         out[workload] = {
             "seeds": [run["seed"] for run in runs],
             "correct": all(run["result"]["correct"] for run in runs),
             "failed": sum(run["result"]["failed"] for run in runs),
             "metrics": {name: describe(values, bounds.get(name))
                         for name, values in sorted(metrics.items())},
+            "wall_clock": {name: describe(values, bounds.get(name))
+                           for name, values in sorted(wall.items())},
         }
+        if factors:
+            out[workload]["speed_factor_call"] = describe(factors, None)
     return out
 
 
@@ -92,16 +107,18 @@ def deltas(head: dict, parent: dict, better: dict) -> dict:
     head is better (better[name] is "higher" or "lower")."""
     out = {}
     for workload, summary in head.items():
-        for name, metric in summary["metrics"].items():
-            base = parent.get(workload, {}).get("metrics", {}).get(name)
-            if base is None or not base["median"] or name not in better:
-                continue
-            change = (metric["median"] - base["median"]) / abs(base["median"])
-            out.setdefault(workload, {})[name] = change if better[name] == "higher" else -change
+        for group, prefix in (("metrics", ""), ("wall_clock", "wall_clock.")):
+            for name, metric in summary.get(group, {}).items():
+                base = parent.get(workload, {}).get(group, {}).get(name)
+                if base is None or not base["median"] or name not in better:
+                    continue
+                change = (metric["median"] - base["median"]) / abs(base["median"])
+                out.setdefault(workload, {})[prefix + name] = (
+                    change if better[name] == "higher" else -change)
     return out
 
 
-def run_workload(tree: Path, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
+def run_workload(tree: Path, workload: str, seed: int, seconds: int) -> tuple[dict, dict, dict]:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)], cwd=tree, capture_output=True, text=True, check=True)
@@ -151,11 +168,14 @@ def measure(trees: dict, workloads: list, seeds: list, seconds: int, log) -> dic
         order = list(trees) if k % 2 == 0 else list(trees)[::-1]
         for workload in workloads:
             for tag in order:
-                env, result = run_workload(trees[tag], workload, seed, seconds)
+                env, report, result = run_workload(trees[tag], workload, seed, seconds)
                 out[tag]["env"] = out[tag]["env"] or env
-                out[tag]["runs"].append({"workload": workload, "seed": seed, "result": result})
+                kept = {key: report[key] for key in ("wall_clock", "speed_factor") if key in report}
+                out[tag]["runs"].append({"workload": workload, "seed": seed, "result": result,
+                                         "report": kept})
                 log(f"{tag} {workload} seed {seed}: " + json.dumps(
-                    {n: m["value"] for n, m in result["metrics"].items()}))
+                    {n: m["value"] for n, m in result["metrics"].items()}) + " wall " +
+                    json.dumps(kept.get("wall_clock")))
     for tag in trees:
         out[tag]["tier1"] = run_tier1(trees[tag])
         log(f"{tag} tier-1: {out[tag]['tier1']}")

@@ -3,9 +3,9 @@
 Each criterion is a self-contained check with pinned tolerances; the CLI
 selftest prints the pass/fail table of all of them, and the test suite
 asserts all of them.  Monte-Carlo criteria use fixed seeds, so a failing run
-is reproducible bit for bit.  Criteria 3, 4 and 8 run their ensembles on
-every usable CPU, since ensemble statistics do not depend on the worker
-count.
+is reproducible bit for bit.  Criteria 3, 4, 7 and 8 run their ensembles
+on worker processes on every usable CPU, since ensemble statistics do not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -221,10 +221,8 @@ def criterion_7() -> tuple[bool, str]:
     for dt in (1e-3, 1e-4):
         cfg = DiffusionConfig(H=preset.H, R=R, gamma=1.0, pointer=pointer,
                               dt=dt, seed=SEED + 7)
-        # One worker: the state kernel makes many short numpy calls, and
-        # two threads contending for them ran this criterion 1.4x slower.
         stats = run_ensemble(cfg, eta, T=T, n_traj=10000, sample_times=[T],
-                             equation="linear")
+                             n_workers=usable_cpus(), equation="linear")
         results[dt] = (float(stats.weight_mean[0]), float(stats.weight_se[0]))
     m3, se3 = results[1e-3]
     m4, se4 = results[1e-4]

@@ -6,8 +6,9 @@ A run specification is a JSON object whose fields are documented in
 manifest together with a content hash of the resolved specification, and all
 emitted files carry that hash and the seed in a header line.  jump, many
 and diffuse share one runner: ``timeseries.tsv`` holds the statistics of
-the chunks of ``trajectory_chunks`` and, for the event runs jump and many,
-``trajectories.jsonl`` one record per trajectory.  A ``master`` run also
+the chunks of ``trajectory_chunks``, run on worker processes, and, for the
+event runs jump and many, ``trajectories.jsonl`` one record per trajectory,
+its lines rendered in the workers.  A ``master`` run also
 records its RK4 stability margin, dt * ||generator|| against the bound,
 under ``diagnostics`` in the manifest.  Outputs are byte-identical for a
 fixed specification and seed, independent of the worker count.  An event
@@ -30,7 +31,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -48,6 +49,7 @@ from .ensemble import (
     series_columns,
     trajectory_chunks,
     trajectory_stats,
+    usable_cpus,
 )
 from .errors import SimulationError, ValidationError, check_memory
 from .jumps import JumpConfig
@@ -188,9 +190,10 @@ class RunSpec:
       n_samples >= 1 (10): record times T/n, 2T/n, ..., T.
     - mode: "normalized" (default) or "linear" jump and mixing trajectories.
     - n_traj >= 2 (100), as a standard error needs two trajectories; seed
-      >= 0 (0) and threads >= 1 (1), the worker cap, itself capped at the
-      CPUs the process may use; diffusion runs split only at blocks of 512
-      paths.
+      >= 0 (0) and threads >= 1 (every CPU the process may use), the cap on
+      the worker processes that run the trajectories, itself capped at
+      those CPUs, with no effect on the outputs; diffusion runs split only
+      at blocks of 512 paths.
     - observables (["R"]): array of "R", "H", "projector:k" and inline
       {"name", "matrix"} objects with number or [re, im] entries; an
       operator on one particle is averaged over the particles.
@@ -221,7 +224,7 @@ class RunSpec:
     mode: str = _field(str, "normalized")
     n_traj: int = _field(int, 100)
     seed: int = _field(int, 0)
-    threads: int = _field(int, 1)
+    threads: int = field(default_factory=usable_cpus, metadata={"convert": int})
     observables: list = _field(_array, ["R"])
     nus: list = _field(_floats, [100.0, 1000.0, 10000.0])
     initial_state: object = _field(lambda state: state, "uniform")
@@ -496,9 +499,9 @@ def _diffusion_config(spec: RunSpec, model: _Model, M: int) -> DiffusionConfig:
 
 def _run_ensemble(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
     """jump, many and diffuse: trajectories, their statistics and, for event
-    runs, their records.  The chunks are consumed as they are drawn: an
-    event chunk's records are written, and every chunk's series kept for
-    the statistics, before the next chunk is drawn."""
+    runs, their records.  The chunks are consumed in index order as they
+    finish: an event chunk's records are written, and every chunk's series
+    kept for the statistics, while the workers draw the chunks ahead."""
     if spec.experiment == "jump":
         cfg = JumpConfig(H=model.H, meter=model.meter, nu=model.nu, hbar=model.hbar,
                          seed=spec.seed, mode=spec.mode)
@@ -513,13 +516,14 @@ def _run_ensemble(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
         initial = _product_state(model.eta_single, M).density()
     obs = _observable_matrices(spec, model, M)
     check_result_size(spec.n_traj, spec.n_samples, len(obs))
+    keep = "series" if spec.experiment == "diffuse" else "records"
     chunks = trajectory_chunks(cfg, initial, spec.T, spec.n_traj, observables=obs,
                                sample_times=_sample_times(spec), n_workers=spec.threads,
-                               equation=equation)
+                               equation=equation, keep=keep)
     records = nullcontext(lambda chunk: chunk)  # diffusion paths have no records
-    if spec.experiment != "diffuse":
-        records = trajectory_writer(outdir / "trajectories.jsonl", meta, spec.seed)
-    with records as write:
+    if keep == "records":
+        records = trajectory_writer(outdir / "trajectories.jsonl", meta)
+    with closing(chunks), records as write:  # closing joins the workers of a failed run
         cols = series_columns(map(write, chunks), spec.n_traj)
     table = _stats_columns(trajectory_stats(cols))
     if spec.experiment == "many":
@@ -632,7 +636,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", help="path to a JSON run specification")
         p.add_argument("--seed", type=int, help="override the seed")
         p.add_argument("--traj", type=int, help="override the trajectory count")
-        p.add_argument("--threads", type=int, help="worker cap (does not affect results)")
+        p.add_argument("--threads", type=int,
+                       help="worker processes (default: every usable CPU; does not affect "
+                            "the outputs)")
         p.add_argument("--out", help="output directory")
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--only", help="comma-separated criterion numbers")

@@ -30,13 +30,16 @@ finish.  Each chunk is one batch of its engine: the event engine of
 elementwise in a basis of H's eigenvectors, reductions elementwise in R's
 eigenbasis), or its equation's batched kernel for diffusion paths.  Every
 batch returns columns (:class:`EventColumns`), with no object per
-trajectory, and drops its states.  :func:`run_trajectories` concatenates
-the chunks; :func:`series_columns` keeps only what :func:`trajectory_stats`
-aggregates, so a run that streams its chunks holds one chunk per worker
-besides those series.  Event rows are bit-identical in any chunk and
-diffusion chunks do not depend on the worker count; aggregation uses exact
-compensated summation in trajectory-index order, so serial and parallel
-runs produce identical statistics.  The jump-to-diffusion bridge
+trajectory, and drops its states.  The chunks run on forked worker
+processes (:func:`_map_chunks`), which return what the caller keeps: whole
+columns for :func:`run_trajectories`, which concatenates them, or the
+series alone for :func:`series_columns`, with an event chunk's
+trajectories.jsonl lines rendered beside them for the CLI.  A run that
+streams its chunks holds one window of chunks besides the kept series.
+Event rows are bit-identical in any chunk and diffusion chunks do not
+depend on the worker count; aggregation uses exact compensated summation
+in trajectory-index order, so serial and parallel runs produce identical
+statistics.  The jump-to-diffusion bridge
 compares generators directly (as closed-form superoperator matrices,
 :meth:`MasterGenerator.superop`), which keeps
 Monte-Carlo noise out of the convergence-rate measurement.
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from itertools import chain, islice, repeat
@@ -54,7 +57,7 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from .diffusion import DiffusionConfig, _batch_charge, _diffusion_batch
-from .errors import NumericError, ValidationError, check_memory
+from .errors import NumericError, SimulationError, ValidationError, check_memory
 from .jumps import (EventColumns, JumpConfig, _event_bound, _event_charge, _jump_batch,
                     _record_times, _step_grid)
 from .linalg import (
@@ -73,6 +76,7 @@ from .linalg import (
 )
 from .manybody import ManyBodyConfig, _mixing_batch
 from .meter import MeterModel, build_gaussian_meter
+from .records import encode, text_bytes
 
 MASTER_MODES = ("jump-averaged", "diffusive")
 # Stability bound of rk4_solve on dt * ||generator||.
@@ -89,15 +93,17 @@ RK4_MATRIX_MAX_DIM = 16
 # Paths per diffusion chunk, and rows per event chunk at most.  Event
 # chunks are further sized by bytes: the rows of an event chunk, at their
 # batch's charge per row (jumps._event_charge), fit within
-# _EVENT_CHUNK_BYTES, and beside the kept columns.  That is 512 rows on the
-# jump-lattice workload, and 50 on the jump run spec at nu = 1e4 (d = 8,
-# 3.3 MB a row), the most rows whose peak holds over many chunks: ru_maxrss
-# of that run at 100 and 1000 trajectories was 92.7 and 99.3 MB in chunks
-# of 38 rows, 100.8 and 106.9 at 44, 108.8 and 116.3 at 50, 106.2 and
-# 125.2 at 56 and 115.4 and 136.0 at 64 (156.8 and 695.7 unchunked).  The
-# loop costs about 36 us a step beside 0.9 us a row and step, so fewer rows
-# cost time: 1000 trajectories took 38.2 and 40.3 s of CPU at 38 rows, 29.4
-# and 27.7 at 50, and 20.4 and 17.5 unchunked.
+# _EVENT_CHUNK_BYTES, and beside the kept columns; and they are at most a
+# 1/n share of the run, n the workers, so that every worker has a chunk.
+# That is 512 rows on the jump-lattice workload, and 50 on the jump run
+# spec at nu = 1e4 (d = 8, 3.3 MB a row), the most rows whose peak holds
+# over many chunks in one process (each worker process holds its own
+# chunk): ru_maxrss of that run at 100 and 1000 trajectories was 92.7 and
+# 99.3 MB in chunks of 38 rows, 100.8 and 106.9 at 44, 108.8 and 116.3 at
+# 50, 106.2 and 125.2 at 56 and 115.4 and 136.0 at 64 (156.8 and 695.7
+# unchunked).  The loop costs about 36 us a step beside 0.9 us a row and
+# step, so fewer rows cost time: 1000 trajectories took 38.2 and 40.3 s of
+# CPU at 38 rows, 29.4 and 27.7 at 50, and 20.4 and 17.5 unchunked.
 # A mixing chunk's rows of S_M copy blocks, C(d^2 + M - 1, M) entries each,
 # also fit in _MIXING_BATCH_BYTES: 48 rows at D = 64 and 10 at D = 256.  An
 # event needs only each branch's block of Y per row, so larger mixing
@@ -447,17 +453,23 @@ def check_result_size(n_traj: int, n_samples: int, n_observables: int,
     exists.  A row keeps its index, event count, log weight and final norm
     or trace; per sample a weight, entropy, minimum eigenvalue and one value
     per observable; and per event (events a bound on its event count,
-    :func:`qtraj.jumps._event_bound`) a time and an outcome, as
-    :func:`run_trajectories` keeps them, 8 bytes each.
+    :func:`qtraj.jumps._event_bound`, where the events are kept) a time and
+    an outcome, as :func:`run_trajectories` keeps them, 8 bytes each.
 
-    The chunks in flight are charged beside these columns by
-    :func:`trajectory_chunks`, and the record text is held one block at a
-    time (:func:`qtraj.records.trajectory_writer`)."""
+    The window of chunks beside these columns is charged by
+    :func:`trajectory_chunks`."""
     record_bytes = 8 * (3 + n_observables)
     check_memory("n_samples", n_samples, record_bytes, "records", fixed=32)
     row = 32 + n_samples * record_bytes + 16 * events
     check_memory("n_traj", n_traj, row, "result rows")
     return n_traj * math.ceil(row)
+
+
+# The per-sample series of a row, all that trajectory_stats reads.
+SERIES = ("weights", "values", "entropy", "min_eig")
+# What trajectory_chunks yields of each chunk: its whole columns (states
+# dropped), its series alone, or its series and its trajectories.jsonl lines.
+KEEP = ("events", "series", "records")
 
 
 def trajectory_chunks(
@@ -469,38 +481,56 @@ def trajectory_chunks(
     sample_times=None,
     n_workers: int = 1,
     equation: str | None = None,
+    keep: str = "events",
 ):
     """The columns of trajectories 0..n_traj-1 of any stochastic config, as
     an iterator over consecutive chunks of rows in index order; row i is
     trajectory i, which uses the random stream (cfg.seed, i).
 
-    n_traj, the config type and sample_times (default: T) are validated,
-    and the run's memory decided, when this is called, before anything is
-    drawn; each batch checks its own inputs (initial state, observables,
-    equation) and its own charge when it runs.  equation is the density
-    mode of a ManyBodyConfig (default "normalized") and the equation of a
-    DiffusionConfig (required, see :func:`run_ensemble`); a JumpConfig
-    carries its own mode and takes none.
+    n_traj, keep, the config type and sample_times (default: T) are
+    validated, and the run's memory decided, when this is called, before
+    anything is drawn; each batch checks its own inputs (initial state,
+    observables, equation) and its own charge when it runs.  equation is
+    the density mode of a ManyBodyConfig (default "normalized") and the
+    equation of a DiffusionConfig (required, see :func:`run_ensemble`); a
+    JumpConfig carries its own mode and takes none.
 
-    Each chunk is one batch of its engine, run as the iterator is consumed,
-    whose states (final rows, or a diffusion batch's recorded states) are
-    dropped.  The memory rule: the columns the run keeps
-    (:func:`check_result_size`) and one window of n_workers chunks in
-    flight must fit, each chunk charged rows times its batch's bytes per row
-    plus its fixed bytes (:func:`qtraj.jumps._event_charge`,
-    :func:`qtraj.diffusion._batch_charge`).  Event rows are bit-identical in
-    any chunk, so an event chunk holds at most _CHUNK rows, a 1/n share, n
+    Each chunk is one batch of its engine, run where the chunk runs, in a
+    worker process or in-process (:func:`_map_chunks`), whose states (final
+    rows, or a diffusion batch's recorded states) are dropped there.  keep
+    (:data:`KEEP`) says what comes back of it: "events" its columns, events
+    included; "series" its indices and per-sample series (:data:`SERIES`),
+    all :func:`series_columns` reads; "records", for event configs, the pair
+    of those series and the chunk's trajectories.jsonl lines
+    (:func:`qtraj.records.encode`, seeded cfg.seed), scanned where the
+    chunk ran and rendered there whole in a worker, or lazily, block by
+    block as they are written, in-process.
+
+    The memory rule: the columns the run keeps (:func:`check_result_size`,
+    events included only with keep "events") and one window of chunks must
+    fit.  In-process the window is one chunk, charged rows times its
+    batch's bytes per row plus its fixed bytes
+    (:func:`qtraj.jumps._event_charge`, :func:`qtraj.diffusion._batch_charge`).
+    A pool of n workers holds n chunks ahead of the one the parent
+    consumes, each in its batch or finished and waiting for the parent as
+    its result: its kept columns and lines (:func:`qtraj.records.text_bytes`
+    a row).  Each of these n + 1 chunks is charged its batch plus its
+    result.  Event rows are bit-identical in any
+    chunk, so an event chunk holds at most _CHUNK rows, a 1/n share, n
     being n_workers capped at :func:`usable_cpus`, the rows that fit in
     _EVENT_CHUNK_BYTES (for mixing rows also in _MIXING_BATCH_BYTES, sized
     from the copy-block row) and the rows that fit beside the kept columns.
     Density paths agree with other batch sizes only to rounding, so a
     diffusion chunk holds _CHUNK paths whatever n_workers and memory.  The
     run fails before any draw unless the kept columns and one chunk (of one
-    row, for events) fit; then n_workers falls until the window fits, and
-    n_workers chunks run at a time (:func:`_map_chunks`).
+    row, for events) fit; then the worker count, min(n_workers, chunks,
+    usable CPUs), falls until the pool's window fits, to one (in-process)
+    at the least, before any process starts.
     """
     check_integer("n_traj", n_traj, 1)
     sample_times = _record_times(sample_times, T)
+    if keep not in KEEP:
+        raise ValidationError(f"keep must be one of {KEEP}, got {keep!r}")
     n_workers = max(1, min(n_workers, usable_cpus()))
     kw = {"sample_times": sample_times, "observables": observables}
     if isinstance(cfg, (JumpConfig, ManyBodyConfig)):
@@ -518,22 +548,41 @@ def trajectory_chunks(
         size = min(size, -(-n_traj // n_workers), max(1, int(_EVENT_CHUNK_BYTES // row)))
         least = 1
     elif isinstance(cfg, DiffusionConfig):
+        if keep == "records":
+            raise ValidationError("diffusion paths have no records; keep 'events' or 'series'")
         rate, size = 0.0, min(_CHUNK, n_traj)
         least = size
         row, fixed = _batch_charge(cfg, equation, sample_times.size)
         batch = partial(_diffusion_batch, cfg, initial, T, equation, **kw)
     else:
         raise ValidationError(f"unsupported config type {type(cfg).__name__}")
-    kept = check_result_size(n_traj, sample_times.size, len(observables or {}),
-                             _event_bound(rate, T))
+    n_obs, events = len(observables or {}), _event_bound(rate, T)
+    kept = check_result_size(n_traj, sample_times.size, n_obs, events * (keep == "events"))
     # An event chunk shrinks to the rows that fit beside the kept columns,
     # one row at the least; a diffusion chunk must fit whole.
     size = min(size, check_memory("rows of a chunk beside the kept columns", least, row,
                                   "rows", fixed=kept + fixed))
-    n_workers = min(n_workers, -(-n_traj // size),
-                    check_memory("chunks in flight", 1, size * row + fixed, "chunks", fixed=kept))
+    result = kept // n_traj
+    if keep == "records":
+        result += text_bytes(events, sample_times.size, n_obs, isinstance(cfg, ManyBodyConfig))
+    # How many chunks of a pool's window fit (a count of 0 never raises,
+    # as the kept columns fit).
+    fit = check_memory("chunks in flight", 0, size * (row + result) + fixed, "chunks", fixed=kept)
+    n_workers = min(n_workers, -(-n_traj // size), max(1, fit - 1))
+
+    def run(idx):
+        cols = replace(batch(idx), states=None)
+        if keep == "events":
+            return cols
+        series = EventColumns(indices=cols.indices, sample_times=cols.sample_times,
+                              names=cols.names, **{name: getattr(cols, name) for name in SERIES})
+        if keep == "series":
+            return series
+        lines = encode(cfg.seed, cols)
+        return series, list(lines) if n_workers > 1 else lines
+
     chunks = (range(lo, min(lo + size, n_traj)) for lo in range(0, n_traj, size))
-    return _map_chunks(lambda idx: replace(batch(idx), states=None), chunks, n_workers)
+    return _map_chunks(run, chunks, n_workers)
 
 
 def run_trajectories(
@@ -548,21 +597,18 @@ def run_trajectories(
 ) -> EventColumns:
     """Columns of trajectories 0..n_traj-1 of any stochastic config, row i
     being trajectory i: the chunks of :func:`trajectory_chunks`, with the
-    same arguments, concatenated in index order, events included.  Use
-    :func:`series_columns` where the per-sample series are enough."""
+    same arguments, concatenated in index order, events included, and
+    charged as kept.  Use :func:`series_columns` where the per-sample series
+    are enough."""
     return EventColumns.concat(list(trajectory_chunks(
         cfg, initial, T, n_traj, observables, sample_times, n_workers, equation)))
-
-
-# The per-sample series of a row, all that trajectory_stats reads.
-SERIES = ("weights", "values", "entropy", "min_eig")
 
 
 def series_columns(chunks, n_traj: int) -> EventColumns:
     """The indices and per-sample series (:data:`SERIES`) of n_traj rows,
     from chunks of their columns in index order, such as those of
     :func:`trajectory_chunks`: each is copied into an array allocated once,
-    at the first chunk, so a chunk is dropped once the next is drawn.
+    at the first chunk, so a chunk is dropped once the next is taken.
     Events, final values and log weights are not kept."""
     out, lo = None, 0
     for cols in chunks:
@@ -634,7 +680,8 @@ def run_ensemble(
         _record_times(None, T)  # T, before its ten steps are built from it
         sample_times = np.linspace(T / 10.0, T, 10)
     return trajectory_stats(series_columns(trajectory_chunks(
-        cfg, initial, T, n_traj, observables, sample_times, n_workers, equation), n_traj))
+        cfg, initial, T, n_traj, observables, sample_times, n_workers, equation, "series"),
+        n_traj))
 
 
 def usable_cpus() -> int:
@@ -643,17 +690,52 @@ def usable_cpus() -> int:
     return cpus or 1
 
 
+# The chunk function of a forked worker process, set by _install at its
+# start: it is inherited through the fork, never pickled.
+_task = None
+
+
+def _install(worker):
+    global _task
+    _task = worker
+
+
+def _run_task(idx):
+    return _task(idx)
+
+
 def _map_chunks(worker, chunks, n_workers: int):
     """An iterator over worker of each of chunks (an iterator), in order.
-    On n_workers threads, windows of n_workers chunks are mapped one after
-    the other, so no more than n_workers chunks are in flight, where
-    Executor.map over every chunk would submit them all at once."""
-    if n_workers <= 1:
+
+    One worker, or a platform without fork, maps in-process.  Otherwise
+    n_workers forked processes run the chunks: each inherits worker at the
+    fork, and only index ranges and results cross between processes.  Up
+    to n_workers chunks run ahead of the one the consumer holds, and their
+    results are yielded in index order, so a failing chunk raises when its
+    turn comes, as it would in-process, and a worker that dies raises a
+    SimulationError.  When the iterator ends, fails or is closed, the
+    chunks not yet started are cancelled and every worker is joined."""
+    if n_workers <= 1 or not hasattr(os, "fork"):
         yield from map(worker, chunks)
         return
-    with ThreadPoolExecutor(max_workers=n_workers) as ex:
-        while window := list(islice(chunks, n_workers)):
-            yield from ex.map(worker, window)
+    # Loaded here, so that a process that starts no pool never loads them.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(n_workers, mp_context=get_context("fork"), initializer=_install,
+                               initargs=(worker,))
+    try:
+        ahead = deque(pool.submit(_run_task, idx) for idx in islice(chunks, n_workers))
+        while ahead:
+            current = ahead.popleft()
+            ahead.extend(pool.submit(_run_task, idx) for idx in islice(chunks, 1))
+            yield current.result()
+    except BrokenProcessPool as exc:
+        raise SimulationError("a worker process ended abruptly, killed or out of memory; "
+                              "rerun with one worker to run every chunk in-process") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass

@@ -5,17 +5,18 @@ Numbers are written with 17 significant digits (round-trip exact for IEEE
 doubles) and all dictionary output is key-sorted, so a rerun with the same
 configuration and seed reproduces every output byte for byte.
 
-trajectories.jsonl is written from chunks of event columns, each in two
-passes: a scan of every column for non-finite values, which writes
-nothing, then blocks of consecutive rows, each rendered and written before
-the next.  A block renders at most BLOCK_NUMBERS numbers, or one row, so
-the writer holds the text of one block beyond the columns at any one time,
-whatever the event and sample counts.  :func:`trajectory_writer` writes a
-run chunk by chunk, as its chunks are drawn: each chunk is scanned, then
-written block by block, to a temporary name beside the file, which is
-renamed to the file once every chunk is written and removed if any step
-fails, so a rejected run leaves no partial file, and no directory it made,
-behind.
+trajectories.jsonl is written from chunks of event columns, each encoded
+in two steps by :func:`encode`: a scan of every column for non-finite
+values, which renders nothing, then blocks of consecutive rows, each
+rendered as the lines are consumed.  A block renders at most BLOCK_NUMBERS
+numbers, or one row, so a writer that consumes the lines as they come
+holds the text of one block beyond the columns, whatever the event and
+sample counts.  A worker process renders its chunk's lines whole, to send
+them to the parent, which writes them in index order.
+:func:`trajectory_writer` writes a run chunk by chunk, as its chunks
+arrive, to a temporary name beside the file, which is renamed to the file
+once every chunk is written and removed if any step fails, so a rejected
+run leaves no partial file, and no directory it made, behind.
 """
 
 from __future__ import annotations
@@ -34,11 +35,21 @@ from .errors import NumericError
 # Bound on the numbers one block of trajectories.jsonl rows renders, where
 # a row's keys weigh 17 numbers beyond its index, log weight and final
 # value (see _blocks).  Traced text costs about 20 bytes a sample number,
-# 100 an event and 470 a row's rest, so a block holds about 280 jump-lattice
-# rows (about 100 numbers each: 20 events and 10 samples of three series),
-# and the writer peaks at about 1.1 MB there.  A row beyond the bound is a
-# block of its own.
+# 100 an event and 470 a row's rest (text_bytes), so a block holds about
+# 280 jump-lattice rows (about 100 numbers each: 20 events and 10 samples of
+# three series), and a writer that writes each block before the next is
+# rendered peaks at about 1.1 MB there.  A row beyond the bound is a block
+# of its own.  A chunk rendered whole, in a worker process, holds its whole
+# text until the parent has written it, as trajectory_chunks charges it.
 BLOCK_NUMBERS = 28_000
+
+
+def text_bytes(events: float, n_samples: int, n_observables: int, density: bool) -> float:
+    """The traced bytes of one row's trajectories.jsonl text, rendered and
+    held, for a row of the given event count and samples: per sample its
+    time, weight, observables and, for densities, entropy and minimum
+    eigenvalue."""
+    return 470 + 100 * events + 20 * (2 + n_observables + 2 * density) * n_samples
 
 
 def fmt(x) -> str:
@@ -143,9 +154,15 @@ def _non_finite(cols, key: str, a: np.ndarray, seed: int) -> NumericError:
                         "reproduce")
 
 
-def _append(f, seed: int, cols):
-    """Scan one chunk's columns for non-finite values, then write its lines
-    to f block by block; returns cols."""
+def encode(seed: int, cols):
+    """The lines of a chunk of event columns in trajectories.jsonl, as an
+    iterator: every column is scanned for non-finite values first, and a
+    NumericError names the seed and the first such row of the chunk before
+    anything is rendered; then the rows are rendered block by block
+    (:func:`_blocks`) as the lines are consumed, each pointer reading
+    rendered once, and the sample times and each distinct series row once
+    per block.  Line r equals json_dumps_stable of jump_trajectory_record
+    (density_trajectory_record) of row r's trajectory."""
     density = cols.entropy is not None
     numeric = {"final_trace" if density else "final_norm2": cols.final,
                "log_weight": cols.log_weight, "trace" if density else "norm2": cols.weights}
@@ -155,29 +172,33 @@ def _append(f, seed: int, cols):
         if not np.isfinite(a).all():
             raise _non_finite(cols, key, a, seed)
     grid = list(map(float.__repr__, cols.grid.tolist()))
-    for a, b in _blocks(cols):
-        f.writelines(_lines(cols, numeric, grid, str(seed), a, b))
+
+    def lines():
+        for a, b in _blocks(cols):
+            yield from _lines(cols, numeric, grid, str(seed), a, b)
+    return lines()
+
+
+def _write(f, chunk):
+    """Write the lines of chunk, a pair of columns and their lines, to f;
+    returns the columns."""
+    cols, lines = chunk
+    f.writelines(lines)
     return cols
 
 
 @contextmanager
-def trajectory_writer(path, meta: dict, seed: int):
+def trajectory_writer(path, meta: dict):
     """Write the trajectories.jsonl of a jump or mixing run chunk by chunk:
-    yields write(cols), which appends the lines of a chunk of event columns
-    (the next rows in index order) and returns cols.  Line r of a chunk
-    equals json_dumps_stable of jump_trajectory_record
-    (density_trajectory_record) of row r's trajectory.  The rows are
-    rendered and written block by block (:func:`_blocks`), each pointer
-    reading rendered once, and the sample times and each distinct series
-    row once per block.
+    yields write(chunk), which appends the lines of chunk, a pair of
+    columns and their lines (:func:`encode`) such as trajectory_chunks
+    yields with keep="records", the next rows in index order, and returns
+    the columns.
 
-    write scans its chunk first, and a non-finite value raises
-    NumericError, naming the seed and the first such row of the chunk,
-    before the chunk is written.  The file is written under the temporary
-    name path + ".part", in path's directory, and renamed to path when the
-    block ends.  If the block raises, the partial
-    file is removed, and so is every directory made for it, before the
-    error propagates."""
+    The file is written under the temporary name path + ".part", in path's
+    directory, and renamed to path when the block ends.  If the block
+    raises, the partial file is removed, and so is every directory made for
+    it, before the error propagates."""
     path = Path(path)
     made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
     part = path.with_name(path.name + ".part")
@@ -185,7 +206,7 @@ def trajectory_writer(path, meta: dict, seed: int):
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(part, "w") as out:
             out.write(json_dumps_stable({"type": "meta", **meta}) + "\n")
-            yield partial(_append, out, int(seed))
+            yield partial(_write, out)
         part.replace(path)
     except BaseException:
         part.unlink(missing_ok=True)

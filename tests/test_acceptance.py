@@ -1,9 +1,11 @@
 """The acceptance criteria through the same entry point as ``qtraj
 selftest``, with their seeds, trajectory counts and bounds unchanged."""
 
+import os
 from pathlib import Path
 
 import pytest
+from test_cli import count_starts
 
 from qtraj import acceptance
 
@@ -32,3 +34,10 @@ def fake_cli(code, name):
 def test_criterion_11_fails(monkeypatch, code, name, detail):
     monkeypatch.setattr("qtraj.cli.main", fake_cli(code, name))
     assert acceptance.criterion_11() == (False, detail)
+
+
+def test_criterion_11_compares_an_in_process_run_with_two_workers(monkeypatch):
+    started = count_starts(monkeypatch, 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert acceptance.criterion_11()[0]
+    assert len(started) == 2

@@ -1,8 +1,10 @@
 import filecmp
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 
 from qtraj import (
     DiffusionConfig,
+    NumericError,
     StateVector,
     ValidationError,
     acceptance,
@@ -19,6 +22,7 @@ from qtraj import (
     get_preset,
     jump_to_diffusion_bridge,
     preset_meter,
+    records,
 )
 from qtraj.cli import (
     EXPERIMENTS,
@@ -56,10 +60,11 @@ def run_module(args, cwd):
 
 
 def chunk_sizes(monkeypatch) -> list[int]:
-    """The rows of each chunk that the next run draws, in order."""
+    """The rows of each chunk that the next run draws, in order, recorded
+    in the parent as each chunk is handed to its worker."""
     sizes, run = [], ensemble._map_chunks
     monkeypatch.setattr(ensemble, "_map_chunks", lambda worker, chunks, n: run(
-        lambda idx: sizes.append(len(idx)) or worker(idx), chunks, n))
+        worker, (sizes.append(len(idx)) or idx for idx in chunks), n))
     return sizes
 
 
@@ -483,23 +488,26 @@ class TestExitCodes:
             "error: n_traj must be at most 6 for 64000032-byte result rows, got 100\n")
 
     @pytest.mark.parametrize("command, spec_fields, message", [
-        # The kept columns: 16 bytes for each of 4 sigma above nu T events,
-        # and 352 bytes of row and samples.
+        # The CLI keeps no events, only 352 bytes of row and samples; a row
+        # in flight is charged 320 bytes for each of 4 sigma above nu T
+        # events, and 1280 for its samples.
         pytest.param("jump", {"overrides": {"nu": 1e9}, "n_traj": 2},
-                     "n_traj must be at most 0 for 16002024210-byte result rows, got 2",
+                     "rows of a chunk beside the kept columns must be at most 0 for "
+                     "320040478435-byte rows beyond 10944 fixed bytes, got 1",
                      id="jump-rows-of-events"),
         pytest.param("many", {"overrides": {"nu": 1e300}, "n_traj": 2},
-                     "n_traj must be at most 0 for 3.2e+301-byte result rows, got 2",
-                     id="many-rows-of-events"),
-        # 101264.9 events at nu T = 1e5
-        pytest.param("jump", {"overrides": {"nu": 1e5}, "n_traj": 100},
-                     "n_traj must be at most 61 for 1620591-byte result rows, got 100",
-                     id="jump-n_traj"),
-        # The kept columns of 60 rows fit, with no room for a chunk of one
-        # row (32.4 MB of events) beside them.
-        pytest.param("jump", {"overrides": {"nu": 1e5}, "n_traj": 60},
                      "rows of a chunk beside the kept columns must be at most 0 for "
-                     "32406052-byte rows beyond 97245700 fixed bytes, got 1",
+                     "6.4e+302-byte rows beyond 10944 fixed bytes, got 1",
+                     id="many-rows-of-events"),
+        # 284 090 kept rows fit at nu T = 1e5, as at any rate.
+        pytest.param("jump", {"overrides": {"nu": 1e5}, "n_traj": 10 ** 6},
+                     "n_traj must be at most 284090 for 352-byte result rows, got 1000000",
+                     id="jump-n_traj"),
+        # The kept columns of 200 000 rows fit, with no room for a chunk of
+        # one row (32.4 MB of events in flight, 101264.9 events) beside them.
+        pytest.param("jump", {"overrides": {"nu": 1e5}, "n_traj": 200_000},
+                     "rows of a chunk beside the kept columns must be at most 0 for "
+                     "32406052-byte rows beyond 70410240 fixed bytes, got 1",
                      id="jump-chunk"),
     ])
     def test_events_beyond_memory_exit_2_before_any_draw(self, tmp_path, capsys, monkeypatch,
@@ -512,6 +520,29 @@ class TestExitCodes:
         spec = write_spec(tmp_path / "s.json", experiment=command, **spec_fields)
         assert main([command, "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_high_rate_rows_pass_the_gate_with_no_events_kept(self, tmp_path, monkeypatch):
+        # At nu = 1e5 a row that the CLI keeps is 352 bytes of series, and
+        # no events, so 100 rows pass a 100 MB gate; they run in chunks of
+        # the 3 rows whose 32.4 MB of events in flight fit beside them, and
+        # in-process, since a pool's window of three such chunks does not
+        # fit.  The chunks are recorded, not drawn.
+        class Undrawn(Exception):
+            pass
+
+        def record(worker, chunks, n_workers):
+            seen.append((n_workers, [len(idx) for idx in chunks]))
+            raise Undrawn
+
+        seen = []
+        monkeypatch.setattr("qtraj.ensemble._map_chunks", record)
+        monkeypatch.setattr("qtraj.errors.physical_memory", lambda: 100_000_000)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        spec = write_spec(tmp_path / "s.json", experiment="jump", overrides={"nu": 1e5},
+                          n_traj=100)
+        with pytest.raises(Undrawn):
+            main(["jump", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert seen == [(1, [3] * 33 + [1])]
 
     @pytest.mark.parametrize("overrides, fields, message", [
         # the step kernel's D^2 x D^2 matrices
@@ -613,10 +644,12 @@ class TestExitCodes:
         # beside the series that the 16 rows keep.  At 4 MiB, 2800 samples
         # leave no room for a chunk of one row, and nothing is drawn; 930
         # samples at 3 MiB and 2800 at 8 MiB run in chunks of fewer rows,
-        # within 1.1 times the bound.  A first run loads what a process
-        # loads once, and no charge covers (numpy.ma, at the first
-        # np.unique call, is 1 MB).
-        assert main([command, "--traj", "2", "--out", str(tmp_path / "first")]) == 0
+        # within 1.1 times the bound, on one worker, in-process, where the
+        # peak is traced.  A first run, in-process too, loads what a process
+        # loads once, and no charge covers (numpy.ma, at the first np.unique
+        # call, is 1 MB).
+        assert main([command, "--traj", "2", "--threads", "1",
+                     "--out", str(tmp_path / "first")]) == 0
         for n_samples, bound, want in [(2800, 2 ** 22, 2), (930, 3 << 20, 0),
                                        (2800, 2 ** 23, 0)]:
             monkeypatch.setattr("qtraj.errors.physical_memory", lambda: bound)
@@ -625,7 +658,8 @@ class TestExitCodes:
                               n_samples=n_samples)
             tracemalloc.start()
             try:
-                code = main([command, "--spec", str(spec), "--out", str(tmp_path / "o")])
+                code = main([command, "--spec", str(spec), "--threads", "1",
+                             "--out", str(tmp_path / "o")])
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -683,12 +717,14 @@ class TestStreamedRuns:
         # Four times the rows may add only what each added row keeps for the
         # statistics, its index, weights and values (8 + 2 * 10 * 8 bytes),
         # and 10%.  A run that held every row's events, records and final
-        # state to its end added about 2.5 times the kept series.
+        # state to its end added about 2.5 times the kept series.  One
+        # worker, in-process, where the whole run is traced.
         def peak(n_traj):
             spec = write_spec(tmp_path / "s.json", experiment="jump", n_traj=n_traj)
             tracemalloc.start()
             try:
-                assert main(["jump", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
+                assert main(["jump", "--spec", str(spec), "--threads", "1",
+                             "--out", str(tmp_path / "o")]) == 0
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -699,10 +735,11 @@ class TestStreamedRuns:
         assert large - small <= kept + 0.1 * small, (small, large, kept)
 
     def test_high_rate_rows_run_in_chunks_that_fit(self, tmp_path, monkeypatch):
-        # At nu = 1e5 a row is charged 0.7 MB for its events in flight and
-        # keeps 35 kB of them.  Four such rows do not fit in 2 MB at once,
-        # but chunks of two beside the kept columns of four do, and they
-        # write the bytes of an unbounded run.
+        # At nu = 1e5 a row is charged 0.7 MB for its events in flight, and
+        # the CLI keeps none of them.  Four such rows do not fit in 2 MB at
+        # once, but chunks of two beside the kept columns of four do, on one
+        # worker, in-process, where the peak is traced; and they write the
+        # bytes of an unbounded run on every usable CPU.
         spec = write_spec(tmp_path / "s.json", experiment="jump", overrides={"nu": 1e5},
                           T=0.02, n_traj=4)
         assert main(["jump", "--spec", str(spec), "--out", str(tmp_path / "free")]) == 0
@@ -712,7 +749,8 @@ class TestStreamedRuns:
         sizes = chunk_sizes(monkeypatch)
         tracemalloc.start()
         try:
-            assert main(["jump", "--spec", str(spec), "--out", str(tmp_path / "bounded")]) == 0
+            assert main(["jump", "--spec", str(spec), "--threads", "1",
+                         "--out", str(tmp_path / "bounded")]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -721,13 +759,17 @@ class TestStreamedRuns:
 
     def test_concurrent_state_batches_are_charged_together(self, tmp_path, monkeypatch):
         # One batch of 512 d = 16 paths of 200 records is charged 65 MB and
-        # fits in 75 MB beside the 7 MB of series that the run keeps; two at
-        # once, as two threads would run them, do not, so the run takes one
-        # thread and stays within the bound.  Two threads peaked at 1.63
-        # times 70 MB.
+        # fits in 75 MB beside the 7 MB of series that the run keeps; a pool
+        # of two workers, holding two such chunks ahead of the one the
+        # parent consumes, does not, so the run takes one worker, starts no
+        # process, and stays within the bound, traced in-process.  Two
+        # threads running two batches at once peaked at 1.63 times 70 MB.
         bound = 75_000_000
         monkeypatch.setattr("qtraj.errors.physical_memory", lambda: bound)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        workers, run = [], ensemble._map_chunks
+        monkeypatch.setattr(ensemble, "_map_chunks",
+                            lambda worker, chunks, n: workers.append(n) or run(worker, chunks, n))
         spec = write_spec(tmp_path / "s.json", experiment="diffuse", equation="coupled",
                           preset="lattice-particle", overrides={"d": 16}, n_traj=1024,
                           n_samples=200)
@@ -738,7 +780,119 @@ class TestStreamedRuns:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * bound, peak / bound
+        assert workers == [1] and peak <= 1.1 * bound, (workers, peak / bound)
+
+
+def fail_at(monkeypatch, rows, fail):
+    """Make the jump batches of the next runs call fail(row) for each of
+    rows they hold, in whichever process runs them."""
+    real = ensemble._jump_batch
+
+    def batch(*args, **kwargs):
+        cols = real(*args, **kwargs)
+        for row in rows:
+            if row in cols.indices:
+                fail(row)
+        return cols
+
+    monkeypatch.setattr(ensemble, "_jump_batch", batch)
+
+
+def count_starts(monkeypatch, most: int) -> list:
+    """The processes the next runs start, recorded as each starts; a start
+    beyond the first `most` raises instead."""
+    started, start = [], multiprocessing.process.BaseProcess.start
+
+    def counted(process):
+        if len(started) == most:
+            raise AssertionError(f"more than {most} processes started")
+        started.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+    return started
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes are forked")
+class TestWorkerProcesses:
+    """Runs on two forked workers (two usable CPUs), which the parent joins
+    on success and on failure, with the outputs and errors of one."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        yield
+        assert multiprocessing.active_children() == []
+
+    def test_the_lowest_failing_index_is_reported_at_any_worker_count(self, tmp_path,
+                                                                      monkeypatch, capsys):
+        # Rows 1 and 6 fail in chunks 0 and 1; chunk 0 fails last, but its
+        # error is the one raised, as in-process.
+        def fail(row):
+            time.sleep(0.2 * (row == 1))
+            raise NumericError(f"trajectory index={row} failed")
+
+        fail_at(monkeypatch, (1, 6), fail)
+        monkeypatch.setattr("qtraj.ensemble._CHUNK", 4)
+        started = count_starts(monkeypatch, 2)
+        ends = []
+        for threads in ("1", "2"):
+            code = main(["jump", "--traj", "8", "--threads", threads,
+                         "--out", str(tmp_path / threads)])
+            ends.append((code, capsys.readouterr().err, len(started)))
+        assert ends == [(3, "error: trajectory index=1 failed\n", 0),
+                        (3, "error: trajectory index=1 failed\n", 2)]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_worker_that_dies_ends_the_run_and_leaves_nothing(self, tmp_path, monkeypatch,
+                                                                capsys):
+        parent = os.getpid()
+
+        def die(row):
+            assert os.getpid() != parent, "the chunk ran in-process"
+            os._exit(9)
+
+        fail_at(monkeypatch, (6,), die)
+        out = tmp_path / "out" / "run"
+        assert main(["jump", "--traj", "8", "--threads", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: a worker process ended abruptly")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failure_in_the_parent_joins_the_workers(self, tmp_path, monkeypatch):
+        # The writer fails at the second chunk, in the parent, while the
+        # workers draw the chunks ahead; they are joined before main ends,
+        # though the error's traceback still holds the run's frames.
+        written, write = [], records._write
+
+        def fail_second(f, chunk):
+            written.append(chunk)
+            if len(written) == 2:
+                raise OSError("no space left")
+            return write(f, chunk)
+
+        monkeypatch.setattr(records, "_write", fail_second)
+        monkeypatch.setattr("qtraj.ensemble._CHUNK", 2)
+        with pytest.raises(OSError, match="no space left") as failed:
+            main(["jump", "--traj", "8", "--out", str(tmp_path / "o")])
+        assert multiprocessing.active_children() == [] and list(tmp_path.iterdir()) == []
+        assert failed.tb is not None
+
+    def test_a_run_joins_its_workers(self, tmp_path, monkeypatch):
+        started = count_starts(monkeypatch, 2)
+        assert main(["jump", "--traj", "8", "--out", str(tmp_path / "o")]) == 0
+        assert len(started) == 2 and not any(p.is_alive() for p in started)
+
+    def test_a_huge_thread_count_starts_one_worker_per_usable_cpu(self, tmp_path, monkeypatch):
+        started = count_starts(monkeypatch, 2)
+        assert main(["jump", "--traj", "100", "--threads", str(10 ** 6),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert len(started) == 2
+
+    def test_a_one_chunk_run_and_master_start_no_process(self, tmp_path, monkeypatch):
+        started = count_starts(monkeypatch, 0)
+        assert main(["diffuse", "--traj", "512", "--out", str(tmp_path / "d")]) == 0
+        assert main(["master", "--out", str(tmp_path / "m")]) == 0
+        assert started == []
 
 
 # Spec fields holding the placeholder NONFINITE, the experiment and the name

@@ -3,6 +3,7 @@ layout independence, draw order, an independent one-path reference loop,
 reproducible numeric failures and byte-identical CLI outputs; and the input
 checks of every engine."""
 
+import concurrent.futures
 import dataclasses
 import filecmp
 import json
@@ -10,6 +11,7 @@ import math
 import os
 import tracemalloc
 import weakref
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -201,14 +203,15 @@ class TestRunTrajectories:
     @pytest.mark.parametrize("rows_that_fit, workers", [(4, 1), (8, 2), (12, 3)])
     def test_workers_capped_by_their_chunks_together(self, monkeypatch, rows_that_fit, workers):
         # Three chunks of 4 paths on 3 CPUs: as many workers run as their
-        # chunks' batch charges fit in memory together beside the columns
-        # the run keeps, one at the least.
+        # chunks fit in memory together beside the columns the run keeps,
+        # one at the least, with one chunk more, the one the parent
+        # consumes; each chunk charged its batch and its kept columns.
         cfg = DiffusionConfig(H=HX, R=R01, gamma=1.0, pointer=gaussian_pointer(256, 6.0), dt=0.1)
         per_path, fixed = _batch_charge(cfg, "coupled", len(TIMES))
         assert fixed == 0
         kept = check_result_size(12, len(TIMES), 0)
         monkeypatch.setattr("qtraj.errors.physical_memory",
-                            lambda: kept + rows_that_fit * per_path)
+                            lambda: kept + (rows_that_fit + 4) * (per_path + kept // 12))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setattr(ensemble, "_CHUNK", 4)
         seen = []
@@ -217,28 +220,45 @@ class TestRunTrajectories:
                           sample_times=TIMES, n_workers=3, equation="coupled")
         assert seen == [workers]
 
+    def test_the_window_charges_the_lines_of_record_chunks(self, monkeypatch):
+        # Two chunks of 4 rows on 2 CPUs, in memory for the kept columns and
+        # three chunks at their batch charge and kept series: chunks of
+        # series run on two workers, chunks that carry their lines, charged
+        # records.text_bytes a row more, in-process.
+        cfg, eta, obs = jump_setup("normalized")
+        row, fixed = _event_charge(cfg.nu, 1.0, len(TIMES))
+        kept = check_result_size(8, len(TIMES), len(obs))
+        memory = kept + 3 * math.ceil(4 * (row + kept // 8) + fixed)
+        monkeypatch.setattr("qtraj.errors.physical_memory", lambda: memory)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        seen = []
+        monkeypatch.setattr(ensemble, "_map_chunks", lambda worker, chunks, n: seen.append(n))
+        for keep in ("series", "records"):
+            trajectory_chunks(cfg, eta, 1.0, 8, obs, TIMES, n_workers=2, keep=keep)
+        assert seen == [2, 1]
+
     def test_thread_pool_capped_at_usable_cpus(self, monkeypatch):
-        # A stand-in pool records its size and maps serially, so no thread
-        # starts; the chunks are sized for the 3 usable CPUs, not for the
-        # 100 000 workers asked for.
+        # A stand-in pool records its size and runs each chunk as it is
+        # submitted, so no process starts; the chunks are sized for the 3
+        # usable CPUs, not for the 100 000 workers asked for.
         sizes, chunks = [], []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context, initializer, initargs):
                 sizes.append(max_workers)
+                initializer(*initargs)
 
-            def __enter__(self):
-                return self
+            def submit(self, run, idx):
+                chunks.append(len(idx))
+                done = Future()
+                done.set_result(run(idx))
+                return done
 
-            def __exit__(self, *exc):
-                return False
+            def shutdown(self, cancel_futures):
+                pass
 
-            def map(self, worker, items):
-                items = list(items)
-                chunks.extend(map(len, items))
-                return map(worker, items)
-
-        monkeypatch.setattr(ensemble, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(ensemble, "_task", None)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         cfg, eta, obs = jump_setup("normalized")
         cols = run_trajectories(cfg, eta, 1.0, 40, obs, TIMES, n_workers=100_000)

@@ -436,7 +436,9 @@ def run_specs(draw):
         return draw(st.sampled_from(edges if edges and draw(st.integers(0, 7)) == 0 else usual))
 
     experiment = draw(st.sampled_from(EXPERIMENTS))
-    raw = {"experiment": experiment, "seed": draw(st.sampled_from([0, 1, 2 ** 64 - 1]))}
+    # One worker: the run stays in-process, where its peak is traced.
+    raw = {"experiment": experiment, "seed": draw(st.sampled_from([0, 1, 2 ** 64 - 1])),
+           "threads": 1}
     raw["preset"] = draw(st.sampled_from(["two-level", "lattice-particle", "two-atoms"]))
     if experiment in EQUATIONS:
         raw["equation"] = draw(st.sampled_from(EQUATIONS[experiment]))

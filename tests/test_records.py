@@ -1,6 +1,7 @@
 """The column-wise trajectories.jsonl encoder: equal to the reference record
 helpers line for line in any row blocks, holding one block of text at a
-time, and a non-finite value ends the run with exit 3."""
+time as its lines are written, and a non-finite value ends the run with
+exit 3, whether the chunk runs in a worker process or in-process."""
 
 import dataclasses
 import json
@@ -8,13 +9,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_cli import chunk_sizes
 from test_engine import TIMES, jump_setup, mixing_setup
 
-from qtraj import (NumericError, cli, evolve_density, evolve_jump, records, run_trajectories,
-                   trajectory_chunks)
+from qtraj import (NumericError, cli, ensemble, evolve_density, evolve_jump, records,
+                   run_trajectories, trajectory_chunks)
 from qtraj.jumps import EventColumns
 from qtraj.records import (
     density_trajectory_record,
+    encode,
     jump_trajectory_record,
     trajectory_writer,
     write_jsonl,
@@ -24,6 +27,12 @@ from qtraj.records import (
 # An observable name that JSON must escape, sorting after "R" and "H".
 ESCAPED = 'x "quoted" \\ é\t'
 META = {"seed": 41, "spec_hash": "0123456789abcdef"}
+
+
+def write_columns(path, seed, cols):
+    """Write trajectories.jsonl of cols, one chunk, as the CLI writes a chunk."""
+    with trajectory_writer(path, META) as write:
+        write((cols, encode(seed, cols)))
 
 
 def run_case(engine, mode, sampled, n=30, nu=None):
@@ -55,8 +64,7 @@ def run_case(engine, mode, sampled, n=30, nu=None):
 def test_encoder_equals_reference_helpers(tmp_path, engine, mode, sampled):
     cfg, cols, refs = run_case(engine, mode, sampled)
     assert cols.counts.sum() > 0
-    with trajectory_writer(tmp_path / "columns.jsonl", META, cfg.seed) as write:
-        write(cols)
+    write_columns(tmp_path / "columns.jsonl", cfg.seed, cols)
     write_jsonl(tmp_path / "reference.jsonl", META, refs)
     got = (tmp_path / "columns.jsonl").read_text().splitlines()
     want = (tmp_path / "reference.jsonl").read_text().splitlines()
@@ -74,13 +82,28 @@ def test_chunk_writer_equals_reference_helpers(tmp_path, monkeypatch, engine, mo
     set_bounds(monkeypatch, 200)
     _, initial, obs = jump_setup(mode) if engine == "jump" else mixing_setup()
     chunks = trajectory_chunks(cfg, initial, 1.0, 30, {**obs, ESCAPED: obs["R"]}, TIMES,
-                               equation=None if engine == "jump" else mode)
+                               equation=None if engine == "jump" else mode, keep="records")
     path = tmp_path / "out" / "columns.jsonl"
-    with trajectory_writer(path, META, cfg.seed) as write:
-        assert [write(cols).indices.size for cols in chunks] == [7, 7, 7, 7, 2]
+    with trajectory_writer(path, META) as write:
+        assert [write(chunk).indices.size for chunk in chunks] == [7, 7, 7, 7, 2]
         assert not path.exists()
     assert path.read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
     assert [p.name for p in path.parent.iterdir()] == ["columns.jsonl"]
+
+
+def test_in_process_chunks_render_their_lines_as_they_are_written(monkeypatch):
+    # Blocks of about three rows: after the first line of a chunk drawn
+    # in-process only its first block is rendered, and the rest as the
+    # lines are consumed.
+    set_bounds(monkeypatch, 200)
+    rendered, lines_of = [], records._lines
+    monkeypatch.setattr(records, "_lines", lambda *args: rendered.append(args[-2:]) or
+                        lines_of(*args))
+    cfg, eta, obs = jump_setup("linear")
+    [(series, lines)] = trajectory_chunks(cfg, eta, 1.0, 12, obs, TIMES, keep="records")
+    next(lines)
+    assert len(rendered) == 1 and series.indices.size == 12
+    assert len(list(lines)) == 11 and len(rendered) > 1
 
 
 # Block bounds, in mean rows, that cut 30 rows every way: a row a block,
@@ -126,8 +149,7 @@ def test_block_bounds_change_no_byte(tmp_path, monkeypatch, engine, mode):
         empty_starts += sum(cols.counts[a] == 0 for a, _ in blocks)
         own_blocks += sum(size > bound for _, size in sizes)
         shared_blocks += sum(r > 1 for r, _ in sizes)
-        with trajectory_writer(tmp_path / "columns.jsonl", META, cfg.seed) as write:
-            write(cols)
+        write_columns(tmp_path / "columns.jsonl", cfg.seed, cols)
         assert (tmp_path / "columns.jsonl").read_bytes() == want
     assert empty_starts > 0 and own_blocks > 0 and shared_blocks > 0
 
@@ -143,8 +165,7 @@ def test_non_finite_value_in_the_last_block_is_found_before_writing(tmp_path, mo
     poison(cols, column, row)
     path = tmp_path / "out" / "t.jsonl"
     with pytest.raises(NumericError, match=f"non-finite {key} value .* index={row} "):
-        with trajectory_writer(path, META, cfg.seed) as write:
-            write(cols)
+        write_columns(path, cfg.seed, cols)
     assert not path.parent.exists()
 
 
@@ -174,8 +195,7 @@ def test_writer_memory_does_not_grow_with_rows(tmp_path, n, samples):
     cols.offsets  # the columns' cumulative event counts, cached on them
     tracemalloc.start()
     try:
-        with trajectory_writer(tmp_path / "t.jsonl", META, 0) as write:
-            write(cols)
+        write_columns(tmp_path / "t.jsonl", 0, cols)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -210,8 +230,7 @@ def test_non_finite_value_names_seed_and_index(tmp_path, engine, column, key):
     poison(cols, column, row)
     path = tmp_path / "t.jsonl"
     with pytest.raises(NumericError) as err:
-        with trajectory_writer(path, META, cfg.seed) as write:
-            write(cols)
+        write_columns(path, cfg.seed, cols)
     assert str(err.value) == (
         f"non-finite {key} value in the record of trajectory index={row} "
         f"(seed={cfg.seed}); rerun that index alone to reproduce"
@@ -219,17 +238,25 @@ def test_non_finite_value_names_seed_and_index(tmp_path, engine, column, key):
     assert not path.exists()
 
 
+def poison_batches(monkeypatch, column, row, failure="record"):
+    """Make the event batches of the next runs fail at trajectory row,
+    wherever they run: their engine raises, or (failure "record") a NaN is
+    put into its column for the record scan to find."""
+    for name in ("_jump_batch", "_mixing_batch"):
+        def batch(*args, real=getattr(ensemble, name), **kwargs):
+            cols = real(*args, **kwargs)
+            if row in cols.indices:
+                if failure == "engine":
+                    raise NumericError("a late chunk failed")
+                poison(cols, column, row - int(cols.indices[0]))
+            return cols
+
+        monkeypatch.setattr(ensemble, name, batch)
+
+
 @pytest.mark.parametrize("experiment, column", [("jump", "values"), ("many", "entropy")])
 def test_cli_non_finite_record_exits_3(tmp_path, monkeypatch, capsys, experiment, column):
-    real = cli.trajectory_chunks
-
-    def poisoned(*args, **kwargs):
-        for cols in real(*args, **kwargs):
-            if 3 in cols.indices:
-                poison(cols, column, 3 - int(cols.indices[0]))
-            yield cols
-
-    monkeypatch.setattr(cli, "trajectory_chunks", poisoned)
+    poison_batches(monkeypatch, column, 3)
     assert cli.main([experiment, "--traj", "8", "--out", str(tmp_path)]) == 3
     key = {"values": "observables", "entropy": "entropy"}[column]
     assert capsys.readouterr().err == (
@@ -244,21 +271,11 @@ def test_cli_non_finite_record_exits_3(tmp_path, monkeypatch, capsys, experiment
 def test_cli_failure_in_the_last_chunk_leaves_nothing(tmp_path, monkeypatch, capsys, experiment,
                                                       column, failure, made):
     # Chunks of 3 rows: rows 0-5 are written before row 7 fails, either in
-    # the record scan or in its engine, and the partial file goes, with the
-    # output directory if the run made it.
+    # the record scan or in its engine, in the worker that runs it, and the
+    # partial file goes, with the output directory if the run made it.
     monkeypatch.setattr("qtraj.ensemble._CHUNK", 3)
-    real, sizes = cli.trajectory_chunks, []
-
-    def failing(*args, **kwargs):
-        for cols in real(*args, **kwargs):
-            sizes.append(cols.indices.size)
-            if 7 in cols.indices:
-                if failure == "engine":
-                    raise NumericError("a late chunk failed")
-                poison(cols, column, 7 - int(cols.indices[0]))
-            yield cols
-
-    monkeypatch.setattr(cli, "trajectory_chunks", failing)
+    sizes = chunk_sizes(monkeypatch)
+    poison_batches(monkeypatch, column, 7, failure)
     out = tmp_path / "out" / "run"
     if not made:
         out.mkdir(parents=True)

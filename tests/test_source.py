@@ -471,10 +471,10 @@ def test_record_times_default_in_one_place():
     # the event engine's unsampled columns
     ("jumps.py", "sample_times=samples,",
      "sample_times=None if sample_times is None else samples,", "_run_rows"),
-    # the record writer's branch on them
+    # the record encoder's branch on them
     ("records.py", '    numeric.update({"entropy"',
      '    if cols.sample_times is not None:\n        pass\n    numeric.update({"entropy"',
-     "_append"),
+     "encode"),
 ])
 def test_record_time_check_sees_an_engine_default(module, old, new, name):
     source = (PACKAGE / module).read_text()
@@ -483,18 +483,19 @@ def test_record_time_check_sees_an_engine_default(module, old, new, name):
     assert name in record_time_none_tests(source.replace(old, new))
 
 
-# trajectories.jsonl is written chunk by chunk (records._append, the one
-# writer of its lines): every column of a chunk is scanned for non-finite
-# values before the block loop, so a bad value writes none of the chunk;
-# lines are rendered only in the loop over row blocks, so the writer holds
-# the text of one block at a time; and trajectory_writer opens the file once.
-WRITER, OPENER, BLOCKS = "_append", "trajectory_writer", "_blocks"
+# trajectories.jsonl is written chunk by chunk, its lines rendered by
+# records.encode, their one renderer: every column of a chunk is scanned for
+# non-finite values before the block loop, so a bad value renders none of
+# the chunk; lines are rendered only in the loop over row blocks, so a
+# writer that consumes them holds the text of one block at a time; and
+# trajectory_writer opens the file once.
+WRITER, OPENER, BLOCKS = "encode", "trajectory_writer", "_blocks"
 LINE_RENDERERS = {"_lines", "_rows", "_objects"}
 
 
 def writer_faults(source: str) -> list[str]:
-    """What keeps the record writer in source from scanning a chunk before
-    its block loop and rendering lines only in that loop, or its opener
+    """What keeps the record encoder in source from scanning a chunk before
+    its block loop and rendering lines only in that loop, or the writer
     from opening the file once."""
     top = {n.name: n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
     fn, faults = top[WRITER], []
@@ -530,10 +531,10 @@ def test_writer_scans_then_writes_row_blocks():
     # the whole weight column rendered at once
     ("    grid = list(", "    weights = _rows(cols.weights)\n    grid = list(",
      "lines rendered outside the block loop"),
-    # each block scanned as it is written
-    ("        f.writelines(",
-     "        if not np.isfinite(cols.weights[a:b]).all():\n"
-     "            raise NumericError('weights')\n        f.writelines(",
+    # each block scanned as it is rendered
+    ("            yield from _lines(",
+     "            if not np.isfinite(cols.weights[a:b]).all():\n"
+     "                raise NumericError('weights')\n            yield from _lines(",
      "scan not before the block loop"),
     # the file truncated, then opened again
     ('        with open(part, "w") as out:',
