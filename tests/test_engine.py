@@ -9,6 +9,7 @@ import filecmp
 import json
 import math
 import os
+import time
 import tracemalloc
 import weakref
 from concurrent.futures import Future
@@ -257,6 +258,8 @@ class TestRunTrajectories:
             def shutdown(self, cancel_futures):
                 pass
 
+        real = getattr(os, "sched_getaffinity", lambda pid: None)
+        mask = real(0)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(ensemble, "_task", None)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -264,6 +267,40 @@ class TestRunTrajectories:
         cols = run_trajectories(cfg, eta, 1.0, 40, obs, TIMES, n_workers=100_000)
         assert sizes == [3] and chunks == [14, 14, 12]
         assert same_columns(cols, run_trajectories(cfg, eta, 1.0, 40, obs, TIMES))
+        # The worker start, run in this process, left its CPUs alone.
+        assert real(0) == mask
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or ensemble.usable_cpus() < 2,
+                        reason="workers are placed on two CPUs of this process's")
+    def test_each_worker_runs_on_its_own_cpu(self):
+        # Which worker runs which chunk is the OS's choice, but each keeps
+        # one CPU of the parent's throughout, no two share one, and the
+        # parent's own CPUs are untouched.
+        mask = os.sched_getaffinity(0)
+        seen = list(ensemble._map_chunks(
+            lambda idx: (idx.start, os.getpid(), tuple(os.sched_getaffinity(0))),
+            (range(k, k + 1) for k in range(8)), 2))
+        assert [start for start, _, _ in seen] == list(range(8))
+        placed = {(pid, cpus) for _, pid, cpus in seen}
+        assert len({pid for pid, _ in placed}) == len(placed) <= 2
+        assert len({cpus for _, cpus in placed}) == len(placed)
+        assert all(len(cpus) == 1 and cpus[0] in sorted(mask)[:2] for _, cpus in placed)
+        assert os.sched_getaffinity(0) == mask
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_a_cpu_that_cannot_be_taken_is_left_to_the_scheduler(self, monkeypatch):
+        # The second worker is offered a CPU no machine has: it runs
+        # unpinned, on the CPUs it inherited, and every chunk comes back.
+        # Chunks of 50 ms outlast the second worker's start, so a start
+        # that failed would break the pool before the first worker is done.
+        real = os.sched_getaffinity
+        mask = real(0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {min(mask), 1 << 20})
+        seen = list(ensemble._map_chunks(
+            lambda idx: time.sleep(0.05) or (idx.start, frozenset(real(0))),
+            (range(k, k + 1) for k in range(6)), 2))
+        assert [start for start, _ in seen] == list(range(6))
+        assert {cpus for _, cpus in seen} <= {frozenset({min(mask)}), frozenset(mask)}
 
 
 def diffusion_setup(M=1, dt=1e-3):
