@@ -1,6 +1,7 @@
 """Benchmark driver: every workload of BENCHMARK.json over at least three
-seeds, tier-1 wall time and the time of each acceptance criterion, written
-to BENCH_<pr>.json, optionally beside the same for a parent revision.
+seeds, tier-1 wall time with its 15 slowest tests and the time of each
+acceptance criterion, written to BENCH_<pr>.json, optionally beside the
+same for a parent revision.
 
     python3 bench/bench.py --pr 34 --parent HEAD~1     # writes BENCH_34.json
 
@@ -33,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -49,6 +51,21 @@ CRITERIA_SCRIPT = (
     "print(json.dumps([{'id': r.cid, 'title': r.title, 'passed': r.passed, "
     "'seconds': r.seconds} for r in run_criteria()]))\n"
 )
+
+
+# A line of pytest's --durations report: seconds, phase and test id.
+DURATION = re.compile(r"(\d+(?:\.\d+)?)s (setup|call|teardown) +(\S.*)")
+
+
+def parse_durations(stdout: str) -> list[dict]:
+    """The slowest tests of a pytest run, in the order of its --durations
+    report, as [{"seconds", "phase", "test"}]: the matching lines after the
+    report's "slowest ... durations" heading, none without it."""
+    lines = stdout.splitlines()
+    start = next((i for i, line in enumerate(lines) if "slowest" in line and "durations" in line),
+                 len(lines))
+    return [{"seconds": float(m[1]), "phase": m[2], "test": m[3]}
+            for m in map(DURATION.fullmatch, lines[start + 1:]) if m]
 
 
 def parse_run(stdout: str) -> tuple[dict, dict, dict]:
@@ -130,15 +147,17 @@ def python_env(tree: Path) -> dict:
 
 
 def run_tier1(tree: Path) -> dict:
-    """Wall time and summary line of one tier-1 run of tree."""
+    """Wall time, summary line and 15 slowest tests of one tier-1 run of
+    tree."""
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"], cwd=tree, env=python_env(tree),
+         "--continue-on-collection-errors", "--durations=15"], cwd=tree, env=python_env(tree),
         capture_output=True, text=True)
     wall = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
-    return {"wall_s": wall, "exit_code": proc.returncode, "summary": lines[-1] if lines else ""}
+    return {"wall_s": wall, "exit_code": proc.returncode, "summary": lines[-1] if lines else "",
+            "durations": parse_durations(proc.stdout)}
 
 
 def run_criteria(tree: Path) -> list[dict]:

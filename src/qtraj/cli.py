@@ -523,7 +523,7 @@ def _run_ensemble(spec: RunSpec, model: _Model, outdir: Path, meta: dict):
     records = nullcontext(lambda chunk: chunk)  # diffusion paths have no records
     if keep == "records":
         records = trajectory_writer(outdir / "trajectories.jsonl", meta)
-    with closing(chunks), records as write:  # closing joins the workers of a failed run
+    with closing(chunks), records as write:  # closing kills and reaps the workers of a failed run
         cols = series_columns(map(write, chunks), spec.n_traj)
     table = _stats_columns(trajectory_stats(cols))
     if spec.experiment == "many":

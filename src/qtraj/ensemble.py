@@ -30,12 +30,17 @@ finish.  Each chunk is one batch of its engine: the event engine of
 elementwise in a basis of H's eigenvectors, reductions elementwise in R's
 eigenbasis), or its equation's batched kernel for diffusion paths.  Every
 batch returns columns (:class:`EventColumns`), with no object per
-trajectory, and drops its states.  The chunks run on forked worker
-processes (:func:`_map_chunks`), which return what the caller keeps: whole
+trajectory, and drops its states.  The chunks run on worker processes
+started by os.fork (:func:`_map_chunks`), one per usable CPU, each pinned
+to its CPU and fed index ranges through a task pipe; each returns what the
+caller keeps through its result pipe, as a length-prefixed pickle: whole
 columns for :func:`run_trajectories`, which concatenates them, or the
 series alone for :func:`series_columns`, with an event chunk's
-trajectories.jsonl lines rendered beside them for the CLI.  A run that
-streams its chunks holds one window of chunks besides the kept series.
+trajectories.jsonl lines rendered beside them for the CLI.  A chunk's
+error comes back the same way and raises in the parent at its turn; a
+worker that dies raises a SimulationError.  A run that streams its chunks
+holds one window of chunks besides the kept series, and every worker is
+reaped before the run returns, killed first if the run ends early.
 Event rows are bit-identical in any chunk and diffusion chunks do not
 depend on the worker count; aggregation uses exact compensated summation
 in trajectory-index order, so serial and parallel runs produce identical
@@ -49,11 +54,10 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from itertools import chain, cycle, islice, repeat
+from itertools import chain, count, cycle, repeat
 
 import numpy as np
 
@@ -497,7 +501,11 @@ def trajectory_chunks(
     JumpConfig carries its own mode and takes none.
 
     Each chunk is one batch of its engine, run where the chunk runs, in a
-    worker process or in-process (:func:`_map_chunks`), whose states (final
+    forked worker process or in-process (:func:`_map_chunks`: a worker gets
+    its index ranges through a pipe and sends back each result, or the
+    error its chunk raised, which raises here at that chunk's turn; a
+    worker that dies raises a SimulationError, and closing the iterator
+    kills and reaps the workers still running), whose states (final
     rows, or a diffusion batch's recorded states) are dropped there.  keep
     (:data:`KEEP`) says what comes back of it: "events" its columns, events
     included; "series" its indices and per-sample series (:data:`SERIES`),
@@ -512,21 +520,22 @@ def trajectory_chunks(
     fit.  In-process the window is one chunk, charged rows times its
     batch's bytes per row plus its fixed bytes
     (:func:`qtraj.jumps._event_charge`, :func:`qtraj.diffusion._batch_charge`).
-    A pool of n workers holds n chunks ahead of the one the parent
-    consumes, each in its batch or finished and waiting for the parent as
-    its result: its kept columns and lines (:func:`qtraj.records.text_bytes`
-    a row).  Each of these n + 1 chunks is charged its batch plus its
-    result.  Event rows are bit-identical in any
-    chunk, so an event chunk holds at most _CHUNK rows, a 1/n share, n
-    being n_workers capped at :func:`usable_cpus`, the rows that fit in
-    _EVENT_CHUNK_BYTES (for mixing rows also in _MIXING_BATCH_BYTES, sized
-    from the copy-block row) and the rows that fit beside the kept columns.
+    n workers hold n chunks ahead of the one the parent consumes (a chunk
+    goes to an idle worker only within that window), each in its batch or
+    finished and waiting in the parent as its result: its kept columns and
+    lines (:func:`qtraj.records.text_bytes` a row).  Each of these n + 1
+    chunks is charged its batch plus its result.  Event rows are
+    bit-identical in any chunk, so an event chunk holds at most _CHUNK
+    rows, a 1/n share, n being n_workers capped at :func:`usable_cpus`, the
+    rows that fit in _EVENT_CHUNK_BYTES (for mixing rows also in
+    _MIXING_BATCH_BYTES, sized from the copy-block row) and the rows that
+    fit beside the kept columns.
     Density paths agree with other batch sizes only to rounding, so a
     diffusion chunk holds _CHUNK paths whatever n_workers and memory.  The
     run fails before any draw unless the kept columns and one chunk (of one
     row, for events) fit; then the worker count, min(n_workers, chunks,
-    usable CPUs), falls until the pool's window fits, to one (in-process)
-    at the least, before any process starts.
+    usable CPUs), falls until the workers' window fits, to one
+    (in-process) at the least, before any process starts.
     """
     check_integer("n_traj", n_traj, 1)
     sample_times = _record_times(sample_times, T)
@@ -566,7 +575,7 @@ def trajectory_chunks(
     result = kept // n_traj
     if keep == "records":
         result += text_bytes(events, sample_times.size, n_obs, isinstance(cfg, ManyBodyConfig))
-    # How many chunks of a pool's window fit (a count of 0 never raises,
+    # How many chunks of the workers' window fit (a count of 0 never raises,
     # as the kept columns fit).
     fit = check_memory("chunks in flight", 0, size * (row + result) + fixed, "chunks", fixed=kept)
     n_workers = min(n_workers, -(-n_traj // size), max(1, fit - 1))
@@ -691,78 +700,185 @@ def usable_cpus() -> int:
     return cpus or 1
 
 
-# The chunk function of a forked worker process, set by _install at its
-# start: it is inherited through the fork, never pickled.
-_task = None
+_DIED = ("a worker process ended abruptly, killed or out of memory; "
+         "rerun with one worker to run every chunk in-process")
 
 
-def _install(worker, cpus):
-    """Start a worker process: set its chunk function, and pin it to the
-    next CPU of cpus, a queue holding one of the parent's CPUs (or None)
-    per worker.
+def _send(fd: int, obj) -> None:
+    """Write obj to the pipe fd as its pickle, after the pickle's length in
+    8 little-endian bytes."""
+    import pickle
+
+    body = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    for part in (len(body).to_bytes(8, "little"), body):
+        view = memoryview(part)
+        while view:
+            view = view[os.write(fd, view):]
+
+
+def _read(fd: int, size: int) -> bytearray:
+    """The next size bytes of the pipe fd; EOFError if it closes first."""
+    buf = bytearray(size)
+    view, got = memoryview(buf), 0
+    while got < size:
+        read = os.readv(fd, [view[got:]])
+        if not read:
+            raise EOFError
+        got += read
+    return buf
+
+
+def _receive(fd: int):
+    """The next object that :func:`_send` wrote to the pipe fd; EOFError if
+    its writer closed the pipe, or ended, before the whole of it came."""
+    import pickle
+
+    return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
+
+
+def _fork_worker(worker, idx, cpu, inherited) -> tuple[int, int, int]:
+    """Fork a worker process, which pins itself to cpu (None: the OS
+    chooses), runs worker on the chunk idx and then on each chunk that
+    arrives on its task pipe, and sends back each result as (True, result),
+    or the error that chunk raised as (False, error); it leaves with
+    os._exit when its task pipe closes, and runs no code of the parent's
+    after the fork.  inherited are the parent's ends of the pipes of the
+    workers forked before, which the child closes: a pipe whose write end
+    a sibling held open would never close.  Returns the child's pid and
+    the parent's ends of its task and result pipes.
 
     Left to the OS, forked workers could share the parent's CPU with
     another CPU idle for a whole run: on a 2-CPU VM both workers and the
     parent ran every chunk of a 1.1-1.3 s call on CPU 0, at half the
     throughput, in 1 or 2 of every 6-10 fresh processes.  Placement
     changes no result; a CPU that cannot be taken is left to the
-    scheduler.  Called in the parent (a stand-in pool), it sets the chunk
-    function alone."""
-    from multiprocessing import parent_process
-
-    global _task
-    _task = worker
-    if parent_process() is None:
-        return
-    cpu = cpus.get()
-    if cpu is not None:  # None where the OS has no affinity call
-        with suppress(OSError):
-            os.sched_setaffinity(0, {cpu})
-
-
-def _run_task(idx):
-    return _task(idx)
+    scheduler."""
+    fds = (*os.pipe(), *os.pipe())
+    tasks, to_child, from_child, results = fds
+    try:
+        pid = os.fork()
+    except BaseException:
+        for fd in fds:
+            os.close(fd)
+        raise
+    if pid:
+        os.close(tasks)
+        os.close(results)
+        return pid, to_child, from_child
+    code = 1
+    try:
+        for fd in (*inherited, to_child, from_child):
+            os.close(fd)
+        if cpu is not None:
+            with suppress(OSError):
+                os.sched_setaffinity(0, {cpu})
+        while True:
+            try:
+                _send(results, (True, worker(idx)))
+            except Exception as exc:  # the chunk's error, or its result's pickling error
+                _send(results, (False, exc))
+            try:
+                idx = _receive(tasks)
+            except EOFError:  # no chunk is left for this worker
+                code = 0
+                break
+    finally:
+        os._exit(code)
 
 
 def _map_chunks(worker, chunks, n_workers: int):
     """An iterator over worker of each of chunks (an iterator), in order.
 
-    One worker, or a platform without fork, maps in-process.  Otherwise
-    n_workers forked processes run the chunks, each on its own CPU
-    (:func:`_install`): each inherits worker at the fork, and only index
-    ranges and results cross between processes.  Up
-    to n_workers chunks run ahead of the one the consumer holds, and their
-    results are yielded in index order, so a failing chunk raises when its
-    turn comes, as it would in-process, and a worker that dies raises a
-    SimulationError.  When the iterator ends, fails or is closed, the
-    chunks not yet started are cancelled and every worker is joined."""
+    One worker, or a platform without fork, maps in-process.  Otherwise up
+    to n_workers child processes run the chunks, each forked by
+    :func:`_fork_worker` with its first chunk and pinned to its own CPU of
+    the parent's.  A child inherits worker at the fork; after its first
+    chunk only index ranges (on its task pipe) and results (on its result
+    pipe) cross, each a pickle after its length.  The window: while the
+    consumer takes chunk k, a chunk goes to an idle child only if its
+    index is at most k + n_workers, so n_workers chunks, each running or
+    finished and waiting as its result, are held ahead of the one the
+    consumer holds.  Results are yielded in index order, so a failing
+    chunk's error, sent back by its child, raises when its turn comes, as
+    it would in-process; a child that ends without sending its result (end
+    of file on its result pipe, or a broken task pipe) raises a
+    SimulationError at once.  A child is told to exit, by closing its task
+    pipe, as soon as no chunk is left for it.  When the iterator fails or
+    is closed early, the children not yet told are killed; whichever way it
+    ends, every child is reaped before it returns."""
     if n_workers <= 1 or not hasattr(os, "fork"):
         yield from map(worker, chunks)
         return
-    # Loaded here, so that a process that starts no pool never loads them.
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-    from multiprocessing import get_context
+    # Loaded here, so that a process that starts no worker never loads them.
+    import select
+    import signal
 
-    context = get_context("fork")
-    cpus = context.SimpleQueue()
-    mask = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else [None]
-    for cpu in islice(cycle(mask), n_workers):
-        cpus.put(cpu)
-    pool = ProcessPoolExecutor(n_workers, mp_context=context, initializer=_install,
-                               initargs=(worker, cpus))
+    cpus = cycle(sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else [None])
+    pids = []  # every child, in the order of forking
+    pipes = {}  # result pipe -> (pid, task pipe) of each child not told to exit
+    running = {}  # result pipe -> chunk index of each busy child
+    idle = []  # result pipes of the children waiting for a chunk
+    results = {}  # chunk index -> (True, result) or (False, error), until its turn
+    poller = select.poll()
+    started = 0
+
+    def release(out):
+        """Close a child's pipes: at end of file on its task pipe it exits."""
+        poller.unregister(out)
+        os.close(pipes.pop(out)[1])
+        os.close(out)
+
+    def start(last):
+        """Start the chunks up to index last on idle children, or on new
+        ones while there are fewer than n_workers; once no chunk is left,
+        tell the idle children to exit."""
+        nonlocal started
+        while started <= last and (idle or len(pids) < n_workers):
+            idx = next(chunks, None)
+            if idx is None:
+                for out in idle:
+                    release(out)
+                idle.clear()
+                return
+            if idle:
+                out = idle.pop()
+                try:
+                    _send(pipes[out][1], idx)
+                except BrokenPipeError:
+                    raise SimulationError(_DIED) from None
+            else:
+                inherited = [*pipes, *(task for _, task in pipes.values())]
+                pid, to_child, out = _fork_worker(worker, idx, next(cpus), inherited)
+                pids.append(pid)
+                pipes[out] = pid, to_child
+                poller.register(out, select.POLLIN)
+            running[out] = started
+            started += 1
+
     try:
-        ahead = deque(pool.submit(_run_task, idx) for idx in islice(chunks, n_workers))
-        while ahead:
-            current = ahead.popleft()
-            ahead.extend(pool.submit(_run_task, idx) for idx in islice(chunks, 1))
-            yield current.result()
-    except BrokenProcessPool as exc:
-        raise SimulationError("a worker process ended abruptly, killed or out of memory; "
-                              "rerun with one worker to run every chunk in-process") from exc
+        for k in count():
+            start(k + n_workers)
+            if k == started:
+                return
+            while k not in results:
+                for out, _ in poller.poll():
+                    if out not in running:  # an idle child sends nothing: it ended
+                        raise SimulationError(_DIED)
+                    try:
+                        results[running.pop(out)] = _receive(out)
+                    except EOFError:  # a busy child ended before its result came
+                        raise SimulationError(_DIED) from None
+                    idle.append(out)
+                start(k + n_workers)
+            if not results[k][0]:
+                raise results.pop(k)[1]
+            yield results.pop(k)[1]
     finally:
-        pool.shutdown(cancel_futures=True)
-        cpus.close()
+        for out, (pid, _) in list(pipes.items()):
+            os.kill(pid, signal.SIGKILL)
+            release(out)
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 @dataclass

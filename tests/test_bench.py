@@ -98,3 +98,24 @@ def test_fewer_than_three_seeds_are_refused(capsys):
     with pytest.raises(SystemExit):
         bench.main(["--pr", "0", "--seeds", "1,2"])
     assert "give at least 3 seeds, got 1,2" in capsys.readouterr().err
+
+
+def test_durations_are_parsed_from_the_report_alone():
+    stdout = "\n".join([
+        "0.50s call     tests/test_x.py::looks_like_a_duration_before_the_report",
+        "........ [100%]",
+        "============================= slowest 3 durations ==============================",
+        "13.90s call     tests/test_acceptance.py::test_criterion[8]",
+        "2.05s setup    tests/test_cli.py::TestWorkerProcesses::test_a_run_joins_its_workers",
+        "0.10s teardown tests/test_source.py::test_rule[is not Hermitian]",
+        "(12 durations < 0.005s hidden.  Use -vv to show these durations.)",
+        "918 passed in 64.30s (0:01:04)",
+    ])
+    assert bench.parse_durations(stdout) == [
+        {"seconds": 13.9, "phase": "call", "test": "tests/test_acceptance.py::test_criterion[8]"},
+        {"seconds": 2.05, "phase": "setup",
+         "test": "tests/test_cli.py::TestWorkerProcesses::test_a_run_joins_its_workers"},
+        {"seconds": 0.1, "phase": "teardown",
+         "test": "tests/test_source.py::test_rule[is not Hermitian]"},
+    ]
+    assert bench.parse_durations("918 passed in 64.30s (0:01:04)\n") == []

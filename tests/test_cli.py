@@ -1,6 +1,5 @@
 import filecmp
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -799,30 +798,43 @@ def fail_at(monkeypatch, rows, fail):
 
 
 def count_starts(monkeypatch, most: int) -> list:
-    """The processes the next runs start, recorded as each starts; a start
-    beyond the first `most` raises instead."""
-    started, start = [], multiprocessing.process.BaseProcess.start
+    """The pids of the worker processes the next runs fork, recorded in the
+    parent as each is forked; a fork beyond the first `most` raises
+    instead."""
+    started, fork = [], os.fork
 
-    def counted(process):
+    def counted():
         if len(started) == most:
             raise AssertionError(f"more than {most} processes started")
-        started.append(process)
-        start(process)
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
 
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+    monkeypatch.setattr(os, "fork", counted)
     return started
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes are forked")
 class TestWorkerProcesses:
-    """Runs on two forked workers (two usable CPUs), which the parent joins
-    on success and on failure, with the outputs and errors of one."""
+    """Runs on two forked workers (two usable CPUs), which the parent reaps
+    on success and on failure, with the outputs and errors of one; after
+    each test this process has no child left, running or unreaped."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         yield
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     def test_the_lowest_failing_index_is_reported_at_any_worker_count(self, tmp_path,
                                                                       monkeypatch, capsys):
@@ -860,8 +872,9 @@ class TestWorkerProcesses:
 
     def test_a_failure_in_the_parent_joins_the_workers(self, tmp_path, monkeypatch):
         # The writer fails at the second chunk, in the parent, while the
-        # workers draw the chunks ahead; they are joined before main ends,
-        # though the error's traceback still holds the run's frames.
+        # workers draw the chunks ahead; they are killed and reaped before
+        # main ends, though the error's traceback still holds the run's
+        # frames.
         written, write = [], records._write
 
         def fail_second(f, chunk):
@@ -874,13 +887,13 @@ class TestWorkerProcesses:
         monkeypatch.setattr("qtraj.ensemble._CHUNK", 2)
         with pytest.raises(OSError, match="no space left") as failed:
             main(["jump", "--traj", "8", "--out", str(tmp_path / "o")])
-        assert multiprocessing.active_children() == [] and list(tmp_path.iterdir()) == []
+        assert no_child_left() and list(tmp_path.iterdir()) == []
         assert failed.tb is not None
 
     def test_a_run_joins_its_workers(self, tmp_path, monkeypatch):
         started = count_starts(monkeypatch, 2)
         assert main(["jump", "--traj", "8", "--out", str(tmp_path / "o")]) == 0
-        assert len(started) == 2 and not any(p.is_alive() for p in started)
+        assert len(started) == 2 and no_child_left()
 
     def test_a_huge_thread_count_starts_one_worker_per_usable_cpu(self, tmp_path, monkeypatch):
         started = count_starts(monkeypatch, 2)

@@ -3,7 +3,6 @@ layout independence, draw order, an independent one-path reference loop,
 reproducible numeric failures and byte-identical CLI outputs; and the input
 checks of every engine."""
 
-import concurrent.futures
 import dataclasses
 import filecmp
 import json
@@ -12,10 +11,10 @@ import os
 import time
 import tracemalloc
 import weakref
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from test_cli import chunk_sizes, count_starts, no_child_left
 
 from qtraj import (
     DensityMatrix,
@@ -238,37 +237,33 @@ class TestRunTrajectories:
             trajectory_chunks(cfg, eta, 1.0, 8, obs, TIMES, n_workers=2, keep=keep)
         assert seen == [2, 1]
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes are forked")
     def test_thread_pool_capped_at_usable_cpus(self, monkeypatch):
-        # A stand-in pool records its size and runs each chunk as it is
-        # submitted, so no process starts; the chunks are sized for the 3
-        # usable CPUs, not for the 100 000 workers asked for.
-        sizes, chunks = [], []
-
-        class SerialPool:
-            def __init__(self, max_workers, mp_context, initializer, initargs):
-                sizes.append(max_workers)
-                initializer(*initargs)
-
-            def submit(self, run, idx):
-                chunks.append(len(idx))
-                done = Future()
-                done.set_result(run(idx))
-                return done
-
-            def shutdown(self, cancel_futures):
-                pass
-
+        # Three workers are forked, one per usable CPU, not the 100 000
+        # asked for, and the chunks are sized for the 3; a CPU that this
+        # machine lacks is left to the scheduler.
         real = getattr(os, "sched_getaffinity", lambda pid: None)
         mask = real(0)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(ensemble, "_task", None)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        started, sizes = count_starts(monkeypatch, 3), chunk_sizes(monkeypatch)
         cfg, eta, obs = jump_setup("normalized")
         cols = run_trajectories(cfg, eta, 1.0, 40, obs, TIMES, n_workers=100_000)
-        assert sizes == [3] and chunks == [14, 14, 12]
+        assert len(started) == 3 and sizes == [14, 14, 12] and no_child_left()
         assert same_columns(cols, run_trajectories(cfg, eta, 1.0, 40, obs, TIMES))
-        # The worker start, run in this process, left its CPUs alone.
+        # The workers pinned themselves in their own processes: the
+        # parent's CPUs are untouched.
         assert real(0) == mask
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes are forked")
+    def test_closing_the_chunks_kills_a_busy_worker(self):
+        # Chunk 1 sleeps for 5 s in its worker while the consumer holds
+        # chunk 0; closing the iterator kills and reaps that worker at once.
+        chunks = ensemble._map_chunks(lambda idx: time.sleep(5 * idx.start) or idx.start,
+                                      (range(k, k + 1) for k in range(2)), 2)
+        assert next(chunks) == 0
+        start = time.perf_counter()
+        chunks.close()
+        assert time.perf_counter() - start < 1 and no_child_left()
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or ensemble.usable_cpus() < 2,
                         reason="workers are placed on two CPUs of this process's")

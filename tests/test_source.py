@@ -28,6 +28,33 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
+# Worker processes are forked and fed through pipes by ensemble._map_chunks,
+# so no run loads an executor, a multiprocessing context or a thread.
+BANNED_IMPORTS = {"concurrent", "multiprocessing", "threading"}
+
+
+def imported_packages(tree: ast.AST) -> set[str]:
+    """The top-level packages the code under tree imports, at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_executor_process_or_thread_imports(path):
+    assert imported_packages(ast.parse(path.read_text())) & BANNED_IMPORTS == set()
+
+
+def test_imports_inside_functions_are_seen():
+    code = ("def f():\n    from concurrent.futures import Future\n"
+            "    import threading as t\n    from . import ensemble\n")
+    assert imported_packages(ast.parse(code)) == {"concurrent", "threading"}
+
+
 # The master-equation oracle and the engines it checks; the oracle may share
 # the step-grid helper, nothing else private to an engine.
 ORACLE = ("MasterConfig", "MasterGenerator", "_hermitian_part", "_slot_mask", "master_generator",
