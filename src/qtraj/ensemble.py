@@ -31,9 +31,10 @@ elementwise in a basis of H's eigenvectors, reductions elementwise in R's
 eigenbasis), or its equation's batched kernel for diffusion paths.  Every
 batch returns columns (:class:`EventColumns`), with no object per
 trajectory, and drops its states.  The chunks run on worker processes
-started by os.fork (:func:`_map_chunks`), one per usable CPU, each pinned
-to its CPU and fed index ranges through a task pipe; each returns what the
-caller keeps through its result pipe, as a length-prefixed pickle: whole
+started by os.fork (:func:`_map_chunks`), at most one per usable CPU, each
+pinned to its CPU and fed index ranges through a task pipe; each returns
+what the caller keeps through its result pipe, as a length-prefixed
+pickle: whole
 columns for :func:`run_trajectories`, which concatenates them, or the
 series alone for :func:`series_columns`, with an event chunk's
 trajectories.jsonl lines rendered beside them for the CLI.  A chunk's
