@@ -1,7 +1,7 @@
 """Benchmark driver: every workload of BENCHMARK.json over at least three
-seeds, tier-1 wall time with its 15 slowest tests and the time of each
-acceptance criterion, written to BENCH_<pr>.json, optionally beside the
-same for a parent revision.
+seeds, one traced run per workload, tier-1 wall time with its 15 slowest
+tests and the time of each acceptance criterion, written to
+BENCH_<pr>.json, optionally beside the same for a parent revision.
 
     python3 bench/bench.py --pr 34 --parent HEAD~1     # writes BENCH_34.json
 
@@ -27,6 +27,14 @@ that a gain in the corrected metrics can be told from one in wall time.
 With a parent, ``deltas`` holds the relative change of each median from
 the parent's, signed so that a positive delta is an improvement, the
 wall-clock ones named ``wall_clock.<metric>``.
+
+``layers`` holds, per workload, the per-layer metrics of one
+``perfbench/run.py --trace 1`` run at seed 1 of each tree (alternating
+trees), with the run's failed checks: a failed check is recorded, and a
+run that prints no result is recorded as its error, without aborting the
+file.  With a parent, each metric has its head/parent ratio, and
+``slower`` names the layers more than 10% worse than the parent's.  The
+overheads in RAW_LAYERS are reported raw, with no ratio and no flag.
 """
 
 from __future__ import annotations
@@ -51,6 +59,15 @@ CRITERIA_SCRIPT = (
     "print(json.dumps([{'id': r.cid, 'title': r.title, 'passed': r.passed, "
     "'seconds': r.seconds} for r in run_criteria()]))\n"
 )
+
+
+# Per-layer metrics that are the difference of two timings, each dominated
+# by the machine's speed swings, and often negative: a ratio of them means
+# nothing.
+RAW_LAYERS = {"ensemble.overhead_ms", "trace.overhead_ms"}
+# A layer is flagged when it is worse than the parent's by more than this.
+LAYER_SLOWER = 0.10
+TRACE_SEED = 1
 
 
 # A line of pytest's --durations report: seconds, phase and test id.
@@ -142,6 +159,47 @@ def run_workload(tree: Path, workload: str, seed: int, seconds: int) -> tuple[di
     return parse_run(proc.stdout)
 
 
+def trace_summary(stdout: str, stderr: str = "") -> dict:
+    """The per-layer metrics of one traced run, from its standard output,
+    with its correctness and the names of its failed checks; a run that
+    printed no result gives the end of its error output instead."""
+    try:
+        _, report, result = parse_run(stdout)
+    except ValueError as exc:
+        return {"error": stderr[-2000:] or str(exc)[-2000:]}
+    return {"correct": result["correct"], "failed": result["failed"],
+            "failed_checks": [c["name"] for c in report.get("checks", []) if not c["passed"]],
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+
+
+def run_trace(tree: Path, workload: str, seconds: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(TRACE_SEED),
+         "--seconds", str(seconds), "--trace", "1"], cwd=tree, capture_output=True, text=True)
+    return trace_summary(proc.stdout, proc.stderr)
+
+
+def layers(traces: dict, better: dict) -> dict:
+    """Per workload, each tree's traced run; with a parent, the head/parent
+    ratio of each metric but RAW_LAYERS, and the metrics worse than the
+    parent's by more than LAYER_SLOWER (better[name] is "higher" or
+    "lower")."""
+    out = {}
+    for workload, runs in traces.items():
+        out[workload] = dict(runs)
+        head, parent = (runs.get(tag, {}).get("metrics") for tag in ("head", "parent"))
+        if not (head and parent):
+            continue
+        ratios = {name: value / parent[name] for name, value in head.items()
+                  if name not in RAW_LAYERS and parent.get(name)}
+        out[workload]["ratios"] = ratios
+        lower = {name for name in ratios if better.get(name) == "lower"}
+        out[workload]["slower"] = sorted(
+            name for name, r in ratios.items()
+            if (r > 1 + LAYER_SLOWER if name in lower else r * (1 + LAYER_SLOWER) < 1))
+    return out
+
+
 def python_env(tree: Path) -> dict:
     return {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
 
@@ -181,8 +239,10 @@ def extract(rev: str, into: Path) -> Path:
 
 def measure(trees: dict, workloads: list, seeds: list, seconds: int, log) -> dict:
     """Every run of every tree, alternating trees run by run (their order
-    flips with each seed), then tier-1 and the criteria of each tree."""
-    out = {tag: {"runs": [], "env": None} for tag in trees}
+    flips with each seed), then one traced run per workload and tree (the
+    order flipping with each workload), then tier-1 and the criteria of
+    each tree."""
+    out = {tag: {"runs": [], "env": None, "traces": {}} for tag in trees}
     for k, seed in enumerate(seeds):
         order = list(trees) if k % 2 == 0 else list(trees)[::-1]
         for workload in workloads:
@@ -195,6 +255,10 @@ def measure(trees: dict, workloads: list, seeds: list, seconds: int, log) -> dic
                 log(f"{tag} {workload} seed {seed}: " + json.dumps(
                     {n: m["value"] for n, m in result["metrics"].items()}) + " wall " +
                     json.dumps(kept.get("wall_clock")))
+    for k, workload in enumerate(workloads):
+        for tag in (list(trees) if k % 2 == 0 else list(trees)[::-1]):
+            trace = out[tag]["traces"][workload] = run_trace(trees[tag], workload, seconds)
+            log(f"{tag} {workload} trace: " + json.dumps(trace))
     for tag in trees:
         out[tag]["tier1"] = run_tier1(trees[tag])
         log(f"{tag} tier-1: {out[tag]['tier1']}")
@@ -218,6 +282,12 @@ def report(measured: dict, spec: dict, revs: dict) -> dict:
                 capture_output=True, text=True, check=True).stdout.strip())
         columns[tag].update({key: data[key] for key in ("tier1", "criteria") if key in data})
     out = {"command": "perfbench/run.py", **columns}
+    traces = {}
+    for tag, data in measured.items():
+        for workload, trace in data.get("traces", {}).items():
+            traces.setdefault(workload, {})[tag] = trace
+    if traces:
+        out["layers"] = layers(traces, better)
     if "parent" in columns:
         out["deltas"] = deltas(columns["head"]["workloads"], columns["parent"]["workloads"],
                                better)

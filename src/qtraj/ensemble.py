@@ -20,8 +20,9 @@ in a form chosen by size alone: up to D = RK4_MATRIX_MAX_DIM = 16 the RK4
 step is tabulated as one real D^2 x D^2 matrix S on the state's Hermitian
 coordinates, and a stride of s steps applies the powers S^(2^k) of the
 binary digits of s, squared once; above it each step is applied in turn
-through four D x D products (the timings that place the crossover are
-quoted at RK4_MATRIX_MAX_DIM).
+to the state's real form Re X + Im X, a real D x D matrix, through four
+applications of the generator, each two real D x D products for a real H
+(the timings that place the crossover are quoted at RK4_MATRIX_MAX_DIM).
 
 Ensembles run through one chunk iterator, :func:`trajectory_chunks`, which
 yields contiguous chunks of trajectory indices in index order as they
@@ -32,13 +33,12 @@ eigenbasis), or its equation's batched kernel for diffusion paths.  Every
 batch returns columns (:class:`EventColumns`), with no object per
 trajectory, and drops its states.  The chunks run on worker processes
 started by os.fork (:func:`_map_chunks`), at most one per usable CPU, each
-pinned to its CPU and fed index ranges through a task pipe; each returns
-what the caller keeps through its result pipe, as a length-prefixed
-pickle: whole
-columns for :func:`run_trajectories`, which concatenates them, or the
-series alone for :func:`series_columns`, with an event chunk's
-trajectories.jsonl lines rendered beside them for the CLI.  A chunk's
-error comes back the same way and raises in the parent at its turn; a
+pinned to its CPU with its BLAS on one thread, and fed index ranges through
+a task pipe; each returns what the caller keeps through its result pipe,
+as a length-prefixed pickle: whole columns for :func:`run_trajectories`,
+which concatenates them, or the series alone for :func:`series_columns`,
+with an event chunk's trajectories.jsonl lines rendered beside them for
+the CLI.  A chunk's error comes back the same way and raises in the parent at its turn; a
 worker that dies raises a SimulationError.  A run that streams its chunks
 holds one window of chunks besides the kept series, and every worker is
 reaped before the run returns, killed first if the run ends early.
@@ -89,12 +89,13 @@ MASTER_MODES = ("jump-averaged", "diffusive")
 RK4_BOUND = 0.1
 # rk4_solve advances by D^2 x D^2 powers of the step matrix for
 # D <= RK4_MATRIX_MAX_DIM, for larger D step by step through four
-# hermitian_rhs products.  1000 steps on one thread in 10 and in 1 records,
-# the matrix and its ladder built included: D = 2 to 9 took 48-56 ms through
-# hermitian_rhs, nearly all numpy call overhead, and 0.4-1.1 ms by powers;
-# D = 16 took 38-42 ms against 12-13 ms, D = 27 71-87 ms against 159-214 ms
-# and D = 32 105-110 ms against 431-626 ms, as the matrix build grows like
-# D^6 and each squaring like D^6.
+# applications of MasterGenerator.real_rhs.  1000 steps on one thread in 10
+# and in 1 records, the matrix and its ladder built included, for a real H
+# and mask (a complex H and mask in brackets): D = 16 took 29-32 ms (75-84)
+# through real_rhs, mostly numpy call overhead, against 11-14 ms (12-15) by
+# powers; D = 27 42-62 ms (112-116) against 198-249 ms (178-275), and D = 32
+# 39-63 ms (113-120) against 499-706 ms (565-708), as the matrix build grows
+# like D^6 and each squaring like D^6.
 RK4_MATRIX_MAX_DIM = 16
 # Paths per diffusion chunk, and rows per event chunk at most.  Event
 # chunks are further sized by bytes: the rows of an event chunk, at their
@@ -244,7 +245,8 @@ class MasterGenerator:
     rho -> U L(U^dag rho U) U^dag.  :func:`rk4_solve` takes RK4 steps in
     one of two forms: up to RK4_MATRIX_MAX_DIM by powers of the real matrix
     :meth:`rk4_matrix` of the step, and above it one step at a time through
-    :meth:`hermitian_rhs`, one product on exactly Hermitian states.
+    :meth:`real_rhs`, L on the real D x D form Z = Re X + Im X of a
+    Hermitian X.
     """
 
     U: np.ndarray
@@ -252,16 +254,37 @@ class MasterGenerator:
     mask: np.ndarray
     hbar: float
 
-    def hermitian_rhs(self, X: np.ndarray) -> np.ndarray:
-        """L(X) = -(i/hbar)(H X - X H) + mask o X for an exactly Hermitian,
-        C-contiguous X, from one product: with B = -(i/hbar) H X,
-        X H = (H X)^dag gives L(X) = B + B^dag + mask o X, which is exactly
-        Hermitian again.  A real H takes one real GEMM on the float view of
-        X, in which a product from the left acts on rows only."""
-        B = np.matmul(self.H, X if self.H.dtype.kind == "c" else X.view(np.float64)).view(complex)
-        B *= -1j / self.hbar
-        out = B + B.conj().T
-        out += self.mask * X
+    @cached_property
+    def _real_parts(self) -> tuple:
+        """(P, Q, G, K) with H / hbar = P + iQ and mask = G + iK, each
+        C-contiguous; Q and K are None where H or the mask is real.  P and G
+        are symmetric, Q and K antisymmetric."""
+        def split(A):
+            return (np.ascontiguousarray(A.real),
+                    np.ascontiguousarray(A.imag) if A.dtype.kind == "c" else None)
+
+        return (*split(self.H / self.hbar), *split(self.mask))
+
+    def real_rhs(self, Z: np.ndarray) -> np.ndarray:
+        """L on real forms: the real form of L(X) for the real form
+        Z = Re X + Im X of a Hermitian X, which holds X's D^2 real numbers
+        as its symmetric part Re X and its antisymmetric part Im X.  With
+        H / hbar = P + iQ and mask = G + iK (:attr:`_real_parts`),
+
+            L: Z -> ([P, Z] - K o Z)^T + [Q, Z] + G o Z,
+
+        two real products, one Hadamard product and one transposed add for
+        a real H and mask, two more products for a complex H."""
+        P, Q, G, K = self._real_parts
+        C = P @ Z
+        C -= Z @ P
+        if K is not None:
+            C -= K * Z
+        out = G * Z
+        out += C.T
+        if Q is not None:
+            out += Q @ Z
+            out -= Z @ Q
         return out
 
     def superop(self, original_basis: bool = True) -> np.ndarray:
@@ -319,6 +342,12 @@ def _rk4_step(apply, x: np.ndarray, dt: float) -> np.ndarray:
     return y
 
 
+def _from_real_form(Z: np.ndarray) -> np.ndarray:
+    """The Hermitian X = (Z + Z^T)/2 + i (Z - Z^T)/2 of a real form Z
+    (see :meth:`MasterGenerator.real_rhs`), exactly Hermitian for any real Z."""
+    return 0.5 * (Z + Z.T) + 0.5j * (Z - Z.T)
+
+
 def _repeated(step, x: np.ndarray, stride: int) -> np.ndarray:
     """step applied stride times to x."""
     for _ in range(stride):
@@ -365,16 +394,17 @@ def rk4_solve(gen: MasterGenerator, rho0, T: float, dt: float, record_times=None
       in place of s.  The powers round differently from s single steps,
       by an amount that grows with s: below 1e-13 of the state over 1000
       steps, 2.4e-12 over 10^5 at D = 4 (1.1e-14 step by step);
-    * larger D: :func:`_rk4_step` applies :meth:`MasterGenerator.hermitian_rhs`,
-      one D x D product plus one Hadamard product, to the state itself,
-      step by step.  Its output is exactly Hermitian for an exactly
-      Hermitian input, and real-weighted sums keep that.
+    * larger D: the state is held as its real form Z = Re X + Im X, the
+      D^2 real numbers of X in a D x D array, and :func:`_rk4_step` applies
+      :meth:`MasterGenerator.real_rhs`, two real D x D products (four for a
+      complex H) plus one Hadamard product, to it step by step.  A record
+      decodes X = (Z + Z^T)/2 + i (Z - Z^T)/2.
 
-    Either way every state is exactly Hermitian in U's basis with no
-    further symmetrization; the timings that set the crossover are quoted at
-    RK4_MATRIX_MAX_DIM.  States rotate back only at record times, a record
-    at t = 0 returns rho0 as given, and no step is taken past the last
-    record.  The step size must satisfy the stability bound
+    Either way every recorded state is exactly Hermitian in U's basis with
+    no further symmetrization; the timings that set the crossover are
+    quoted at RK4_MATRIX_MAX_DIM.  States rotate back only at record times,
+    a record at t = 0 returns rho0 as given, and no step is taken past the
+    last record.  The step size must satisfy the stability bound
     dt * gen.norm <= RK4_BOUND.
     Returns (times, densities) at the requested record times (default: T).
     """
@@ -406,8 +436,8 @@ def rk4_solve(gen: MasterGenerator, rho0, T: float, dt: float, record_times=None
         advance = partial(_climbed, _squaring_ladder(gen.rk4_matrix(dt), max(strides, default=0)))
         x, decode = hermitian_coordinates(rho), hermitian_from_coordinates
     else:
-        advance = partial(_repeated, partial(_rk4_step, gen.hermitian_rhs, dt=dt))
-        x, decode = rho, np.asarray
+        advance = partial(_repeated, partial(_rk4_step, gen.real_rhs, dt=dt))
+        x, decode = rho.real + rho.imag, _from_real_form
     for s, stride in zip(steps, strides):
         x = advance(x, stride)
         for j in rec_map[s]:
@@ -737,10 +767,34 @@ def _receive(fd: int):
     return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
 
 
+def _one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread in this process, through
+    OpenBLAS's own setter on the library numpy has already loaded; where
+    that library or its setter is absent, nothing changes.  Each worker
+    calls it: n workers of a many-threaded OpenBLAS oversubscribe the CPUs
+    they are pinned to.  With OPENBLAS_NUM_THREADS unset, the many-mixing
+    run spec (D = 64, 500 trajectories) at two workers took 2.31 s of wall
+    time and 4.18 s of CPU unpinned and 1.11 s and 2.02 s pinned here
+    (medians of 6 fresh processes; 0.81 s and 1.34 s with the variable at
+    1, which also pins the parent)."""
+    import ctypes
+    from pathlib import Path
+
+    for lib in (Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*"):
+        try:
+            handle = ctypes.CDLL(str(lib), mode=os.RTLD_NOLOAD)
+        except OSError:  # not the library numpy loaded
+            continue
+        setter = getattr(handle, "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
 def _fork_worker(worker, idx, cpu, inherited) -> tuple[int, int, int]:
     """Fork a worker process, which pins itself to cpu (None: the OS
-    chooses), runs worker on the chunk idx and then on each chunk that
-    arrives on its task pipe, and sends back each result as (True, result),
+    chooses) and its BLAS to one thread, runs worker on the chunk idx and
+    then on each chunk that arrives on its task pipe, and sends back each result as (True, result),
     or the error that chunk raised as (False, error); it leaves with
     os._exit when its task pipe closes, and runs no code of the parent's
     after the fork.  inherited are the parent's ends of the pipes of the
@@ -773,6 +827,7 @@ def _fork_worker(worker, idx, cpu, inherited) -> tuple[int, int, int]:
         if cpu is not None:
             with suppress(OSError):
                 os.sched_setaffinity(0, {cpu})
+        _one_blas_thread()
         while True:
             try:
                 _send(results, (True, worker(idx)))

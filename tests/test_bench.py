@@ -119,3 +119,46 @@ def test_durations_are_parsed_from_the_report_alone():
          "test": "tests/test_source.py::test_rule[is not Hermitian]"},
     ]
     assert bench.parse_durations("918 passed in 64.30s (0:01:04)\n") == []
+
+
+def trace_output(rk4_us: float, rate: float, event_us: float, overhead_ms: float,
+                 density_passed: bool = True) -> str:
+    """The standard output of one perfbench/run.py --trace 1 run, with a
+    few of its per-layer metrics."""
+    metrics = {"ensemble.rk4_step_us": {"unit": "us", "value": rk4_us},
+               "ensemble.run_ensemble_traj_per_s": {"unit": "1/s", "value": rate},
+               "manybody.us_per_event": {"unit": "us", "value": event_us},
+               "ensemble.overhead_ms": {"unit": "ms", "value": overhead_ms}}
+    checks = [{"name": "many-events", "passed": True, "detail": "z = 0.151"},
+              {"name": "density-trace", "passed": density_passed, "detail": "max |trace - 1|/SE"}]
+    failed = 0 if density_passed else 1
+    return "\n".join(json.dumps(line) for line in [
+        {"env": {"python": "3.11"}}, {"report": {"checks": checks, "failed": failed}},
+        {"correct": density_passed, "attempted": 2702, "failed": failed, "metrics": metrics}])
+
+
+def test_traced_layers_get_ratios_flags_and_failed_checks():
+    # The head's RK4 step is 1.6x faster, its ensemble rate 20% lower and
+    # its mixing event 5% slower; its density-trace check failed by chance.
+    head = bench.trace_summary(trace_output(130.0, 800.0, 273.0, -1900.0, density_passed=False))
+    parent = bench.trace_summary(trace_output(208.0, 1000.0, 260.0, 12.0))
+    crashed = bench.trace_summary('{"env": {}}\n', "Traceback (most recent call last):\nOSError\n")
+    measured = {"head": {"runs": [], "env": {}, "traces": {"many-mixing": head,
+                                                           "jump-lattice": crashed}},
+                "parent": {"runs": [], "env": {}, "traces": {"many-mixing": parent,
+                                                             "jump-lattice": parent}}}
+    got = json.loads(json.dumps(bench.report(measured, SPEC, {"head": None, "parent": None})))
+    many = got["layers"]["many-mixing"]
+    assert many["head"]["correct"] is False and many["head"]["failed"] == 1
+    assert many["head"]["failed_checks"] == ["density-trace"]
+    assert many["parent"]["failed_checks"] == []
+    assert many["ratios"] == pytest.approx({"ensemble.rk4_step_us": 0.625,
+                                            "ensemble.run_ensemble_traj_per_s": 0.8,
+                                            "manybody.us_per_event": 1.05})
+    assert many["slower"] == ["ensemble.run_ensemble_traj_per_s"]
+    # The overhead is kept raw, with no ratio and no flag.
+    assert many["head"]["metrics"]["ensemble.overhead_ms"] == -1900.0
+    # A run that printed no result is recorded as its error.
+    jump = got["layers"]["jump-lattice"]
+    assert jump["head"] == {"error": "Traceback (most recent call last):\nOSError\n"}
+    assert "ratios" not in jump and jump["parent"]["metrics"]["ensemble.rk4_step_us"] == 208.0

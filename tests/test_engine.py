@@ -3,6 +3,7 @@ layout independence, draw order, an independent one-path reference loop,
 reproducible numeric failures and byte-identical CLI outputs; and the input
 checks of every engine."""
 
+import ctypes
 import dataclasses
 import filecmp
 import json
@@ -11,6 +12,7 @@ import os
 import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +131,18 @@ def same_columns(a, b):
     """Whether two event column sets are equal field by field, bit for bit."""
     return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
                for f in dataclasses.fields(a))
+
+
+def openblas(name: str):
+    """The function scipy_openblas_<name>64_ of the OpenBLAS that numpy has
+    loaded, or None."""
+    for lib in (Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*"):
+        fn = getattr(ctypes.CDLL(str(lib), mode=os.RTLD_NOLOAD), f"scipy_openblas_{name}64_", None)
+        if fn is not None:
+            fn.argtypes = [ctypes.c_int] if name.startswith("set") else []
+            fn.restype = None if name.startswith("set") else ctypes.c_int
+            return fn
+    return None
 
 
 class TestRunTrajectories:
@@ -296,6 +310,23 @@ class TestRunTrajectories:
             (range(k, k + 1) for k in range(6)), 2))
         assert [start for start, _ in seen] == list(range(6))
         assert {cpus for _, cpus in seen} <= {frozenset({min(mask)}), frozenset(mask)}
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or openblas("get_num_threads") is None,
+                        reason="workers are forked; numpy's OpenBLAS reports its threads")
+    def test_each_worker_runs_its_blas_on_one_thread(self):
+        # The parent runs OpenBLAS on two threads, which a forked child
+        # inherits; each worker sets its own to one, and the parent's count
+        # stays as it was.
+        threads, set_threads = openblas("get_num_threads"), openblas("set_num_threads")
+        before = threads()
+        set_threads(2)
+        try:
+            seen = list(ensemble._map_chunks(lambda idx: threads(),
+                                             (range(k, k + 1) for k in range(4)), 2))
+            assert threads() == 2
+        finally:
+            set_threads(before)
+        assert seen == [1] * 4
 
 
 def diffusion_setup(M=1, dt=1e-3):

@@ -276,18 +276,24 @@ class TestClosedFormSuperoperator:
         assert np.max(np.abs(_jump_superop(base, 0.1, 100.0) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def crossover_generator(D: int, complex_parts: bool, seed: int = 0) -> MasterGenerator:
-    """A generator with U = I and a random Hermitian H and mask, real or
-    complex, hbar = 0.8; the mask's real part is non-positive, so the
-    evolution contracts the Frobenius norm."""
+# Which of H and the mask a crossover generator holds complex.  A complex
+# mask alone is what a chirped pointer gives a real H.
+PARTS = {"real": (False, False), "complex": (True, True), "complex-mask": (False, True),
+         "complex-h": (True, False)}
+
+
+def crossover_generator(D: int, parts: str, seed: int = 0) -> MasterGenerator:
+    """A generator with U = I and a random Hermitian H and mask, each real
+    or complex as PARTS[parts] says, hbar = 0.8; the mask's real part is
+    non-positive, so the evolution contracts the Frobenius norm."""
+    complex_h, complex_mask = PARTS[parts]
     rng = np.random.default_rng(seed)
     H = random_hermitian(D, rng)
-    decay = np.abs(random_hermitian(D, rng))
-    if complex_parts:
-        phase = rng.standard_normal((D, D))
-        mask = -decay + 1j * (phase - phase.T)
-        return MasterGenerator(np.eye(D), H, mask, 0.8)
-    return MasterGenerator(np.eye(D), np.ascontiguousarray(H.real), -decay, 0.8)
+    mask = -np.abs(random_hermitian(D, rng))
+    phase = rng.standard_normal((D, D))
+    if complex_mask:
+        mask = mask + 1j * (phase - phase.T)
+    return MasterGenerator(np.eye(D), H if complex_h else np.ascontiguousarray(H.real), mask, 0.8)
 
 
 def plain_rk4(gen: MasterGenerator, rho: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
@@ -307,11 +313,15 @@ STRIDE_STEPS = [300, 7, 0, 45, 1, 7, 2]
 
 
 class TestRk4Kernels:
-    @pytest.mark.parametrize("complex_parts", [False, True], ids=["real", "complex"])
-    @pytest.mark.parametrize("D", [2, 3, 4, 8, 9, 16, 27])
-    def test_both_kernels_take_the_plain_rk4_steps(self, D, complex_parts):
-        gen = crossover_generator(D, complex_parts, seed=D)
-        assert (gen.H.dtype == np.complex128) == complex_parts
+    # Both branches of the real stage that mix a real and a complex part run
+    # above the crossover alone.
+    @pytest.mark.parametrize("D, parts", [(D, parts) for D in [2, 3, 4, 8, 9, 16, 27]
+                                          for parts in ("real", "complex")]
+                             + [(27, "complex-mask"), (27, "complex-h")])
+    def test_both_kernels_take_the_plain_rk4_steps(self, D, parts):
+        gen = crossover_generator(D, parts, seed=D)
+        assert (gen.H.dtype.kind, gen.mask.dtype.kind) == tuple("c" if c else "f"
+                                                                for c in PARTS[parts])
         rho0 = random_hermitian(D, np.random.default_rng(D + 1))
         rho0 = rho0 @ rho0 / np.trace(rho0 @ rho0).real
         dt = 0.1 / gen.norm
@@ -323,10 +333,10 @@ class TestRk4Kernels:
             assert np.array_equal(rec, rec.conj().T)
             assert np.linalg.norm(rec - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("complex_parts", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("parts", ["real", "complex"])
     @pytest.mark.parametrize("D", [2, 4, 8, 16])
-    def test_uneven_record_steps_take_the_plain_rk4_steps(self, D, complex_parts):
-        gen = crossover_generator(D, complex_parts, seed=D)
+    def test_uneven_record_steps_take_the_plain_rk4_steps(self, D, parts):
+        gen = crossover_generator(D, parts, seed=D)
         rho0 = random_hermitian(D, np.random.default_rng(D + 1))
         rho0 = rho0 @ rho0 / np.trace(rho0 @ rho0).real
         dt = 0.1 / gen.norm
@@ -369,7 +379,7 @@ class TestRk4Kernels:
         assert np.linalg.norm(gen.to_basis(got[0]) - ref) <= bound * np.linalg.norm(ref)
 
     def test_ladder_is_charged_before_it_is_built(self, monkeypatch):
-        gen = crossover_generator(16, False)
+        gen = crossover_generator(16, "real")
         dt = 0.1 / gen.norm
         # 1000 steps take 10 rungs of 8 * 16^4 bytes; 8 fit in 4 MiB.
         monkeypatch.setattr("qtraj.errors.physical_memory", lambda: 4 << 20)
@@ -382,7 +392,7 @@ class TestRk4Kernels:
         assert 16 <= RK4_MATRIX_MAX_DIM < 27
 
     def test_step_matrix_is_the_rk4_polynomial(self):
-        gen = crossover_generator(3, True)
+        gen = crossover_generator(3, "complex")
         dt = 0.05 / gen.norm
         L = gen.superop(original_basis=False)
         hL = dt * L

@@ -32,7 +32,8 @@ from qtraj import (DensityMatrix, DiffusionConfig, HermitianOperator,  # noqa: E
 from qtraj.cli import (EQUATIONS, EXPERIMENTS, OVERRIDES_READ, READS,  # noqa: E402
                        _resolved_for_hash, main, spec_from_dict)
 from qtraj.diffusion import _diffusion_batch  # noqa: E402
-from qtraj.ensemble import MasterConfig, master_generator, rk4_solve  # noqa: E402
+from qtraj.ensemble import (MasterConfig, _from_real_form, master_generator,  # noqa: E402
+                            rk4_solve)
 from qtraj.jumps import EventColumns, _jump_batch  # noqa: E402
 from qtraj.linalg import (embed_at_slot, embed_pair, expm_small,  # noqa: E402
                           hermitian_coordinates,
@@ -157,12 +158,15 @@ def test_master_generator_matches_reference_and_keeps_hermiticity(mode, d, M, an
     seed=st.integers(0, 2 ** 32 - 1),
 )
 def test_hermitian_stage_equals_the_general_generator(mode, d, M, angle, slope, real_h, seed):
-    # A real H at angle 0 stays real in R's eigenbasis: the real-GEMM path.
+    # A real H at angle 0 stays real in R's eigenbasis: the stage's two-product
+    # branch.  A phase slope gives the jump mode a complex mask.
     angle = 0.0 if real_h else angle
     gen = master_generator(master_case(mode, d, M, angle, slope, seed, real_h))
     assert (gen.H.dtype == np.float64) == real_h
     X = random_hermitian(d ** M, np.random.default_rng(seed + 1))
-    got, ref = gen.hermitian_rhs(X), general_map(gen, original_basis=False)(X)
+    Z = gen.real_rhs(X.real + X.imag)
+    assert Z.dtype == np.float64
+    got, ref = _from_real_form(Z), general_map(gen, original_basis=False)(X)
     assert np.array_equal(got, got.conj().T)
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 

@@ -1,6 +1,7 @@
 """Static checks of the package source, using only the standard library."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -262,11 +263,15 @@ def test_rows_product_multiplies_by_the_step_unitary():
     assert [p.args[1] for p in products if getattr(p.args[1], "id", "") == "UT"] == reads
 
 
-# The RK4 oracle makes one D x D product per application of the generator:
-# MasterGenerator's hermitian_rhs takes X H as the adjoint (H X)^dag of its
-# one product, which holds on the exactly Hermitian states rk4_solve keeps,
-# so its step loop makes no product and no symmetrization of its own.
-STAGE = "hermitian_rhs"
+# The RK4 oracle above the crossover steps the real form Z = Re X + Im X of
+# the state: MasterGenerator's real_rhs works on real arrays alone, with no
+# imaginary unit, conjugate or complex dtype.  It makes two real products for
+# a real H, and two more, in its one branch on H's imaginary part Q, for a
+# complex H; rk4_solve's step loop makes no product and no symmetrization
+# of its own.
+STAGE = "real_rhs"
+COMPLEX_H = "Q is not None"
+COMPLEX_NAME = re.compile(r"conj(ugate)?|complex\d*")
 
 
 def product_count(tree: ast.AST) -> int:
@@ -292,24 +297,52 @@ def method(path: Path, cls: str, name: str) -> ast.FunctionDef:
     return next(n for n in body if isinstance(n, ast.FunctionDef) and n.name == name)
 
 
-def test_rk4_stage_makes_one_product_and_adds_its_adjoint():
-    path = PACKAGE / "ensemble.py"
-    stage = method(path, "MasterGenerator", STAGE)
-    assert product_count(stage) == 1
-    # The name bound to the product is the one whose adjoint is added.
-    product = [t.id for n in ast.walk(stage)
-               if isinstance(n, ast.Assign) and product_count(n.value) for t in n.targets]
-    assert product and adjoints(stage) == product
-    # The check sees products: the general map makes two, with no adjoint.
+def complex_uses(tree: ast.AST) -> list[str]:
+    """The imaginary literals, and the conjugates and complex dtypes by name
+    or as a string, that the code under tree uses."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant):
+            if isinstance(node.value, complex) or (isinstance(node.value, str)
+                                                   and COMPLEX_NAME.fullmatch(node.value)):
+                found.append(repr(node.value))
+            continue
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+        if COMPLEX_NAME.fullmatch(name):
+            found.append(name)
+    return sorted(found)
+
+
+def branch_products(stage: ast.FunctionDef) -> dict[str, int]:
+    """The products of each if statement of stage that makes any, by its
+    test."""
+    return {ast.unparse(n.test): product_count(n) for n in ast.walk(stage)
+            if isinstance(n, ast.If) and product_count(n)}
+
+
+def test_rk4_stage_is_real_with_two_products_per_part_of_h():
+    stage = method(PACKAGE / "ensemble.py", "MasterGenerator", STAGE)
+    assert complex_uses(stage) == []
+    assert product_count(stage) == 4 and branch_products(stage) == {COMPLEX_H: 2}
+    # The check sees complex work: the one-product stage on complex states.
+    old = ast.parse("B = np.matmul(H, X.view(np.float64)).view(complex)\nB *= -1j / hbar\n"
+                    "out = B + B.conj().T\nout += mask * X\n"
+                    "y = np.empty(n, dtype='complex128') + np.complex128(0)")
+    assert complex_uses(old) == ["'complex128'", "1j", "complex", "complex128", "conj"]
+    assert complex_uses(ast.parse("out = Z.T @ P - P @ Z.T + G * Z")) == []
+    # It sees products, and a complex part's products outside their branch.
     general = ast.parse("out = (-1j / hbar) * (H @ X - X @ H) + mask * X")
     assert product_count(general) == 2 and adjoints(general) == []
     assert product_count(ast.parse("y = np.einsum('ij,jk', a, b) @ c")) == 2
+    unbranched = ast.parse("def f(Z):\n    out = P @ Z - Z @ P\n    if K is not None:\n"
+                           "        out -= K * Z\n    return out + Q @ Z - Z @ Q\n").body[0]
+    assert product_count(unbranched) == 4 and branch_products(unbranched) == {}
 
 
 # rk4_solve has one step loop, over the record steps.  Before it, the
 # advance by a stride of steps is chosen by size: the squaring ladder of the
-# step matrix, built once, or the one RK4 helper over hermitian_rhs, taken
-# step by step.  The loop only advances and records, with no product,
+# step matrix, built once, or the one RK4 helper over real_rhs, taken step
+# by step.  The loop only advances and records, with no product,
 # adjoint, conjugate or transpose of its own.
 STEP_HELPER = "_rk4_step"
 STEPS = {"partial(_climbed, _squaring_ladder(gen.rk4_matrix(dt), max(strides, default=0)))",
