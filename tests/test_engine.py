@@ -137,7 +137,11 @@ def openblas(name: str):
     """The function scipy_openblas_<name>64_ of the OpenBLAS that numpy has
     loaded, or None."""
     for lib in (Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*"):
-        fn = getattr(ctypes.CDLL(str(lib), mode=os.RTLD_NOLOAD), f"scipy_openblas_{name}64_", None)
+        try:
+            handle = ctypes.CDLL(str(lib), mode=os.RTLD_NOLOAD)
+        except OSError:  # not the library numpy loaded
+            continue
+        fn = getattr(handle, f"scipy_openblas_{name}64_", None)
         if fn is not None:
             fn.argtypes = [ctypes.c_int] if name.startswith("set") else []
             fn.restype = None if name.startswith("set") else ctypes.c_int
